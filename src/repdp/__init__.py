@@ -50,6 +50,7 @@ from .errors import (
     InfeasibleBudget,
     InsufficientNodes,
     InvalidApplication,
+    InvalidParameter,
     RegistryExhausted,
     RepdpError,
     ScenarioError,

@@ -7,6 +7,7 @@ ddos, ratelimit, linklb, resourcelb.
 
 from __future__ import annotations
 
+from .errors import InvalidParameter
 from .model import (
     ActionKind,
     ActivitySpec,
@@ -38,9 +39,11 @@ class RateEstimatorWindow:
     __slots__ = ("delta_ns", "window", "ring", "head", "total", "cur_slot", "cur_count")
 
     def __init__(self, delta_s: float = 0.1, window: int = 8):
-        assert window >= 1 and window & (window - 1) == 0
+        if window < 1 or window & (window - 1):
+            raise InvalidParameter(f"estimator window must be a power of two, got {window}")
         self.delta_ns = round(delta_s * 1e9)
-        assert self.delta_ns > 0
+        if self.delta_ns <= 0:
+            raise InvalidParameter(f"estimator delta must be at least 1 ns, got {delta_s} s")
         self.window = window
         self.ring = [0] * window
         self.head = 0

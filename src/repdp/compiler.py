@@ -370,7 +370,8 @@ def apply_reduction(kind: ReductionKind, values, exact_mean: bool = False) -> in
         n = len(vals)
         if exact_mean:
             return sum(vals) // n
-        assert n and not n & (n - 1), "mean needs a power-of-two count"
+        if n < 1 or n & (n - 1):
+            raise UnsupportedPrimitive(f"mean needs a power-of-two input count, got {n}")
         return sum(vals) >> (n.bit_length() - 1)
     if kind is ReductionKind.MIN:
         return min(vals)

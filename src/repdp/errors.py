@@ -60,5 +60,9 @@ class ScenarioError(RepdpError):
         super().__init__(f"{where}{message}")
 
 
+class InvalidParameter(RepdpError):
+    """A numeric parameter lies outside the range its component accepts."""
+
+
 class SimulationError(RepdpError):
     """Runtime failure while building or running a simulation."""

@@ -2,6 +2,9 @@
 
 Link traffic is binned into fixed windows and split by class (data vs
 replication updates); the split sums to the total by construction.
+During a run the simulator counts into `Accumulators`, plain Python int
+lists; each return from `Simulator.run_until` publishes them onto the
+`MetricsLog` as numpy int64 arrays, which is all a reader ever sees.
 Everything exports to plain CSVs with deterministic formatting: ints as
 decimal, floats via repr, rows in sorted or insertion order only, so
 identical runs produce byte-identical files.
@@ -16,14 +19,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidParameter
+
 CONTROLLER_DELAY_NS = 10_000_000
 
 
 class MetricsLog:
-    """Run-wide measurement state, mutated inline by the simulator."""
+    """Run-wide measurement state.
+
+    The simulator appends event rows and bumps scalar counters inline;
+    the per-bin and per-flow/per-link arrays are written by
+    `Accumulators.publish`.
+    """
 
     def __init__(self, t_end_ns: int, bin_ns: int, link_dirs, flow_names):
-        assert bin_ns > 0
+        if bin_ns <= 0:
+            raise InvalidParameter(f"metrics bin must be positive, got {bin_ns} ns")
         self.t_end_ns = t_end_ns
         self.bin_ns = bin_ns
         self.n_bins = max(1, math.ceil(t_end_ns / bin_ns))
@@ -59,14 +70,51 @@ class MetricsLog:
             i for i, (u, v) in enumerate(self.link_dirs) if is_switch(u) and is_switch(v)
         ]
 
-    def bin_of(self, t_ns: int) -> int:
-        b = t_ns // self.bin_ns
-        return self.n_bins - 1 if b >= self.n_bins else int(b)
-
     def window_slice(self, frac0: float = 0.5, frac1: float = 1.0) -> slice:
         lo = int(self.n_bins * frac0)
         hi = max(lo + 1, int(math.ceil(self.n_bins * frac1)))
         return slice(lo, min(hi, self.n_bins))
+
+
+class Accumulators:
+    """The per-packet counters of one run, as plain Python ints.
+
+    Binned rows (`data_bits`, `repl_bits` per link direction, `flow_bits`
+    per flow) hold n_bins + 1 slots, so `t_ns // bin_ns` indexes them
+    directly for every event time in [0, t_end_ns]; the extra slot only
+    catches t_ns == n_bins * bin_ns and is folded into the last bin on
+    publish. The counters are `queue_drops` per link direction and
+    `flow_sent`, `flow_delivered`, `flow_app_drops`, `flow_queue_drops`
+    per flow.
+    """
+
+    BINNED = ("data_bits", "repl_bits", "flow_bits")
+    COUNTERS = ("queue_drops", "flow_sent", "flow_delivered", "flow_app_drops",
+                "flow_queue_drops")
+    __slots__ = BINNED + COUNTERS
+
+    def __init__(self, log: MetricsLog):
+        slots = log.n_bins + 1
+        n_links, n_flows = len(log.link_dirs), len(log.flow_names)
+        self.data_bits = [[0] * slots for _ in range(n_links)]
+        self.repl_bits = [[0] * slots for _ in range(n_links)]
+        self.flow_bits = [[0] * slots for _ in range(n_flows)]
+        self.queue_drops = [0] * n_links
+        self.flow_sent = [0] * n_flows
+        self.flow_delivered = [0] * n_flows
+        self.flow_app_drops = [0] * n_flows
+        self.flow_queue_drops = [0] * n_flows
+
+    def publish(self, log: MetricsLog):
+        """Write the totals so far onto `log` as numpy int64 arrays."""
+        n = log.n_bins
+        for name in self.BINNED:
+            rows = getattr(self, name)
+            arr = np.array(rows, dtype=np.int64).reshape(len(rows), n + 1)
+            arr[:, n - 1] += arr[:, n]
+            setattr(log, name, arr[:, :n].copy())
+        for name in self.COUNTERS:
+            setattr(log, name, np.array(getattr(self, name), dtype=np.int64))
 
 
 def _fmt(x) -> str:

@@ -14,7 +14,7 @@ import struct
 from dataclasses import dataclass, field
 
 from .compiler import apply_reduction
-from .errors import FieldOverflow, TruncatedHeader
+from .errors import FieldOverflow, InvalidParameter, TruncatedHeader
 from .model import ReductionKind
 
 UPDATE_ETHTYPE = 0x88B5
@@ -120,9 +120,12 @@ class UpdateTrigger:
 
     def __init__(self, mode: str, tau_ns: int | None = None, packet_period: int | None = None):
         if mode == "time":
-            assert tau_ns is not None and tau_ns >= 0
+            if tau_ns is None or tau_ns < 0:
+                raise InvalidParameter(f"time trigger needs tau_ns >= 0, got {tau_ns}")
         elif mode == "packet":
-            assert packet_period is not None and packet_period >= 1
+            if packet_period is None or packet_period < 1:
+                raise InvalidParameter(
+                    f"packet trigger needs packet_period >= 1, got {packet_period}")
         else:
             raise ValueError(f"unknown trigger mode {mode!r}")
         self.mode = mode

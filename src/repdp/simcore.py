@@ -17,17 +17,22 @@ ingress pipeline per packet:
 Links model store-and-forward serialization plus propagation delay with
 a bounded egress queue; overflow drops the packet. Controller messages
 travel out of band with a fixed delay and consume no link capacity.
+
+Per-packet accounting goes into `metrics.Accumulators`, plain Python
+ints, while the loop runs; every return from `run_until` publishes it
+onto the `MetricsLog` as numpy int64 arrays.
 """
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import random
 from collections import deque
+from heapq import heappop, heappush
 
 from .apps import RateEstimatorWindow
 from .errors import SimulationError
-from .metrics import CONTROLLER_DELAY_NS, MetricsLog
+from .metrics import CONTROLLER_DELAY_NS, Accumulators, MetricsLog
 from .model import (
     CONTROLLER_PORT,
     ActionKind,
@@ -102,8 +107,8 @@ class Packet:
                  "monitor", "monitored", "net_class")
 
     def __init__(self, uid, flow, src, dst, dst_switch, size_bits, syn,
-                 is_update=False, headers=(), origin_ts=0, origin_writes=0,
-                 monitor=None):
+                 monitor=None, is_update=False, headers=(), origin_ts=0,
+                 origin_writes=0):
         self.uid = uid
         self.flow = flow
         self.src = src
@@ -121,11 +126,17 @@ class Packet:
 
 
 class FlowRT:
+    """A flow's generator state. `segments` holds (start_ns, rate_pps)
+    pairs and `out` is the source host's link. The current segment's
+    start and rate, and the next segment's start (None after the last),
+    are kept unpacked for the per-packet path."""
+
     __slots__ = ("row", "name", "src", "dst", "dst_switch", "size_bits", "syn",
-                 "segments", "stop_ns", "monitor", "seg", "k")
+                 "segments", "stop_ns", "monitor", "out", "seg", "k",
+                 "seg_start", "rate", "next_start")
 
     def __init__(self, row, name, src, dst, dst_switch, size_bits, syn,
-                 segments, stop_ns, monitor):
+                 segments, stop_ns, monitor, out):
         self.row = row
         self.name = name
         self.src = src
@@ -136,8 +147,15 @@ class FlowRT:
         self.segments = segments
         self.stop_ns = stop_ns
         self.monitor = monitor
-        self.seg = 0
+        self.out = out
+        self.enter(0)
+
+    def enter(self, seg: int):
+        """Make segment `seg` current, with no packet sent in it yet."""
+        self.seg = seg
         self.k = 0
+        self.seg_start, self.rate = self.segments[seg]
+        self.next_start = self.segments[seg + 1][0] if seg + 1 < len(self.segments) else None
 
 
 class _TriggerRT:
@@ -180,7 +198,7 @@ class _Monitor:
 
 class SwitchRT:
     __slots__ = ("name", "sw_id", "ports", "port_class", "next_hop",
-                 "tree_ports", "store", "monitors", "egress_monitors",
+                 "flood", "store", "monitors", "egress_monitors",
                  "packet_triggers", "change_triggers", "own_updates",
                  "flow_rules", "rng")
 
@@ -190,7 +208,9 @@ class SwitchRT:
         self.ports: dict[str, LinkDir] = {}
         self.port_class: dict[str, object] = {}
         self.next_hop: dict[str, str] = {}
-        self.tree_ports: tuple[str, ...] = ()
+        # Distribution-tree egress links per ingress port; None keys the
+        # switch's own update emission.
+        self.flood: dict[str | None, tuple[LinkDir, ...]] = {}
         self.store: ReplicaStore | None = None
         self.monitors: list[_Monitor] = []
         self.egress_monitors: list[tuple[str, _Monitor]] = []
@@ -215,9 +235,11 @@ class Simulator:
         self.trace: list[str] | None = [] if collect_trace else None
         self.t_now = 0
         self.log: MetricsLog | None = None
+        self._acc: Accumulators | None = None
         self.flows: list[FlowRT] = []
         self._heap: list = []
-        self._seq = 0
+        self._seq = itertools.count(1)
+        self._app_installed = False
         self._uid = 0
         self._upd_uid = -1
         self._known_ids: set[int] = set()
@@ -255,18 +277,23 @@ class Simulator:
         then measures traffic this switch forwards to that neighbor
         instead of matching ingress packets. egress_maps gives, per
         activity name and per switch, the port list indexed by the
-        activity's selector output.
+        activity's selector output. A simulator holds one application.
         """
+        if self._app_installed:
+            raise SimulationError("an application is already installed")
+        self._app_installed = True
         app = dag.app
         egress_observers = egress_observers or {}
         egress_maps = egress_maps or {}
 
         for sw, table in rules.next_hop.items():
             self.switch_rt[sw].next_hop.update(table)
-        for sw, per_state in rules.tree_ports.items():
-            for ports in per_state.values():
-                self.switch_rt[sw].tree_ports = ports
-                break
+        # Every state shares one distribution tree. Tree links are
+        # symmetric, so updates only ever arrive over a tree port.
+        for sw, rt in self.switch_rt.items():
+            tree = next(iter(rules.tree_ports.get(sw, {}).values()), ())
+            rt.flood = {ingress: tuple(rt.ports[p] for p in flood_ports(tree, ingress))
+                        for ingress in (None, *tree)}
 
         state_specs = {s.name: s for s in app.states}
         for cs in program.states:
@@ -366,7 +393,7 @@ class Simulator:
         if stop_ns <= segs[0][0]:
             raise SimulationError(f"flow {name}: stop precedes start")
         fl = FlowRT(len(self.flows), name, src, dst, self.topo.attached_switch(dst),
-                    size_bits, syn, segs, stop_ns, monitor)
+                    size_bits, syn, segs, stop_ns, monitor, self._host_out[src])
         self.flows.append(fl)
         self._schedule(segs[0][0], EV_FLOW_START, fl)
         self._schedule(stop_ns, EV_FLOW_STOP, fl)
@@ -389,8 +416,7 @@ class Simulator:
     # engine
 
     def _schedule(self, t, kind, payload):
-        self._seq += 1
-        heapq.heappush(self._heap, (t, self._seq, kind, payload))
+        heappush(self._heap, (t, next(self._seq), kind, payload))
 
     def _build_log(self):
         log = MetricsLog(self.t_end_ns, self.bin_ns, self._link_dirs,
@@ -400,10 +426,16 @@ class Simulator:
                 log.replica_memory[sw] = rt.store.replica_memory_bits()
         log.plan_text = self.plan_text
         self.log = log
-        self._data = log.data_bits
-        self._repl = log.repl_bits
+        self._acc = acc = Accumulators(log)
+        self._data = acc.data_bits
+        self._repl = acc.repl_bits
 
     def run_until(self, t_end_s=None) -> MetricsLog:
+        """Process every event up to t_end_s (default: the horizon).
+
+        A later call resumes where this one stopped. On return the log's
+        arrays hold the totals so far as numpy int64.
+        """
         if self.log is None:
             self._build_log()
         t_end = self.t_end_ns if t_end_s is None else round(t_end_s * 1e9)
@@ -411,86 +443,92 @@ class Simulator:
             raise SimulationError("run_until beyond the configured horizon")
         heap = self._heap
         log = self.log
-        pop = heapq.heappop
-        while heap and heap[0][0] <= t_end:
-            t, _seq, kind, payload = pop(heap)
-            if t < self.t_now:
-                raise SimulationError("event queue went backwards")
-            self.t_now = t
-            log.events_processed += 1
-            if kind == EV_ARRIVAL:
-                node, pkt, frm = payload
-                rt = self.switch_rt.get(node)
-                if rt is not None:
-                    self._on_switch(rt, pkt, frm, t)
-                elif not pkt.is_update:
-                    log.flow_delivered[pkt.flow] += 1
-                    log.flow_bits[pkt.flow, log.bin_of(t)] += pkt.size_bits
-            elif kind == EV_EMIT:
-                self._emit_flow(payload, t)
-            elif kind == EV_FLOW_START:
-                if self.trace is not None:
-                    self.trace.append(f"{t} flow_start {payload.src} flow={payload.name}")
-                self._emit_flow(payload, t)
-            elif kind == EV_FLOW_STOP:
-                if self.trace is not None:
-                    self.trace.append(f"{t} flow_stop {payload.src} flow={payload.name}")
-            elif kind == EV_CTRL:
-                sw, message = payload
-                log.notifications.append((t, sw, message))
-                if self.trace is not None:
-                    self.trace.append(f"{t} notify ctrl from={sw} msg={message}")
-            elif kind == EV_SCALAR:
-                sw, state, value = payload
-                self.set_scalar(sw, state, value, t)
+        trace = self.trace
+        switch_rt = self.switch_rt
+        on_switch = self._on_switch
+        emit_flow = self._emit_flow
+        delivered = self._acc.flow_delivered
+        flow_bits = self._acc.flow_bits
+        bin_ns = self.bin_ns
+        t_now = self.t_now
+        events = 0
+        try:
+            while heap and heap[0][0] <= t_end:
+                t, _seq, kind, payload = heappop(heap)
+                if t < t_now:
+                    raise SimulationError("event queue went backwards")
+                t_now = t
+                events += 1
+                if kind == EV_ARRIVAL:
+                    node, pkt, frm = payload
+                    rt = switch_rt.get(node)
+                    if rt is not None:
+                        on_switch(rt, pkt, frm, t)
+                    elif not pkt.is_update:
+                        delivered[pkt.flow] += 1
+                        flow_bits[pkt.flow][t // bin_ns] += pkt.size_bits
+                elif kind == EV_EMIT:
+                    emit_flow(payload, t)
+                elif kind == EV_FLOW_START:
+                    if trace is not None:
+                        trace.append(f"{t} flow_start {payload.src} flow={payload.name}")
+                    emit_flow(payload, t)
+                elif kind == EV_FLOW_STOP:
+                    if trace is not None:
+                        trace.append(f"{t} flow_stop {payload.src} flow={payload.name}")
+                elif kind == EV_CTRL:
+                    sw, message = payload
+                    log.notifications.append((t, sw, message))
+                    if trace is not None:
+                        trace.append(f"{t} notify ctrl from={sw} msg={message}")
+                elif kind == EV_SCALAR:
+                    sw, state, value = payload
+                    self.set_scalar(sw, state, value, t)
+        finally:
+            self.t_now = t_now
+            log.events_processed += events
+            self._acc.publish(log)
         return log
 
     def _emit_flow(self, fl: FlowRT, t: int):
         if t >= fl.stop_ns:
             return
         uid = self._uid
-        self._uid += 1
-        pkt = Packet(uid, fl.row, fl.src, fl.dst, fl.dst_switch, fl.size_bits,
-                     fl.syn, monitor=fl.monitor)
-        self.log.flow_sent[fl.row] += 1
-        self._send(self._host_out[fl.src], pkt, t)
-        # Schedule the next emission, hopping segment boundaries as needed.
-        while True:
-            seg_start, rate = fl.segments[fl.seg]
-            nxt = fl.segments[fl.seg + 1][0] if fl.seg + 1 < len(fl.segments) else None
-            cand = None
-            if rate > 0:
-                cand = seg_start + round((fl.k + 1) * 1e9 / rate)
-            if cand is None or (nxt is not None and cand >= nxt):
-                if nxt is None:
-                    return
-                fl.seg += 1
-                fl.k = 0
-                cand = nxt
+        self._uid = uid + 1
+        self._acc.flow_sent[fl.row] += 1
+        self._send(fl.out, Packet(uid, fl.row, fl.src, fl.dst, fl.dst_switch, fl.size_bits,
+                                  fl.syn, fl.monitor), t)
+        # Schedule the segment's next packet, or once it would reach the
+        # next segment, that segment's start.
+        nxt = fl.next_start
+        if fl.rate > 0:
+            cand = fl.seg_start + round((fl.k + 1) * 1e9 / fl.rate)
+            if nxt is None or cand < nxt:
+                fl.k += 1
                 if cand < fl.stop_ns:
-                    self._schedule(cand, EV_EMIT, fl)
+                    heappush(self._heap, (cand, next(self._seq), EV_EMIT, fl))
                 return
-            fl.k += 1
-            if cand < fl.stop_ns:
-                self._schedule(cand, EV_EMIT, fl)
+        if nxt is None:
             return
+        fl.enter(fl.seg + 1)
+        if nxt < fl.stop_ns:
+            heappush(self._heap, (nxt, next(self._seq), EV_EMIT, fl))
 
     def _send(self, ld: LinkDir, pkt: Packet, t: int):
         arr = ld.send(pkt.size_bits, t)
-        log = self.log
         if arr is None:
-            log.queue_drops[ld.row] += 1
+            acc = self._acc
+            acc.queue_drops[ld.row] += 1
             if pkt.flow >= 0:
-                log.flow_queue_drops[pkt.flow] += 1
+                acc.flow_queue_drops[pkt.flow] += 1
             if self.trace is not None:
                 self.trace.append(f"{t} drop_queue {ld.src} uid={pkt.uid} to={ld.dst}")
             return
-        b = log.bin_of(t)
         if pkt.is_update:
-            self._repl[ld.row, b] += pkt.size_bits
+            self._repl[ld.row][t // self.bin_ns] += pkt.size_bits
         else:
-            self._data[ld.row, b] += pkt.size_bits
-        self._schedule(arr, EV_ARRIVAL, (ld.dst, pkt, ld.src))
+            self._data[ld.row][t // self.bin_ns] += pkt.size_bits
+        heappush(self._heap, (arr, next(self._seq), EV_ARRIVAL, (ld.dst, pkt, ld.src)))
 
     def _eval_change_triggers(self, sw: SwitchRT, t: int):
         store = sw.store
@@ -518,14 +556,14 @@ class Simulator:
         self.log.updates_emitted += 1
         if self.trace is not None:
             self.trace.append(f"{t} update_emit {sw.name} state={ent.state} value={value}")
-        for nbr in flood_ports(sw.tree_ports, None):
-            self._send(sw.ports[nbr], pkt, t)
+        for ld in sw.flood[None]:
+            self._send(ld, pkt, t)
 
     def _on_switch(self, sw: SwitchRT, pkt: Packet, ingress: str, t: int):
-        log = self.log
         if pkt.is_update:
             store = sw.store
             if store is not None:
+                log = self.log
                 applied = False
                 for h in pkt.headers:
                     status, prev_ts = store.apply_update(h, pkt.origin_ts, pkt.origin_writes)
@@ -547,8 +585,8 @@ class Simulator:
                         log.stale_update_drops += 1
                 if applied and sw.change_triggers:
                     self._eval_change_triggers(sw, t)
-            for nbr in flood_ports(sw.tree_ports, ingress):
-                self._send(sw.ports[nbr], pkt, t)
+            for ld in sw.flood[ingress]:
+                self._send(ld, pkt, t)
         else:
             if pkt.net_class is None:
                 pkt.net_class = sw.port_class[ingress]
@@ -581,7 +619,7 @@ class Simulator:
                     if not fired:
                         continue
                     if tr.kind is ActionKind.DROP_PACKET:
-                        log.flow_app_drops[pkt.flow] += 1
+                        self._acc.flow_app_drops[pkt.flow] += 1
                         if self.trace is not None:
                             self.trace.append(f"{t} drop_app {sw.name} uid={pkt.uid}")
                         dropped = True
@@ -590,8 +628,9 @@ class Simulator:
                     if tr.selector is not None:
                         sel = store.read_global(tr.selector, t)
                     if sel == CONTROLLER_PORT:
-                        log.controller_redirects.append((t, sw.name, self.flows[pkt.flow].name))
-                        log.flow_app_drops[pkt.flow] += 1
+                        self.log.controller_redirects.append(
+                            (t, sw.name, self.flows[pkt.flow].name))
+                        self._acc.flow_app_drops[pkt.flow] += 1
                         dropped = True
                         break
                     if tr.egress_map is None or not (0 <= sel < len(tr.egress_map)):

@@ -1,7 +1,9 @@
 """Event engine behaviour: links, queues, flows, pipelines, applications."""
 
+import os
 import re
 
+import numpy as np
 import pytest
 
 from repdp import (
@@ -10,10 +12,13 @@ from repdp import (
     Simulator,
     Topology,
     build_simulation,
+    export_metrics,
     parse_scenario,
 )
 
 MS = 1_000_000
+FIG8 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "scenarios", "fig8_ratelimit.scn")
 
 
 def line_topo(capacity_bps=1_000_000, delay_ns=MS):
@@ -122,6 +127,40 @@ def test_run_until_stays_inside_horizon():
     sim = Simulator(line_topo(), t_end_s=1.0)
     with pytest.raises(SimulationError):
         sim.run_until(2.0)
+
+
+def test_zero_rate_segment_only_emits_at_its_start():
+    sim = Simulator(line_topo(capacity_bps=1_000_000_000), t_end_s=6.0)
+    sim.add_flow("f", "hA", "hB", 1000, False, [(0.0, 100.0), (2.0, 0.0), (4.0, 100.0)],
+                 stop_s=5.0)
+    log = sim.run_until()
+    assert log.flow_sent[0] == 200 + 1 + 100
+
+
+def test_send_at_the_horizon_counts_in_the_last_bin():
+    # Two 0.5 s bins: a send at exactly t_end = 1 s indexes bin 2, one
+    # past the end, and is folded into bin 1.
+    sim = Simulator(line_topo(), t_end_s=1.0, metrics_bin_s=0.5)
+    sim.add_flow("f", "hA", "hB", 1000, False, [(1.0, 1.0)], stop_s=2.0)
+    log = sim.run_until()
+    row = log.link_index[("hA", "sw")]
+    assert log.data_bits[row].tolist() == [0, 1000]
+    assert log.data_bits.sum() == 1000
+    assert log.flow_sent[0] == 1
+
+
+def test_run_returns_int64_arrays():
+    sim = Simulator(line_topo(), t_end_s=1.0, metrics_bin_s=0.25)
+    sim.add_flow("f", "hA", "hB", 1000, False, [(0.0, 10.0)], stop_s=0.5)
+    for log in (sim.run_until(0.3), sim.run_until()):
+        for name, shape in (("data_bits", (4, 4)), ("repl_bits", (4, 4)),
+                            ("flow_bits", (1, 4)), ("queue_drops", (4,)),
+                            ("flow_sent", (1,)), ("flow_delivered", (1,)),
+                            ("flow_app_drops", (1,)), ("flow_queue_drops", (1,))):
+            arr = getattr(log, name)
+            assert isinstance(arr, np.ndarray) and arr.dtype == np.int64, name
+            assert arr.shape == shape, name
+    assert log.flow_sent[0] == log.flow_delivered[0] == 5
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +334,33 @@ def test_staged_run_matches_single_run(ddos_cfg):
     assert (log_a.repl_bits == log_b.repl_bits).all()
     assert log_a.detections == log_b.detections
     assert log_a.events_processed == log_b.events_processed
+
+
+def _csv_family(log, cfg, out_dir):
+    export_metrics(log, str(out_dir), switch_names=cfg.topology.switches)
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+@pytest.mark.parametrize("scenario, t_split", [("mini_ddos", 1.3), ("fig8", 23.7)])
+def test_split_run_exports_identical_csv_family(tmp_path, scenario, t_split):
+    cfg = write_scenario(tmp_path, MINI_DDOS) if scenario == "mini_ddos" else parse_scenario(FIG8)
+    whole = build_simulation(cfg).sim.run_until()
+    expected = _csv_family(whole, cfg, tmp_path / "whole")
+
+    sim = build_simulation(cfg).sim
+    part = sim.run_until(t_split)
+    assert 0 < part.events_processed < whole.events_processed
+    assert 0 < part.flow_sent.sum() < whole.flow_sent.sum()
+    resumed = sim.run_until()
+    assert resumed.events_processed == whole.events_processed
+    assert _csv_family(resumed, cfg, tmp_path / "split") == expected
+
+
+def test_second_install_app_is_rejected(ddos_cfg):
+    built = build_simulation(ddos_cfg)
+    with pytest.raises(SimulationError, match="already installed"):
+        built.sim.install_app(built.dag, built.program, built.placement, built.plan,
+                              built.rules)
 
 
 def test_different_seed_changes_policing(tmp_path):

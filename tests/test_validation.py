@@ -1,0 +1,32 @@
+"""Out-of-range parameters raise typed errors, not asserts that python -O strips."""
+
+import pytest
+
+from repdp import (
+    MetricsLog,
+    RateEstimatorWindow,
+    ReductionKind,
+    RepdpError,
+    UpdateTrigger,
+    apply_reduction,
+)
+
+INVALID = {
+    "metrics_bin_zero": lambda: MetricsLog(1_000, 0, [], []),
+    "metrics_bin_negative": lambda: MetricsLog(1_000, -5, [], []),
+    "estimator_window_not_power_of_two": lambda: RateEstimatorWindow(0.1, 6),
+    "estimator_window_zero": lambda: RateEstimatorWindow(0.1, 0),
+    "estimator_delta_below_1ns": lambda: RateEstimatorWindow(1e-10, 8),
+    "time_trigger_without_tau": lambda: UpdateTrigger("time"),
+    "time_trigger_negative_tau": lambda: UpdateTrigger("time", tau_ns=-1),
+    "packet_trigger_without_period": lambda: UpdateTrigger("packet"),
+    "packet_trigger_zero_period": lambda: UpdateTrigger("packet", packet_period=0),
+    "mean_of_three": lambda: apply_reduction(ReductionKind.MEAN, [1, 2, 3]),
+    "mean_of_none": lambda: apply_reduction(ReductionKind.MEAN, []),
+}
+
+
+@pytest.mark.parametrize("make", INVALID.values(), ids=INVALID.keys())
+def test_invalid_parameter_raises_repdp_error(make):
+    with pytest.raises(RepdpError):
+        make()
