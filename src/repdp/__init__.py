@@ -7,7 +7,7 @@ the result in a deterministic discrete-event network simulator.
 """
 
 from .apps import (
-    APP_FACTORIES,
+    APPS,
     RateEstimatorWindow,
     make_ddos_app,
     make_link_lb_app,

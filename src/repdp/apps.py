@@ -1,11 +1,15 @@
 """The four reference applications and the shared windowed rate estimator.
 
 Each factory returns a plain ApplicationSpec; nothing here touches the
-simulator. Factories are registered under the names scenario files use:
-ddos, ratelimit, linklb, resourcelb.
+simulator. APPS holds one AppRecord per name scenario files use (ddos,
+ratelimit, linklb, resourcelb): the app's `[application]` keys, its
+factory call and its deployment bindings.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
+from typing import Callable, NamedTuple
 
 from .errors import InvalidParameter
 from .model import (
@@ -226,7 +230,7 @@ def make_link_lb_app(
 
 def make_resource_lb_app(
     n: int,
-    thr: float = 0.8,
+    threshold: float = 0.8,
     load_scale: int = 100,
     epsilon_r: int = 15,
     max_write_rate: float = 1000.0,
@@ -235,11 +239,11 @@ def make_resource_lb_app(
 
     `n` scalar states carry server loads on a 0..load_scale integer
     scale (scenario-injected). While the mean load stays at or below
-    thr, new flows go to the least loaded server; above it they are
-    steered to the controller port instead.
+    threshold * load_scale, new flows go to the least loaded server;
+    above it they are steered to the controller port instead.
     """
-    if not 0 < thr < 1:
-        raise ValueError("thr must be in (0, 1)")
+    if not 0 < threshold < 1:
+        raise InvalidParameter(f"threshold must be in (0, 1), got {threshold}", "threshold")
     states = tuple(
         StateSpec(
             name=f"srv_load_{i}",
@@ -249,7 +253,7 @@ def make_resource_lb_app(
         for i in range(n)
     )
     names = tuple(s.name for s in states)
-    threshold = thr * load_scale
+    bar = threshold * load_scale
     return ApplicationSpec(
         name="resourcelb",
         states=states,
@@ -261,14 +265,14 @@ def make_resource_lb_app(
             TriggerSpec(
                 name="capacity_ok",
                 input="mean_load",
-                predicate=Predicate.less_or_equal(threshold),
+                predicate=Predicate.less_or_equal(bar),
                 inconsistency=InconsistencySpec.update_error(epsilon_r, max_write_rate),
                 activity="assign_server",
             ),
             TriggerSpec(
                 name="capacity_exhausted",
                 input="mean_load",
-                predicate=Predicate.greater_than(threshold),
+                predicate=Predicate.greater_than(bar),
                 inconsistency=InconsistencySpec.update_error(epsilon_r, max_write_rate),
                 activity="escalate",
             ),
@@ -292,9 +296,113 @@ def make_resource_lb_app(
     )
 
 
-APP_FACTORIES = {
-    "ddos": make_ddos_app,
-    "ratelimit": make_rate_limiter_app,
-    "linklb": make_link_lb_app,
-    "resourcelb": make_resource_lb_app,
+class AppKey(NamedTuple):
+    """One `[application]` key: the scenario reader's typed getter that
+    parses it (num, integer, dur, bps, text or names), its default as
+    scenario text (None: mandatory) and its app_params name when that
+    differs from the key."""
+
+    key: str
+    kind: str
+    default: str | None = None
+    param: str | None = None
+
+
+class AppRecord(NamedTuple):
+    """One application as scenario files name it.
+
+    `make(params, replicas)` calls the factory (`states = auto` resolves
+    to the replica count). `bind(params, topology)` checks the app's
+    switches and hosts against the topology and returns Simulator's
+    egress observers and egress maps (see install_app) and the switch
+    that must measure every flow, or None. Both raise InvalidParameter
+    naming the offending key.
+    """
+
+    keys: tuple[AppKey, ...]
+    make: Callable[[dict, int], ApplicationSpec]
+    bind: Callable[[dict, object], tuple] = lambda p, topo: ({}, {}, None)
+
+
+_ESTIMATOR_KEYS = (AppKey("delta", "dur", "0.1", "delta_s"), AppKey("window", "integer", "8"))
+_STATES_KEY = AppKey("states", "text", "auto")
+
+
+def _state_count(p: dict, replicas: int) -> int:
+    raw = p["states"]
+    if raw == "auto":
+        return replicas
+    if not raw.isdecimal() or int(raw) < 1:
+        raise InvalidParameter(f"states must be 'auto' or an integer >= 1, got {raw!r}",
+                               "states")
+    return int(raw)
+
+
+def _hinted(app: ApplicationSpec, hints) -> ApplicationSpec:
+    """The app with each state placed near the switch named in `hints`."""
+    return replace(app, states=tuple(replace(s, target_hint=h)
+                                     for s, h in zip(app.states, hints)))
+
+
+def _bind_linklb(p: dict, topo) -> tuple:
+    lb, vias, dst = p["lb_switch"], p["path_via"], p["dst_switch"]
+    for key, names in (("lb_switch", [lb]), ("dst_switch", [dst]), ("path_via", vias)):
+        for sw in names:
+            if not topo.is_switch(sw):
+                raise InvalidParameter(f"linklb references unknown switch {sw!r}", key)
+    observers = {}
+    for i, via in enumerate(vias):
+        if via not in topo.adj[lb]:
+            raise InvalidParameter(f"linklb: {via} is not adjacent to {lb}", "path_via")
+        if via == dst:
+            raise InvalidParameter("linklb: path_via must differ from dst_switch", "path_via")
+        observers[f"leg_load_{i}"] = via
+        observers[f"leg_load_{i + len(vias)}"] = topo.next_hop(via, dst)
+    return observers, {"pin_path": {lb: list(vias)}}, lb
+
+
+def _bind_resourcelb(p: dict, topo) -> tuple:
+    lb = p["lb_switch"]
+    if not topo.is_switch(lb):
+        raise InvalidParameter(f"resourcelb lb_switch {lb!r} is not a switch", "lb_switch")
+    for h in p["servers"]:
+        if h not in topo.hosts or topo.attached_switch(h) != lb:
+            raise InvalidParameter(f"resourcelb: server {h} must be a host on {lb}", "servers")
+    return {}, {"assign_server": {lb: list(p["servers"])}}, lb
+
+
+APPS = {
+    "ddos": AppRecord(
+        keys=(AppKey("threshold", "num"), AppKey("epsilon_t", "dur", param="epsilon_t_s"),
+              *_ESTIMATOR_KEYS, _STATES_KEY),
+        make=lambda p, c: make_ddos_app(_state_count(p, c), p["threshold"], p["epsilon_t_s"],
+                                        p["delta_s"], p["window"]),
+    ),
+    "ratelimit": AppRecord(
+        keys=(AppKey("limit", "bps", param="rate_limit_bps"), AppKey("epsilon_r", "integer"),
+              AppKey("max_write_rate", "num"), *_ESTIMATOR_KEYS, _STATES_KEY),
+        make=lambda p, c: make_rate_limiter_app(_state_count(p, c), p["rate_limit_bps"],
+                                                p["epsilon_r"], p["max_write_rate"],
+                                                p["delta_s"], p["window"]),
+    ),
+    "linklb": AppRecord(
+        keys=(AppKey("lb_switch", "text"), AppKey("path_via", "names"),
+              AppKey("dst_switch", "text"), AppKey("epsilon_r", "integer", "10"),
+              AppKey("max_write_rate", "num", "1000"), *_ESTIMATOR_KEYS),
+        # Uplink legs are measured at lb_switch, downlink legs at each via.
+        make=lambda p, c: _hinted(make_link_lb_app(len(p["path_via"]), p["epsilon_r"],
+                                                   p["max_write_rate"], p["delta_s"], p["window"]),
+                                  [p["lb_switch"]] * len(p["path_via"]) + p["path_via"]),
+        bind=_bind_linklb,
+    ),
+    "resourcelb": AppRecord(
+        keys=(AppKey("lb_switch", "text"), AppKey("servers", "names"),
+              AppKey("threshold", "num", "0.8"), AppKey("load_scale", "integer", "100"),
+              AppKey("epsilon_r", "integer", "15"), AppKey("max_write_rate", "num", "1000")),
+        make=lambda p, c: _hinted(make_resource_lb_app(len(p["servers"]), p["threshold"],
+                                                       p["load_scale"], p["epsilon_r"],
+                                                       p["max_write_rate"]),
+                                  [p["lb_switch"]] * len(p["servers"])),
+        bind=_bind_resourcelb,
+    ),
 }

@@ -135,9 +135,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.verb](args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except SimulationError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2

@@ -47,18 +47,17 @@ class Link:
 
 
 class Topology:
-    """Switches, hosts, an optional controller, and the links between them."""
+    """Switches, hosts and the links between them."""
 
     def __init__(
         self,
         switches,
         hosts,
         links,
-        controller: str | None = None,
     ):
         self.switches = tuple(switches)
+        self._sws = frozenset(self.switches)
         self.hosts = tuple(hosts)
-        self.controller = controller
         self.links = tuple(links)
         self.adj: dict[str, dict[str, Link]] = {n: {} for n in self.switches + self.hosts}
         names = set(self.switches) | set(self.hosts)
@@ -102,13 +101,7 @@ class Topology:
         return next(iter(self.adj[host]))
 
     def is_switch(self, node: str) -> bool:
-        return node in self._switch_set()
-
-    def _switch_set(self):
-        s = getattr(self, "_sws", None)
-        if s is None:
-            s = self._sws = frozenset(self.switches)
-        return s
+        return node in self._sws
 
     def switch_distances(self, src: str) -> tuple[dict[str, int], dict[str, int]]:
         """Dijkstra over the switch graph: (delay_ns, shortest path counts)."""
@@ -118,7 +111,7 @@ class Topology:
         sigma: dict[str, int] = {src: 1}
         done: set[str] = set()
         heap = [(0, src)]
-        sws = self._switch_set()
+        sws = self._sws
         while heap:
             d, n = heapq.heappop(heap)
             if n in done:
@@ -469,13 +462,13 @@ class RuleTables:
     """Forwarding and flooding state the simulator installs per switch."""
 
     next_hop: dict[str, dict[str, str]]
-    tree_ports: dict[str, dict[str, tuple[str, ...]]]
+    tree_ports: dict[str, tuple[str, ...]]  # every state shares one tree
 
 
 def install_rules(
     topo: Topology, placement: ReplicaPlacement, plan: ReplicationPlan
 ) -> RuleTables:
-    """Next-hop tables to every switch plus per-state tree port lists."""
+    """Next-hop tables to every switch plus each tree switch's tree ports."""
     next_hop: dict[str, dict[str, str]] = {}
     for sw in topo.switches:
         table = {}
@@ -489,12 +482,7 @@ def install_rules(
         neighbors_on_tree.setdefault(u, []).append(v)
         neighbors_on_tree.setdefault(v, []).append(u)
 
-    tree_ports: dict[str, dict[str, tuple[str, ...]]] = {}
-    for sw, nbrs in sorted(neighbors_on_tree.items()):
-        per_state = {}
-        for s in placement.replicated_states():
-            per_state[s] = tuple(sorted(nbrs))
-        tree_ports[sw] = per_state
+    tree_ports = {sw: tuple(sorted(nbrs)) for sw, nbrs in sorted(neighbors_on_tree.items())}
     return RuleTables(next_hop, tree_ports)
 
 

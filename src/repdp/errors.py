@@ -61,7 +61,12 @@ class ScenarioError(RepdpError):
 
 
 class InvalidParameter(RepdpError):
-    """A numeric parameter lies outside the range its component accepts."""
+    """A parameter lies outside the range its component accepts; `key`
+    names it when it comes from a scenario's `[application]` section."""
+
+    def __init__(self, message, key=None):
+        self.key = key
+        super().__init__(message)
 
 
 class SimulationError(RepdpError):

@@ -1,24 +1,20 @@
 """Build and run simulations from scenario configs.
 
-The runner owns the full deployment pipeline: application factory ->
-validation/DAG -> primitive lowering -> wire id assignment -> replica
-placement -> distribution tree and update periods -> rule install ->
-simulator wiring (stores, estimators, triggers, flow monitors). Sweeps
-run the same scenario at several replica counts, each under a fresh
-simulator seeded identically, and export one CSV directory per count.
+The runner owns the full deployment pipeline: the application's
+apps.APPS record (factory and bindings) -> validation/DAG -> primitive
+lowering -> wire id assignment -> replica placement -> distribution
+tree and update periods -> rule install -> simulator wiring (stores,
+estimators, triggers, flow monitors). Sweeps run the same scenario at
+several replica counts, each under a fresh simulator seeded
+identically, and export one CSV directory per count.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .apps import (
-    make_ddos_app,
-    make_link_lb_app,
-    make_rate_limiter_app,
-    make_resource_lb_app,
-)
+from .apps import APPS
 from .compiler import (
     StateIdRegistry,
     assign_state_ids,
@@ -32,9 +28,9 @@ from .embedding import (
     place_replicas,
     serialize_plan,
 )
-from .errors import ScenarioError
+from .errors import InvalidParameter, ScenarioError
 from .metrics import MetricsLog, export_metrics, export_summary, summarize
-from .model import InconsistencySpec, build_dag, replication_requirements
+from .model import InconsistencySpec, ValueType, build_dag, replication_requirements
 from .scenario import ScenarioConfig
 from .simcore import Simulator
 
@@ -49,81 +45,6 @@ class BuiltSimulation:
     plan: object
     rules: object
     replicas: int
-
-
-def _make_app(config: ScenarioConfig, replicas: int):
-    p = config.app_params
-    name = config.app_name
-
-    def state_count() -> int:
-        raw = p.get("states", "auto")
-        if raw == "auto":
-            return replicas
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ScenarioError(f"states must be 'auto' or an integer, got {raw!r}",
-                                config.path, 0) from None
-        if n < 1:
-            raise ScenarioError("states must be >= 1", config.path, 0)
-        return n
-
-    if name == "ddos":
-        return make_ddos_app(state_count(), p["threshold"], p["epsilon_t_s"],
-                             p["delta_s"], p["window"])
-    if name == "ratelimit":
-        return make_rate_limiter_app(state_count(), p["rate_limit_bps"],
-                                     p["epsilon_r"], p["max_write_rate"],
-                                     p["delta_s"], p["window"])
-    if name == "linklb":
-        vias = p["path_via"]
-        app = make_link_lb_app(len(vias), p["epsilon_r"], p["max_write_rate"],
-                               p["delta_s"], p["window"])
-        hints = [p["lb_switch"]] * len(vias) + list(vias)
-        states = tuple(replace(s, target_hint=h) for s, h in zip(app.states, hints))
-        return replace(app, states=states)
-    if name == "resourcelb":
-        app = make_resource_lb_app(len(p["servers"]), p["threshold"],
-                                   p["load_scale"], p["epsilon_r"],
-                                   p["max_write_rate"])
-        states = tuple(replace(s, target_hint=p["lb_switch"]) for s in app.states)
-        return replace(app, states=states)
-    raise ScenarioError(f"unknown application {name!r}", config.path, 0)
-
-
-def _bindings(config: ScenarioConfig):
-    """App-specific egress observers and selector-to-port maps."""
-    topo = config.topology
-    p = config.app_params
-    if config.app_name == "linklb":
-        lb = p["lb_switch"]
-        vias = p["path_via"]
-        dst_sw = p["dst_switch"]
-        observers = {}
-        for i, via in enumerate(vias):
-            if via not in topo.adj[lb]:
-                raise ScenarioError(f"linklb: {via} is not adjacent to {lb}",
-                                    config.path, 0)
-            if via == dst_sw:
-                raise ScenarioError("linklb: path_via must differ from dst_switch",
-                                    config.path, 0)
-            observers[f"leg_load_{i}"] = via
-            observers[f"leg_load_{i + len(vias)}"] = topo.next_hop(via, dst_sw)
-        return observers, {"pin_path": {lb: list(vias)}}
-    if config.app_name == "resourcelb":
-        lb = p["lb_switch"]
-        for h in p["servers"]:
-            if topo.attached_switch(h) != lb:
-                raise ScenarioError(f"resourcelb: server {h} must attach to {lb}",
-                                    config.path, 0)
-        return {}, {"assign_server": {lb: list(p["servers"])}}
-    return {}, {}
-
-
-def _forced_monitor(config: ScenarioConfig) -> str | None:
-    if config.app_name in ("linklb", "resourcelb"):
-        return config.app_params["lb_switch"]
-    return None
 
 
 def pick_monitor(topo, replica_set, src_host: str, dst_host: str) -> str:
@@ -147,7 +68,13 @@ def build_simulation(config: ScenarioConfig, replicas: int | None = None,
             config.path, 0)
     topo = config.topology
 
-    app = _make_app(config, c)
+    record = APPS[config.app_name]
+    try:
+        app = record.make(config.app_params, c)
+        observers, egress_maps, forced_monitor = record.bind(config.app_params, topo)
+    except InvalidParameter as exc:
+        raise ScenarioError(str(exc), config.path,
+                            config.line("application", exc.key)) from None
     dag = build_dag(app)
     program = compile_application(dag)
     assign_state_ids(program, registry or StateIdRegistry())
@@ -170,23 +97,22 @@ def build_simulation(config: ScenarioConfig, replicas: int | None = None,
         collect_trace=collect_trace,
         replication_enabled=config.replication if replication is None else replication,
     )
-    observers, egress_maps = _bindings(config)
     sim.install_app(dag, program, placement, plan, rules, observers, egress_maps)
     sim.plan_text = serialize_plan(placement, plan) + "\n" + canonical_text(program)
 
     replica_set = sorted({sw for nodes in placement.nodes.values() for sw in nodes})
-    forced = _forced_monitor(config)
     for f in config.flows:
-        monitor = forced or pick_monitor(topo, replica_set, f.src, f.dst)
+        monitor = forced_monitor or pick_monitor(topo, replica_set, f.src, f.dst)
         sim.add_flow(f.name, f.src, f.dst, f.size_bits, f.syn,
                      f.segments, f.stop_s, monitor)
 
+    kinds = {cs.name: cs.value_type for cs in program.states}
     for (t_s, state, value) in config.loads:
-        origin = placement.origin.get(state)
-        if origin is None:
-            raise ScenarioError(f"load references unknown state {state!r}",
-                                config.path, 0)
-        sim.schedule_scalar(t_s, origin, state, value)
+        if kinds.get(state) is not ValueType.SCALAR:
+            what = f"a {kinds[state].value} state" if state in kinds else "an unknown state"
+            raise ScenarioError(f"load on {state!r}, {what} (loads write scalar states only)",
+                                config.path, config.line("loads", state))
+        sim.schedule_scalar(t_s, placement.origin[state], state, value)
 
     return BuiltSimulation(sim, app, dag, program, placement, plan, rules, c)
 

@@ -3,8 +3,8 @@
 Scenarios are line-oriented text: `key = value` pairs grouped under
 `[section]` headers, `#` comments, blank lines ignored. Every error is
 reported with the file path and line number. The reader produces a
-fully validated ScenarioConfig with units normalized (durations to
-seconds, capacities to bits/s, sizes to bits).
+ScenarioConfig with units normalized (durations to seconds, capacities
+to bits/s, sizes to bits); build-time checks cite the lines it keeps.
 
 Sections:
   top level    format_version (must be 1)
@@ -14,7 +14,7 @@ Sections:
                host_delay
   [link.U.V]   per-link delay/capacity overrides
   [host.H]     attach, port_class, optional delay/capacity
-  [application] name (ddos/ratelimit/linklb/resourcelb) + app keys
+  [application] name (ddos/ratelimit/linklb/resourcelb) + its apps.APPS keys
   [embedding]  replicas, r_min, trigger_mode, weights (node:w list)
   [flow.NAME]  src, dst, size, syn, start, stop, rate (base + @t:rate steps)
   [loads]      state = t:value pairs (scalar writes over time)
@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .apps import APP_FACTORIES
+from .apps import APPS
 from .embedding import Link, Topology
 from .errors import ScenarioError
 from .model import PortClass
@@ -74,6 +74,12 @@ class ScenarioConfig:
     weights: dict[str, float]
     flows: list[FlowDef]
     loads: list[tuple[float, str, int]] = field(default_factory=list)
+    lines: dict[tuple[str, str | None], int] = field(default_factory=dict, repr=False)
+
+    def line(self, section: str, key: str | None = None) -> int:
+        """Line of `key` in [section], else of the section header, else 0.
+        The reader keeps the lines of [application] and [loads] only."""
+        return self.lines.get((section, key)) or self.lines.get((section, None), 0)
 
 
 class _Section:
@@ -254,7 +260,6 @@ def parse_scenario(path: str) -> ScenarioConfig:
 
     by_name: dict[str, _Section] = {}
     flows_secs, links_secs, hosts_secs = [], [], []
-    loads_sec = None
     for sec in sections:
         if sec.name.startswith("flow."):
             flows_secs.append(sec)
@@ -262,8 +267,6 @@ def parse_scenario(path: str) -> ScenarioConfig:
             links_secs.append(sec)
         elif sec.name.startswith("host."):
             hosts_secs.append(sec)
-        elif sec.name == "loads":
-            loads_sec = sec
         elif sec.name in by_name:
             raise ScenarioError(f"duplicate section [{sec.name}]", path, sec.line)
         else:
@@ -348,50 +351,21 @@ def parse_scenario(path: str) -> ScenarioConfig:
     # ---- application ---------------------------------------------------
     app_v = require("application")
     app_name = app_v.text("name")
-    if app_name not in APP_FACTORIES:
-        known = ", ".join(sorted(APP_FACTORIES))
+    record = APPS.get(app_name)
+    if record is None:
+        known = ", ".join(sorted(APPS))
         raise ScenarioError(f"unknown application {app_name!r} (known: {known})",
                             path, by_name["application"].line)
-    app_params: dict = {}
-    if app_name == "ddos":
-        app_params["threshold"] = app_v.num("threshold")
-        app_params["epsilon_t_s"] = app_v.dur("epsilon_t")
-        app_params["delta_s"] = app_v.dur("delta", "0.1")
-        app_params["window"] = app_v.integer("window", "8")
-        app_params["states"] = app_v.text("states", "auto")
-    elif app_name == "ratelimit":
-        app_params["rate_limit_bps"] = app_v.bps("limit")
-        app_params["epsilon_r"] = app_v.integer("epsilon_r")
-        app_params["max_write_rate"] = app_v.num("max_write_rate")
-        app_params["delta_s"] = app_v.dur("delta", "0.1")
-        app_params["window"] = app_v.integer("window", "8")
-        app_params["states"] = app_v.text("states", "auto")
-    elif app_name == "linklb":
-        app_params["lb_switch"] = app_v.text("lb_switch")
-        app_params["path_via"] = app_v.names("path_via")
-        app_params["dst_switch"] = app_v.text("dst_switch")
-        app_params["epsilon_r"] = app_v.integer("epsilon_r", "10")
-        app_params["max_write_rate"] = app_v.num("max_write_rate", "1000")
-        app_params["delta_s"] = app_v.dur("delta", "0.1")
-        app_params["window"] = app_v.integer("window", "8")
-        for sw in [app_params["lb_switch"], app_params["dst_switch"]] + app_params["path_via"]:
-            if sw not in switches:
-                raise ScenarioError(f"linklb references unknown switch {sw!r}",
-                                    path, by_name["application"].line)
-    elif app_name == "resourcelb":
-        app_params["lb_switch"] = app_v.text("lb_switch")
-        app_params["servers"] = app_v.names("servers")
-        app_params["threshold"] = app_v.num("threshold", "0.8")
-        app_params["load_scale"] = app_v.integer("load_scale", "100")
-        app_params["epsilon_r"] = app_v.integer("epsilon_r", "15")
-        app_params["max_write_rate"] = app_v.num("max_write_rate", "1000")
-        if app_params["lb_switch"] not in switches:
-            raise ScenarioError("resourcelb lb_switch is not a switch", path,
-                                by_name["application"].line)
-        for h in app_params["servers"]:
-            if h not in hosts:
-                raise ScenarioError(f"resourcelb server {h!r} is not a host", path,
-                                    by_name["application"].line)
+    known_keys = {"name", *(k.key for k in record.keys)}
+    for key, (_, ln) in app_v.sec.items.items():
+        if key not in known_keys:
+            raise ScenarioError(f"unknown key {key!r} for application {app_name} "
+                                f"(known: {', '.join(sorted(known_keys))})", path, ln)
+    app_params = {k.param or k.key: getattr(app_v, k.kind)(k.key, k.default)
+                  for k in record.keys}
+    # Build-time checks on the application and the loads cite these lines.
+    lines = {("application", key): ln for key, (_, ln) in app_v.sec.items.items()}
+    lines["application", None] = app_v.sec.line
 
     # ---- embedding -----------------------------------------------------
     emb = require("embedding")
@@ -451,14 +425,15 @@ def parse_scenario(path: str) -> ScenarioConfig:
 
     # ---- scheduled scalar loads -----------------------------------------
     loads: list[tuple[float, str, int]] = []
-    if loads_sec is not None:
-        for state, (raw, ln) in loads_sec.items.items():
+    if "loads" in by_name:
+        for state, (raw, ln) in by_name["loads"].items.items():
             for tok in raw.split():
                 if ":" not in tok:
                     raise ScenarioError(f"bad load point {tok!r} (expected t:value)",
                                         path, ln)
                 t, _, val = tok.partition(":")
                 loads.append((_num(path, t, ln), state, _int(path, val, ln)))
+            lines["loads", state] = ln
         loads.sort(key=lambda x: (x[0], x[1]))
 
     return ScenarioConfig(
@@ -466,5 +441,5 @@ def parse_scenario(path: str) -> ScenarioConfig:
         queue_limit=queue_limit, replication=replication, topology=topology,
         app_name=app_name, app_params=app_params, replicas=replicas,
         r_min=r_min, trigger_mode=mode, weights=weights, flows=flows,
-        loads=loads,
+        loads=loads, lines=lines,
     )

@@ -288,10 +288,10 @@ class Simulator:
 
         for sw, table in rules.next_hop.items():
             self.switch_rt[sw].next_hop.update(table)
-        # Every state shares one distribution tree. Tree links are
-        # symmetric, so updates only ever arrive over a tree port.
+        # Tree links are symmetric, so updates only ever arrive over a
+        # tree port.
         for sw, rt in self.switch_rt.items():
-            tree = next(iter(rules.tree_ports.get(sw, {}).values()), ())
+            tree = rules.tree_ports.get(sw, ())
             rt.flood = {ingress: tuple(rt.ports[p] for p in flood_ports(tree, ingress))
                         for ingress in (None, *tree)}
 

@@ -8,7 +8,7 @@ import pytest
 
 from repdp import read_metrics_dir
 from repdp.cli import main
-from test_simcore import MINI_DDOS
+from test_simcore import MINI_DDOS, RESOURCE_LB
 
 CSV_FAMILY = [
     "links.csv", "flows.csv", "flow_totals.csv", "detections.csv",
@@ -69,6 +69,15 @@ def test_malformed_scenario_is_exit_1(tmp_path, capsys):
     p.write_text(MINI_DDOS.replace("size = 1950", "size = 100"))
     assert main(["validate", str(p)]) == 1
     assert "512" in capsys.readouterr().err
+
+
+def test_bad_application_parameter_is_exit_1_with_its_line(tmp_path, capsys):
+    p = tmp_path / "lb.scn"
+    text = RESOURCE_LB.replace("threshold = 0.8", "threshold = 1.5")
+    p.write_text(text)
+    assert main(["validate", str(p)]) == 1
+    line = text.splitlines().index("threshold = 1.5") + 1
+    assert f"lb.scn:{line}: threshold must be in (0, 1)" in capsys.readouterr().err
 
 
 def test_infeasible_budget_is_exit_1(tmp_path, capsys):
@@ -146,7 +155,8 @@ def test_sweep_rejects_bad_counts(tmp_path, scn_file, capsys):
 
 
 def test_summarize_single_run_matches(run_dir, tmp_path, capsys):
-    original = open(os.path.join(run_dir, "summary.csv"), "rb").read()
+    with open(os.path.join(run_dir, "summary.csv"), "rb") as fh:
+        original = fh.read()
     out2 = tmp_path / "again.csv"
     assert main(["summarize", run_dir, "--out", str(out2)]) == 0
     assert out2.read_bytes() == original

@@ -295,8 +295,8 @@ def test_install_rules_floods_along_tree_only():
     topo, placement, plan = fig_like_setup(2)
     rules = install_rules(topo, placement, plan)
     assert set(rules.tree_ports) == {"sw1", "sw2", "sw3"}
-    assert rules.tree_ports["sw2"]["syn_rate_0"] == ("sw1", "sw3")
-    assert rules.tree_ports["sw1"]["syn_rate_0"] == ("sw2",)
+    assert rules.tree_ports["sw2"] == ("sw1", "sw3")
+    assert rules.tree_ports["sw1"] == ("sw2",)
     assert "sw4" not in rules.tree_ports
 
 

@@ -331,3 +331,55 @@ rate = 10
     cfg = parse_text(tmp_path, text)
     with pytest.raises(ScenarioError, match="not adjacent"):
         build_simulation(cfg)
+
+
+# ---------------------------------------------------------------------------
+# Application and [loads] errors carry the line of the offending key.
+
+DDOS_KEYS = "name = ddos\nthreshold = 10\nepsilon_t = 14ms"
+RESOURCE_LB = "name = resourcelb\nlb_switch = s1\nservers = h1"
+THREE_SWITCHES = BASE.replace("switches = s1 s2\nlinks = s1-s2",
+                              "switches = s1 s2 s3\nlinks = s1-s2 s2-s3")
+
+# case -> (scenario text, fragment of the line the error must cite)
+APP_AND_LOAD_ERRORS = {
+    "states_not_an_integer": (BASE.replace(DDOS_KEYS, DDOS_KEYS + "\nstates = many"),
+                              "states = many"),
+    "states_zero": (BASE.replace(DDOS_KEYS, DDOS_KEYS + "\nstates = 0"), "states = 0"),
+    "linklb_unknown_switch": (
+        THREE_SWITCHES.replace(DDOS_KEYS, "name = linklb\nlb_switch = s9\n"
+                                          "path_via = s2\ndst_switch = s3"),
+        "lb_switch = s9"),
+    "linklb_via_not_adjacent": (
+        THREE_SWITCHES.replace(DDOS_KEYS, "name = linklb\nlb_switch = s1\n"
+                                          "path_via = s3\ndst_switch = s2"),
+        "path_via = s3"),
+    "resourcelb_server_not_attached": (
+        BASE.replace(DDOS_KEYS, RESOURCE_LB.replace("servers = h1", "servers = h2")),
+        "servers = h2"),
+    "resourcelb_threshold_above_one": (
+        BASE.replace(DDOS_KEYS, RESOURCE_LB + "\nthreshold = 1.5"), "threshold = 1.5"),
+    "unknown_application_key": (BASE.replace(DDOS_KEYS, DDOS_KEYS + "\nwindw = 4"),
+                                "windw = 4"),
+    "load_on_unknown_state": (
+        BASE.replace(DDOS_KEYS, RESOURCE_LB) + "[loads]\nsrv_load_0 = 0:10\nsrv_load_7 = 1:5\n",
+        "srv_load_7"),
+    "load_on_rate_estimator": (BASE + "[loads]\nsyn_rate_0 = 1:5000\n", "syn_rate_0"),
+}
+
+
+@pytest.mark.parametrize("text, fragment", APP_AND_LOAD_ERRORS.values(),
+                         ids=APP_AND_LOAD_ERRORS.keys())
+def test_application_and_load_errors_cite_their_line(tmp_path, text, fragment):
+    from repdp import build_simulation
+
+    with pytest.raises(ScenarioError) as exc:
+        build_simulation(parse_text(tmp_path, text))
+    assert exc.value.line == line_of(text, fragment) > 0, str(exc.value)
+    assert f"case.scn:{exc.value.line}: " in str(exc.value)
+
+
+def test_application_keys_default_from_their_record(tmp_path):
+    cfg = parse_text(tmp_path, BASE.replace(DDOS_KEYS, RESOURCE_LB))
+    assert cfg.app_params == {"lb_switch": "s1", "servers": ["h1"], "threshold": 0.8,
+                              "load_scale": 100, "epsilon_r": 15, "max_write_rate": 1000.0}

@@ -9,6 +9,7 @@ from repdp import (
     RepdpError,
     UpdateTrigger,
     apply_reduction,
+    make_resource_lb_app,
 )
 
 INVALID = {
@@ -23,6 +24,8 @@ INVALID = {
     "packet_trigger_zero_period": lambda: UpdateTrigger("packet", packet_period=0),
     "mean_of_three": lambda: apply_reduction(ReductionKind.MEAN, [1, 2, 3]),
     "mean_of_none": lambda: apply_reduction(ReductionKind.MEAN, []),
+    "resourcelb_threshold_above_one": lambda: make_resource_lb_app(2, 1.5),
+    "resourcelb_threshold_zero": lambda: make_resource_lb_app(2, 0.0),
 }
 
 
