@@ -24,6 +24,7 @@ from .compiler import (
     evaluate_dag,
     evaluate_program,
     expand_states,
+    reduction_steps,
 )
 from .embedding import (
     EmbeddingConfig,
@@ -37,7 +38,6 @@ from .embedding import (
     install_rules,
     node_loads,
     place_replicas,
-    ranked_switches,
     serialize_plan,
     solve_replication_period,
     steiner_tree,

@@ -44,10 +44,12 @@ class RateEstimatorWindow:
 
     def __init__(self, delta_s: float = 0.1, window: int = 8):
         if window < 1 or window & (window - 1):
-            raise InvalidParameter(f"estimator window must be a power of two, got {window}")
+            raise InvalidParameter(f"estimator window must be a power of two, got {window}",
+                                   "window")
         self.delta_ns = round(delta_s * 1e9)
         if self.delta_ns <= 0:
-            raise InvalidParameter(f"estimator delta must be at least 1 ns, got {delta_s} s")
+            raise InvalidParameter(f"estimator delta must be at least 1 ns, got {delta_s} s",
+                                   "delta")
         self.window = window
         self.ring = [0] * window
         self.head = 0
@@ -328,6 +330,12 @@ _ESTIMATOR_KEYS = (AppKey("delta", "dur", "0.1", "delta_s"), AppKey("window", "i
 _STATES_KEY = AppKey("states", "text", "auto")
 
 
+def _estimator_args(p: dict) -> tuple[float, int]:
+    """delta_s and window, checked by building the estimator they configure."""
+    RateEstimatorWindow(p["delta_s"], p["window"])
+    return p["delta_s"], p["window"]
+
+
 def _state_count(p: dict, replicas: int) -> int:
     raw = p["states"]
     if raw == "auto":
@@ -376,14 +384,14 @@ APPS = {
         keys=(AppKey("threshold", "num"), AppKey("epsilon_t", "dur", param="epsilon_t_s"),
               *_ESTIMATOR_KEYS, _STATES_KEY),
         make=lambda p, c: make_ddos_app(_state_count(p, c), p["threshold"], p["epsilon_t_s"],
-                                        p["delta_s"], p["window"]),
+                                        *_estimator_args(p)),
     ),
     "ratelimit": AppRecord(
         keys=(AppKey("limit", "bps", param="rate_limit_bps"), AppKey("epsilon_r", "integer"),
               AppKey("max_write_rate", "num"), *_ESTIMATOR_KEYS, _STATES_KEY),
         make=lambda p, c: make_rate_limiter_app(_state_count(p, c), p["rate_limit_bps"],
                                                 p["epsilon_r"], p["max_write_rate"],
-                                                p["delta_s"], p["window"]),
+                                                *_estimator_args(p)),
     ),
     "linklb": AppRecord(
         keys=(AppKey("lb_switch", "text"), AppKey("path_via", "names"),
@@ -391,7 +399,7 @@ APPS = {
               AppKey("max_write_rate", "num", "1000"), *_ESTIMATOR_KEYS),
         # Uplink legs are measured at lb_switch, downlink legs at each via.
         make=lambda p, c: _hinted(make_link_lb_app(len(p["path_via"]), p["epsilon_r"],
-                                                   p["max_write_rate"], p["delta_s"], p["window"]),
+                                                   p["max_write_rate"], *_estimator_args(p)),
                                   [p["lb_switch"]] * len(p["path_via"]) + p["path_via"]),
         bind=_bind_linklb,
     ),

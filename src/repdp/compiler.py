@@ -6,11 +6,14 @@ colocation groups tying each trigger to the ops it must share a switch
 with. Scalar arrays are expanded element-wise so every wire-level state
 fits one 64-bit update value; rate estimates expand to a slot buffer
 feeding an estimate register, and only the register is replicated.
+The reduction and shift ops, as flat steps (`reduction_steps`), are
+the one executable semantics: every replica store and
+`evaluate_program` run them; `evaluate_dag` is the oracle.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import RegistryExhausted, UnsupportedPrimitive
@@ -18,10 +21,10 @@ from .model import (
     ActionKind,
     ApplicationSpec,
     ElementDag,
+    Predicate,
     PredicateKind,
     ReductionKind,
     ScopeFilter,
-    StateSpec,
     ValueType,
 )
 
@@ -354,51 +357,80 @@ def canonical_text(program: PrimitiveProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def apply_reduction(kind: ReductionKind, values, exact_mean: bool = False) -> int:
-    """Integer semantics of each reduction primitive.
+def _argmin(vals):
+    return vals.index(min(vals))
 
-    Mean floors (sum then right shift); argmin/argmax break ties toward
-    the lowest index; minmax_argmin pairs input i with input i + n/2 and
-    returns the index minimizing the pairwise max. `exact_mean` allows
-    floor division for any input count (direct evaluation of apps the
-    switch lowering would reject).
+
+def _argmax(vals):
+    return vals.index(max(vals))
+
+
+def _minmax_argmin(vals):
+    half = len(vals) // 2
+    return _argmin([max(vals[i], vals[half + i]) for i in range(half)])
+
+
+# Integer semantics of each reduction opcode over its operand values.
+# argmin/argmax break ties toward the lowest index; minmax_argmin pairs
+# operand i with operand i + n/2 and returns the index minimizing the
+# pairwise max.
+PRIMITIVES = {
+    "sum": sum,
+    "min": min,
+    "max": max,
+    "argmin": _argmin,
+    "argmax": _argmax,
+    "minmax_argmin": _minmax_argmin,
+    "identity": operator.itemgetter(0),
+}
+
+
+class RightShift:
+    """The `shift` opcode: floor division of its one operand by 2**k.
+
+    It lowers Mean as a read-side shift of the preceding sum's register,
+    so it holds no aggregate register of its own.
+    """
+
+    __slots__ = ("k",)
+
+    def __init__(self, k: int):
+        self.k = k
+
+    def __call__(self, vals):
+        return vals[0] >> self.k
+
+
+def reduction_steps(program: PrimitiveProgram) -> tuple:
+    """The program's reduction and shift ops as (output, fn, operands)
+    steps over wire names, in op (topological) order; `fn` takes the
+    operand values as a list. Every replica store and evaluate_program
+    run these steps through run_steps."""
+    steps = []
+    for op in program.ops:
+        if op.opcode == "shift":
+            steps.append((op.output, RightShift(op.param("shift")), op.operands))
+        elif op.opcode in PRIMITIVES:
+            steps.append((op.output, PRIMITIVES[op.opcode], op.operands))
+    return tuple(steps)
+
+
+def run_steps(steps, env: dict) -> None:
+    """Evaluate each step in order, writing its output into `env`."""
+    for output, fn, operands in steps:
+        env[output] = fn([env[x] for x in operands])
+
+
+def apply_reduction(kind: ReductionKind, values) -> int:
+    """A DAG reduction over its (array-expanded) input values.
+
+    Mean is floor division over any input count; the switch lowering
+    (sum + shift) only accepts power-of-two counts and agrees there.
     """
     vals = list(values)
-    if kind is ReductionKind.SUM:
-        return sum(vals)
     if kind is ReductionKind.MEAN:
-        n = len(vals)
-        if exact_mean:
-            return sum(vals) // n
-        if n < 1 or n & (n - 1):
-            raise UnsupportedPrimitive(f"mean needs a power-of-two input count, got {n}")
-        return sum(vals) >> (n.bit_length() - 1)
-    if kind is ReductionKind.MIN:
-        return min(vals)
-    if kind is ReductionKind.MAX:
-        return max(vals)
-    if kind is ReductionKind.ARGMIN:
-        return min(range(len(vals)), key=lambda i: (vals[i], i))
-    if kind is ReductionKind.ARGMAX:
-        return min(range(len(vals)), key=lambda i: (-vals[i], i))
-    if kind is ReductionKind.MINMAX_ARGMIN:
-        half = len(vals) // 2
-        pair = [max(vals[i], vals[half + i]) for i in range(half)]
-        return min(range(half), key=lambda i: (pair[i], i))
-    if kind is ReductionKind.IDENTITY:
-        return vals[0]
-    raise UnsupportedPrimitive(str(kind))
-
-
-_OPCODE_REDUCTION = {
-    "sum": ReductionKind.SUM,
-    "min": ReductionKind.MIN,
-    "max": ReductionKind.MAX,
-    "argmin": ReductionKind.ARGMIN,
-    "argmax": ReductionKind.ARGMAX,
-    "minmax_argmin": ReductionKind.MINMAX_ARGMIN,
-    "identity": ReductionKind.IDENTITY,
-}
+        return sum(vals) // len(vals)
+    return PRIMITIVES[kind.value](vals)
 
 
 @dataclass
@@ -408,53 +440,40 @@ class ProgramResult:
     actions: list[tuple[str, str, object]]
 
 
+_PREDICATE_OPCODES = frozenset(k.value for k in PredicateKind)
+_ACTION_OPCODES = frozenset(k.value for k in ActionKind)
+
+
 def evaluate_program(
     program: PrimitiveProgram,
     state_values: dict[str, int],
     uniform01: float | None = None,
 ) -> ProgramResult:
-    """Interpret a compiled program over concrete wire-state values.
+    """Run a compiled program over concrete wire-state values.
 
-    Serves as the executable semantics: tests compare it against direct
-    evaluation of the application definition.
+    The reduction steps are the ones every replica store runs; trigger
+    ops evaluate through Predicate, so a probabilistic trigger without
+    a uniform draw does not fire. Tests compare the result against
+    evaluate_dag.
     """
-    env: dict[str, int] = dict(state_values)
+    env: dict[str, int] = {cs.name: 0 for cs in program.states}
+    env.update(state_values)
+    run_steps(reduction_steps(program), env)
     fires: dict[str, bool] = {}
     actions: list[tuple[str, str, object]] = []
     for op in program.ops:
-        if op.opcode in ("count", "estimate_rate", "store"):
-            env.setdefault(op.output, 0)
-        elif op.opcode in _OPCODE_REDUCTION:
-            kind = _OPCODE_REDUCTION[op.opcode]
-            env[op.output] = apply_reduction(kind, [env[x] for x in op.operands])
-        elif op.opcode == "shift":
-            env[op.output] = env[op.operands[0]] >> op.param("shift")
-        elif op.opcode == "greater_than":
-            env[op.output] = int(env[op.operands[0]] > op.param("threshold"))
-            fires[op.output] = bool(env[op.output])
-        elif op.opcode == "less_or_equal":
-            env[op.output] = int(env[op.operands[0]] <= op.param("threshold"))
-            fires[op.output] = bool(env[op.output])
-        elif op.opcode == "always":
-            env[op.output] = 1
-            fires[op.output] = True
-        elif op.opcode == "probabilistic":
-            v = env[op.operands[0]]
-            thr = op.param("threshold")
-            p = 0.0 if v <= 0 else max(0.0, (v - thr) / v)
-            fired = uniform01 is not None and uniform01 < p
+        if op.opcode in _PREDICATE_OPCODES:
+            pred = Predicate(PredicateKind(op.opcode), op.param("threshold"))
+            fired = pred.evaluate(env[op.operands[0]], uniform01)
             env[op.output] = int(fired)
             fires[op.output] = fired
-        elif op.opcode in ("notify_controller", "drop_packet", "set_egress", "insert_flow_rule"):
-            if env[op.operands[0]]:
-                detail = op.param("message")
-                if op.param("selector") is not None:
-                    detail = env[op.param("selector")]
-                elif op.param("selector_const") is not None:
-                    detail = op.param("selector_const")
-                actions.append((op.opcode, op.operands[0], detail))
-        else:
-            raise UnsupportedPrimitive(f"op {op.op_id}: {op.opcode}")
+        elif op.opcode in _ACTION_OPCODES and env[op.operands[0]]:
+            detail = op.param("message")
+            if op.param("selector") is not None:
+                detail = env[op.param("selector")]
+            elif op.param("selector_const") is not None:
+                detail = op.param("selector_const")
+            actions.append((op.opcode, op.operands[0], detail))
     return ProgramResult(env, fires, actions)
 
 
@@ -484,17 +503,10 @@ def evaluate_dag(dag, state_values: dict[str, int], uniform01: float | None = No
                     vals.extend(v)
                 else:
                     vals.append(v)
-            env[node] = apply_reduction(r.primitive, vals, exact_mean=True)
+            env[node] = apply_reduction(r.primitive, vals)
         elif kind == "trigger":
             t = triggers[node]
-            value = env[dag.trigger_inputs[node]]
-            if t.predicate.kind.value == "probabilistic":
-                fired = (
-                    uniform01 is not None
-                    and uniform01 < t.predicate.fire_probability(value)
-                )
-            else:
-                fired = t.predicate.evaluate(value)
+            fired = t.predicate.evaluate(env[dag.trigger_inputs[node]], uniform01)
             fires[node] = fired
             env[node] = int(fired)
         elif kind == "activity":

@@ -199,12 +199,6 @@ def weighted_betweenness(topo: Topology, weights: dict[str, float]) -> dict[str,
     return {sw: float(score[sw]) for sw in topo.switches}
 
 
-def ranked_switches(topo: Topology, weights: dict[str, float]) -> list[str]:
-    """Switches ordered by descending betweenness, names break ties."""
-    score = weighted_betweenness(topo, weights)
-    return sorted(topo.switches, key=lambda sw: (-score[sw], sw))
-
-
 @dataclass(frozen=True)
 class EmbeddingConfig:
     replica_count: int
@@ -465,9 +459,7 @@ class RuleTables:
     tree_ports: dict[str, tuple[str, ...]]  # every state shares one tree
 
 
-def install_rules(
-    topo: Topology, placement: ReplicaPlacement, plan: ReplicationPlan
-) -> RuleTables:
+def install_rules(topo: Topology, plan: ReplicationPlan) -> RuleTables:
     """Next-hop tables to every switch plus each tree switch's tree ports."""
     next_hop: dict[str, dict[str, str]] = {}
     for sw in topo.switches:

@@ -206,7 +206,8 @@ class Predicate:
 
     PROBABILISTIC fires with probability max(0, (v - threshold) / v),
     the normalized excess over the threshold; the caller supplies the
-    uniform draw so evaluation stays deterministic under a seeded RNG.
+    uniform draw so evaluation stays deterministic under a seeded RNG,
+    and without a draw it does not fire.
     """
 
     kind: PredicateKind
@@ -242,9 +243,7 @@ class Predicate:
             return value <= self.threshold
         if self.kind is PredicateKind.ALWAYS:
             return True
-        if uniform01 is None:
-            raise ValueError("PROBABILISTIC predicate needs a uniform draw")
-        return uniform01 < self.fire_probability(value)
+        return uniform01 is not None and uniform01 < self.fire_probability(value)
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,10 @@ exactly 208 bits per header.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .compiler import apply_reduction
+from .compiler import RightShift, run_steps
 from .errors import FieldOverflow, InvalidParameter, TruncatedHeader
-from .model import ReductionKind
 
 UPDATE_ETHTYPE = 0x88B5
 IPV4_ETHTYPE = 0x0800
@@ -151,73 +150,67 @@ class UpdateTrigger:
 
 @dataclass
 class RemoteSlot:
-    value: int = 0
+    """Where a state written by another switch arrives: its one origin
+    and the origin timestamp of the value held (-1 before the first)."""
+
+    name: str
+    origin: int
     origin_ts_ns: int = -1
-    origin_writes: int = 0
-    present: bool = False
 
 
 class ReplicaStore:
-    """Per-switch replicated state: local values, remote slots, reductions.
+    """Per-switch replicated state: local values, remote slots and the
+    compiled program's reduction steps.
 
     `configure_state` declares every state this switch replicates; the
     one whose origin is this switch is written locally (via an estimator
-    object or set_local), the rest receive gossip through apply_update.
-    Reduction outputs are recomputed lazily against a version counter
-    bumped on every mutation.
+    object or write_local), the rest receive gossip through apply_update
+    from their single origin. A state not hosted here reads 0. Reduction
+    outputs are recomputed lazily against a version counter bumped on
+    every mutation.
     """
 
-    def __init__(self, switch: str):
+    def __init__(self, switch: str, steps):
         self.switch = switch
-        self.local_values: dict[str, object] = {}
+        self.steps = steps
+        outputs = {out for out, _, _ in steps}
+        # Each wire state's value (0 until written or received, and for
+        # good when it is not hosted here); evaluation adds the live
+        # estimators' readings and each step's output.
+        self.values: dict[str, int] = {x: 0 for _, _, operands in steps
+                                       for x in operands if x not in outputs}
+        self.live: dict[str, object] = {}
         self.local_writes: dict[str, int] = {}
         self.local_write_ts: dict[str, int] = {}
-        self.remote: dict[tuple[int, int], RemoteSlot] = {}
-        self.remote_by_state: dict[str, list[tuple[int, int]]] = {}
+        self.remote: dict[int, RemoteSlot] = {}
         self.hosted: dict[int, str] = {}
         self.widths: dict[str, int] = {}
-        self.reductions: dict[str, tuple[ReductionKind, tuple[str, ...]]] = {}
         self.known_ids: frozenset[int] = frozenset()
-        self.unknown_state_drops = 0
-        self.stale_drops = 0
         self.version = 0
-        self._cache: dict[str, tuple[int, int, int]] = {}
+        self._evaluated = (-1, None)
 
-    def configure_state(
-        self,
-        name: str,
-        state_id: int,
-        width_bits: int,
-        owned: bool,
-        origin_sw_ids: tuple[int, ...] = (),
-    ):
-        """Host a state here; non-owned origins get remote slots."""
+    def configure_state(self, name: str, state_id: int, width_bits: int,
+                        origin_sw_id: int | None = None):
+        """Host a state here: written locally when `origin_sw_id` is None,
+        otherwise a remote slot fed by that switch."""
         self.hosted[state_id] = name
         self.widths[name] = width_bits
-        if owned:
-            self.local_values[name] = 0
+        self.values[name] = 0
+        if origin_sw_id is None:
             self.local_writes[name] = 0
             self.local_write_ts[name] = -1
         else:
-            keys = []
-            for origin in origin_sw_ids:
-                key = (state_id, origin)
-                self.remote[key] = RemoteSlot()
-                keys.append(key)
-            self.remote_by_state[name] = keys
-
-    def configure_reduction(self, output: str, kind: ReductionKind, inputs: tuple[str, ...]):
-        self.reductions[output] = (kind, inputs)
+            self.remote[state_id] = RemoteSlot(name, origin_sw_id)
 
     def set_known_ids(self, ids):
         self.known_ids = frozenset(ids)
 
     def attach_local(self, name: str, value_source):
         """Bind a live value source (e.g. a rate estimator) to a local state."""
-        self.local_values[name] = value_source
+        self.live[name] = value_source
 
     def write_local(self, name: str, value: int, t_ns: int):
-        self.local_values[name] = int(value)
+        self.values[name] = int(value)
         self.note_write(name, t_ns)
 
     def note_write(self, name: str, t_ns: int):
@@ -226,84 +219,62 @@ class ReplicaStore:
         self.version += 1
 
     def local_value(self, name: str, t_ns: int) -> int:
-        src = self.local_values[name]
-        if isinstance(src, int):
-            return src
-        return src.read(t_ns)
+        src = self.live.get(name)
+        return self.values[name] if src is None else src.read(t_ns)
 
     def value_of(self, name: str, t_ns: int) -> int:
-        if name in self.local_values:
+        if name in self.local_writes:
             return self.local_value(name, t_ns)
-        total_keys = self.remote_by_state.get(name)
-        if not total_keys:
-            return 0
-        # A state has one writing origin; its slot holds the latest value.
-        slot = self.remote[total_keys[0]]
-        return slot.value if slot.present else 0
+        return self.values.get(name, 0)
 
-    def apply_update(
-        self, header: UpdateHeader, origin_ts_ns: int, origin_writes: int = 0
-    ) -> tuple[str, int | None]:
-        """Reconcile one header; last writer (per origin) wins.
+    def apply_update(self, header: UpdateHeader, origin_ts_ns: int) -> tuple[str, int | None]:
+        """Reconcile one header; the newest origin timestamp wins.
 
         Returns (status, replaced_ts): status is "applied" (replaced_ts
         is the previous slot timestamp, -1 on first fill), "stale" for
         an out-of-order or duplicate timestamp, "local" when this switch
         is the origin, "transit" when the state is known but not hosted
-        here, or "unknown" (counted) when the id is outside the
-        registry.
+        here, or "unknown" when the id is outside the registry or the
+        header comes from a switch other than the state's origin.
         """
         sid = header.state_id
-        if sid not in self.hosted:
-            if sid in self.known_ids:
-                return "transit", None
-            self.unknown_state_drops += 1
-            return "unknown", None
-        name = self.hosted[sid]
-        if name in self.local_values:
-            return "local", None
-        key = (sid, header.src_sw_id)
-        slot = self.remote.get(key)
+        slot = self.remote.get(sid)
         if slot is None:
-            self.unknown_state_drops += 1
+            if sid in self.hosted:
+                return "local", None
+            return ("transit" if sid in self.known_ids else "unknown"), None
+        if header.src_sw_id != slot.origin:
             return "unknown", None
-        if slot.present and origin_ts_ns <= slot.origin_ts_ns:
-            self.stale_drops += 1
+        prev_ts = slot.origin_ts_ns
+        if origin_ts_ns <= prev_ts:
             return "stale", None
-        prev_ts = slot.origin_ts_ns if slot.present else -1
-        slot.value = header.state_value
         slot.origin_ts_ns = origin_ts_ns
-        slot.origin_writes = origin_writes
-        slot.present = True
+        self.values[slot.name] = header.state_value
         self.version += 1
         return "applied", prev_ts
 
     def read_global(self, output: str, t_ns: int) -> int:
-        """Reduction over local and remote slot values, cached per
-        (version, time) so repeated reads within one event are free."""
-        cached = self._cache.get(output)
-        if cached is not None and cached[0] == self.version and cached[1] == t_ns:
-            return cached[2]
-        value = self._eval(output, t_ns)
-        self._cache[output] = (self.version, t_ns, value)
-        return value
-
-    def _eval(self, name: str, t_ns: int) -> int:
-        red = self.reductions.get(name)
-        if red is None:
-            return self.value_of(name, t_ns)
-        kind, inputs = red
-        return apply_reduction(kind, [self._eval(i, t_ns) for i in inputs])
+        """A reduction output (or a state) at time t_ns, from local and
+        remote values. The steps run once per (version, time), so
+        repeated reads within one event are free."""
+        at = (self.version, t_ns)
+        if self._evaluated != at:
+            values = self.values
+            for name, src in self.live.items():
+                values[name] = src.read(t_ns)
+            run_steps(self.steps, values)
+            self._evaluated = at
+        return self.values[output]
 
     def replica_memory_bits(self) -> int:
         """Register bits held for replication: state slots + one aggregate
-        register per reduction output."""
-        bits = 0
-        for sid, name in self.hosted.items():
-            bits += self.widths[name]
-        for output, (kind, inputs) in self.reductions.items():
-            widths = [self.widths.get(i, 32) for i in inputs]
-            bits += max(widths) if widths else 32
+        register per reduction step, as wide as its widest hosted input
+        (32 for other inputs). A shift reads the register of the sum it
+        follows, so a lowered mean holds one register."""
+        bits = sum(self.widths.values())
+        for _, fn, operands in self.steps:
+            if not isinstance(fn, RightShift):
+                bits += max(self.widths.get(x, 32) for x in operands)
         return bits
 
 

@@ -86,7 +86,7 @@ def build_simulation(config: ScenarioConfig, replicas: int | None = None,
                  for cs in program.states}
     plan = build_replication_plan(topo, placement, reqs_wire,
                                   config.r_min, config.trigger_mode)
-    rules = install_rules(topo, placement, plan)
+    rules = install_rules(topo, plan)
 
     sim = Simulator(
         topo,

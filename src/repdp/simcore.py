@@ -31,6 +31,7 @@ from collections import deque
 from heapq import heappop, heappush
 
 from .apps import RateEstimatorWindow
+from .compiler import reduction_steps
 from .errors import SimulationError
 from .metrics import CONTROLLER_DELAY_NS, Accumulators, MetricsLog
 from .model import (
@@ -295,7 +296,7 @@ class Simulator:
             rt.flood = {ingress: tuple(rt.ports[p] for p in flood_ports(tree, ingress))
                         for ingress in (None, *tree)}
 
-        state_specs = {s.name: s for s in app.states}
+        steps = reduction_steps(program)
         for cs in program.states:
             if cs.state_id is None:
                 raise SimulationError(f"state {cs.name} has no wire id")
@@ -307,11 +308,9 @@ class Simulator:
             for sw in nodes:
                 rt = self.switch_rt[sw]
                 if rt.store is None:
-                    rt.store = ReplicaStore(sw)
-                rt.store.configure_state(
-                    cs.name, cs.state_id, cs.width_bits,
-                    owned=(sw == origin), origin_sw_ids=(origin_id,),
-                )
+                    rt.store = ReplicaStore(sw, steps)
+                rt.store.configure_state(cs.name, cs.state_id, cs.width_bits,
+                                         None if sw == origin else origin_id)
             ort = self.switch_rt[origin]
             self._origin_store[cs.name] = ort.store
             if cs.value_type is ValueType.RATE_ESTIMATE:
@@ -329,20 +328,6 @@ class Simulator:
                 else:
                     ort.monitors.append(mon)
             # SCALARs are written through set_scalar / scheduled loads.
-
-        # Reductions evaluate on every replica; expand array sources to
-        # their wire element names.
-        def expand(name: str) -> list[str]:
-            per_source = program.states_of(name)
-            if per_source:
-                return [c.name for c in per_source]
-            return [name]
-
-        store_switches = {sw for cs in program.states for sw in placement.nodes[cs.name]}
-        for red in dag.reductions.values():
-            inputs = tuple(w for i in red.inputs for w in expand(i))
-            for sw in store_switches:
-                self.switch_rt[sw].store.configure_reduction(red.output, red.primitive, inputs)
 
         for sw in self.switch_rt.values():
             if sw.store is not None:
@@ -402,7 +387,7 @@ class Simulator:
     def set_scalar(self, switch, state, value, t_ns=None):
         """Write a scalar state at its origin (e.g. an injected load)."""
         rt = self.switch_rt[switch]
-        if rt.store is None or state not in rt.store.local_values:
+        if rt.store is None or state not in rt.store.local_writes:
             raise SimulationError(f"{switch} does not own state {state}")
         t = self.t_now if t_ns is None else t_ns
         rt.store.write_local(state, value, t)
@@ -566,7 +551,7 @@ class Simulator:
                 log = self.log
                 applied = False
                 for h in pkt.headers:
-                    status, prev_ts = store.apply_update(h, pkt.origin_ts, pkt.origin_writes)
+                    status, prev_ts = store.apply_update(h, pkt.origin_ts)
                     if status == "applied":
                         applied = True
                         name = store.hosted[h.state_id]

@@ -27,7 +27,6 @@ from repdp import (
     make_ddos_app,
     node_loads,
     place_replicas,
-    ranked_switches,
     serialize_plan,
     solve_replication_period,
     steiner_tree,
@@ -109,19 +108,23 @@ def test_betweenness_matches_brute_force_on_random_graphs():
             assert got[sw] == pytest.approx(want[sw], abs=1e-9), (trial, sw, weights)
 
 
+def ranking(topo, weights):
+    program = compile_application(build_dag(make_ddos_app(1, 1000, 0.014)))
+    return place_replicas(topo, EmbeddingConfig(1, weights), program, {}).ranking
+
+
 def test_path_graph_center_scores_highest():
     topo = Topology(
         ("a", "b", "c"),
         (),
         [Link("a", "b", 1000, 1_000_000), Link("b", "c", 1000, 1_000_000)],
     )
-    assert ranked_switches(topo, {"a": 1.0, "c": 1.0}) == ["b", "a", "c"]
+    assert ranking(topo, {"a": 1.0, "c": 1.0}) == ["b", "a", "c"]
 
 
 def test_ranking_tie_breaks_by_name():
     topo = ring4()
-    ranking = ranked_switches(topo, {sw: 1.0 for sw in topo.switches})
-    assert ranking == ["sw1", "sw2", "sw3", "sw4"]
+    assert ranking(topo, {sw: 1.0 for sw in topo.switches}) == ["sw1", "sw2", "sw3", "sw4"]
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +287,7 @@ def test_single_replica_plan_has_no_tree_or_flooding():
     topo, placement, plan = fig_like_setup(1)
     assert plan.tree_edges == frozenset()
     assert plan.solutions == {}
-    rules = install_rules(topo, placement, plan)
+    rules = install_rules(topo, plan)
     assert rules.tree_ports == {}
     # Forwarding tables still cover every pair.
     for sw in topo.switches:
@@ -292,8 +295,8 @@ def test_single_replica_plan_has_no_tree_or_flooding():
 
 
 def test_install_rules_floods_along_tree_only():
-    topo, placement, plan = fig_like_setup(2)
-    rules = install_rules(topo, placement, plan)
+    topo, _, plan = fig_like_setup(2)
+    rules = install_rules(topo, plan)
     assert set(rules.tree_ports) == {"sw1", "sw2", "sw3"}
     assert rules.tree_ports["sw2"] == ("sw1", "sw3")
     assert rules.tree_ports["sw1"] == ("sw2",)

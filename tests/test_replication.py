@@ -9,11 +9,20 @@ from hypothesis import strategies as st
 
 from repdp import (
     RateEstimatorWindow,
-    ReductionKind,
     ReplicaStore,
+    StateIdRegistry,
     UpdateHeader,
     UpdateTrigger,
+    assign_state_ids,
+    build_dag,
+    compile_application,
+    evaluate_dag,
     flood_ports,
+    make_ddos_app,
+    make_link_lb_app,
+    make_rate_limiter_app,
+    make_resource_lb_app,
+    reduction_steps,
 )
 
 DELTA_NS = 100_000_000  # 0.1 s buckets
@@ -134,10 +143,9 @@ def test_trigger_rejects_bad_mode():
 
 
 def make_store():
-    store = ReplicaStore("swB")
-    store.configure_state("rate_a", state_id=0, width_bits=32, owned=False, origin_sw_ids=(1,))
-    store.configure_state("rate_b", state_id=1, width_bits=32, owned=True)
-    store.configure_reduction("total", ReductionKind.SUM, ("rate_a", "rate_b"))
+    store = ReplicaStore("swB", (("total", sum, ("rate_a", "rate_b")),))
+    store.configure_state("rate_a", state_id=0, width_bits=32, origin_sw_id=1)
+    store.configure_state("rate_b", state_id=1, width_bits=32)
     store.set_known_ids({0, 1, 2})
     return store
 
@@ -156,7 +164,6 @@ def test_last_writer_wins_per_origin():
     # Duplicate and reordered deliveries are dropped.
     assert store.apply_update(hdr(0, 1), origin_ts_ns=250) == ("stale", None)
     assert store.apply_update(hdr(0, 1), origin_ts_ns=180) == ("stale", None)
-    assert store.stale_drops == 2
     assert store.value_of("rate_a", 300) == 9
 
 
@@ -176,9 +183,10 @@ def test_own_state_ignores_gossip():
 def test_transit_vs_unknown():
     store = make_store()
     assert store.apply_update(hdr(2, 1), 10) == ("transit", None)
-    assert store.unknown_state_drops == 0
     assert store.apply_update(hdr(7, 1), 10) == ("unknown", None)
-    assert store.unknown_state_drops == 1
+    # A state has one origin: the same id from another switch is unknown.
+    assert store.apply_update(hdr(0, 1, src=3), 10) == ("unknown", None)
+    assert store.value_of("rate_a", 10) == 0
 
 
 def test_global_read_mixes_local_and_remote():
@@ -213,24 +221,81 @@ def test_write_log_tracks_count_and_time():
 
 def test_replica_memory_scales_with_hosted_states():
     for c in (1, 2, 4):
-        store = ReplicaStore("sw")
         names = [f"r{i}" for i in range(c)]
-        store.configure_state(names[0], 0, 32, owned=True)
+        store = ReplicaStore("sw", (("total", sum, tuple(names)),))
+        store.configure_state(names[0], 0, 32)
         for i, n in enumerate(names[1:], start=1):
-            store.configure_state(n, i, 32, owned=False, origin_sw_ids=(i,))
-        store.configure_reduction("total", ReductionKind.SUM, tuple(names))
+            store.configure_state(n, i, 32, origin_sw_id=i)
         assert store.replica_memory_bits() == 32 * (c + 1)
 
 
+def test_lowered_mean_holds_one_register():
+    program = compile_application(build_dag(make_resource_lb_app(2)))
+    store = ReplicaStore("sw", reduction_steps(program))
+    store.configure_state("srv_load_0", 0, 32)
+    store.configure_state("srv_load_1", 1, 32, origin_sw_id=1)
+    # Two state slots plus least_loaded and mean_load: the mean's sum and
+    # shift share one aggregate register.
+    assert store.replica_memory_bits() == 4 * 32
+
+
 def test_reduction_chains_evaluate_recursively():
-    store = ReplicaStore("sw")
-    store.configure_state("a", 0, 32, owned=True)
-    store.configure_state("b", 1, 32, owned=True)
-    store.configure_reduction("m", ReductionKind.MAX, ("a", "b"))
-    store.configure_reduction("twice", ReductionKind.SUM, ("m", "m"))
+    store = ReplicaStore("sw", (("m", max, ("a", "b")), ("twice", sum, ("m", "m"))))
+    store.configure_state("a", 0, 32)
+    store.configure_state("b", 1, 32)
     store.write_local("a", 3, 0)
     store.write_local("b", 8, 0)
     assert store.read_global("twice", 1) == 16
+
+
+# Each reference application's DAG at the sizes the strategy draws from.
+STORE_APPS = {
+    "ddos": (lambda n: make_ddos_app(n, 1000, 0.014), st.integers(1, 8)),
+    "ratelimit": (lambda n: make_rate_limiter_app(n, 1e6, 10, 100.0), st.integers(1, 8)),
+    "linklb": (make_link_lb_app, st.integers(1, 4)),
+    "resourcelb": (make_resource_lb_app, st.sampled_from([1, 2, 4, 8])),
+}
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(sorted(STORE_APPS)), st.data())
+def test_every_store_agrees_with_the_dag_oracle(app_name, data):
+    make, sizes = STORE_APPS[app_name]
+    dag = build_dag(make(data.draw(sizes)))
+    program = compile_application(dag)
+    assign_state_ids(program, StateIdRegistry())
+    # Configured as Simulator.install_app does, on a switch that hosts
+    # every state but one; origin 0 is this switch.
+    absent = data.draw(st.sampled_from(program.states))
+    hosted = [cs for cs in program.states if cs is not absent]
+    origins = {cs.name: data.draw(st.integers(0, 3)) for cs in hosted}
+    store = ReplicaStore("sw0", reduction_steps(program))
+    for cs in hosted:
+        store.configure_state(cs.name, cs.state_id, cs.width_bits, origins[cs.name] or None)
+    store.set_known_ids(cs.state_id for cs in program.states)
+
+    def agrees(t):
+        want = evaluate_dag(dag, truth).outputs
+        for out in dag.reductions:
+            assert store.read_global(out, t) == want[out], (out, truth)
+
+    truth = {cs.name: 0 for cs in program.states}
+    writes = []
+    if hosted:
+        writes = data.draw(st.lists(st.tuples(st.sampled_from(hosted), st.integers(0, 2**32 - 1),
+                                              st.booleans()), max_size=24))
+    for t, (cs, value, read_now) in enumerate(writes, start=1):
+        origin = origins[cs.name]
+        if origin:
+            hdr = UpdateHeader(origin, 0, cs.state_id, 0, value)
+            assert store.apply_update(hdr, origin_ts_ns=t)[0] == "applied"
+        else:
+            store.write_local(cs.name, value, t)
+        truth[cs.name] = value
+        if read_now:
+            agrees(t)
+    agrees(len(writes) + 1)
+    assert store.value_of(absent.name, len(writes) + 1) == 0
 
 
 def test_random_interleavings_converge_to_newest():

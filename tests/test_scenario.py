@@ -340,6 +340,14 @@ DDOS_KEYS = "name = ddos\nthreshold = 10\nepsilon_t = 14ms"
 RESOURCE_LB = "name = resourcelb\nlb_switch = s1\nservers = h1"
 THREE_SWITCHES = BASE.replace("switches = s1 s2\nlinks = s1-s2",
                               "switches = s1 s2 s3\nlinks = s1-s2 s2-s3")
+# Every application with a rate estimator, with valid keys.
+ESTIMATOR_APPS = {
+    "ddos": BASE,
+    "ratelimit": BASE.replace(DDOS_KEYS, "name = ratelimit\nlimit = 1Mbps\nepsilon_r = 10\n"
+                                         "max_write_rate = 100"),
+    "linklb": THREE_SWITCHES.replace(DDOS_KEYS, "name = linklb\nlb_switch = s1\n"
+                                                "path_via = s2\ndst_switch = s3"),
+}
 
 # case -> (scenario text, fragment of the line the error must cite)
 APP_AND_LOAD_ERRORS = {
@@ -366,6 +374,9 @@ APP_AND_LOAD_ERRORS = {
         "srv_load_7"),
     "load_on_rate_estimator": (BASE + "[loads]\nsyn_rate_0 = 1:5000\n", "syn_rate_0"),
 }
+APP_AND_LOAD_ERRORS.update({
+    f"{app}_{key.replace(' = ', '_')}": (text.replace("[embedding]", f"{key}\n[embedding]"), key)
+    for app, text in ESTIMATOR_APPS.items() for key in ("window = 6", "delta = 0")})
 
 
 @pytest.mark.parametrize("text, fragment", APP_AND_LOAD_ERRORS.values(),

@@ -1,5 +1,6 @@
 """Event engine behaviour: links, queues, flows, pipelines, applications."""
 
+import csv
 import os
 import re
 
@@ -11,14 +12,19 @@ from repdp import (
     SimulationError,
     Simulator,
     Topology,
+    UpdateHeader,
     build_simulation,
     export_metrics,
     parse_scenario,
+    update_frame_bits,
 )
+from repdp.simcore import EV_ARRIVAL, Packet
 
 MS = 1_000_000
-FIG8 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                    "scenarios", "fig8_ratelimit.scn")
+SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "scenarios")
+FIG7 = os.path.join(SCENARIOS, "fig7_ddos_c2.scn")
+FIG8 = os.path.join(SCENARIOS, "fig8_ratelimit.scn")
 
 
 def line_topo(capacity_bps=1_000_000, delay_ns=MS):
@@ -321,6 +327,34 @@ def test_updates_flood_without_echo(ddos_cfg):
     # both origins.
     origins = {origin for _, _, origin, _, _, _ in log.staleness}
     assert origins == {"sw1", "sw3"}
+
+
+def test_update_drops_are_counted_on_the_log(tmp_path):
+    built = build_simulation(parse_scenario(FIG7), t_end_s=1.0)
+    sim = built.sim
+    state = built.program.states[0]
+    origin = built.placement.origin[state.name]
+    (replica,) = set(built.placement.nodes[state.name]) - {origin}
+    # The replica is a leaf of the distribution tree, so nothing floods on.
+    (port,) = built.rules.tree_ports[replica]
+
+    def update(uid, state_id):
+        hdr = UpdateHeader(src_sw_id=sim.switch_rt[origin].sw_id, dst_sw_id=0,
+                           state_id=state_id, replica_id=0, state_value=5)
+        return Packet(uid, -1, port, "", "", update_frame_bits(1), False, is_update=True,
+                      headers=(hdr,), origin_ts=1)
+
+    # Delivered before any real update: the copy is stale, id 999 was
+    # never registered.
+    twice = update(-1000, state.state_id)
+    for pkt in (twice, twice, update(-1001, 999)):
+        sim._schedule(1, EV_ARRIVAL, (replica, pkt, port))
+    log = sim.run_until()
+    assert (log.stale_update_drops, log.unknown_state_drops) == (1, 1)
+    export_metrics(log, str(tmp_path), switch_names=built.sim.topo.switches)
+    with open(tmp_path / "counters.csv") as fh:
+        counters = {row["key"]: int(row["value"]) for row in csv.DictReader(fh)}
+    assert (counters["stale_update_drops"], counters["unknown_state_drops"]) == (1, 1)
 
 
 def test_staged_run_matches_single_run(ddos_cfg):

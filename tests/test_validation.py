@@ -3,14 +3,29 @@
 import pytest
 
 from repdp import (
+    ActionKind,
+    ActivitySpec,
+    ApplicationSpec,
+    InconsistencySpec,
     MetricsLog,
+    Predicate,
     RateEstimatorWindow,
     ReductionKind,
+    ReductionSpec,
     RepdpError,
+    TriggerSpec,
     UpdateTrigger,
-    apply_reduction,
+    build_dag,
     make_resource_lb_app,
 )
+
+
+def mean_of_nothing():
+    red = ReductionSpec("m", ReductionKind.MEAN, ())
+    trig = TriggerSpec("t", "m", Predicate.always(), InconsistencySpec.none(), "a")
+    return ApplicationSpec("mean", (), (red,), (trig,),
+                           (ActivitySpec("a", ActionKind.DROP_PACKET),))
+
 
 INVALID = {
     "metrics_bin_zero": lambda: MetricsLog(1_000, 0, [], []),
@@ -22,8 +37,7 @@ INVALID = {
     "time_trigger_negative_tau": lambda: UpdateTrigger("time", tau_ns=-1),
     "packet_trigger_without_period": lambda: UpdateTrigger("packet"),
     "packet_trigger_zero_period": lambda: UpdateTrigger("packet", packet_period=0),
-    "mean_of_three": lambda: apply_reduction(ReductionKind.MEAN, [1, 2, 3]),
-    "mean_of_none": lambda: apply_reduction(ReductionKind.MEAN, []),
+    "mean_of_none_at_build": lambda: build_dag(mean_of_nothing()),
     "resourcelb_threshold_above_one": lambda: make_resource_lb_app(2, 1.5),
     "resourcelb_threshold_zero": lambda: make_resource_lb_app(2, 0.0),
 }
