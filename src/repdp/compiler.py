@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 from .errors import RegistryExhausted, UnsupportedPrimitive
 from .model import (
+    SLOTS_SUFFIX,
+    SUM_SUFFIX,
     ActionKind,
     ApplicationSpec,
     ElementDag,
@@ -135,9 +137,7 @@ def expand_states(app: ApplicationSpec) -> list[CompiledState]:
     """Wire-level states in declaration order, arrays element-expanded."""
     out = []
     for s in app.states:
-        n = s.value.length if s.value.type is ValueType.SCALAR_ARRAY else 1
-        for k in range(n):
-            name = s.name if n == 1 else f"{s.name}_{k}"
+        for k, name in enumerate(s.wire_names()):
             out.append(
                 CompiledState(
                     name=name,
@@ -184,14 +184,14 @@ def compile_application(
         if cs.value_type is ValueType.RATE_ESTIMATE:
             _require("circular_buffer", capabilities, f"state {cs.source}")
             structures.append(
-                DataStructure(cs.name + "__slots", "circular_buffer", cs.width_bits, cs.window)
+                DataStructure(cs.name + SLOTS_SUFFIX, "circular_buffer", cs.width_bits, cs.window)
             )
         structures.append(DataStructure(cs.name, kind, cs.width_bits))
         opcode = _WRITE_OPCODE[cs.value_type]
         if cs.value_type is ValueType.RATE_ESTIMATE:
             emit(
                 opcode,
-                (cs.name + "__slots",),
+                (cs.name + SLOTS_SUFFIX,),
                 cs.name,
                 (("window", cs.window), ("delta_s", cs.delta_s)),
             )
@@ -231,10 +231,10 @@ def compile_application(
                     f"reduction {r.output}: mean lowers to sum+shift and needs a"
                     f" power-of-two input count, got {n}"
                 )
-            emit("sum", inputs, r.output + "__sum")
+            emit("sum", inputs, r.output + SUM_SUFFIX)
             emit(
                 "shift",
-                (r.output + "__sum",),
+                (r.output + SUM_SUFFIX,),
                 r.output,
                 (("shift", n.bit_length() - 1),),
             )
@@ -271,8 +271,8 @@ def compile_application(
             name = stack.pop()
             if name in op_of:
                 group.add(op_of[name])
-                if name + "__sum" in op_of:
-                    group.add(op_of[name + "__sum"])
+                if name + SUM_SUFFIX in op_of:
+                    group.add(op_of[name + SUM_SUFFIX])
             if name in expanded_inputs:
                 for src in expanded_inputs[name]:
                     stack.append(src)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .compiler import PrimitiveProgram
 from .errors import (
@@ -76,9 +77,16 @@ class Topology:
             if len(self.adj[h]) != 1:
                 raise DisconnectedTopology(f"host {h} must attach to exactly one switch")
             nbr = next(iter(self.adj[h]))
-            if nbr not in set(self.switches):
+            if nbr not in self._sws:
                 raise DisconnectedTopology(f"host {h} must attach to a switch")
         self._check_connected()
+        # Each switch's switch neighbours, name-sorted, with the link delay.
+        self._sw_nbrs: dict[str, tuple[tuple[str, int], ...]] = {
+            sw: tuple(
+                (m, ln.delay_ns) for m, ln in sorted(self.adj[sw].items()) if m in self._sws
+            )
+            for sw in self.switches
+        }
         self._sp_cache: dict[str, tuple[dict[str, int], dict[str, int]]] = {}
 
     def _check_connected(self):
@@ -111,16 +119,14 @@ class Topology:
         sigma: dict[str, int] = {src: 1}
         done: set[str] = set()
         heap = [(0, src)]
-        sws = self._sws
+        nbrs = self._sw_nbrs
         while heap:
             d, n = heapq.heappop(heap)
             if n in done:
                 continue
             done.add(n)
-            for m, ln in self.adj[n].items():
-                if m not in sws:
-                    continue
-                nd = d + ln.delay_ns
+            for m, delay in nbrs[n]:
+                nd = d + delay
                 if m not in dist or nd < dist[m]:
                     dist[m] = nd
                     sigma[m] = sigma[n]
@@ -141,18 +147,12 @@ class Topology:
         """Neighbor switch on a shortest path; name order breaks ties."""
         if switch == dst_switch:
             return switch
-        best = None
         dist_to_dst, _ = self.switch_distances(dst_switch)
-        for m in sorted(self.adj[switch]):
-            if not self.is_switch(m) or m not in dist_to_dst:
-                continue
-            total = self.adj[switch][m].delay_ns + dist_to_dst[m]
-            if total == dist_to_dst.get(switch):
-                best = m
-                break
-        if best is None:
-            raise DisconnectedTopology(f"no route {switch} -> {dst_switch}")
-        return best
+        here = dist_to_dst.get(switch)
+        for m, delay in self._sw_nbrs[switch]:
+            if m in dist_to_dst and delay + dist_to_dst[m] == here:
+                return m
+        raise DisconnectedTopology(f"no route {switch} -> {dst_switch}")
 
 
 def node_loads(topo: Topology, weights: dict[str, float]) -> dict[str, float]:
@@ -170,33 +170,62 @@ def weighted_betweenness(topo: Topology, weights: dict[str, float]) -> dict[str,
 
     Endpoint-inclusive: a demand pair (u, v) with weight load(u)+load(v)
     credits every node on each shortest u-v path, endpoints included,
-    splitting evenly across equal-cost paths. Exact rationals are used
-    for the path-fraction arithmetic so scores are deterministic.
+    splitting evenly across equal-cost paths.
+
+    One Brandes pass per source s (Brandes, "A faster algorithm for
+    betweenness centrality", 2001) walks the switches by decreasing
+    distance from s and accumulates A(v) = c(s, v) / sigma_sv plus A(w)
+    of every w that has v as a shortest-path predecessor, c being the
+    pair weight. Source s credits sigma_sv * A(v) to v: its share of
+    the pairs (s, t) routed through v, the pair (s, v) itself, and at
+    v = s every pair of s. Each pair is seen from both of its ends, so
+    the sum over sources is halved. A(v) is kept as an integer over a
+    common denominator per source and each source is added over one
+    running global denominator, so each score is an exact rational
+    rounded to float once.
     """
     load = node_loads(topo, weights)
-    score = {sw: Fraction(0) for sw in topo.switches}
-    sws = list(topo.switches)
-    dist = {}
-    sigma = {}
-    for s in sws:
-        dist[s], sigma[s] = topo.switch_distances(s)
-    for i, u in enumerate(sws):
-        for v in sws[i + 1 :]:
-            w = load[u] + load[v]
-            if w == 0:
+    nbrs = topo._sw_nbrs
+    rational: dict[float, tuple[int, int]] = {}
+    num = dict.fromkeys(topo.switches, 0)  # score = num / (2 * total)
+    total = 1
+    for s in topo.switches:
+        dist, sigma = topo.switch_distances(s)
+        ls = load[s]
+        pair: list[tuple[str, int, int]] = []  # (t, numerator, q * sigma_st)
+        for t in topo.switches:
+            weight = ls + load[t]
+            if t == s or weight == 0:
                 continue
-            if v not in dist[u]:
-                raise DisconnectedTopology(f"no path between {u} and {v}")
-            duv = dist[u][v]
-            total = sigma[u][v]
-            wf = Fraction(w).limit_denominator(10**9)
-            for n in sws:
-                if dist[u].get(n, -1) < 0 or v not in dist[n]:
-                    continue
-                if dist[u][n] + dist[n][v] == duv:
-                    through = sigma[u][n] * sigma[n][v]
-                    score[n] += wf * Fraction(through, total)
-    return {sw: float(score[sw]) for sw in topo.switches}
+            if t not in dist:
+                raise DisconnectedTopology(f"no path between {s} and {t}")
+            if weight not in rational:
+                wf = Fraction(weight).limit_denominator(10**9)
+                rational[weight] = (wf.numerator, wf.denominator)
+            p, q = rational[weight]
+            if p:
+                pair.append((t, p, q * sigma[t]))
+        if not pair:
+            continue
+        den = lcm(*{qs for _, _, qs in pair})
+        if total % den:
+            grow = lcm(total, den) // total
+            total *= grow
+            for v in num:
+                num[v] *= grow
+        scale = total // den
+        acc = dict.fromkeys(dist, 0)
+        for t, p, qs in pair:
+            acc[t] = den // qs * p
+        for w in sorted(dist, key=dist.__getitem__, reverse=True):
+            a = acc[w]
+            if a:
+                num[w] += sigma[w] * a * scale
+                dw = dist[w]
+                for v, delay in nbrs[w]:
+                    if dist[v] + delay == dw:
+                        acc[v] += a
+    return {sw: float(Fraction(num[sw], 2 * total)) for sw in topo.switches}
 
 
 @dataclass(frozen=True)
@@ -331,7 +360,6 @@ def steiner_tree(topo: Topology, terminals) -> frozenset[tuple[str, str]]:
 
 
 def _shortest_path_edges(topo: Topology, a: str, b: str) -> list[tuple[str, str]]:
-    dist_b, _ = topo.switch_distances(b)
     edges = []
     cur = a
     while cur != b:

@@ -23,6 +23,12 @@ CONTROLLER_PORT = -1
 
 # Element names must be addressable in wire registries and scenario files.
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+# Names synthesized from element names: a trigger's identity reduction,
+# a lowered mean's sum and an estimator's slot ring.
+IDENTITY_SUFFIX = "__id"
+SUM_SUFFIX = "__sum"
+SLOTS_SUFFIX = "__slots"
+RESERVED_SUFFIXES = (IDENTITY_SUFFIX, SUM_SUFFIX, SLOTS_SUFFIX)
 
 
 class PortClass(enum.Enum):
@@ -183,6 +189,12 @@ class StateSpec:
     width_bits: int = 32
     target_hint: str | None = None
 
+    def wire_names(self) -> list[str]:
+        """Wire-level names: an array of n > 1 elements is name_0 .. name_{n-1}."""
+        if self.value.type is ValueType.SCALAR_ARRAY and self.value.length != 1:
+            return [f"{self.name}_{k}" for k in range(self.value.length)]
+        return [self.name]
+
 
 @dataclass(frozen=True)
 class ReductionSpec:
@@ -326,9 +338,22 @@ def validate_application(app: ApplicationSpec) -> ValidationReport:
             name = e.output if kind == "reduction" else e.name
             if not _NAME_RE.match(name):
                 bad.append(f"{kind} name {name!r} is not a valid identifier")
+            if name.endswith(RESERVED_SUFFIXES):
+                bad.append(
+                    f"{kind} name {name!r} ends in a suffix reserved for"
+                    f" synthesized names ({', '.join(RESERVED_SUFFIXES)})"
+                )
             if name in names:
                 bad.append(f"name {name!r} used by both {names[name]} and {kind}")
             names[name] = kind
+
+    for s in app.states:
+        for k, wire in enumerate(s.wire_names()):
+            if wire != s.name and wire in names:
+                bad.append(
+                    f"{names[wire]} name {wire!r} collides with element {k}"
+                    f" of array state {s.name!r}"
+                )
 
     if not _NAME_RE.match(app.name):
         bad.append(f"application name {app.name!r} is not a valid identifier")
@@ -430,9 +455,6 @@ def validate_application(app: ApplicationSpec) -> ValidationReport:
             rep.warnings.append(f"state {s.name} is never read")
 
     return rep
-
-
-IDENTITY_SUFFIX = "__id"
 
 
 @dataclass

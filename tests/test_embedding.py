@@ -1,5 +1,7 @@
 """Placement, distribution tree, and update-period solving."""
 
+import importlib.util
+import os
 import random
 
 import pytest
@@ -7,6 +9,7 @@ from helpers import (
     assert_valid_tree,
     brute_betweenness,
     exact_steiner_cost,
+    pairwise_betweenness,
     random_switch_topology,
     tree_cost,
 )
@@ -26,6 +29,7 @@ from repdp import (
     install_rules,
     make_ddos_app,
     node_loads,
+    parse_scenario,
     place_replicas,
     serialize_plan,
     solve_replication_period,
@@ -106,6 +110,60 @@ def test_betweenness_matches_brute_force_on_random_graphs():
         want = brute_betweenness(topo, weights)
         for sw in topo.switches:
             assert got[sw] == pytest.approx(want[sw], abs=1e-9), (trial, sw, weights)
+
+
+WEIGHT_CHOICES = (0.0, 0.1, 1 / 3, 1.0, 2.5)
+
+
+def with_hosts(rng, topo, n_hosts):
+    """`topo` plus n_hosts hosts, each on a random switch."""
+    hosts = [f"h{i}" for i in range(n_hosts)]
+    links = list(topo.links)
+    for h in hosts:
+        links.append(Link(h, rng.choice(topo.switches), 10_000, 10_000_000))
+    return Topology(topo.switches, hosts, links)
+
+
+def test_betweenness_equals_pairwise_formula_exactly():
+    rng = random.Random(0xB7A4)
+    for trial in range(60):
+        n = rng.randrange(2, 41)
+        # Few distinct delays, so many pairs have several shortest paths.
+        delays = rng.choice([(1000,), (1000, 2000), (200_000, 500_000, 1_000_000)])
+        topo = random_switch_topology(
+            rng, n, extra_edges=rng.randrange(0, n + 1), delay_choices=delays
+        )
+        topo = with_hosts(rng, topo, rng.randrange(0, 4))
+        nodes = topo.switches + topo.hosts
+        weighted = rng.sample(nodes, rng.randrange(len(nodes) + 1))
+        weights = {x: rng.choice(WEIGHT_CHOICES) for x in weighted}
+        assert weighted_betweenness(topo, weights) == pairwise_betweenness(topo, weights), (
+            trial,
+            weights,
+        )
+
+
+def test_betweenness_of_empty_weights_is_zero():
+    rng = random.Random(7)
+    topo = with_hosts(rng, random_switch_topology(rng, 12, extra_edges=6), 3)
+    got = weighted_betweenness(topo, {})
+    assert got == pairwise_betweenness(topo, {})
+    assert got == {sw: 0.0 for sw in topo.switches}
+
+
+def test_betweenness_equals_pairwise_formula_on_generated_mesh(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "bench_meshgen", os.path.join(root, "bench", "meshgen.py")
+    )
+    meshgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(meshgen)
+    path = tmp_path / "mesh.scn"
+    path.write_text(meshgen.generate(11))
+    cfg = parse_scenario(str(path))
+    assert len(cfg.topology.switches) == 128
+    got = weighted_betweenness(cfg.topology, cfg.weights)
+    assert got == pairwise_betweenness(cfg.topology, cfg.weights)
 
 
 def ranking(topo, weights):

@@ -114,6 +114,69 @@ def test_build_dag_raises_on_invalid():
         build_dag(tiny_app(activities=()))
 
 
+def counter(name):
+    return StateSpec(name, ScopeFilter(), ValueKind.counter())
+
+
+def watch(input_name):
+    return (TriggerSpec("watch", input_name, Predicate.greater_than(5),
+                        InconsistencySpec.time_obsolescence(0.01), "act"),)
+
+
+# Each of these used to validate, and the lowered program then disagreed
+# with the DAG (or reused a user element as a synthesized one).
+NAME_COLLISIONS = {
+    # The lowered mean m writes its sum to m__sum, over the user's state.
+    "state_named_like_a_mean_sum": (
+        (counter("x"), counter("y"), counter("m__sum")),
+        (ReductionSpec("m", ReductionKind.MEAN, ("x", "y")),
+         ReductionSpec("total", ReductionKind.SUM, ("m__sum", "m"))),
+        watch("total"),
+        "'m__sum' ends in a suffix reserved",
+    ),
+    # A trigger on state x would read this sum as x's identity reduction.
+    "reduction_named_like_an_identity": (
+        (counter("x"), counter("z")),
+        (ReductionSpec("x__id", ReductionKind.SUM, ("x", "z")),),
+        watch("x"),
+        "'x__id' ends in a suffix reserved",
+    ),
+    # The estimator r keeps its slot ring as the data structure r__slots.
+    "state_named_like_an_estimator_ring": (
+        (StateSpec("r", ScopeFilter(), ValueKind.rate_estimate(window=4)),
+         counter("r__slots")),
+        (ReductionSpec("total", ReductionKind.SUM, ("r", "r__slots")),),
+        watch("total"),
+        "'r__slots' ends in a suffix reserved",
+    ),
+    # Array x goes on the wire as x_0, x_1: two program states named x_0.
+    "state_named_like_an_array_element": (
+        (StateSpec("x", ScopeFilter(), ValueKind.scalar_array(2)), counter("x_0")),
+        (ReductionSpec("total", ReductionKind.SUM, ("x", "x_0")),),
+        watch("total"),
+        "'x_0' collides with element 0 of array state 'x'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NAME_COLLISIONS.values(), ids=NAME_COLLISIONS.keys())
+def test_names_colliding_with_synthesized_names_rejected(case):
+    states, reductions, triggers, message = case
+    app = tiny_app(states=states, reductions=reductions, triggers=triggers)
+    rep = validate_application(app)
+    assert any(message in v for v in rep.violations), rep.violations
+    with pytest.raises(InvalidApplication):
+        build_dag(app)
+
+
+def test_array_of_length_one_keeps_its_own_name():
+    # Only arrays of two or more elements are expanded to name_k.
+    one = StateSpec("x", ScopeFilter(), ValueKind.scalar_array(1))
+    app = tiny_app(states=(one, counter("x_0")),
+                   reductions=(ReductionSpec("total", ReductionKind.SUM, ("x", "x_0")),))
+    assert validate_application(app).ok
+
+
 def test_dag_layers_and_identity_insertion():
     # A trigger reading a state directly gets an identity reduction.
     state = StateSpec("cnt", ScopeFilter(), ValueKind.counter())
