@@ -46,6 +46,7 @@ from .embedding import (
 from .errors import (
     DisconnectedTerminals,
     DisconnectedTopology,
+    ExportError,
     FieldOverflow,
     InfeasibleBudget,
     InsufficientNodes,

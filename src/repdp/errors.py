@@ -69,5 +69,9 @@ class InvalidParameter(RepdpError):
         super().__init__(message)
 
 
+class ExportError(RepdpError):
+    """A run's metrics cannot be written as unquoted CSV."""
+
+
 class SimulationError(RepdpError):
     """Runtime failure while building or running a simulation."""

@@ -5,9 +5,17 @@ replication updates); the split sums to the total by construction.
 During a run the simulator counts into `Accumulators`, plain Python int
 lists; each return from `Simulator.run_until` publishes them onto the
 `MetricsLog` as numpy int64 arrays, which is all a reader ever sees.
+The two per-update logs, `staleness` and `write_lag`, hold one row for
+every remote update a replica applies, so they are kept as typed columns
+(`ColumnLog`): ints in `array('q')`, names as 32-bit indices into one
+interned name table, 60 bytes per applied update for both logs together.
+
 Everything exports to plain CSVs with deterministic formatting: ints as
 decimal, floats via repr, rows in sorted or insertion order only, so
-identical runs produce byte-identical files.
+identical runs produce byte-identical files. Each file is streamed a
+chunk of rows at a time and never quotes a field, so every name in it
+(switch, host, state, flow, trigger, message) must need no CSV quoting:
+one holding `,`, `"`, CR or LF makes the export raise `ExportError`.
 """
 
 from __future__ import annotations
@@ -15,13 +23,65 @@ from __future__ import annotations
 import csv
 import math
 import os
+from array import array
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import ExportError, InvalidParameter
 
 CONTROLLER_DELAY_NS = 10_000_000
+
+
+class NameTable:
+    """Interned names: each distinct name gets the next index."""
+
+    __slots__ = ("names", "_index")
+
+    def __init__(self):
+        self.names: list[str] = []
+        self._index: dict[str, int] = {}
+
+    def index(self, name: str) -> int:
+        i = self._index.get(name)
+        if i is None:
+            i = self._index[name] = len(self.names)
+            self.names.append(name)
+        return i
+
+
+class ColumnLog:
+    """Rows of int and name fields, held column by column.
+
+    `kinds` has one letter per field: "i" for an int, kept in an
+    `array('q')`, and "n" for a name, kept as its index in `names`, in
+    an `array('I')`.
+    Iterating yields the rows as tuples with the names resolved. The
+    simulator appends to `columns` directly, with name indices it
+    resolved once; `append` takes a whole row of ints and names.
+    """
+
+    __slots__ = ("kinds", "names", "columns")
+
+    def __init__(self, kinds: str, names: NameTable):
+        self.kinds = kinds
+        self.names = names
+        self.columns = tuple(array("q" if kind == "i" else "I") for kind in kinds)
+
+    def append(self, row):
+        if len(row) != len(self.kinds):
+            raise ValueError(f"row has {len(row)} fields, the log {len(self.kinds)}")
+        for col, kind, x in zip(self.columns, self.kinds, row):
+            col.append(self.names.index(x) if kind == "n" else x)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self):
+        name = self.names.names.__getitem__
+        return zip(*(col if kind == "i" else map(name, col)
+                     for col, kind in zip(self.columns, self.kinds)))
 
 
 class MetricsLog:
@@ -29,7 +89,9 @@ class MetricsLog:
 
     The simulator appends event rows and bumps scalar counters inline;
     the per-bin and per-flow/per-link arrays are written by
-    `Accumulators.publish`.
+    `Accumulators.publish`. `staleness` rows are (t_ns, state, origin,
+    replica, staleness_ns, replaced_age_ns) and `write_lag` rows are
+    (t_ns, state, replica, lag_writes); their names share `names`.
     """
 
     def __init__(self, t_end_ns: int, bin_ns: int, link_dirs, flow_names):
@@ -55,8 +117,9 @@ class MetricsLog:
         self.detections: list[tuple[int, str, str, int]] = []
         self.notifications: list[tuple[int, str, str]] = []
         self.controller_redirects: list[tuple[int, str, str]] = []
-        self.staleness: list[tuple[int, str, str, str, int, int]] = []
-        self.write_lag: list[tuple[int, str, str, int]] = []
+        self.names = NameTable()
+        self.staleness = ColumnLog("innnii", self.names)
+        self.write_lag = ColumnLog("inni", self.names)
         self.unknown_state_drops = 0
         self.stale_update_drops = 0
         self.events_processed = 0
@@ -117,113 +180,115 @@ class Accumulators:
             setattr(log, name, np.array(getattr(self, name), dtype=np.int64))
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+# Rows per write: the text of one chunk is all an export holds at once.
+_CHUNK_ROWS = 4096
+_QUOTED = frozenset(',"\r\n')
 
 
-def _write_csv(path: str, header: list[str], rows):
+def _check_plain(names):
+    """Raise ExportError for a name that CSV would have to quote."""
+    for name in names:
+        if not _QUOTED.isdisjoint(name):
+            raise ExportError(f"name {name!r} holds a comma, quote or line break; "
+                              "the CSV export does not quote fields")
+
+
+def _write_csv(path: str, header: str, lines):
+    """Stream one CSV file: `header`, then `lines`, each one formatted
+    row ending in CRLF, as `csv.writer` ends them. The rows are joined
+    and written a chunk at a time."""
+    lines = iter(lines)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(x) for x in row])
+        fh.write(header + "\r\n")
+        while chunk := "".join(islice(lines, _CHUNK_ROWS)):
+            fh.write(chunk)
 
 
 def export_metrics(log: MetricsLog, out_dir: str, switch_names=None):
     """Write the raw per-bin CSV family for one run into `out_dir`."""
+    names = {x for ld in log.link_dirs for x in ld}
+    names.update(log.flow_names)
+    names.update(x for _, sw, tr, _ in log.detections for x in (sw, tr))
+    names.update(x for _, sw, msg in log.notifications for x in (sw, msg))
+    names.update(log.names.names)
+    names.update(log.replica_memory)
+    _check_plain(names)
+
     os.makedirs(out_dir, exist_ok=True)
     sws = frozenset(switch_names or ())
     bin_s = log.bin_ns / 1e9
+    starts = [repr(b * bin_s) for b in range(log.n_bins)]
 
-    rows = []
-    for i, (u, v) in enumerate(log.link_dirs):
-        core = 1 if (u in sws and v in sws) else 0
-        for b in range(log.n_bins):
-            d = int(log.data_bits[i, b])
-            r = int(log.repl_bits[i, b])
-            rows.append((u, v, core, b * bin_s, d, r, d + r))
-    _write_csv(
-        os.path.join(out_dir, "links.csv"),
-        ["src", "dst", "core", "bin_start_s", "data_bits", "repl_bits", "total_bits"],
-        rows,
-    )
+    def path(name):
+        return os.path.join(out_dir, name)
 
-    rows = []
-    for f, i in log.flow_index.items():
-        for b in range(log.n_bins):
-            bits = int(log.flow_bits[i, b])
-            rows.append((f, b * bin_s, bits, bits / bin_s))
+    links = [f"{u},{v},{1 if u in sws and v in sws else 0}," for u, v in log.link_dirs]
     _write_csv(
-        os.path.join(out_dir, "flows.csv"),
-        ["flow", "bin_start_s", "delivered_bits", "throughput_bps"],
-        rows,
+        path("links.csv"),
+        "src,dst,core,bin_start_s,data_bits,repl_bits,total_bits",
+        (f"{link}{start},{d},{r},{d + r}\r\n"
+         for link, data, repl in zip(links, log.data_bits.tolist(), log.repl_bits.tolist())
+         for start, d, r in zip(starts, data, repl)),
     )
-
+    flow_bits = log.flow_bits.tolist()
     _write_csv(
-        os.path.join(out_dir, "flow_totals.csv"),
-        ["flow", "sent_pkts", "delivered_pkts", "app_drops", "queue_drops"],
-        [
-            (
-                f,
-                int(log.flow_sent[i]),
-                int(log.flow_delivered[i]),
-                int(log.flow_app_drops[i]),
-                int(log.flow_queue_drops[i]),
-            )
-            for f, i in log.flow_index.items()
-        ],
+        path("flows.csv"),
+        "flow,bin_start_s,delivered_bits,throughput_bps",
+        (f"{f},{start},{bits},{bits / bin_s!r}\r\n"
+         for f, i in log.flow_index.items()
+         for start, bits in zip(starts, flow_bits[i])),
     )
-
+    sent, delivered, app_drops, queue_drops = (
+        a.tolist() for a in (log.flow_sent, log.flow_delivered, log.flow_app_drops,
+                             log.flow_queue_drops))
     _write_csv(
-        os.path.join(out_dir, "detections.csv"),
-        ["t_s", "switch", "trigger", "value"],
-        [(t / 1e9, sw, tr, v) for (t, sw, tr, v) in log.detections],
+        path("flow_totals.csv"),
+        "flow,sent_pkts,delivered_pkts,app_drops,queue_drops",
+        (f"{f},{sent[i]},{delivered[i]},{app_drops[i]},{queue_drops[i]}\r\n"
+         for f, i in log.flow_index.items()),
     )
     _write_csv(
-        os.path.join(out_dir, "notifications.csv"),
-        ["t_s", "switch", "message"],
-        [(t / 1e9, sw, m) for (t, sw, m) in log.notifications],
+        path("detections.csv"),
+        "t_s,switch,trigger,value",
+        (f"{t / 1e9!r},{sw},{tr},{v}\r\n" for t, sw, tr, v in log.detections),
     )
     _write_csv(
-        os.path.join(out_dir, "staleness.csv"),
-        ["t_s", "state", "origin", "replica", "staleness_ns", "replaced_age_ns"],
-        [(t / 1e9, s, o, r, st, ra) for (t, s, o, r, st, ra) in log.staleness],
+        path("notifications.csv"),
+        "t_s,switch,message",
+        (f"{t / 1e9!r},{sw},{msg}\r\n" for t, sw, msg in log.notifications),
     )
     _write_csv(
-        os.path.join(out_dir, "write_lag.csv"),
-        ["t_s", "state", "replica", "lag_writes"],
-        [(t / 1e9, s, r, lag) for (t, s, r, lag) in log.write_lag],
+        path("staleness.csv"),
+        "t_s,state,origin,replica,staleness_ns,replaced_age_ns",
+        (f"{t / 1e9!r},{s},{o},{r},{st},{ra}\r\n" for t, s, o, r, st, ra in log.staleness),
     )
     _write_csv(
-        os.path.join(out_dir, "queue_drops.csv"),
-        ["src", "dst", "drops"],
-        [
-            (u, v, int(log.queue_drops[i]))
-            for i, (u, v) in enumerate(log.link_dirs)
-            if log.queue_drops[i]
-        ],
+        path("write_lag.csv"),
+        "t_s,state,replica,lag_writes",
+        (f"{t / 1e9!r},{s},{r},{lag}\r\n" for t, s, r, lag in log.write_lag),
     )
     _write_csv(
-        os.path.join(out_dir, "memory.csv"),
-        ["switch", "replica_state_bits"],
-        sorted(log.replica_memory.items()),
+        path("queue_drops.csv"),
+        "src,dst,drops",
+        (f"{u},{v},{n}\r\n" for (u, v), n in zip(log.link_dirs, log.queue_drops.tolist())
+         if n),
     )
     _write_csv(
-        os.path.join(out_dir, "counters.csv"),
-        ["key", "value"],
-        [
-            ("events_processed", log.events_processed),
-            ("updates_emitted", log.updates_emitted),
-            ("unknown_state_drops", log.unknown_state_drops),
-            ("stale_update_drops", log.stale_update_drops),
-            ("t_end_ns", log.t_end_ns),
-            ("bin_ns", log.bin_ns),
-        ],
+        path("memory.csv"),
+        "switch,replica_state_bits",
+        (f"{sw},{bits}\r\n" for sw, bits in sorted(log.replica_memory.items())),
     )
+    counters = (
+        ("events_processed", log.events_processed),
+        ("updates_emitted", log.updates_emitted),
+        ("unknown_state_drops", log.unknown_state_drops),
+        ("stale_update_drops", log.stale_update_drops),
+        ("t_end_ns", log.t_end_ns),
+        ("bin_ns", log.bin_ns),
+    )
+    _write_csv(path("counters.csv"), "key,value", (f"{k},{v}\r\n" for k, v in counters))
     if log.plan_text:
-        with open(os.path.join(out_dir, "plan.txt"), "w") as fh:
+        with open(path("plan.txt"), "w") as fh:
             fh.write(log.plan_text)
 
 
@@ -350,7 +415,8 @@ def summarize(logs: dict[str, MetricsLog], window=(0.5, 1.0), is_switch=None) ->
         active = [float(x) / window_s for x in fl if x > 0]
         min_tp = min(active) if active else 0.0
 
-        max_stale = max((max(st, ra) for (_, _, _, _, st, ra) in log.staleness), default=0)
+        age, replaced = log.staleness.columns[4:]
+        max_stale = max(max(age, default=0), max(replaced, default=0))
         mem = ";".join(f"{sw}:{bits}" for sw, bits in sorted(log.replica_memory.items()))
         out.append(
             SummaryRow(
@@ -369,31 +435,12 @@ def summarize(logs: dict[str, MetricsLog], window=(0.5, 1.0), is_switch=None) ->
 
 
 def export_summary(rows: list[SummaryRow], path: str):
+    _check_plain(x for r in rows for x in (r.label, r.detections, r.memory_bits))
     _write_csv(
         path,
-        [
-            "label",
-            "mean_data_bps",
-            "mean_repl_bps",
-            "repl_fraction",
-            "detections",
-            "aggregate_throughput_bps",
-            "min_flow_throughput_bps",
-            "max_staleness_ns",
-            "memory_bits",
-        ],
-        [
-            (
-                r.label,
-                r.mean_data_bps,
-                r.mean_repl_bps,
-                r.repl_fraction,
-                r.detections,
-                r.aggregate_throughput_bps,
-                r.min_flow_throughput_bps,
-                r.max_staleness_ns,
-                r.memory_bits,
-            )
-            for r in rows
-        ],
+        "label,mean_data_bps,mean_repl_bps,repl_fraction,detections,"
+        "aggregate_throughput_bps,min_flow_throughput_bps,max_staleness_ns,memory_bits",
+        (f"{r.label},{r.mean_data_bps!r},{r.mean_repl_bps!r},{r.repl_fraction!r},"
+         f"{r.detections},{r.aggregate_throughput_bps!r},{r.min_flow_throughput_bps!r},"
+         f"{r.max_staleness_ns},{r.memory_bits}\r\n" for r in rows),
     )

@@ -10,6 +10,7 @@ exactly 208 bits per header.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -166,8 +167,11 @@ class ReplicaStore:
     one whose origin is this switch is written locally (via an estimator
     object or write_local), the rest receive gossip through apply_update
     from their single origin. A state not hosted here reads 0. Reduction
-    outputs are recomputed lazily against a version counter bumped on
-    every mutation.
+    outputs are recomputed lazily: the cache keys on a version counter,
+    bumped when a stored value changes, and on the time in ticks, the
+    gcd of the live sources' `delta_ns`. A live source's reading only
+    changes when one of its buckets closes, at a multiple of its delta,
+    so observing it does not bump the version.
     """
 
     def __init__(self, switch: str, steps):
@@ -187,6 +191,8 @@ class ReplicaStore:
         self.widths: dict[str, int] = {}
         self.known_ids: frozenset[int] = frozenset()
         self.version = 0
+        # The gcd of the live sources' delta_ns; 0 while there are none.
+        self._tick = 0
         self._evaluated = (-1, None)
 
     def configure_state(self, name: str, state_id: int, width_bits: int,
@@ -206,8 +212,12 @@ class ReplicaStore:
         self.known_ids = frozenset(ids)
 
     def attach_local(self, name: str, value_source):
-        """Bind a live value source (e.g. a rate estimator) to a local state."""
+        """Bind a live value source (e.g. a rate estimator) to a local
+        state. Its reading may change only at multiples of its
+        `delta_ns`."""
         self.live[name] = value_source
+        self._tick = math.gcd(self._tick, value_source.delta_ns)
+        self.version += 1
 
     def write_local(self, name: str, value: int, t_ns: int):
         self.values[name] = int(value)
@@ -216,7 +226,8 @@ class ReplicaStore:
     def note_write(self, name: str, t_ns: int):
         self.local_writes[name] += 1
         self.local_write_ts[name] = t_ns
-        self.version += 1
+        if name not in self.live:
+            self.version += 1
 
     def local_value(self, name: str, t_ns: int) -> int:
         src = self.live.get(name)
@@ -255,9 +266,10 @@ class ReplicaStore:
 
     def read_global(self, output: str, t_ns: int) -> int:
         """A reduction output (or a state) at time t_ns, from local and
-        remote values. The steps run once per (version, time), so
-        repeated reads within one event are free."""
-        at = (self.version, t_ns)
+        remote values. The steps run once per (version, tick), so
+        repeated reads between two changes are free."""
+        tick = self._tick
+        at = (self.version, t_ns // tick if tick else 0)
         if self._evaluated != at:
             values = self.values
             for name, src in self.live.items():

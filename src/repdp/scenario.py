@@ -22,6 +22,7 @@ Sections:
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -154,9 +155,12 @@ def _bps(path, raw: str, ln: int) -> int:
 
 def _num(path, raw: str, ln: int) -> float:
     try:
-        return float(raw)
+        val = float(raw)
     except ValueError:
         raise ScenarioError(f"expected a number, got {raw!r}", path, ln) from None
+    if not math.isfinite(val):
+        raise ScenarioError(f"expected a finite number, got {raw!r}", path, ln)
+    return val
 
 
 def _int(path, raw: str, ln: int) -> int:
@@ -390,6 +394,8 @@ def parse_scenario(path: str) -> ScenarioConfig:
             if node not in set(switches) | set(hosts):
                 raise ScenarioError(f"weight references unknown node {node!r}", path, wl)
             weights[node] = _num(path, w, wl)
+            if weights[node] < 0:
+                raise ScenarioError(f"negative weight {tok!r}", path, wl)
 
     # ---- flows ----------------------------------------------------------
     flows = []

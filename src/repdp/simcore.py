@@ -198,7 +198,7 @@ class _Monitor:
 
 
 class SwitchRT:
-    __slots__ = ("name", "sw_id", "ports", "port_class", "next_hop",
+    __slots__ = ("name", "sw_id", "name_id", "ports", "port_class", "next_hop",
                  "flood", "store", "monitors", "egress_monitors",
                  "packet_triggers", "change_triggers", "own_updates",
                  "flow_rules", "rng")
@@ -206,6 +206,9 @@ class SwitchRT:
     def __init__(self, name, sw_id, rng):
         self.name = name
         self.sw_id = sw_id
+        # Index of the name in the run's MetricsLog name table, for a
+        # switch that hosts a store.
+        self.name_id = -1
         self.ports: dict[str, LinkDir] = {}
         self.port_class: dict[str, object] = {}
         self.next_hop: dict[str, str] = {}
@@ -246,6 +249,9 @@ class Simulator:
         self._known_ids: set[int] = set()
         self._origin_store: dict[str, ReplicaStore] = {}
         self._origin_name: dict[str, str] = {}
+        # Per replicated state: its and its origin's name-table index,
+        # and the origin's store.
+        self._applied_log: dict[str, tuple[int, int, ReplicaStore]] = {}
         self.plan_text = ""
 
         self._sw_id = {sw: i for i, sw in enumerate(topo.switches)}
@@ -409,6 +415,10 @@ class Simulator:
         for sw, rt in sorted(self.switch_rt.items()):
             if rt.store is not None:
                 log.replica_memory[sw] = rt.store.replica_memory_bits()
+                rt.name_id = log.names.index(sw)
+        self._applied_log = {
+            s: (log.names.index(s), log.names.index(o), self._origin_store[s])
+            for s, o in self._origin_name.items()}
         log.plan_text = self.plan_text
         self.log = log
         self._acc = acc = Accumulators(log)
@@ -555,15 +565,19 @@ class Simulator:
                     if status == "applied":
                         applied = True
                         name = store.hosted[h.state_id]
-                        age_in = t - pkt.origin_ts
-                        age_out = t - prev_ts if prev_ts is not None and prev_ts >= 0 else 0
-                        log.staleness.append(
-                            (t, name, self._origin_name.get(name, "?"), sw.name,
-                             age_in, age_out))
-                        ostore = self._origin_store.get(name)
-                        if ostore is not None:
-                            lag = ostore.local_writes[name] - pkt.origin_writes
-                            log.write_lag.append((t, name, sw.name, lag))
+                        state_i, origin_i, ostore = self._applied_log[name]
+                        t_c, s_c, o_c, r_c, age_c, replaced_c = log.staleness.columns
+                        t_c.append(t)
+                        s_c.append(state_i)
+                        o_c.append(origin_i)
+                        r_c.append(sw.name_id)
+                        age_c.append(t - pkt.origin_ts)
+                        replaced_c.append(t - prev_ts if prev_ts >= 0 else 0)
+                        t_c, s_c, r_c, lag_c = log.write_lag.columns
+                        t_c.append(t)
+                        s_c.append(state_i)
+                        r_c.append(sw.name_id)
+                        lag_c.append(ostore.local_writes[name] - pkt.origin_writes)
                     elif status == "unknown":
                         log.unknown_state_drops += 1
                     elif status == "stale":

@@ -80,6 +80,37 @@ def test_bad_application_parameter_is_exit_1_with_its_line(tmp_path, capsys):
     assert f"lb.scn:{line}: threshold must be in (0, 1)" in capsys.readouterr().err
 
 
+SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "scenarios")
+
+# (shipped scenario, line as shipped, replacement): numbers that are not
+# finite, or a negative weight, must fail at their own line.
+BAD_NUMBERS = {
+    "r_min_nan": ("fig7_ddos_c2.scn", "r_min = 100", "r_min = nan"),
+    "max_write_rate_nan": ("fig8_ratelimit.scn", "max_write_rate = 625",
+                           "max_write_rate = nan"),
+    "weight_nan": ("fig7_ddos_c2.scn", "weights = as1:3 as2:1 as3:3 as4:1",
+                   "weights = as1:nan as2:1 as3:3 as4:1"),
+    "weight_inf": ("fig7_ddos_c2.scn", "weights = as1:3 as2:1 as3:3 as4:1",
+                   "weights = as1:inf as2:1 as3:3 as4:1"),
+    "weight_negative": ("fig8_ratelimit.scn", "weights = as1:1 as3:1",
+                        "weights = as1:-5 as3:1"),
+}
+
+
+@pytest.mark.parametrize("scenario, line_text, bad", BAD_NUMBERS.values(), ids=BAD_NUMBERS)
+def test_bad_number_is_exit_1_at_its_line(tmp_path, capsys, scenario, line_text, bad):
+    with open(os.path.join(SCENARIOS, scenario)) as fh:
+        text = fh.read()
+    lines = text.splitlines()
+    assert line_text in lines
+    p = tmp_path / scenario
+    p.write_text(text.replace(line_text, bad))
+    assert main(["validate", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}:{lines.index(line_text) + 1}: "), err
+
+
 def test_infeasible_budget_is_exit_1(tmp_path, capsys):
     p = tmp_path / "tight.scn"
     p.write_text(MINI_DDOS.replace("epsilon_t = 14ms", "epsilon_t = 1ms"))

@@ -1,7 +1,7 @@
 """The shipped scenarios export byte-identical CSV families.
 
-Runs fig7 at one replica and fig8 exactly as the benchmark does and
-compares the CSV-family digest and event count with the reference
+Runs fig7 at one and at four replicas and fig8 exactly as the
+benchmark does and compares the CSV-family digest and event count with the reference
 values in bench/workloads.json, using the benchmark's own digest.
 """
 
@@ -24,7 +24,7 @@ with open(os.path.join(BENCH, "workloads.json")) as fh:
     WORKLOADS = json.load(fh)
 
 
-@pytest.mark.parametrize("name", ["ddos-ring-c1", "ratelimit-ring"])
+@pytest.mark.parametrize("name", ["ddos-ring-c1", "ddos-ring-c4", "ratelimit-ring"])
 def test_shipped_scenario_matches_reference_digest(tmp_path, name):
     wl = WORKLOADS["workloads"][name]
     cfg = parse_scenario(os.path.join(ROOT, wl["scenario"]))

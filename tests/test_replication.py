@@ -24,6 +24,7 @@ from repdp import (
     make_resource_lb_app,
     reduction_steps,
 )
+from repdp.compiler import run_steps
 
 DELTA_NS = 100_000_000  # 0.1 s buckets
 
@@ -194,7 +195,7 @@ def test_global_read_mixes_local_and_remote():
     store.write_local("rate_b", 5, t_ns=10)
     store.apply_update(hdr(0, 7), origin_ts_ns=20)
     assert store.read_global("total", 30) == 12
-    # Cached on (version, time): a mutation invalidates it.
+    # Cached until a stored value changes: a write invalidates it.
     assert store.read_global("total", 30) == 12
     store.write_local("rate_b", 6, t_ns=30)
     assert store.read_global("total", 30) == 13
@@ -296,6 +297,54 @@ def test_every_store_agrees_with_the_dag_oracle(app_name, data):
             agrees(t)
     agrees(len(writes) + 1)
     assert store.value_of(absent.name, len(writes) + 1) == 0
+
+
+# Deltas whose pairwise gcd lies below each of them, so a cache keyed on
+# one estimator's buckets would miss the other's.
+CACHE_DELTAS_S = (0.003, 0.004, 0.01)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_cached_reads_equal_fresh_steps(seed):
+    """Observes, local writes, applied updates and reads at nondecreasing
+    t: every cached read equals the steps run afresh on the readings."""
+    rng = random.Random(seed)
+    steps = (("est_sum", sum, ("est_a", "est_b")),
+             ("total", sum, ("est_sum", "local", "remote")),
+             ("peak", max, ("est_a", "local", "remote")))
+    store = ReplicaStore("sw", steps)
+    for sid, name in enumerate(("est_a", "est_b", "local")):
+        store.configure_state(name, sid, 32)
+    store.configure_state("remote", 3, 32, origin_sw_id=1)
+    deltas = rng.sample(CACHE_DELTAS_S, rng.choice((1, 2)))
+    live = {name: RateEstimatorWindow(d, rng.choice((1, 2, 4)))
+            for name, d in zip(("est_a", "est_b"), deltas)}
+    for name, est in live.items():
+        store.attach_local(name, est)
+    written = {"local": 0, "remote": 0, "est_b": 0}
+    unlive = [name for name in ("local", "est_b") if name not in live]
+    t = 0
+    for origin_ts in range(1, 400):
+        t += rng.choice((0, 0, 1, 999_999, 1_000_000, rng.randrange(5_000_000)))
+        op = rng.randrange(4)
+        if op == 0:
+            name = rng.choice(sorted(live))
+            live[name].observe(t, rng.randrange(1, 50))
+            store.note_write(name, t)
+        elif op == 1:
+            name = rng.choice(unlive)
+            written[name] = rng.randrange(1000)
+            store.write_local(name, written[name], t)
+        elif op == 2:
+            written["remote"] = rng.randrange(1000)
+            store.apply_update(hdr(3, written["remote"]), origin_ts_ns=origin_ts)
+        else:
+            out = rng.choice(("est_sum", "total", "peak", "est_a"))
+            got = store.read_global(out, t)
+            fresh = dict(written)
+            fresh.update((name, est.read(t)) for name, est in live.items())
+            run_steps(steps, fresh)
+            assert got == fresh[out], (seed, t, out)
 
 
 def test_random_interleavings_converge_to_newest():
