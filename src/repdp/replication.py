@@ -264,12 +264,17 @@ class ReplicaStore:
         self.version += 1
         return "applied", prev_ts
 
+    def stamp(self, t_ns: int) -> tuple[int, int]:
+        """(version, tick) at t_ns: no value or reduction output can
+        differ between two reads with equal stamps."""
+        tick = self._tick
+        return self.version, t_ns // tick if tick else 0
+
     def read_global(self, output: str, t_ns: int) -> int:
         """A reduction output (or a state) at time t_ns, from local and
-        remote values. The steps run once per (version, tick), so
-        repeated reads between two changes are free."""
-        tick = self._tick
-        at = (self.version, t_ns // tick if tick else 0)
+        remote values. The steps run once per stamp, so repeated reads
+        between two changes are free."""
+        at = self.stamp(t_ns)
         if self._evaluated != at:
             values = self.values
             for name, src in self.live.items():

@@ -290,7 +290,13 @@ def parse_scenario(path: str) -> ScenarioConfig:
     if t_end <= 0:
         raise ScenarioError("t_end must be positive", path, by_name["scenario"].line)
     bin_s = scen.dur("metrics_bin", "0.5")
+    if round(bin_s * 1e9) < 1:
+        raise ScenarioError("metrics_bin must be at least 1ns", path,
+                            scen.raw("metrics_bin", "0.5")[1])
     queue_limit = scen.integer("queue_limit", "100")
+    if queue_limit < 1:
+        raise ScenarioError("queue_limit must be at least 1", path,
+                            scen.raw("queue_limit", "100")[1])
     replication = scen.flag("replication", "on")
 
     # ---- topology -----------------------------------------------------

@@ -1,8 +1,12 @@
 """Deterministic discrete-event network simulator.
 
 Time is integer nanoseconds on a single heap of (time, seq) ordered
-events, so identical inputs replay identically. Switches run a fixed
-ingress pipeline per packet:
+events, so identical inputs replay identically; the seq is unique, so
+ordering never looks further. A packet arrival is the entry
+(t, seq, link, packet): the `LinkDir` it came over carries the far-end
+switch and the port class the packet enters it on. Every other event is
+(t, seq, kind, payload) with an int kind. Switches run a fixed ingress
+pipeline per packet, one handler per packet kind:
 
   1. replication updates are reconciled into the local store and
      flooded along the distribution tree (minus the ingress port);
@@ -10,13 +14,17 @@ ingress pipeline per packet:
      state estimators, then per-packet activities (policing, steering,
      rule insertion) and edge-triggered controller notifications run;
   3. the packet is forwarded (measurement detour first, then pinned
-     flow rules, then shortest path to destination);
+     flow rules, then shortest path to destination); routes, flow
+     rules and egress maps resolve straight to a link;
   4. last, each state owned by the switch checks its update trigger
      against the traffic-driven clock and may emit an update frame.
 
 Links model store-and-forward serialization plus propagation delay with
-a bounded egress queue; overflow drops the packet. Controller messages
-travel out of band with a fixed delay and consume no link capacity.
+a bounded egress queue; overflow drops the packet. A link keeps the
+departure times of its last `queue_limit` admitted packets in a ring:
+departures never decrease, so the queue is full exactly when the oldest
+of them is still in the future. Controller messages travel out of band
+with a fixed delay and consume no link capacity.
 
 Per-packet accounting goes into `metrics.Accumulators`, plain Python
 ints, while the loop runs; every return from `run_until` publishes it
@@ -27,12 +35,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
+from array import array
 from heapq import heappop, heappush
 
 from .apps import RateEstimatorWindow
 from .compiler import reduction_steps
-from .errors import SimulationError
+from .errors import InvalidParameter, SimulationError
 from .metrics import CONTROLLER_DELAY_NS, Accumulators, MetricsLog
 from .model import (
     CONTROLLER_PORT,
@@ -51,12 +59,15 @@ from .replication import (
 
 _M64 = (1 << 64) - 1
 
+# What the measurement stage returns for a packet it dropped.
+_DROPPED = object()
+
+# Kinds of the events that are not packet arrivals.
 EV_FLOW_START = 0
 EV_EMIT = 1
-EV_ARRIVAL = 2
-EV_FLOW_STOP = 3
-EV_CTRL = 4
-EV_SCALAR = 5
+EV_FLOW_STOP = 2
+EV_CTRL = 3
+EV_SCALAR = 4
 
 
 def _splitmix64(x: int) -> int:
@@ -68,48 +79,46 @@ def _splitmix64(x: int) -> int:
 
 
 class LinkDir:
-    """One direction of a link: serialization, delay, bounded queue."""
+    """One direction of a link: serialization, delay, bounded queue.
 
-    __slots__ = ("src", "dst", "delay_ns", "capacity_bps", "queue_limit", "row",
-                 "busy_until", "backlog")
+    `far` is the switch at the far end (None for a host) and `cls` the
+    port class a packet takes on entering it. `data` and `repl` are the
+    direction's binned accumulator rows, bound when the run starts.
+    `ring` holds the departure times of the last `queue_limit` packets
+    admitted, `head` indexing the oldest; `Simulator._send` admits and
+    times packets on it.
+    """
 
-    def __init__(self, src, dst, delay_ns, capacity_bps, queue_limit, row):
+    __slots__ = ("src", "dst", "delay_ns", "capacity_bps", "row", "far", "cls",
+                 "data", "repl", "ring", "head")
+
+    def __init__(self, src, dst, delay_ns, capacity_bps, queue_limit, row, far, cls):
         self.src = src
         self.dst = dst
         self.delay_ns = delay_ns
         self.capacity_bps = capacity_bps
-        self.queue_limit = queue_limit
         self.row = row
-        self.busy_until = 0
-        self.backlog: deque[int] = deque()
-
-    def send(self, size_bits: int, now: int) -> int | None:
-        """Arrival time at the far end, or None if the queue is full.
-
-        The backlog holds departure times of packets not yet fully
-        serialized (the one in service included), oldest first; its
-        length against queue_limit is the drop test.
-        """
-        bl = self.backlog
-        while bl and bl[0] <= now:
-            bl.popleft()
-        if len(bl) >= self.queue_limit:
-            return None
-        start = now if now > self.busy_until else self.busy_until
-        end = start + size_bits * 1_000_000_000 // self.capacity_bps
-        self.busy_until = end
-        bl.append(end)
-        return end + self.delay_ns
+        self.far = far
+        self.cls = cls
+        self.data: list[int] | None = None
+        self.repl: list[int] | None = None
+        self.ring = array("q", bytes(8 * queue_limit))
+        self.head = 0
 
 
 class Packet:
+    """A data packet or an update frame in flight. `monitor` is the
+    measurement switch still ahead of a data packet: None once the
+    packet has been measured there, or if it has none. `net_class` is
+    the port class of the packet's first switch hop."""
+
     __slots__ = ("uid", "flow", "src", "dst", "dst_switch", "size_bits", "syn",
                  "is_update", "headers", "origin_ts", "origin_writes",
-                 "monitor", "monitored", "net_class")
+                 "monitor", "net_class")
 
     def __init__(self, uid, flow, src, dst, dst_switch, size_bits, syn,
-                 monitor=None, is_update=False, headers=(), origin_ts=0,
-                 origin_writes=0):
+                 monitor=None, net_class=None, is_update=False, headers=(),
+                 origin_ts=0, origin_writes=0):
         self.uid = uid
         self.flow = flow
         self.src = src
@@ -122,8 +131,7 @@ class Packet:
         self.origin_ts = origin_ts
         self.origin_writes = origin_writes
         self.monitor = monitor
-        self.monitored = False
-        self.net_class = None
+        self.net_class = net_class
 
 
 class FlowRT:
@@ -198,10 +206,9 @@ class _Monitor:
 
 
 class SwitchRT:
-    __slots__ = ("name", "sw_id", "name_id", "ports", "port_class", "next_hop",
-                 "flood", "store", "monitors", "egress_monitors",
-                 "packet_triggers", "change_triggers", "own_updates",
-                 "flow_rules", "rng")
+    __slots__ = ("name", "sw_id", "name_id", "ports", "route", "flood", "store",
+                 "monitors", "egress_monitors", "packet_triggers", "change_triggers",
+                 "triggers_at", "own_updates", "flow_rules", "rng")
 
     def __init__(self, name, sw_id, rng):
         self.name = name
@@ -210,18 +217,22 @@ class SwitchRT:
         # switch that hosts a store.
         self.name_id = -1
         self.ports: dict[str, LinkDir] = {}
-        self.port_class: dict[str, object] = {}
-        self.next_hop: dict[str, str] = {}
+        # The link toward each destination switch; None for this switch
+        # itself, where a packet leaves on ports[pkt.dst].
+        self.route: dict[str, LinkDir | None] = {name: None}
         # Distribution-tree egress links per ingress port; None keys the
         # switch's own update emission.
         self.flood: dict[str | None, tuple[LinkDir, ...]] = {}
         self.store: ReplicaStore | None = None
         self.monitors: list[_Monitor] = []
-        self.egress_monitors: list[tuple[str, _Monitor]] = []
+        # Monitors of the traffic forwarded on each egress link.
+        self.egress_monitors: dict[LinkDir, list[_Monitor]] = {}
         self.packet_triggers: list[_TriggerRT] = []
         self.change_triggers: list[_TriggerRT] = []
+        # The store's stamp at the last change-trigger evaluation.
+        self.triggers_at = None
         self.own_updates: list[_OwnUpdate] = []
-        self.flow_rules: dict[str, str] = {}
+        self.flow_rules: dict[str, LinkDir] = {}
         self.rng = rng
 
 
@@ -230,6 +241,8 @@ class Simulator:
 
     def __init__(self, topo, seed=1, t_end_s=60.0, metrics_bin_s=0.5,
                  queue_limit=100, collect_trace=False, replication_enabled=True):
+        if queue_limit < 1:
+            raise InvalidParameter(f"queue_limit must be at least 1, got {queue_limit}")
         self.topo = topo
         self.seed = seed
         self.t_end_ns = round(t_end_s * 1e9)
@@ -241,6 +254,7 @@ class Simulator:
         self.log: MetricsLog | None = None
         self._acc: Accumulators | None = None
         self.flows: list[FlowRT] = []
+        self._flow_names: set[str] = set()
         self._heap: list = []
         self._seq = itertools.count(1)
         self._app_installed = False
@@ -260,16 +274,16 @@ class Simulator:
             rng = random.Random(_splitmix64((seed & _M64) ^ ((i + 1) * 0xD1B54A32D192ED03 & _M64)))
             self.switch_rt[sw] = SwitchRT(sw, i, rng)
 
-        self._link_dirs: list[tuple[str, str]] = []
+        self._links: list[LinkDir] = []
         self._host_out: dict[str, LinkDir] = {}
         for ln in topo.links:
             for a, b in ((ln.u, ln.v), (ln.v, ln.u)):
-                row = len(self._link_dirs)
-                self._link_dirs.append((a, b))
-                ld = LinkDir(a, b, ln.delay_ns, ln.capacity_bps, queue_limit, row)
+                far = self.switch_rt.get(b)
+                ld = LinkDir(a, b, ln.delay_ns, ln.capacity_bps, queue_limit,
+                             len(self._links), far, ln.port_class(b) if far is not None else None)
+                self._links.append(ld)
                 if a in self.switch_rt:
                     self.switch_rt[a].ports[b] = ld
-                    self.switch_rt[a].port_class[b] = ln.port_class(a)
                 else:
                     self._host_out[a] = ld
 
@@ -294,7 +308,8 @@ class Simulator:
         egress_maps = egress_maps or {}
 
         for sw, table in rules.next_hop.items():
-            self.switch_rt[sw].next_hop.update(table)
+            rt = self.switch_rt[sw]
+            rt.route.update(zip(table, map(rt.ports.__getitem__, table.values())))
         # Tree links are symmetric, so updates only ever arrive over a
         # tree port.
         for sw, rt in self.switch_rt.items():
@@ -322,18 +337,19 @@ class Simulator:
             if cs.value_type is ValueType.RATE_ESTIMATE:
                 est = RateEstimatorWindow(cs.delta_s, cs.window)
                 ort.store.attach_local(cs.name, est)
-                mon = _Monitor(cs.name, cs.scope, est, cs.unit == "bits")
-                if cs.name in egress_observers:
-                    ort.egress_monitors.append((egress_observers[cs.name], mon))
-                else:
-                    ort.monitors.append(mon)
             elif cs.value_type is ValueType.COUNTER:
-                mon = _Monitor(cs.name, cs.scope, None, cs.unit == "bits")
-                if cs.name in egress_observers:
-                    ort.egress_monitors.append((egress_observers[cs.name], mon))
-                else:
-                    ort.monitors.append(mon)
-            # SCALARs are written through set_scalar / scheduled loads.
+                est = None
+            else:
+                # SCALARs are written through set_scalar / scheduled loads.
+                continue
+            mon = _Monitor(cs.name, cs.scope, est, cs.unit == "bits")
+            if cs.name in egress_observers:
+                # A name that is no neighbor of the origin never matches.
+                link = ort.ports.get(egress_observers[cs.name])
+                if link is not None:
+                    ort.egress_monitors.setdefault(link, []).append(mon)
+            else:
+                ort.monitors.append(mon)
 
         for sw in self.switch_rt.values():
             if sw.store is not None:
@@ -346,7 +362,8 @@ class Simulator:
             rt = self.switch_rt[origin]
             trig = UpdateTrigger(sol.mode, tau_ns=sol.tau_ns, packet_period=sol.packet_period)
             rid = placement.replica_id[(sname, origin)]
-            rt.own_updates.append(_OwnUpdate(sname, cs.state_id, rid, trig))
+            if self.replication_enabled:
+                rt.own_updates.append(_OwnUpdate(sname, cs.state_id, rid, trig))
 
         acts = {a.name: a for a in app.activities}
         for tr in app.triggers:
@@ -358,9 +375,12 @@ class Simulator:
             per_sw_maps = egress_maps.get(act.name, {})
             for sw in sws:
                 rt = self.switch_rt[sw]
+                egress = per_sw_maps.get(sw)
+                if egress is not None:
+                    egress = tuple(rt.ports[p] for p in egress)
                 trt = _TriggerRT(tr.name, output, tr.predicate, act.action,
                                  act.scope, act.message, act.selector,
-                                 act.selector_const, per_sw_maps.get(sw))
+                                 act.selector_const, egress)
                 if act.action is ActionKind.NOTIFY_CONTROLLER:
                     rt.change_triggers.append(trt)
                 else:
@@ -371,6 +391,8 @@ class Simulator:
         """Register a packet flow; segments are (start_s, rate_pps) steps."""
         if self.log is not None:
             raise SimulationError("flows must be added before the run starts")
+        if name in self._flow_names:
+            raise SimulationError(f"flow {name}: name already in use")
         if src not in self._host_out:
             raise SimulationError(f"flow {name}: unknown source host {src}")
         if dst not in self.topo.hosts:
@@ -386,6 +408,7 @@ class Simulator:
         fl = FlowRT(len(self.flows), name, src, dst, self.topo.attached_switch(dst),
                     size_bits, syn, segs, stop_ns, monitor, self._host_out[src])
         self.flows.append(fl)
+        self._flow_names.add(name)
         self._schedule(segs[0][0], EV_FLOW_START, fl)
         self._schedule(stop_ns, EV_FLOW_STOP, fl)
         return fl.row
@@ -407,10 +430,12 @@ class Simulator:
     # engine
 
     def _schedule(self, t, kind, payload):
+        """Push an event: an int kind and its payload, or a link and the
+        packet arriving over it."""
         heappush(self._heap, (t, next(self._seq), kind, payload))
 
     def _build_log(self):
-        log = MetricsLog(self.t_end_ns, self.bin_ns, self._link_dirs,
+        log = MetricsLog(self.t_end_ns, self.bin_ns, [(ld.src, ld.dst) for ld in self._links],
                          [f.name for f in self.flows])
         for sw, rt in sorted(self.switch_rt.items()):
             if rt.store is not None:
@@ -422,8 +447,9 @@ class Simulator:
         log.plan_text = self.plan_text
         self.log = log
         self._acc = acc = Accumulators(log)
-        self._data = acc.data_bits
-        self._repl = acc.repl_bits
+        for ld in self._links:
+            ld.data = acc.data_bits[ld.row]
+            ld.repl = acc.repl_bits[ld.row]
 
     def run_until(self, t_end_s=None) -> MetricsLog:
         """Process every event up to t_end_s (default: the horizon).
@@ -439,12 +465,13 @@ class Simulator:
         heap = self._heap
         log = self.log
         trace = self.trace
-        switch_rt = self.switch_rt
-        on_switch = self._on_switch
+        on_data = self._on_data
+        on_update = self._on_update
         emit_flow = self._emit_flow
         delivered = self._acc.flow_delivered
         flow_bits = self._acc.flow_bits
         bin_ns = self.bin_ns
+        link_dir = LinkDir
         t_now = self.t_now
         events = 0
         try:
@@ -454,14 +481,16 @@ class Simulator:
                     raise SimulationError("event queue went backwards")
                 t_now = t
                 events += 1
-                if kind == EV_ARRIVAL:
-                    node, pkt, frm = payload
-                    rt = switch_rt.get(node)
-                    if rt is not None:
-                        on_switch(rt, pkt, frm, t)
-                    elif not pkt.is_update:
-                        delivered[pkt.flow] += 1
-                        flow_bits[pkt.flow][t // bin_ns] += pkt.size_bits
+                if kind.__class__ is link_dir:
+                    sw = kind.far
+                    if sw is None:
+                        if not payload.is_update:
+                            delivered[payload.flow] += 1
+                            flow_bits[payload.flow][t // bin_ns] += payload.size_bits
+                    elif payload.is_update:
+                        on_update(sw, kind, payload, t)
+                    else:
+                        on_data(sw, payload, t)
                 elif kind == EV_EMIT:
                     emit_flow(payload, t)
                 elif kind == EV_FLOW_START:
@@ -491,8 +520,9 @@ class Simulator:
         uid = self._uid
         self._uid = uid + 1
         self._acc.flow_sent[fl.row] += 1
-        self._send(fl.out, Packet(uid, fl.row, fl.src, fl.dst, fl.dst_switch, fl.size_bits,
-                                  fl.syn, fl.monitor), t)
+        out = fl.out
+        self._send(out, Packet(uid, fl.row, fl.src, fl.dst, fl.dst_switch, fl.size_bits,
+                               fl.syn, fl.monitor, out.cls), t)
         # Schedule the segment's next packet, or once it would reach the
         # next segment, that segment's start.
         nxt = fl.next_start
@@ -509,24 +539,43 @@ class Simulator:
         if nxt < fl.stop_ns:
             heappush(self._heap, (nxt, next(self._seq), EV_EMIT, fl))
 
-    def _send(self, ld: LinkDir, pkt: Packet, t: int):
-        arr = ld.send(pkt.size_bits, t)
-        if arr is None:
+    def _send(self, ld: LinkDir, pkt: Packet, t: int) -> int | None:
+        """Put `pkt` on `ld` at t: its arrival time at the far end, or
+        None if the egress queue is full and the packet is dropped.
+
+        The queue holds the packets not yet fully serialized, the one in
+        service included. The ring keeps the last queue_limit departure
+        times, so the queue is full iff the oldest of them is after t.
+        """
+        ring = ld.ring
+        i = ld.head
+        if ring[i] > t:
             acc = self._acc
             acc.queue_drops[ld.row] += 1
             if pkt.flow >= 0:
                 acc.flow_queue_drops[pkt.flow] += 1
             if self.trace is not None:
                 self.trace.append(f"{t} drop_queue {ld.src} uid={pkt.uid} to={ld.dst}")
-            return
-        if pkt.is_update:
-            self._repl[ld.row][t // self.bin_ns] += pkt.size_bits
-        else:
-            self._data[ld.row][t // self.bin_ns] += pkt.size_bits
-        heappush(self._heap, (arr, next(self._seq), EV_ARRIVAL, (ld.dst, pkt, ld.src)))
+            return None
+        # The newest departure, ring[i - 1], is when the link falls idle.
+        busy_until = ring[i - 1]
+        size = pkt.size_bits
+        end = (t if t > busy_until else busy_until) + size * 1_000_000_000 // ld.capacity_bps
+        ring[i] = end
+        i += 1
+        ld.head = 0 if i == len(ring) else i
+        (ld.repl if pkt.is_update else ld.data)[t // self.bin_ns] += size
+        arr = end + ld.delay_ns
+        heappush(self._heap, (arr, next(self._seq), ld, pkt))
+        return arr
 
     def _eval_change_triggers(self, sw: SwitchRT, t: int):
         store = sw.store
+        # Unchanged stamp, unchanged outputs: no trigger can change state.
+        stamp = store.stamp(t)
+        if stamp == sw.triggers_at:
+            return
+        sw.triggers_at = stamp
         for tr in sw.change_triggers:
             v = store.read_global(tr.output, t)
             fired = tr.pred.evaluate(v)
@@ -554,122 +603,122 @@ class Simulator:
         for ld in sw.flood[None]:
             self._send(ld, pkt, t)
 
-    def _on_switch(self, sw: SwitchRT, pkt: Packet, ingress: str, t: int):
-        if pkt.is_update:
-            store = sw.store
-            if store is not None:
-                log = self.log
-                applied = False
-                for h in pkt.headers:
-                    status, prev_ts = store.apply_update(h, pkt.origin_ts)
-                    if status == "applied":
-                        applied = True
-                        name = store.hosted[h.state_id]
-                        state_i, origin_i, ostore = self._applied_log[name]
-                        t_c, s_c, o_c, r_c, age_c, replaced_c = log.staleness.columns
-                        t_c.append(t)
-                        s_c.append(state_i)
-                        o_c.append(origin_i)
-                        r_c.append(sw.name_id)
-                        age_c.append(t - pkt.origin_ts)
-                        replaced_c.append(t - prev_ts if prev_ts >= 0 else 0)
-                        t_c, s_c, r_c, lag_c = log.write_lag.columns
-                        t_c.append(t)
-                        s_c.append(state_i)
-                        r_c.append(sw.name_id)
-                        lag_c.append(ostore.local_writes[name] - pkt.origin_writes)
-                    elif status == "unknown":
-                        log.unknown_state_drops += 1
-                    elif status == "stale":
-                        log.stale_update_drops += 1
-                if applied and sw.change_triggers:
-                    self._eval_change_triggers(sw, t)
-            for ld in sw.flood[ingress]:
-                self._send(ld, pkt, t)
-        else:
-            if pkt.net_class is None:
-                pkt.net_class = sw.port_class[ingress]
-            store = sw.store
-            dropped = False
-            override = None
-            if not pkt.monitored and pkt.monitor == sw.name:
-                pkt.monitored = True
-                nc = pkt.net_class
-                wrote = False
-                for m in sw.monitors:
-                    if m.scope.matches(nc, pkt.syn, pkt.dst):
-                        inc = pkt.size_bits if m.use_bits else 1
-                        if m.est is not None:
-                            m.est.observe(t, inc)
-                            store.note_write(m.state, t)
-                        else:
-                            store.write_local(m.state, store.local_value(m.state, t) + inc, t)
-                        wrote = True
-                if wrote and sw.change_triggers:
-                    self._eval_change_triggers(sw, t)
-                for tr in sw.packet_triggers:
-                    if not tr.scope.matches(nc, pkt.syn, pkt.dst):
-                        continue
-                    v = store.read_global(tr.output, t)
-                    if tr.pred.kind is PredicateKind.PROBABILISTIC:
-                        fired = sw.rng.random() < tr.pred.fire_probability(v)
-                    else:
-                        fired = tr.pred.evaluate(v)
-                    if not fired:
-                        continue
-                    if tr.kind is ActionKind.DROP_PACKET:
-                        self._acc.flow_app_drops[pkt.flow] += 1
-                        if self.trace is not None:
-                            self.trace.append(f"{t} drop_app {sw.name} uid={pkt.uid}")
-                        dropped = True
-                        break
-                    sel = tr.selector_const
-                    if tr.selector is not None:
-                        sel = store.read_global(tr.selector, t)
-                    if sel == CONTROLLER_PORT:
-                        self.log.controller_redirects.append(
-                            (t, sw.name, self.flows[pkt.flow].name))
-                        self._acc.flow_app_drops[pkt.flow] += 1
-                        dropped = True
-                        break
-                    if tr.egress_map is None or not (0 <= sel < len(tr.egress_map)):
-                        continue
-                    port = tr.egress_map[sel]
-                    if tr.kind is ActionKind.INSERT_FLOW_RULE:
-                        sw.flow_rules[pkt.dst] = port
-                    override = port
-            if not dropped:
-                if override is not None:
-                    out = override
-                elif not pkt.monitored and pkt.monitor is not None and pkt.monitor != sw.name:
-                    out = sw.next_hop[pkt.monitor]
-                elif pkt.dst in sw.flow_rules:
-                    out = sw.flow_rules[pkt.dst]
-                elif pkt.dst_switch == sw.name:
-                    out = pkt.dst
-                else:
-                    out = sw.next_hop[pkt.dst_switch]
-                if sw.egress_monitors:
-                    wrote = False
-                    for nbr, m in sw.egress_monitors:
-                        if out == nbr and m.scope.matches(pkt.net_class, pkt.syn, pkt.dst):
-                            inc = pkt.size_bits if m.use_bits else 1
-                            if m.est is not None:
-                                m.est.observe(t, inc)
-                                store.note_write(m.state, t)
-                            else:
-                                store.write_local(m.state, store.local_value(m.state, t) + inc, t)
-                            wrote = True
-                    if wrote and sw.change_triggers:
-                        self._eval_change_triggers(sw, t)
+    def _emit_updates(self, sw: SwitchRT, t: int):
+        """End of the ingress pipeline, every packet: each state the
+        switch owns checks its update trigger."""
+        for ent in sw.own_updates:
+            if ent.trig.should_emit(t):
+                self._emit_update(sw, ent, t)
+
+    def _on_update(self, sw: SwitchRT, link: LinkDir, pkt: Packet, t: int):
+        store = sw.store
+        if store is not None:
+            log = self.log
+            applied = False
+            for h in pkt.headers:
+                status, prev_ts = store.apply_update(h, pkt.origin_ts)
+                if status == "applied":
+                    applied = True
+                    name = store.hosted[h.state_id]
+                    state_i, origin_i, ostore = self._applied_log[name]
+                    t_c, s_c, o_c, r_c, age_c, replaced_c = log.staleness.columns
+                    t_c.append(t)
+                    s_c.append(state_i)
+                    o_c.append(origin_i)
+                    r_c.append(sw.name_id)
+                    age_c.append(t - pkt.origin_ts)
+                    replaced_c.append(t - prev_ts if prev_ts >= 0 else 0)
+                    t_c, s_c, r_c, lag_c = log.write_lag.columns
+                    t_c.append(t)
+                    s_c.append(state_i)
+                    r_c.append(sw.name_id)
+                    lag_c.append(ostore.local_writes[name] - pkt.origin_writes)
+                elif status == "unknown":
+                    log.unknown_state_drops += 1
+                elif status == "stale":
+                    log.stale_update_drops += 1
+            if applied and sw.change_triggers:
+                self._eval_change_triggers(sw, t)
+        for ld in sw.flood[link.src]:
+            self._send(ld, pkt, t)
+        if sw.own_updates:
+            self._emit_updates(sw, t)
+
+    def _measure(self, sw: SwitchRT, pkt: Packet, t: int):
+        """The measurement switch's stage: feed the monitors, then run
+        the packet triggers. Returns the link a trigger steers the
+        packet to, None to forward it as usual, or _DROPPED."""
+        pkt.monitor = None
+        self._feed(sw, sw.monitors, pkt, t)
+        store = sw.store
+        nc = pkt.net_class
+        override = None
+        for tr in sw.packet_triggers:
+            if not tr.scope.matches(nc, pkt.syn, pkt.dst):
+                continue
+            v = store.read_global(tr.output, t)
+            if tr.pred.kind is PredicateKind.PROBABILISTIC:
+                fired = sw.rng.random() < tr.pred.fire_probability(v)
+            else:
+                fired = tr.pred.evaluate(v)
+            if not fired:
+                continue
+            if tr.kind is ActionKind.DROP_PACKET:
+                self._acc.flow_app_drops[pkt.flow] += 1
                 if self.trace is not None:
-                    self.trace.append(f"{t} fwd {sw.name} uid={pkt.uid} out={out}")
-                self._send(sw.ports[out], pkt, t)
-        # Update emission: end of the ingress pipeline, every packet.
-        if sw.own_updates and self.replication_enabled:
-            for ent in sw.own_updates:
-                if ent.trig.should_emit(t):
-                    self._emit_update(sw, ent, t)
+                    self.trace.append(f"{t} drop_app {sw.name} uid={pkt.uid}")
+                return _DROPPED
+            sel = tr.selector_const
+            if tr.selector is not None:
+                sel = store.read_global(tr.selector, t)
+            if sel == CONTROLLER_PORT:
+                self.log.controller_redirects.append(
+                    (t, sw.name, self.flows[pkt.flow].name))
+                self._acc.flow_app_drops[pkt.flow] += 1
+                return _DROPPED
+            if tr.egress_map is None or not (0 <= sel < len(tr.egress_map)):
+                continue
+            override = tr.egress_map[sel]
+            if tr.kind is ActionKind.INSERT_FLOW_RULE:
+                sw.flow_rules[pkt.dst] = override
+        return override
+
+    def _on_data(self, sw: SwitchRT, pkt: Packet, t: int):
+        mon = pkt.monitor
+        out = None
+        if mon is not None:
+            if mon == sw.name:
+                out = self._measure(sw, pkt, t)
+            else:
+                out = sw.route[mon]
+        if out is None:
+            rules = sw.flow_rules
+            out = (rules and rules.get(pkt.dst)) or sw.route[pkt.dst_switch] or sw.ports[pkt.dst]
+        if out is not _DROPPED:
+            if sw.egress_monitors and out in sw.egress_monitors:
+                self._feed(sw, sw.egress_monitors[out], pkt, t)
+            if self.trace is not None:
+                self.trace.append(f"{t} fwd {sw.name} uid={pkt.uid} out={out.dst}")
+            self._send(out, pkt, t)
+        if sw.own_updates:
+            self._emit_updates(sw, t)
+
+    def _feed(self, sw: SwitchRT, monitors, pkt: Packet, t: int):
+        """Count `pkt` into each monitor whose scope matches it, then let
+        the change triggers see what was written."""
+        store = sw.store
+        wrote = False
+        for m in monitors:
+            if m.scope.matches(pkt.net_class, pkt.syn, pkt.dst):
+                inc = pkt.size_bits if m.use_bits else 1
+                if m.est is not None:
+                    m.est.observe(t, inc)
+                    store.note_write(m.state, t)
+                else:
+                    store.write_local(m.state, store.local_value(m.state, t) + inc, t)
+                wrote = True
+        if wrote and sw.change_triggers:
+            self._eval_change_triggers(sw, t)
 
     def save_trace(self, path: str):
         if self.trace is None:

@@ -6,6 +6,7 @@ an independent reference to be checked against.
 """
 
 import itertools
+from collections import deque
 from fractions import Fraction
 
 from repdp import Link, Topology, node_loads
@@ -189,3 +190,34 @@ def assert_valid_tree(topo, edges, terminals):
         parent[ru] = rv
     roots = {find(n) for n in nodes}
     assert len(roots) == 1, "tree is disconnected"
+
+
+class DequeLink:
+    """One link direction as a FIFO of pending departures: the deque
+    link model the simulator started from, kept as the reference for
+    its admission rule and timing."""
+
+    def __init__(self, delay_ns, capacity_bps, queue_limit):
+        self.delay_ns = delay_ns
+        self.capacity_bps = capacity_bps
+        self.queue_limit = queue_limit
+        self.busy_until = 0
+        self.backlog = deque()
+
+    def send(self, size_bits: int, now: int) -> int | None:
+        """Arrival time at the far end, or None if the queue is full.
+
+        The backlog holds departure times of packets not yet fully
+        serialized (the one in service included), oldest first; its
+        length against queue_limit is the drop test.
+        """
+        bl = self.backlog
+        while bl and bl[0] <= now:
+            bl.popleft()
+        if len(bl) >= self.queue_limit:
+            return None
+        start = now if now > self.busy_until else self.busy_until
+        end = start + size_bits * 1_000_000_000 // self.capacity_bps
+        self.busy_until = end
+        bl.append(end)
+        return end + self.delay_ns

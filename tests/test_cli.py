@@ -84,7 +84,8 @@ SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
                          "scenarios")
 
 # (shipped scenario, line as shipped, replacement): numbers that are not
-# finite, or a negative weight, must fail at their own line.
+# finite, a negative weight, a queue_limit below 1 or a metrics_bin under
+# 1 ns must fail at their own line.
 BAD_NUMBERS = {
     "r_min_nan": ("fig7_ddos_c2.scn", "r_min = 100", "r_min = nan"),
     "max_write_rate_nan": ("fig8_ratelimit.scn", "max_write_rate = 625",
@@ -95,6 +96,11 @@ BAD_NUMBERS = {
                    "weights = as1:inf as2:1 as3:3 as4:1"),
     "weight_negative": ("fig8_ratelimit.scn", "weights = as1:1 as3:1",
                         "weights = as1:-5 as3:1"),
+    "queue_limit_zero": ("fig8_ratelimit.scn", "queue_limit = 100", "queue_limit = 0"),
+    "queue_limit_negative": ("fig7_ddos_c2.scn", "queue_limit = 100", "queue_limit = -3"),
+    "metrics_bin_zero": ("fig7_ddos_c2.scn", "metrics_bin = 0.5", "metrics_bin = 0"),
+    "metrics_bin_negative": ("fig8_ratelimit.scn", "metrics_bin = 0.5", "metrics_bin = -1"),
+    "metrics_bin_below_1ns": ("fig7_ddos_c2.scn", "metrics_bin = 0.5", "metrics_bin = 0.4ns"),
 }
 
 

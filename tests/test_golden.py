@@ -1,8 +1,9 @@
 """The shipped scenarios export byte-identical CSV families.
 
-Runs fig7 at one and at four replicas and fig8 exactly as the
-benchmark does and compares the CSV-family digest and event count with the reference
-values in bench/workloads.json, using the benchmark's own digest.
+Runs fig7 at one and at four replicas, fig8 and the generated 128-switch
+mesh exactly as the benchmark does and compares the CSV-family digest
+and event count with the reference values in bench/workloads.json, using
+the benchmark's own digest.
 """
 
 import importlib.util
@@ -16,19 +17,34 @@ from repdp import build_simulation, export_metrics, parse_scenario
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
 
-_spec = importlib.util.spec_from_file_location("bench_worker", os.path.join(BENCH, "worker.py"))
-bench_worker = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_worker)
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  os.path.join(BENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_worker = _load("worker")
+bench_meshgen = _load("meshgen")
 
 with open(os.path.join(BENCH, "workloads.json")) as fh:
     WORKLOADS = json.load(fh)
 
 
-@pytest.mark.parametrize("name", ["ddos-ring-c1", "ddos-ring-c4", "ratelimit-ring"])
+@pytest.mark.parametrize("name", ["ddos-ring-c1", "ddos-ring-c4", "ratelimit-ring",
+                                  "ddos-mesh-128"])
 def test_shipped_scenario_matches_reference_digest(tmp_path, name):
     wl = WORKLOADS["workloads"][name]
-    cfg = parse_scenario(os.path.join(ROOT, wl["scenario"]))
-    built = build_simulation(cfg, replicas=wl["replicas"], seed=WORKLOADS["default_seed"])
+    seed = WORKLOADS["default_seed"]
+    if wl["scenario"] is None:
+        path = tmp_path / "mesh.scn"
+        path.write_text(bench_meshgen.generate(seed))
+    else:
+        path = os.path.join(ROOT, wl["scenario"])
+    cfg = parse_scenario(str(path))
+    built = build_simulation(cfg, replicas=wl["replicas"], seed=seed)
     log = built.sim.run_until()
     export_metrics(log, str(tmp_path), switch_names=cfg.topology.switches)
     digest, _ = bench_worker.family_digest(str(tmp_path))

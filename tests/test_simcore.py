@@ -2,12 +2,14 @@
 
 import csv
 import os
+import random
 import re
 
 import numpy as np
 import pytest
 
 from repdp import (
+    InvalidParameter,
     Link,
     SimulationError,
     Simulator,
@@ -18,7 +20,9 @@ from repdp import (
     parse_scenario,
     update_frame_bits,
 )
-from repdp.simcore import EV_ARRIVAL, Packet
+from repdp.simcore import Packet
+
+from helpers import DequeLink
 
 MS = 1_000_000
 SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -86,6 +90,54 @@ def test_queue_overflow_drops_excess():
     assert log.flow_queue_drops[0] == 7
     assert log.flow_delivered[0] == 5
     assert log.queue_drops.sum() == 7
+
+
+# Capacities in bit/s: 1 Mb/s and 10 Mb/s serialize, and 10 Tb/s turns
+# every frame below 10,000 bits into a zero-length serialization.
+@pytest.mark.parametrize("capacity_bps", (1_000_000, 10_000_000, 10**13))
+@pytest.mark.parametrize("queue_limit", range(1, 9))
+def test_link_admission_matches_the_deque_model(queue_limit, capacity_bps):
+    rng = random.Random(f"{queue_limit}/{capacity_bps}")
+    sim = Simulator(line_topo(capacity_bps=capacity_bps), t_end_s=1.0,
+                    queue_limit=queue_limit)
+    sim._build_log()
+    link = sim._host_out["hA"]
+    ref = DequeLink(link.delay_ns, capacity_bps, queue_limit)
+    sizes = (512, 12_000, 513, 1_001, 4_097, 9_999)
+    t = 0
+    got, want = [], []
+    while len(want) < 400:
+        step = rng.randrange(3)
+        if step == 0 and ref.backlog:
+            # Exactly when the oldest queued packet departs.
+            t = max(t, ref.backlog[0])
+        elif step == 1:
+            t += rng.choice((1, 37, 512, 4_096, 100_000, 3_000_000))
+        # A burst at one timestamp, longer than any queue here.
+        for _ in range(rng.choice((1, 1, 2, 10))):
+            size = rng.choice(sizes)
+            pkt = Packet(len(want), -1, "hA", "hB", "sw", size, False)
+            got.append(sim._send(link, pkt, t))
+            want.append(ref.send(size, t))
+    assert got == want
+    assert None in want or capacity_bps == 10**13
+    assert sum(x is None for x in got) == sim._acc.queue_drops[link.row]
+
+
+@pytest.mark.parametrize("queue_limit", [0, -3])
+def test_queue_limit_below_one_is_rejected(queue_limit):
+    with pytest.raises(InvalidParameter):
+        Simulator(line_topo(), t_end_s=1.0, queue_limit=queue_limit)
+
+
+def test_duplicate_flow_name_is_rejected():
+    sim = Simulator(line_topo(), t_end_s=1.0)
+    sim.add_flow("f", "hA", "hB", 1000, False, [(0.0, 10.0)], stop_s=0.5)
+    with pytest.raises(SimulationError, match="already in use"):
+        sim.add_flow("f", "hB", "hA", 1000, False, [(0.0, 10.0)], stop_s=0.5)
+    log = sim.run_until()
+    assert log.flow_names == ["f"]
+    assert log.flow_sent.tolist() == log.flow_delivered.tolist() == [5]
 
 
 def test_sent_equals_delivered_plus_drops():
@@ -347,8 +399,9 @@ def test_update_drops_are_counted_on_the_log(tmp_path):
     # Delivered before any real update: the copy is stale, id 999 was
     # never registered.
     twice = update(-1000, state.state_id)
+    link = sim.switch_rt[port].ports[replica]
     for pkt in (twice, twice, update(-1001, 999)):
-        sim._schedule(1, EV_ARRIVAL, (replica, pkt, port))
+        sim._schedule(1, link, pkt)
     log = sim.run_until()
     assert (log.stale_update_drops, log.unknown_state_drops) == (1, 1)
     export_metrics(log, str(tmp_path), switch_names=built.sim.topo.switches)
