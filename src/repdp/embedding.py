@@ -424,24 +424,25 @@ def solve_replication_period(
     if d_r <= 0:
         raise InfeasibleBudget(
             f"budget {budget_ns} ns does not cover worst replica pair delay"
-            f" {worst_pair_delay_ns} ns"
+            f" {worst_pair_delay_ns} ns", spec.budget_field()
         )
     if mode == "time":
         if r_min <= 0:
-            raise InfeasibleBudget("time mode needs r_min > 0")
+            raise InfeasibleBudget("time mode needs r_min > 0", "r_min")
         gap_ns = round(1e9 / r_min)
         tau = d_r - gap_ns
         if tau < 0:
             raise InfeasibleBudget(
                 f"replication period {d_r} ns is below the packet interarrival"
-                f" floor {gap_ns} ns; emit cannot keep the bound"
+                f" floor {gap_ns} ns; emit cannot keep the bound", "r_min"
             )
         return PeriodSolution(d_r, worst_pair_delay_ns, "time", tau_ns=tau)
     if mode == "packet":
         p = int(d_r * r_min // 1_000_000_000)
         if p < 1:
             raise InfeasibleBudget(
-                f"replication period {d_r} ns spans no full packet at rate {r_min}/s"
+                f"replication period {d_r} ns spans no full packet at rate {r_min}/s",
+                "r_min"
             )
         return PeriodSolution(d_r, worst_pair_delay_ns, "packet", packet_period=p)
     raise InfeasibleBudget(f"unknown trigger mode {mode!r}")

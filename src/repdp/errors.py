@@ -34,7 +34,13 @@ class DisconnectedTerminals(RepdpError):
 
 
 class InfeasibleBudget(RepdpError):
-    """Inconsistency budget cannot be met on this topology."""
+    """Inconsistency budget cannot be met on this topology; `key` names
+    the parameter to change: the budget's `InconsistencySpec` field, or
+    `r_min`."""
+
+    def __init__(self, message, key=None):
+        self.key = key
+        super().__init__(message)
 
 
 class TruncatedHeader(RepdpError):

@@ -155,16 +155,26 @@ class InconsistencySpec:
             return self.epsilon_r / self.max_write_rate
         return None
 
-    def problems(self) -> list[str]:
-        out = []
+    def budget_field(self) -> str | None:
+        """The field that sets the budget's size: the one to blame when
+        it is infeasible. None when not replicated."""
+        if self.kind is InconsistencyKind.TIME_OBSOLESCENCE:
+            return "epsilon_t_s"
+        if self.kind is InconsistencyKind.UPDATE_ERROR:
+            return "epsilon_r"
+        return None
+
+    def problems(self) -> dict[str, str]:
+        """Each out-of-range field, mapped to what is wrong with it."""
+        out = {}
         if self.kind is InconsistencyKind.TIME_OBSOLESCENCE:
             if self.epsilon_t_s is None or self.epsilon_t_s <= 0:
-                out.append("time_obsolescence requires epsilon_t_s > 0")
+                out["epsilon_t_s"] = "time_obsolescence requires epsilon_t_s > 0"
         elif self.kind is InconsistencyKind.UPDATE_ERROR:
             if self.epsilon_r is None or self.epsilon_r <= 0:
-                out.append("update_error requires epsilon_r > 0")
+                out["epsilon_r"] = "update_error requires epsilon_r > 0"
             if self.max_write_rate is None or self.max_write_rate <= 0:
-                out.append("update_error requires max_write_rate > 0")
+                out["max_write_rate"] = "update_error requires max_write_rate > 0"
         return out
 
 
@@ -425,7 +435,7 @@ def validate_application(app: ApplicationSpec) -> ValidationReport:
                 bad.append(f"trigger {t.name}: predicate needs a threshold")
             elif not math.isfinite(thr):
                 bad.append(f"trigger {t.name}: threshold must be finite")
-        for p in t.inconsistency.problems():
+        for p in t.inconsistency.problems().values():
             bad.append(f"trigger {t.name}: {p}")
 
     for a in app.activities:

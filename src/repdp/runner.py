@@ -28,7 +28,7 @@ from .embedding import (
     place_replicas,
     serialize_plan,
 )
-from .errors import InvalidParameter, ScenarioError
+from .errors import InfeasibleBudget, InvalidParameter, ScenarioError
 from .metrics import MetricsLog, export_metrics, export_summary, summarize
 from .model import InconsistencySpec, ValueType, build_dag, replication_requirements
 from .scenario import ScenarioConfig
@@ -69,9 +69,15 @@ def build_simulation(config: ScenarioConfig, replicas: int | None = None,
     topo = config.topology
 
     record = APPS[config.app_name]
+    # The [application] key each model parameter is read from.
+    app_key = {k.param or k.key: k.key for k in record.keys}
     try:
         app = record.make(config.app_params, c)
         observers, egress_maps, forced_monitor = record.bind(config.app_params, topo)
+        # build_dag would reject these too, but without the key.
+        for trig in app.triggers:
+            for name, problem in trig.inconsistency.problems().items():
+                raise InvalidParameter(f"trigger {trig.name}: {problem}", app_key.get(name))
     except InvalidParameter as exc:
         raise ScenarioError(str(exc), config.path,
                             config.line("application", exc.key)) from None
@@ -84,8 +90,15 @@ def build_simulation(config: ScenarioConfig, replicas: int | None = None,
     placement = place_replicas(topo, ecfg, program, reqs)
     reqs_wire = {cs.name: reqs.get(cs.source, InconsistencySpec.none())
                  for cs in program.states}
-    plan = build_replication_plan(topo, placement, reqs_wire,
-                                  config.r_min, config.trigger_mode)
+    try:
+        plan = build_replication_plan(topo, placement, reqs_wire,
+                                      config.r_min, config.trigger_mode)
+    except InfeasibleBudget as exc:
+        if exc.key == "r_min":
+            line = config.line("embedding", "r_min")
+        else:
+            line = config.line("application", app_key.get(exc.key))
+        raise ScenarioError(str(exc), config.path, line) from None
     rules = install_rules(topo, plan)
 
     sim = Simulator(

@@ -79,7 +79,8 @@ class ScenarioConfig:
 
     def line(self, section: str, key: str | None = None) -> int:
         """Line of `key` in [section], else of the section header, else 0.
-        The reader keeps the lines of [application] and [loads] only."""
+        The reader keeps the lines of [application], [embedding] and
+        [loads] only."""
         return self.lines.get((section, key)) or self.lines.get((section, None), 0)
 
 
@@ -288,7 +289,7 @@ def parse_scenario(path: str) -> ScenarioConfig:
     seed = scen.integer("seed")
     t_end = scen.dur("t_end", "60")
     if t_end <= 0:
-        raise ScenarioError("t_end must be positive", path, by_name["scenario"].line)
+        raise ScenarioError("t_end must be positive", path, scen.raw("t_end", "60")[1])
     bin_s = scen.dur("metrics_bin", "0.5")
     if round(bin_s * 1e9) < 1:
         raise ScenarioError("metrics_bin must be at least 1ns", path,
@@ -373,23 +374,20 @@ def parse_scenario(path: str) -> ScenarioConfig:
                                 f"(known: {', '.join(sorted(known_keys))})", path, ln)
     app_params = {k.param or k.key: getattr(app_v, k.kind)(k.key, k.default)
                   for k in record.keys}
-    # Build-time checks on the application and the loads cite these lines.
-    lines = {("application", key): ln for key, (_, ln) in app_v.sec.items.items()}
-    lines["application", None] = app_v.sec.line
 
     # ---- embedding -----------------------------------------------------
     emb = require("embedding")
     replicas = emb.integer("replicas", "1")
     if not 1 <= replicas <= len(switches):
         raise ScenarioError(f"replicas must be in 1..{len(switches)}", path,
-                            by_name["embedding"].line)
+                            emb.raw("replicas", "1")[1])
     r_min = emb.num("r_min", "100")
     if r_min <= 0:
-        raise ScenarioError("r_min must be positive", path, by_name["embedding"].line)
-    mode = emb.text("trigger_mode", "time")
+        raise ScenarioError("r_min must be positive", path, emb.raw("r_min", "100")[1])
+    mode, mode_ln = emb.raw("trigger_mode", "time")
     if mode not in ("time", "packet"):
         raise ScenarioError(f"trigger_mode must be time or packet, got {mode!r}",
-                            path, by_name["embedding"].line)
+                            path, mode_ln)
     weights: dict[str, float] = {}
     if emb.has("weights"):
         raw_w, wl = emb.raw("weights")
@@ -402,6 +400,13 @@ def parse_scenario(path: str) -> ScenarioConfig:
             weights[node] = _num(path, w, wl)
             if weights[node] < 0:
                 raise ScenarioError(f"negative weight {tok!r}", path, wl)
+
+    # Build-time checks on the application, the embedding and the loads
+    # cite these lines.
+    lines = {}
+    for sec in (app_v.sec, emb.sec):
+        lines.update(((sec.name, key), ln) for key, (_, ln) in sec.items.items())
+        lines[sec.name, None] = sec.line
 
     # ---- flows ----------------------------------------------------------
     flows = []

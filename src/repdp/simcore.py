@@ -29,6 +29,11 @@ with a fixed delay and consume no link capacity.
 Per-packet accounting goes into `metrics.Accumulators`, plain Python
 ints, while the loop runs; every return from `run_until` publishes it
 onto the `MetricsLog` as numpy int64 arrays.
+
+A whole run is usually one `run_until` call, so its loop ends in an
+unconditional jump back: CPython 3.11 specializes a code object only
+after calls or plain backward jumps have warmed it, and a conditional
+`while` back edge never does.
 """
 
 from __future__ import annotations
@@ -112,16 +117,15 @@ class Packet:
     packet has been measured there, or if it has none. `net_class` is
     the port class of the packet's first switch hop."""
 
-    __slots__ = ("uid", "flow", "src", "dst", "dst_switch", "size_bits", "syn",
+    __slots__ = ("uid", "flow", "dst", "dst_switch", "size_bits", "syn",
                  "is_update", "headers", "origin_ts", "origin_writes",
                  "monitor", "net_class")
 
-    def __init__(self, uid, flow, src, dst, dst_switch, size_bits, syn,
+    def __init__(self, uid, flow, dst, dst_switch, size_bits, syn,
                  monitor=None, net_class=None, is_update=False, headers=(),
                  origin_ts=0, origin_writes=0):
         self.uid = uid
         self.flow = flow
-        self.src = src
         self.dst = dst
         self.dst_switch = dst_switch
         self.size_bits = size_bits
@@ -475,7 +479,13 @@ class Simulator:
         t_now = self.t_now
         events = 0
         try:
-            while heap and heap[0][0] <= t_end:
+            # The back edge must stay an unconditional jump: CPython 3.11
+            # warms a code object only on calls and on plain
+            # JUMP_BACKWARDs, and a run is one call, so a `while <test>:`
+            # header would leave this loop unspecialized for the whole run.
+            while True:
+                if not heap or heap[0][0] > t_end:
+                    break
                 t, _seq, kind, payload = heappop(heap)
                 if t < t_now:
                     raise SimulationError("event queue went backwards")
@@ -521,8 +531,8 @@ class Simulator:
         self._uid = uid + 1
         self._acc.flow_sent[fl.row] += 1
         out = fl.out
-        self._send(out, Packet(uid, fl.row, fl.src, fl.dst, fl.dst_switch, fl.size_bits,
-                               fl.syn, fl.monitor, out.cls), t)
+        self._send(out, Packet(uid, fl.row, fl.dst, fl.dst_switch, fl.size_bits, fl.syn,
+                               fl.monitor, out.cls), t)
         # Schedule the segment's next packet, or once it would reach the
         # next segment, that segment's start.
         nxt = fl.next_start
@@ -594,7 +604,7 @@ class Simulator:
                            replica_id=ent.replica_id, state_value=value,
                            l3_protocol_type=IPV4_ETHTYPE)
         self._upd_uid -= 1
-        pkt = Packet(self._upd_uid, -1, sw.name, "", "", update_frame_bits(1),
+        pkt = Packet(self._upd_uid, -1, "", "", update_frame_bits(1),
                      False, is_update=True, headers=(hdr,), origin_ts=t,
                      origin_writes=store.local_writes[ent.state])
         self.log.updates_emitted += 1

@@ -101,11 +101,27 @@ BAD_NUMBERS = {
     "metrics_bin_zero": ("fig7_ddos_c2.scn", "metrics_bin = 0.5", "metrics_bin = 0"),
     "metrics_bin_negative": ("fig8_ratelimit.scn", "metrics_bin = 0.5", "metrics_bin = -1"),
     "metrics_bin_below_1ns": ("fig7_ddos_c2.scn", "metrics_bin = 0.5", "metrics_bin = 0.4ns"),
+    "t_end_zero": ("fig7_ddos_c2.scn", "t_end = 60", "t_end = 0"),
+    "r_min_negative": ("fig8_ratelimit.scn", "r_min = 250", "r_min = -1"),
+    "replicas_zero": ("fig7_ddos_c2.scn", "replicas = 2", "replicas = 0"),
+    # The reader accepts these; the model's budget checks and the period
+    # solver reject them at build time.
+    "epsilon_t_negative": ("fig7_ddos_c2.scn", "epsilon_t = 14ms", "epsilon_t = -1"),
+    "epsilon_r_negative": ("fig8_ratelimit.scn", "epsilon_r = 10", "epsilon_r = -1"),
+    "max_write_rate_negative": ("fig8_ratelimit.scn", "max_write_rate = 625",
+                                "max_write_rate = -1"),
+    "r_min_below_interarrival": ("fig7_ddos_c2.scn", "r_min = 100", "r_min = 1e-10"),
+    "epsilon_t_below_delay": ("fig7_ddos_c2.scn", "epsilon_t = 14ms", "epsilon_t = 1e-10"),
+    # An infeasible budget cites the budget's key, whatever overran it.
+    "link_delay_over_budget": ("fig7_ddos_c2.scn", "link_delay = 0.5ms", "link_delay = 1e30",
+                               "epsilon_t = 14ms"),
 }
 
 
-@pytest.mark.parametrize("scenario, line_text, bad", BAD_NUMBERS.values(), ids=BAD_NUMBERS)
-def test_bad_number_is_exit_1_at_its_line(tmp_path, capsys, scenario, line_text, bad):
+@pytest.mark.parametrize("case", BAD_NUMBERS.values(), ids=BAD_NUMBERS)
+def test_bad_number_is_exit_1_at_its_line(tmp_path, capsys, case):
+    # The error cites the mutated line, or the line named after it.
+    scenario, line_text, bad, *cited = case
     with open(os.path.join(SCENARIOS, scenario)) as fh:
         text = fh.read()
     lines = text.splitlines()
@@ -114,7 +130,8 @@ def test_bad_number_is_exit_1_at_its_line(tmp_path, capsys, scenario, line_text,
     p.write_text(text.replace(line_text, bad))
     assert main(["validate", str(p)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {p}:{lines.index(line_text) + 1}: "), err
+    line = lines.index(cited[0] if cited else line_text) + 1
+    assert err.startswith(f"error: {p}:{line}: "), err
 
 
 def test_infeasible_budget_is_exit_1(tmp_path, capsys):

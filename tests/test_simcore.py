@@ -4,6 +4,8 @@ import csv
 import os
 import random
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,8 +27,8 @@ from repdp.simcore import Packet
 from helpers import DequeLink
 
 MS = 1_000_000
-SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "scenarios")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCENARIOS = os.path.join(ROOT, "scenarios")
 FIG7 = os.path.join(SCENARIOS, "fig7_ddos_c2.scn")
 FIG8 = os.path.join(SCENARIOS, "fig8_ratelimit.scn")
 
@@ -116,7 +118,7 @@ def test_link_admission_matches_the_deque_model(queue_limit, capacity_bps):
         # A burst at one timestamp, longer than any queue here.
         for _ in range(rng.choice((1, 1, 2, 10))):
             size = rng.choice(sizes)
-            pkt = Packet(len(want), -1, "hA", "hB", "sw", size, False)
+            pkt = Packet(len(want), -1, "hB", "sw", size, False)
             got.append(sim._send(link, pkt, t))
             want.append(ref.send(size, t))
     assert got == want
@@ -219,6 +221,29 @@ def test_run_returns_int64_arrays():
             assert isinstance(arr, np.ndarray) and arr.dtype == np.int64, name
             assert arr.shape == shape, name
     assert log.flow_sent[0] == log.flow_delivered[0] == 5
+
+
+# One short run in a fresh interpreter: other tests here call run_until
+# often enough to have it specialized anyway.
+SPECIALIZED_AFTER_ONE_CALL = """
+import dis, sys
+from repdp import Simulator, build_simulation, parse_scenario
+build_simulation(parse_scenario(sys.argv[1]), t_end_s=0.2).sim.run_until()
+adaptive = [i.opname for i in dis.get_instructions(Simulator.run_until, adaptive=True)]
+plain = [i.opname for i in dis.get_instructions(Simulator.run_until)]
+print(sum(a != p for a, p in zip(adaptive, plain)))
+"""
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="CPython has no specializing interpreter before 3.11")
+def test_run_until_is_specialized_on_its_first_call():
+    # The whole run is one run_until call; its loop only warms up if its
+    # back edge is an unconditional jump.
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run([sys.executable, "-c", SPECIALIZED_AFTER_ONE_CALL, FIG8],
+                         env=env, capture_output=True, text=True, check=True)
+    assert int(out.stdout) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +418,7 @@ def test_update_drops_are_counted_on_the_log(tmp_path):
     def update(uid, state_id):
         hdr = UpdateHeader(src_sw_id=sim.switch_rt[origin].sw_id, dst_sw_id=0,
                            state_id=state_id, replica_id=0, state_value=5)
-        return Packet(uid, -1, port, "", "", update_frame_bits(1), False, is_update=True,
+        return Packet(uid, -1, "", "", update_frame_bits(1), False, is_update=True,
                       headers=(hdr,), origin_ts=1)
 
     # Delivered before any real update: the copy is stale, id 999 was
