@@ -507,9 +507,7 @@ def install_rules(topo: Topology, plan: ReplicationPlan) -> RuleTables:
     return RuleTables(next_hop, tree_ports)
 
 
-def serialize_plan(
-    placement: ReplicaPlacement, plan: ReplicationPlan, requirements=None
-) -> str:
+def serialize_plan(placement: ReplicaPlacement, plan: ReplicationPlan) -> str:
     """Human-readable resolved plan (used by the validate verb)."""
     lines = []
     lines.append("ranking: " + " ".join(placement.ranking))

@@ -2,9 +2,13 @@
 
 Link traffic is binned into fixed windows and split by class (data vs
 replication updates); the split sums to the total by construction.
-During a run the simulator counts into `Accumulators`, plain Python int
-lists; each return from `Simulator.run_until` publishes them onto the
-`MetricsLog` as numpy int64 arrays, which is all a reader ever sees.
+The counters have one form: plain Python int lists that `MetricsLog`
+allocates and owns. The simulator writes into them during a run, and
+export, `summarize` and `read_metrics_dir` read them directly. A binned
+row has one slot past its last bin, so `t_ns // bin_ns` indexes it for
+every event time up to the horizon; each return from
+`Simulator.run_until` folds that horizon slot into the last bin and
+zeroes it, and readers only ever look at the first `n_bins` slots.
 The two per-update logs, `staleness` and `write_lag`, hold one row for
 every remote update a replica applies, so they are kept as typed columns
 (`ColumnLog`): ints in `array('q')`, names as 32-bit indices into one
@@ -26,8 +30,6 @@ import os
 from array import array
 from dataclasses import dataclass
 from itertools import islice
-
-import numpy as np
 
 from .errors import ExportError, InvalidParameter
 
@@ -87,11 +89,14 @@ class ColumnLog:
 class MetricsLog:
     """Run-wide measurement state.
 
-    The simulator appends event rows and bumps scalar counters inline;
-    the per-bin and per-flow/per-link arrays are written by
-    `Accumulators.publish`. `staleness` rows are (t_ns, state, origin,
-    replica, staleness_ns, replaced_age_ns) and `write_lag` rows are
-    (t_ns, state, replica, lag_writes); their names share `names`.
+    The simulator appends event rows and bumps the counters inline.
+    Binned rows (`data_bits`, `repl_bits` per link direction, `flow_bits`
+    per flow) hold n_bins + 1 slots, the last being the horizon slot,
+    zero between runs. The counters are `queue_drops` per link direction
+    and `flow_sent`, `flow_delivered`, `flow_app_drops`,
+    `flow_queue_drops` per flow. `staleness` rows are (t_ns, state,
+    origin, replica, staleness_ns, replaced_age_ns) and `write_lag` rows
+    are (t_ns, state, replica, lag_writes); their names share `names`.
     """
 
     def __init__(self, t_end_ns: int, bin_ns: int, link_dirs, flow_names):
@@ -102,18 +107,18 @@ class MetricsLog:
         self.n_bins = max(1, math.ceil(t_end_ns / bin_ns))
         self.link_dirs = list(link_dirs)
         self.link_index = {ld: i for i, ld in enumerate(self.link_dirs)}
-        n_links = len(self.link_dirs)
-        self.data_bits = np.zeros((n_links, self.n_bins), dtype=np.int64)
-        self.repl_bits = np.zeros((n_links, self.n_bins), dtype=np.int64)
-        self.queue_drops = np.zeros(n_links, dtype=np.int64)
         self.flow_names = list(flow_names)
         self.flow_index = {f: i for i, f in enumerate(self.flow_names)}
-        n_flows = len(self.flow_names)
-        self.flow_bits = np.zeros((n_flows, self.n_bins), dtype=np.int64)
-        self.flow_sent = np.zeros(n_flows, dtype=np.int64)
-        self.flow_delivered = np.zeros(n_flows, dtype=np.int64)
-        self.flow_app_drops = np.zeros(n_flows, dtype=np.int64)
-        self.flow_queue_drops = np.zeros(n_flows, dtype=np.int64)
+        slots = self.n_bins + 1
+        n_links, n_flows = len(self.link_dirs), len(self.flow_names)
+        self.data_bits = [[0] * slots for _ in range(n_links)]
+        self.repl_bits = [[0] * slots for _ in range(n_links)]
+        self.flow_bits = [[0] * slots for _ in range(n_flows)]
+        self.queue_drops = [0] * n_links
+        self.flow_sent = [0] * n_flows
+        self.flow_delivered = [0] * n_flows
+        self.flow_app_drops = [0] * n_flows
+        self.flow_queue_drops = [0] * n_flows
         self.detections: list[tuple[int, str, str, int]] = []
         self.notifications: list[tuple[int, str, str]] = []
         self.controller_redirects: list[tuple[int, str, str]] = []
@@ -137,47 +142,6 @@ class MetricsLog:
         lo = int(self.n_bins * frac0)
         hi = max(lo + 1, int(math.ceil(self.n_bins * frac1)))
         return slice(lo, min(hi, self.n_bins))
-
-
-class Accumulators:
-    """The per-packet counters of one run, as plain Python ints.
-
-    Binned rows (`data_bits`, `repl_bits` per link direction, `flow_bits`
-    per flow) hold n_bins + 1 slots, so `t_ns // bin_ns` indexes them
-    directly for every event time in [0, t_end_ns]; the extra slot only
-    catches t_ns == n_bins * bin_ns and is folded into the last bin on
-    publish. The counters are `queue_drops` per link direction and
-    `flow_sent`, `flow_delivered`, `flow_app_drops`, `flow_queue_drops`
-    per flow.
-    """
-
-    BINNED = ("data_bits", "repl_bits", "flow_bits")
-    COUNTERS = ("queue_drops", "flow_sent", "flow_delivered", "flow_app_drops",
-                "flow_queue_drops")
-    __slots__ = BINNED + COUNTERS
-
-    def __init__(self, log: MetricsLog):
-        slots = log.n_bins + 1
-        n_links, n_flows = len(log.link_dirs), len(log.flow_names)
-        self.data_bits = [[0] * slots for _ in range(n_links)]
-        self.repl_bits = [[0] * slots for _ in range(n_links)]
-        self.flow_bits = [[0] * slots for _ in range(n_flows)]
-        self.queue_drops = [0] * n_links
-        self.flow_sent = [0] * n_flows
-        self.flow_delivered = [0] * n_flows
-        self.flow_app_drops = [0] * n_flows
-        self.flow_queue_drops = [0] * n_flows
-
-    def publish(self, log: MetricsLog):
-        """Write the totals so far onto `log` as numpy int64 arrays."""
-        n = log.n_bins
-        for name in self.BINNED:
-            rows = getattr(self, name)
-            arr = np.array(rows, dtype=np.int64).reshape(len(rows), n + 1)
-            arr[:, n - 1] += arr[:, n]
-            setattr(log, name, arr[:, :n].copy())
-        for name in self.COUNTERS:
-            setattr(log, name, np.array(getattr(self, name), dtype=np.int64))
 
 
 # Rows per write: the text of one chunk is all an export holds at once.
@@ -227,20 +191,18 @@ def export_metrics(log: MetricsLog, out_dir: str, switch_names=None):
         path("links.csv"),
         "src,dst,core,bin_start_s,data_bits,repl_bits,total_bits",
         (f"{link}{start},{d},{r},{d + r}\r\n"
-         for link, data, repl in zip(links, log.data_bits.tolist(), log.repl_bits.tolist())
+         for link, data, repl in zip(links, log.data_bits, log.repl_bits)
          for start, d, r in zip(starts, data, repl)),
     )
-    flow_bits = log.flow_bits.tolist()
     _write_csv(
         path("flows.csv"),
         "flow,bin_start_s,delivered_bits,throughput_bps",
         (f"{f},{start},{bits},{bits / bin_s!r}\r\n"
          for f, i in log.flow_index.items()
-         for start, bits in zip(starts, flow_bits[i])),
+         for start, bits in zip(starts, log.flow_bits[i])),
     )
-    sent, delivered, app_drops, queue_drops = (
-        a.tolist() for a in (log.flow_sent, log.flow_delivered, log.flow_app_drops,
-                             log.flow_queue_drops))
+    sent, delivered = log.flow_sent, log.flow_delivered
+    app_drops, queue_drops = log.flow_app_drops, log.flow_queue_drops
     _write_csv(
         path("flow_totals.csv"),
         "flow,sent_pkts,delivered_pkts,app_drops,queue_drops",
@@ -270,8 +232,7 @@ def export_metrics(log: MetricsLog, out_dir: str, switch_names=None):
     _write_csv(
         path("queue_drops.csv"),
         "src,dst,drops",
-        (f"{u},{v},{n}\r\n" for (u, v), n in zip(log.link_dirs, log.queue_drops.tolist())
-         if n),
+        (f"{u},{v},{n}\r\n" for (u, v), n in zip(log.link_dirs, log.queue_drops) if n),
     )
     _write_csv(
         path("memory.csv"),
@@ -328,12 +289,12 @@ def read_metrics_dir(path: str) -> MetricsLog:
     for row in link_rows:
         i = log.link_index[(row["src"], row["dst"])]
         b = int(float(row["bin_start_s"]) * 1e9 / bin_ns + 0.5)
-        log.data_bits[i, b] = int(row["data_bits"])
-        log.repl_bits[i, b] = int(row["repl_bits"])
+        log.data_bits[i][b] = int(row["data_bits"])
+        log.repl_bits[i][b] = int(row["repl_bits"])
     for row in flow_rows:
         i = log.flow_index[row["flow"]]
         b = int(float(row["bin_start_s"]) * 1e9 / bin_ns + 0.5)
-        log.flow_bits[i, b] = int(row["delivered_bits"])
+        log.flow_bits[i][b] = int(row["delivered_bits"])
     with open(os.path.join(path, "detections.csv")) as fh:
         for row in csv.DictReader(fh):
             log.detections.append(
@@ -393,11 +354,8 @@ def summarize(logs: dict[str, MetricsLog], window=(0.5, 1.0), is_switch=None) ->
         sl = log.window_slice(*window)
         nbins = sl.stop - sl.start
         window_s = nbins * log.bin_ns / 1e9
-        if core and nbins > 0:
-            data = int(log.data_bits[core, sl].sum())
-            repl = int(log.repl_bits[core, sl].sum())
-        else:
-            data = repl = 0
+        data = sum(sum(log.data_bits[i][sl]) for i in core)
+        repl = sum(sum(log.repl_bits[i][sl]) for i in core)
         n_core = max(1, len(core))
         mean_data = data / window_s / n_core
         mean_repl = repl / window_s / n_core
@@ -409,10 +367,10 @@ def summarize(logs: dict[str, MetricsLog], window=(0.5, 1.0), is_switch=None) ->
                 first[sw] = t / 1e9
         det = ";".join(f"{sw}:{first[sw]}" for sw in sorted(first))
 
-        fl = log.flow_bits[:, sl].sum(axis=1) if len(log.flow_names) else np.zeros(0)
-        agg = float(fl.sum()) / window_s if len(fl) else 0.0
+        fl = [sum(row[sl]) for row in log.flow_bits]
+        agg = sum(fl) / window_s if fl else 0.0
         # Flows idle in the window report 0; exclude them from the min.
-        active = [float(x) / window_s for x in fl if x > 0]
+        active = [x / window_s for x in fl if x > 0]
         min_tp = min(active) if active else 0.0
 
         age, replaced = log.staleness.columns[4:]

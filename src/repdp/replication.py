@@ -127,7 +127,7 @@ class UpdateTrigger:
                 raise InvalidParameter(
                     f"packet trigger needs packet_period >= 1, got {packet_period}")
         else:
-            raise ValueError(f"unknown trigger mode {mode!r}")
+            raise InvalidParameter(f"unknown trigger mode {mode!r}")
         self.mode = mode
         self.tau_ns = tau_ns
         self.packet_period = packet_period

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .apps import APPS
 from .embedding import Link, Topology
-from .errors import ScenarioError
+from .errors import DisconnectedTopology, ScenarioError
 from .model import PortClass
 
 FORMAT_VERSION = 1
@@ -136,10 +136,7 @@ def _dur_s(path, raw: str, ln: int) -> float:
     m = re.fullmatch(r"([0-9.eE+-]+)\s*(ns|us|ms|s)?", raw)
     if not m:
         raise ScenarioError(f"bad duration {raw!r}", path, ln)
-    try:
-        val = float(m.group(1))
-    except ValueError:
-        raise ScenarioError(f"bad duration {raw!r}", path, ln) from None
+    val = _num(path, m.group(1), ln)
     return val * _DUR[m.group(2) or "s"]
 
 
@@ -147,10 +144,7 @@ def _bps(path, raw: str, ln: int) -> int:
     m = re.fullmatch(r"([0-9.eE+-]+)\s*(bps|kbps|Mbps|Gbps)?", raw)
     if not m:
         raise ScenarioError(f"bad capacity {raw!r}", path, ln)
-    try:
-        val = float(m.group(1))
-    except ValueError:
-        raise ScenarioError(f"bad capacity {raw!r}", path, ln) from None
+    val = _num(path, m.group(1), ln)
     return round(val * _BPS[m.group(2) or "bps"])
 
 
@@ -212,6 +206,20 @@ class _View:
     def bps(self, key, default=None) -> int:
         return _bps(self.path, *self.raw(key, default))
 
+    def delay_ns(self, key, default=None) -> int:
+        raw, ln = self.raw(key, default)
+        ns = round(_dur_s(self.path, raw, ln) * 1e9)
+        if ns < 1:
+            raise ScenarioError(f"{key} must be at least 1ns", self.path, ln)
+        return ns
+
+    def capacity(self, key, default=None) -> int:
+        raw, ln = self.raw(key, default)
+        bps = _bps(self.path, raw, ln)
+        if bps < 1:
+            raise ScenarioError(f"{key} must be at least 1bps", self.path, ln)
+        return bps
+
     def flag(self, key, default=None) -> bool:
         return _bool(self.path, *self.raw(key, default))
 
@@ -237,8 +245,8 @@ def _parse_rate_steps(path, raw: str, ln: int, start_s: float):
         m = re.fullmatch(r"@([0-9.eE+-]+):([0-9.eE+-]+)", tok)
         if not m:
             raise ScenarioError(f"bad rate step {tok!r} (expected @time:rate)", path, ln)
-        t = float(m.group(1))
-        r = float(m.group(2))
+        t = _num(path, m.group(1), ln)
+        r = _num(path, m.group(2), ln)
         if r < 0:
             raise ScenarioError("negative rate", path, ln)
         if t <= segs[-1][0]:
@@ -288,8 +296,8 @@ def parse_scenario(path: str) -> ScenarioConfig:
         raise ScenarioError("[scenario] must declare a seed", path, by_name["scenario"].line)
     seed = scen.integer("seed")
     t_end = scen.dur("t_end", "60")
-    if t_end <= 0:
-        raise ScenarioError("t_end must be positive", path, scen.raw("t_end", "60")[1])
+    if round(t_end * 1e9) < 1:
+        raise ScenarioError("t_end must be at least 1ns", path, scen.raw("t_end", "60")[1])
     bin_s = scen.dur("metrics_bin", "0.5")
     if round(bin_s * 1e9) < 1:
         raise ScenarioError("metrics_bin must be at least 1ns", path,
@@ -301,11 +309,18 @@ def parse_scenario(path: str) -> ScenarioConfig:
     replication = scen.flag("replication", "on")
 
     # ---- topology -----------------------------------------------------
+    # Each value Topology rejects is checked here, at its own key.
     topo_v = require("topology")
     switches = topo_v.names("switches")
-    link_delay = topo_v.dur("link_delay", "0.5ms")
-    link_cap = topo_v.bps("link_capacity", "10Mbps")
-    host_delay = topo_v.dur("host_delay", "0.01ms")
+    sw_ln = topo_v.raw("switches")[1]
+    sw_set = set(switches)
+    if not switches:
+        raise ScenarioError("switches is empty", path, sw_ln)
+    if len(sw_set) != len(switches):
+        raise ScenarioError("duplicate name in switches", path, sw_ln)
+    link_delay = topo_v.delay_ns("link_delay", "0.5ms")
+    link_cap = topo_v.capacity("link_capacity", "10Mbps")
+    host_delay = topo_v.delay_ns("host_delay", "0.01ms")
 
     overrides = {}
     for sec in links_secs:
@@ -313,60 +328,73 @@ def parse_scenario(path: str) -> ScenarioConfig:
         if len(parts) != 3:
             raise ScenarioError(f"bad link section [{sec.name}]", path, sec.line)
         v = _View(path, sec)
-        key = tuple(sorted(parts[1:]))
-        overrides[key] = (
-            v.dur("delay", None) if v.has("delay") else None,
-            v.bps("capacity", None) if v.has("capacity") else None,
+        overrides[tuple(sorted(parts[1:]))] = (
+            v.delay_ns("delay") if v.has("delay") else link_delay,
+            v.capacity("capacity") if v.has("capacity") else link_cap,
         )
 
-    links = []
     raw_links, ll = topo_v.raw("links")
+    pairs = []
     for tok in raw_links.split():
-        if "-" not in tok:
+        u, sep, v = tok.partition("-")
+        if not (sep and _NAME.match(u) and _NAME.match(v)):
             raise ScenarioError(f"bad link {tok!r} (expected u-v)", path, ll)
-        u, _, v = tok.partition("-")
-        if u not in switches or v not in switches:
-            raise ScenarioError(f"link {tok!r} references unknown switch", path, ll)
-        d, c = overrides.get(tuple(sorted((u, v))), (None, None))
-        links.append(Link(u, v,
-                          round((d if d is not None else link_delay) * 1e9),
-                          c if c is not None else link_cap))
+        pairs.append((u, v))
+    # Links that name none of the switches point at the switch list; a
+    # single name no switch has is the link list's fault.
+    if pairs and sw_set.isdisjoint(x for pair in pairs for x in pair):
+        raise ScenarioError("no link names any of these switches", path, sw_ln)
+    links = []
+    seen_links = set()
+    for u, v in pairs:
+        if u not in sw_set or v not in sw_set:
+            raise ScenarioError(f"link '{u}-{v}' references unknown switch", path, ll)
+        key = tuple(sorted((u, v)))
+        if key in seen_links:
+            raise ScenarioError(f"duplicate link '{u}-{v}'", path, ll)
+        seen_links.add(key)
+        d, c = overrides.get(key, (link_delay, link_cap))
+        links.append(Link(u, v, d, c))
 
     hosts = []
+    nodes = set(sw_set)
     for sec in hosts_secs:
         hname = sec.name.split(".", 1)[1]
         if not _NAME.match(hname):
             raise ScenarioError(f"bad host name {hname!r}", path, sec.line)
+        if hname in nodes:
+            raise ScenarioError(f"duplicate node name {hname!r}", path, sec.line)
+        nodes.add(hname)
         v = _View(path, sec)
-        attach = v.text("attach")
-        if attach not in switches:
+        attach, attach_ln = v.raw("attach")
+        if attach not in sw_set:
             raise ScenarioError(f"host {hname} attaches to unknown switch {attach!r}",
-                                path, sec.line)
+                                path, attach_ln)
         cls_raw, cls_ln = v.raw("port_class", "any")
         if cls_raw not in _CLASSES:
             raise ScenarioError(f"bad port_class {cls_raw!r}", path, cls_ln)
-        d = v.dur("delay", None) if v.has("delay") else host_delay
-        c = v.bps("capacity", None) if v.has("capacity") else link_cap
+        d = v.delay_ns("delay") if v.has("delay") else host_delay
+        c = v.capacity("capacity") if v.has("capacity") else link_cap
         hosts.append(hname)
         # The class tags the switch-side port facing this host.
-        links.append(Link(hname, attach, round(d * 1e9), c,
-                          u_class=PortClass.ANY, v_class=_CLASSES[cls_raw]))
+        links.append(Link(hname, attach, d, c, u_class=PortClass.ANY, v_class=_CLASSES[cls_raw]))
     if not hosts:
         raise ScenarioError("scenario defines no hosts", path, 1)
 
     try:
         topology = Topology(switches, hosts, links)
-    except Exception as exc:
-        raise ScenarioError(str(exc), path, by_name["topology"].line) from None
+    except DisconnectedTopology as exc:
+        # The checks above leave connectivity, which the links decide.
+        raise ScenarioError(str(exc), path, ll) from None
 
     # ---- application ---------------------------------------------------
     app_v = require("application")
-    app_name = app_v.text("name")
+    app_name, name_ln = app_v.raw("name")
     record = APPS.get(app_name)
     if record is None:
         known = ", ".join(sorted(APPS))
         raise ScenarioError(f"unknown application {app_name!r} (known: {known})",
-                            path, by_name["application"].line)
+                            path, name_ln)
     known_keys = {"name", *(k.key for k in record.keys)}
     for key, (_, ln) in app_v.sec.items.items():
         if key not in known_keys:
@@ -395,7 +423,7 @@ def parse_scenario(path: str) -> ScenarioConfig:
             if ":" not in tok:
                 raise ScenarioError(f"bad weight {tok!r} (expected node:w)", path, wl)
             node, _, w = tok.partition(":")
-            if node not in set(switches) | set(hosts):
+            if node not in nodes:
                 raise ScenarioError(f"weight references unknown node {node!r}", path, wl)
             weights[node] = _num(path, w, wl)
             if weights[node] < 0:
@@ -419,21 +447,24 @@ def parse_scenario(path: str) -> ScenarioConfig:
             raise ScenarioError(f"duplicate flow {fname!r}", path, sec.line)
         seen_flows.add(fname)
         v = _View(path, sec)
-        src = v.text("src")
-        dst = v.text("dst")
+        src, src_ln = v.raw("src")
         if src not in hosts:
-            raise ScenarioError(f"flow {fname}: unknown src host {src!r}", path, sec.line)
+            raise ScenarioError(f"flow {fname}: unknown src host {src!r}", path, src_ln)
+        dst, dst_ln = v.raw("dst")
         if dst not in hosts:
-            raise ScenarioError(f"flow {fname}: unknown dst host {dst!r}", path, sec.line)
+            raise ScenarioError(f"flow {fname}: unknown dst host {dst!r}", path, dst_ln)
         size = v.integer("size")
         if size < 512:
             raise ScenarioError(f"flow {fname}: size below 512-bit minimum frame",
-                                path, sec.line)
+                                path, v.raw("size")[1])
         syn = v.flag("syn", "no")
         start = v.dur("start", "0")
         stop = v.dur("stop", None) if v.has("stop") else t_end
         if stop <= start:
-            raise ScenarioError(f"flow {fname}: stop must follow start", path, sec.line)
+            # Without a stop of its own the flow runs to t_end, so the
+            # start is what is out of range.
+            ln = v.raw("stop")[1] if v.has("stop") else v.raw("start", "0")[1]
+            raise ScenarioError(f"flow {fname}: stop must follow start", path, ln)
         raw_rate, rate_ln = v.raw("rate")
         segs = _parse_rate_steps(path, raw_rate, rate_ln, start)
         if any(t >= stop for t, _ in segs[1:]):

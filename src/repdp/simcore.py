@@ -26,9 +26,11 @@ departures never decrease, so the queue is full exactly when the oldest
 of them is still in the future. Controller messages travel out of band
 with a fixed delay and consume no link capacity.
 
-Per-packet accounting goes into `metrics.Accumulators`, plain Python
-ints, while the loop runs; every return from `run_until` publishes it
-onto the `MetricsLog` as numpy int64 arrays.
+Per-packet accounting writes straight into the `MetricsLog`'s plain
+int lists. A binned row's index is `t // bin_ns`; only an event at
+exactly the horizon lands in the slot past the last bin, and every
+return from `run_until` folds that slot into the last bin and zeroes
+it, so a resumed run keeps counting right.
 
 A whole run is usually one `run_until` call, so its loop ends in an
 unconditional jump back: CPython 3.11 specializes a code object only
@@ -46,7 +48,7 @@ from heapq import heappop, heappush
 from .apps import RateEstimatorWindow
 from .compiler import reduction_steps
 from .errors import InvalidParameter, SimulationError
-from .metrics import CONTROLLER_DELAY_NS, Accumulators, MetricsLog
+from .metrics import CONTROLLER_DELAY_NS, MetricsLog
 from .model import (
     CONTROLLER_PORT,
     ActionKind,
@@ -88,7 +90,7 @@ class LinkDir:
 
     `far` is the switch at the far end (None for a host) and `cls` the
     port class a packet takes on entering it. `data` and `repl` are the
-    direction's binned accumulator rows, bound when the run starts.
+    direction's binned rows of the run's log, bound when the run starts.
     `ring` holds the departure times of the last `queue_limit` packets
     admitted, `head` indexing the oldest; `Simulator._send` admits and
     times packets on it.
@@ -256,7 +258,6 @@ class Simulator:
         self.trace: list[str] | None = [] if collect_trace else None
         self.t_now = 0
         self.log: MetricsLog | None = None
-        self._acc: Accumulators | None = None
         self.flows: list[FlowRT] = []
         self._flow_names: set[str] = set()
         self._heap: list = []
@@ -450,16 +451,15 @@ class Simulator:
             for s, o in self._origin_name.items()}
         log.plan_text = self.plan_text
         self.log = log
-        self._acc = acc = Accumulators(log)
         for ld in self._links:
-            ld.data = acc.data_bits[ld.row]
-            ld.repl = acc.repl_bits[ld.row]
+            ld.data = log.data_bits[ld.row]
+            ld.repl = log.repl_bits[ld.row]
 
     def run_until(self, t_end_s=None) -> MetricsLog:
         """Process every event up to t_end_s (default: the horizon).
 
         A later call resumes where this one stopped. On return the log's
-        arrays hold the totals so far as numpy int64.
+        counters hold the totals so far.
         """
         if self.log is None:
             self._build_log()
@@ -472,8 +472,8 @@ class Simulator:
         on_data = self._on_data
         on_update = self._on_update
         emit_flow = self._emit_flow
-        delivered = self._acc.flow_delivered
-        flow_bits = self._acc.flow_bits
+        delivered = log.flow_delivered
+        flow_bits = log.flow_bits
         bin_ns = self.bin_ns
         link_dir = LinkDir
         t_now = self.t_now
@@ -521,7 +521,12 @@ class Simulator:
         finally:
             self.t_now = t_now
             log.events_processed += events
-            self._acc.publish(log)
+            # Fold the horizon slot into the last bin.
+            n = log.n_bins
+            for row in itertools.chain(log.data_bits, log.repl_bits, flow_bits):
+                if row[n]:
+                    row[n - 1] += row[n]
+                    row[n] = 0
         return log
 
     def _emit_flow(self, fl: FlowRT, t: int):
@@ -529,7 +534,7 @@ class Simulator:
             return
         uid = self._uid
         self._uid = uid + 1
-        self._acc.flow_sent[fl.row] += 1
+        self.log.flow_sent[fl.row] += 1
         out = fl.out
         self._send(out, Packet(uid, fl.row, fl.dst, fl.dst_switch, fl.size_bits, fl.syn,
                                fl.monitor, out.cls), t)
@@ -560,10 +565,10 @@ class Simulator:
         ring = ld.ring
         i = ld.head
         if ring[i] > t:
-            acc = self._acc
-            acc.queue_drops[ld.row] += 1
+            log = self.log
+            log.queue_drops[ld.row] += 1
             if pkt.flow >= 0:
-                acc.flow_queue_drops[pkt.flow] += 1
+                log.flow_queue_drops[pkt.flow] += 1
             if self.trace is not None:
                 self.trace.append(f"{t} drop_queue {ld.src} uid={pkt.uid} to={ld.dst}")
             return None
@@ -674,7 +679,7 @@ class Simulator:
             if not fired:
                 continue
             if tr.kind is ActionKind.DROP_PACKET:
-                self._acc.flow_app_drops[pkt.flow] += 1
+                self.log.flow_app_drops[pkt.flow] += 1
                 if self.trace is not None:
                     self.trace.append(f"{t} drop_app {sw.name} uid={pkt.uid}")
                 return _DROPPED
@@ -684,7 +689,7 @@ class Simulator:
             if sel == CONTROLLER_PORT:
                 self.log.controller_redirects.append(
                     (t, sw.name, self.flows[pkt.flow].name))
-                self._acc.flow_app_drops[pkt.flow] += 1
+                self.log.flow_app_drops[pkt.flow] += 1
                 return _DROPPED
             if tr.egress_map is None or not (0 <= sel < len(tr.egress_map)):
                 continue

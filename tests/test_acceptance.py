@@ -74,7 +74,8 @@ def core_window_sums(cfg, log):
     """(data_bits, repl_bits) on switch-switch links, steady-state window."""
     core = log.core_rows(cfg.topology.is_switch)
     sl = log.window_slice()
-    return int(log.data_bits[core, sl].sum()), int(log.repl_bits[core, sl].sum())
+    return (sum(sum(log.data_bits[i][sl]) for i in core),
+            sum(sum(log.repl_bits[i][sl]) for i in core))
 
 
 def staleness_bound_ns(plan):

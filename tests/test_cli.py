@@ -2,8 +2,8 @@
 
 import csv
 import os
+import re
 
-import numpy as np
 import pytest
 
 from repdp import read_metrics_dir
@@ -115,6 +115,24 @@ BAD_NUMBERS = {
     # An infeasible budget cites the budget's key, whatever overran it.
     "link_delay_over_budget": ("fig7_ddos_c2.scn", "link_delay = 0.5ms", "link_delay = 1e30",
                                "epsilon_t = 14ms"),
+    "t_end_below_1ns": ("fig8_ratelimit.scn", "t_end = 60", "t_end = 1e-10"),
+    # Hosts, flows, the topology and the application name.
+    "attach_unknown": ("fig8_ratelimit.scn", "attach = sw4", "attach = sw9"),
+    "flow_src_unknown": ("fig8_ratelimit.scn", "src = as1", "src = x"),
+    "flow_dst_unknown": ("fig8_ratelimit.scn", "dst = c3", "dst = x"),
+    "flow_size_below_frame": ("fig8_ratelimit.scn", "size = 10000", "size = 100"),
+    "flow_start_after_t_end": ("fig8_ratelimit.scn", "start = 20", "start = 1e30"),
+    # The stop takes the start's line, and the start moves down one.
+    "flow_stop_before_start": ("fig8_ratelimit.scn", "start = 20", "stop = 10\nstart = 20"),
+    "link_delay_zero": ("fig8_ratelimit.scn", "link_delay = 0.5ms", "link_delay = 0"),
+    "link_capacity_negative": ("fig8_ratelimit.scn", "link_capacity = 10Mbps",
+                               "link_capacity = -1"),
+    "host_delay_below_1ns": ("fig8_ratelimit.scn", "host_delay = 0.01ms",
+                             "host_delay = 1e-10"),
+    "switches_unlinked": ("fig8_ratelimit.scn", "switches = sw1 sw2 sw3 sw4", "switches = x"),
+    "links_disconnected": ("fig8_ratelimit.scn", "links = sw1-sw2 sw2-sw3 sw3-sw4 sw1-sw4",
+                           "links = sw1-sw2 sw3-sw4"),
+    "application_unknown": ("fig8_ratelimit.scn", "name = ratelimit", "name = x"),
 }
 
 
@@ -132,6 +150,38 @@ def test_bad_number_is_exit_1_at_its_line(tmp_path, capsys, case):
     err = capsys.readouterr().err
     line = lines.index(cited[0] if cited else line_text) + 1
     assert err.startswith(f"error: {p}:{line}: "), err
+
+
+MUTANT_VALUES = ("nan", "inf", "-1", "0", "1e30", "", "x", "1e-10", "-0")
+
+
+@pytest.mark.parametrize("scenario", ["fig7_ddos_c2.scn", "fig8_ratelimit.scn"])
+def test_every_mutated_value_is_valid_or_exit_1_at_its_line(tmp_path, capsys, scenario):
+    # Each `key = value` line in turn takes each value above. The mutant
+    # validates, or exits 1 citing the mutated line; an infeasible budget
+    # may cite its budget key instead.
+    with open(os.path.join(SCENARIOS, scenario)) as fh:
+        lines = fh.read().splitlines()
+    budget_lines = {n for n, line in enumerate(lines, 1) if line.startswith("epsilon_")}
+    p = tmp_path / scenario
+    mutants, failures = 0, []
+    for n, line in enumerate(lines, 1):
+        key = re.match(r"([A-Za-z_]\w*)\s*=", line)
+        if key is None:
+            continue
+        for value in MUTANT_VALUES:
+            mutants += 1
+            p.write_text("\n".join([*lines[:n - 1], f"{key[1]} = {value}", *lines[n:]]))
+            rc = main(["validate", str(p)])
+            err = capsys.readouterr().err
+            if rc == 0:
+                continue
+            cited = re.match(rf"error: {re.escape(str(p))}:(\d+): ", err)
+            allowed = {n} | (budget_lines if "budget" in err else set())
+            if rc != 1 or cited is None or int(cited[1]) not in allowed:
+                failures.append(f"line {n} {key[1]} = {value!r}: exit {rc}: {err.strip()}")
+    assert mutants > 9 * 40
+    assert not failures, "\n".join(failures)
 
 
 def test_infeasible_budget_is_exit_1(tmp_path, capsys):
@@ -241,8 +291,8 @@ def test_read_metrics_dir_round_trip(run_dir, scn_file):
     back = read_metrics_dir(run_dir)
     assert back.link_dirs == live.link_dirs
     assert back.flow_names == live.flow_names
-    assert np.array_equal(back.data_bits, live.data_bits)
-    assert np.array_equal(back.repl_bits, live.repl_bits)
-    assert np.array_equal(back.flow_bits, live.flow_bits)
+    assert back.data_bits == live.data_bits
+    assert back.repl_bits == live.repl_bits
+    assert back.flow_bits == live.flow_bits
     assert back.detections == live.detections
     assert back.replica_memory == live.replica_memory

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repdp import (
+    InvalidParameter,
     RateEstimatorWindow,
     ReplicaStore,
     StateIdRegistry,
@@ -135,7 +136,7 @@ def test_packet_trigger_counts_packets():
 
 
 def test_trigger_rejects_bad_mode():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameter):
         UpdateTrigger("sideways")
 
 

@@ -207,6 +207,22 @@ def test_link_references_unknown_switch(tmp_path):
     expect_error(tmp_path, text, "unknown switch", at_line=line_of(text, "s1-s9"))
 
 
+@pytest.mark.parametrize("old, new, needle, cited", [
+    ("switches = s1 s2", "switches = s1 s2 s1", "duplicate name", "switches"),
+    ("links = s1-s2", "links = s1-s2 s2-s1", "duplicate link", "links"),
+    ("[host.h2]", "[host.s2]", "duplicate node name", "[host.s2]"),
+    ("attach = s1", "attach = s1\ncapacity = 0", "capacity must be", "capacity = 0"),
+    ("[host.h1]", "[link.s1.s2]\ndelay = 0.1ns\n[host.h1]", "delay must be", "0.1ns"),
+    ("links = s1-s2", "links = s1-s2\nlink_delay = 1e400s", "finite", "1e400"),
+    ("rate = 10", "rate = 10 @1.2.3:20", "number", "@1.2.3"),
+], ids=["duplicate_switch", "duplicate_link", "host_named_like_a_switch",
+        "host_capacity_zero", "link_delay_override_below_1ns", "duration_overflow",
+        "rate_step_not_a_number"])
+def test_topology_and_number_errors_cite_their_line(tmp_path, old, new, needle, cited):
+    text = BASE.replace(old, new)
+    expect_error(tmp_path, text, needle, at_line=line_of(text, cited))
+
+
 def test_bad_link_token(tmp_path):
     text = BASE.replace("links = s1-s2", "links = s1_s2")
     expect_error(tmp_path, text, "expected u-v", at_line=line_of(text, "s1_s2"))

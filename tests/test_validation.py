@@ -37,6 +37,7 @@ INVALID = {
     "time_trigger_negative_tau": lambda: UpdateTrigger("time", tau_ns=-1),
     "packet_trigger_without_period": lambda: UpdateTrigger("packet"),
     "packet_trigger_zero_period": lambda: UpdateTrigger("packet", packet_period=0),
+    "trigger_unknown_mode": lambda: UpdateTrigger("bogus", tau_ns=1, packet_period=1),
     "mean_of_none_at_build": lambda: build_dag(mean_of_nothing()),
     "resourcelb_threshold_above_one": lambda: make_resource_lb_app(2, 1.5),
     "resourcelb_threshold_zero": lambda: make_resource_lb_app(2, 0.0),
