@@ -74,12 +74,14 @@ class RateEstimatorWindow:
         self.cur_count = 0
 
     def observe(self, t_ns: int, increment: int = 1):
-        self._advance(t_ns)
+        if t_ns // self.delta_ns != self.cur_slot:
+            self._advance(t_ns)
         self.cur_count += increment
 
     def read(self, t_ns: int) -> int:
         """Estimated rate in events per second (integer floor)."""
-        self._advance(t_ns)
+        if t_ns // self.delta_ns != self.cur_slot:
+            self._advance(t_ns)
         return self.total * 1_000_000_000 // (self.window * self.delta_ns)
 
 

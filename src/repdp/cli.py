@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 scenario/validation errors, 2 runtime errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -33,6 +34,8 @@ def _add_common(p, with_seed=True):
                        help="override the simulated horizon (seconds)")
 
 
+# Built once per process: in-process callers (the tests) call main often.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="repdp",
                                  description="replicated-dataplane application simulator")

@@ -67,6 +67,8 @@ class Topology:
         for ln in self.links:
             if ln.u not in names or ln.v not in names:
                 raise DisconnectedTopology(f"link endpoint unknown: {ln.u}-{ln.v}")
+            if ln.u == ln.v:
+                raise DisconnectedTopology(f"link {ln.u}-{ln.v} connects a node to itself")
             if ln.delay_ns <= 0 or ln.capacity_bps <= 0:
                 raise DisconnectedTopology(f"link {ln.u}-{ln.v}: delay and capacity must be > 0")
             if ln.v in self.adj[ln.u]:

@@ -349,6 +349,8 @@ def parse_scenario(path: str) -> ScenarioConfig:
     for u, v in pairs:
         if u not in sw_set or v not in sw_set:
             raise ScenarioError(f"link '{u}-{v}' references unknown switch", path, ll)
+        if u == v:
+            raise ScenarioError(f"link '{u}-{v}' connects a switch to itself", path, ll)
         key = tuple(sorted((u, v)))
         if key in seen_links:
             raise ScenarioError(f"duplicate link '{u}-{v}'", path, ll)

@@ -12,7 +12,11 @@ pipeline per packet, one handler per packet kind:
      flooded along the distribution tree (minus the ingress port);
   2. data packets hitting their measurement switch feed the matching
      state estimators, then per-packet activities (policing, steering,
-     rule insertion) and edge-triggered controller notifications run;
+     rule insertion) and edge-triggered controller notifications run.
+     What a scope matches (the port class a packet enters the network
+     on, its SYN flag, its destination) is constant per flow, so each
+     flow's monitors, packet triggers and egress monitors are resolved
+     once, when the run starts, and the pipeline only walks them;
   3. the packet is forwarded (measurement detour first, then pinned
      flow rules, then shortest path to destination); routes, flow
      rules and egress maps resolve straight to a link;
@@ -23,8 +27,10 @@ Links model store-and-forward serialization plus propagation delay with
 a bounded egress queue; overflow drops the packet. A link keeps the
 departure times of its last `queue_limit` admitted packets in a ring:
 departures never decrease, so the queue is full exactly when the oldest
-of them is still in the future. Controller messages travel out of band
-with a fixed delay and consume no link capacity.
+of them is still in the future. The newest is kept apart as the time
+the link falls idle: a packet that finds the link idle finds its queue
+empty and is admitted without reading the ring. Controller messages
+travel out of band with a fixed delay and consume no link capacity.
 
 Per-packet accounting writes straight into the `MetricsLog`'s plain
 int lists. A binned row's index is `t // bin_ns`; only an event at
@@ -41,6 +47,7 @@ after calls or plain backward jumps have warmed it, and a conditional
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from array import array
 from heapq import heappop, heappush
@@ -92,12 +99,16 @@ class LinkDir:
     port class a packet takes on entering it. `data` and `repl` are the
     direction's binned rows of the run's log, bound when the run starts.
     `ring` holds the departure times of the last `queue_limit` packets
-    admitted, `head` indexing the oldest; `Simulator._send` admits and
-    times packets on it.
+    admitted, `head` indexing the oldest, and `busy` the newest, when the
+    link falls idle; `Simulator._send` admits and times packets on it,
+    and reads the ring only while the link is busy. `egress` maps a flow
+    row to the monitors of this link's switch that count the flow's
+    packets sent on it, resolved when the run starts (None: no egress
+    monitor watches the link).
     """
 
     __slots__ = ("src", "dst", "delay_ns", "capacity_bps", "row", "far", "cls",
-                 "data", "repl", "ring", "head")
+                 "data", "repl", "ring", "head", "busy", "egress")
 
     def __init__(self, src, dst, delay_ns, capacity_bps, queue_limit, row, far, cls):
         self.src = src
@@ -111,20 +122,21 @@ class LinkDir:
         self.repl: list[int] | None = None
         self.ring = array("q", bytes(8 * queue_limit))
         self.head = 0
+        self.busy = 0
+        self.egress: dict[int, tuple[_Monitor, ...]] | None = None
 
 
 class Packet:
     """A data packet or an update frame in flight. `monitor` is the
     measurement switch still ahead of a data packet: None once the
-    packet has been measured there, or if it has none. `net_class` is
-    the port class of the packet's first switch hop."""
+    packet has been measured there, or if it has none."""
 
     __slots__ = ("uid", "flow", "dst", "dst_switch", "size_bits", "syn",
                  "is_update", "headers", "origin_ts", "origin_writes",
-                 "monitor", "net_class")
+                 "monitor")
 
     def __init__(self, uid, flow, dst, dst_switch, size_bits, syn,
-                 monitor=None, net_class=None, is_update=False, headers=(),
+                 monitor=None, is_update=False, headers=(),
                  origin_ts=0, origin_writes=0):
         self.uid = uid
         self.flow = flow
@@ -137,18 +149,20 @@ class Packet:
         self.origin_ts = origin_ts
         self.origin_writes = origin_writes
         self.monitor = monitor
-        self.net_class = net_class
 
 
 class FlowRT:
     """A flow's generator state. `segments` holds (start_ns, rate_pps)
     pairs and `out` is the source host's link. The current segment's
     start and rate, and the next segment's start (None after the last),
-    are kept unpacked for the per-packet path."""
+    are kept unpacked for the per-packet path. `monitors` and `triggers`
+    are the monitors and packet triggers of the measurement switch whose
+    scope the flow matches, in the switch's order, resolved when the run
+    starts."""
 
     __slots__ = ("row", "name", "src", "dst", "dst_switch", "size_bits", "syn",
                  "segments", "stop_ns", "monitor", "out", "seg", "k",
-                 "seg_start", "rate", "next_start")
+                 "seg_start", "rate", "next_start", "monitors", "triggers")
 
     def __init__(self, row, name, src, dst, dst_switch, size_bits, syn,
                  segments, stop_ns, monitor, out):
@@ -163,6 +177,8 @@ class FlowRT:
         self.stop_ns = stop_ns
         self.monitor = monitor
         self.out = out
+        self.monitors: tuple[_Monitor, ...] = ()
+        self.triggers: tuple[_TriggerRT, ...] = ()
         self.enter(0)
 
     def enter(self, seg: int):
@@ -211,6 +227,13 @@ class _Monitor:
         self.use_bits = use_bits
 
 
+def _scoped(elements, fl: FlowRT) -> tuple:
+    """The monitors or triggers among `elements` whose scope matches the
+    flow's packets: their port class on entering the network, SYN flag
+    and destination."""
+    return tuple(e for e in elements if e.scope.matches(fl.out.cls, fl.syn, fl.dst))
+
+
 class SwitchRT:
     __slots__ = ("name", "sw_id", "name_id", "ports", "route", "flood", "store",
                  "monitors", "egress_monitors", "packet_triggers", "change_triggers",
@@ -231,7 +254,8 @@ class SwitchRT:
         self.flood: dict[str | None, tuple[LinkDir, ...]] = {}
         self.store: ReplicaStore | None = None
         self.monitors: list[_Monitor] = []
-        # Monitors of the traffic forwarded on each egress link.
+        # Monitors of the traffic forwarded on each egress link; each
+        # link's `egress` holds what they match per flow.
         self.egress_monitors: dict[LinkDir, list[_Monitor]] = {}
         self.packet_triggers: list[_TriggerRT] = []
         self.change_triggers: list[_TriggerRT] = []
@@ -249,6 +273,8 @@ class Simulator:
                  queue_limit=100, collect_trace=False, replication_enabled=True):
         if queue_limit < 1:
             raise InvalidParameter(f"queue_limit must be at least 1, got {queue_limit}")
+        if not math.isfinite(t_end_s) or round(t_end_s * 1e9) < 1:
+            raise InvalidParameter(f"t_end must be a finite time of at least 1ns, got {t_end_s} s")
         self.topo = topo
         self.seed = seed
         self.t_end_ns = round(t_end_s * 1e9)
@@ -258,6 +284,7 @@ class Simulator:
         self.trace: list[str] | None = [] if collect_trace else None
         self.t_now = 0
         self.log: MetricsLog | None = None
+        self._flow_sent: list[int] = []
         self.flows: list[FlowRT] = []
         self._flow_names: set[str] = set()
         self._heap: list = []
@@ -307,6 +334,8 @@ class Simulator:
         """
         if self._app_installed:
             raise SimulationError("an application is already installed")
+        if self.log is not None:
+            raise SimulationError("the application must be installed before the run starts")
         self._app_installed = True
         app = dag.app
         egress_observers = egress_observers or {}
@@ -451,9 +480,20 @@ class Simulator:
             for s, o in self._origin_name.items()}
         log.plan_text = self.plan_text
         self.log = log
+        self._flow_sent = log.flow_sent
         for ld in self._links:
             ld.data = log.data_bits[ld.row]
             ld.repl = log.repl_bits[ld.row]
+        # Flows and the application are final now, and a scope sees only
+        # a flow's constants: match each flow against the scopes once.
+        for fl in self.flows:
+            rt = self.switch_rt.get(fl.monitor)
+            if rt is not None:
+                fl.monitors = _scoped(rt.monitors, fl)
+                fl.triggers = _scoped(rt.packet_triggers, fl)
+        for rt in self.switch_rt.values():
+            for ld, mons in rt.egress_monitors.items():
+                ld.egress = {fl.row: m for fl in self.flows if (m := _scoped(mons, fl))}
 
     def run_until(self, t_end_s=None) -> MetricsLog:
         """Process every event up to t_end_s (default: the horizon).
@@ -461,6 +501,8 @@ class Simulator:
         A later call resumes where this one stopped. On return the log's
         counters hold the totals so far.
         """
+        if t_end_s is not None and not math.isfinite(t_end_s):
+            raise InvalidParameter(f"run_until needs a finite time, got {t_end_s} s")
         if self.log is None:
             self._build_log()
         t_end = self.t_end_ns if t_end_s is None else round(t_end_s * 1e9)
@@ -534,10 +576,9 @@ class Simulator:
             return
         uid = self._uid
         self._uid = uid + 1
-        self.log.flow_sent[fl.row] += 1
-        out = fl.out
-        self._send(out, Packet(uid, fl.row, fl.dst, fl.dst_switch, fl.size_bits, fl.syn,
-                               fl.monitor, out.cls), t)
+        self._flow_sent[fl.row] += 1
+        self._send(fl.out, Packet(uid, fl.row, fl.dst, fl.dst_switch, fl.size_bits, fl.syn,
+                                  fl.monitor), t)
         # Schedule the segment's next packet, or once it would reach the
         # next segment, that segment's start.
         nxt = fl.next_start
@@ -561,10 +602,12 @@ class Simulator:
         The queue holds the packets not yet fully serialized, the one in
         service included. The ring keeps the last queue_limit departure
         times, so the queue is full iff the oldest of them is after t.
+        The oldest is never after the newest, `busy`, so an idle link
+        admits without reading it.
         """
-        ring = ld.ring
+        busy = ld.busy
         i = ld.head
-        if ring[i] > t:
+        if busy > t and ld.ring[i] > t:
             log = self.log
             log.queue_drops[ld.row] += 1
             if pkt.flow >= 0:
@@ -572,13 +615,12 @@ class Simulator:
             if self.trace is not None:
                 self.trace.append(f"{t} drop_queue {ld.src} uid={pkt.uid} to={ld.dst}")
             return None
-        # The newest departure, ring[i - 1], is when the link falls idle.
-        busy_until = ring[i - 1]
         size = pkt.size_bits
-        end = (t if t > busy_until else busy_until) + size * 1_000_000_000 // ld.capacity_bps
-        ring[i] = end
+        end = (busy if busy > t else t) + size * 1_000_000_000 // ld.capacity_bps
+        ld.ring[i] = end
+        ld.busy = end
         i += 1
-        ld.head = 0 if i == len(ring) else i
+        ld.head = 0 if i == self.queue_limit else i
         (ld.repl if pkt.is_update else ld.data)[t // self.bin_ns] += size
         arr = end + ld.delay_ns
         heappush(self._heap, (arr, next(self._seq), ld, pkt))
@@ -664,13 +706,12 @@ class Simulator:
         the packet triggers. Returns the link a trigger steers the
         packet to, None to forward it as usual, or _DROPPED."""
         pkt.monitor = None
-        self._feed(sw, sw.monitors, pkt, t)
+        fl = self.flows[pkt.flow]
+        if fl.monitors:
+            self._feed(sw, fl.monitors, pkt, t)
         store = sw.store
-        nc = pkt.net_class
         override = None
-        for tr in sw.packet_triggers:
-            if not tr.scope.matches(nc, pkt.syn, pkt.dst):
-                continue
+        for tr in fl.triggers:
             v = store.read_global(tr.output, t)
             if tr.pred.kind is PredicateKind.PROBABILISTIC:
                 fired = sw.rng.random() < tr.pred.fire_probability(v)
@@ -687,8 +728,7 @@ class Simulator:
             if tr.selector is not None:
                 sel = store.read_global(tr.selector, t)
             if sel == CONTROLLER_PORT:
-                self.log.controller_redirects.append(
-                    (t, sw.name, self.flows[pkt.flow].name))
+                self.log.controller_redirects.append((t, sw.name, fl.name))
                 self.log.flow_app_drops[pkt.flow] += 1
                 return _DROPPED
             if tr.egress_map is None or not (0 <= sel < len(tr.egress_map)):
@@ -710,8 +750,9 @@ class Simulator:
             rules = sw.flow_rules
             out = (rules and rules.get(pkt.dst)) or sw.route[pkt.dst_switch] or sw.ports[pkt.dst]
         if out is not _DROPPED:
-            if sw.egress_monitors and out in sw.egress_monitors:
-                self._feed(sw, sw.egress_monitors[out], pkt, t)
+            egress = out.egress
+            if egress is not None and pkt.flow in egress:
+                self._feed(sw, egress[pkt.flow], pkt, t)
             if self.trace is not None:
                 self.trace.append(f"{t} fwd {sw.name} uid={pkt.uid} out={out.dst}")
             self._send(out, pkt, t)
@@ -719,20 +760,18 @@ class Simulator:
             self._emit_updates(sw, t)
 
     def _feed(self, sw: SwitchRT, monitors, pkt: Packet, t: int):
-        """Count `pkt` into each monitor whose scope matches it, then let
-        the change triggers see what was written."""
+        """Count `pkt` into `monitors`, a non-empty tuple of those whose
+        scope its flow matches, then let the change triggers see what
+        was written."""
         store = sw.store
-        wrote = False
         for m in monitors:
-            if m.scope.matches(pkt.net_class, pkt.syn, pkt.dst):
-                inc = pkt.size_bits if m.use_bits else 1
-                if m.est is not None:
-                    m.est.observe(t, inc)
-                    store.note_write(m.state, t)
-                else:
-                    store.write_local(m.state, store.local_value(m.state, t) + inc, t)
-                wrote = True
-        if wrote and sw.change_triggers:
+            inc = pkt.size_bits if m.use_bits else 1
+            if m.est is not None:
+                m.est.observe(t, inc)
+                store.note_write(m.state, t)
+            else:
+                store.write_local(m.state, store.local_value(m.state, t) + inc, t)
+        if sw.change_triggers:
             self._eval_change_triggers(sw, t)
 
     def save_trace(self, path: str):

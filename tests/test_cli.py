@@ -226,6 +226,16 @@ def test_run_horizon_override(tmp_path, scn_file):
     assert read_counters(str(d))["t_end_ns"] == 2_000_000_000
 
 
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+@pytest.mark.parametrize("t_end", ["nan", "inf", "-1", "0", "1e-10"])
+def test_bad_horizon_override_is_exit_1_and_writes_nothing(tmp_path, scn_file, capsys,
+                                                           verb, t_end):
+    d = tmp_path / "out"
+    assert main([verb, scn_file, "--out-dir", str(d), f"--t-end={t_end}"]) == 1
+    assert "error: t_end must be" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

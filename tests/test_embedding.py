@@ -72,6 +72,8 @@ def test_topology_rejects_bad_shapes():
             ("h",),
             good + [Link("h", "a", 1000, 1_000_000), Link("h", "b", 1000, 1_000_000)],
         )  # host with two attachments
+    with pytest.raises(DisconnectedTopology, match="to itself"):
+        Topology(("a", "b"), (), good + [Link("a", "a", 1000, 1_000_000)])  # self-loop
 
 
 def test_next_hop_breaks_ties_by_name():

@@ -210,12 +210,13 @@ def test_link_references_unknown_switch(tmp_path):
 @pytest.mark.parametrize("old, new, needle, cited", [
     ("switches = s1 s2", "switches = s1 s2 s1", "duplicate name", "switches"),
     ("links = s1-s2", "links = s1-s2 s2-s1", "duplicate link", "links"),
+    ("links = s1-s2", "links = s1-s2 s1-s1", "to itself", "links"),
     ("[host.h2]", "[host.s2]", "duplicate node name", "[host.s2]"),
     ("attach = s1", "attach = s1\ncapacity = 0", "capacity must be", "capacity = 0"),
     ("[host.h1]", "[link.s1.s2]\ndelay = 0.1ns\n[host.h1]", "delay must be", "0.1ns"),
     ("links = s1-s2", "links = s1-s2\nlink_delay = 1e400s", "finite", "1e400"),
     ("rate = 10", "rate = 10 @1.2.3:20", "number", "@1.2.3"),
-], ids=["duplicate_switch", "duplicate_link", "host_named_like_a_switch",
+], ids=["duplicate_switch", "duplicate_link", "self_loop_link", "host_named_like_a_switch",
         "host_capacity_zero", "link_delay_override_below_1ns", "duration_overflow",
         "rate_step_not_a_number"])
 def test_topology_and_number_errors_cite_their_line(tmp_path, old, new, needle, cited):

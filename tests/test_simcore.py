@@ -10,8 +10,10 @@ import sys
 import pytest
 
 from repdp import (
+    ActionKind,
     InvalidParameter,
     Link,
+    ScopeFilter,
     SimulationError,
     Simulator,
     Topology,
@@ -129,6 +131,19 @@ def test_link_admission_matches_the_deque_model(queue_limit, capacity_bps):
 def test_queue_limit_below_one_is_rejected(queue_limit):
     with pytest.raises(InvalidParameter):
         Simulator(line_topo(), t_end_s=1.0, queue_limit=queue_limit)
+
+
+@pytest.mark.parametrize("t_end_s", [float("nan"), float("inf"), -1.0, 0.0, 1e-10])
+def test_horizon_must_be_finite_and_at_least_1ns(t_end_s):
+    with pytest.raises(InvalidParameter, match="t_end"):
+        Simulator(line_topo(), t_end_s=t_end_s)
+
+
+@pytest.mark.parametrize("t_s", [float("nan"), float("inf"), float("-inf")])
+def test_run_until_rejects_a_non_finite_time(t_s):
+    sim = Simulator(line_topo(), t_end_s=1.0)
+    with pytest.raises(InvalidParameter):
+        sim.run_until(t_s)
 
 
 def test_duplicate_flow_name_is_rejected():
@@ -478,6 +493,149 @@ def test_second_install_app_is_rejected(ddos_cfg):
     with pytest.raises(SimulationError, match="already installed"):
         built.sim.install_app(built.dag, built.program, built.placement, built.plan,
                               built.rules)
+
+
+def test_install_app_after_the_run_starts_is_rejected(ddos_cfg):
+    # Each flow's scope matches are resolved when the run starts.
+    built = build_simulation(ddos_cfg)
+    sim = Simulator(ddos_cfg.topology, t_end_s=1.0)
+    sim.run_until(0.0)
+    with pytest.raises(SimulationError, match="before the run starts"):
+        sim.install_app(built.dag, built.program, built.placement, built.plan, built.rules)
+
+
+def test_scopes_are_matched_only_when_the_run_starts(monkeypatch):
+    sim = build_simulation(parse_scenario(FIG8), t_end_s=22.0).sim
+    calls = []
+    matches = ScopeFilter.matches
+    monkeypatch.setattr(ScopeFilter, "matches",
+                        lambda self, *args: calls.append(args) or matches(self, *args))
+    sim.run_until(0.0)
+    # Two flows, each against the one state and the one police trigger
+    # of its measurement switch.
+    assert len(calls) == 4
+    log = sim.run_until()
+    assert len(calls) == 4
+    assert min(log.flow_sent) > 500 and sum(log.flow_app_drops) > 0
+
+
+SCOPE_MISSES = """
+format_version = 1
+
+[scenario]
+name = scope_misses
+seed = 5
+t_end = 3
+metrics_bin = 0.5
+
+[topology]
+switches = sw1 sw2
+links = sw1-sw2
+link_delay = 0.5ms
+link_capacity = 10Mbps
+
+[host.ext]
+attach = sw1
+port_class = external
+
+[host.local]
+attach = sw1
+port_class = downlink
+
+[host.dst]
+attach = sw2
+port_class = downlink
+
+{app}
+
+[flow.f_syn]
+src = ext
+dst = dst
+size = 10000
+syn = yes
+start = 0
+stop = 2.5
+rate = 300
+
+[flow.f_ack]
+src = ext
+dst = dst
+size = 10000
+syn = no
+start = 0.1
+stop = 2.5
+rate = 100
+
+[flow.f_local]
+src = local
+dst = dst
+size = 10000
+syn = yes
+start = 0.2
+stop = 2.5
+rate = 200
+"""
+
+SCOPE_MISS_APPS = {
+    # External SYNs only: f_ack misses on the L4 flag, f_local on the
+    # port class it enters on.
+    "ddos": ("""[application]
+name = ddos
+threshold = 1000000
+epsilon_t = 14ms
+
+[embedding]
+replicas = 2
+r_min = 100
+""", {"f_syn"}),
+    # External traffic of any kind is counted and policed; f_local is
+    # neither.
+    "ratelimit": ("""[application]
+name = ratelimit
+limit = 1Mbps
+epsilon_r = 10
+max_write_rate = 625
+
+[embedding]
+replicas = 1
+r_min = 250
+""", {"f_syn", "f_ack"}),
+}
+
+
+@pytest.mark.parametrize("app", SCOPE_MISS_APPS)
+def test_per_flow_plan_matches_brute_force_scopes(tmp_path, app):
+    text, matched = SCOPE_MISS_APPS[app]
+    cfg = write_scenario(tmp_path, SCOPE_MISSES.format(app=text))
+    built = build_simulation(cfg)
+    sim, topo = built.sim, cfg.topology
+    log = sim.run_until()
+    assert not any(log.queue_drops)
+    acts = {a.name: a for a in built.app.activities}
+    writes = {cs.name: 0 for cs in built.program.states}
+    seen = set()
+    for f, fl in zip(cfg.flows, sim.flows):
+        sw = topo.attached_switch(f.src)
+        pkt = (topo.adj[f.src][sw].port_class(sw), f.syn, f.dst)
+        states = [cs.name for cs in built.program.states
+                  if built.placement.origin[cs.name] == fl.monitor and cs.scope.matches(*pkt)]
+        triggers = [tr.name for tr in built.app.triggers
+                    if acts[tr.activity].action is not ActionKind.NOTIFY_CONTROLLER
+                    and acts[tr.activity].scope.matches(*pkt)]
+        assert [m.state for m in fl.monitors] == states, f.name
+        assert [tr.name for tr in fl.triggers] == triggers, f.name
+        if states:
+            seen.add(f.name)
+        # Every packet reaches its measurement switch before the horizon.
+        for s in states:
+            writes[s] += log.flow_sent[fl.row]
+        policed = any(acts[tr.activity].action is ActionKind.DROP_PACKET
+                      for tr in built.app.triggers if tr.name in triggers)
+        assert (log.flow_app_drops[fl.row] > 0) == policed, f.name
+    assert seen == matched
+    for cs in built.program.states:
+        store = sim.switch_rt[built.placement.origin[cs.name]].store
+        assert store.local_writes[cs.name] == writes[cs.name], cs.name
 
 
 def test_different_seed_changes_policing(tmp_path):
