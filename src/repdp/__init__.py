@@ -90,7 +90,6 @@ from .replication import (
     UpdateTrigger,
     decode_update,
     encode_update,
-    flood_ports,
     update_frame_bits,
 )
 from .runner import build_simulation, pick_monitor, run_single, run_sweep

@@ -248,6 +248,8 @@ def make_resource_lb_app(
     """
     if not 0 < threshold < 1:
         raise InvalidParameter(f"threshold must be in (0, 1), got {threshold}", "threshold")
+    if load_scale < 1:
+        raise InvalidParameter(f"load_scale must be at least 1, got {load_scale}", "load_scale")
     states = tuple(
         StateSpec(
             name=f"srv_load_{i}",
@@ -356,6 +358,8 @@ def _hinted(app: ApplicationSpec, hints) -> ApplicationSpec:
 
 def _bind_linklb(p: dict, topo) -> tuple:
     lb, vias, dst = p["lb_switch"], p["path_via"], p["dst_switch"]
+    if not vias:
+        raise InvalidParameter("linklb: path_via names no switch", "path_via")
     for key, names in (("lb_switch", [lb]), ("dst_switch", [dst]), ("path_via", vias)):
         for sw in names:
             if not topo.is_switch(sw):
@@ -375,6 +379,8 @@ def _bind_resourcelb(p: dict, topo) -> tuple:
     lb = p["lb_switch"]
     if not topo.is_switch(lb):
         raise InvalidParameter(f"resourcelb lb_switch {lb!r} is not a switch", "lb_switch")
+    if not p["servers"]:
+        raise InvalidParameter("resourcelb: servers names no host", "servers")
     for h in p["servers"]:
         if h not in topo.hosts or topo.attached_switch(h) != lb:
             raise InvalidParameter(f"resourcelb: server {h} must be a host on {lb}", "servers")

@@ -76,7 +76,6 @@ def _verb_validate(args) -> int:
 
 def _verb_run(args) -> int:
     config = parse_scenario(args.scenario)
-    os.makedirs(args.out_dir, exist_ok=True)
     trace_path = os.path.join(args.out_dir, "trace.txt") if args.trace else None
     log = run_single(
         config, out_dir=args.out_dir, replicas=args.replicas, seed=args.seed,

@@ -322,9 +322,6 @@ class StateIdRegistry:
         self._ids[key] = nxt
         return nxt
 
-    def lookup(self, name: str, scope: ScopeFilter) -> int | None:
-        return self._ids.get((name, scope.signature()))
-
     def __len__(self):
         return len(self._ids)
 

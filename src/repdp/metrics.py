@@ -9,10 +9,11 @@ row has one slot past its last bin, so `t_ns // bin_ns` indexes it for
 every event time up to the horizon; each return from
 `Simulator.run_until` folds that horizon slot into the last bin and
 zeroes it, and readers only ever look at the first `n_bins` slots.
-The two per-update logs, `staleness` and `write_lag`, hold one row for
-every remote update a replica applies, so they are kept as typed columns
-(`ColumnLog`): ints in `array('q')`, names as 32-bit indices into one
-interned name table, 60 bytes per applied update for both logs together.
+The applied-update log, `applied`, holds one row for every remote
+update a replica applies, so it is kept as typed columns (`ColumnLog`):
+ints in `array('q')`, names as 32-bit indices into an interned name
+table, 44 bytes per applied update. `staleness.csv` and `write_lag.csv`
+are two views of it, row for row.
 
 Everything exports to plain CSVs with deterministic formatting: ints as
 decimal, floats via repr, rows in sorted or insertion order only, so
@@ -29,9 +30,9 @@ import math
 import os
 from array import array
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, zip_longest
 
-from .errors import ExportError, InvalidParameter
+from .errors import ExportError, InvalidParameter, ScenarioError
 
 CONTROLLER_DELAY_NS = 10_000_000
 
@@ -59,9 +60,10 @@ class ColumnLog:
     `kinds` has one letter per field: "i" for an int, kept in an
     `array('q')`, and "n" for a name, kept as its index in `names`, in
     an `array('I')`.
-    Iterating yields the rows as tuples with the names resolved. The
-    simulator appends to `columns` directly, with name indices it
-    resolved once; `append` takes a whole row of ints and names.
+    Iterating yields the rows as tuples with the names resolved, and
+    `view` yields them cut to some of the fields. The simulator appends
+    to `columns` directly, with name indices it resolved once; `append`
+    takes a whole row of ints and names.
     """
 
     __slots__ = ("kinds", "names", "columns")
@@ -81,9 +83,13 @@ class ColumnLog:
         return len(self.columns[0])
 
     def __iter__(self):
+        return self.view(*range(len(self.kinds)))
+
+    def view(self, *fields):
+        """The rows cut to the fields at these indices, names resolved."""
         name = self.names.names.__getitem__
-        return zip(*(col if kind == "i" else map(name, col)
-                     for col, kind in zip(self.columns, self.kinds)))
+        return zip(*(self.columns[i] if self.kinds[i] == "i" else map(name, self.columns[i])
+                     for i in fields))
 
 
 class MetricsLog:
@@ -94,9 +100,9 @@ class MetricsLog:
     per flow) hold n_bins + 1 slots, the last being the horizon slot,
     zero between runs. The counters are `queue_drops` per link direction
     and `flow_sent`, `flow_delivered`, `flow_app_drops`,
-    `flow_queue_drops` per flow. `staleness` rows are (t_ns, state,
-    origin, replica, staleness_ns, replaced_age_ns) and `write_lag` rows
-    are (t_ns, state, replica, lag_writes); their names share `names`.
+    `flow_queue_drops` per flow. `applied` has one row per applied
+    update: (t_ns, state, origin, replica, staleness_ns,
+    replaced_age_ns, lag_writes), its names interned in `names`.
     """
 
     def __init__(self, t_end_ns: int, bin_ns: int, link_dirs, flow_names):
@@ -123,8 +129,7 @@ class MetricsLog:
         self.notifications: list[tuple[int, str, str]] = []
         self.controller_redirects: list[tuple[int, str, str]] = []
         self.names = NameTable()
-        self.staleness = ColumnLog("innnii", self.names)
-        self.write_lag = ColumnLog("inni", self.names)
+        self.applied = ColumnLog("innniii", self.names)
         self.unknown_state_drops = 0
         self.stale_update_drops = 0
         self.events_processed = 0
@@ -222,12 +227,13 @@ def export_metrics(log: MetricsLog, out_dir: str, switch_names=None):
     _write_csv(
         path("staleness.csv"),
         "t_s,state,origin,replica,staleness_ns,replaced_age_ns",
-        (f"{t / 1e9!r},{s},{o},{r},{st},{ra}\r\n" for t, s, o, r, st, ra in log.staleness),
+        (f"{t / 1e9!r},{s},{o},{r},{st},{ra}\r\n"
+         for t, s, o, r, st, ra in log.applied.view(0, 1, 2, 3, 4, 5)),
     )
     _write_csv(
         path("write_lag.csv"),
         "t_s,state,replica,lag_writes",
-        (f"{t / 1e9!r},{s},{r},{lag}\r\n" for t, s, r, lag in log.write_lag),
+        (f"{t / 1e9!r},{s},{r},{lag}\r\n" for t, s, r, lag in log.applied.view(0, 1, 3, 6)),
     )
     _write_csv(
         path("queue_drops.csv"),
@@ -253,11 +259,15 @@ def export_metrics(log: MetricsLog, out_dir: str, switch_names=None):
             fh.write(log.plan_text)
 
 
+# The fields staleness.csv and write_lag.csv both hold.
+_SHARED_FIELDS = ("t_s", "state", "replica")
+
+
 def read_metrics_dir(path: str) -> MetricsLog:
     """Rebuild a MetricsLog from the raw CSVs written by export_metrics.
 
-    Only the fields summarize() consumes are reconstructed; the rest
-    stay at defaults.
+    Only the fields summarize() consumes and the applied-update log are
+    reconstructed; the rest stay at defaults.
     """
     counters = {}
     with open(os.path.join(path, "counters.csv")) as fh:
@@ -302,18 +312,15 @@ def read_metrics_dir(path: str) -> MetricsLog:
             )
     stale_path = os.path.join(path, "staleness.csv")
     if os.path.exists(stale_path):
-        with open(stale_path) as fh:
-            for row in csv.DictReader(fh):
-                log.staleness.append(
-                    (
-                        round(float(row["t_s"]) * 1e9),
-                        row["state"],
-                        row["origin"],
-                        row["replica"],
-                        int(row["staleness_ns"]),
-                        int(row["replaced_age_ns"]),
-                    )
-                )
+        # Both files are views of one log, written row for row.
+        with open(stale_path) as sfh, open(os.path.join(path, "write_lag.csv")) as lfh:
+            for s, w in zip_longest(csv.DictReader(sfh), csv.DictReader(lfh)):
+                if s is None or w is None or any(s[k] != w[k] for k in _SHARED_FIELDS):
+                    raise ScenarioError("staleness.csv and write_lag.csv differ row for row",
+                                        path)
+                log.applied.append((round(float(s["t_s"]) * 1e9), s["state"], s["origin"],
+                                    s["replica"], int(s["staleness_ns"]),
+                                    int(s["replaced_age_ns"]), int(w["lag_writes"])))
     mem_path = os.path.join(path, "memory.csv")
     if os.path.exists(mem_path):
         with open(mem_path) as fh:
@@ -373,7 +380,7 @@ def summarize(logs: dict[str, MetricsLog], window=(0.5, 1.0), is_switch=None) ->
         active = [x / window_s for x in fl if x > 0]
         min_tp = min(active) if active else 0.0
 
-        age, replaced = log.staleness.columns[4:]
+        age, replaced = log.applied.columns[4:6]
         max_stale = max(max(age, default=0), max(replaced, default=0))
         mem = ";".join(f"{sw}:{bits}" for sw, bits in sorted(log.replica_memory.items()))
         out.append(

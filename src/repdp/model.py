@@ -325,7 +325,6 @@ class ApplicationSpec:
 @dataclass
 class ValidationReport:
     violations: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -454,15 +453,6 @@ def validate_application(app: ApplicationSpec) -> ValidationReport:
                 bad.append(f"activity {a.name}: insert_flow_rule needs a selector")
             elif a.selector not in reduction_names:
                 bad.append(f"activity {a.name}: unknown selector {a.selector!r}")
-
-    fired = {t.activity for t in app.triggers}
-    for a in app.activities:
-        if a.name not in fired:
-            rep.warnings.append(f"activity {a.name} is never fired by a trigger")
-    read = {i for r in app.reductions for i in r.inputs} | {t.input for t in app.triggers}
-    for s in app.states:
-        if s.name not in read:
-            rep.warnings.append(f"state {s.name} is never read")
 
     return rep
 

@@ -3,9 +3,11 @@
 Update packets carry a chain of fixed 208-bit headers. The chain is
 linked through the 16-bit protocol-type field: the reserved ethertype
 0x88B5 announces another header follows, any other value ends the chain
-and names the payload protocol. Origin timestamps and write counts ride
-as simulator metadata, never as wire bits, so the encoded form stays
-exactly 208 bits per header.
+and names the payload protocol. The simulator sends one header per
+frame; only `encode_update` and `decode_update` build and parse longer
+chains. Origin timestamps and write counts ride as simulator metadata,
+never as wire bits, so the encoded form stays exactly 208 bits per
+header.
 """
 
 from __future__ import annotations
@@ -185,7 +187,6 @@ class ReplicaStore:
                                        for x in operands if x not in outputs}
         self.live: dict[str, object] = {}
         self.local_writes: dict[str, int] = {}
-        self.local_write_ts: dict[str, int] = {}
         self.remote: dict[int, RemoteSlot] = {}
         self.hosted: dict[int, str] = {}
         self.widths: dict[str, int] = {}
@@ -204,7 +205,6 @@ class ReplicaStore:
         self.values[name] = 0
         if origin_sw_id is None:
             self.local_writes[name] = 0
-            self.local_write_ts[name] = -1
         else:
             self.remote[state_id] = RemoteSlot(name, origin_sw_id)
 
@@ -219,24 +219,18 @@ class ReplicaStore:
         self._tick = math.gcd(self._tick, value_source.delta_ns)
         self.version += 1
 
-    def write_local(self, name: str, value: int, t_ns: int):
+    def write_local(self, name: str, value: int):
         self.values[name] = int(value)
-        self.note_write(name, t_ns)
+        self.note_write(name)
 
-    def note_write(self, name: str, t_ns: int):
+    def note_write(self, name: str):
         self.local_writes[name] += 1
-        self.local_write_ts[name] = t_ns
         if name not in self.live:
             self.version += 1
 
     def local_value(self, name: str, t_ns: int) -> int:
         src = self.live.get(name)
         return self.values[name] if src is None else src.read(t_ns)
-
-    def value_of(self, name: str, t_ns: int) -> int:
-        if name in self.local_writes:
-            return self.local_value(name, t_ns)
-        return self.values.get(name, 0)
 
     def apply_update(self, header: UpdateHeader, origin_ts_ns: int) -> tuple[str, int | None]:
         """Reconcile one header; the newest origin timestamp wins.
@@ -293,8 +287,3 @@ class ReplicaStore:
             if not isinstance(fn, RightShift):
                 bits += max(self.widths.get(x, 32) for x in operands)
         return bits
-
-
-def flood_ports(tree_ports, ingress_port: str | None) -> tuple[str, ...]:
-    """Tree egress set: every tree port except the one the packet came in on."""
-    return tuple(p for p in tree_ports if p != ingress_port)

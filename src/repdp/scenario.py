@@ -291,7 +291,9 @@ def parse_scenario(path: str) -> ScenarioConfig:
         return _View(path, by_name[name])
 
     scen = require("scenario")
-    name = scen.text("name", "run")
+    name, name_ln = scen.raw("name", "run")
+    if not _NAME.match(name):
+        raise ScenarioError(f"bad scenario name {name!r}", path, name_ln)
     if not scen.has("seed"):
         raise ScenarioError("[scenario] must declare a seed", path, by_name["scenario"].line)
     seed = scen.integer("seed")

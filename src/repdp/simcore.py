@@ -67,7 +67,6 @@ from .replication import (
     ReplicaStore,
     UpdateHeader,
     UpdateTrigger,
-    flood_ports,
     update_frame_bits,
 )
 
@@ -129,14 +128,15 @@ class LinkDir:
 class Packet:
     """A data packet or an update frame in flight. `monitor` is the
     measurement switch still ahead of a data packet: None once the
-    packet has been measured there, or if it has none."""
+    packet has been measured there, or if it has none. An update frame
+    carries one `header`."""
 
     __slots__ = ("uid", "flow", "dst", "dst_switch", "size_bits", "syn",
-                 "is_update", "headers", "origin_ts", "origin_writes",
+                 "is_update", "header", "origin_ts", "origin_writes",
                  "monitor")
 
     def __init__(self, uid, flow, dst, dst_switch, size_bits, syn,
-                 monitor=None, is_update=False, headers=(),
+                 monitor=None, is_update=False, header=None,
                  origin_ts=0, origin_writes=0):
         self.uid = uid
         self.flow = flow
@@ -145,7 +145,7 @@ class Packet:
         self.size_bits = size_bits
         self.syn = syn
         self.is_update = is_update
-        self.headers = headers
+        self.header = header
         self.origin_ts = origin_ts
         self.origin_writes = origin_writes
         self.monitor = monitor
@@ -293,8 +293,8 @@ class Simulator:
         self._uid = 0
         self._upd_uid = -1
         self._known_ids: set[int] = set()
-        self._origin_store: dict[str, ReplicaStore] = {}
-        self._origin_name: dict[str, str] = {}
+        # Per replicated state: the switch that writes it.
+        self._origins: dict[str, SwitchRT] = {}
         # Per replicated state: its and its origin's name-table index,
         # and the origin's store.
         self._applied_log: dict[str, tuple[int, int, ReplicaStore]] = {}
@@ -348,7 +348,7 @@ class Simulator:
         # tree port.
         for sw, rt in self.switch_rt.items():
             tree = rules.tree_ports.get(sw, ())
-            rt.flood = {ingress: tuple(rt.ports[p] for p in flood_ports(tree, ingress))
+            rt.flood = {ingress: tuple(rt.ports[p] for p in tree if p != ingress)
                         for ingress in (None, *tree)}
 
         steps = reduction_steps(program)
@@ -358,7 +358,6 @@ class Simulator:
             self._known_ids.add(cs.state_id)
             nodes = placement.nodes[cs.name]
             origin = placement.origin[cs.name]
-            self._origin_name[cs.name] = origin
             origin_id = self._sw_id[origin]
             for sw in nodes:
                 rt = self.switch_rt[sw]
@@ -366,8 +365,7 @@ class Simulator:
                     rt.store = ReplicaStore(sw, steps)
                 rt.store.configure_state(cs.name, cs.state_id, cs.width_bits,
                                          None if sw == origin else origin_id)
-            ort = self.switch_rt[origin]
-            self._origin_store[cs.name] = ort.store
+            ort = self._origins[cs.name] = self.switch_rt[origin]
             if cs.value_type is ValueType.RATE_ESTIMATE:
                 est = RateEstimatorWindow(cs.delta_s, cs.window)
                 ort.store.attach_local(cs.name, est)
@@ -453,7 +451,7 @@ class Simulator:
         if rt.store is None or state not in rt.store.local_writes:
             raise SimulationError(f"{switch} does not own state {state}")
         t = self.t_now if t_ns is None else t_ns
-        rt.store.write_local(state, value, t)
+        rt.store.write_local(state, value)
         if rt.change_triggers:
             self._eval_change_triggers(rt, t)
 
@@ -476,8 +474,8 @@ class Simulator:
                 log.replica_memory[sw] = rt.store.replica_memory_bits()
                 rt.name_id = log.names.index(sw)
         self._applied_log = {
-            s: (log.names.index(s), log.names.index(o), self._origin_store[s])
-            for s, o in self._origin_name.items()}
+            s: (log.names.index(s), log.names.index(o.name), o.store)
+            for s, o in self._origins.items()}
         log.plan_text = self.plan_text
         self.log = log
         self._flow_sent = log.flow_sent
@@ -652,7 +650,7 @@ class Simulator:
                            l3_protocol_type=IPV4_ETHTYPE)
         self._upd_uid -= 1
         pkt = Packet(self._upd_uid, -1, "", "", update_frame_bits(1),
-                     False, is_update=True, headers=(hdr,), origin_ts=t,
+                     False, is_update=True, header=hdr, origin_ts=t,
                      origin_writes=store.local_writes[ent.state])
         self.log.updates_emitted += 1
         if self.trace is not None:
@@ -670,32 +668,24 @@ class Simulator:
     def _on_update(self, sw: SwitchRT, link: LinkDir, pkt: Packet, t: int):
         store = sw.store
         if store is not None:
-            log = self.log
-            applied = False
-            for h in pkt.headers:
-                status, prev_ts = store.apply_update(h, pkt.origin_ts)
-                if status == "applied":
-                    applied = True
-                    name = store.hosted[h.state_id]
-                    state_i, origin_i, ostore = self._applied_log[name]
-                    t_c, s_c, o_c, r_c, age_c, replaced_c = log.staleness.columns
-                    t_c.append(t)
-                    s_c.append(state_i)
-                    o_c.append(origin_i)
-                    r_c.append(sw.name_id)
-                    age_c.append(t - pkt.origin_ts)
-                    replaced_c.append(t - prev_ts if prev_ts >= 0 else 0)
-                    t_c, s_c, r_c, lag_c = log.write_lag.columns
-                    t_c.append(t)
-                    s_c.append(state_i)
-                    r_c.append(sw.name_id)
-                    lag_c.append(ostore.local_writes[name] - pkt.origin_writes)
-                elif status == "unknown":
-                    log.unknown_state_drops += 1
-                elif status == "stale":
-                    log.stale_update_drops += 1
-            if applied and sw.change_triggers:
-                self._eval_change_triggers(sw, t)
+            status, prev_ts = store.apply_update(pkt.header, pkt.origin_ts)
+            if status == "applied":
+                name = store.hosted[pkt.header.state_id]
+                state_i, origin_i, ostore = self._applied_log[name]
+                t_c, s_c, o_c, r_c, age_c, replaced_c, lag_c = self.log.applied.columns
+                t_c.append(t)
+                s_c.append(state_i)
+                o_c.append(origin_i)
+                r_c.append(sw.name_id)
+                age_c.append(t - pkt.origin_ts)
+                replaced_c.append(t - prev_ts if prev_ts >= 0 else 0)
+                lag_c.append(ostore.local_writes[name] - pkt.origin_writes)
+                if sw.change_triggers:
+                    self._eval_change_triggers(sw, t)
+            elif status == "unknown":
+                self.log.unknown_state_drops += 1
+            elif status == "stale":
+                self.log.stale_update_drops += 1
         for ld in sw.flood[link.src]:
             self._send(ld, pkt, t)
         if sw.own_updates:
@@ -768,9 +758,9 @@ class Simulator:
             inc = pkt.size_bits if m.use_bits else 1
             if m.est is not None:
                 m.est.observe(t, inc)
-                store.note_write(m.state, t)
+                store.note_write(m.state)
             else:
-                store.write_local(m.state, store.local_value(m.state, t) + inc, t)
+                store.write_local(m.state, store.local_value(m.state, t) + inc)
         if sw.change_triggers:
             self._eval_change_triggers(sw, t)
 

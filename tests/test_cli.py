@@ -2,7 +2,9 @@
 
 import csv
 import os
+import pathlib
 import re
+import shutil
 
 import pytest
 
@@ -233,7 +235,7 @@ def test_bad_horizon_override_is_exit_1_and_writes_nothing(tmp_path, scn_file, c
     d = tmp_path / "out"
     assert main([verb, scn_file, "--out-dir", str(d), f"--t-end={t_end}"]) == 1
     assert "error: t_end must be" in capsys.readouterr().err
-    assert not list(tmp_path.rglob("*.csv"))
+    assert not d.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +291,26 @@ def test_summarize_empty_dir_is_exit_1(tmp_path, capsys):
     assert "links.csv" in capsys.readouterr().err
 
 
+def test_summarize_update_views_that_differ_is_exit_1(run_dir, tmp_path, capsys):
+    # staleness.csv and write_lag.csv are two views of one log: a row
+    # missing from one of them, or a row of another update, is an error.
+    lines = (pathlib.Path(run_dir) / "write_lag.csv").read_bytes().splitlines(keepends=True)
+    t_s, state, rest = lines[1].split(b",", 2)
+    other = b",".join((t_s, state + b"x", rest))
+    for label, rows in (("cut", lines[:-1]), ("other_state", [lines[0], other, *lines[2:]])):
+        d = tmp_path / label
+        shutil.copytree(run_dir, d)
+        (d / "write_lag.csv").write_bytes(b"".join(rows))
+        assert main(["summarize", str(d)]) == 1
+        assert (f"error: {d}: staleness.csv and write_lag.csv differ"
+                in capsys.readouterr().err)
+
+
 # ---------------------------------------------------------------------------
 # CSV re-ingestion round trip
 
 
-def test_read_metrics_dir_round_trip(run_dir, scn_file):
+def test_read_metrics_dir_round_trip(run_dir, scn_file, tmp_path):
     from repdp import parse_scenario, run_single
 
     cfg = parse_scenario(scn_file)
@@ -306,3 +323,13 @@ def test_read_metrics_dir_round_trip(run_dir, scn_file):
     assert back.flow_bits == live.flow_bits
     assert back.detections == live.detections
     assert back.replica_memory == live.replica_memory
+    assert list(back.applied) == list(live.applied)
+
+    # fig7 as shipped, at two replicas: its applied-update log comes back
+    # row for row from the two CSV views.
+    fig7 = parse_scenario(os.path.join(SCENARIOS, "fig7_ddos_c2.scn"))
+    out = str(tmp_path / "ddos_ring")
+    live = run_single(fig7, out_dir=out)
+    back = read_metrics_dir(out)
+    assert len(live.applied) > 0
+    assert list(back.applied) == list(live.applied)

@@ -39,9 +39,8 @@ def edge_log() -> MetricsLog:
     log.queue_drops[:] = [0, 4]
     log.detections += [(1, "sw1", "syn", -5), (0, "sw2", "syn", BIG)]
     log.notifications.append((10**18, "sw1", ""))
-    log.staleness.append((1, "s0", "sw1", "sw2", 2**62, 0))
-    log.staleness.append((3, "s0", "sw1", "", -1, 123))
-    log.write_lag.append((2, "s0", "sw2", -3))
+    log.applied.append((1, "s0", "sw1", "sw2", 2**62, 0, BIG))
+    log.applied.append((3, "s0", "sw1", "", -1, 123, -3))
     log.replica_memory.update({"sw2": 0, "sw1": BIG})
     log.events_processed = BIG
     log.stale_update_drops = -2
@@ -84,7 +83,11 @@ EDGE_FAMILY = {
         (1e-09, "s0", "sw1", "sw2", 2**62, 0),
         (3e-09, "s0", "sw1", "", -1, 123),
     ],
-    "write_lag.csv": [("t_s", "state", "replica", "lag_writes"), (2e-09, "s0", "sw2", -3)],
+    "write_lag.csv": [
+        ("t_s", "state", "replica", "lag_writes"),
+        (1e-09, "s0", "sw2", BIG),
+        (3e-09, "s0", "", -3),
+    ],
     "queue_drops.csv": [("src", "dst", "drops"), ("sw2", "h1", 4)],
     "memory.csv": [("switch", "replica_state_bits"), ("sw1", BIG), ("sw2", 0)],
     "counters.csv": [
@@ -127,7 +130,7 @@ UNQUOTABLE = {
     "flow": set_flow,
     "trigger": lambda log, x: log.detections.append((4, "sw1", x, 0)),
     "message": lambda log, x: log.notifications.append((4, "sw1", x)),
-    "state": lambda log, x: log.staleness.append((4, x, "sw1", "sw2", 0, 0)),
+    "state": lambda log, x: log.applied.append((4, x, "sw1", "sw2", 0, 0, 0)),
     "memory_switch": lambda log, x: log.replica_memory.__setitem__(x, 1),
 }
 
@@ -162,6 +165,7 @@ def test_column_logs_share_one_name_table():
     assert list(lag) == [(9, "sw2", "s1", -4)]
     assert names.names == ["s1", "sw1", "sw2", "s0"]
     assert list(lag.columns[1]) == [2] and list(lag.columns[2]) == [0]
+    assert list(stale.view(0, 2, 5)) == [(5, "sw1", 0), (9, "sw2", 2**62)]
     with pytest.raises(ValueError):
         lag.append((1, "s1", "sw1"))
     assert not ColumnLog("in", names)

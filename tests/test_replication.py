@@ -1,5 +1,6 @@
 """Rate estimation, update triggers, replica stores, tree flooding."""
 
+import os
 import random
 from collections import defaultdict
 
@@ -16,18 +17,21 @@ from repdp import (
     UpdateTrigger,
     assign_state_ids,
     build_dag,
+    build_simulation,
     compile_application,
     evaluate_dag,
-    flood_ports,
     make_ddos_app,
     make_link_lb_app,
     make_rate_limiter_app,
     make_resource_lb_app,
+    parse_scenario,
     reduction_steps,
 )
 from repdp.compiler import run_steps
 
 DELTA_NS = 100_000_000  # 0.1 s buckets
+FIG7 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "scenarios", "fig7_ddos_c2.scn")
 
 
 # ---------------------------------------------------------------------------
@@ -162,22 +166,22 @@ def test_last_writer_wins_per_origin():
     assert (status, prev) == ("applied", -1)
     status, prev = store.apply_update(hdr(0, 9), origin_ts_ns=250)
     assert (status, prev) == ("applied", 100)
-    assert store.value_of("rate_a", 250) == 9
+    assert store.read_global("rate_a", 250) == 9
     # Duplicate and reordered deliveries are dropped.
     assert store.apply_update(hdr(0, 1), origin_ts_ns=250) == ("stale", None)
     assert store.apply_update(hdr(0, 1), origin_ts_ns=180) == ("stale", None)
-    assert store.value_of("rate_a", 300) == 9
+    assert store.read_global("rate_a", 300) == 9
 
 
 def test_missing_update_reads_zero():
     store = make_store()
-    assert store.value_of("rate_a", 0) == 0
+    assert store.read_global("rate_a", 0) == 0
     assert store.read_global("total", 0) == 0
 
 
 def test_own_state_ignores_gossip():
     store = make_store()
-    store.write_local("rate_b", 5, t_ns=10)
+    store.write_local("rate_b", 5)
     assert store.apply_update(hdr(1, 99), origin_ts_ns=50) == ("local", None)
     assert store.local_value("rate_b", 60) == 5
 
@@ -188,17 +192,17 @@ def test_transit_vs_unknown():
     assert store.apply_update(hdr(7, 1), 10) == ("unknown", None)
     # A state has one origin: the same id from another switch is unknown.
     assert store.apply_update(hdr(0, 1, src=3), 10) == ("unknown", None)
-    assert store.value_of("rate_a", 10) == 0
+    assert store.read_global("rate_a", 10) == 0
 
 
 def test_global_read_mixes_local_and_remote():
     store = make_store()
-    store.write_local("rate_b", 5, t_ns=10)
+    store.write_local("rate_b", 5)
     store.apply_update(hdr(0, 7), origin_ts_ns=20)
     assert store.read_global("total", 30) == 12
     # Cached until a stored value changes: a write invalidates it.
     assert store.read_global("total", 30) == 12
-    store.write_local("rate_b", 6, t_ns=30)
+    store.write_local("rate_b", 6)
     assert store.read_global("total", 30) == 13
 
 
@@ -213,12 +217,11 @@ def test_estimator_backed_local_state():
     assert store.read_global("total", t) == 111
 
 
-def test_write_log_tracks_count_and_time():
+def test_write_log_counts_local_writes():
     store = make_store()
-    store.write_local("rate_b", 1, t_ns=5)
-    store.write_local("rate_b", 2, t_ns=9)
+    store.write_local("rate_b", 1)
+    store.write_local("rate_b", 2)
     assert store.local_writes["rate_b"] == 2
-    assert store.local_write_ts["rate_b"] == 9
 
 
 def test_replica_memory_scales_with_hosted_states():
@@ -245,8 +248,8 @@ def test_reduction_chains_evaluate_recursively():
     store = ReplicaStore("sw", (("m", max, ("a", "b")), ("twice", sum, ("m", "m"))))
     store.configure_state("a", 0, 32)
     store.configure_state("b", 1, 32)
-    store.write_local("a", 3, 0)
-    store.write_local("b", 8, 0)
+    store.write_local("a", 3)
+    store.write_local("b", 8)
     assert store.read_global("twice", 1) == 16
 
 
@@ -292,12 +295,12 @@ def test_every_store_agrees_with_the_dag_oracle(app_name, data):
             hdr = UpdateHeader(origin, 0, cs.state_id, 0, value)
             assert store.apply_update(hdr, origin_ts_ns=t)[0] == "applied"
         else:
-            store.write_local(cs.name, value, t)
+            store.write_local(cs.name, value)
         truth[cs.name] = value
         if read_now:
             agrees(t)
     agrees(len(writes) + 1)
-    assert store.value_of(absent.name, len(writes) + 1) == 0
+    assert store.read_global(absent.name, len(writes) + 1) == 0
 
 
 # Deltas whose pairwise gcd lies below each of them, so a cache keyed on
@@ -331,11 +334,11 @@ def test_cached_reads_equal_fresh_steps(seed):
         if op == 0:
             name = rng.choice(sorted(live))
             live[name].observe(t, rng.randrange(1, 50))
-            store.note_write(name, t)
+            store.note_write(name)
         elif op == 1:
             name = rng.choice(unlive)
             written[name] = rng.randrange(1000)
-            store.write_local(name, written[name], t)
+            store.write_local(name, written[name])
         elif op == 2:
             written["remote"] = rng.randrange(1000)
             store.apply_update(hdr(3, written["remote"]), origin_ts_ns=origin_ts)
@@ -356,7 +359,7 @@ def test_random_interleavings_converge_to_newest():
         for ts in stamps:
             store.apply_update(hdr(0, ts * 7), origin_ts_ns=ts)
         # Whatever the delivery order, the newest origin timestamp sticks.
-        assert store.value_of("rate_a", 2000) == max(stamps) * 7
+        assert store.read_global("rate_a", 2000) == max(stamps) * 7
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +367,16 @@ def test_random_interleavings_converge_to_newest():
 
 
 def test_flood_ports_exclude_ingress():
-    ports = ("sw1", "sw3", "sw5")
-    assert flood_ports(ports, "sw3") == ("sw1", "sw5")
-    assert flood_ports(ports, None) == ports
-    assert flood_ports(ports, "elsewhere") == ports
-    assert flood_ports((), "sw1") == ()
+    # fig7 at two replicas: the tree is the path sw1 - sw2 - sw3. An
+    # update leaves on every tree port but the one it came in on, and
+    # the switch's own (key None) on all of them; it never arrives over
+    # a port off the tree (sw1-sw4), and off the tree nothing floods.
+    built = build_simulation(parse_scenario(FIG7), replicas=2)
+    flood = {sw: {ingress: tuple(ld.dst for ld in links) for ingress, links in rt.flood.items()}
+             for sw, rt in built.sim.switch_rt.items()}
+    assert flood == {
+        "sw1": {None: ("sw2",), "sw2": ()},
+        "sw2": {None: ("sw1", "sw3"), "sw1": ("sw3",), "sw3": ("sw1",)},
+        "sw3": {None: ("sw2",), "sw2": ()},
+        "sw4": {None: ()},
+    }

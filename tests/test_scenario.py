@@ -216,9 +216,10 @@ def test_link_references_unknown_switch(tmp_path):
     ("[host.h1]", "[link.s1.s2]\ndelay = 0.1ns\n[host.h1]", "delay must be", "0.1ns"),
     ("links = s1-s2", "links = s1-s2\nlink_delay = 1e400s", "finite", "1e400"),
     ("rate = 10", "rate = 10 @1.2.3:20", "number", "@1.2.3"),
+    ("name = t", "name = a,b", "bad scenario name", "name = a,b"),
 ], ids=["duplicate_switch", "duplicate_link", "self_loop_link", "host_named_like_a_switch",
         "host_capacity_zero", "link_delay_override_below_1ns", "duration_overflow",
-        "rate_step_not_a_number"])
+        "rate_step_not_a_number", "scenario_name_not_an_identifier"])
 def test_topology_and_number_errors_cite_their_line(tmp_path, old, new, needle, cited):
     text = BASE.replace(old, new)
     expect_error(tmp_path, text, needle, at_line=line_of(text, cited))
@@ -384,6 +385,14 @@ APP_AND_LOAD_ERRORS = {
         "servers = h2"),
     "resourcelb_threshold_above_one": (
         BASE.replace(DDOS_KEYS, RESOURCE_LB + "\nthreshold = 1.5"), "threshold = 1.5"),
+    "resourcelb_servers_empty": (
+        BASE.replace(DDOS_KEYS, RESOURCE_LB.replace("servers = h1", "servers =")), "servers ="),
+    "resourcelb_load_scale_zero": (
+        BASE.replace(DDOS_KEYS, RESOURCE_LB + "\nload_scale = 0"), "load_scale = 0"),
+    "linklb_path_via_empty": (
+        THREE_SWITCHES.replace(DDOS_KEYS, "name = linklb\nlb_switch = s1\n"
+                                          "path_via =\ndst_switch = s3"),
+        "path_via ="),
     "unknown_application_key": (BASE.replace(DDOS_KEYS, DDOS_KEYS + "\nwindw = 4"),
                                 "windw = 4"),
     "load_on_unknown_state": (

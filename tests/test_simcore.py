@@ -422,7 +422,7 @@ def test_updates_flood_without_echo(ddos_cfg):
     assert log.unknown_state_drops == 0
     # Both replicas see each other's state: staleness samples exist for
     # both origins.
-    origins = {origin for _, _, origin, _, _, _ in log.staleness}
+    origins = {origin for _, _, origin, _, _, _, _ in log.applied}
     assert origins == {"sw1", "sw3"}
 
 
@@ -439,7 +439,7 @@ def test_update_drops_are_counted_on_the_log(tmp_path):
         hdr = UpdateHeader(src_sw_id=sim.switch_rt[origin].sw_id, dst_sw_id=0,
                            state_id=state_id, replica_id=0, state_value=5)
         return Packet(uid, -1, "", "", update_frame_bits(1), False, is_update=True,
-                      headers=(hdr,), origin_ts=1)
+                      header=hdr, origin_ts=1)
 
     # Delivered before any real update: the copy is stale, id 999 was
     # never registered.
