@@ -16,14 +16,11 @@ from .apps import (
 )
 from .compiler import (
     PrimitiveProgram,
-    StateIdRegistry,
     apply_reduction,
-    assign_state_ids,
     canonical_text,
     compile_application,
     evaluate_dag,
     evaluate_program,
-    expand_states,
     reduction_steps,
 )
 from .embedding import (
@@ -52,7 +49,6 @@ from .errors import (
     InsufficientNodes,
     InvalidApplication,
     InvalidParameter,
-    RegistryExhausted,
     RepdpError,
     ScenarioError,
     SimulationError,

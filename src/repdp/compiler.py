@@ -1,11 +1,11 @@
 """Compilation of an application DAG into a switch-level primitive program.
 
-The output is a flat list of data structures (registers, counters,
-circular buffers) plus primitive operations in topological order, with
+The output is a flat list of data structures (registers, circular
+buffers) plus primitive operations in topological order, with
 colocation groups tying each trigger to the ops it must share a switch
-with. Scalar arrays are expanded element-wise so every wire-level state
-fits one 64-bit update value; rate estimates expand to a slot buffer
-feeding an estimate register, and only the register is replicated.
+with. Each declared state is one wire state, whose id is its
+declaration index; rate estimates expand to a slot buffer feeding an
+estimate register, and only the register is replicated.
 The reduction and shift ops, as flat steps (`reduction_steps`), are
 the one executable semantics: every replica store and
 `evaluate_program` run them; `evaluate_dag` is the oracle.
@@ -16,12 +16,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 
-from .errors import RegistryExhausted, UnsupportedPrimitive
+from .errors import UnsupportedPrimitive
 from .model import (
     SLOTS_SUFFIX,
     SUM_SUFFIX,
     ActionKind,
-    ApplicationSpec,
     ElementDag,
     Predicate,
     PredicateKind,
@@ -30,12 +29,9 @@ from .model import (
     ValueType,
 )
 
-MAX_STATE_ID = 2**32 - 1
-
 DEFAULT_CAPABILITIES = frozenset(
     {
         "register",
-        "counter",
         "circular_buffer",
         "sum",
         "shift",
@@ -56,28 +52,13 @@ DEFAULT_CAPABILITIES = frozenset(
     }
 )
 
-_WRITE_OPCODE = {
-    ValueType.COUNTER: "count",
-    ValueType.RATE_ESTIMATE: "estimate_rate",
-    ValueType.SCALAR: "store",
-    ValueType.SCALAR_ARRAY: "store",
-}
-
-_STRUCTURE_FOR = {
-    ValueType.COUNTER: "counter",
-    ValueType.RATE_ESTIMATE: "register",
-    ValueType.SCALAR: "register",
-    ValueType.SCALAR_ARRAY: "register",
-}
-
 
 @dataclass
 class CompiledState:
-    """One wire-addressable replicated value."""
+    """One declared state: a wire-addressable replicated value."""
 
     name: str
-    source: str
-    element: int
+    state_id: int
     scope: ScopeFilter
     width_bits: int
     value_type: ValueType
@@ -85,7 +66,6 @@ class CompiledState:
     delta_s: float
     unit: str
     target_hint: str | None
-    state_id: int | None = None
 
 
 @dataclass(frozen=True)
@@ -124,35 +104,10 @@ class PrimitiveProgram:
         if not self.state_index:
             self.state_index = {s.name: s for s in self.states}
 
-    def states_of(self, source: str) -> list[CompiledState]:
-        return [s for s in self.states if s.source == source]
-
 
 def _require(cap: str, capabilities: frozenset, element: str):
     if cap not in capabilities:
         raise UnsupportedPrimitive(f"{element}: target lacks primitive {cap!r}")
-
-
-def expand_states(app: ApplicationSpec) -> list[CompiledState]:
-    """Wire-level states in declaration order, arrays element-expanded."""
-    out = []
-    for s in app.states:
-        for k, name in enumerate(s.wire_names()):
-            out.append(
-                CompiledState(
-                    name=name,
-                    source=s.name,
-                    element=k,
-                    scope=s.scope,
-                    width_bits=s.width_bits,
-                    value_type=s.value.type,
-                    window=s.value.window,
-                    delta_s=s.value.delta_s,
-                    unit=s.value.unit,
-                    target_hint=s.target_hint,
-                )
-            )
-    return out
 
 
 def compile_application(
@@ -165,7 +120,11 @@ def compile_application(
     (Mean lowers to Sum plus a right shift).
     """
     app = dag.app
-    states = expand_states(app)
+    states = [
+        CompiledState(s.name, k, s.scope, s.width_bits, s.value.type, s.value.window,
+                      s.value.delta_s, s.value.unit, s.target_hint)
+        for k, s in enumerate(app.states)
+    ]
 
     structures: list[DataStructure] = []
     ops: list[PrimitiveOp] = []
@@ -179,39 +138,17 @@ def compile_application(
         return op
 
     for cs in states:
-        kind = _STRUCTURE_FOR[cs.value_type]
-        _require(kind, capabilities, f"state {cs.source}")
+        _require("register", capabilities, f"state {cs.name}")
         if cs.value_type is ValueType.RATE_ESTIMATE:
-            _require("circular_buffer", capabilities, f"state {cs.source}")
-            structures.append(
-                DataStructure(cs.name + SLOTS_SUFFIX, "circular_buffer", cs.width_bits, cs.window)
-            )
-        structures.append(DataStructure(cs.name, kind, cs.width_bits))
-        opcode = _WRITE_OPCODE[cs.value_type]
-        if cs.value_type is ValueType.RATE_ESTIMATE:
-            emit(
-                opcode,
-                (cs.name + SLOTS_SUFFIX,),
-                cs.name,
-                (("window", cs.window), ("delta_s", cs.delta_s)),
-            )
+            _require("circular_buffer", capabilities, f"state {cs.name}")
+            slots = cs.name + SLOTS_SUFFIX
+            structures.append(DataStructure(slots, "circular_buffer", cs.width_bits, cs.window))
+            structures.append(DataStructure(cs.name, "register", cs.width_bits))
+            emit("estimate_rate", (slots,), cs.name,
+                 (("window", cs.window), ("delta_s", cs.delta_s)))
         else:
-            emit(opcode, (), cs.name)
-
-    expanded_inputs: dict[str, tuple[str, ...]] = {}
-    source_names = {s.name for s in app.states}
-    by_source: dict[str, list[str]] = {}
-    for cs in states:
-        by_source.setdefault(cs.source, []).append(cs.name)
-
-    def wire_inputs(names):
-        out = []
-        for n in names:
-            if n in source_names:
-                out.extend(by_source[n])
-            else:
-                out.append(n)
-        return tuple(out)
+            structures.append(DataStructure(cs.name, "register", cs.width_bits))
+            emit("store", (), cs.name)
 
     # Reductions in topological order (the dag order is already layered).
     topo = dag.topo_order()
@@ -219,19 +156,17 @@ def compile_application(
         if dag.nodes[node] != "reduction":
             continue
         r = dag.reductions[node]
-        inputs = wire_inputs(r.inputs)
-        expanded_inputs[node] = inputs
         prim = r.primitive
         if prim is ReductionKind.MEAN:
             _require("sum", capabilities, f"reduction {r.output}")
             _require("shift", capabilities, f"reduction {r.output}")
-            n = len(inputs)
+            n = len(r.inputs)
             if n < 1 or n & (n - 1):
                 raise UnsupportedPrimitive(
                     f"reduction {r.output}: mean lowers to sum+shift and needs a"
                     f" power-of-two input count, got {n}"
                 )
-            emit("sum", inputs, r.output + SUM_SUFFIX)
+            emit("sum", r.inputs, r.output + SUM_SUFFIX)
             emit(
                 "shift",
                 (r.output + SUM_SUFFIX,),
@@ -240,7 +175,7 @@ def compile_application(
             )
         else:
             _require(prim.value, capabilities, f"reduction {r.output}")
-            emit(prim.value, inputs, r.output)
+            emit(prim.value, r.inputs, r.output)
 
     activities = {a.name: a for a in app.activities}
     groups: list[frozenset[int]] = []
@@ -273,12 +208,8 @@ def compile_application(
                 group.add(op_of[name])
                 if name + SUM_SUFFIX in op_of:
                     group.add(op_of[name + SUM_SUFFIX])
-            if name in expanded_inputs:
-                for src in expanded_inputs[name]:
-                    stack.append(src)
-            elif name in dag.reductions:
-                for src in dag.reductions[name].inputs:
-                    stack.append(src)
+            if name in dag.reductions:
+                stack.extend(dag.reductions[name].inputs)
         groups.append(frozenset(group))
 
     # Activities sharing a sequential_group pull their trigger groups
@@ -301,44 +232,12 @@ def compile_application(
     return PrimitiveProgram(app.name, states, structures, ops, groups)
 
 
-class StateIdRegistry:
-    """Issues globally unique 32-bit state ids, shared across applications.
-
-    Ids are dense from zero in assignment order; a (name, scope) pair
-    seen again (another app declaring the same shared state) receives
-    its existing id.
-    """
-
-    def __init__(self):
-        self._ids: dict[tuple[str, str], int] = {}
-
-    def assign(self, name: str, scope: ScopeFilter) -> int:
-        key = (name, scope.signature())
-        if key in self._ids:
-            return self._ids[key]
-        nxt = len(self._ids)
-        if nxt > MAX_STATE_ID:
-            raise RegistryExhausted(f"no state ids left for {name}")
-        self._ids[key] = nxt
-        return nxt
-
-    def __len__(self):
-        return len(self._ids)
-
-
-def assign_state_ids(program: PrimitiveProgram, registry: StateIdRegistry) -> None:
-    """Fix wire ids for every compiled state, in declaration order."""
-    for cs in program.states:
-        cs.state_id = registry.assign(cs.name, cs.scope)
-
-
 def canonical_text(program: PrimitiveProgram) -> str:
     """Stable one-line-per-item dump used for golden comparisons."""
     lines = [f"program {program.app_name}"]
     for cs in program.states:
-        sid = "?" if cs.state_id is None else str(cs.state_id)
         lines.append(
-            f"state {sid} {cs.name} {cs.value_type.value}"
+            f"state {cs.state_id} {cs.name} {cs.value_type.value}"
             f" width={cs.width_bits} scope={cs.scope.signature()}"
         )
     for d in program.structures:
@@ -419,7 +318,7 @@ def run_steps(steps, env: dict) -> None:
 
 
 def apply_reduction(kind: ReductionKind, values) -> int:
-    """A DAG reduction over its (array-expanded) input values.
+    """A DAG reduction over its input values.
 
     Mean is floor division over any input count; the switch lowering
     (sum + shift) only accepts power-of-two counts and agrees there.
@@ -478,10 +377,8 @@ def evaluate_dag(dag, state_values: dict[str, int], uniform01: float | None = No
     """Reference semantics: evaluate the application DAG directly.
 
     Mean here is exact floor division over any input count; the lowered
-    program agrees wherever it compiles (power-of-two counts). Array
-    states take their value as a list, matching the program's
-    element-expanded wire states. Used to check that lowering preserves
-    semantics.
+    program agrees wherever it compiles (power-of-two counts). Used to
+    check that lowering preserves semantics.
     """
     env: dict[str, int] = dict(state_values)
     fires: dict[str, bool] = {}
@@ -493,14 +390,7 @@ def evaluate_dag(dag, state_values: dict[str, int], uniform01: float | None = No
         kind = dag.nodes[node]
         if kind == "reduction":
             r = dag.reductions[node]
-            vals: list[int] = []
-            for i in r.inputs:
-                v = env[i]
-                if isinstance(v, (list, tuple)):
-                    vals.extend(v)
-                else:
-                    vals.append(v)
-            env[node] = apply_reduction(r.primitive, vals)
+            env[node] = apply_reduction(r.primitive, [env[i] for i in r.inputs])
         elif kind == "trigger":
             t = triggers[node]
             fired = t.predicate.evaluate(env[dag.trigger_inputs[node]], uniform01)

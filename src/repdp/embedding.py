@@ -279,7 +279,7 @@ def place_replicas(
     replica_id: dict[tuple[str, str], int] = {}
     k = 0
     for cs in program.states:
-        req = requirements.get(cs.source, InconsistencySpec.none())
+        req = requirements.get(cs.name, InconsistencySpec.none())
         c = config.replica_count if req.kind is not InconsistencyKind.NONE else 1
         chosen = tuple(sorted(ranking[:c]))
         nodes[cs.name] = chosen
@@ -461,7 +461,7 @@ class ReplicationPlan:
 def build_replication_plan(
     topo: Topology,
     placement: ReplicaPlacement,
-    requirements_by_wire: dict[str, InconsistencySpec],
+    requirements: dict[str, InconsistencySpec],
     r_min: float,
     mode: str = "time",
 ) -> ReplicationPlan:
@@ -477,7 +477,7 @@ def build_replication_plan(
             for b in nodes[i + 1 :]:
                 worst = max(worst, topo.delay_between(a, b))
         solutions[s] = solve_replication_period(
-            requirements_by_wire[s], worst, r_min, mode
+            requirements[s], worst, r_min, mode
         )
     return ReplicationPlan(tree, solutions, r_min, mode)
 

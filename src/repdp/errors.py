@@ -17,10 +17,6 @@ class UnsupportedPrimitive(RepdpError):
     """An element requires a primitive the target does not offer."""
 
 
-class RegistryExhausted(RepdpError):
-    """No state ids left in the 32-bit id space."""
-
-
 class DisconnectedTopology(RepdpError):
     """Topology graph is not connected."""
 

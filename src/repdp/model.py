@@ -69,10 +69,8 @@ class ScopeFilter:
 
 
 class ValueType(enum.Enum):
-    COUNTER = "counter"
     RATE_ESTIMATE = "rate_estimate"
     SCALAR = "scalar"
-    SCALAR_ARRAY = "scalar_array"
 
 
 @dataclass(frozen=True)
@@ -85,14 +83,9 @@ class ValueKind:
     """
 
     type: ValueType
-    length: int = 1
     window: int = 8
     delta_s: float = 0.1
     unit: str = "packets"
-
-    @classmethod
-    def counter(cls) -> "ValueKind":
-        return cls(ValueType.COUNTER)
 
     @classmethod
     def rate_estimate(
@@ -104,10 +97,6 @@ class ValueKind:
     @classmethod
     def scalar(cls) -> "ValueKind":
         return cls(ValueType.SCALAR)
-
-    @classmethod
-    def scalar_array(cls, length: int) -> "ValueKind":
-        return cls(ValueType.SCALAR_ARRAY, length=length)
 
 
 class InconsistencyKind(enum.Enum):
@@ -198,12 +187,6 @@ class StateSpec:
     value: ValueKind
     width_bits: int = 32
     target_hint: str | None = None
-
-    def wire_names(self) -> list[str]:
-        """Wire-level names: an array of n > 1 elements is name_0 .. name_{n-1}."""
-        if self.value.type is ValueType.SCALAR_ARRAY and self.value.length != 1:
-            return [f"{self.name}_{k}" for k in range(self.value.length)]
-        return [self.name]
 
 
 @dataclass(frozen=True)
@@ -356,14 +339,6 @@ def validate_application(app: ApplicationSpec) -> ValidationReport:
                 bad.append(f"name {name!r} used by both {names[name]} and {kind}")
             names[name] = kind
 
-    for s in app.states:
-        for k, wire in enumerate(s.wire_names()):
-            if wire != s.name and wire in names:
-                bad.append(
-                    f"{names[wire]} name {wire!r} collides with element {k}"
-                    f" of array state {s.name!r}"
-                )
-
     if not _NAME_RE.match(app.name):
         bad.append(f"application name {app.name!r} is not a valid identifier")
 
@@ -377,8 +352,6 @@ def validate_application(app: ApplicationSpec) -> ValidationReport:
                 f"state {s.name}: width {s.width_bits} outside"
                 f" [1, {STATE_MAX_WIDTH_BITS}]"
             )
-        if s.value.type is ValueType.SCALAR_ARRAY and s.value.length < 1:
-            bad.append(f"state {s.name}: array length must be >= 1")
         if s.value.type is ValueType.RATE_ESTIMATE:
             w = s.value.window
             if w < 1 or w & (w - 1):

@@ -239,8 +239,8 @@ class ReplicaStore:
         is the previous slot timestamp, -1 on first fill), "stale" for
         an out-of-order or duplicate timestamp, "local" when this switch
         is the origin, "transit" when the state is known but not hosted
-        here, or "unknown" when the id is outside the registry or the
-        header comes from a switch other than the state's origin.
+        here, or "unknown" when the id names no state of the application
+        or the header comes from a switch other than the state's origin.
         """
         sid = header.state_id
         slot = self.remote.get(sid)

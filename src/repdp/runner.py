@@ -2,7 +2,7 @@
 
 The runner owns the full deployment pipeline: the application's
 apps.APPS record (factory and bindings) -> validation/DAG -> primitive
-lowering -> wire id assignment -> replica placement -> distribution
+lowering (each state's wire id is its declaration index) -> replica placement -> distribution
 tree and update periods -> rule install -> simulator wiring (stores,
 estimators, triggers, flow monitors). Sweeps run the same scenario at
 several replica counts, each under a fresh simulator seeded
@@ -15,12 +15,7 @@ import os
 from dataclasses import dataclass
 
 from .apps import APPS
-from .compiler import (
-    StateIdRegistry,
-    assign_state_ids,
-    canonical_text,
-    compile_application,
-)
+from .compiler import canonical_text, compile_application
 from .embedding import (
     EmbeddingConfig,
     build_replication_plan,
@@ -28,9 +23,9 @@ from .embedding import (
     place_replicas,
     serialize_plan,
 )
-from .errors import InfeasibleBudget, InvalidParameter, ScenarioError
+from .errors import InfeasibleBudget, InsufficientNodes, InvalidParameter, ScenarioError
 from .metrics import MetricsLog, export_metrics, export_summary, summarize
-from .model import InconsistencySpec, ValueType, build_dag, replication_requirements
+from .model import ValueType, build_dag, replication_requirements
 from .scenario import ScenarioConfig
 from .simcore import Simulator
 
@@ -59,8 +54,7 @@ def pick_monitor(topo, replica_set, src_host: str, dst_host: str) -> str:
 def build_simulation(config: ScenarioConfig, replicas: int | None = None,
                      seed: int | None = None, t_end_s: float | None = None,
                      collect_trace: bool = False,
-                     replication: bool | None = None,
-                     registry: StateIdRegistry | None = None) -> BuiltSimulation:
+                     replication: bool | None = None) -> BuiltSimulation:
     c = config.replicas if replicas is None else replicas
     if not 1 <= c <= len(config.topology.switches):
         raise ScenarioError(
@@ -83,15 +77,17 @@ def build_simulation(config: ScenarioConfig, replicas: int | None = None,
                             config.line("application", exc.key)) from None
     dag = build_dag(app)
     program = compile_application(dag)
-    assign_state_ids(program, registry or StateIdRegistry())
 
     reqs = replication_requirements(dag)
-    ecfg = EmbeddingConfig(c, config.weights)
-    placement = place_replicas(topo, ecfg, program, reqs)
-    reqs_wire = {cs.name: reqs.get(cs.source, InconsistencySpec.none())
-                 for cs in program.states}
     try:
-        plan = build_replication_plan(topo, placement, reqs_wire,
+        placement = place_replicas(topo, EmbeddingConfig(c, config.weights), program, reqs)
+    except InsufficientNodes as exc:
+        # A state's target hint lies outside the replica set the count
+        # and weights chose.
+        raise ScenarioError(str(exc), config.path,
+                            config.line("embedding", "replicas")) from None
+    try:
+        plan = build_replication_plan(topo, placement, reqs,
                                       config.r_min, config.trigger_mode)
     except InfeasibleBudget as exc:
         if exc.key == "r_min":
@@ -119,11 +115,15 @@ def build_simulation(config: ScenarioConfig, replicas: int | None = None,
         sim.add_flow(f.name, f.src, f.dst, f.size_bits, f.syn,
                      f.segments, f.stop_s, monitor)
 
-    kinds = {cs.name: cs.value_type for cs in program.states}
     for (t_s, state, value) in config.loads:
-        if kinds.get(state) is not ValueType.SCALAR:
-            what = f"a {kinds[state].value} state" if state in kinds else "an unknown state"
+        cs = program.state_index.get(state)
+        if cs is None or cs.value_type is not ValueType.SCALAR:
+            what = f"a {cs.value_type.value} state" if cs else "an unknown state"
             raise ScenarioError(f"load on {state!r}, {what} (loads write scalar states only)",
+                                config.path, config.line("loads", state))
+        if not 0 <= value < 1 << cs.width_bits:
+            raise ScenarioError(f"load on {state!r}: value {value} outside"
+                                f" [0, 2^{cs.width_bits})",
                                 config.path, config.line("loads", state))
         sim.schedule_scalar(t_s, placement.origin[state], state, value)
 

@@ -16,8 +16,10 @@ Sections:
   [host.H]     attach, port_class, optional delay/capacity
   [application] name (ddos/ratelimit/linklb/resourcelb) + its apps.APPS keys
   [embedding]  replicas, r_min, trigger_mode, weights (node:w list)
-  [flow.NAME]  src, dst, size, syn, start, stop, rate (base + @t:rate steps)
-  [loads]      state = t:value pairs (scalar writes over time)
+  [flow.NAME]  src, dst, size, syn, start (>= 0), stop,
+               rate (base + @t:rate steps)
+  [loads]      state = t:value pairs (scalar writes over time; t in
+               [0, t_end], value in [0, 2^width) of the state)
 """
 
 from __future__ import annotations
@@ -463,6 +465,9 @@ def parse_scenario(path: str) -> ScenarioConfig:
                                 path, v.raw("size")[1])
         syn = v.flag("syn", "no")
         start = v.dur("start", "0")
+        if start < 0:
+            raise ScenarioError(f"flow {fname}: start must be >= 0", path,
+                                v.raw("start", "0")[1])
         stop = v.dur("stop", None) if v.has("stop") else t_end
         if stop <= start:
             # Without a stop of its own the flow runs to t_end, so the
@@ -484,7 +489,10 @@ def parse_scenario(path: str) -> ScenarioConfig:
                     raise ScenarioError(f"bad load point {tok!r} (expected t:value)",
                                         path, ln)
                 t, _, val = tok.partition(":")
-                loads.append((_num(path, t, ln), state, _int(path, val, ln)))
+                t_s = _num(path, t, ln)
+                if not 0 <= t_s <= t_end:
+                    raise ScenarioError(f"load time {t} outside [0, t_end = {t_end:g}]", path, ln)
+                loads.append((t_s, state, _int(path, val, ln)))
             lines["loads", state] = ln
         loads.sort(key=lambda x: (x[0], x[1]))
 

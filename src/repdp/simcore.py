@@ -292,7 +292,6 @@ class Simulator:
         self._app_installed = False
         self._uid = 0
         self._upd_uid = -1
-        self._known_ids: set[int] = set()
         # Per replicated state: the switch that writes it.
         self._origins: dict[str, SwitchRT] = {}
         # Per replicated state: its and its origin's name-table index,
@@ -353,9 +352,6 @@ class Simulator:
 
         steps = reduction_steps(program)
         for cs in program.states:
-            if cs.state_id is None:
-                raise SimulationError(f"state {cs.name} has no wire id")
-            self._known_ids.add(cs.state_id)
             nodes = placement.nodes[cs.name]
             origin = placement.origin[cs.name]
             origin_id = self._sw_id[origin]
@@ -366,14 +362,11 @@ class Simulator:
                 rt.store.configure_state(cs.name, cs.state_id, cs.width_bits,
                                          None if sw == origin else origin_id)
             ort = self._origins[cs.name] = self.switch_rt[origin]
-            if cs.value_type is ValueType.RATE_ESTIMATE:
-                est = RateEstimatorWindow(cs.delta_s, cs.window)
-                ort.store.attach_local(cs.name, est)
-            elif cs.value_type is ValueType.COUNTER:
-                est = None
-            else:
-                # SCALARs are written through set_scalar / scheduled loads.
+            if cs.value_type is not ValueType.RATE_ESTIMATE:
+                # Scalars are written through set_scalar / scheduled loads.
                 continue
+            est = RateEstimatorWindow(cs.delta_s, cs.window)
+            ort.store.attach_local(cs.name, est)
             mon = _Monitor(cs.name, cs.scope, est, cs.unit == "bits")
             if cs.name in egress_observers:
                 # A name that is no neighbor of the origin never matches.
@@ -383,9 +376,10 @@ class Simulator:
             else:
                 ort.monitors.append(mon)
 
+        known_ids = [cs.state_id for cs in program.states]
         for sw in self.switch_rt.values():
             if sw.store is not None:
-                sw.store.set_known_ids(self._known_ids)
+                sw.store.set_known_ids(known_ids)
 
         # Update triggers live at each replicated state's origin.
         for sname, sol in plan.solutions.items():
@@ -401,8 +395,7 @@ class Simulator:
         for tr in app.triggers:
             act = acts[tr.activity]
             upstream = dag.upstream_states(tr.name)
-            sws = sorted({sw for s in upstream for c in program.states_of(s)
-                          for sw in placement.nodes[c.name]})
+            sws = sorted({sw for s in upstream for sw in placement.nodes[s]})
             output = dag.trigger_inputs[tr.name]
             per_sw_maps = egress_maps.get(act.name, {})
             for sw in sws:
@@ -755,12 +748,8 @@ class Simulator:
         was written."""
         store = sw.store
         for m in monitors:
-            inc = pkt.size_bits if m.use_bits else 1
-            if m.est is not None:
-                m.est.observe(t, inc)
-                store.note_write(m.state)
-            else:
-                store.write_local(m.state, store.local_value(m.state, t) + inc)
+            m.est.observe(t, pkt.size_bits if m.use_bits else 1)
+            store.note_write(m.state)
         if sw.change_triggers:
             self._eval_change_triggers(sw, t)
 

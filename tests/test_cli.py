@@ -124,6 +124,7 @@ BAD_NUMBERS = {
     "flow_dst_unknown": ("fig8_ratelimit.scn", "dst = c3", "dst = x"),
     "flow_size_below_frame": ("fig8_ratelimit.scn", "size = 10000", "size = 100"),
     "flow_start_after_t_end": ("fig8_ratelimit.scn", "start = 20", "start = 1e30"),
+    "flow_start_negative": ("fig8_ratelimit.scn", "start = 0", "start = -1"),
     # The stop takes the start's line, and the start moves down one.
     "flow_stop_before_start": ("fig8_ratelimit.scn", "start = 20", "stop = 10\nstart = 20"),
     "link_delay_zero": ("fig8_ratelimit.scn", "link_delay = 0.5ms", "link_delay = 0"),

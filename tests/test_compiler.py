@@ -16,19 +16,16 @@ from repdp import (
     ReductionKind,
     ReductionSpec,
     ScopeFilter,
-    StateIdRegistry,
     StateSpec,
     TriggerSpec,
     UnsupportedPrimitive,
     ValueKind,
     apply_reduction,
-    assign_state_ids,
     build_dag,
     canonical_text,
     compile_application,
     evaluate_dag,
     evaluate_program,
-    expand_states,
     make_ddos_app,
 )
 
@@ -121,7 +118,7 @@ def test_argmin_ties_take_lowest_index():
 
 def small_app(kind, n_inputs, threshold):
     states = tuple(
-        StateSpec(f"s{i}", ScopeFilter(), ValueKind.counter()) for i in range(n_inputs)
+        StateSpec(f"s{i}", ScopeFilter(), ValueKind.scalar()) for i in range(n_inputs)
     )
     red = ReductionSpec("agg", kind, tuple(s.name for s in states))
     trig = TriggerSpec("watch", "agg", Predicate.greater_than(threshold),
@@ -159,7 +156,7 @@ def test_lowered_program_agrees_with_direct_evaluation(kind, vals, threshold):
 )
 def test_probabilistic_trigger_agrees_between_levels(vals, threshold, u):
     states = tuple(
-        StateSpec(f"s{i}", ScopeFilter(), ValueKind.counter()) for i in range(len(vals))
+        StateSpec(f"s{i}", ScopeFilter(), ValueKind.scalar()) for i in range(len(vals))
     )
     red = ReductionSpec("agg", ReductionKind.SUM, tuple(s.name for s in states))
     trig = TriggerSpec("watch", "agg", Predicate.probabilistic(threshold),
@@ -177,23 +174,6 @@ def test_probabilistic_trigger_agrees_between_levels(vals, threshold, u):
     assert not evaluate_dag(dag, values).fires["watch"]
 
 
-def test_array_state_semantics_match():
-    state = StateSpec("loads", ScopeFilter(), ValueKind.scalar_array(4))
-    red = ReductionSpec("pick", ReductionKind.ARGMIN, ("loads",))
-    trig = TriggerSpec("go", "pick", Predicate.always(),
-                       InconsistencySpec.update_error(5, 100), "steer")
-    act = ActivitySpec("steer", ActionKind.SET_EGRESS, selector="pick")
-    app = ApplicationSpec("arr", (state,), (red,), (trig,), (act,))
-    dag = build_dag(app)
-    program = compile_application(dag)
-    loads = [12, 40, 7, 22]
-    wire = {f"loads_{i}": v for i, v in enumerate(loads)}
-    got = evaluate_program(program, wire)
-    want = evaluate_dag(dag, {"loads": loads})
-    assert got.outputs["pick"] == want.outputs["pick"] == 2
-    assert got.actions == want.actions
-
-
 def test_mean_lowering_rejects_non_power_of_two():
     app = small_app(ReductionKind.MEAN, 3, 10)
     with pytest.raises(UnsupportedPrimitive) as exc:
@@ -203,7 +183,7 @@ def test_mean_lowering_rejects_non_power_of_two():
 
 def test_missing_capability_is_reported():
     app = small_app(ReductionKind.SUM, 2, 10)
-    caps = frozenset({"register", "counter", "greater_than", "drop_packet"})
+    caps = frozenset({"register", "greater_than", "drop_packet"})
     with pytest.raises(UnsupportedPrimitive) as exc:
         compile_application(build_dag(app), capabilities=caps)
     assert "sum" in str(exc.value)
@@ -222,22 +202,6 @@ def test_mean_lowers_to_sum_and_shift():
 # Wire states, ids, canonical dump, colocation.
 
 
-def test_expand_states_elementwise():
-    state = StateSpec("loads", ScopeFilter(), ValueKind.scalar_array(3))
-    app = ApplicationSpec(
-        "arr",
-        (state,),
-        (ReductionSpec("pick", ReductionKind.ARGMIN, ("loads",)),),
-        (TriggerSpec("go", "pick", Predicate.always(),
-                     InconsistencySpec.update_error(5, 100), "steer"),),
-        (ActivitySpec("steer", ActionKind.SET_EGRESS, selector="pick"),),
-    )
-    names = [cs.name for cs in expand_states(app)]
-    assert names == ["loads_0", "loads_1", "loads_2"]
-    assert {cs.source for cs in expand_states(app)} == {"loads"}
-    assert [cs.element for cs in expand_states(app)] == [0, 1, 2]
-
-
 def test_rate_estimate_gets_slot_buffer():
     app = make_ddos_app(2, 1000, 0.014, window=8)
     program = compile_application(build_dag(app))
@@ -246,35 +210,18 @@ def test_rate_estimate_gets_slot_buffer():
     assert kinds["syn_rate_0"] == ("register", 1)
 
 
-def test_state_id_registry_is_idempotent_and_dense():
-    reg = StateIdRegistry()
-    a = reg.assign("x", ScopeFilter())
-    b = reg.assign("y", ScopeFilter())
-    assert (a, b) == (0, 1)
-    assert reg.assign("x", ScopeFilter()) == 0
-    assert reg.assign("y", ScopeFilter()) == 1
-    assert len(reg) == 2
-    # Same name under a different scope is a different wire state.
-    scoped = reg.assign("x", ScopeFilter(dst_hosts=("h1",)))
-    assert scoped == 2
-
-
 def test_assign_state_ids_replay_is_stable():
-    reg = StateIdRegistry()
+    # Each state's wire id is its declaration index, on every compile.
     app = make_ddos_app(3, 1000, 0.014)
     p1 = compile_application(build_dag(app))
-    assign_state_ids(p1, reg)
-    first = [cs.state_id for cs in p1.states]
     p2 = compile_application(build_dag(app))
-    assign_state_ids(p2, reg)
-    assert [cs.state_id for cs in p2.states] == first == [0, 1, 2]
+    assert [cs.name for cs in p1.states] == [s.name for s in app.states]
+    assert [cs.state_id for cs in p2.states] == [cs.state_id for cs in p1.states] == [0, 1, 2]
 
 
 def test_canonical_text_is_deterministic_and_complete():
     app = make_ddos_app(2, 1000, 0.014)
-    reg = StateIdRegistry()
     program = compile_application(build_dag(app))
-    assign_state_ids(program, reg)
     text = canonical_text(program)
     assert text == canonical_text(program)
     assert text.startswith("program ddos")
@@ -295,8 +242,8 @@ def test_trigger_group_spans_reduction_chain():
 
 def test_sequential_activities_merge_groups():
     states = (
-        StateSpec("a", ScopeFilter(), ValueKind.counter()),
-        StateSpec("b", ScopeFilter(), ValueKind.counter()),
+        StateSpec("a", ScopeFilter(), ValueKind.scalar()),
+        StateSpec("b", ScopeFilter(), ValueKind.scalar()),
     )
     acts = (
         ActivitySpec("act1", ActionKind.DROP_PACKET, sequential_group="pair"),

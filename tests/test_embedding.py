@@ -233,7 +233,7 @@ def ddos_program(n=4):
 def test_placement_replicates_budgeted_states_on_top_ranked():
     topo = ring4()
     program = ddos_program(4)
-    reqs = {s.source: InconsistencySpec.time_obsolescence(0.014) for s in program.states}
+    reqs = {s.name: InconsistencySpec.time_obsolescence(0.014) for s in program.states}
     placement = place_replicas(topo, EmbeddingConfig(2, {"sw1": 3, "sw3": 3}), program, reqs)
     for cs in program.states:
         assert placement.nodes[cs.name] == ("sw1", "sw3")
@@ -259,7 +259,7 @@ def test_target_hint_overrides_round_robin():
     program = ddos_program(2)
     for cs in program.states:
         cs.target_hint = "sw2"
-    reqs = {s.source: InconsistencySpec.time_obsolescence(0.014) for s in program.states}
+    reqs = {s.name: InconsistencySpec.time_obsolescence(0.014) for s in program.states}
     placement = place_replicas(topo, EmbeddingConfig(2), program, reqs)
     assert all(placement.origin[cs.name] == "sw2" for cs in program.states)
     program.states[0].target_hint = "sw4"  # not in the top-2 set
@@ -326,11 +326,10 @@ def test_infeasible_budgets_raise():
 def fig_like_setup(replica_count):
     topo = ring4()
     program = ddos_program(4)
-    reqs = {s.source: InconsistencySpec.time_obsolescence(0.014) for s in program.states}
+    reqs = {s.name: InconsistencySpec.time_obsolescence(0.014) for s in program.states}
     weights = {"sw1": 3.0, "sw2": 1.0, "sw3": 3.0, "sw4": 1.0}
     placement = place_replicas(topo, EmbeddingConfig(replica_count, weights), program, reqs)
-    wire_reqs = {s.name: reqs[s.source] for s in program.states}
-    plan = build_replication_plan(topo, placement, wire_reqs, r_min=100.0)
+    plan = build_replication_plan(topo, placement, reqs, r_min=100.0)
     return topo, placement, plan
 
 

@@ -31,7 +31,7 @@ from repdp.model import IDENTITY_SUFFIX
 
 
 def tiny_app(**overrides):
-    state = StateSpec("cnt", ScopeFilter(), ValueKind.counter())
+    state = StateSpec("cnt", ScopeFilter(), ValueKind.scalar())
     red = ReductionSpec("total", ReductionKind.SUM, ("cnt",))
     trig = TriggerSpec("watch", "total", Predicate.greater_than(5),
                        InconsistencySpec.time_obsolescence(0.01), "act")
@@ -79,7 +79,7 @@ def test_estimator_window_must_be_power_of_two():
 
 
 def test_width_bounds_enforced():
-    wide = StateSpec("w", ScopeFilter(), ValueKind.counter(), width_bits=65)
+    wide = StateSpec("w", ScopeFilter(), ValueKind.scalar(), width_bits=65)
     rep = validate_application(tiny_app(
         states=(wide,),
         reductions=(ReductionSpec("total", ReductionKind.SUM, ("w",)),),
@@ -114,8 +114,8 @@ def test_build_dag_raises_on_invalid():
         build_dag(tiny_app(activities=()))
 
 
-def counter(name):
-    return StateSpec(name, ScopeFilter(), ValueKind.counter())
+def scalar(name):
+    return StateSpec(name, ScopeFilter(), ValueKind.scalar())
 
 
 def watch(input_name):
@@ -128,7 +128,7 @@ def watch(input_name):
 NAME_COLLISIONS = {
     # The lowered mean m writes its sum to m__sum, over the user's state.
     "state_named_like_a_mean_sum": (
-        (counter("x"), counter("y"), counter("m__sum")),
+        (scalar("x"), scalar("y"), scalar("m__sum")),
         (ReductionSpec("m", ReductionKind.MEAN, ("x", "y")),
          ReductionSpec("total", ReductionKind.SUM, ("m__sum", "m"))),
         watch("total"),
@@ -136,7 +136,7 @@ NAME_COLLISIONS = {
     ),
     # A trigger on state x would read this sum as x's identity reduction.
     "reduction_named_like_an_identity": (
-        (counter("x"), counter("z")),
+        (scalar("x"), scalar("z")),
         (ReductionSpec("x__id", ReductionKind.SUM, ("x", "z")),),
         watch("x"),
         "'x__id' ends in a suffix reserved",
@@ -144,17 +144,10 @@ NAME_COLLISIONS = {
     # The estimator r keeps its slot ring as the data structure r__slots.
     "state_named_like_an_estimator_ring": (
         (StateSpec("r", ScopeFilter(), ValueKind.rate_estimate(window=4)),
-         counter("r__slots")),
+         scalar("r__slots")),
         (ReductionSpec("total", ReductionKind.SUM, ("r", "r__slots")),),
         watch("total"),
         "'r__slots' ends in a suffix reserved",
-    ),
-    # Array x goes on the wire as x_0, x_1: two program states named x_0.
-    "state_named_like_an_array_element": (
-        (StateSpec("x", ScopeFilter(), ValueKind.scalar_array(2)), counter("x_0")),
-        (ReductionSpec("total", ReductionKind.SUM, ("x", "x_0")),),
-        watch("total"),
-        "'x_0' collides with element 0 of array state 'x'",
     ),
 }
 
@@ -169,17 +162,9 @@ def test_names_colliding_with_synthesized_names_rejected(case):
         build_dag(app)
 
 
-def test_array_of_length_one_keeps_its_own_name():
-    # Only arrays of two or more elements are expanded to name_k.
-    one = StateSpec("x", ScopeFilter(), ValueKind.scalar_array(1))
-    app = tiny_app(states=(one, counter("x_0")),
-                   reductions=(ReductionSpec("total", ReductionKind.SUM, ("x", "x_0")),))
-    assert validate_application(app).ok
-
-
 def test_dag_layers_and_identity_insertion():
     # A trigger reading a state directly gets an identity reduction.
-    state = StateSpec("cnt", ScopeFilter(), ValueKind.counter())
+    state = StateSpec("cnt", ScopeFilter(), ValueKind.scalar())
     trig = TriggerSpec("watch", "cnt", Predicate.greater_than(5),
                        InconsistencySpec.time_obsolescence(0.01), "act")
     act = ActivitySpec("act", ActionKind.NOTIFY_CONTROLLER, message="hit")
@@ -199,7 +184,7 @@ def test_upstream_states_transitive():
 
 
 def test_replication_requirements_take_strictest_budget():
-    state = StateSpec("cnt", ScopeFilter(), ValueKind.counter())
+    state = StateSpec("cnt", ScopeFilter(), ValueKind.scalar())
     loose = TriggerSpec("loose", "cnt", Predicate.greater_than(5),
                         InconsistencySpec.time_obsolescence(0.5), "act")
     strict = TriggerSpec("strict", "cnt", Predicate.greater_than(9),
@@ -212,7 +197,7 @@ def test_replication_requirements_take_strictest_budget():
 
 
 def test_budget_free_state_is_unreplicated():
-    state = StateSpec("cnt", ScopeFilter(), ValueKind.counter())
+    state = StateSpec("cnt", ScopeFilter(), ValueKind.scalar())
     trig = TriggerSpec("watch", "cnt", Predicate.greater_than(5),
                        InconsistencySpec.none(), "act")
     act = ActivitySpec("act", ActionKind.NOTIFY_CONTROLLER, message="hit")

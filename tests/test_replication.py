@@ -12,10 +12,8 @@ from repdp import (
     InvalidParameter,
     RateEstimatorWindow,
     ReplicaStore,
-    StateIdRegistry,
     UpdateHeader,
     UpdateTrigger,
-    assign_state_ids,
     build_dag,
     build_simulation,
     compile_application,
@@ -268,7 +266,6 @@ def test_every_store_agrees_with_the_dag_oracle(app_name, data):
     make, sizes = STORE_APPS[app_name]
     dag = build_dag(make(data.draw(sizes)))
     program = compile_application(dag)
-    assign_state_ids(program, StateIdRegistry())
     # Configured as Simulator.install_app does, on a switch that hosts
     # every state but one; origin 0 is this switch.
     absent = data.draw(st.sampled_from(program.states))

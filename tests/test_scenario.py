@@ -399,6 +399,20 @@ APP_AND_LOAD_ERRORS = {
         BASE.replace(DDOS_KEYS, RESOURCE_LB) + "[loads]\nsrv_load_0 = 0:10\nsrv_load_7 = 1:5\n",
         "srv_load_7"),
     "load_on_rate_estimator": (BASE + "[loads]\nsyn_rate_0 = 1:5000\n", "syn_rate_0"),
+    # A load's time lies in [0, t_end] and its value fits the state's
+    # 32-bit register.
+    "load_time_negative": (
+        BASE.replace(DDOS_KEYS, RESOURCE_LB) + "[loads]\nsrv_load_0 = -1:5\n", "srv_load_0"),
+    "load_time_past_t_end": (
+        BASE.replace("seed = 1", "seed = 1\nt_end = 1").replace(DDOS_KEYS, RESOURCE_LB)
+        + "[loads]\nsrv_load_0 = 5:10\n", "srv_load_0"),
+    "load_value_negative": (
+        BASE.replace(DDOS_KEYS, RESOURCE_LB) + "[loads]\nsrv_load_0 = 0:-5\n", "srv_load_0"),
+    "load_value_above_width": (
+        BASE.replace(DDOS_KEYS, RESOURCE_LB) + "[loads]\nsrv_load_0 = 0:4294967296\n",
+        "srv_load_0"),
+    # One replica on s1 cannot hold the leg state hinted at s2.
+    "linklb_hint_outside_replicas": (ESTIMATOR_APPS["linklb"], "replicas = 1"),
 }
 APP_AND_LOAD_ERRORS.update({
     f"{app}_{key.replace(' = ', '_')}": (text.replace("[embedding]", f"{key}\n[embedding]"), key)
