@@ -1,20 +1,21 @@
 """Compilation of an application DAG into a switch-level primitive program.
 
-The output is a flat list of data structures (registers, circular
-buffers) plus primitive operations in topological order, with
-colocation groups tying each trigger to the ops it must share a switch
-with. Each declared state is one wire state, whose id is its
-declaration index; rate estimates expand to a slot buffer feeding an
-estimate register, and only the register is replicated.
-The reduction and shift ops, as flat steps (`reduction_steps`), are
-the one executable semantics: every replica store and
-`evaluate_program` run them; `evaluate_dag` is the oracle.
+The output is the declared states plus primitive operations in
+topological order, with colocation groups tying each trigger to the ops
+it must share a switch with. Each declared state is one wire state,
+whose id is its declaration index; a rate estimate is a slot buffer
+feeding an estimate register, and only the register is replicated.
+The program is the one executable semantics: every replica store and
+`evaluate_program` run its reduction and shift ops as flat steps
+(`reduction_steps`), and every switch and `evaluate_program` run its
+trigger table (`PrimitiveProgram.triggers`); `evaluate_dag` is the
+oracle.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import UnsupportedPrimitive
 from .model import (
@@ -23,57 +24,11 @@ from .model import (
     ActionKind,
     ElementDag,
     Predicate,
-    PredicateKind,
     ReductionKind,
     ScopeFilter,
+    StateSpec,
     ValueType,
 )
-
-DEFAULT_CAPABILITIES = frozenset(
-    {
-        "register",
-        "circular_buffer",
-        "sum",
-        "shift",
-        "min",
-        "max",
-        "argmin",
-        "argmax",
-        "minmax_argmin",
-        "identity",
-        "greater_than",
-        "less_or_equal",
-        "probabilistic",
-        "always",
-        "notify_controller",
-        "drop_packet",
-        "set_egress",
-        "insert_flow_rule",
-    }
-)
-
-
-@dataclass
-class CompiledState:
-    """One declared state: a wire-addressable replicated value."""
-
-    name: str
-    state_id: int
-    scope: ScopeFilter
-    width_bits: int
-    value_type: ValueType
-    window: int
-    delta_s: float
-    unit: str
-    target_hint: str | None
-
-
-@dataclass(frozen=True)
-class DataStructure:
-    name: str
-    kind: str
-    width_bits: int
-    slots: int = 1
 
 
 @dataclass(frozen=True)
@@ -91,42 +46,45 @@ class PrimitiveOp:
         return default
 
 
+@dataclass(frozen=True)
+class TriggerStep:
+    """One trigger and its activity, as every switch holding a replica
+    of an upstream state runs it: `input` names the reduction output the
+    predicate reads, `upstream` the states feeding it, in declaration
+    order."""
+
+    name: str
+    input: str
+    predicate: Predicate
+    activity: str
+    action: ActionKind
+    scope: ScopeFilter
+    message: str | None
+    selector: str | None
+    selector_const: int | None
+    upstream: tuple[str, ...]
+
+
 @dataclass
 class PrimitiveProgram:
+    """The lowered application. `states` are the declared states, each
+    state's wire id being its index; `triggers` is the one trigger table
+    that evaluate_program and every switch run."""
+
     app_name: str
-    states: list[CompiledState]
-    structures: list[DataStructure]
+    states: tuple[StateSpec, ...]
     ops: list[PrimitiveOp]
     groups: list[frozenset[int]]
-    state_index: dict[str, CompiledState] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.state_index:
-            self.state_index = {s.name: s for s in self.states}
+    triggers: tuple[TriggerStep, ...]
 
 
-def _require(cap: str, capabilities: frozenset, element: str):
-    if cap not in capabilities:
-        raise UnsupportedPrimitive(f"{element}: target lacks primitive {cap!r}")
+def compile_application(dag: ElementDag) -> PrimitiveProgram:
+    """Lower a validated DAG onto switch primitives.
 
-
-def compile_application(
-    dag: ElementDag, capabilities: frozenset = DEFAULT_CAPABILITIES
-) -> PrimitiveProgram:
-    """Lower a validated DAG onto the primitive set in `capabilities`.
-
-    Raises UnsupportedPrimitive when an element needs a missing
-    primitive, including Mean over a non power-of-two input count
-    (Mean lowers to Sum plus a right shift).
+    Raises UnsupportedPrimitive for Mean over a non power-of-two input
+    count (Mean lowers to Sum plus a right shift).
     """
     app = dag.app
-    states = [
-        CompiledState(s.name, k, s.scope, s.width_bits, s.value.type, s.value.window,
-                      s.value.delta_s, s.value.unit, s.target_hint)
-        for k, s in enumerate(app.states)
-    ]
-
-    structures: list[DataStructure] = []
     ops: list[PrimitiveOp] = []
     op_of: dict[str, int] = {}
 
@@ -137,29 +95,19 @@ def compile_application(
             op_of[output] = op.op_id
         return op
 
-    for cs in states:
-        _require("register", capabilities, f"state {cs.name}")
-        if cs.value_type is ValueType.RATE_ESTIMATE:
-            _require("circular_buffer", capabilities, f"state {cs.name}")
-            slots = cs.name + SLOTS_SUFFIX
-            structures.append(DataStructure(slots, "circular_buffer", cs.width_bits, cs.window))
-            structures.append(DataStructure(cs.name, "register", cs.width_bits))
-            emit("estimate_rate", (slots,), cs.name,
-                 (("window", cs.window), ("delta_s", cs.delta_s)))
+    for s in app.states:
+        if s.value.type is ValueType.RATE_ESTIMATE:
+            emit("estimate_rate", (s.name + SLOTS_SUFFIX,), s.name,
+                 (("window", s.value.window), ("delta_s", s.value.delta_s)))
         else:
-            structures.append(DataStructure(cs.name, "register", cs.width_bits))
-            emit("store", (), cs.name)
+            emit("store", (), s.name)
 
     # Reductions in topological order (the dag order is already layered).
-    topo = dag.topo_order()
-    for node in topo:
+    for node in dag.topo_order():
         if dag.nodes[node] != "reduction":
             continue
         r = dag.reductions[node]
-        prim = r.primitive
-        if prim is ReductionKind.MEAN:
-            _require("sum", capabilities, f"reduction {r.output}")
-            _require("shift", capabilities, f"reduction {r.output}")
+        if r.primitive is ReductionKind.MEAN:
             n = len(r.inputs)
             if n < 1 or n & (n - 1):
                 raise UnsupportedPrimitive(
@@ -174,21 +122,19 @@ def compile_application(
                 (("shift", n.bit_length() - 1),),
             )
         else:
-            _require(prim.value, capabilities, f"reduction {r.output}")
-            emit(prim.value, r.inputs, r.output)
+            emit(r.primitive.value, r.inputs, r.output)
 
     activities = {a.name: a for a in app.activities}
     groups: list[frozenset[int]] = []
+    triggers: list[TriggerStep] = []
     for t in app.triggers:
         red = dag.trigger_inputs[t.name]
-        _require(t.predicate.kind.value, capabilities, f"trigger {t.name}")
         params = []
         if t.predicate.threshold is not None:
             params.append(("threshold", t.predicate.threshold))
         trig_op = emit(t.predicate.kind.value, (red,), t.name, params)
 
         a = activities[t.activity]
-        _require(a.action.value, capabilities, f"activity {a.name}")
         aparams = [("activity", a.name)]
         if a.message is not None:
             aparams.append(("message", a.message))
@@ -199,8 +145,10 @@ def compile_application(
         act_op = emit(a.action.value, (t.name,), None, aparams)
 
         # The trigger, its activity and the reduction chain below it must
-        # land on the same switch.
+        # land on the same switch; the states at the chain's leaves are
+        # the ones whose replicas run the trigger.
         group = {trig_op.op_id, act_op.op_id}
+        upstream = set()
         stack = [red]
         while stack:
             name = stack.pop()
@@ -210,7 +158,12 @@ def compile_application(
                     group.add(op_of[name + SUM_SUFFIX])
             if name in dag.reductions:
                 stack.extend(dag.reductions[name].inputs)
+            else:
+                upstream.add(name)
         groups.append(frozenset(group))
+        triggers.append(TriggerStep(
+            t.name, red, t.predicate, a.name, a.action, a.scope, a.message, a.selector,
+            a.selector_const, tuple(s.name for s in app.states if s.name in upstream)))
 
     # Activities sharing a sequential_group pull their trigger groups
     # together onto one switch.
@@ -229,20 +182,22 @@ def compile_application(
             merged_away.update(indices[1:])
         groups = [g for i, g in enumerate(groups) if i not in merged_away]
 
-    return PrimitiveProgram(app.name, states, structures, ops, groups)
+    return PrimitiveProgram(app.name, app.states, ops, groups, tuple(triggers))
 
 
 def canonical_text(program: PrimitiveProgram) -> str:
     """Stable one-line-per-item dump used for golden comparisons."""
     lines = [f"program {program.app_name}"]
-    for cs in program.states:
+    for k, s in enumerate(program.states):
         lines.append(
-            f"state {cs.state_id} {cs.name} {cs.value_type.value}"
-            f" width={cs.width_bits} scope={cs.scope.signature()}"
+            f"state {k} {s.name} {s.value.type.value}"
+            f" width={s.width_bits} scope={s.scope.signature()}"
         )
-    for d in program.structures:
-        extra = f" slots={d.slots}" if d.slots != 1 else ""
-        lines.append(f"struct {d.name} {d.kind} width={d.width_bits}{extra}")
+    for s in program.states:
+        if s.value.type is ValueType.RATE_ESTIMATE:
+            lines.append(f"struct {s.name}{SLOTS_SUFFIX} circular_buffer"
+                         f" width={s.width_bits} slots={s.value.window}")
+        lines.append(f"struct {s.name} register width={s.width_bits}")
     for op in program.ops:
         out = f" -> {op.output}" if op.output else ""
         params = "".join(f" {k}={v}" for k, v in op.params)
@@ -336,10 +291,6 @@ class ProgramResult:
     actions: list[tuple[str, str, object]]
 
 
-_PREDICATE_OPCODES = frozenset(k.value for k in PredicateKind)
-_ACTION_OPCODES = frozenset(k.value for k in ActionKind)
-
-
 def evaluate_program(
     program: PrimitiveProgram,
     state_values: dict[str, int],
@@ -347,29 +298,26 @@ def evaluate_program(
 ) -> ProgramResult:
     """Run a compiled program over concrete wire-state values.
 
-    The reduction steps are the ones every replica store runs; trigger
-    ops evaluate through Predicate, so a probabilistic trigger without
-    a uniform draw does not fire. Tests compare the result against
-    evaluate_dag.
+    The reduction steps are the ones every replica store runs, and the
+    trigger steps the ones every switch installs; a probabilistic
+    trigger without a uniform draw does not fire. Tests compare the
+    result against evaluate_dag.
     """
-    env: dict[str, int] = {cs.name: 0 for cs in program.states}
+    env: dict[str, int] = {s.name: 0 for s in program.states}
     env.update(state_values)
     run_steps(reduction_steps(program), env)
     fires: dict[str, bool] = {}
     actions: list[tuple[str, str, object]] = []
-    for op in program.ops:
-        if op.opcode in _PREDICATE_OPCODES:
-            pred = Predicate(PredicateKind(op.opcode), op.param("threshold"))
-            fired = pred.evaluate(env[op.operands[0]], uniform01)
-            env[op.output] = int(fired)
-            fires[op.output] = fired
-        elif op.opcode in _ACTION_OPCODES and env[op.operands[0]]:
-            detail = op.param("message")
-            if op.param("selector") is not None:
-                detail = env[op.param("selector")]
-            elif op.param("selector_const") is not None:
-                detail = op.param("selector_const")
-            actions.append((op.opcode, op.operands[0], detail))
+    for tr in program.triggers:
+        fired = fires[tr.name] = tr.predicate.evaluate(env[tr.input], uniform01)
+        env[tr.name] = int(fired)
+        if fired:
+            detail = tr.message
+            if tr.selector is not None:
+                detail = env[tr.selector]
+            elif tr.selector_const is not None:
+                detail = tr.selector_const
+            actions.append((tr.action.value, tr.name, detail))
     return ProgramResult(env, fires, actions)
 
 

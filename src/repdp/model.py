@@ -344,7 +344,7 @@ def validate_application(app: ApplicationSpec) -> ValidationReport:
 
     state_names = {s.name for s in app.states}
     reduction_names = {r.output for r in app.reductions}
-    activity_names = {a.name for a in app.activities}
+    activities = {a.name: a for a in app.activities}
 
     for s in app.states:
         if not 1 <= s.width_bits <= STATE_MAX_WIDTH_BITS:
@@ -395,8 +395,14 @@ def validate_application(app: ApplicationSpec) -> ValidationReport:
     for t in app.triggers:
         if t.input not in state_names and t.input not in reduction_names:
             bad.append(f"trigger {t.name}: unknown input {t.input!r}")
-        if t.activity not in activity_names:
+        if t.activity not in activities:
             bad.append(f"trigger {t.name}: unknown activity {t.activity!r}")
+        elif (t.predicate.kind is PredicateKind.PROBABILISTIC
+              and activities[t.activity].action is ActionKind.NOTIFY_CONTROLLER):
+            # A notification fires on a change of the trigger's value,
+            # which switches evaluate without a draw.
+            bad.append(f"trigger {t.name}: a probabilistic predicate cannot"
+                       f" drive notify_controller")
         if t.predicate.kind in (
             PredicateKind.GREATER_THAN,
             PredicateKind.LESS_OR_EQUAL,
@@ -413,6 +419,9 @@ def validate_application(app: ApplicationSpec) -> ValidationReport:
     for a in app.activities:
         if a.action is ActionKind.NOTIFY_CONTROLLER and not a.message:
             bad.append(f"activity {a.name}: notify_controller needs a message")
+        if a.action in (ActionKind.NOTIFY_CONTROLLER, ActionKind.DROP_PACKET) and (
+                a.selector is not None or a.selector_const is not None):
+            bad.append(f"activity {a.name}: {a.action.value} takes no selector")
         if a.action is ActionKind.SET_EGRESS:
             if (a.selector is None) == (a.selector_const is None):
                 bad.append(

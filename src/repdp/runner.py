@@ -34,7 +34,6 @@ from .simcore import Simulator
 class BuiltSimulation:
     sim: Simulator
     app: object
-    dag: object
     program: object
     placement: object
     plan: object
@@ -83,9 +82,11 @@ def build_simulation(config: ScenarioConfig, replicas: int | None = None,
         placement = place_replicas(topo, EmbeddingConfig(c, config.weights), program, reqs)
     except InsufficientNodes as exc:
         # A state's target hint lies outside the replica set the count
-        # and weights chose.
-        raise ScenarioError(str(exc), config.path,
-                            config.line("embedding", "replicas")) from None
+        # and weights chose: blame the count where it was set.
+        if replicas is None:
+            raise ScenarioError(str(exc), config.path,
+                                config.line("embedding", "replicas")) from None
+        raise ScenarioError(f"{exc} (replica count overridden to {c})", config.path) from None
     try:
         plan = build_replication_plan(topo, placement, reqs,
                                       config.r_min, config.trigger_mode)
@@ -106,7 +107,7 @@ def build_simulation(config: ScenarioConfig, replicas: int | None = None,
         collect_trace=collect_trace,
         replication_enabled=config.replication if replication is None else replication,
     )
-    sim.install_app(dag, program, placement, plan, rules, observers, egress_maps)
+    sim.install_app(program, placement, plan, rules, observers, egress_maps)
     sim.plan_text = serialize_plan(placement, plan) + "\n" + canonical_text(program)
 
     replica_set = sorted({sw for nodes in placement.nodes.values() for sw in nodes})
@@ -115,19 +116,20 @@ def build_simulation(config: ScenarioConfig, replicas: int | None = None,
         sim.add_flow(f.name, f.src, f.dst, f.size_bits, f.syn,
                      f.segments, f.stop_s, monitor)
 
+    states = {s.name: s for s in program.states}
     for (t_s, state, value) in config.loads:
-        cs = program.state_index.get(state)
-        if cs is None or cs.value_type is not ValueType.SCALAR:
-            what = f"a {cs.value_type.value} state" if cs else "an unknown state"
+        st = states.get(state)
+        if st is None or st.value.type is not ValueType.SCALAR:
+            what = f"a {st.value.type.value} state" if st else "an unknown state"
             raise ScenarioError(f"load on {state!r}, {what} (loads write scalar states only)",
                                 config.path, config.line("loads", state))
-        if not 0 <= value < 1 << cs.width_bits:
+        if not 0 <= value < 1 << st.width_bits:
             raise ScenarioError(f"load on {state!r}: value {value} outside"
-                                f" [0, 2^{cs.width_bits})",
+                                f" [0, 2^{st.width_bits})",
                                 config.path, config.line("loads", state))
         sim.schedule_scalar(t_s, placement.origin[state], state, value)
 
-    return BuiltSimulation(sim, app, dag, program, placement, plan, rules, c)
+    return BuiltSimulation(sim, app, program, placement, plan, rules, c)
 
 
 def run_single(config: ScenarioConfig, out_dir: str | None = None,

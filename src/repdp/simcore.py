@@ -190,19 +190,23 @@ class FlowRT:
 
 
 class _TriggerRT:
-    __slots__ = ("name", "output", "pred", "kind", "scope", "message",
+    """A switch's copy of one trigger step: `output` is the reduction
+    its predicate reads, `kind` its activity's action, and `draws` says
+    whether the predicate takes a uniform draw from the switch's RNG."""
+
+    __slots__ = ("name", "output", "pred", "draws", "kind", "scope", "message",
                  "selector", "selector_const", "egress_map", "prev")
 
-    def __init__(self, name, output, pred, kind, scope, message, selector,
-                 selector_const, egress_map):
-        self.name = name
-        self.output = output
-        self.pred = pred
-        self.kind = kind
-        self.scope = scope
-        self.message = message
-        self.selector = selector
-        self.selector_const = selector_const
+    def __init__(self, step, egress_map):
+        self.name = step.name
+        self.output = step.input
+        self.pred = step.predicate
+        self.draws = step.predicate.kind is PredicateKind.PROBABILISTIC
+        self.kind = step.action
+        self.scope = step.scope
+        self.message = step.message
+        self.selector = step.selector
+        self.selector_const = step.selector_const
         self.egress_map = egress_map
         self.prev = False
 
@@ -321,7 +325,7 @@ class Simulator:
     # ------------------------------------------------------------------
     # wiring
 
-    def install_app(self, dag, program, placement, plan, rules,
+    def install_app(self, program, placement, plan, rules,
                     egress_observers=None, egress_maps=None):
         """Deploy one compiled application onto the switches.
 
@@ -336,7 +340,6 @@ class Simulator:
         if self.log is not None:
             raise SimulationError("the application must be installed before the run starts")
         self._app_installed = True
-        app = dag.app
         egress_observers = egress_observers or {}
         egress_maps = egress_maps or {}
 
@@ -351,62 +354,55 @@ class Simulator:
                         for ingress in (None, *tree)}
 
         steps = reduction_steps(program)
-        for cs in program.states:
-            nodes = placement.nodes[cs.name]
-            origin = placement.origin[cs.name]
+        state_id = {}
+        for sid, st in enumerate(program.states):
+            state_id[st.name] = sid
+            origin = placement.origin[st.name]
             origin_id = self._sw_id[origin]
-            for sw in nodes:
+            for sw in placement.nodes[st.name]:
                 rt = self.switch_rt[sw]
                 if rt.store is None:
                     rt.store = ReplicaStore(sw, steps)
-                rt.store.configure_state(cs.name, cs.state_id, cs.width_bits,
+                rt.store.configure_state(st.name, sid, st.width_bits,
                                          None if sw == origin else origin_id)
-            ort = self._origins[cs.name] = self.switch_rt[origin]
-            if cs.value_type is not ValueType.RATE_ESTIMATE:
+            ort = self._origins[st.name] = self.switch_rt[origin]
+            value = st.value
+            if value.type is not ValueType.RATE_ESTIMATE:
                 # Scalars are written through set_scalar / scheduled loads.
                 continue
-            est = RateEstimatorWindow(cs.delta_s, cs.window)
-            ort.store.attach_local(cs.name, est)
-            mon = _Monitor(cs.name, cs.scope, est, cs.unit == "bits")
-            if cs.name in egress_observers:
+            est = RateEstimatorWindow(value.delta_s, value.window)
+            ort.store.attach_local(st.name, est)
+            mon = _Monitor(st.name, st.scope, est, value.unit == "bits")
+            if st.name in egress_observers:
                 # A name that is no neighbor of the origin never matches.
-                link = ort.ports.get(egress_observers[cs.name])
+                link = ort.ports.get(egress_observers[st.name])
                 if link is not None:
                     ort.egress_monitors.setdefault(link, []).append(mon)
             else:
                 ort.monitors.append(mon)
 
-        known_ids = [cs.state_id for cs in program.states]
         for sw in self.switch_rt.values():
             if sw.store is not None:
-                sw.store.set_known_ids(known_ids)
+                sw.store.set_known_ids(range(len(program.states)))
 
         # Update triggers live at each replicated state's origin.
         for sname, sol in plan.solutions.items():
-            cs = program.state_index[sname]
             origin = placement.origin[sname]
             rt = self.switch_rt[origin]
             trig = UpdateTrigger(sol.mode, tau_ns=sol.tau_ns, packet_period=sol.packet_period)
             rid = placement.replica_id[(sname, origin)]
             if self.replication_enabled:
-                rt.own_updates.append(_OwnUpdate(sname, cs.state_id, rid, trig))
+                rt.own_updates.append(_OwnUpdate(sname, state_id[sname], rid, trig))
 
-        acts = {a.name: a for a in app.activities}
-        for tr in app.triggers:
-            act = acts[tr.activity]
-            upstream = dag.upstream_states(tr.name)
-            sws = sorted({sw for s in upstream for sw in placement.nodes[s]})
-            output = dag.trigger_inputs[tr.name]
-            per_sw_maps = egress_maps.get(act.name, {})
-            for sw in sws:
+        for step in program.triggers:
+            per_sw_maps = egress_maps.get(step.activity, {})
+            for sw in sorted({sw for s in step.upstream for sw in placement.nodes[s]}):
                 rt = self.switch_rt[sw]
                 egress = per_sw_maps.get(sw)
                 if egress is not None:
                     egress = tuple(rt.ports[p] for p in egress)
-                trt = _TriggerRT(tr.name, output, tr.predicate, act.action,
-                                 act.scope, act.message, act.selector,
-                                 act.selector_const, egress)
-                if act.action is ActionKind.NOTIFY_CONTROLLER:
+                trt = _TriggerRT(step, egress)
+                if step.action is ActionKind.NOTIFY_CONTROLLER:
                     rt.change_triggers.append(trt)
                 else:
                     rt.packet_triggers.append(trt)
@@ -424,6 +420,8 @@ class Simulator:
             raise SimulationError(f"flow {name}: unknown destination host {dst}")
         if size_bits < 512:
             raise SimulationError(f"flow {name}: packets below the 512-bit minimum frame")
+        if not all(math.isfinite(x) and x >= 0 for x in (*itertools.chain(*segments), stop_s)):
+            raise SimulationError(f"flow {name}: times and rates must be finite and not negative")
         segs = [(round(t * 1e9), float(r)) for t, r in segments]
         if not segs or any(segs[i][0] >= segs[i + 1][0] for i in range(len(segs) - 1)):
             raise SimulationError(f"flow {name}: segment starts must increase")
@@ -438,17 +436,27 @@ class Simulator:
         self._schedule(stop_ns, EV_FLOW_STOP, fl)
         return fl.row
 
+    def _owner(self, switch, state) -> SwitchRT:
+        """The switch named `switch`, which must write `state`."""
+        rt = self.switch_rt.get(switch)
+        if rt is None or rt.store is None or state not in rt.store.local_writes:
+            raise SimulationError(f"{switch} does not own state {state}")
+        return rt
+
     def set_scalar(self, switch, state, value, t_ns=None):
         """Write a scalar state at its origin (e.g. an injected load)."""
-        rt = self.switch_rt[switch]
-        if rt.store is None or state not in rt.store.local_writes:
-            raise SimulationError(f"{switch} does not own state {state}")
+        rt = self._owner(switch, state)
         t = self.t_now if t_ns is None else t_ns
         rt.store.write_local(state, value)
         if rt.change_triggers:
             self._eval_change_triggers(rt, t)
 
     def schedule_scalar(self, t_s, switch, state, value):
+        """Write a scalar state at its origin at time t_s, not before now."""
+        self._owner(switch, state)
+        if not (math.isfinite(t_s) and round(t_s * 1e9) >= self.t_now):
+            raise SimulationError(f"load on {state} at {t_s} s: time must be finite"
+                                  f" and not in the past")
         self._schedule(round(t_s * 1e9), EV_SCALAR, (switch, state, value))
 
     # ------------------------------------------------------------------
@@ -696,11 +704,7 @@ class Simulator:
         override = None
         for tr in fl.triggers:
             v = store.read_global(tr.output, t)
-            if tr.pred.kind is PredicateKind.PROBABILISTIC:
-                fired = sw.rng.random() < tr.pred.fire_probability(v)
-            else:
-                fired = tr.pred.evaluate(v)
-            if not fired:
+            if not tr.pred.evaluate(v, sw.rng.random() if tr.draws else None):
                 continue
             if tr.kind is ActionKind.DROP_PACKET:
                 self.log.flow_app_drops[pkt.flow] += 1

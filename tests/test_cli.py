@@ -10,7 +10,7 @@ import pytest
 
 from repdp import read_metrics_dir
 from repdp.cli import main
-from test_simcore import MINI_DDOS, RESOURCE_LB
+from test_simcore import LINK_LB, MINI_DDOS, RESOURCE_LB
 
 CSV_FAMILY = [
     "links.csv", "flows.csv", "flow_totals.csv", "detections.csv",
@@ -59,6 +59,25 @@ def test_validate_replica_override(scn_file, capsys):
     assert "(1 replicas" in out
     # A single replica needs no distribution tree.
     assert "tree: (none)" in out
+
+
+def test_hint_outside_overridden_replicas_names_the_override(tmp_path, capsys):
+    # Every leg estimate is pinned to its leg's switch; two replicas
+    # leave sw4, the origin of leg_load_3, out of the set.
+    p = tmp_path / "llb.scn"
+    p.write_text(LINK_LB)
+    line = LINK_LB.splitlines().index("replicas = 3") + 1
+    assert main(["validate", str(p)]) == 0
+    capsys.readouterr()
+    assert main(["validate", str(p), "--replicas", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: state leg_load_3: hint sw4 not among replicas")
+    assert "(replica count overridden to 2)" in err
+    assert f":{line}:" not in err
+    # A count the scenario sets itself is blamed at its line.
+    p.write_text(LINK_LB.replace("replicas = 3", "replicas = 2"))
+    assert main(["validate", str(p)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {p}:{line}: state leg_load_3: hint sw4")
 
 
 def test_missing_scenario_is_exit_1(capsys):

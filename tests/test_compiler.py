@@ -27,6 +27,9 @@ from repdp import (
     evaluate_dag,
     evaluate_program,
     make_ddos_app,
+    make_link_lb_app,
+    make_rate_limiter_app,
+    make_resource_lb_app,
 )
 
 # ---------------------------------------------------------------------------
@@ -181,14 +184,6 @@ def test_mean_lowering_rejects_non_power_of_two():
     assert "power-of-two" in str(exc.value)
 
 
-def test_missing_capability_is_reported():
-    app = small_app(ReductionKind.SUM, 2, 10)
-    caps = frozenset({"register", "greater_than", "drop_packet"})
-    with pytest.raises(UnsupportedPrimitive) as exc:
-        compile_application(build_dag(app), capabilities=caps)
-    assert "sum" in str(exc.value)
-
-
 def test_mean_lowers_to_sum_and_shift():
     app = small_app(ReductionKind.MEAN, 4, 10)
     program = compile_application(build_dag(app))
@@ -204,19 +199,21 @@ def test_mean_lowers_to_sum_and_shift():
 
 def test_rate_estimate_gets_slot_buffer():
     app = make_ddos_app(2, 1000, 0.014, window=8)
-    program = compile_application(build_dag(app))
-    kinds = {d.name: (d.kind, d.slots) for d in program.structures}
-    assert kinds["syn_rate_0__slots"] == ("circular_buffer", 8)
-    assert kinds["syn_rate_0"] == ("register", 1)
+    text = canonical_text(compile_application(build_dag(app))).splitlines()
+    assert "struct syn_rate_0__slots circular_buffer width=32 slots=8" in text
+    assert "struct syn_rate_0 register width=32" in text
+    assert "struct syn_rate_1__slots circular_buffer width=32 slots=8" in text
 
 
-def test_assign_state_ids_replay_is_stable():
+def test_program_states_are_the_declared_states():
     # Each state's wire id is its declaration index, on every compile.
     app = make_ddos_app(3, 1000, 0.014)
     p1 = compile_application(build_dag(app))
     p2 = compile_application(build_dag(app))
-    assert [cs.name for cs in p1.states] == [s.name for s in app.states]
-    assert [cs.state_id for cs in p2.states] == [cs.state_id for cs in p1.states] == [0, 1, 2]
+    assert p1.states == p2.states == app.states
+    text = canonical_text(p1)
+    for k, name in enumerate(["syn_rate_0", "syn_rate_1", "syn_rate_2"]):
+        assert f"state {k} {name} rate_estimate" in text
 
 
 def test_canonical_text_is_deterministic_and_complete():
@@ -225,8 +222,8 @@ def test_canonical_text_is_deterministic_and_complete():
     text = canonical_text(program)
     assert text == canonical_text(program)
     assert text.startswith("program ddos")
-    for cs in program.states:
-        assert f"state {cs.state_id} {cs.name}" in text
+    for k, st in enumerate(program.states):
+        assert f"state {k} {st.name}" in text
     assert text.count("group {") == len(program.groups)
 
 
@@ -268,3 +265,26 @@ def test_sequential_activities_merge_groups():
         ),
     )
     assert len(compile_application(build_dag(split)).groups) == 2
+
+
+@pytest.mark.parametrize("app", [
+    make_ddos_app(3, 1000, 0.014),
+    make_rate_limiter_app(2, 1e6, 10, 100.0),
+    make_link_lb_app(2),
+    make_resource_lb_app(4),
+], ids=lambda app: app.name)
+def test_trigger_table_follows_the_dag(app):
+    # The switches install program.triggers and read nothing else of the
+    # application, so each step must carry its trigger and activity.
+    dag = build_dag(app)
+    program = compile_application(dag)
+    acts = {a.name: a for a in app.activities}
+    assert [tr.name for tr in program.triggers] == [t.name for t in app.triggers]
+    for tr, t in zip(program.triggers, app.triggers):
+        a = acts[t.activity]
+        assert tr.input == dag.trigger_inputs[t.name]
+        assert tr.upstream == tuple(dag.upstream_states(t.name))
+        assert (tr.predicate, tr.activity, tr.action, tr.scope) == (
+            t.predicate, a.name, a.action, a.scope)
+        assert (tr.message, tr.selector, tr.selector_const) == (
+            a.message, a.selector, a.selector_const)

@@ -3,6 +3,7 @@
 import importlib.util
 import os
 import random
+from dataclasses import replace
 
 import pytest
 from helpers import (
@@ -254,15 +255,19 @@ def test_budget_free_states_stay_single():
     assert placement.replicated_states() == []
 
 
+def hinted_program(*hints):
+    app = make_ddos_app(len(hints), 1000, 0.014)
+    states = tuple(replace(s, target_hint=h) for s, h in zip(app.states, hints))
+    return compile_application(build_dag(replace(app, states=states)))
+
+
 def test_target_hint_overrides_round_robin():
     topo = ring4()
-    program = ddos_program(2)
-    for cs in program.states:
-        cs.target_hint = "sw2"
+    program = hinted_program("sw2", "sw2")
     reqs = {s.name: InconsistencySpec.time_obsolescence(0.014) for s in program.states}
     placement = place_replicas(topo, EmbeddingConfig(2), program, reqs)
     assert all(placement.origin[cs.name] == "sw2" for cs in program.states)
-    program.states[0].target_hint = "sw4"  # not in the top-2 set
+    program = hinted_program("sw4", "sw2")  # sw4 is not in the top-2 set
     with pytest.raises(InsufficientNodes):
         place_replicas(topo, EmbeddingConfig(2), program, reqs)
 

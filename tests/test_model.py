@@ -102,6 +102,46 @@ def test_notify_needs_message():
     assert any("message" in v for v in rep.violations)
 
 
+# Each of these used to validate, and the switches then ignored what
+# evaluate_program reported: a notification fires on a change of its
+# trigger, evaluated without a draw, and only set_egress and
+# insert_flow_rule read a selector.
+IGNORED_BY_SWITCHES = {
+    "probabilistic_notify": (
+        dict(triggers=(TriggerSpec("watch", "total", Predicate.probabilistic(5),
+                                   InconsistencySpec.time_obsolescence(0.01), "act"),)),
+        "trigger watch: a probabilistic predicate cannot drive notify_controller",
+    ),
+    "notify_with_selector": (
+        dict(activities=(ActivitySpec("act", ActionKind.NOTIFY_CONTROLLER, message="hit",
+                                      selector="total"),)),
+        "activity act: notify_controller takes no selector",
+    ),
+    "notify_with_selector_const": (
+        dict(activities=(ActivitySpec("act", ActionKind.NOTIFY_CONTROLLER, message="hit",
+                                      selector_const=1),)),
+        "activity act: notify_controller takes no selector",
+    ),
+    "drop_with_selector": (
+        dict(activities=(ActivitySpec("act", ActionKind.DROP_PACKET, selector="total"),)),
+        "activity act: drop_packet takes no selector",
+    ),
+    "drop_with_selector_const": (
+        dict(activities=(ActivitySpec("act", ActionKind.DROP_PACKET, selector_const=-1),)),
+        "activity act: drop_packet takes no selector",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", IGNORED_BY_SWITCHES.values(), ids=IGNORED_BY_SWITCHES.keys())
+def test_elements_switches_would_ignore_are_rejected(case):
+    overrides, message = case
+    app = tiny_app(**overrides)
+    assert message in validate_application(app).violations
+    with pytest.raises(InvalidApplication):
+        build_dag(app)
+
+
 def test_nonfinite_threshold_rejected():
     trig = TriggerSpec("watch", "total", Predicate.greater_than(math.inf),
                        InconsistencySpec.time_obsolescence(0.01), "act")

@@ -272,9 +272,10 @@ def test_every_store_agrees_with_the_dag_oracle(app_name, data):
     hosted = [cs for cs in program.states if cs is not absent]
     origins = {cs.name: data.draw(st.integers(0, 3)) for cs in hosted}
     store = ReplicaStore("sw0", reduction_steps(program))
+    state_id = {cs.name: k for k, cs in enumerate(program.states)}
     for cs in hosted:
-        store.configure_state(cs.name, cs.state_id, cs.width_bits, origins[cs.name] or None)
-    store.set_known_ids(cs.state_id for cs in program.states)
+        store.configure_state(cs.name, state_id[cs.name], cs.width_bits, origins[cs.name] or None)
+    store.set_known_ids(state_id.values())
 
     def agrees(t):
         want = evaluate_dag(dag, truth).outputs
@@ -289,7 +290,7 @@ def test_every_store_agrees_with_the_dag_oracle(app_name, data):
     for t, (cs, value, read_now) in enumerate(writes, start=1):
         origin = origins[cs.name]
         if origin:
-            hdr = UpdateHeader(origin, 0, cs.state_id, 0, value)
+            hdr = UpdateHeader(origin, 0, state_id[cs.name], 0, value)
             assert store.apply_update(hdr, origin_ts_ns=t)[0] == "applied"
         else:
             store.write_local(cs.name, value)

@@ -1,6 +1,7 @@
 """Event engine behaviour: links, queues, flows, pipelines, applications."""
 
 import csv
+import math
 import os
 import random
 import re
@@ -195,6 +196,42 @@ def test_flow_validation_errors():
     sim.run_until()
     with pytest.raises(SimulationError):
         sim.add_flow("late", "hA", "hB", 1000, False, [(0.0, 1.0)], stop_s=0.5)
+
+
+@pytest.mark.parametrize("segments, stop_s", [
+    ([(-1.0, 10.0)], 0.5),
+    ([(0.0, 10.0), (-0.5, 5.0)], 0.5),
+    ([(math.nan, 10.0)], 0.5),
+    ([(math.inf, 10.0)], 0.5),
+    ([(0.0, 10.0)], math.nan),
+    ([(0.0, 10.0)], math.inf),
+    # Each of these sent one packet; an infinite rate never let the
+    # clock leave the segment's start.
+    ([(0.0, -5.0)], 0.5),
+    ([(0.0, math.nan)], 0.5),
+    ([(0.0, 10.0), (0.2, math.inf)], 0.5),
+])
+def test_flow_times_and_rates_must_be_finite_and_not_negative(segments, stop_s):
+    sim = Simulator(line_topo(), t_end_s=1.0)
+    with pytest.raises(SimulationError, match="finite and not negative"):
+        sim.add_flow("f", "hA", "hB", 1000, False, segments, stop_s)
+    assert sim.flows == [] and sim.run_until().events_processed == 0
+
+
+def test_scheduled_loads_need_a_time_and_an_owner(tmp_path):
+    built = build_simulation(write_scenario(tmp_path, RESOURCE_LB), t_end_s=2.0)
+    sim, origin = built.sim, built.placement.origin["srv_load_0"]
+    for t_s in (-1.0, math.nan, math.inf):
+        with pytest.raises(SimulationError, match="finite and not in the past"):
+            sim.schedule_scalar(t_s, origin, "srv_load_0", 5)
+    for switch, state in ((origin, "ghost"), ("ghost", "srv_load_0")):
+        with pytest.raises(SimulationError, match="does not own"):
+            sim.schedule_scalar(0.5, switch, state, 5)
+    sim.run_until(1.0)
+    with pytest.raises(SimulationError, match="not in the past"):
+        sim.schedule_scalar(0.5, origin, "srv_load_0", 5)
+    sim.schedule_scalar(1.0, origin, "srv_load_0", 5)
+    sim.run_until()
 
 
 def test_run_until_stays_inside_horizon():
@@ -442,8 +479,8 @@ def test_update_drops_are_counted_on_the_log(tmp_path):
                       header=hdr, origin_ts=1)
 
     # Delivered before any real update: the copy is stale, id 999 was
-    # never registered.
-    twice = update(-1000, state.state_id)
+    # never registered. The first declared state has wire id 0.
+    twice = update(-1000, 0)
     link = sim.switch_rt[port].ports[replica]
     for pkt in (twice, twice, update(-1001, 999)):
         sim._schedule(1, link, pkt)
@@ -491,8 +528,7 @@ def test_split_run_exports_identical_csv_family(tmp_path, scenario, t_split):
 def test_second_install_app_is_rejected(ddos_cfg):
     built = build_simulation(ddos_cfg)
     with pytest.raises(SimulationError, match="already installed"):
-        built.sim.install_app(built.dag, built.program, built.placement, built.plan,
-                              built.rules)
+        built.sim.install_app(built.program, built.placement, built.plan, built.rules)
 
 
 def test_install_app_after_the_run_starts_is_rejected(ddos_cfg):
@@ -501,7 +537,7 @@ def test_install_app_after_the_run_starts_is_rejected(ddos_cfg):
     sim = Simulator(ddos_cfg.topology, t_end_s=1.0)
     sim.run_until(0.0)
     with pytest.raises(SimulationError, match="before the run starts"):
-        sim.install_app(built.dag, built.program, built.placement, built.plan, built.rules)
+        sim.install_app(built.program, built.placement, built.plan, built.rules)
 
 
 def test_scopes_are_matched_only_when_the_run_starts(monkeypatch):
