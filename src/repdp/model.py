@@ -211,8 +211,8 @@ class Predicate:
 
     PROBABILISTIC fires with probability max(0, (v - threshold) / v),
     the normalized excess over the threshold; the caller supplies the
-    uniform draw so evaluation stays deterministic under a seeded RNG,
-    and without a draw it does not fire.
+    uniform draw in [0, 1) so evaluation stays deterministic under a
+    seeded RNG, and without a draw it does not fire.
     """
 
     kind: PredicateKind
@@ -242,13 +242,17 @@ class Predicate:
         return max(0.0, (value - self.threshold) / value)
 
     def evaluate(self, value: float, uniform01: float | None = None) -> bool:
-        if self.kind is PredicateKind.GREATER_THAN:
+        kind = self.kind
+        if kind is PredicateKind.PROBABILISTIC:
+            # uniform01 < fire_probability(value), in one call: a draw
+            # is never below a probability of 0.
+            return (uniform01 is not None and value > 0
+                    and uniform01 < (value - self.threshold) / value)
+        if kind is PredicateKind.GREATER_THAN:
             return value > self.threshold
-        if self.kind is PredicateKind.LESS_OR_EQUAL:
+        if kind is PredicateKind.LESS_OR_EQUAL:
             return value <= self.threshold
-        if self.kind is PredicateKind.ALWAYS:
-            return True
-        return uniform01 is not None and uniform01 < self.fire_probability(value)
+        return True
 
 
 @dataclass(frozen=True)

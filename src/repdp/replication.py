@@ -228,6 +228,16 @@ class ReplicaStore:
         if name not in self.live:
             self.version += 1
 
+    def feed(self, monitors, t_ns: int, size_bits: int):
+        """Count one packet of `size_bits` into `monitors`, each a local
+        state with its live estimator `est` and whether it counts bits
+        (`use_bits`) or packets. A live reading changes only when a
+        bucket closes, so the version stays."""
+        writes = self.local_writes
+        for m in monitors:
+            m.est.observe(t_ns, size_bits if m.use_bits else 1)
+            writes[m.state] += 1
+
     def local_value(self, name: str, t_ns: int) -> int:
         src = self.live.get(name)
         return self.values[name] if src is None else src.read(t_ns)
@@ -268,7 +278,8 @@ class ReplicaStore:
         """A reduction output (or a state) at time t_ns, from local and
         remote values. The steps run once per stamp, so repeated reads
         between two changes are free."""
-        at = self.stamp(t_ns)
+        tick = self._tick
+        at = self.version, t_ns // tick if tick else 0
         if self._evaluated != at:
             values = self.values
             for name, src in self.live.items():

@@ -24,7 +24,10 @@ pipeline per packet, one handler per packet kind:
      against the traffic-driven clock and may emit an update frame.
 
 Links model store-and-forward serialization plus propagation delay with
-a bounded egress queue; overflow drops the packet. A link keeps the
+a bounded egress queue; overflow drops the packet. A packet's arrival at
+a host only counts it, so when it falls within the running `run_until`
+call it is counted as the link admits the packet, not queued: it is
+still one event, and every return sees the same totals. A link keeps the
 departure times of its last `queue_limit` admitted packets in a ring:
 departures never decrease, so the queue is full exactly when the oldest
 of them is still in the future. The newest is kept apart as the time
@@ -72,8 +75,11 @@ from .replication import (
 
 _M64 = (1 << 64) - 1
 
-# What the measurement stage returns for a packet it dropped.
+# The measurement stage's verdict on a packet it dropped.
 _DROPPED = object()
+
+# Wire size of an update frame: the simulator sends one header a frame.
+_UPDATE_BITS = update_frame_bits(1)
 
 # Kinds of the events that are not packet arrivals.
 EV_FLOW_START = 0
@@ -296,6 +302,10 @@ class Simulator:
         self._app_installed = False
         self._uid = 0
         self._upd_uid = -1
+        # The bound of the running run_until call (-1 outside one), and
+        # the latest host arrival counted at admission.
+        self._bound = -1
+        self._arrived = 0
         # Per replicated state: the switch that writes it.
         self._origins: dict[str, SwitchRT] = {}
         # Per replicated state: its and its origin's name-table index,
@@ -436,16 +446,20 @@ class Simulator:
         self._schedule(stop_ns, EV_FLOW_STOP, fl)
         return fl.row
 
-    def _owner(self, switch, state) -> SwitchRT:
-        """The switch named `switch`, which must write `state`."""
+    def _owner(self, switch, state, value) -> SwitchRT:
+        """The switch named `switch`, which must write `state`, and
+        `value` must fit the state's width."""
         rt = self.switch_rt.get(switch)
         if rt is None or rt.store is None or state not in rt.store.local_writes:
             raise SimulationError(f"{switch} does not own state {state}")
+        width = rt.store.widths[state]
+        if not 0 <= value < 1 << width:
+            raise SimulationError(f"{state}: value {value} does not fit {width} bits")
         return rt
 
     def set_scalar(self, switch, state, value, t_ns=None):
         """Write a scalar state at its origin (e.g. an injected load)."""
-        rt = self._owner(switch, state)
+        rt = self._owner(switch, state, value)
         t = self.t_now if t_ns is None else t_ns
         rt.store.write_local(state, value)
         if rt.change_triggers:
@@ -453,7 +467,7 @@ class Simulator:
 
     def schedule_scalar(self, t_s, switch, state, value):
         """Write a scalar state at its origin at time t_s, not before now."""
-        self._owner(switch, state)
+        self._owner(switch, state, value)
         if not (math.isfinite(t_s) and round(t_s * 1e9) >= self.t_now):
             raise SimulationError(f"load on {state} at {t_s} s: time must be finite"
                                   f" and not in the past")
@@ -519,6 +533,7 @@ class Simulator:
         link_dir = LinkDir
         t_now = self.t_now
         events = 0
+        self._bound = t_end
         try:
             # The back edge must stay an unconditional jump: CPython 3.11
             # warms a code object only on calls and on plain
@@ -560,7 +575,8 @@ class Simulator:
                     sw, state, value = payload
                     self.set_scalar(sw, state, value, t)
         finally:
-            self.t_now = t_now
+            self._bound = -1
+            self.t_now = max(t_now, self._arrived)
             log.events_processed += events
             # Fold the horizon slot into the last bin.
             n = log.n_bins
@@ -622,7 +638,18 @@ class Simulator:
         ld.head = 0 if i == self.queue_limit else i
         (ld.repl if pkt.is_update else ld.data)[t // self.bin_ns] += size
         arr = end + ld.delay_ns
-        heappush(self._heap, (arr, next(self._seq), ld, pkt))
+        if ld.far is not None or arr > self._bound:
+            heappush(self._heap, (arr, next(self._seq), ld, pkt))
+            return arr
+        # A host arrival within the running call: count it now, as the
+        # loop would when it came due. It schedules nothing.
+        log = self.log
+        log.events_processed += 1
+        if not pkt.is_update:
+            log.flow_delivered[pkt.flow] += 1
+            log.flow_bits[pkt.flow][arr // self.bin_ns] += size
+        if arr > self._arrived:
+            self._arrived = arr
         return arr
 
     def _eval_change_triggers(self, sw: SwitchRT, t: int):
@@ -650,7 +677,7 @@ class Simulator:
                            replica_id=ent.replica_id, state_value=value,
                            l3_protocol_type=IPV4_ETHTYPE)
         self._upd_uid -= 1
-        pkt = Packet(self._upd_uid, -1, "", "", update_frame_bits(1),
+        pkt = Packet(self._upd_uid, -1, "", "", _UPDATE_BITS,
                      False, is_update=True, header=hdr, origin_ts=t,
                      origin_writes=store.local_writes[ent.state])
         self.log.updates_emitted += 1
@@ -658,13 +685,6 @@ class Simulator:
             self.trace.append(f"{t} update_emit {sw.name} state={ent.state} value={value}")
         for ld in sw.flood[None]:
             self._send(ld, pkt, t)
-
-    def _emit_updates(self, sw: SwitchRT, t: int):
-        """End of the ingress pipeline, every packet: each state the
-        switch owns checks its update trigger."""
-        for ent in sw.own_updates:
-            if ent.trig.should_emit(t):
-                self._emit_update(sw, ent, t)
 
     def _on_update(self, sw: SwitchRT, link: LinkDir, pkt: Packet, t: int):
         store = sw.store
@@ -689,73 +709,67 @@ class Simulator:
                 self.log.stale_update_drops += 1
         for ld in sw.flood[link.src]:
             self._send(ld, pkt, t)
-        if sw.own_updates:
-            self._emit_updates(sw, t)
-
-    def _measure(self, sw: SwitchRT, pkt: Packet, t: int):
-        """The measurement switch's stage: feed the monitors, then run
-        the packet triggers. Returns the link a trigger steers the
-        packet to, None to forward it as usual, or _DROPPED."""
-        pkt.monitor = None
-        fl = self.flows[pkt.flow]
-        if fl.monitors:
-            self._feed(sw, fl.monitors, pkt, t)
-        store = sw.store
-        override = None
-        for tr in fl.triggers:
-            v = store.read_global(tr.output, t)
-            if not tr.pred.evaluate(v, sw.rng.random() if tr.draws else None):
-                continue
-            if tr.kind is ActionKind.DROP_PACKET:
-                self.log.flow_app_drops[pkt.flow] += 1
-                if self.trace is not None:
-                    self.trace.append(f"{t} drop_app {sw.name} uid={pkt.uid}")
-                return _DROPPED
-            sel = tr.selector_const
-            if tr.selector is not None:
-                sel = store.read_global(tr.selector, t)
-            if sel == CONTROLLER_PORT:
-                self.log.controller_redirects.append((t, sw.name, fl.name))
-                self.log.flow_app_drops[pkt.flow] += 1
-                return _DROPPED
-            if tr.egress_map is None or not (0 <= sel < len(tr.egress_map)):
-                continue
-            override = tr.egress_map[sel]
-            if tr.kind is ActionKind.INSERT_FLOW_RULE:
-                sw.flow_rules[pkt.dst] = override
-        return override
+        # End of the ingress pipeline: each state the switch owns checks
+        # its update trigger.
+        for ent in sw.own_updates:
+            if ent.trig.should_emit(t):
+                self._emit_update(sw, ent, t)
 
     def _on_data(self, sw: SwitchRT, pkt: Packet, t: int):
         mon = pkt.monitor
         out = None
         if mon is not None:
-            if mon == sw.name:
-                out = self._measure(sw, pkt, t)
-            else:
+            if mon != sw.name:
                 out = sw.route[mon]
+            else:
+                # The measurement stage: feed the monitors, then run the
+                # packet triggers, which may steer the packet to a link
+                # (out) or drop it (out is _DROPPED).
+                pkt.monitor = None
+                fl = self.flows[pkt.flow]
+                store = sw.store
+                if fl.monitors:
+                    store.feed(fl.monitors, t, pkt.size_bits)
+                    if sw.change_triggers:
+                        self._eval_change_triggers(sw, t)
+                for tr in fl.triggers:
+                    v = store.read_global(tr.output, t)
+                    if not tr.pred.evaluate(v, sw.rng.random() if tr.draws else None):
+                        continue
+                    if tr.kind is ActionKind.DROP_PACKET:
+                        self.log.flow_app_drops[pkt.flow] += 1
+                        if self.trace is not None:
+                            self.trace.append(f"{t} drop_app {sw.name} uid={pkt.uid}")
+                        out = _DROPPED
+                        break
+                    sel = tr.selector_const
+                    if tr.selector is not None:
+                        sel = store.read_global(tr.selector, t)
+                    if sel == CONTROLLER_PORT:
+                        self.log.controller_redirects.append((t, sw.name, fl.name))
+                        self.log.flow_app_drops[pkt.flow] += 1
+                        out = _DROPPED
+                        break
+                    if tr.egress_map is None or not (0 <= sel < len(tr.egress_map)):
+                        continue
+                    out = tr.egress_map[sel]
+                    if tr.kind is ActionKind.INSERT_FLOW_RULE:
+                        sw.flow_rules[pkt.dst] = out
         if out is None:
             rules = sw.flow_rules
             out = (rules and rules.get(pkt.dst)) or sw.route[pkt.dst_switch] or sw.ports[pkt.dst]
         if out is not _DROPPED:
             egress = out.egress
             if egress is not None and pkt.flow in egress:
-                self._feed(sw, egress[pkt.flow], pkt, t)
+                sw.store.feed(egress[pkt.flow], t, pkt.size_bits)
+                if sw.change_triggers:
+                    self._eval_change_triggers(sw, t)
             if self.trace is not None:
                 self.trace.append(f"{t} fwd {sw.name} uid={pkt.uid} out={out.dst}")
             self._send(out, pkt, t)
-        if sw.own_updates:
-            self._emit_updates(sw, t)
-
-    def _feed(self, sw: SwitchRT, monitors, pkt: Packet, t: int):
-        """Count `pkt` into `monitors`, a non-empty tuple of those whose
-        scope its flow matches, then let the change triggers see what
-        was written."""
-        store = sw.store
-        for m in monitors:
-            m.est.observe(t, pkt.size_bits if m.use_bits else 1)
-            store.note_write(m.state)
-        if sw.change_triggers:
-            self._eval_change_triggers(sw, t)
+        for ent in sw.own_updates:
+            if ent.trig.should_emit(t):
+                self._emit_update(sw, ent, t)
 
     def save_trace(self, path: str):
         if self.trace is None:

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repdp import (
     ActionKind,
@@ -270,6 +272,18 @@ def test_predicate_probability_normalized_excess():
     assert p.fire_probability(0.0) == 0.0
     assert p.evaluate(100.0, uniform01=0.19)
     assert not p.evaluate(100.0, uniform01=0.21)
+
+
+_reals = st.one_of(st.integers(-10**12, 10**12), st.floats(-1e12, 1e12))
+
+
+@given(_reals, _reals, st.one_of(st.none(), st.floats(0.0, 1.0)))
+def test_evaluate_agrees_with_fire_probability(threshold, value, u):
+    p = Predicate.probabilistic(threshold)
+    assert p.evaluate(value, u) == (u is not None and u < p.fire_probability(value))
+    assert Predicate.greater_than(threshold).evaluate(value, u) == (value > threshold)
+    assert Predicate.less_or_equal(threshold).evaluate(value, u) == (value <= threshold)
+    assert Predicate.always().evaluate(value, u)
 
 
 def test_update_error_budget_is_ratio():

@@ -24,9 +24,10 @@ from repdp import (
     parse_scenario,
     update_frame_bits,
 )
+from repdp import runner, simcore
 from repdp.simcore import Packet
 
-from helpers import DequeLink
+from helpers import DequeLink, QueuedDeliverySimulator
 
 MS = 1_000_000
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -232,6 +233,24 @@ def test_scheduled_loads_need_a_time_and_an_owner(tmp_path):
         sim.schedule_scalar(0.5, origin, "srv_load_0", 5)
     sim.schedule_scalar(1.0, origin, "srv_load_0", 5)
     sim.run_until()
+
+
+def test_scalar_writes_must_fit_the_state_width(tmp_path):
+    # A -5 once read -5 at the origin and 2**64 - 5 at its replica.
+    text = (RESOURCE_LB.replace("replicas = 1", "replicas = 2")
+            .replace("r_min = 50", "r_min = 200").replace("rate = 50", "rate = 200"))
+    built = build_simulation(write_scenario(tmp_path, text), t_end_s=2.0)
+    sim, origin = built.sim, built.placement.origin["srv_load_0"]
+    hosts = built.placement.nodes["srv_load_0"]
+    assert len(hosts) == 2
+    for value in (-5, 1 << 32):
+        with pytest.raises(SimulationError, match="does not fit 32 bits"):
+            sim.set_scalar(origin, "srv_load_0", value)
+        with pytest.raises(SimulationError, match="does not fit 32 bits"):
+            sim.schedule_scalar(0.5, origin, "srv_load_0", value)
+    sim.schedule_scalar(1.5, origin, "srv_load_0", (1 << 32) - 1)
+    sim.run_until()
+    assert {sim.switch_rt[sw].store.values["srv_load_0"] for sw in hosts} == {(1 << 32) - 1}
 
 
 def test_run_until_stays_inside_horizon():
@@ -523,6 +542,65 @@ def test_split_run_exports_identical_csv_family(tmp_path, scenario, t_split):
     resumed = sim.run_until()
     assert resumed.events_processed == whole.events_processed
     assert _csv_family(resumed, cfg, tmp_path / "split") == expected
+
+
+def _build_reference(monkeypatch, cfg):
+    """`build_simulation` with every arrival queued on the heap."""
+    with monkeypatch.context() as m:
+        m.setattr(runner, "Simulator", QueuedDeliverySimulator)
+        return build_simulation(cfg)
+
+
+@pytest.mark.parametrize("scenario", ["mini_ddos", "fig8"])
+def test_counting_deliveries_at_admission_matches_the_queued_reference(
+        tmp_path, monkeypatch, scenario):
+    cfg = write_scenario(tmp_path, MINI_DDOS) if scenario == "mini_ddos" else parse_scenario(FIG8)
+    # Half the stops fall exactly on a host arrival, the rest anywhere.
+    probe = _build_reference(monkeypatch, cfg).sim
+    arrivals = []
+    send = probe._send
+
+    def recording_send(ld, pkt, t):
+        arr = send(ld, pkt, t)
+        if arr is not None and ld.far is None:
+            arrivals.append(arr)
+        return arr
+
+    probe._send = recording_send
+    probe.run_until()
+    rng = random.Random(7)
+    stops = sorted({*rng.sample(arrivals, 25), *(rng.randrange(probe.t_end_ns) for _ in range(25))})
+    ref = _build_reference(monkeypatch, cfg).sim
+    sim = build_simulation(cfg).sim
+    assert type(sim) is Simulator
+    for stop in [*stops, probe.t_end_ns]:
+        want = ref.run_until(stop / 1e9)
+        got = sim.run_until(stop / 1e9)
+        assert got.events_processed == want.events_processed
+        assert got.flow_delivered == want.flow_delivered
+        assert got.flow_bits == want.flow_bits
+        assert sim.t_now == ref.t_now
+    assert got.events_processed == probe.log.events_processed
+
+
+def test_host_deliveries_skip_the_heap(monkeypatch):
+    sim = build_simulation(parse_scenario(FIG8), t_end_s=10.0).sim
+    queued = len(sim._heap)
+    pushes = 0
+    heappush = simcore.heappush
+
+    def counting_heappush(heap, entry):
+        nonlocal pushes
+        pushes += 1
+        heappush(heap, entry)
+
+    monkeypatch.setattr(simcore, "heappush", counting_heappush)
+    log = sim.run_until()
+    delivered = sum(log.flow_delivered)
+    assert delivered > 1000
+    # Every event but a counted delivery was queued before the run or
+    # pushed during it, and popped unless it is still queued.
+    assert pushes == log.events_processed - delivered - queued + len(sim._heap)
 
 
 def test_second_install_app_is_rejected(ddos_cfg):
