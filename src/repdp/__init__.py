@@ -21,7 +21,6 @@ from .compiler import (
     compile_application,
     evaluate_dag,
     evaluate_program,
-    reduction_steps,
 )
 from .embedding import (
     EmbeddingConfig,

@@ -1,15 +1,15 @@
 """Compilation of an application DAG into a switch-level primitive program.
 
-The output is the declared states plus primitive operations in
-topological order, with colocation groups tying each trigger to the ops
-it must share a switch with. Each declared state is one wire state,
-whose id is its declaration index; a rate estimate is a slot buffer
-feeding an estimate register, and only the register is replicated.
-The program is the one executable semantics: every replica store and
-`evaluate_program` run its reduction and shift ops as flat steps
-(`reduction_steps`), and every switch and `evaluate_program` run its
-trigger table (`PrimitiveProgram.triggers`); `evaluate_dag` is the
-oracle.
+One pass over the DAG's evaluation order emits the declared states,
+the primitive operations, the executable steps, the trigger table and
+the colocation groups tying each trigger to the ops it must share a
+switch with. Each declared state is one wire state, whose id is its
+declaration index; a rate estimate is a slot buffer feeding an estimate
+register, and only the register is replicated. The program is the one
+executable semantics: every replica store and `evaluate_program` run
+its reduction and shift ops as flat steps (`PrimitiveProgram.steps`),
+and every switch and `evaluate_program` run its trigger table
+(`PrimitiveProgram.triggers`); `evaluate_dag` is the oracle.
 """
 
 from __future__ import annotations
@@ -39,12 +39,6 @@ class PrimitiveOp:
     output: str | None = None
     params: tuple[tuple[str, object], ...] = ()
 
-    def param(self, key, default=None):
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
-
 
 @dataclass(frozen=True)
 class TriggerStep:
@@ -68,12 +62,16 @@ class TriggerStep:
 @dataclass
 class PrimitiveProgram:
     """The lowered application. `states` are the declared states, each
-    state's wire id being its index; `triggers` is the one trigger table
-    that evaluate_program and every switch run."""
+    state's wire id being its index; `steps` are the reduction and shift
+    ops as (output, fn, operands) over wire names, in op order, `fn`
+    taking the operand values as a list, which every replica store and
+    evaluate_program run through run_steps; `triggers` is the one
+    trigger table that evaluate_program and every switch run."""
 
     app_name: str
     states: tuple[StateSpec, ...]
     ops: list[PrimitiveOp]
+    steps: tuple[tuple, ...]
     groups: list[frozenset[int]]
     triggers: tuple[TriggerStep, ...]
 
@@ -86,27 +84,25 @@ def compile_application(dag: ElementDag) -> PrimitiveProgram:
     """
     app = dag.app
     ops: list[PrimitiveOp] = []
-    op_of: dict[str, int] = {}
+    steps: list[tuple] = []
+    # The op ids each state and reduction lowers to.
+    op_ids: dict[str, tuple[int, ...]] = {}
 
-    def emit(opcode, operands, output=None, params=()):
+    def emit(opcode, operands, output=None, params=(), fn=None):
         op = PrimitiveOp(len(ops), opcode, tuple(operands), output, tuple(params))
         ops.append(op)
-        if output is not None:
-            op_of[output] = op.op_id
-        return op
+        if fn is not None:
+            steps.append((output, fn, op.operands))
+        return op.op_id
 
     for s in app.states:
         if s.value.type is ValueType.RATE_ESTIMATE:
-            emit("estimate_rate", (s.name + SLOTS_SUFFIX,), s.name,
-                 (("window", s.value.window), ("delta_s", s.value.delta_s)))
+            op_ids[s.name] = (emit("estimate_rate", (s.name + SLOTS_SUFFIX,), s.name,
+                                   (("window", s.value.window), ("delta_s", s.value.delta_s))),)
         else:
-            emit("store", (), s.name)
+            op_ids[s.name] = (emit("store", (), s.name),)
 
-    # Reductions in topological order (the dag order is already layered).
-    for node in dag.topo_order():
-        if dag.nodes[node] != "reduction":
-            continue
-        r = dag.reductions[node]
+    for r in dag.reductions.values():
         if r.primitive is ReductionKind.MEAN:
             n = len(r.inputs)
             if n < 1 or n & (n - 1):
@@ -114,15 +110,15 @@ def compile_application(dag: ElementDag) -> PrimitiveProgram:
                     f"reduction {r.output}: mean lowers to sum+shift and needs a"
                     f" power-of-two input count, got {n}"
                 )
-            emit("sum", r.inputs, r.output + SUM_SUFFIX)
-            emit(
-                "shift",
-                (r.output + SUM_SUFFIX,),
-                r.output,
-                (("shift", n.bit_length() - 1),),
+            k = n.bit_length() - 1
+            op_ids[r.output] = (
+                emit("sum", r.inputs, r.output + SUM_SUFFIX, fn=sum),
+                emit("shift", (r.output + SUM_SUFFIX,), r.output, (("shift", k),),
+                     RightShift(k)),
             )
         else:
-            emit(r.primitive.value, r.inputs, r.output)
+            op_ids[r.output] = (emit(r.primitive.value, r.inputs, r.output,
+                                     fn=PRIMITIVES[r.primitive.value]),)
 
     activities = {a.name: a for a in app.activities}
     groups: list[frozenset[int]] = []
@@ -144,26 +140,16 @@ def compile_application(dag: ElementDag) -> PrimitiveProgram:
             aparams.append(("selector_const", a.selector_const))
         act_op = emit(a.action.value, (t.name,), None, aparams)
 
-        # The trigger, its activity and the reduction chain below it must
-        # land on the same switch; the states at the chain's leaves are
-        # the ones whose replicas run the trigger.
-        group = {trig_op.op_id, act_op.op_id}
-        upstream = set()
-        stack = [red]
-        while stack:
-            name = stack.pop()
-            if name in op_of:
-                group.add(op_of[name])
-                if name + SUM_SUFFIX in op_of:
-                    group.add(op_of[name + SUM_SUFFIX])
-            if name in dag.reductions:
-                stack.extend(dag.reductions[name].inputs)
-            else:
-                upstream.add(name)
+        # The trigger, its activity and everything feeding it must land
+        # on the same switch; the states among them are the ones whose
+        # replicas run the trigger.
+        group = {trig_op, act_op}
+        for name in dag.feeds[t.name]:
+            group.update(op_ids[name])
         groups.append(frozenset(group))
         triggers.append(TriggerStep(
             t.name, red, t.predicate, a.name, a.action, a.scope, a.message, a.selector,
-            a.selector_const, tuple(s.name for s in app.states if s.name in upstream)))
+            a.selector_const, tuple(dag.upstream_states(t.name))))
 
     # Activities sharing a sequential_group pull their trigger groups
     # together onto one switch.
@@ -182,7 +168,7 @@ def compile_application(dag: ElementDag) -> PrimitiveProgram:
             merged_away.update(indices[1:])
         groups = [g for i, g in enumerate(groups) if i not in merged_away]
 
-    return PrimitiveProgram(app.name, app.states, ops, groups, tuple(triggers))
+    return PrimitiveProgram(app.name, app.states, ops, tuple(steps), groups, tuple(triggers))
 
 
 def canonical_text(program: PrimitiveProgram) -> str:
@@ -252,20 +238,6 @@ class RightShift:
         return vals[0] >> self.k
 
 
-def reduction_steps(program: PrimitiveProgram) -> tuple:
-    """The program's reduction and shift ops as (output, fn, operands)
-    steps over wire names, in op (topological) order; `fn` takes the
-    operand values as a list. Every replica store and evaluate_program
-    run these steps through run_steps."""
-    steps = []
-    for op in program.ops:
-        if op.opcode == "shift":
-            steps.append((op.output, RightShift(op.param("shift")), op.operands))
-        elif op.opcode in PRIMITIVES:
-            steps.append((op.output, PRIMITIVES[op.opcode], op.operands))
-    return tuple(steps)
-
-
 def run_steps(steps, env: dict) -> None:
     """Evaluate each step in order, writing its output into `env`."""
     for output, fn, operands in steps:
@@ -305,7 +277,7 @@ def evaluate_program(
     """
     env: dict[str, int] = {s.name: 0 for s in program.states}
     env.update(state_values)
-    run_steps(reduction_steps(program), env)
+    run_steps(program.steps, env)
     fires: dict[str, bool] = {}
     actions: list[tuple[str, str, object]] = []
     for tr in program.triggers:
@@ -329,25 +301,15 @@ def evaluate_dag(dag, state_values: dict[str, int], uniform01: float | None = No
     check that lowering preserves semantics.
     """
     env: dict[str, int] = dict(state_values)
+    for r in dag.reductions.values():
+        env[r.output] = apply_reduction(r.primitive, [env[i] for i in r.inputs])
     fires: dict[str, bool] = {}
     actions: list[tuple[str, str, object]] = []
-    order = dag.topo_order()
     activities = {a.name: a for a in dag.app.activities}
-    triggers = {t.name: t for t in dag.app.triggers}
-    for node in order:
-        kind = dag.nodes[node]
-        if kind == "reduction":
-            r = dag.reductions[node]
-            env[node] = apply_reduction(r.primitive, [env[i] for i in r.inputs])
-        elif kind == "trigger":
-            t = triggers[node]
-            fired = t.predicate.evaluate(env[dag.trigger_inputs[node]], uniform01)
-            fires[node] = fired
-            env[node] = int(fired)
-        elif kind == "activity":
-            pass
     for t in dag.app.triggers:
-        if fires[t.name]:
+        fired = fires[t.name] = t.predicate.evaluate(env[dag.trigger_inputs[t.name]], uniform01)
+        env[t.name] = int(fired)
+        if fired:
             a = activities[t.activity]
             detail = a.message
             if a.selector is not None:

@@ -320,29 +320,14 @@ def steiner_tree(topo: Topology, terminals) -> frozenset[tuple[str, str]]:
     closure = sorted(
         (dist[a][b], a, b) for i, a in enumerate(terms) for b in terms[i + 1 :]
     )
-    parent = {t: t for t in terms}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    mst_pairs = []
-    for d, a, b in closure:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            mst_pairs.append((a, b))
-
     edges: set[tuple[str, str]] = set()
-    for a, b in mst_pairs:
-        for e in _shortest_path_edges(topo, a, b):
-            edges.add(e)
+    for a, b in _kruskal([(a, b) for _, a, b in closure]):
+        edges.update(_shortest_path_edges(topo, a, b))
 
-    # The union of expanded paths may contain cycles; reduce to a spanning
-    # tree of the union subgraph, then prune non-terminal leaves.
-    edges = _spanning_subtree(topo, edges, terms)
+    # The union of expanded paths may contain cycles; reduce to a minimum
+    # spanning tree of the union subgraph (stable order), then prune
+    # non-terminal leaves.
+    edges = set(_kruskal(sorted(edges, key=lambda e: (topo.adj[e[0]][e[1]].delay_ns, e))))
     changed = True
     term_set = set(terms)
     while changed:
@@ -372,11 +357,10 @@ def _shortest_path_edges(topo: Topology, a: str, b: str) -> list[tuple[str, str]
     return edges
 
 
-def _spanning_subtree(topo, edges: set, terms) -> set:
-    """Minimum spanning tree of the union subgraph (Kruskal, stable order)."""
-    ranked = sorted(edges, key=lambda e: (topo.adj[e[0]][e[1]].delay_ns, e))
-    nodes = {n for e in edges for n in e}
-    parent = {n: n for n in nodes}
+def _kruskal(ranked: list[tuple[str, str]]) -> list[tuple[str, str]]:
+    """The pairs of `ranked` that join two components, in order: with
+    `ranked` sorted by weight, a minimum spanning forest (Kruskal)."""
+    parent = {n: n for pair in ranked for n in pair}
 
     def find(x):
         while parent[x] != x:
@@ -384,13 +368,13 @@ def _spanning_subtree(topo, edges: set, terms) -> set:
             x = parent[x]
         return x
 
-    keep: set[tuple[str, str]] = set()
-    for e in ranked:
-        ru, rv = find(e[0]), find(e[1])
-        if ru != rv:
-            parent[ru] = rv
-            keep.add(e)
-    return keep
+    kept = []
+    for pair in ranked:
+        ra, rb = find(pair[0]), find(pair[1])
+        if ra != rb:
+            parent[ra] = rb
+            kept.append(pair)
+    return kept
 
 
 @dataclass(frozen=True)

@@ -376,25 +376,9 @@ def validate_application(app: ApplicationSpec) -> ValidationReport:
                 f"reduction {r.output}: minmax_argmin pairs inputs, needs an even count"
             )
 
-    # Cycle check over the reduction-to-reduction references.
-    dep = {r.output: [i for i in r.inputs if i in reduction_names] for r in app.reductions}
-    seen: dict[str, int] = {}
-
-    def visit(node: str) -> bool:
-        mark = seen.get(node, 0)
-        if mark == 1:
-            return False
-        if mark == 2:
-            return True
-        seen[node] = 1
-        ok = all(visit(d) for d in dep[node])
-        seen[node] = 2
-        return ok
-
-    for out in dep:
-        if not visit(out):
-            bad.append(f"reduction {out}: part of a reference cycle")
-            break
+    cycle = _order_reductions(app.reductions)[1]
+    if cycle is not None:
+        bad.append(f"reduction {cycle}: part of a reference cycle")
 
     for t in app.triggers:
         if t.input not in state_names and t.input not in reduction_names:
@@ -443,61 +427,55 @@ def validate_application(app: ApplicationSpec) -> ValidationReport:
     return rep
 
 
+def _order_reductions(reductions) -> tuple[list[ReductionSpec], str | None]:
+    """Reductions in evaluation order: each after the reductions it
+    reads, otherwise in declaration order. Also returns the first
+    declared reduction whose references reach a cycle (None when there
+    is none); the order is then incomplete."""
+    by_name = {r.output: r for r in reductions}
+    mark: dict[str, int] = {}  # 1 while on the search path, 2 once placed
+    order: list[ReductionSpec] = []
+
+    def place(name: str) -> bool:
+        if name in mark:
+            return mark[name] == 2
+        mark[name] = 1
+        r = by_name[name]
+        ok = all(place(i) for i in r.inputs if i in by_name)
+        mark[name] = 2
+        order.append(r)
+        return ok
+
+    for name in by_name:
+        if not place(name):
+            return order, name
+    return order, None
+
+
 @dataclass
 class ElementDag:
-    """Layered DAG over application elements.
+    """A validated application, laid out for evaluation and lowering.
 
-    Node kinds are "state", "reduction", "trigger", "activity"; edges
-    run state -> reduction -> (reduction ->) trigger -> activity.
-    `reductions` includes identity reductions synthesized for triggers
-    that named a state directly.
+    `reductions` maps each output to its reduction in evaluation order,
+    the identity reductions synthesized for triggers that named a state
+    directly last; `trigger_inputs` maps each trigger to the reduction
+    it reads, and `feeds` to the states (in declaration order) and
+    reductions (in evaluation order) that feed it, that one included.
     """
 
     app: ApplicationSpec
-    nodes: dict[str, str]
-    edges: tuple[tuple[str, str], ...]
     reductions: dict[str, ReductionSpec]
     trigger_inputs: dict[str, str]
-
-    def predecessors(self, name: str) -> list[str]:
-        return [u for (u, v) in self.edges if v == name]
-
-    def successors(self, name: str) -> list[str]:
-        return [v for (u, v) in self.edges if u == name]
-
-    def topo_order(self) -> list[str]:
-        """Deterministic topological order (declaration order among peers)."""
-        indeg = {n: 0 for n in self.nodes}
-        for _, v in self.edges:
-            indeg[v] += 1
-        order = []
-        ready = [n for n in self.nodes if indeg[n] == 0]
-        while ready:
-            n = ready.pop(0)
-            order.append(n)
-            for v in self.successors(n):
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    ready.append(v)
-        if len(order) != len(self.nodes):
-            raise InvalidApplication(["element graph contains a cycle"])
-        return order
+    feeds: dict[str, tuple[str, ...]]
 
     def upstream_states(self, trigger: str) -> list[str]:
         """States transitively feeding `trigger`, in declaration order."""
-        seen: set[str] = set()
-        stack = [trigger]
-        while stack:
-            n = stack.pop()
-            for p in self.predecessors(n):
-                if p not in seen:
-                    seen.add(p)
-                    stack.append(p)
-        return [s.name for s in self.app.states if s.name in seen]
+        return [n for n in self.feeds[trigger] if n not in self.reductions]
 
 
 def build_dag(app: ApplicationSpec) -> ElementDag:
-    """Validate `app` and lay its elements out as a DAG.
+    """Validate `app`, order its reductions and find what feeds each
+    trigger.
 
     Raises InvalidApplication when validation reports violations.
     """
@@ -505,50 +483,29 @@ def build_dag(app: ApplicationSpec) -> ElementDag:
     if not report.ok:
         raise InvalidApplication(report.violations)
 
-    nodes: dict[str, str] = {}
-    for s in app.states:
-        nodes[s.name] = "state"
-    reductions = {r.output: r for r in app.reductions}
-
+    reductions = {r.output: r for r in _order_reductions(app.reductions)[0]}
     # Triggers may read a state directly; insert an identity reduction so
-    # the layering (state -> reduction -> trigger) holds for every path.
+    # that every trigger reads a reduction.
     trigger_inputs: dict[str, str] = {}
-    state_names = {s.name for s in app.states}
+    state_names = [s.name for s in app.states]
     for t in app.triggers:
-        if t.input in state_names:
-            ident = t.input + IDENTITY_SUFFIX
-            if ident not in reductions:
-                reductions[ident] = ReductionSpec(
-                    output=ident,
-                    primitive=ReductionKind.IDENTITY,
-                    inputs=(t.input,),
-                )
-            trigger_inputs[t.name] = ident
-        else:
-            trigger_inputs[t.name] = t.input
+        red = t.input
+        if red in state_names:
+            red += IDENTITY_SUFFIX
+            reductions.setdefault(red, ReductionSpec(red, ReductionKind.IDENTITY, (t.input,)))
+        trigger_inputs[t.name] = red
 
-    for out in reductions:
-        nodes[out] = "reduction"
-    for t in app.triggers:
-        nodes[t.name] = "trigger"
-    for a in app.activities:
-        nodes[a.name] = "activity"
-
-    edges: list[tuple[str, str]] = []
+    # What each reduction reads, transitively; its inputs come first.
+    reads: dict[str, set[str]] = {}
     for r in reductions.values():
-        for src in r.inputs:
-            edges.append((src, r.output))
-    for t in app.triggers:
-        edges.append((trigger_inputs[t.name], t.name))
-        edges.append((t.name, t.activity))
-
-    return ElementDag(
-        app=app,
-        nodes=nodes,
-        edges=tuple(edges),
-        reductions=reductions,
-        trigger_inputs=trigger_inputs,
-    )
+        got = reads[r.output] = set(r.inputs)
+        for i in r.inputs:
+            got.update(reads.get(i, ()))
+    feeds = {}
+    for t, red in trigger_inputs.items():
+        fed = reads[red] | {red}
+        feeds[t] = tuple(n for n in (*state_names, *reductions) if n in fed)
+    return ElementDag(app, reductions, trigger_inputs, feeds)
 
 
 def replication_requirements(dag: ElementDag) -> dict[str, InconsistencySpec]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .compiler import RightShift, run_steps
 from .errors import FieldOverflow, InvalidParameter, TruncatedHeader
@@ -34,8 +35,7 @@ _U64 = 2**64
 _U16 = 2**16
 
 
-@dataclass(frozen=True)
-class UpdateHeader:
+class UpdateHeader(NamedTuple):
     """One state update on the wire: four u32 ids, a u64 value, a u16 type."""
 
     src_sw_id: int

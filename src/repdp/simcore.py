@@ -56,7 +56,6 @@ from array import array
 from heapq import heappop, heappush
 
 from .apps import RateEstimatorWindow
-from .compiler import reduction_steps
 from .errors import InvalidParameter, SimulationError
 from .metrics import CONTROLLER_DELAY_NS, MetricsLog
 from .model import (
@@ -363,7 +362,6 @@ class Simulator:
             rt.flood = {ingress: tuple(rt.ports[p] for p in tree if p != ingress)
                         for ingress in (None, *tree)}
 
-        steps = reduction_steps(program)
         state_id = {}
         for sid, st in enumerate(program.states):
             state_id[st.name] = sid
@@ -372,7 +370,7 @@ class Simulator:
             for sw in placement.nodes[st.name]:
                 rt = self.switch_rt[sw]
                 if rt.store is None:
-                    rt.store = ReplicaStore(sw, steps)
+                    rt.store = ReplicaStore(sw, program.steps)
                 rt.store.configure_state(st.name, sid, st.width_bits,
                                          None if sw == origin else origin_id)
             ort = self._origins[st.name] = self.switch_rt[origin]

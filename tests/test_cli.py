@@ -174,17 +174,53 @@ def test_bad_number_is_exit_1_at_its_line(tmp_path, capsys, case):
     assert err.startswith(f"error: {p}:{line}: "), err
 
 
+def _shipped(scenario):
+    with open(os.path.join(SCENARIOS, scenario)) as fh:
+        return fh.read()
+
+
+# The scenarios the misuse sweeps mutate: the two shipped ones and the
+# test scenarios of the two load-balancing applications.
+SWEPT = {
+    "fig7_ddos_c2.scn": _shipped("fig7_ddos_c2.scn"),
+    "fig8_ratelimit.scn": _shipped("fig8_ratelimit.scn"),
+    "link_lb.scn": LINK_LB,
+    "resource_lb.scn": RESOURCE_LB,
+}
+
+
+def _validate(p, capsys):
+    """Validate `p`: the exit code, the line its error cites (None when
+    it cites none) and the error text."""
+    rc = main(["validate", str(p)])
+    err = capsys.readouterr().err
+    cited = re.match(rf"error: {re.escape(str(p))}:(\d+): ", err)
+    return rc, cited and int(cited[1]), err
+
+
+def _blamed_for_build(lines, err):
+    """The lines a build-time error may cite besides the mutated one: an
+    infeasible budget its `epsilon_` key, or the [application] header
+    when the key is defaulted; a target hint outside the replica set the
+    `replicas` line."""
+    out = set()
+    if "budget" in err:
+        out = ({n for n, line in enumerate(lines, 1) if line.startswith("epsilon_")}
+               or {n for n, line in enumerate(lines, 1) if line == "[application]"})
+    if "hint" in err:
+        out |= {n for n, line in enumerate(lines, 1) if line.startswith("replicas =")}
+    return out
+
+
 MUTANT_VALUES = ("nan", "inf", "-1", "0", "1e30", "", "x", "1e-10", "-0")
 
 
-@pytest.mark.parametrize("scenario", ["fig7_ddos_c2.scn", "fig8_ratelimit.scn"])
+@pytest.mark.parametrize("scenario", SWEPT)
 def test_every_mutated_value_is_valid_or_exit_1_at_its_line(tmp_path, capsys, scenario):
     # Each `key = value` line in turn takes each value above. The mutant
-    # validates, or exits 1 citing the mutated line; an infeasible budget
-    # may cite its budget key instead.
-    with open(os.path.join(SCENARIOS, scenario)) as fh:
-        lines = fh.read().splitlines()
-    budget_lines = {n for n, line in enumerate(lines, 1) if line.startswith("epsilon_")}
+    # validates, or exits 1 citing the mutated line or a line that
+    # _blamed_for_build names.
+    lines = SWEPT[scenario].splitlines()
     p = tmp_path / scenario
     mutants, failures = 0, []
     for n, line in enumerate(lines, 1):
@@ -194,15 +230,49 @@ def test_every_mutated_value_is_valid_or_exit_1_at_its_line(tmp_path, capsys, sc
         for value in MUTANT_VALUES:
             mutants += 1
             p.write_text("\n".join([*lines[:n - 1], f"{key[1]} = {value}", *lines[n:]]))
-            rc = main(["validate", str(p)])
-            err = capsys.readouterr().err
+            rc, cited, err = _validate(p, capsys)
+            if rc != 0 and (rc != 1 or cited not in {n} | _blamed_for_build(lines, err)):
+                failures.append(f"line {n} {key[1]} = {value!r}: exit {rc}: {err.strip()}")
+    assert mutants > 9 * 30
+    assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("scenario", SWEPT)
+def test_every_deleted_or_duplicated_line_is_valid_or_exit_1_at_a_line(tmp_path, capsys,
+                                                                       scenario):
+    # Each line in turn is deleted, or written twice. The mutant
+    # validates, or exits 1 citing the mutated line (the line that moved
+    # into a deleted line's place, or either copy), or else a line the
+    # loss explains: the section header of a deleted key, line 1 for a
+    # deleted section or format_version, a line naming a host whose
+    # [host.*] header was deleted, or a line that _blamed_for_build
+    # names.
+    lines = SWEPT[scenario].splitlines()
+    p = tmp_path / scenario
+    header = 1
+    rejected, failures = 0, []
+    for n, line in enumerate(lines, 1):
+        if line.startswith("["):
+            header = n
+        host = re.fullmatch(r"\[host\.(\w+)\]", line)
+        for kind, mutant in (("delete", lines[:n - 1] + lines[n:]),
+                             ("duplicate", lines[:n] + lines[n - 1:])):
+            p.write_text("\n".join(mutant))
+            rc, cited, err = _validate(p, capsys)
             if rc == 0:
                 continue
-            cited = re.match(rf"error: {re.escape(str(p))}:(\d+): ", err)
-            allowed = {n} | (budget_lines if "budget" in err else set())
-            if rc != 1 or cited is None or int(cited[1]) not in allowed:
-                failures.append(f"line {n} {key[1]} = {value!r}: exit {rc}: {err.strip()}")
-    assert mutants > 9 * 40
+            rejected += 1
+            allowed = _blamed_for_build(mutant, err)
+            if kind == "duplicate":
+                allowed |= {n, n + 1}
+            else:
+                allowed |= {n, 1 if line.startswith(("[", "format_version")) else header}
+                if host is not None:
+                    allowed |= {k for k, other in enumerate(mutant, 1)
+                                if re.search(rf"=.*\b{host[1]}\b", other)}
+            if rc != 1 or cited not in allowed:
+                failures.append(f"{kind} line {n} {line!r}: exit {rc}: {err.strip()}")
+    assert rejected > 10
     assert not failures, "\n".join(failures)
 
 

@@ -31,6 +31,7 @@ from repdp import (
     make_rate_limiter_app,
     make_resource_lb_app,
 )
+from repdp.model import IDENTITY_SUFFIX, SUM_SUFFIX
 
 # ---------------------------------------------------------------------------
 # Oracles, written against the declared behaviour only.
@@ -190,7 +191,7 @@ def test_mean_lowers_to_sum_and_shift():
     opcodes = [op.opcode for op in program.ops]
     assert "sum" in opcodes and "shift" in opcodes
     shift_op = next(op for op in program.ops if op.opcode == "shift")
-    assert shift_op.param("shift") == 2
+    assert shift_op.params == (("shift", 2),)
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +280,107 @@ def test_trigger_table_follows_the_dag(app):
     dag = build_dag(app)
     program = compile_application(dag)
     acts = {a.name: a for a in app.activities}
+    states = [s.name for s in app.states]
     assert [tr.name for tr in program.triggers] == [t.name for t in app.triggers]
     for tr, t in zip(program.triggers, app.triggers):
         a = acts[t.activity]
         assert tr.input == dag.trigger_inputs[t.name]
-        assert tr.upstream == tuple(dag.upstream_states(t.name))
+        assert tr.upstream == tuple(s for s in states if s in fed_by(app, t.input))
         assert (tr.predicate, tr.activity, tr.action, tr.scope) == (
             t.predicate, a.name, a.action, a.scope)
         assert (tr.message, tr.selector, tr.selector_const) == (
             a.message, a.selector, a.selector_const)
+
+
+def fed_by(app, name):
+    """`name` and every state and declared reduction it reads,
+    transitively, searched afresh from the declarations."""
+    reductions = {r.output: r for r in app.reductions}
+    seen, stack = set(), [name]
+    while stack:
+        n = stack.pop()
+        if n not in seen:
+            seen.add(n)
+            stack.extend(reductions[n].inputs if n in reductions else ())
+    return seen
+
+
+@st.composite
+def layered_apps(draw):
+    """Reduction chains declared in a random order, means over 2**k
+    inputs, and triggers that read a state or any reduction directly."""
+    states = tuple(StateSpec(f"s{i}", ScopeFilter(), ValueKind.scalar())
+                   for i in range(draw(st.integers(1, 4))))
+    names = [s.name for s in states]
+    reductions = []
+    for k in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(PLAIN_KINDS + [ReductionKind.MEAN, ReductionKind.IDENTITY,
+                                                   ReductionKind.MINMAX_ARGMIN]))
+        if kind is ReductionKind.MEAN:
+            n = 2 ** draw(st.integers(0, 3))
+        elif kind is ReductionKind.IDENTITY:
+            n = 1
+        elif kind is ReductionKind.MINMAX_ARGMIN:
+            n = 2 * draw(st.integers(1, 3))
+        else:
+            n = draw(st.integers(1, 5))
+        inputs = draw(st.lists(st.sampled_from(names), min_size=n, max_size=n))
+        reductions.append(ReductionSpec(f"r{k}", kind, tuple(inputs)))
+        names.append(f"r{k}")
+    selectors = st.sampled_from([r.output for r in reductions])
+    triggers, activities = [], []
+    for k in range(draw(st.integers(1, 3))):
+        predicate = draw(st.one_of(
+            st.just(Predicate.always()),
+            st.builds(Predicate.greater_than, st.integers(0, 2**10)),
+            st.builds(Predicate.less_or_equal, st.integers(0, 2**10)),
+        ))
+        triggers.append(TriggerSpec(f"t{k}", draw(st.sampled_from(names)), predicate,
+                                    InconsistencySpec.time_obsolescence(0.01), f"a{k}"))
+        action = draw(st.sampled_from(list(ActionKind)))
+        detail = {}
+        if action is ActionKind.NOTIFY_CONTROLLER:
+            detail["message"] = f"m{k}"
+        elif action is ActionKind.SET_EGRESS and draw(st.booleans()):
+            detail["selector_const"] = draw(st.integers(-1, 3))
+        elif action is not ActionKind.DROP_PACKET:
+            detail["selector"] = draw(selectors)
+        activities.append(ActivitySpec(f"a{k}", action, **detail))
+    return ApplicationSpec("layered", states, tuple(draw(st.permutations(reductions))),
+                           tuple(triggers), tuple(activities))
+
+
+@settings(max_examples=300)
+@given(layered_apps(), st.lists(st.integers(0, 2**16), min_size=4, max_size=4))
+def test_generated_layered_apps_lower_in_dependency_order(app, vals):
+    dag = build_dag(app)
+    program = compile_application(dag)
+    states = [s.name for s in app.states]
+
+    # Every step reads states and the outputs of earlier steps only.
+    known = set(states)
+    for output, _, operands in program.steps:
+        assert known.issuperset(operands), (output, operands, known)
+        known.add(output)
+
+    values = dict(zip(states, vals))
+    got = evaluate_program(program, values)
+    want = evaluate_dag(dag, values)
+    for out in dag.reductions:
+        assert got.outputs[out] == want.outputs[out], out
+    assert got.fires == want.fires
+    assert got.actions == want.actions
+
+    # Each trigger's upstream states and colocation group cover exactly
+    # what feeds it: a synthesized identity reduction when it reads a
+    # state, and a lowered mean's sum.
+    assert len(program.groups) == len(app.triggers)
+    for tr, t, group in zip(program.triggers, app.triggers, program.groups):
+        fed = fed_by(app, t.input)
+        assert tr.upstream == tuple(s for s in states if s in fed)
+        if t.input in states:
+            fed.add(t.input + IDENTITY_SUFFIX)
+        fed |= {name + SUM_SUFFIX for name in fed}
+        want_ops = {op.op_id for op in program.ops
+                    if op.output in fed or op.output == t.name or op.operands == (t.name,)}
+        assert group == want_ops, (t.name, sorted(group), sorted(want_ops))

@@ -23,7 +23,6 @@ from repdp import (
     make_rate_limiter_app,
     make_resource_lb_app,
     parse_scenario,
-    reduction_steps,
 )
 from repdp.compiler import run_steps
 
@@ -234,7 +233,7 @@ def test_replica_memory_scales_with_hosted_states():
 
 def test_lowered_mean_holds_one_register():
     program = compile_application(build_dag(make_resource_lb_app(2)))
-    store = ReplicaStore("sw", reduction_steps(program))
+    store = ReplicaStore("sw", program.steps)
     store.configure_state("srv_load_0", 0, 32)
     store.configure_state("srv_load_1", 1, 32, origin_sw_id=1)
     # Two state slots plus least_loaded and mean_load: the mean's sum and
@@ -271,7 +270,7 @@ def test_every_store_agrees_with_the_dag_oracle(app_name, data):
     absent = data.draw(st.sampled_from(program.states))
     hosted = [cs for cs in program.states if cs is not absent]
     origins = {cs.name: data.draw(st.integers(0, 3)) for cs in hosted}
-    store = ReplicaStore("sw0", reduction_steps(program))
+    store = ReplicaStore("sw0", program.steps)
     state_id = {cs.name: k for k, cs in enumerate(program.states)}
     for cs in hosted:
         store.configure_state(cs.name, state_id[cs.name], cs.width_bits, origins[cs.name] or None)

@@ -173,10 +173,16 @@ def test_thousand_random_stacks_roundtrip():
         ]
 
 
-def test_simulated_update_frames_round_trip_the_wire(monkeypatch):
-    # Every header a switch receives in a fig8 run encodes to one
-    # 26-byte header and decodes back to itself, and each update frame a
-    # link admits is charged exactly one minimum frame.
+@pytest.mark.parametrize("scenario, replicas", [
+    ("fig8_ratelimit.scn", None),
+    ("fig7_ddos_c2.scn", 2),
+    ("fig7_ddos_c2.scn", 4),
+], ids=["fig8", "fig7-c2", "fig7-c4"])
+def test_simulated_update_frames_round_trip_the_wire(monkeypatch, scenario, replicas):
+    # Every header a switch receives in the first 5 s of a shipped
+    # scenario encodes to one 26-byte header and decodes back to itself,
+    # and each update frame a link admits is charged exactly one minimum
+    # frame.
     received = 0
     sent = 0
     on_update = Simulator._on_update
@@ -198,8 +204,8 @@ def test_simulated_update_frames_round_trip_the_wire(monkeypatch):
 
     monkeypatch.setattr(Simulator, "_on_update", wire_checked)
     monkeypatch.setattr(Simulator, "_send", counted_send)
-    fig8 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "scenarios", "fig8_ratelimit.scn")
-    log = build_simulation(parse_scenario(fig8), t_end_s=5.0).sim.run_until()
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "scenarios", scenario)
+    log = build_simulation(parse_scenario(path), replicas=replicas, t_end_s=5.0).sim.run_until()
     assert log.updates_emitted > 0 and received > 0
     assert sum(map(sum, log.repl_bits)) == update_frame_bits(1) * sent
