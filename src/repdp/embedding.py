@@ -5,8 +5,11 @@ update-distribution tree (metric-closure Steiner approximation), the
 translation of inconsistency budgets into update trigger periods, and
 the forwarding/flooding rule tables the simulator installs on switches.
 
-All delays are integer nanoseconds so shortest-path comparisons and
-tie-breaks are exact.
+All of them read one shortest-path pass per source switch, run once per
+topology over switch indices in name order: the distances, the path
+counts, each switch's lowest-named predecessor (its next hop toward the
+source) and the settle order. All delays are integer nanoseconds so
+shortest-path comparisons and tie-breaks are exact.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .compiler import PrimitiveProgram
@@ -36,9 +40,6 @@ class Link:
     capacity_bps: int
     u_class: PortClass = PortClass.ANY
     v_class: PortClass = PortClass.ANY
-
-    def other(self, node: str) -> str:
-        return self.v if node == self.u else self.u
 
     def port_class(self, node: str) -> PortClass:
         return self.u_class if node == self.u else self.v_class
@@ -82,14 +83,19 @@ class Topology:
             if nbr not in self._sws:
                 raise DisconnectedTopology(f"host {h} must attach to a switch")
         self._check_connected()
-        # Each switch's switch neighbours, name-sorted, with the link delay.
-        self._sw_nbrs: dict[str, tuple[tuple[str, int], ...]] = {
-            sw: tuple(
-                (m, ln.delay_ns) for m, ln in sorted(self.adj[sw].items()) if m in self._sws
+        # Switch indices follow name order, so index order breaks ties
+        # the way names do.
+        self._names = tuple(sorted(self.switches))
+        self._index = {sw: i for i, sw in enumerate(self._names)}
+        # Each switch's switch neighbours in index order, with the link delay.
+        self._nbrs: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+            tuple(
+                (self._index[m], ln.delay_ns)
+                for m, ln in sorted(self.adj[sw].items())
+                if m in self._sws
             )
-            for sw in self.switches
-        }
-        self._sp_cache: dict[str, tuple[dict[str, int], dict[str, int]]] = {}
+            for sw in self._names
+        )
 
     def _check_connected(self):
         nodes = self.switches + self.hosts
@@ -113,48 +119,58 @@ class Topology:
     def is_switch(self, node: str) -> bool:
         return node in self._sws
 
-    def switch_distances(self, src: str) -> tuple[dict[str, int], dict[str, int]]:
-        """Dijkstra over the switch graph: (delay_ns, shortest path counts)."""
-        if src in self._sp_cache:
-            return self._sp_cache[src]
-        dist: dict[str, int] = {src: 0}
-        sigma: dict[str, int] = {src: 1}
-        done: set[str] = set()
-        heap = [(0, src)]
-        nbrs = self._sw_nbrs
-        while heap:
-            d, n = heapq.heappop(heap)
-            if n in done:
-                continue
-            done.add(n)
-            for m, delay in nbrs[n]:
-                nd = d + delay
-                if m not in dist or nd < dist[m]:
-                    dist[m] = nd
-                    sigma[m] = sigma[n]
-                    heapq.heappush(heap, (nd, m))
-                elif nd == dist[m] and m not in done:
-                    sigma[m] += sigma[n]
-        self._sp_cache[src] = (dist, sigma)
-        return self._sp_cache[src]
+    @cached_property
+    def _paths(self) -> tuple[tuple[list[int], list[int], list[int], list[int]], ...]:
+        """One Dijkstra per source switch, by index: (dist, sigma, pred, order).
+
+        dist[v] is the delay from the source to v, sigma[v] the number of
+        shortest paths, pred[v] the lowest-index neighbour of v on one of
+        them (v's next hop toward the source; the source's own is itself)
+        and order the switches in the order they were settled, which is
+        by nondecreasing distance. The switch graph is connected, since
+        each host has one link, so every entry is set.
+        """
+        n = len(self._names)
+        nbrs = self._nbrs
+        paths = []
+        for s in range(n):
+            dist: list[int | None] = [None] * n
+            sigma = [0] * n
+            pred = [s] * n
+            order = []
+            dist[s] = 0
+            sigma[s] = 1
+            heap = [(0, s)]
+            while heap:
+                d, u = heapq.heappop(heap)
+                if d > dist[u]:
+                    continue
+                order.append(u)
+                su = sigma[u]
+                for m, delay in nbrs[u]:
+                    nd = d + delay
+                    dm = dist[m]
+                    if dm is None or nd < dm:
+                        dist[m] = nd
+                        sigma[m] = su
+                        pred[m] = u
+                        heapq.heappush(heap, (nd, m))
+                    elif nd == dm:
+                        # Delays are positive, so m is not settled yet.
+                        sigma[m] += su
+                        if u < pred[m]:
+                            pred[m] = u
+            paths.append((dist, sigma, pred, order))
+        return tuple(paths)
 
     def delay_between(self, a: str, b: str) -> int:
         """Shortest switch-graph delay between two switches."""
-        dist, _ = self.switch_distances(a)
-        if b not in dist:
-            raise DisconnectedTopology(f"no switch path {a} -> {b}")
-        return dist[b]
+        return self._paths[self._index[a]][0][self._index[b]]
 
     def next_hop(self, switch: str, dst_switch: str) -> str:
         """Neighbor switch on a shortest path; name order breaks ties."""
-        if switch == dst_switch:
-            return switch
-        dist_to_dst, _ = self.switch_distances(dst_switch)
-        here = dist_to_dst.get(switch)
-        for m, delay in self._sw_nbrs[switch]:
-            if m in dist_to_dst and delay + dist_to_dst[m] == here:
-                return m
-        raise DisconnectedTopology(f"no route {switch} -> {dst_switch}")
+        pred = self._paths[self._index[dst_switch]][2]
+        return self._names[pred[self._index[switch]]]
 
 
 def node_loads(topo: Topology, weights: dict[str, float]) -> dict[str, float]:
@@ -175,32 +191,30 @@ def weighted_betweenness(topo: Topology, weights: dict[str, float]) -> dict[str,
     splitting evenly across equal-cost paths.
 
     One Brandes pass per source s (Brandes, "A faster algorithm for
-    betweenness centrality", 2001) walks the switches by decreasing
-    distance from s and accumulates A(v) = c(s, v) / sigma_sv plus A(w)
-    of every w that has v as a shortest-path predecessor, c being the
-    pair weight. Source s credits sigma_sv * A(v) to v: its share of
-    the pairs (s, t) routed through v, the pair (s, v) itself, and at
-    v = s every pair of s. Each pair is seen from both of its ends, so
-    the sum over sources is halved. A(v) is kept as an integer over a
-    common denominator per source and each source is added over one
-    running global denominator, so each score is an exact rational
-    rounded to float once.
+    betweenness centrality", 2001) walks the switches in reverse settle
+    order, so by nonincreasing distance from s, and accumulates
+    A(v) = c(s, v) / sigma_sv plus A(w) of every w that has v as a
+    shortest-path predecessor, c being the pair weight. Source s credits
+    sigma_sv * A(v) to v: its share of the pairs (s, t) routed through
+    v, the pair (s, v) itself, and at v = s every pair of s. Each pair
+    is seen from both of its ends, so the sum over sources is halved.
+    A(v) is kept as an integer over a common denominator per source and
+    each source is added over one running global denominator, so each
+    score is an exact rational rounded to float once.
     """
     load = node_loads(topo, weights)
-    nbrs = topo._sw_nbrs
+    loads = [load[sw] for sw in topo._names]
+    nbrs = topo._nbrs
     rational: dict[float, tuple[int, int]] = {}
-    num = dict.fromkeys(topo.switches, 0)  # score = num / (2 * total)
+    num = [0] * len(loads)  # score = num / (2 * total)
     total = 1
-    for s in topo.switches:
-        dist, sigma = topo.switch_distances(s)
-        ls = load[s]
-        pair: list[tuple[str, int, int]] = []  # (t, numerator, q * sigma_st)
-        for t in topo.switches:
-            weight = ls + load[t]
+    for s, (dist, sigma, _, order) in enumerate(topo._paths):
+        ls = loads[s]
+        pair: list[tuple[int, int, int]] = []  # (t, numerator, q * sigma_st)
+        for t, lt in enumerate(loads):
+            weight = ls + lt
             if t == s or weight == 0:
                 continue
-            if t not in dist:
-                raise DisconnectedTopology(f"no path between {s} and {t}")
             if weight not in rational:
                 wf = Fraction(weight).limit_denominator(10**9)
                 rational[weight] = (wf.numerator, wf.denominator)
@@ -213,13 +227,12 @@ def weighted_betweenness(topo: Topology, weights: dict[str, float]) -> dict[str,
         if total % den:
             grow = lcm(total, den) // total
             total *= grow
-            for v in num:
-                num[v] *= grow
+            num = [x * grow for x in num]
         scale = total // den
-        acc = dict.fromkeys(dist, 0)
+        acc = [0] * len(loads)
         for t, p, qs in pair:
             acc[t] = den // qs * p
-        for w in sorted(dist, key=dist.__getitem__, reverse=True):
+        for w in reversed(order):
             a = acc[w]
             if a:
                 num[w] += sigma[w] * a * scale
@@ -227,7 +240,8 @@ def weighted_betweenness(topo: Topology, weights: dict[str, float]) -> dict[str,
                 for v, delay in nbrs[w]:
                     if dist[v] + delay == dw:
                         acc[v] += a
-    return {sw: float(Fraction(num[sw], 2 * total)) for sw in topo.switches}
+    index = topo._index
+    return {sw: float(Fraction(num[index[sw]], 2 * total)) for sw in topo.switches}
 
 
 @dataclass(frozen=True)
@@ -310,15 +324,10 @@ def steiner_tree(topo: Topology, terminals) -> frozenset[tuple[str, str]]:
     for t in terms:
         if not topo.is_switch(t):
             raise DisconnectedTerminals(f"terminal {t} is not a switch")
-    dist = {t: topo.switch_distances(t)[0] for t in terms}
-    for a in terms:
-        for b in terms:
-            if b not in dist[a]:
-                raise DisconnectedTerminals(f"no path between terminals {a} and {b}")
 
     # Kruskal over the metric closure.
     closure = sorted(
-        (dist[a][b], a, b) for i, a in enumerate(terms) for b in terms[i + 1 :]
+        (topo.delay_between(a, b), a, b) for i, a in enumerate(terms) for b in terms[i + 1 :]
     )
     edges: set[tuple[str, str]] = set()
     for a, b in _kruskal([(a, b) for _, a, b in closure]):
@@ -476,13 +485,13 @@ class RuleTables:
 
 def install_rules(topo: Topology, plan: ReplicationPlan) -> RuleTables:
     """Next-hop tables to every switch plus each tree switch's tree ports."""
+    # A switch's next hop toward dst is its predecessor on dst's paths.
+    names, index = topo._names, topo._index
+    preds = [(dst, topo._paths[index[dst]][2]) for dst in topo.switches]
     next_hop: dict[str, dict[str, str]] = {}
     for sw in topo.switches:
-        table = {}
-        for dst in topo.switches:
-            if dst != sw:
-                table[dst] = topo.next_hop(sw, dst)
-        next_hop[sw] = table
+        i = index[sw]
+        next_hop[sw] = {dst: names[pred[i]] for dst, pred in preds if dst != sw}
 
     neighbors_on_tree: dict[str, list[str]] = {}
     for u, v in sorted(plan.tree_edges):

@@ -139,6 +139,11 @@ def run_single(config: ScenarioConfig, out_dir: str | None = None,
     built = build_simulation(config, replicas=replicas, seed=seed,
                              t_end_s=t_end_s, collect_trace=trace_path is not None,
                              replication=replication)
+    return _run_built(config, built, out_dir, trace_path)
+
+
+def _run_built(config: ScenarioConfig, built: BuiltSimulation, out_dir: str | None,
+               trace_path: str | None = None) -> MetricsLog:
     log = built.sim.run_until()
     if out_dir is not None:
         export_metrics(log, out_dir, switch_names=config.topology.switches)
@@ -151,15 +156,17 @@ def run_sweep(config: ScenarioConfig, out_dir: str, replica_counts,
               seed: int | None = None, t_end_s: float | None = None) -> dict[str, MetricsLog]:
     """Run the scenario once per replica count, sequentially.
 
-    Each count gets its own subdirectory c<N> with the raw CSV family;
-    a combined summary.csv is written at the top level.
+    Every count is built before the first run, so a count that cannot
+    be deployed fails before anything is written. Each count gets its
+    own subdirectory c<N> with the raw CSV family; a combined
+    summary.csv is written at the top level.
     """
+    builds = [build_simulation(config, replicas=c, seed=seed, t_end_s=t_end_s)
+              for c in replica_counts]
     logs: dict[str, MetricsLog] = {}
-    for c in replica_counts:
-        label = f"c{c}"
-        log = run_single(config, out_dir=os.path.join(out_dir, label),
-                         replicas=c, seed=seed, t_end_s=t_end_s)
-        logs[label] = log
+    for built in builds:
+        label = f"c{built.replicas}"
+        logs[label] = _run_built(config, built, os.path.join(out_dir, label))
     rows = summarize(logs, is_switch=config.topology.is_switch)
     export_summary(rows, os.path.join(out_dir, "summary.csv"))
     return logs

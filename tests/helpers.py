@@ -86,6 +86,46 @@ def brute_betweenness(topo, weights):
     return {sw: float(score[sw]) for sw in topo.switches}
 
 
+def all_pairs_paths(topo):
+    """Switch-graph delays and shortest-path counts for every ordered
+    pair, by Floyd-Warshall over ints: ({u: {v: d}}, {u: {v: sigma}}).
+
+    After round k, d[i][j] and c[i][j] cover the i-j paths whose inner
+    switches all come before k in declaration order. A shortest path
+    through k joins a shortest i-k and k-j path of the previous round,
+    and round k leaves row and column k alone, so the counts add up.
+    """
+    sws = list(topo.switches)
+    n = len(sws)
+    pos = {sw: i for i, sw in enumerate(sws)}
+    none = 1 + sum(ln.delay_ns for ln in topo.links)  # above every path
+    d = [[0 if i == j else none for j in range(n)] for i in range(n)]
+    c = [[int(i == j) for j in range(n)] for i in range(n)]
+    for ln in topo.links:
+        if ln.u in pos and ln.v in pos:
+            i, j = pos[ln.u], pos[ln.v]
+            d[i][j] = d[j][i] = ln.delay_ns
+            c[i][j] = c[j][i] = 1
+    for k in range(n):
+        dk, ck = d[k], c[k]
+        for i in range(n):
+            di, ci = d[i], c[i]
+            dik, cik = di[k], ci[k]
+            if i == k or dik == none:
+                continue
+            for j in range(n):
+                if j == k:
+                    continue
+                via = dik + dk[j]
+                if via < di[j]:
+                    di[j], ci[j] = via, cik * ck[j]
+                elif via == di[j]:
+                    ci[j] += cik * ck[j]
+    dist = {u: dict(zip(sws, d[pos[u]])) for u in sws}
+    sigma = {u: dict(zip(sws, c[pos[u]])) for u in sws}
+    return dist, sigma
+
+
 def pairwise_betweenness(topo, weights):
     """The same betweenness pair by pair, from shortest-path counts.
 
@@ -97,10 +137,7 @@ def pairwise_betweenness(topo, weights):
     load = node_loads(topo, weights)
     score = {sw: Fraction(0) for sw in topo.switches}
     sws = list(topo.switches)
-    dist = {}
-    sigma = {}
-    for s in sws:
-        dist[s], sigma[s] = topo.switch_distances(s)
+    dist, sigma = all_pairs_paths(topo)
     for i, u in enumerate(sws):
         for v in sws[i + 1 :]:
             w = load[u] + load[v]

@@ -328,6 +328,13 @@ def test_bad_horizon_override_is_exit_1_and_writes_nothing(tmp_path, scn_file, c
     assert not d.exists()
 
 
+def test_sweep_checks_every_count_before_its_first_run(tmp_path, scn_file, capsys):
+    d = tmp_path / "out"
+    assert main(["sweep", scn_file, "--out-dir", str(d), "--counts", "1,9"]) == 1
+    assert "replicas must be in 1..4, got 9" in capsys.readouterr().err
+    assert not d.exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

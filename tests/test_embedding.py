@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 from helpers import (
+    all_pairs_paths,
     assert_valid_tree,
     brute_betweenness,
     exact_steiner_cost,
@@ -23,6 +24,7 @@ from repdp import (
     InfeasibleBudget,
     InsufficientNodes,
     Link,
+    ReplicationPlan,
     Topology,
     build_dag,
     build_replication_plan,
@@ -83,6 +85,35 @@ def test_next_hop_breaks_ties_by_name():
     assert topo.next_hop("sw1", "sw3") == "sw2"
     assert topo.next_hop("sw3", "sw1") == "sw2"
     assert topo.delay_between("sw1", "sw3") == topo.delay_between("sw3", "sw1") == MS
+
+
+def test_routes_and_delays_match_floyd_warshall_on_random_graphs():
+    # At 11 switches or more s10 sorts before s2, so name order and
+    # declaration order differ; two delays make equal-cost ties common.
+    rng = random.Random(0x4E47)
+    ties = 0
+    for trial in range(40):
+        n = rng.randrange(11, 25)
+        topo = random_switch_topology(
+            rng, n, extra_edges=rng.randrange(n, 2 * n), delay_choices=(1000, 2000)
+        )
+        topo = with_hosts(rng, topo, rng.randrange(0, 4))
+        dist, _ = all_pairs_paths(topo)
+        rules = install_rules(topo, ReplicationPlan(frozenset(), {}, 0.0, "time"))
+        for sw in topo.switches:
+            for dst in topo.switches:
+                assert topo.delay_between(sw, dst) == dist[sw][dst], (trial, sw, dst)
+                if dst == sw:
+                    continue
+                hops = sorted(
+                    m
+                    for m, ln in topo.adj[sw].items()
+                    if topo.is_switch(m) and ln.delay_ns + dist[m][dst] == dist[sw][dst]
+                )
+                ties += len(hops) > 1
+                assert rules.next_hop[sw][dst] == hops[0], (trial, sw, dst, hops)
+                assert topo.next_hop(sw, dst) == hops[0]
+    assert ties > 1000
 
 
 def test_host_attachment_and_loads():
