@@ -302,11 +302,12 @@ def make_resource_lb_app(
     )
 
 
-class AppKey(NamedTuple):
-    """One `[application]` key: the scenario reader's typed getter that
-    parses it (num, integer, dur, bps, text or names), its default as
-    scenario text (None: mandatory) and its app_params name when that
-    differs from the key."""
+class Key(NamedTuple):
+    """One key of a scenario section: the scenario reader's kind that
+    parses it (see scenario.KINDS), its default as scenario text (None:
+    mandatory; scenario.OPTIONAL: absent unless given, its user fills it
+    from another key) and its parsed name when that differs from the
+    key."""
 
     key: str
     kind: str
@@ -325,13 +326,13 @@ class AppRecord(NamedTuple):
     naming the offending key.
     """
 
-    keys: tuple[AppKey, ...]
+    keys: tuple[Key, ...]
     make: Callable[[dict, int], ApplicationSpec]
     bind: Callable[[dict, object], tuple] = lambda p, topo: ({}, {}, None)
 
 
-_ESTIMATOR_KEYS = (AppKey("delta", "dur", "0.1", "delta_s"), AppKey("window", "integer", "8"))
-_STATES_KEY = AppKey("states", "text", "auto")
+_ESTIMATOR_KEYS = (Key("delta", "dur", "0.1", "delta_s"), Key("window", "integer", "8"))
+_STATES_KEY = Key("states", "text", "auto")
 
 
 def _estimator_args(p: dict) -> tuple[float, int]:
@@ -389,22 +390,22 @@ def _bind_resourcelb(p: dict, topo) -> tuple:
 
 APPS = {
     "ddos": AppRecord(
-        keys=(AppKey("threshold", "num"), AppKey("epsilon_t", "dur", param="epsilon_t_s"),
+        keys=(Key("threshold", "num"), Key("epsilon_t", "dur", param="epsilon_t_s"),
               *_ESTIMATOR_KEYS, _STATES_KEY),
         make=lambda p, c: make_ddos_app(_state_count(p, c), p["threshold"], p["epsilon_t_s"],
                                         *_estimator_args(p)),
     ),
     "ratelimit": AppRecord(
-        keys=(AppKey("limit", "bps", param="rate_limit_bps"), AppKey("epsilon_r", "integer"),
-              AppKey("max_write_rate", "num"), *_ESTIMATOR_KEYS, _STATES_KEY),
+        keys=(Key("limit", "bps", param="rate_limit_bps"), Key("epsilon_r", "integer"),
+              Key("max_write_rate", "num"), *_ESTIMATOR_KEYS, _STATES_KEY),
         make=lambda p, c: make_rate_limiter_app(_state_count(p, c), p["rate_limit_bps"],
                                                 p["epsilon_r"], p["max_write_rate"],
                                                 *_estimator_args(p)),
     ),
     "linklb": AppRecord(
-        keys=(AppKey("lb_switch", "text"), AppKey("path_via", "names"),
-              AppKey("dst_switch", "text"), AppKey("epsilon_r", "integer", "10"),
-              AppKey("max_write_rate", "num", "1000"), *_ESTIMATOR_KEYS),
+        keys=(Key("lb_switch", "text"), Key("path_via", "names"),
+              Key("dst_switch", "text"), Key("epsilon_r", "integer", "10"),
+              Key("max_write_rate", "num", "1000"), *_ESTIMATOR_KEYS),
         # Uplink legs are measured at lb_switch, downlink legs at each via.
         make=lambda p, c: _hinted(make_link_lb_app(len(p["path_via"]), p["epsilon_r"],
                                                    p["max_write_rate"], *_estimator_args(p)),
@@ -412,9 +413,9 @@ APPS = {
         bind=_bind_linklb,
     ),
     "resourcelb": AppRecord(
-        keys=(AppKey("lb_switch", "text"), AppKey("servers", "names"),
-              AppKey("threshold", "num", "0.8"), AppKey("load_scale", "integer", "100"),
-              AppKey("epsilon_r", "integer", "15"), AppKey("max_write_rate", "num", "1000")),
+        keys=(Key("lb_switch", "text"), Key("servers", "names"),
+              Key("threshold", "num", "0.8"), Key("load_scale", "integer", "100"),
+              Key("epsilon_r", "integer", "15"), Key("max_write_rate", "num", "1000")),
         make=lambda p, c: _hinted(make_resource_lb_app(len(p["servers"]), p["threshold"],
                                                        p["load_scale"], p["epsilon_r"],
                                                        p["max_write_rate"]),

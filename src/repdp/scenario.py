@@ -2,9 +2,12 @@
 
 Scenarios are line-oriented text: `key = value` pairs grouped under
 `[section]` headers, `#` comments, blank lines ignored. Every error is
-reported with the file path and line number. The reader produces a
-ScenarioConfig with units normalized (durations to seconds, capacities
-to bits/s, sizes to bits); build-time checks cite the lines it keeps.
+reported with the file path and line number. Each section is read
+through one table of apps.Key rows, which gives every key its kind and
+default; a key or a section the tables do not name is an error at its
+line. The reader produces a ScenarioConfig with units normalized
+(durations to seconds, capacities to bits/s, sizes to bits) and the
+line of every key it read, which build-time checks cite.
 
 Sections:
   top level    format_version (must be 1)
@@ -12,7 +15,7 @@ Sections:
                replication (on/off)
   [topology]   switches, links (u-v pairs), link_delay, link_capacity,
                host_delay
-  [link.U.V]   per-link delay/capacity overrides
+  [link.U.V]   delay/capacity overrides of a link that `links` names
   [host.H]     attach, port_class, optional delay/capacity
   [application] name (ddos/ratelimit/linklb/resourcelb) + its apps.APPS keys
   [embedding]  replicas, r_min, trigger_mode, weights (node:w list)
@@ -28,7 +31,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .apps import APPS
+from .apps import APPS, Key
 from .embedding import Link, Topology
 from .errors import DisconnectedTopology, ScenarioError
 from .model import PortClass
@@ -36,9 +39,13 @@ from .model import PortClass
 FORMAT_VERSION = 1
 
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+# '#' opens a comment at line start or after whitespace.
+_COMMENT = re.compile(r"(?:^|[ \t])#.*")
 
 _DUR = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
+_DUR_RE = re.compile(r"([0-9.eE+-]+)\s*(ns|us|ms|s)?")
 _BPS = {"bps": 1, "kbps": 1_000, "Mbps": 1_000_000, "Gbps": 1_000_000_000}
+_BPS_RE = re.compile(r"([0-9.eE+-]+)\s*(bps|kbps|Mbps|Gbps)?")
 _CLASSES = {
     "external": PortClass.EXTERNAL,
     "uplink": PortClass.UPLINK,
@@ -77,13 +84,19 @@ class ScenarioConfig:
     weights: dict[str, float]
     flows: list[FlowDef]
     loads: list[tuple[float, str, int]] = field(default_factory=list)
-    lines: dict[tuple[str, str | None], int] = field(default_factory=dict, repr=False)
+    # The sections read, by name, with the line of each key and header.
+    lines: dict[str, _Section] = field(default_factory=dict, repr=False)
 
     def line(self, section: str, key: str | None = None) -> int:
         """Line of `key` in [section], else of the section header, else 0.
-        The reader keeps the lines of [application], [embedding] and
-        [loads] only."""
-        return self.lines.get((section, key)) or self.lines.get((section, None), 0)
+        The reader keeps the line of every key it read and of every
+        section header."""
+        return _line(self.lines, section, key)
+
+
+def _line(lines, section, key):
+    sec = lines.get(section) or _Section(section, 0)
+    return sec.items[key][1] if key in sec.items else sec.line
 
 
 class _Section:
@@ -93,25 +106,20 @@ class _Section:
         self.items: dict[str, tuple[str, int]] = {}
 
 
-def _split_lines(path: str, text: str):
+def _split_lines(text: str):
     """Yield (line_no, content) with comments and blanks removed."""
     for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw
-        # '#' opens a comment at line start or after whitespace.
-        for m in re.finditer(r"#", line):
-            if m.start() == 0 or line[m.start() - 1] in " \t":
-                line = line[: m.start()]
-                break
-        line = line.strip()
+        line = _COMMENT.sub("", raw, count=1).strip()
         if line:
             yield i, line
 
 
 def _parse_sections(path: str, text: str):
-    top = _Section("", 0)
+    # The top level has no header; its missing key is blamed at line 1.
+    top = _Section("", 1)
     sections: list[_Section] = []
     cur = top
-    for ln, line in _split_lines(path, text):
+    for ln, line in _split_lines(text):
         if line.startswith("["):
             if not line.endswith("]"):
                 raise ScenarioError("unterminated section header", path, ln)
@@ -135,7 +143,7 @@ def _parse_sections(path: str, text: str):
 
 
 def _dur_s(path, raw: str, ln: int) -> float:
-    m = re.fullmatch(r"([0-9.eE+-]+)\s*(ns|us|ms|s)?", raw)
+    m = _DUR_RE.fullmatch(raw)
     if not m:
         raise ScenarioError(f"bad duration {raw!r}", path, ln)
     val = _num(path, m.group(1), ln)
@@ -143,7 +151,7 @@ def _dur_s(path, raw: str, ln: int) -> float:
 
 
 def _bps(path, raw: str, ln: int) -> int:
-    m = re.fullmatch(r"([0-9.eE+-]+)\s*(bps|kbps|Mbps|Gbps)?", raw)
+    m = _BPS_RE.fullmatch(raw)
     if not m:
         raise ScenarioError(f"bad capacity {raw!r}", path, ln)
     val = _num(path, m.group(1), ln)
@@ -176,62 +184,88 @@ def _bool(path, raw: str, ln: int) -> bool:
     raise ScenarioError(f"expected yes/no, got {raw!r}", path, ln)
 
 
-class _View:
-    """Typed access to one section's items with line-aware errors."""
+def _delay_ns(path, raw: str, ln: int, key: str) -> int:
+    ns = round(_dur_s(path, raw, ln) * 1e9)
+    if ns < 1:
+        raise ScenarioError(f"{key} must be at least 1ns", path, ln)
+    return ns
 
-    def __init__(self, path: str, sec: _Section):
-        self.path = path
-        self.sec = sec
 
-    def has(self, key) -> bool:
-        return key in self.sec.items
+def _capacity(path, raw: str, ln: int, key: str) -> int:
+    bps = _bps(path, raw, ln)
+    if bps < 1:
+        raise ScenarioError(f"{key} must be at least 1bps", path, ln)
+    return bps
 
-    def raw(self, key, default=None):
-        if key in self.sec.items:
-            return self.sec.items[key]
-        if default is not None:
-            return default, self.sec.line
-        raise ScenarioError(f"[{self.sec.name}] is missing key {key!r}", self.path, self.sec.line)
 
-    def text(self, key, default=None) -> str:
-        return self.raw(key, default)[0]
+def _names(path, raw: str, ln: int, key: str) -> list[str]:
+    out = raw.split()
+    for n in out:
+        if not _NAME.match(n):
+            raise ScenarioError(f"bad name {n!r} in {key}", path, ln)
+    return out
 
-    def num(self, key, default=None) -> float:
-        return _num(self.path, *self.raw(key, default))
 
-    def integer(self, key, default=None) -> int:
-        return _int(self.path, *self.raw(key, default))
+# The parser of each Key.kind: (path, raw text, line, key) -> value.
+KINDS = {
+    "text": lambda path, raw, ln, key: raw,
+    "num": lambda path, raw, ln, key: _num(path, raw, ln),
+    "integer": lambda path, raw, ln, key: _int(path, raw, ln),
+    "dur": lambda path, raw, ln, key: _dur_s(path, raw, ln),
+    "bps": lambda path, raw, ln, key: _bps(path, raw, ln),
+    "flag": lambda path, raw, ln, key: _bool(path, raw, ln),
+    "delay_ns": _delay_ns,
+    "capacity": _capacity,
+    "names": _names,
+}
 
-    def dur(self, key, default=None) -> float:
-        return _dur_s(self.path, *self.raw(key, default))
+# The default of a key that takes its value from another key where it
+# is used (a link's delay from link_delay, a flow's stop from t_end).
+OPTIONAL = object()
 
-    def bps(self, key, default=None) -> int:
-        return _bps(self.path, *self.raw(key, default))
+_TOP = (Key("format_version", "integer"),)
+_SCENARIO = (Key("name", "text", "run"), Key("seed", "integer"), Key("t_end", "dur", "60"),
+             Key("metrics_bin", "dur", "0.5"), Key("queue_limit", "integer", "100"),
+             Key("replication", "flag", "on"))
+_TOPOLOGY = (Key("switches", "names"), Key("links", "text"),
+             Key("link_delay", "delay_ns", "0.5ms"), Key("link_capacity", "capacity", "10Mbps"),
+             Key("host_delay", "delay_ns", "0.01ms"))
+_LINK = (Key("delay", "delay_ns", OPTIONAL), Key("capacity", "capacity", OPTIONAL))
+_HOST = (Key("attach", "text"), Key("port_class", "text", "any"), *_LINK)
+_APP_NAME = Key("name", "text")
+_EMBEDDING = (Key("replicas", "integer", "1"), Key("r_min", "num", "100"),
+              Key("trigger_mode", "text", "time"), Key("weights", "text", ""))
+_FLOW = (Key("src", "text"), Key("dst", "text"), Key("size", "integer"),
+         Key("syn", "flag", "no"), Key("start", "dur", "0"), Key("stop", "dur", OPTIONAL),
+         Key("rate", "text"))
+# Sections read through a table above, and [loads], whose keys are
+# state names; [flow.F], [host.H] and [link.U.V] go by their prefix.
+_SECTIONS = ("scenario", "topology", "application", "embedding", "loads")
 
-    def delay_ns(self, key, default=None) -> int:
-        raw, ln = self.raw(key, default)
-        ns = round(_dur_s(self.path, raw, ln) * 1e9)
-        if ns < 1:
-            raise ScenarioError(f"{key} must be at least 1ns", self.path, ln)
-        return ns
 
-    def capacity(self, key, default=None) -> int:
-        raw, ln = self.raw(key, default)
-        bps = _bps(self.path, raw, ln)
-        if bps < 1:
-            raise ScenarioError(f"{key} must be at least 1bps", self.path, ln)
-        return bps
-
-    def flag(self, key, default=None) -> bool:
-        return _bool(self.path, *self.raw(key, default))
-
-    def names(self, key, default=None) -> list[str]:
-        raw, ln = self.raw(key, default)
-        out = raw.split()
-        for n in out:
-            if not _NAME.match(n):
-                raise ScenarioError(f"bad name {n!r} in {key}", self.path, ln)
-        return out
+def _read(path, sec: _Section, table, lines, what: str | None = None) -> dict:
+    """Parse [sec] through `table`: each key's value by its kind (the
+    default when absent, none for an absent OPTIONAL key), under its
+    parsed name. Keeps the section in `lines` under its name.
+    An unknown key fails at its line, before a missing mandatory one
+    fails at the header: a misspelled key is blamed where it stands.
+    `what` replaces "in [section]" in the unknown-key message."""
+    where = f"[{sec.name}]" if sec.name else "the top level"
+    items = sec.items
+    known = [row[0] for row in table]
+    for key, (_, ln) in items.items():
+        if key not in known:
+            raise ScenarioError(f"unknown key {key!r} {what or 'in ' + where} "
+                                f"(known: {', '.join(sorted(known))})", path, ln)
+    lines[sec.name] = sec
+    out = {}
+    for key, kind, default, param in table:
+        raw, ln = items.get(key) or (default, sec.line)
+        if raw is None:
+            raise ScenarioError(f"{where} is missing key {key!r}", path, ln)
+        if raw is not OPTIONAL:
+            out[param or key] = KINDS[kind](path, raw, ln, key)
+    return out
 
 
 def _parse_rate_steps(path, raw: str, ln: int, start_s: float):
@@ -264,82 +298,69 @@ def parse_scenario(path: str) -> ScenarioConfig:
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}", path, 0) from None
     top, sections = _parse_sections(path, text)
+    lines: dict[str, _Section] = {}
 
-    topv = _View(path, top)
-    if not topv.has("format_version"):
-        raise ScenarioError("missing top-level format_version", path, 1)
-    ver = topv.integer("format_version")
+    def at(section, key):
+        return _line(lines, section, key)
+
+    ver = _read(path, top, _TOP, lines)["format_version"]
     if ver != FORMAT_VERSION:
-        raise ScenarioError(f"unsupported format_version {ver}", path,
-                            top.items["format_version"][1])
+        raise ScenarioError(f"unsupported format_version {ver}", path, at("", "format_version"))
 
     by_name: dict[str, _Section] = {}
-    flows_secs, links_secs, hosts_secs = [], [], []
+    groups: dict[str, list[_Section]] = {"flow": [], "host": [], "link": []}
     for sec in sections:
-        if sec.name.startswith("flow."):
-            flows_secs.append(sec)
-        elif sec.name.startswith("link."):
-            links_secs.append(sec)
-        elif sec.name.startswith("host."):
-            hosts_secs.append(sec)
+        prefix, dot, _ = sec.name.partition(".")
+        if dot and prefix in groups:
+            groups[prefix].append(sec)
+        elif sec.name not in _SECTIONS:
+            raise ScenarioError(f"unknown section [{sec.name}] (known: {', '.join(_SECTIONS)},"
+                                " flow.F, host.H, link.U.V)", path, sec.line)
         elif sec.name in by_name:
             raise ScenarioError(f"duplicate section [{sec.name}]", path, sec.line)
         else:
             by_name[sec.name] = sec
 
-    def require(name) -> _View:
+    def section(name) -> _Section:
         if name not in by_name:
             raise ScenarioError(f"missing section [{name}]", path, 1)
-        return _View(path, by_name[name])
+        return by_name[name]
 
-    scen = require("scenario")
-    name, name_ln = scen.raw("name", "run")
-    if not _NAME.match(name):
-        raise ScenarioError(f"bad scenario name {name!r}", path, name_ln)
-    if not scen.has("seed"):
-        raise ScenarioError("[scenario] must declare a seed", path, by_name["scenario"].line)
-    seed = scen.integer("seed")
-    t_end = scen.dur("t_end", "60")
-    if round(t_end * 1e9) < 1:
-        raise ScenarioError("t_end must be at least 1ns", path, scen.raw("t_end", "60")[1])
-    bin_s = scen.dur("metrics_bin", "0.5")
-    if round(bin_s * 1e9) < 1:
-        raise ScenarioError("metrics_bin must be at least 1ns", path,
-                            scen.raw("metrics_bin", "0.5")[1])
-    queue_limit = scen.integer("queue_limit", "100")
-    if queue_limit < 1:
-        raise ScenarioError("queue_limit must be at least 1", path,
-                            scen.raw("queue_limit", "100")[1])
-    replication = scen.flag("replication", "on")
+    scen = _read(path, section("scenario"), _SCENARIO, lines)
+    if not _NAME.match(scen["name"]):
+        raise ScenarioError(f"bad scenario name {scen['name']!r}", path, at("scenario", "name"))
+    t_end = scen["t_end"]
+    for key in ("t_end", "metrics_bin"):
+        if round(scen[key] * 1e9) < 1:
+            raise ScenarioError(f"{key} must be at least 1ns", path, at("scenario", key))
+    if scen["queue_limit"] < 1:
+        raise ScenarioError("queue_limit must be at least 1", path, at("scenario", "queue_limit"))
 
     # ---- topology -----------------------------------------------------
     # Each value Topology rejects is checked here, at its own key.
-    topo_v = require("topology")
-    switches = topo_v.names("switches")
-    sw_ln = topo_v.raw("switches")[1]
+    topo = _read(path, section("topology"), _TOPOLOGY, lines)
+    switches = topo["switches"]
+    sw_ln = at("topology", "switches")
     sw_set = set(switches)
     if not switches:
         raise ScenarioError("switches is empty", path, sw_ln)
     if len(sw_set) != len(switches):
         raise ScenarioError("duplicate name in switches", path, sw_ln)
-    link_delay = topo_v.delay_ns("link_delay", "0.5ms")
-    link_cap = topo_v.capacity("link_capacity", "10Mbps")
-    host_delay = topo_v.delay_ns("host_delay", "0.01ms")
+    link_delay, link_cap = topo["link_delay"], topo["link_capacity"]
 
     overrides = {}
-    for sec in links_secs:
+    for sec in groups["link"]:
         parts = sec.name.split(".")
         if len(parts) != 3:
             raise ScenarioError(f"bad link section [{sec.name}]", path, sec.line)
-        v = _View(path, sec)
-        overrides[tuple(sorted(parts[1:]))] = (
-            v.delay_ns("delay") if v.has("delay") else link_delay,
-            v.capacity("capacity") if v.has("capacity") else link_cap,
-        )
+        key = tuple(sorted(parts[1:]))
+        if key in overrides:
+            raise ScenarioError(f"duplicate section [{sec.name}]", path, sec.line)
+        overrides[key] = sec, _read(path, sec, _LINK, lines)
 
-    raw_links, ll = topo_v.raw("links")
+    ll = at("topology", "links")
     pairs = []
-    for tok in raw_links.split():
+    for tok in topo["links"].split():
         u, sep, v = tok.partition("-")
         if not (sep and _NAME.match(u) and _NAME.match(v)):
             raise ScenarioError(f"bad link {tok!r} (expected u-v)", path, ll)
@@ -359,31 +380,35 @@ def parse_scenario(path: str) -> ScenarioConfig:
         if key in seen_links:
             raise ScenarioError(f"duplicate link '{u}-{v}'", path, ll)
         seen_links.add(key)
-        d, c = overrides.get(key, (link_delay, link_cap))
-        links.append(Link(u, v, d, c))
+        o = overrides.pop(key, (None, {}))[1]
+        links.append(Link(u, v, o.get("delay", link_delay), o.get("capacity", link_cap)))
+    # An override left over names a pair that `links` does not connect.
+    for sec, _ in overrides.values():
+        raise ScenarioError(f"[{sec.name}] overrides no link: links has no "
+                            f"{'-'.join(sec.name.split('.')[1:])}", path, sec.line)
 
     hosts = []
     nodes = set(sw_set)
-    for sec in hosts_secs:
+    for sec in groups["host"]:
         hname = sec.name.split(".", 1)[1]
         if not _NAME.match(hname):
             raise ScenarioError(f"bad host name {hname!r}", path, sec.line)
         if hname in nodes:
             raise ScenarioError(f"duplicate node name {hname!r}", path, sec.line)
         nodes.add(hname)
-        v = _View(path, sec)
-        attach, attach_ln = v.raw("attach")
-        if attach not in sw_set:
-            raise ScenarioError(f"host {hname} attaches to unknown switch {attach!r}",
-                                path, attach_ln)
-        cls_raw, cls_ln = v.raw("port_class", "any")
-        if cls_raw not in _CLASSES:
-            raise ScenarioError(f"bad port_class {cls_raw!r}", path, cls_ln)
-        d = v.delay_ns("delay") if v.has("delay") else host_delay
-        c = v.capacity("capacity") if v.has("capacity") else link_cap
+        h = _read(path, sec, _HOST, lines)
+        if h["attach"] not in sw_set:
+            raise ScenarioError(f"host {hname} attaches to unknown switch {h['attach']!r}",
+                                path, at(sec.name, "attach"))
+        port_class = _CLASSES.get(h["port_class"])
+        if port_class is None:
+            raise ScenarioError(f"bad port_class {h['port_class']!r}", path,
+                                at(sec.name, "port_class"))
         hosts.append(hname)
         # The class tags the switch-side port facing this host.
-        links.append(Link(hname, attach, d, c, u_class=PortClass.ANY, v_class=_CLASSES[cls_raw]))
+        links.append(Link(hname, h["attach"], h.get("delay", topo["host_delay"]),
+                          h.get("capacity", link_cap), u_class=PortClass.ANY,
+                          v_class=port_class))
     if not hosts:
         raise ScenarioError("scenario defines no hosts", path, 1)
 
@@ -394,95 +419,79 @@ def parse_scenario(path: str) -> ScenarioConfig:
         raise ScenarioError(str(exc), path, ll) from None
 
     # ---- application ---------------------------------------------------
-    app_v = require("application")
-    app_name, name_ln = app_v.raw("name")
+    # Without a name, every other key is unknown.
+    app_sec = section("application")
+    app_name, name_ln = app_sec.items.get("name", (None, 0))
     record = APPS.get(app_name)
-    if record is None:
+    if record is None and app_name is not None:
         known = ", ".join(sorted(APPS))
         raise ScenarioError(f"unknown application {app_name!r} (known: {known})",
                             path, name_ln)
-    known_keys = {"name", *(k.key for k in record.keys)}
-    for key, (_, ln) in app_v.sec.items.items():
-        if key not in known_keys:
-            raise ScenarioError(f"unknown key {key!r} for application {app_name} "
-                                f"(known: {', '.join(sorted(known_keys))})", path, ln)
-    app_params = {k.param or k.key: getattr(app_v, k.kind)(k.key, k.default)
-                  for k in record.keys}
+    app_params = _read(path, app_sec, (_APP_NAME, *(record.keys if record else ())), lines,
+                       record and f"for application {app_name}")
+    del app_params["name"]
 
     # ---- embedding -----------------------------------------------------
-    emb = require("embedding")
-    replicas = emb.integer("replicas", "1")
+    emb = _read(path, section("embedding"), _EMBEDDING, lines)
+    replicas = emb["replicas"]
     if not 1 <= replicas <= len(switches):
         raise ScenarioError(f"replicas must be in 1..{len(switches)}", path,
-                            emb.raw("replicas", "1")[1])
-    r_min = emb.num("r_min", "100")
-    if r_min <= 0:
-        raise ScenarioError("r_min must be positive", path, emb.raw("r_min", "100")[1])
-    mode, mode_ln = emb.raw("trigger_mode", "time")
-    if mode not in ("time", "packet"):
-        raise ScenarioError(f"trigger_mode must be time or packet, got {mode!r}",
-                            path, mode_ln)
+                            at("embedding", "replicas"))
+    if emb["r_min"] <= 0:
+        raise ScenarioError("r_min must be positive", path, at("embedding", "r_min"))
+    if emb["trigger_mode"] not in ("time", "packet"):
+        raise ScenarioError(f"trigger_mode must be time or packet, got {emb['trigger_mode']!r}",
+                            path, at("embedding", "trigger_mode"))
     weights: dict[str, float] = {}
-    if emb.has("weights"):
-        raw_w, wl = emb.raw("weights")
-        for tok in raw_w.split():
-            if ":" not in tok:
-                raise ScenarioError(f"bad weight {tok!r} (expected node:w)", path, wl)
-            node, _, w = tok.partition(":")
-            if node not in nodes:
-                raise ScenarioError(f"weight references unknown node {node!r}", path, wl)
-            weights[node] = _num(path, w, wl)
-            if weights[node] < 0:
-                raise ScenarioError(f"negative weight {tok!r}", path, wl)
-
-    # Build-time checks on the application, the embedding and the loads
-    # cite these lines.
-    lines = {}
-    for sec in (app_v.sec, emb.sec):
-        lines.update(((sec.name, key), ln) for key, (_, ln) in sec.items.items())
-        lines[sec.name, None] = sec.line
+    wl = at("embedding", "weights")
+    for tok in emb["weights"].split():
+        if ":" not in tok:
+            raise ScenarioError(f"bad weight {tok!r} (expected node:w)", path, wl)
+        node, _, w = tok.partition(":")
+        if node not in nodes:
+            raise ScenarioError(f"weight references unknown node {node!r}", path, wl)
+        weights[node] = _num(path, w, wl)
+        if weights[node] < 0:
+            raise ScenarioError(f"negative weight {tok!r}", path, wl)
 
     # ---- flows ----------------------------------------------------------
     flows = []
     seen_flows = set()
-    for sec in flows_secs:
+    host_set = set(hosts)
+    for sec in groups["flow"]:
         fname = sec.name.split(".", 1)[1]
         if not _NAME.match(fname):
             raise ScenarioError(f"bad flow name {fname!r}", path, sec.line)
         if fname in seen_flows:
             raise ScenarioError(f"duplicate flow {fname!r}", path, sec.line)
         seen_flows.add(fname)
-        v = _View(path, sec)
-        src, src_ln = v.raw("src")
-        if src not in hosts:
-            raise ScenarioError(f"flow {fname}: unknown src host {src!r}", path, src_ln)
-        dst, dst_ln = v.raw("dst")
-        if dst not in hosts:
-            raise ScenarioError(f"flow {fname}: unknown dst host {dst!r}", path, dst_ln)
-        size = v.integer("size")
-        if size < 512:
+        f = _read(path, sec, _FLOW, lines)
+        for end in ("src", "dst"):
+            if f[end] not in host_set:
+                raise ScenarioError(f"flow {fname}: unknown {end} host {f[end]!r}", path,
+                                    at(sec.name, end))
+        if f["size"] < 512:
             raise ScenarioError(f"flow {fname}: size below 512-bit minimum frame",
-                                path, v.raw("size")[1])
-        syn = v.flag("syn", "no")
-        start = v.dur("start", "0")
+                                path, at(sec.name, "size"))
+        start = f["start"]
         if start < 0:
-            raise ScenarioError(f"flow {fname}: start must be >= 0", path,
-                                v.raw("start", "0")[1])
-        stop = v.dur("stop", None) if v.has("stop") else t_end
+            raise ScenarioError(f"flow {fname}: start must be >= 0", path, at(sec.name, "start"))
+        stop = f.get("stop", t_end)
         if stop <= start:
             # Without a stop of its own the flow runs to t_end, so the
             # start is what is out of range.
-            ln = v.raw("stop")[1] if v.has("stop") else v.raw("start", "0")[1]
-            raise ScenarioError(f"flow {fname}: stop must follow start", path, ln)
-        raw_rate, rate_ln = v.raw("rate")
-        segs = _parse_rate_steps(path, raw_rate, rate_ln, start)
+            raise ScenarioError(f"flow {fname}: stop must follow start", path,
+                                at(sec.name, "stop" if "stop" in f else "start"))
+        rate_ln = at(sec.name, "rate")
+        segs = _parse_rate_steps(path, f["rate"], rate_ln, start)
         if any(t >= stop for t, _ in segs[1:]):
             raise ScenarioError(f"flow {fname}: rate step beyond stop time", path, rate_ln)
-        flows.append(FlowDef(fname, src, dst, size, syn, start, stop, segs))
+        flows.append(FlowDef(fname, f["src"], f["dst"], f["size"], f["syn"], start, stop, segs))
 
     # ---- scheduled scalar loads -----------------------------------------
     loads: list[tuple[float, str, int]] = []
     if "loads" in by_name:
+        lines["loads"] = by_name["loads"]
         for state, (raw, ln) in by_name["loads"].items.items():
             for tok in raw.split():
                 if ":" not in tok:
@@ -493,13 +502,13 @@ def parse_scenario(path: str) -> ScenarioConfig:
                 if not 0 <= t_s <= t_end:
                     raise ScenarioError(f"load time {t} outside [0, t_end = {t_end:g}]", path, ln)
                 loads.append((t_s, state, _int(path, val, ln)))
-            lines["loads", state] = ln
         loads.sort(key=lambda x: (x[0], x[1]))
 
     return ScenarioConfig(
-        path=path, name=name, seed=seed, t_end_s=t_end, metrics_bin_s=bin_s,
-        queue_limit=queue_limit, replication=replication, topology=topology,
-        app_name=app_name, app_params=app_params, replicas=replicas,
-        r_min=r_min, trigger_mode=mode, weights=weights, flows=flows,
+        path=path, name=scen["name"], seed=scen["seed"], t_end_s=t_end,
+        metrics_bin_s=scen["metrics_bin"], queue_limit=scen["queue_limit"],
+        replication=scen["replication"], topology=topology, app_name=app_name,
+        app_params=app_params, replicas=replicas, r_min=emb["r_min"],
+        trigger_mode=emb["trigger_mode"], weights=weights, flows=flows,
         loads=loads, lines=lines,
     )

@@ -585,8 +585,6 @@ class Simulator:
         return log
 
     def _emit_flow(self, fl: FlowRT, t: int):
-        if t >= fl.stop_ns:
-            return
         uid = self._uid
         self._uid = uid + 1
         self._flow_sent[fl.row] += 1

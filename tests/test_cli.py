@@ -237,6 +237,36 @@ def test_every_mutated_value_is_valid_or_exit_1_at_its_line(tmp_path, capsys, sc
     assert not failures, "\n".join(failures)
 
 
+def _misspelled(word):
+    """`word` with its first two letters swapped."""
+    out = word[1] + word[0] + word[2:]
+    assert out != word, word
+    return out
+
+
+@pytest.mark.parametrize("scenario", SWEPT)
+def test_every_misspelled_key_or_section_is_exit_1_at_its_line(tmp_path, capsys, scenario):
+    # Each key in turn, and each section header's name (the prefix of a
+    # [flow.F], [host.H] or [link.U.V] header), is misspelled. The
+    # mutant exits 1 citing the mutated line: an unknown key or section
+    # fails there, and so does a [loads] key, which names no state.
+    lines = SWEPT[scenario].splitlines()
+    p = tmp_path / scenario
+    mutants, failures = 0, []
+    for n, line in enumerate(lines, 1):
+        word = re.match(r"\[?([A-Za-z_]\w*)", line)
+        if word is None:
+            continue
+        mutants += 1
+        p.write_text("\n".join([*lines[:n - 1], line.replace(word[1], _misspelled(word[1]), 1),
+                                *lines[n:]]))
+        rc, cited, err = _validate(p, capsys)
+        if rc != 1 or cited != n:
+            failures.append(f"line {n} {line!r}: exit {rc}: {err.strip()}")
+    assert mutants > 30
+    assert not failures, "\n".join(failures)
+
+
 @pytest.mark.parametrize("scenario", SWEPT)
 def test_every_deleted_or_duplicated_line_is_valid_or_exit_1_at_a_line(tmp_path, capsys,
                                                                        scenario):
@@ -244,9 +274,8 @@ def test_every_deleted_or_duplicated_line_is_valid_or_exit_1_at_a_line(tmp_path,
     # validates, or exits 1 citing the mutated line (the line that moved
     # into a deleted line's place, or either copy), or else a line the
     # loss explains: the section header of a deleted key, line 1 for a
-    # deleted section or format_version, a line naming a host whose
-    # [host.*] header was deleted, or a line that _blamed_for_build
-    # names.
+    # deleted section or format_version, or a line that
+    # _blamed_for_build names.
     lines = SWEPT[scenario].splitlines()
     p = tmp_path / scenario
     header = 1
@@ -254,7 +283,6 @@ def test_every_deleted_or_duplicated_line_is_valid_or_exit_1_at_a_line(tmp_path,
     for n, line in enumerate(lines, 1):
         if line.startswith("["):
             header = n
-        host = re.fullmatch(r"\[host\.(\w+)\]", line)
         for kind, mutant in (("delete", lines[:n - 1] + lines[n:]),
                              ("duplicate", lines[:n] + lines[n - 1:])):
             p.write_text("\n".join(mutant))
@@ -267,9 +295,6 @@ def test_every_deleted_or_duplicated_line_is_valid_or_exit_1_at_a_line(tmp_path,
                 allowed |= {n, n + 1}
             else:
                 allowed |= {n, 1 if line.startswith(("[", "format_version")) else header}
-                if host is not None:
-                    allowed |= {k for k, other in enumerate(mutant, 1)
-                                if re.search(rf"=.*\b{host[1]}\b", other)}
             if rc != 1 or cited not in allowed:
                 failures.append(f"{kind} line {n} {line!r}: exit {rc}: {err.strip()}")
     assert rejected > 10

@@ -1,5 +1,7 @@
 """Scenario file parsing: happy paths, units, and line-accurate errors."""
 
+import pathlib
+
 import pytest
 
 from repdp import PortClass, ScenarioError, parse_scenario
@@ -223,6 +225,69 @@ def test_link_references_unknown_switch(tmp_path):
 def test_topology_and_number_errors_cite_their_line(tmp_path, old, new, needle, cited):
     text = BASE.replace(old, new)
     expect_error(tmp_path, text, needle, at_line=line_of(text, cited))
+
+
+# ---------------------------------------------------------------------------
+# Every section is read through one key table: a key or a section the
+# tables do not name, and an override of a link that `links` lacks, fail
+# at their own line.
+
+
+@pytest.mark.parametrize("old, new, cited", [
+    ("format_version = 1", "format_version = 1\nfromat = 2", "fromat"),
+    ("seed = 1", "seed = 1\nsede = 2", "sede"),
+    ("links = s1-s2", "links = s1-s2\nlink_dealy = 0.1ms", "link_dealy"),
+    ("[host.h1]", "[link.s1.s2]\ndelya = 1ms\n[host.h1]", "delya"),
+    ("attach = s1", "attach = s1\nport_clas = any", "port_clas"),
+    ("epsilon_t = 14ms", "epsilon_t = 14ms\nthreshhold = 5", "threshhold"),
+    ("replicas = 1", "replicas = 1\nr_mn = 5", "r_mn"),
+    ("size = 1000", "size = 1000\nstrat = 1", "strat"),
+    ("[embedding]", "[embedding]\nreplicas = 1\n[embeding]", "[embeding]"),
+    ("[flow.f]", "[flows.f]", "[flows.f]"),
+    ("[flow.f]", "[flow]", "[flow]"),
+    # A host section whose header is lost leaves its keys in the
+    # section above, where they are unknown.
+    ("[host.h1]\n", "", "attach = s1"),
+], ids=["top_level", "scenario", "topology", "link", "host", "application", "embedding",
+        "flow", "section_misspelled", "section_prefix_misspelled", "section_prefix_alone",
+        "host_header_lost"])
+def test_unknown_key_or_section_fails_at_its_line(tmp_path, old, new, cited):
+    text = BASE.replace(old, new, 1)
+    needle = "unknown section" if cited.startswith("[") else "unknown key"
+    expect_error(tmp_path, text, needle, at_line=line_of(text, cited))
+
+
+def test_unknown_key_names_the_known_keys(tmp_path):
+    err = expect_error(tmp_path, BASE.replace("links = s1-s2", "links = s1-s2\nlink_dealy = 1"),
+                       "unknown key 'link_dealy' in [topology]")
+    assert "(known: host_delay, link_capacity, link_delay, links, switches)" in str(err)
+
+
+RING = (pathlib.Path(__file__).parents[1] / "scenarios" / "fig8_ratelimit.scn").read_text()
+
+
+@pytest.mark.parametrize("header", ["[link.sw1.sw3]", "[link.sw1.sw9]"],
+                         ids=["pair_not_linked", "unknown_switch"])
+def test_link_override_must_name_a_link(tmp_path, header):
+    text = RING + f"\n{header}\ndelay = 1ms\n"
+    expect_error(tmp_path, text, "overrides no link", at_line=line_of(text, header))
+
+
+def test_link_override_given_twice(tmp_path):
+    text = RING + "\n[link.sw1.sw2]\ndelay = 1ms\n[link.sw2.sw1]\ncapacity = 1Mbps\n"
+    expect_error(tmp_path, text, "duplicate section", at_line=line_of(text, "[link.sw2.sw1]"))
+
+
+def test_every_key_keeps_its_line(tmp_path):
+    text = RING.replace("[host.as1]", "[link.sw1.sw2]\ndelay = 1ms\n\n[host.as1]")
+    cfg = parse_text(tmp_path, text)
+    section = ""
+    for n, line in enumerate(text.splitlines(), start=1):
+        if line.startswith("["):
+            section = line[1:-1]
+            assert cfg.line(section) == n
+        elif "=" in line and not line.startswith("#"):
+            assert cfg.line(section, line.partition(" =")[0]) == n, line
 
 
 def test_bad_link_token(tmp_path):
