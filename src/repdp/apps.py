@@ -91,7 +91,6 @@ def make_ddos_app(
     epsilon_t_s: float,
     delta_s: float = 0.1,
     window: int = 8,
-    dst_hosts: tuple[str, ...] | None = None,
 ) -> ApplicationSpec:
     """SYN-rate anomaly detection over `n` edge measurement points.
 
@@ -99,7 +98,7 @@ def make_ddos_app(
     replica switch; their sum is compared against `threshold` under a
     staleness budget, notifying the controller on detection.
     """
-    scope = ScopeFilter(PortClass.EXTERNAL, L4Match.SYN_ONLY, dst_hosts)
+    scope = ScopeFilter(PortClass.EXTERNAL, L4Match.SYN_ONLY)
     states = tuple(
         StateSpec(
             name=f"syn_rate_{i}",
@@ -141,7 +140,6 @@ def make_rate_limiter_app(
     max_write_rate: float,
     delta_s: float = 0.1,
     window: int = 8,
-    dst_hosts: tuple[str, ...] | None = None,
 ) -> ApplicationSpec:
     """Network-wide aggregate rate limiter over `n` ingress points.
 
@@ -149,7 +147,7 @@ def make_rate_limiter_app(
     dropped with probability max(0, (s - R) / s) over the summed rate s,
     holding the aggregate near R regardless of where flows enter.
     """
-    scope = ScopeFilter(PortClass.EXTERNAL, L4Match.ANY, dst_hosts)
+    scope = ScopeFilter(PortClass.EXTERNAL, L4Match.ANY)
     states = tuple(
         StateSpec(
             name=f"in_rate_{i}",
@@ -361,6 +359,8 @@ def _bind_linklb(p: dict, topo) -> tuple:
     lb, vias, dst = p["lb_switch"], p["path_via"], p["dst_switch"]
     if not vias:
         raise InvalidParameter("linklb: path_via names no switch", "path_via")
+    if len(set(vias)) != len(vias):
+        raise InvalidParameter("linklb: path_via names a switch twice", "path_via")
     for key, names in (("lb_switch", [lb]), ("dst_switch", [dst]), ("path_via", vias)):
         for sw in names:
             if not topo.is_switch(sw):
@@ -382,6 +382,8 @@ def _bind_resourcelb(p: dict, topo) -> tuple:
         raise InvalidParameter(f"resourcelb lb_switch {lb!r} is not a switch", "lb_switch")
     if not p["servers"]:
         raise InvalidParameter("resourcelb: servers names no host", "servers")
+    if len(set(p["servers"])) != len(p["servers"]):
+        raise InvalidParameter("resourcelb: servers names a host twice", "servers")
     for h in p["servers"]:
         if h not in topo.hosts or topo.attached_switch(h) != lb:
             raise InvalidParameter(f"resourcelb: server {h} must be a host on {lb}", "servers")

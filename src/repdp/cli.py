@@ -97,6 +97,8 @@ def _verb_sweep(args) -> int:
         raise ScenarioError(f"bad --counts value {args.counts!r}", args.scenario, 0) from None
     if not counts:
         raise ScenarioError("--counts is empty", args.scenario, 0)
+    if len(set(counts)) != len(counts):
+        raise ScenarioError(f"--counts names a count twice: {args.counts}", args.scenario, 0)
     logs = run_sweep(config, args.out_dir, counts, seed=args.seed, t_end_s=args.t_end)
     print(f"sweep complete: {', '.join(sorted(logs))} -> {args.out_dir}")
     return 0

@@ -158,15 +158,11 @@ def compile_application(dag: ElementDag) -> PrimitiveProgram:
         seq = activities[t.activity].sequential_group
         if seq is not None:
             by_seq.setdefault(seq, []).append(gi)
-    if by_seq:
-        merged_away: set[int] = set()
-        for indices in by_seq.values():
-            if len(indices) < 2:
-                continue
-            union = frozenset().union(*(groups[i] for i in indices))
-            groups[indices[0]] = union
-            merged_away.update(indices[1:])
-        groups = [g for i, g in enumerate(groups) if i not in merged_away]
+    merged_away: set[int] = set()
+    for indices in by_seq.values():
+        groups[indices[0]] = frozenset().union(*(groups[i] for i in indices))
+        merged_away.update(indices[1:])
+    groups = [g for i, g in enumerate(groups) if i not in merged_away]
 
     return PrimitiveProgram(app.name, app.states, ops, tuple(steps), groups, tuple(triggers))
 

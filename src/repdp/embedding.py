@@ -15,6 +15,7 @@ shortest-path comparisons and tie-breaks are exact.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -257,7 +258,6 @@ class ReplicaPlacement:
     nodes: dict[str, tuple[str, ...]]
     origin: dict[str, str]
     replica_id: dict[tuple[str, str], int]
-    scores: dict[str, float]
     ranking: list[str]
 
     def replicated_states(self) -> list[str]:
@@ -309,7 +309,7 @@ def place_replicas(
             k += 1
         for idx, sw in enumerate(chosen):
             replica_id[(cs.name, sw)] = idx
-    return ReplicaPlacement(nodes, origin, replica_id, scores, ranking)
+    return ReplicaPlacement(nodes, origin, replica_id, ranking)
 
 
 def steiner_tree(topo: Topology, terminals) -> frozenset[tuple[str, str]]:
@@ -337,22 +337,13 @@ def steiner_tree(topo: Topology, terminals) -> frozenset[tuple[str, str]]:
     # spanning tree of the union subgraph (stable order), then prune
     # non-terminal leaves.
     edges = set(_kruskal(sorted(edges, key=lambda e: (topo.adj[e[0]][e[1]].delay_ns, e))))
-    changed = True
     term_set = set(terms)
-    while changed:
-        changed = False
-        degree: dict[str, int] = {}
-        for u, v in edges:
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        for e in sorted(edges):
-            u, v = e
-            if (degree[u] == 1 and u not in term_set) or (
-                degree[v] == 1 and v not in term_set
-            ):
-                edges.discard(e)
-                changed = True
-    return frozenset(edges)
+    while True:
+        degree = Counter(n for e in edges for n in e)
+        leaves = {e for e in edges if any(degree[n] == 1 and n not in term_set for n in e)}
+        if not leaves:
+            return frozenset(edges)
+        edges -= leaves
 
 
 def _shortest_path_edges(topo: Topology, a: str, b: str) -> list[tuple[str, str]]:
@@ -448,7 +439,6 @@ class ReplicationPlan:
     tree_edges: frozenset[tuple[str, str]]
     solutions: dict[str, PeriodSolution]
     r_min: float
-    mode: str
 
 
 def build_replication_plan(
@@ -472,7 +462,7 @@ def build_replication_plan(
         solutions[s] = solve_replication_period(
             requirements[s], worst, r_min, mode
         )
-    return ReplicationPlan(tree, solutions, r_min, mode)
+    return ReplicationPlan(tree, solutions, r_min)
 
 
 @dataclass

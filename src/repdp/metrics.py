@@ -143,10 +143,9 @@ class MetricsLog:
             i for i, (u, v) in enumerate(self.link_dirs) if is_switch(u) and is_switch(v)
         ]
 
-    def window_slice(self, frac0: float = 0.5, frac1: float = 1.0) -> slice:
-        lo = int(self.n_bins * frac0)
-        hi = max(lo + 1, int(math.ceil(self.n_bins * frac1)))
-        return slice(lo, min(hi, self.n_bins))
+    def window_slice(self) -> slice:
+        """The steady-state window: the last half of the bins, at least one."""
+        return slice(self.n_bins // 2, self.n_bins)
 
 
 # Rows per write: the text of one chunk is all an export holds at once.
@@ -342,8 +341,8 @@ class SummaryRow:
     memory_bits: str
 
 
-def summarize(logs: dict[str, MetricsLog], window=(0.5, 1.0), is_switch=None) -> list[SummaryRow]:
-    """Steady-state summary per run (default window: last 50%).
+def summarize(logs: dict[str, MetricsLog], is_switch=None) -> list[SummaryRow]:
+    """Steady-state summary per run, over `MetricsLog.window_slice`.
 
     Link means are taken over switch-switch (core) directed links; the
     replication fraction is replication bits over total bits in the
@@ -354,11 +353,9 @@ def summarize(logs: dict[str, MetricsLog], window=(0.5, 1.0), is_switch=None) ->
         log = logs[label]
         if is_switch is not None:
             core = log.core_rows(is_switch)
-        elif hasattr(log, "_core_flags"):
-            core = [i for i, ld in enumerate(log.link_dirs) if log._core_flags[ld]]
         else:
-            core = list(range(len(log.link_dirs)))
-        sl = log.window_slice(*window)
+            core = [i for i, ld in enumerate(log.link_dirs) if log._core_flags[ld]]
+        sl = log.window_slice()
         nbins = sl.stop - sl.start
         window_s = nbins * log.bin_ns / 1e9
         data = sum(sum(log.data_bits[i][sl]) for i in core)

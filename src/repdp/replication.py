@@ -176,8 +176,7 @@ class ReplicaStore:
     so observing it does not bump the version.
     """
 
-    def __init__(self, switch: str, steps):
-        self.switch = switch
+    def __init__(self, steps):
         self.steps = steps
         outputs = {out for out, _, _ in steps}
         # Each wire state's value (0 until written or received, and for

@@ -450,6 +450,8 @@ def parse_scenario(path: str) -> ScenarioConfig:
         node, _, w = tok.partition(":")
         if node not in nodes:
             raise ScenarioError(f"weight references unknown node {node!r}", path, wl)
+        if node in weights:
+            raise ScenarioError(f"weight for node {node!r} given twice", path, wl)
         weights[node] = _num(path, w, wl)
         if weights[node] < 0:
             raise ScenarioError(f"negative weight {tok!r}", path, wl)

@@ -136,19 +136,16 @@ class Packet:
     packet has been measured there, or if it has none. An update frame
     carries one `header`."""
 
-    __slots__ = ("uid", "flow", "dst", "dst_switch", "size_bits", "syn",
-                 "is_update", "header", "origin_ts", "origin_writes",
-                 "monitor")
+    __slots__ = ("uid", "flow", "dst", "dst_switch", "size_bits", "is_update", "header",
+                 "origin_ts", "origin_writes", "monitor")
 
-    def __init__(self, uid, flow, dst, dst_switch, size_bits, syn,
-                 monitor=None, is_update=False, header=None,
-                 origin_ts=0, origin_writes=0):
+    def __init__(self, uid, flow, dst, dst_switch, size_bits, monitor=None, is_update=False,
+                 header=None, origin_ts=0, origin_writes=0):
         self.uid = uid
         self.flow = flow
         self.dst = dst
         self.dst_switch = dst_switch
         self.size_bits = size_bits
-        self.syn = syn
         self.is_update = is_update
         self.header = header
         self.origin_ts = origin_ts
@@ -285,7 +282,6 @@ class Simulator:
         if not math.isfinite(t_end_s) or round(t_end_s * 1e9) < 1:
             raise InvalidParameter(f"t_end must be a finite time of at least 1ns, got {t_end_s} s")
         self.topo = topo
-        self.seed = seed
         self.t_end_ns = round(t_end_s * 1e9)
         self.bin_ns = round(metrics_bin_s * 1e9)
         self.queue_limit = queue_limit
@@ -370,7 +366,7 @@ class Simulator:
             for sw in placement.nodes[st.name]:
                 rt = self.switch_rt[sw]
                 if rt.store is None:
-                    rt.store = ReplicaStore(sw, program.steps)
+                    rt.store = ReplicaStore(program.steps)
                 rt.store.configure_state(st.name, sid, st.width_bits,
                                          None if sw == origin else origin_id)
             ort = self._origins[st.name] = self.switch_rt[origin]
@@ -588,8 +584,7 @@ class Simulator:
         uid = self._uid
         self._uid = uid + 1
         self._flow_sent[fl.row] += 1
-        self._send(fl.out, Packet(uid, fl.row, fl.dst, fl.dst_switch, fl.size_bits, fl.syn,
-                                  fl.monitor), t)
+        self._send(fl.out, Packet(uid, fl.row, fl.dst, fl.dst_switch, fl.size_bits, fl.monitor), t)
         # Schedule the segment's next packet, or once it would reach the
         # next segment, that segment's start.
         nxt = fl.next_start
@@ -673,9 +668,8 @@ class Simulator:
                            replica_id=ent.replica_id, state_value=value,
                            l3_protocol_type=IPV4_ETHTYPE)
         self._upd_uid -= 1
-        pkt = Packet(self._upd_uid, -1, "", "", _UPDATE_BITS,
-                     False, is_update=True, header=hdr, origin_ts=t,
-                     origin_writes=store.local_writes[ent.state])
+        pkt = Packet(self._upd_uid, -1, "", "", _UPDATE_BITS, is_update=True, header=hdr,
+                     origin_ts=t, origin_writes=store.local_writes[ent.state])
         self.log.updates_emitted += 1
         if self.trace is not None:
             self.trace.append(f"{t} update_emit {sw.name} state={ent.state} value={value}")

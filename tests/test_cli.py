@@ -8,7 +8,7 @@ import shutil
 
 import pytest
 
-from repdp import read_metrics_dir
+from repdp import SimulationError, cli, read_metrics_dir
 from repdp.cli import main
 from test_simcore import LINK_LB, MINI_DDOS, RESOURCE_LB
 
@@ -83,6 +83,18 @@ def test_hint_outside_overridden_replicas_names_the_override(tmp_path, capsys):
 def test_missing_scenario_is_exit_1(capsys):
     assert main(["validate", "/nonexistent/nowhere.scn"]) == 1
     assert "error:" in capsys.readouterr().err
+    # An empty path leaves the message without a place.
+    assert main(["validate", ""]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read scenario: ")
+
+
+def test_simulation_error_is_exit_2(monkeypatch, tmp_path, scn_file, capsys):
+    def fail(*args, **kwargs):
+        raise SimulationError("event queue went backwards")
+
+    monkeypatch.setattr(cli, "run_single", fail)
+    assert main(["run", scn_file, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "runtime error: event queue went backwards\n"
 
 
 def test_malformed_scenario_is_exit_1(tmp_path, capsys):
@@ -117,6 +129,8 @@ BAD_NUMBERS = {
                    "weights = as1:inf as2:1 as3:3 as4:1"),
     "weight_negative": ("fig8_ratelimit.scn", "weights = as1:1 as3:1",
                         "weights = as1:-5 as3:1"),
+    "weight_twice": ("fig8_ratelimit.scn", "weights = as1:1 as3:1",
+                     "weights = as1:1 as3:1 as1:7"),
     "queue_limit_zero": ("fig8_ratelimit.scn", "queue_limit = 100", "queue_limit = 0"),
     "queue_limit_negative": ("fig7_ddos_c2.scn", "queue_limit = 100", "queue_limit = -3"),
     "metrics_bin_zero": ("fig7_ddos_c2.scn", "metrics_bin = 0.5", "metrics_bin = 0"),
@@ -384,8 +398,12 @@ def test_sweep_creates_per_count_dirs(tmp_path, scn_file, capsys):
 
 def test_sweep_rejects_bad_counts(tmp_path, scn_file, capsys):
     d = tmp_path / "sweep"
-    assert main(["sweep", scn_file, "--out-dir", str(d), "--counts", "a,b"]) == 1
-    assert "counts" in capsys.readouterr().err
+    # A repeated count would run twice into the same directory.
+    for counts, needle in (("a,b", "bad --counts value"), (",", "--counts is empty"),
+                           ("2,2", "--counts names a count twice")):
+        assert main(["sweep", scn_file, "--out-dir", str(d), "--counts", counts]) == 1
+        assert needle in capsys.readouterr().err
+        assert not d.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,12 @@ def test_topology_rejects_bad_shapes():
         )  # host with two attachments
     with pytest.raises(DisconnectedTopology, match="to itself"):
         Topology(("a", "b"), (), good + [Link("a", "a", 1000, 1_000_000)])  # self-loop
+    with pytest.raises(DisconnectedTopology, match="duplicate link"):
+        Topology(("a", "b"), (), good + [Link("b", "a", 1000, 1_000_000)])
+    with pytest.raises(DisconnectedTopology, match="attach to a switch"):
+        Topology(("a", "b"), ("h", "g"), good + [Link("h", "g", 1000, 1_000_000)])
+    with pytest.raises(DisconnectedTopology, match="empty topology"):
+        Topology((), (), [])
 
 
 def test_next_hop_breaks_ties_by_name():
@@ -99,7 +105,7 @@ def test_routes_and_delays_match_floyd_warshall_on_random_graphs():
         )
         topo = with_hosts(rng, topo, rng.randrange(0, 4))
         dist, _ = all_pairs_paths(topo)
-        rules = install_rules(topo, ReplicationPlan(frozenset(), {}, 0.0, "time"))
+        rules = install_rules(topo, ReplicationPlan(frozenset(), {}, 0.0))
         for sw in topo.switches:
             for dst in topo.switches:
                 assert topo.delay_between(sw, dst) == dist[sw][dst], (trial, sw, dst)
@@ -251,6 +257,20 @@ def test_steiner_tree_is_deterministic():
     t1 = steiner_tree(topo, ["sw1", "sw3"])
     assert t1 == steiner_tree(topo, ["sw3", "sw1"])
     assert t1 == frozenset({("sw1", "sw2"), ("sw2", "sw3")})
+
+
+def test_steiner_tree_prunes_non_terminal_leaves():
+    # u and v are joined by two equal shortest paths, u-p-s-v and u-q-r-v.
+    # The path a -> b steps from v to r (r < s), the path b -> c from u
+    # to p (p < q), so the union holds the whole ring. Its spanning tree
+    # drops s-v, which leaves the non-terminal branch s-p hanging off u.
+    hop = [("u", "p", 1), ("p", "s", 1), ("s", "v", 1), ("v", "r", 1), ("r", "q", 1),
+           ("q", "u", 1), ("b", "u", 1), ("a", "v", 5), ("c", "v", 5)]
+    topo = Topology(tuple("abcpqrsuv"), (), [Link(x, y, d * MS, 10_000_000) for x, y, d in hop])
+    tree = steiner_tree(topo, ["a", "b", "c"])
+    assert_valid_tree(topo, tree, ["a", "b", "c"])
+    assert tree == frozenset({("a", "v"), ("b", "u"), ("c", "v"), ("q", "r"), ("q", "u"),
+                              ("r", "v")})
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from repdp import (
     L4Match,
     PortClass,
     Predicate,
+    PredicateKind,
     ReductionKind,
     ReductionSpec,
     ScopeFilter,
@@ -144,6 +145,59 @@ def test_elements_switches_would_ignore_are_rejected(case):
         build_dag(app)
 
 
+# Elements no switch program could be built from, each with its violation.
+MALFORMED = {
+    "state_name_not_an_identifier": (
+        dict(states=(StateSpec("cnt", ScopeFilter(), ValueKind.scalar()),
+                     StateSpec("2x", ScopeFilter(), ValueKind.scalar()))),
+        "state name '2x' is not a valid identifier",
+    ),
+    "application_name_not_an_identifier": (
+        dict(name="tiny app"), "application name 'tiny app' is not a valid identifier",
+    ),
+    "estimator_slot_width_zero": (
+        dict(states=(StateSpec("cnt", ScopeFilter(), ValueKind.rate_estimate(delta_s=0)),)),
+        "state cnt: estimator slot width must be > 0",
+    ),
+    "identity_of_two_inputs": (
+        dict(reductions=(ReductionSpec("total", ReductionKind.IDENTITY, ("cnt", "cnt")),)),
+        "reduction total: identity takes exactly one input",
+    ),
+    "minmax_argmin_of_odd_count": (
+        dict(reductions=(ReductionSpec("total", ReductionKind.MINMAX_ARGMIN, ("cnt",)),)),
+        "reduction total: minmax_argmin pairs inputs, needs an even count",
+    ),
+    "threshold_missing": (
+        dict(triggers=(TriggerSpec("watch", "total", Predicate(PredicateKind.GREATER_THAN),
+                                   InconsistencySpec.time_obsolescence(0.01), "act"),)),
+        "trigger watch: predicate needs a threshold",
+    ),
+    "budget_out_of_range": (
+        dict(triggers=(TriggerSpec("watch", "total", Predicate.greater_than(5),
+                                   InconsistencySpec.time_obsolescence(0), "act"),)),
+        "trigger watch: time_obsolescence requires epsilon_t_s > 0",
+    ),
+    "set_egress_unknown_selector": (
+        dict(activities=(ActivitySpec("act", ActionKind.SET_EGRESS, selector="ghost"),)),
+        "activity act: unknown selector 'ghost'",
+    ),
+    "insert_flow_rule_without_selector": (
+        dict(activities=(ActivitySpec("act", ActionKind.INSERT_FLOW_RULE),)),
+        "activity act: insert_flow_rule needs a selector",
+    ),
+    "insert_flow_rule_unknown_selector": (
+        dict(activities=(ActivitySpec("act", ActionKind.INSERT_FLOW_RULE, selector="ghost"),)),
+        "activity act: unknown selector 'ghost'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_elements_are_rejected(case):
+    overrides, message = case
+    assert message in validate_application(tiny_app(**overrides)).violations
+
+
 def test_nonfinite_threshold_rejected():
     trig = TriggerSpec("watch", "total", Predicate.greater_than(math.inf),
                        InconsistencySpec.time_obsolescence(0.01), "act")
@@ -244,6 +298,7 @@ def test_budget_free_state_is_unreplicated():
     dag = build_dag(ApplicationSpec("t", (state,), (), (trig,), (act,)))
     req = replication_requirements(dag)
     assert req["cnt"].kind is InconsistencyKind.NONE
+    assert req["cnt"].budget_s() is None and req["cnt"].budget_field() is None
 
 
 def test_scope_matching():
@@ -270,6 +325,8 @@ def test_predicate_probability_normalized_excess():
     assert p.fire_probability(0.0) == 0.0
     assert p.evaluate(100.0, uniform01=0.19)
     assert not p.evaluate(100.0, uniform01=0.21)
+    with pytest.raises(ValueError, match="only defined for PROBABILISTIC"):
+        Predicate.greater_than(80.0).fire_probability(100.0)
 
 
 _reals = st.one_of(st.integers(-10**12, 10**12), st.floats(-1e12, 1e12))

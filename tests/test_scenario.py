@@ -219,9 +219,22 @@ def test_link_references_unknown_switch(tmp_path):
     ("links = s1-s2", "links = s1-s2\nlink_delay = 1e400s", "finite", "1e400"),
     ("rate = 10", "rate = 10 @1.2.3:20", "number", "@1.2.3"),
     ("name = t", "name = a,b", "bad scenario name", "name = a,b"),
+    ("[embedding]", "[ ]\n[embedding]", "empty section name", "[ ]"),
+    ("seed = 1", "seed = 1\n= 5", "missing key", "= 5"),
+    ("rate = 10", "rate = 10 20", "bad rate step", "rate = 10 20"),
+    ("rate = 10", "rate = 10 @1:-5", "negative rate", "@1:-5"),
+    ("[embedding]\nreplicas = 1\n", "", "missing section [embedding]", "format_version"),
+    ("[host.h1]", "[link.s1]\n[host.h1]", "bad link section", "[link.s1]"),
+    ("[host.h2]", "[host.h-2]", "bad host name", "[host.h-2]"),
+    ("[host.h1]\nattach = s1\nport_class = external\n[host.h2]\nattach = s2\n"
+     "port_class = downlink\n", "", "defines no hosts", "format_version"),
+    ("[flow.f]", "[flow.f-1]", "bad flow name", "[flow.f-1]"),
 ], ids=["duplicate_switch", "duplicate_link", "self_loop_link", "host_named_like_a_switch",
         "host_capacity_zero", "link_delay_override_below_1ns", "duration_overflow",
-        "rate_step_not_a_number", "scenario_name_not_an_identifier"])
+        "rate_step_not_a_number", "scenario_name_not_an_identifier", "section_name_empty",
+        "key_missing", "rate_step_without_time", "rate_step_negative", "section_missing",
+        "link_section_one_switch", "host_name_not_an_identifier", "no_hosts",
+        "flow_name_not_an_identifier"])
 def test_topology_and_number_errors_cite_their_line(tmp_path, old, new, needle, cited):
     text = BASE.replace(old, new)
     expect_error(tmp_path, text, needle, at_line=line_of(text, cited))
@@ -276,6 +289,11 @@ def test_link_override_must_name_a_link(tmp_path, header):
 def test_link_override_given_twice(tmp_path):
     text = RING + "\n[link.sw1.sw2]\ndelay = 1ms\n[link.sw2.sw1]\ncapacity = 1Mbps\n"
     expect_error(tmp_path, text, "duplicate section", at_line=line_of(text, "[link.sw2.sw1]"))
+
+
+def test_flow_given_twice(tmp_path):
+    text = BASE + "[flow.f]\nsrc = h2\ndst = h1\nsize = 1000\nrate = 10\n"
+    expect_error(tmp_path, text, "duplicate flow 'f'", at_line=len(BASE.splitlines()) + 1)
 
 
 def test_every_key_keeps_its_line(tmp_path):
@@ -454,6 +472,17 @@ APP_AND_LOAD_ERRORS = {
         BASE.replace(DDOS_KEYS, RESOURCE_LB.replace("servers = h1", "servers =")), "servers ="),
     "resourcelb_load_scale_zero": (
         BASE.replace(DDOS_KEYS, RESOURCE_LB + "\nload_scale = 0"), "load_scale = 0"),
+    "linklb_path_via_repeated": (
+        THREE_SWITCHES.replace(DDOS_KEYS, "name = linklb\nlb_switch = s1\n"
+                                          "path_via = s2 s2\ndst_switch = s3"),
+        "path_via = s2 s2"),
+    "linklb_path_via_is_dst_switch": (
+        THREE_SWITCHES.replace(DDOS_KEYS, "name = linklb\nlb_switch = s1\n"
+                                          "path_via = s2\ndst_switch = s2"),
+        "path_via = s2"),
+    "resourcelb_server_repeated": (
+        BASE.replace(DDOS_KEYS, RESOURCE_LB.replace("servers = h1", "servers = h1 h1")),
+        "servers = h1 h1"),
     "linklb_path_via_empty": (
         THREE_SWITCHES.replace(DDOS_KEYS, "name = linklb\nlb_switch = s1\n"
                                           "path_via =\ndst_switch = s3"),
@@ -493,6 +522,14 @@ def test_application_and_load_errors_cite_their_line(tmp_path, text, fragment):
         build_simulation(parse_text(tmp_path, text))
     assert exc.value.line == line_of(text, fragment) > 0, str(exc.value)
     assert f"case.scn:{exc.value.line}: " in str(exc.value)
+
+
+def test_state_count_sets_the_number_of_states(tmp_path):
+    from repdp import build_simulation
+
+    built = build_simulation(parse_text(tmp_path, BASE.replace(DDOS_KEYS,
+                                                               DDOS_KEYS + "\nstates = 3")))
+    assert [s.name for s in built.program.states] == ["syn_rate_0", "syn_rate_1", "syn_rate_2"]
 
 
 def test_application_keys_default_from_their_record(tmp_path):

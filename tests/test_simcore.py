@@ -12,16 +12,30 @@ import pytest
 
 from repdp import (
     ActionKind,
+    ActivitySpec,
+    ApplicationSpec,
+    EmbeddingConfig,
+    InconsistencySpec,
     InvalidParameter,
     Link,
+    Predicate,
     ScopeFilter,
     SimulationError,
     Simulator,
+    StateSpec,
     Topology,
+    TriggerSpec,
     UpdateHeader,
+    ValueKind,
+    build_dag,
+    build_replication_plan,
     build_simulation,
+    compile_application,
     export_metrics,
+    install_rules,
     parse_scenario,
+    place_replicas,
+    replication_requirements,
     update_frame_bits,
 )
 from repdp import runner, simcore
@@ -86,7 +100,7 @@ def test_serialization_queues_back_to_back_packets():
 
 
 def test_queue_overflow_drops_excess():
-    sim = Simulator(line_topo(), t_end_s=1.0, queue_limit=5)
+    sim = Simulator(line_topo(), t_end_s=1.0, queue_limit=5, collect_trace=True)
     # Twelve packets 1 us apart; five fit the egress queue while the
     # first still serializes, the rest are dropped at the host uplink.
     sim.add_flow("f", "hA", "hB", 1000, False, [(0.0, 1_000_000.0)], stop_s=11.5e-6)
@@ -95,6 +109,7 @@ def test_queue_overflow_drops_excess():
     assert log.flow_queue_drops[0] == 7
     assert log.flow_delivered[0] == 5
     assert sum(log.queue_drops) == 7
+    assert sum(" drop_queue hA " in line for line in sim.trace) == 7
 
 
 # Capacities in bit/s: 1 Mb/s and 10 Mb/s serialize, and 10 Tb/s turns
@@ -121,7 +136,7 @@ def test_link_admission_matches_the_deque_model(queue_limit, capacity_bps):
         # A burst at one timestamp, longer than any queue here.
         for _ in range(rng.choice((1, 1, 2, 10))):
             size = rng.choice(sizes)
-            pkt = Packet(len(want), -1, "hB", "sw", size, False)
+            pkt = Packet(len(want), -1, "hB", "sw", size)
             got.append(sim._send(link, pkt, t))
             want.append(ref.send(size, t))
     assert got == want
@@ -259,12 +274,31 @@ def test_run_until_stays_inside_horizon():
         sim.run_until(2.0)
 
 
+def test_event_pushed_into_the_past_is_rejected():
+    sim = Simulator(line_topo(), t_end_s=1.0)
+    sim.add_flow("f", "hA", "hB", 1000, False, [(0.0, 10.0)], stop_s=1.0)
+    sim.run_until(0.5)
+    sim._schedule(1, simcore.EV_CTRL, ("sw", "late"))
+    with pytest.raises(SimulationError, match="went backwards"):
+        sim.run_until()
+
+
+def test_save_trace_needs_trace_collection(tmp_path):
+    sim = Simulator(line_topo(), t_end_s=1.0)
+    sim.run_until()
+    with pytest.raises(SimulationError, match="without trace collection"):
+        sim.save_trace(str(tmp_path / "trace.txt"))
+    assert not (tmp_path / "trace.txt").exists()
+
+
 def test_zero_rate_segment_only_emits_at_its_start():
     sim = Simulator(line_topo(capacity_bps=1_000_000_000), t_end_s=6.0)
     sim.add_flow("f", "hA", "hB", 1000, False, [(0.0, 100.0), (2.0, 0.0), (4.0, 100.0)],
                  stop_s=5.0)
+    # A zero-rate last segment, too, sends only at its start.
+    sim.add_flow("g", "hA", "hB", 1000, False, [(0.0, 100.0), (2.0, 0.0)], stop_s=5.0)
     log = sim.run_until()
-    assert log.flow_sent[0] == 200 + 1 + 100
+    assert log.flow_sent == [200 + 1 + 100, 200 + 1]
 
 
 def test_send_at_the_horizon_counts_in_the_last_bin():
@@ -320,6 +354,51 @@ def test_run_until_is_specialized_on_its_first_call():
     out = subprocess.run([sys.executable, "-c", SPECIALIZED_AFTER_ONE_CALL, FIG8],
                          env=env, capture_output=True, text=True, check=True)
     assert int(out.stdout) > 0
+
+
+def install(sim, app, **maps):
+    """Compile `app` and install it on `sim`, one replica per state."""
+    dag = build_dag(app)
+    program = compile_application(dag)
+    req = replication_requirements(dag)
+    placement = place_replicas(sim.topo, EmbeddingConfig(1), program, req)
+    plan = build_replication_plan(sim.topo, placement, req, 100.0)
+    sim.install_app(program, placement, plan, install_rules(sim.topo, plan), **maps)
+
+
+def test_change_triggers_run_after_a_scalar_write_and_an_egress_feed():
+    states = (StateSpec("load", ScopeFilter(), ValueKind.scalar()),
+              StateSpec("rate", ScopeFilter(), ValueKind.rate_estimate()))
+    watch = tuple(TriggerSpec(f"by_{s.name}", s.name, Predicate.greater_than(limit),
+                              InconsistencySpec.none(), "alert")
+                  for s, limit in zip(states, (5, 50)))
+    alert = ActivitySpec("alert", ActionKind.NOTIFY_CONTROLLER, message="hit")
+    sim = Simulator(line_topo(capacity_bps=1_000_000_000), t_end_s=2.0, collect_trace=True)
+    install(sim, ApplicationSpec("watch", states, (), watch, (alert,)),
+            egress_observers={"rate": "hB"})
+    sim.add_flow("f", "hA", "hB", 1000, False, [(0.0, 100.0)], stop_s=2.0)
+    sim.run_until(1.0)
+    sim.set_scalar("sw", "load", 10)
+    log = sim.run_until()
+    by_rate, by_load = log.detections
+    # The write fires its trigger at once; the rate crosses 50 packets/s
+    # as a packet is forwarded to the observed port.
+    assert by_load == (1_000_000_000, "sw", "by_load", 10)
+    assert by_rate[1:3] == ("sw", "by_rate")
+    assert f"{by_rate[0]} fwd sw uid=50 out=hB" in sim.trace
+
+
+def test_selector_outside_its_egress_map_keeps_the_route():
+    state = StateSpec("rate", ScopeFilter(), ValueKind.rate_estimate())
+    steer = TriggerSpec("steer", "rate", Predicate.always(), InconsistencySpec.none(), "pick")
+    pick = ActivitySpec("pick", ActionKind.SET_EGRESS, selector_const=1)
+    sim = Simulator(line_topo(), t_end_s=1.0)
+    # Selector 0 would send every packet back to hA.
+    install(sim, ApplicationSpec("steer", (state,), (), (steer,), (pick,)),
+            egress_maps={"pick": {"sw": ["hA"]}})
+    sim.add_flow("f", "hA", "hB", 1000, False, [(0.0, 10.0)], stop_s=0.5, monitor="sw")
+    log = sim.run_until()
+    assert log.flow_sent == log.flow_delivered == [5]
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +573,7 @@ def test_update_drops_are_counted_on_the_log(tmp_path):
     def update(uid, state_id):
         hdr = UpdateHeader(src_sw_id=sim.switch_rt[origin].sw_id, dst_sw_id=0,
                            state_id=state_id, replica_id=0, state_value=5)
-        return Packet(uid, -1, "", "", update_frame_bits(1), False, is_update=True,
+        return Packet(uid, -1, "", "", update_frame_bits(1), is_update=True,
                       header=hdr, origin_ts=1)
 
     # Delivered before any real update: the copy is stale, id 999 was
@@ -761,8 +840,10 @@ def test_different_seed_changes_policing(tmp_path):
         log = build_simulation(cfg, seed=seed).sim.run_until()
         drops.append(sum(log.flow_app_drops))
         assert sum(log.flow_app_drops) > 0
-    a = build_simulation(cfg, seed=1).sim.run_until()
-    assert sum(a.flow_app_drops) == drops[0]
+    sim = build_simulation(cfg, seed=1, collect_trace=True).sim
+    assert sum(sim.run_until().flow_app_drops) == drops[0]
+    # Each policed packet has its trace line.
+    assert sum(" drop_app sw1 " in line for line in sim.trace) == drops[0]
 
 
 RATELIMIT_TINY = """
