@@ -5,11 +5,15 @@ update-distribution tree (metric-closure Steiner approximation), the
 translation of inconsistency budgets into update trigger periods, and
 the forwarding/flooding rule tables the simulator installs on switches.
 
-All of them read one shortest-path pass per source switch, run once per
-topology over switch indices in name order: the distances, the path
-counts, each switch's lowest-named predecessor (its next hop toward the
-source) and the settle order. All delays are integer nanoseconds so
-shortest-path comparisons and tie-breaks are exact.
+All of them read one shortest-path table per source switch, over switch
+indices in name order: the distances, the path counts, each switch's
+lowest-named predecessor (its next hop toward the source) and the settle
+order. A table is filled by one Dijkstra pass the first time something
+asks for it, so a build pays only for the sources it reads: the loaded
+switches for betweenness, the first switch of each delay asked for, and
+the switches a packet can be addressed to for routes. All delays are
+integer nanoseconds so shortest-path comparisons and tie-breaks are
+exact.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
 from .compiler import PrimitiveProgram
@@ -97,6 +100,8 @@ class Topology:
             )
             for sw in self._names
         )
+        # Each switch's shortest-path table, by index, once something asks.
+        self._tables: dict[int, tuple[list[int], list[int], list[int], list[int]]] = {}
 
     def _check_connected(self):
         nodes = self.switches + self.hosts
@@ -120,9 +125,8 @@ class Topology:
     def is_switch(self, node: str) -> bool:
         return node in self._sws
 
-    @cached_property
-    def _paths(self) -> tuple[tuple[list[int], list[int], list[int], list[int]], ...]:
-        """One Dijkstra per source switch, by index: (dist, sigma, pred, order).
+    def _paths(self, s: int) -> tuple[list[int], list[int], list[int], list[int]]:
+        """Dijkstra from switch index s, run on first ask: (dist, sigma, pred, order).
 
         dist[v] is the delay from the source to v, sigma[v] the number of
         shortest paths, pred[v] the lowest-index neighbour of v on one of
@@ -131,46 +135,47 @@ class Topology:
         by nondecreasing distance. The switch graph is connected, since
         each host has one link, so every entry is set.
         """
+        paths = self._tables.get(s)
+        if paths is not None:
+            return paths
         n = len(self._names)
         nbrs = self._nbrs
-        paths = []
-        for s in range(n):
-            dist: list[int | None] = [None] * n
-            sigma = [0] * n
-            pred = [s] * n
-            order = []
-            dist[s] = 0
-            sigma[s] = 1
-            heap = [(0, s)]
-            while heap:
-                d, u = heapq.heappop(heap)
-                if d > dist[u]:
-                    continue
-                order.append(u)
-                su = sigma[u]
-                for m, delay in nbrs[u]:
-                    nd = d + delay
-                    dm = dist[m]
-                    if dm is None or nd < dm:
-                        dist[m] = nd
-                        sigma[m] = su
+        dist: list[int | None] = [None] * n
+        sigma = [0] * n
+        pred = [s] * n
+        order = []
+        dist[s] = 0
+        sigma[s] = 1
+        heap = [(0, s)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            order.append(u)
+            su = sigma[u]
+            for m, delay in nbrs[u]:
+                nd = d + delay
+                dm = dist[m]
+                if dm is None or nd < dm:
+                    dist[m] = nd
+                    sigma[m] = su
+                    pred[m] = u
+                    heapq.heappush(heap, (nd, m))
+                elif nd == dm:
+                    # Delays are positive, so m is not settled yet.
+                    sigma[m] += su
+                    if u < pred[m]:
                         pred[m] = u
-                        heapq.heappush(heap, (nd, m))
-                    elif nd == dm:
-                        # Delays are positive, so m is not settled yet.
-                        sigma[m] += su
-                        if u < pred[m]:
-                            pred[m] = u
-            paths.append((dist, sigma, pred, order))
-        return tuple(paths)
+        paths = self._tables[s] = (dist, sigma, pred, order)
+        return paths
 
     def delay_between(self, a: str, b: str) -> int:
         """Shortest switch-graph delay between two switches."""
-        return self._paths[self._index[a]][0][self._index[b]]
+        return self._paths(self._index[a])[0][self._index[b]]
 
     def next_hop(self, switch: str, dst_switch: str) -> str:
         """Neighbor switch on a shortest path; name order breaks ties."""
-        pred = self._paths[self._index[dst_switch]][2]
+        pred = self._paths(self._index[dst_switch])[2]
         return self._names[pred[self._index[switch]]]
 
 
@@ -187,62 +192,59 @@ def node_loads(topo: Topology, weights: dict[str, float]) -> dict[str, float]:
 def weighted_betweenness(topo: Topology, weights: dict[str, float]) -> dict[str, float]:
     """Traffic-weighted shortest-path betweenness over switches.
 
-    Endpoint-inclusive: a demand pair (u, v) with weight load(u)+load(v)
-    credits every node on each shortest u-v path, endpoints included,
-    splitting evenly across equal-cost paths.
+    Endpoint-inclusive: a demand pair {u, v} with weight
+    rat(load u) + rat(load v) credits every node on each shortest u-v
+    path, endpoints included, splitting evenly across equal-cost paths.
+    rat(x) is the fraction nearest x with a denominator of at most 10**9.
+    For loads with many significant digits this weight can differ in
+    the last place from rat(load u + load v), so a near-tied ranking on
+    such weights follows this definition.
 
-    One Brandes pass per source s (Brandes, "A faster algorithm for
-    betweenness centrality", 2001) walks the switches in reverse settle
-    order, so by nonincreasing distance from s, and accumulates
-    A(v) = c(s, v) / sigma_sv plus A(w) of every w that has v as a
-    shortest-path predecessor, c being the pair weight. Source s credits
-    sigma_sv * A(v) to v: its share of the pairs (s, t) routed through
-    v, the pair (s, v) itself, and at v = s every pair of s. Each pair
-    is seen from both of its ends, so the sum over sources is halved.
-    A(v) is kept as an integer over a common denominator per source and
-    each source is added over one running global denominator, so each
-    score is an exact rational rounded to float once.
+    The pair weight splits by end and the switch graph is undirected, so
+    a score is a sum over sources s of rat(load s) times the share of v
+    in every pair (s, t), the source-weighted form of Brandes, "On
+    variants of shortest-path betweenness centrality and their generic
+    computation" (2008). A switch with no load adds nothing, so only
+    loaded switches run a pass.
+
+    The pass from s (Brandes, "A faster algorithm for betweenness
+    centrality", 2001) walks the switches in reverse settle order, so by
+    nonincreasing distance from s, and accumulates A(v) = 1 / sigma_sv
+    plus A(w) of every w that has v as a shortest-path predecessor
+    (A(s) has no own term). Source s credits rat(load s) * sigma_sv * A(v)
+    to v: its share of the pairs (s, t) routed through v, the pair (s, v)
+    itself, and at v = s every pair of s. A(v) is kept as an integer over
+    the lcm of the path counts from s, and each source is added over one
+    running global denominator, so each score is an exact rational
+    rounded to float once.
     """
     load = node_loads(topo, weights)
-    loads = [load[sw] for sw in topo._names]
     nbrs = topo._nbrs
-    rational: dict[float, tuple[int, int]] = {}
-    num = [0] * len(loads)  # score = num / (2 * total)
+    num = [0] * len(topo._names)  # score = num / total
     total = 1
-    for s, (dist, sigma, _, order) in enumerate(topo._paths):
-        ls = loads[s]
-        pair: list[tuple[int, int, int]] = []  # (t, numerator, q * sigma_st)
-        for t, lt in enumerate(loads):
-            weight = ls + lt
-            if t == s or weight == 0:
-                continue
-            if weight not in rational:
-                wf = Fraction(weight).limit_denominator(10**9)
-                rational[weight] = (wf.numerator, wf.denominator)
-            p, q = rational[weight]
-            if p:
-                pair.append((t, p, q * sigma[t]))
-        if not pair:
+    for s, sw in enumerate(topo._names):
+        r = Fraction(load[sw]).limit_denominator(10**9)
+        if not r:
             continue
-        den = lcm(*{qs for _, _, qs in pair})
+        dist, sigma, _, order = topo._paths(s)
+        common = lcm(*set(sigma))
+        den = r.denominator * common
         if total % den:
             grow = lcm(total, den) // total
             total *= grow
             num = [x * grow for x in num]
-        scale = total // den
-        acc = [0] * len(loads)
-        for t, p, qs in pair:
-            acc[t] = den // qs * p
+        scale = total // den * r.numerator
+        acc = [common // x for x in sigma]  # A(v) = acc[v] / common
+        acc[s] = 0
         for w in reversed(order):
             a = acc[w]
-            if a:
-                num[w] += sigma[w] * a * scale
-                dw = dist[w]
-                for v, delay in nbrs[w]:
-                    if dist[v] + delay == dw:
-                        acc[v] += a
+            num[w] += sigma[w] * a * scale
+            dw = dist[w]
+            for v, delay in nbrs[w]:
+                if dist[v] + delay == dw:
+                    acc[v] += a
     index = topo._index
-    return {sw: float(Fraction(num[index[sw]], 2 * total)) for sw in topo.switches}
+    return {sw: float(Fraction(num[index[sw]], total)) for sw in topo.switches}
 
 
 @dataclass(frozen=True)
@@ -473,11 +475,14 @@ class RuleTables:
     tree_ports: dict[str, tuple[str, ...]]  # every state shares one tree
 
 
-def install_rules(topo: Topology, plan: ReplicationPlan) -> RuleTables:
-    """Next-hop tables to every switch plus each tree switch's tree ports."""
+def install_rules(topo: Topology, plan: ReplicationPlan, monitors) -> RuleTables:
+    """Next-hop tables toward the switches a packet can be addressed to,
+    every host's switch and each switch of `monitors`, plus each tree
+    switch's tree ports."""
     # A switch's next hop toward dst is its predecessor on dst's paths.
     names, index = topo._names, topo._index
-    preds = [(dst, topo._paths[index[dst]][2]) for dst in topo.switches]
+    dsts = {topo.attached_switch(h) for h in topo.hosts}.union(monitors)
+    preds = [(dst, topo._paths(index[dst])[2]) for dst in topo.switches if dst in dsts]
     next_hop: dict[str, dict[str, str]] = {}
     for sw in topo.switches:
         i = index[sw]

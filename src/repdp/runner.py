@@ -96,7 +96,10 @@ def build_simulation(config: ScenarioConfig, replicas: int | None = None,
         else:
             line = config.line("application", app_key.get(exc.key))
         raise ScenarioError(str(exc), config.path, line) from None
-    rules = install_rules(topo, plan)
+    # A flow's monitor is a replica or the app's forced monitor.
+    replica_set = sorted({sw for nodes in placement.nodes.values() for sw in nodes})
+    rules = install_rules(topo, plan, replica_set if forced_monitor is None
+                          else [*replica_set, forced_monitor])
 
     sim = Simulator(
         topo,
@@ -110,7 +113,6 @@ def build_simulation(config: ScenarioConfig, replicas: int | None = None,
     sim.install_app(program, placement, plan, rules, observers, egress_maps)
     sim.plan_text = serialize_plan(placement, plan) + "\n" + canonical_text(program)
 
-    replica_set = sorted({sw for nodes in placement.nodes.values() for sw in nodes})
     for f in config.flows:
         monitor = forced_monitor or pick_monitor(topo, replica_set, f.src, f.dst)
         sim.add_flow(f.name, f.src, f.dst, f.size_bits, f.syn,

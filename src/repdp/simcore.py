@@ -432,6 +432,8 @@ class Simulator:
         stop_ns = round(stop_s * 1e9)
         if stop_ns <= segs[0][0]:
             raise SimulationError(f"flow {name}: stop precedes start")
+        if monitor is not None and not all(monitor in rt.route for rt in self.switch_rt.values()):
+            raise SimulationError(f"flow {name}: no route table reaches monitor {monitor}")
         fl = FlowRT(len(self.flows), name, src, dst, self.topo.attached_switch(dst),
                     size_bits, syn, segs, stop_ns, monitor, self._host_out[src])
         self.flows.append(fl)
@@ -452,8 +454,13 @@ class Simulator:
         return rt
 
     def set_scalar(self, switch, state, value, t_ns=None):
-        """Write a scalar state at its origin (e.g. an injected load)."""
+        """Write a scalar state at its origin (e.g. an injected load). A
+        write that runs change triggers needs the run to have started;
+        schedule_scalar writes before it."""
         rt = self._owner(switch, state, value)
+        if rt.change_triggers and self.log is None:
+            raise SimulationError(f"set_scalar on {state} at {switch} runs change triggers"
+                                  f" before the run starts; use schedule_scalar")
         t = self.t_now if t_ns is None else t_ns
         rt.store.write_local(state, value)
         if rt.change_triggers:

@@ -28,6 +28,7 @@ from repdp import (
     Topology,
     build_dag,
     build_replication_plan,
+    build_simulation,
     compile_application,
     install_rules,
     make_ddos_app,
@@ -105,7 +106,7 @@ def test_routes_and_delays_match_floyd_warshall_on_random_graphs():
         )
         topo = with_hosts(rng, topo, rng.randrange(0, 4))
         dist, _ = all_pairs_paths(topo)
-        rules = install_rules(topo, ReplicationPlan(frozenset(), {}, 0.0))
+        rules = install_rules(topo, ReplicationPlan(frozenset(), {}, 0.0), topo.switches)
         for sw in topo.switches:
             for dst in topo.switches:
                 assert topo.delay_between(sw, dst) == dist[sw][dst], (trial, sw, dst)
@@ -120,6 +121,34 @@ def test_routes_and_delays_match_floyd_warshall_on_random_graphs():
                 assert rules.next_hop[sw][dst] == hops[0], (trial, sw, dst, hops)
                 assert topo.next_hop(sw, dst) == hops[0]
     assert ties > 1000
+
+
+def test_tables_filled_on_demand_match_floyd_warshall_in_any_order():
+    # Each topology is fresh, so its tables fill in the order of the
+    # questions: a delay reads its first switch's table, and a next hop
+    # the destination's.
+    rng = random.Random(0x7AB1)
+    for trial in range(40):
+        n = rng.randrange(2, 25)
+        topo = random_switch_topology(
+            rng, n, extra_edges=rng.randrange(0, 2 * n), delay_choices=(1000, 2000)
+        )
+        topo = with_hosts(rng, topo, rng.randrange(1, 4))
+        dist, _ = all_pairs_paths(topo)
+        asks = [(ask, a, b) for ask in ("delay", "hop") for a in topo.switches
+                for b in topo.switches if ask == "delay" or a != b]
+        rng.shuffle(asks)
+        for ask, a, b in asks:
+            if ask == "delay":
+                assert topo.delay_between(a, b) == dist[a][b], (trial, a, b)
+                continue
+            hop = min(
+                m
+                for m, ln in topo.adj[a].items()
+                if topo.is_switch(m) and ln.delay_ns + dist[m][b] == dist[a][b]
+            )
+            assert topo.next_hop(a, b) == hop, (trial, a, b)
+        assert len(topo._tables) == n
 
 
 def test_host_attachment_and_loads():
@@ -191,7 +220,8 @@ def test_betweenness_of_empty_weights_is_zero():
     assert got == {sw: 0.0 for sw in topo.switches}
 
 
-def test_betweenness_equals_pairwise_formula_on_generated_mesh(tmp_path):
+def mesh_config(tmp_path, seed):
+    """The benchmark's generated 128-switch mesh scenario at `seed`."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = importlib.util.spec_from_file_location(
         "bench_meshgen", os.path.join(root, "bench", "meshgen.py")
@@ -199,8 +229,12 @@ def test_betweenness_equals_pairwise_formula_on_generated_mesh(tmp_path):
     meshgen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(meshgen)
     path = tmp_path / "mesh.scn"
-    path.write_text(meshgen.generate(11))
-    cfg = parse_scenario(str(path))
+    path.write_text(meshgen.generate(seed))
+    return parse_scenario(str(path))
+
+
+def test_betweenness_equals_pairwise_formula_on_generated_mesh(tmp_path):
+    cfg = mesh_config(tmp_path, 11)
     assert len(cfg.topology.switches) == 128
     got = weighted_betweenness(cfg.topology, cfg.weights)
     assert got == pairwise_betweenness(cfg.topology, cfg.weights)
@@ -402,16 +436,35 @@ def test_single_replica_plan_has_no_tree_or_flooding():
     topo, placement, plan = fig_like_setup(1)
     assert plan.tree_edges == frozenset()
     assert plan.solutions == {}
-    rules = install_rules(topo, plan)
+    rules = install_rules(topo, plan, {"sw1", "sw3"})
     assert rules.tree_ports == {}
-    # Forwarding tables still cover every pair.
+    # Forwarding tables still cover every switch, toward exactly the
+    # switches packets can be addressed to.
+    assert set(rules.next_hop) == set(topo.switches)
     for sw in topo.switches:
-        assert set(rules.next_hop[sw]) == set(topo.switches) - {sw}
+        assert set(rules.next_hop[sw]) == {"sw1", "sw3"} - {sw}
+
+
+def test_mesh_build_runs_dijkstra_only_from_addressed_switches(tmp_path):
+    cfg = mesh_config(tmp_path, 11)
+    built = build_simulation(cfg)
+    topo = cfg.topology
+    # Packets are addressed to a host's switch or to their flow's
+    # monitor, a replica; ddos forces no monitor.
+    addressed = {topo.attached_switch(h) for h in topo.hosts}
+    addressed.update(sw for nodes in built.placement.nodes.values() for sw in nodes)
+    # Every loaded switch has a host, and the tree, the periods and the
+    # monitor choice read replica tables: 46 passes, not 128.
+    assert len(topo._tables) == len(addressed) == 46
+    assert {topo._names[i] for i in topo._tables} == addressed
+    for sw in topo.switches:
+        assert set(built.rules.next_hop[sw]) == addressed - {sw}
+        assert set(built.sim.switch_rt[sw].route) == addressed | {sw}
 
 
 def test_install_rules_floods_along_tree_only():
     topo, _, plan = fig_like_setup(2)
-    rules = install_rules(topo, plan)
+    rules = install_rules(topo, plan, topo.switches)
     assert set(rules.tree_ports) == {"sw1", "sw2", "sw3"}
     assert rules.tree_ports["sw2"] == ("sw1", "sw3")
     assert rules.tree_ports["sw1"] == ("sw2",)

@@ -363,7 +363,8 @@ def install(sim, app, **maps):
     req = replication_requirements(dag)
     placement = place_replicas(sim.topo, EmbeddingConfig(1), program, req)
     plan = build_replication_plan(sim.topo, placement, req, 100.0)
-    sim.install_app(program, placement, plan, install_rules(sim.topo, plan), **maps)
+    replicas = {sw for nodes in placement.nodes.values() for sw in nodes}
+    sim.install_app(program, placement, plan, install_rules(sim.topo, plan, replicas), **maps)
 
 
 def test_change_triggers_run_after_a_scalar_write_and_an_egress_feed():
@@ -386,6 +387,46 @@ def test_change_triggers_run_after_a_scalar_write_and_an_egress_feed():
     assert by_load == (1_000_000_000, "sw", "by_load", 10)
     assert by_rate[1:3] == ("sw", "by_rate")
     assert f"{by_rate[0]} fwd sw uid=50 out=hB" in sim.trace
+
+
+def test_set_scalar_before_the_run_fails_where_it_runs_change_triggers(tmp_path):
+    # The write would run the switch's change triggers, which log into
+    # the run; schedule_scalar is the way to write before it.
+    load = StateSpec("load", ScopeFilter(), ValueKind.scalar())
+    watch = TriggerSpec("by_load", "load", Predicate.greater_than(5),
+                        InconsistencySpec.none(), "alert")
+    alert = ActivitySpec("alert", ActionKind.NOTIFY_CONTROLLER, message="hit")
+    sim = Simulator(line_topo(), t_end_s=1.0)
+    install(sim, ApplicationSpec("watch", (load,), (), (watch,), (alert,)))
+    with pytest.raises(SimulationError, match="before the run starts"):
+        sim.set_scalar("sw", "load", 10)
+    sim.schedule_scalar(0.0, "sw", "load", 10)
+    assert sim.run_until().detections == [(0, "sw", "by_load", 10)]
+    # A switch whose triggers act on packets takes the write at once.
+    built = build_simulation(write_scenario(tmp_path, RESOURCE_LB), t_end_s=1.0)
+    origin = built.sim.switch_rt[built.placement.origin["srv_load_0"]]
+    assert origin.packet_triggers and not origin.change_triggers
+    built.sim.set_scalar(origin.name, "srv_load_0", 7)
+    assert origin.store.values["srv_load_0"] == 7
+
+
+def test_add_flow_rejects_a_monitor_no_route_reaches():
+    # Packets are addressed to sw1 (hA's switch and the replica) and sw3
+    # (hB's), so no route table leads to sw2.
+    links = [Link("hA", "sw1", MS, 1_000_000), Link("sw1", "sw2", MS, 1_000_000),
+             Link("sw2", "sw3", MS, 1_000_000), Link("sw3", "hB", MS, 1_000_000)]
+    sim = Simulator(Topology(("sw1", "sw2", "sw3"), ("hA", "hB"), links), t_end_s=1.0)
+    state = StateSpec("rate", ScopeFilter(), ValueKind.rate_estimate())
+    watch = TriggerSpec("by_rate", "rate", Predicate.greater_than(50),
+                        InconsistencySpec.none(), "alert")
+    alert = ActivitySpec("alert", ActionKind.NOTIFY_CONTROLLER, message="hit")
+    install(sim, ApplicationSpec("watch", (state,), (), (watch,), (alert,)))
+    for monitor in ("sw2", "ghost", "hB"):
+        with pytest.raises(SimulationError, match=f"no route table reaches monitor {monitor}"):
+            sim.add_flow("f", "hA", "hB", 1000, False, [(0.0, 10.0)], stop_s=0.5,
+                         monitor=monitor)
+    sim.add_flow("f", "hA", "hB", 1000, False, [(0.0, 10.0)], stop_s=0.5, monitor="sw3")
+    assert sim.run_until().flow_delivered == [5]
 
 
 def test_selector_outside_its_egress_map_keeps_the_route():
