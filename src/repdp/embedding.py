@@ -18,10 +18,10 @@ exact.
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import lcm
 
 from .compiler import PrimitiveProgram
@@ -146,9 +146,14 @@ class Topology:
         order = []
         dist[s] = 0
         sigma[s] = 1
-        heap = [(0, s)]
+        # A heap entry is the int distance << bits | index: it sorts as
+        # the pair would, and ints compare faster than tuples.
+        bits = n.bit_length()
+        mask = (1 << bits) - 1
+        heap = [s]
         while heap:
-            d, u = heapq.heappop(heap)
+            key = heappop(heap)
+            d, u = key >> bits, key & mask
             if d > dist[u]:
                 continue
             order.append(u)
@@ -160,7 +165,7 @@ class Topology:
                     dist[m] = nd
                     sigma[m] = su
                     pred[m] = u
-                    heapq.heappush(heap, (nd, m))
+                    heappush(heap, nd << bits | m)
                 elif nd == dm:
                     # Delays are positive, so m is not settled yet.
                     sigma[m] += su
@@ -223,10 +228,10 @@ def weighted_betweenness(topo: Topology, weights: dict[str, float]) -> dict[str,
     num = [0] * len(topo._names)  # score = num / total
     total = 1
     for s, sw in enumerate(topo._names):
-        r = Fraction(load[sw]).limit_denominator(10**9)
+        r = load[sw] and Fraction(load[sw]).limit_denominator(10**9)
         if not r:
             continue
-        dist, sigma, _, order = topo._paths(s)
+        dist, sigma, pred, order = topo._paths(s)
         common = lcm(*set(sigma))
         den = r.denominator * common
         if total % den:
@@ -239,6 +244,12 @@ def weighted_betweenness(topo: Topology, weights: dict[str, float]) -> dict[str,
         for w in reversed(order):
             a = acc[w]
             num[w] += sigma[w] * a * scale
+            # sigma[w] is the sum of sigma over w's predecessors, so it
+            # equals that of pred[w] exactly when pred[w] is the only
+            # one. (The source, walked last, passes its A to itself.)
+            if sigma[w] == sigma[pred[w]]:
+                acc[pred[w]] += a
+                continue
             dw = dist[w]
             for v, delay in nbrs[w]:
                 if dist[v] + delay == dw:

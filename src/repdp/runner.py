@@ -41,13 +41,15 @@ class BuiltSimulation:
     replicas: int
 
 
-def pick_monitor(topo, replica_set, src_host: str, dst_host: str) -> str:
-    """Measurement switch for a flow: the replica minimizing the detour
-    ingress -> replica -> destination, lowest name on ties."""
-    ing = topo.attached_switch(src_host)
-    dst = topo.attached_switch(dst_host)
-    return min(replica_set,
-               key=lambda m: (topo.delay_between(ing, m) + topo.delay_between(m, dst), m))
+def pick_monitor(topo, candidates, flows) -> list[str]:
+    """Measurement switch of each flow: the candidate minimizing the
+    detour ingress -> candidate -> destination, lowest name on ties.
+    Candidate m's detour is d_m[ingress] + d_m[destination], read from
+    m's own distance table, which the route build has filled."""
+    index, at = topo._index, topo.attached_switch
+    dists = [topo._paths(index[m])[0] for m in candidates]
+    ends = [(index[at(f.src)], index[at(f.dst)]) for f in flows]
+    return [min(zip([d[i] + d[j] for d in dists], candidates))[1] for i, j in ends]
 
 
 def build_simulation(config: ScenarioConfig, replicas: int | None = None,
@@ -98,8 +100,8 @@ def build_simulation(config: ScenarioConfig, replicas: int | None = None,
         raise ScenarioError(str(exc), config.path, line) from None
     # A flow's monitor is a replica or the app's forced monitor.
     replica_set = sorted({sw for nodes in placement.nodes.values() for sw in nodes})
-    rules = install_rules(topo, plan, replica_set if forced_monitor is None
-                          else [*replica_set, forced_monitor])
+    candidates = replica_set if forced_monitor is None else [forced_monitor]
+    rules = install_rules(topo, plan, {*replica_set, *candidates})
 
     sim = Simulator(
         topo,
@@ -113,8 +115,7 @@ def build_simulation(config: ScenarioConfig, replicas: int | None = None,
     sim.install_app(program, placement, plan, rules, observers, egress_maps)
     sim.plan_text = serialize_plan(placement, plan) + "\n" + canonical_text(program)
 
-    for f in config.flows:
-        monitor = forced_monitor or pick_monitor(topo, replica_set, f.src, f.dst)
+    for f, monitor in zip(config.flows, pick_monitor(topo, candidates, config.flows)):
         sim.add_flow(f.name, f.src, f.dst, f.size_bits, f.syn,
                      f.segments, f.stop_s, monitor)
 

@@ -46,6 +46,7 @@ _DUR = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
 _DUR_RE = re.compile(r"([0-9.eE+-]+)\s*(ns|us|ms|s)?")
 _BPS = {"bps": 1, "kbps": 1_000, "Mbps": 1_000_000, "Gbps": 1_000_000_000}
 _BPS_RE = re.compile(r"([0-9.eE+-]+)\s*(bps|kbps|Mbps|Gbps)?")
+_STEP_RE = re.compile(r"@([0-9.eE+-]+):([0-9.eE+-]+)")
 _CLASSES = {
     "external": PortClass.EXTERNAL,
     "uplink": PortClass.UPLINK,
@@ -96,32 +97,32 @@ class ScenarioConfig:
 
 def _line(lines, section, key):
     sec = lines.get(section) or _Section(section, 0)
-    return sec.items[key][1] if key in sec.items else sec.line
+    return sec.at.get(key, sec.line)
 
 
 class _Section:
     def __init__(self, name: str, line: int):
         self.name = name
         self.line = line
-        self.items: dict[str, tuple[str, int]] = {}
-
-
-def _split_lines(text: str):
-    """Yield (line_no, content) with comments and blanks removed."""
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = _COMMENT.sub("", raw, count=1).strip()
-        if line:
-            yield i, line
+        # Each key's raw value and its line: two flat dicts, not one of
+        # pairs, so a section holds no container the collector tracks.
+        self.items: dict[str, str] = {}
+        self.at: dict[str, int] = {}
 
 
 def _parse_sections(path: str, text: str):
+    """Split the text into the top level and its sections, dropping
+    comments and blank lines."""
     # The top level has no header; its missing key is blamed at line 1.
     top = _Section("", 1)
     sections: list[_Section] = []
     cur = top
-    for ln, line in _split_lines(text):
-        if line.startswith("["):
-            if not line.endswith("]"):
+    for ln, line in enumerate(text.splitlines(), start=1):
+        line = (_COMMENT.sub("", line, count=1) if "#" in line else line).strip()
+        if not line:
+            continue
+        if line[0] == "[":
+            if line[-1] != "]":
                 raise ScenarioError("unterminated section header", path, ln)
             name = line[1:-1].strip()
             if not name:
@@ -129,20 +130,20 @@ def _parse_sections(path: str, text: str):
             cur = _Section(name, ln)
             sections.append(cur)
             continue
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        if not eq:
             raise ScenarioError(f"expected key = value, got {line!r}", path, ln)
-        key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if not key:
             raise ScenarioError("missing key before '='", path, ln)
         if key in cur.items:
             raise ScenarioError(f"duplicate key {key!r} in section [{cur.name}]", path, ln)
-        cur.items[key] = (value, ln)
+        cur.items[key] = value.strip()
+        cur.at[key] = ln
     return top, sections
 
 
-def _dur_s(path, raw: str, ln: int) -> float:
+def _dur_s(path, raw: str, ln: int, key=None) -> float:
     m = _DUR_RE.fullmatch(raw)
     if not m:
         raise ScenarioError(f"bad duration {raw!r}", path, ln)
@@ -150,7 +151,7 @@ def _dur_s(path, raw: str, ln: int) -> float:
     return val * _DUR[m.group(2) or "s"]
 
 
-def _bps(path, raw: str, ln: int) -> int:
+def _bps(path, raw: str, ln: int, key=None) -> int:
     m = _BPS_RE.fullmatch(raw)
     if not m:
         raise ScenarioError(f"bad capacity {raw!r}", path, ln)
@@ -158,7 +159,7 @@ def _bps(path, raw: str, ln: int) -> int:
     return round(val * _BPS[m.group(2) or "bps"])
 
 
-def _num(path, raw: str, ln: int) -> float:
+def _num(path, raw: str, ln: int, key=None) -> float:
     try:
         val = float(raw)
     except ValueError:
@@ -168,14 +169,14 @@ def _num(path, raw: str, ln: int) -> float:
     return val
 
 
-def _int(path, raw: str, ln: int) -> int:
+def _int(path, raw: str, ln: int, key=None) -> int:
     try:
         return int(raw)
     except ValueError:
         raise ScenarioError(f"expected an integer, got {raw!r}", path, ln) from None
 
 
-def _bool(path, raw: str, ln: int) -> bool:
+def _bool(path, raw: str, ln: int, key=None) -> bool:
     low = raw.lower()
     if low in ("yes", "true", "on", "1"):
         return True
@@ -206,18 +207,13 @@ def _names(path, raw: str, ln: int, key: str) -> list[str]:
     return out
 
 
+def _text(path, raw: str, ln: int, key=None) -> str:
+    return raw
+
+
 # The parser of each Key.kind: (path, raw text, line, key) -> value.
-KINDS = {
-    "text": lambda path, raw, ln, key: raw,
-    "num": lambda path, raw, ln, key: _num(path, raw, ln),
-    "integer": lambda path, raw, ln, key: _int(path, raw, ln),
-    "dur": lambda path, raw, ln, key: _dur_s(path, raw, ln),
-    "bps": lambda path, raw, ln, key: _bps(path, raw, ln),
-    "flag": lambda path, raw, ln, key: _bool(path, raw, ln),
-    "delay_ns": _delay_ns,
-    "capacity": _capacity,
-    "names": _names,
-}
+KINDS = {"text": _text, "num": _num, "integer": _int, "dur": _dur_s, "bps": _bps,
+         "flag": _bool, "delay_ns": _delay_ns, "capacity": _capacity, "names": _names}
 
 # The default of a key that takes its value from another key where it
 # is used (a link's delay from link_delay, a flow's stop from t_end).
@@ -252,15 +248,16 @@ def _read(path, sec: _Section, table, lines, what: str | None = None) -> dict:
     `what` replaces "in [section]" in the unknown-key message."""
     where = f"[{sec.name}]" if sec.name else "the top level"
     items = sec.items
-    known = [row[0] for row in table]
-    for key, (_, ln) in items.items():
-        if key not in known:
-            raise ScenarioError(f"unknown key {key!r} {what or 'in ' + where} "
-                                f"(known: {', '.join(sorted(known))})", path, ln)
+    known = {row[0] for row in table}
+    if items.keys() - known:
+        key = next(k for k in items if k not in known)
+        raise ScenarioError(f"unknown key {key!r} {what or 'in ' + where} "
+                            f"(known: {', '.join(sorted(known))})", path, sec.at[key])
     lines[sec.name] = sec
     out = {}
     for key, kind, default, param in table:
-        raw, ln = items.get(key) or (default, sec.line)
+        raw = items.get(key, default)
+        ln = sec.at.get(key, sec.line)
         if raw is None:
             raise ScenarioError(f"{where} is missing key {key!r}", path, ln)
         if raw is not OPTIONAL:
@@ -278,7 +275,7 @@ def _parse_rate_steps(path, raw: str, ln: int, start_s: float):
         raise ScenarioError("negative rate", path, ln)
     segs = [(start_s, base)]
     for tok in toks[1:]:
-        m = re.fullmatch(r"@([0-9.eE+-]+):([0-9.eE+-]+)", tok)
+        m = _STEP_RE.fullmatch(tok)
         if not m:
             raise ScenarioError(f"bad rate step {tok!r} (expected @time:rate)", path, ln)
         t = _num(path, m.group(1), ln)
@@ -421,12 +418,12 @@ def parse_scenario(path: str) -> ScenarioConfig:
     # ---- application ---------------------------------------------------
     # Without a name, every other key is unknown.
     app_sec = section("application")
-    app_name, name_ln = app_sec.items.get("name", (None, 0))
+    app_name = app_sec.items.get("name")
     record = APPS.get(app_name)
     if record is None and app_name is not None:
         known = ", ".join(sorted(APPS))
         raise ScenarioError(f"unknown application {app_name!r} (known: {known})",
-                            path, name_ln)
+                            path, app_sec.at["name"])
     app_params = _read(path, app_sec, (_APP_NAME, *(record.keys if record else ())), lines,
                        record and f"for application {app_name}")
     del app_params["name"]
@@ -484,9 +481,10 @@ def parse_scenario(path: str) -> ScenarioConfig:
             # start is what is out of range.
             raise ScenarioError(f"flow {fname}: stop must follow start", path,
                                 at(sec.name, "stop" if "stop" in f else "start"))
-        rate_ln = at(sec.name, "rate")
+        rate_ln = sec.at["rate"]
         segs = _parse_rate_steps(path, f["rate"], rate_ln, start)
-        if any(t >= stop for t, _ in segs[1:]):
+        # Step times increase, and the first is the start.
+        if segs[-1][0] >= stop:
             raise ScenarioError(f"flow {fname}: rate step beyond stop time", path, rate_ln)
         flows.append(FlowDef(fname, f["src"], f["dst"], f["size"], f["syn"], start, stop, segs))
 
@@ -494,7 +492,8 @@ def parse_scenario(path: str) -> ScenarioConfig:
     loads: list[tuple[float, str, int]] = []
     if "loads" in by_name:
         lines["loads"] = by_name["loads"]
-        for state, (raw, ln) in by_name["loads"].items.items():
+        for state, raw in by_name["loads"].items.items():
+            ln = by_name["loads"].at[state]
             for tok in raw.split():
                 if ":" not in tok:
                     raise ScenarioError(f"bad load point {tok!r} (expected t:value)",

@@ -241,11 +241,18 @@ def _scoped(elements, fl: FlowRT) -> tuple:
 
 
 class SwitchRT:
+    """One switch at run time: its ports, routes and tree flood sets, its
+    replica store, and the monitors and triggers installed on it. `rng`
+    is the uniform generator its probabilistic predicates draw from:
+    install_app creates it only at a switch that holds a packet trigger
+    whose predicate draws, seeded from the run's seed and the switch's
+    index, and leaves it None everywhere else."""
+
     __slots__ = ("name", "sw_id", "name_id", "ports", "route", "flood", "store",
                  "monitors", "egress_monitors", "packet_triggers", "change_triggers",
                  "triggers_at", "own_updates", "flow_rules", "rng")
 
-    def __init__(self, name, sw_id, rng):
+    def __init__(self, name, sw_id):
         self.name = name
         self.sw_id = sw_id
         # Index of the name in the run's MetricsLog name table, for a
@@ -269,11 +276,16 @@ class SwitchRT:
         self.triggers_at = None
         self.own_updates: list[_OwnUpdate] = []
         self.flow_rules: dict[str, LinkDir] = {}
-        self.rng = rng
+        self.rng: random.Random | None = None
 
 
 class Simulator:
-    """Event-driven network with replicated in-switch application state."""
+    """Event-driven network with replicated in-switch application state.
+
+    Setup costs what the run uses: a switch gets a random generator only
+    when a packet trigger installed on it draws, and add_flow scans the
+    route tables for a monitor once, the first time a flow names it, and
+    remembers only a monitor every table reaches."""
 
     def __init__(self, topo, seed=1, t_end_s=60.0, metrics_bin_s=0.5,
                  queue_limit=100, collect_trace=False, replication_enabled=True):
@@ -308,13 +320,13 @@ class Simulator:
         self._applied_log: dict[str, tuple[int, int, ReplicaStore]] = {}
         self.plan_text = ""
 
-        self._sw_id = {sw: i for i, sw in enumerate(topo.switches)}
-        self.switch_rt: dict[str, SwitchRT] = {}
-        for sw, i in self._sw_id.items():
-            rng = random.Random(_splitmix64((seed & _M64) ^ ((i + 1) * 0xD1B54A32D192ED03 & _M64)))
-            self.switch_rt[sw] = SwitchRT(sw, i, rng)
+        self._seed = seed & _M64
+        # Monitors that add_flow found in every route table (None: none asked).
+        self._reached = {None}
+        self.switch_rt = {sw: SwitchRT(sw, i) for i, sw in enumerate(topo.switches)}
 
         self._links: list[LinkDir] = []
+        # Each host's one link: its keys are the topology's hosts.
         self._host_out: dict[str, LinkDir] = {}
         for ln in topo.links:
             for a, b in ((ln.u, ln.v), (ln.v, ln.u)):
@@ -362,14 +374,13 @@ class Simulator:
         for sid, st in enumerate(program.states):
             state_id[st.name] = sid
             origin = placement.origin[st.name]
-            origin_id = self._sw_id[origin]
+            ort = self._origins[st.name] = self.switch_rt[origin]
             for sw in placement.nodes[st.name]:
                 rt = self.switch_rt[sw]
                 if rt.store is None:
                     rt.store = ReplicaStore(program.steps)
                 rt.store.configure_state(st.name, sid, st.width_bits,
-                                         None if sw == origin else origin_id)
-            ort = self._origins[st.name] = self.switch_rt[origin]
+                                         None if rt is ort else ort.sw_id)
             value = st.value
             if value.type is not ValueType.RATE_ESTIMATE:
                 # Scalars are written through set_scalar / scheduled loads.
@@ -390,13 +401,11 @@ class Simulator:
                 sw.store.set_known_ids(range(len(program.states)))
 
         # Update triggers live at each replicated state's origin.
-        for sname, sol in plan.solutions.items():
-            origin = placement.origin[sname]
-            rt = self.switch_rt[origin]
+        for sname, sol in plan.solutions.items() if self.replication_enabled else ():
+            rt = self._origins[sname]
             trig = UpdateTrigger(sol.mode, tau_ns=sol.tau_ns, packet_period=sol.packet_period)
-            rid = placement.replica_id[(sname, origin)]
-            if self.replication_enabled:
-                rt.own_updates.append(_OwnUpdate(sname, state_id[sname], rid, trig))
+            rid = placement.replica_id[(sname, rt.name)]
+            rt.own_updates.append(_OwnUpdate(sname, state_id[sname], rid, trig))
 
         for step in program.triggers:
             per_sw_maps = egress_maps.get(step.activity, {})
@@ -410,6 +419,10 @@ class Simulator:
                     rt.change_triggers.append(trt)
                 else:
                     rt.packet_triggers.append(trt)
+                # Validation keeps draws to packet triggers.
+                if trt.draws and rt.rng is None:
+                    mix = (rt.sw_id + 1) * 0xD1B54A32D192ED03 & _M64
+                    rt.rng = random.Random(_splitmix64(self._seed ^ mix))
 
     def add_flow(self, name, src, dst, size_bits, syn, segments, stop_s,
                  monitor=None) -> int:
@@ -420,7 +433,7 @@ class Simulator:
             raise SimulationError(f"flow {name}: name already in use")
         if src not in self._host_out:
             raise SimulationError(f"flow {name}: unknown source host {src}")
-        if dst not in self.topo.hosts:
+        if dst not in self._host_out:
             raise SimulationError(f"flow {name}: unknown destination host {dst}")
         if size_bits < 512:
             raise SimulationError(f"flow {name}: packets below the 512-bit minimum frame")
@@ -432,8 +445,11 @@ class Simulator:
         stop_ns = round(stop_s * 1e9)
         if stop_ns <= segs[0][0]:
             raise SimulationError(f"flow {name}: stop precedes start")
-        if monitor is not None and not all(monitor in rt.route for rt in self.switch_rt.values()):
-            raise SimulationError(f"flow {name}: no route table reaches monitor {monitor}")
+        if monitor not in self._reached:
+            # Routes only grow, so a monitor every table reached stays reached.
+            if not all(monitor in rt.route for rt in self.switch_rt.values()):
+                raise SimulationError(f"flow {name}: no route table reaches monitor {monitor}")
+            self._reached.add(monitor)
         fl = FlowRT(len(self.flows), name, src, dst, self.topo.attached_switch(dst),
                     size_bits, syn, segs, stop_ns, monitor, self._host_out[src])
         self.flows.append(fl)

@@ -1,4 +1,5 @@
-"""Brute-force oracles and random topologies shared across test modules.
+"""Brute-force oracles, random topologies and the benchmark's mesh
+scenario, shared across test modules.
 
 Everything here is written from the declared behaviour alone, by the
 slowest most obvious method available, so the fast implementations have
@@ -6,11 +7,13 @@ an independent reference to be checked against.
 """
 
 import heapq
+import importlib.util
 import itertools
+import os
 from collections import deque
 from fractions import Fraction
 
-from repdp import Link, Simulator, Topology, node_loads
+from repdp import Link, Simulator, Topology, node_loads, parse_scenario
 
 
 def random_switch_topology(
@@ -36,6 +39,19 @@ def random_switch_topology(
     for a, b in spare[:extra_edges]:
         links.append(Link(a, b, rng.choice(delay_choices), capacity_bps))
     return Topology(names, (), links)
+
+
+def mesh_config(tmp_path, seed):
+    """The benchmark's generated 128-switch mesh scenario at `seed`."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "bench_meshgen", os.path.join(root, "bench", "meshgen.py")
+    )
+    meshgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(meshgen)
+    path = tmp_path / "mesh.scn"
+    path.write_text(meshgen.generate(seed))
+    return parse_scenario(str(path))
 
 
 def all_shortest_paths(topo, u, v):

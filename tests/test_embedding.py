@@ -1,7 +1,5 @@
 """Placement, distribution tree, and update-period solving."""
 
-import importlib.util
-import os
 import random
 from dataclasses import replace
 
@@ -11,6 +9,7 @@ from helpers import (
     assert_valid_tree,
     brute_betweenness,
     exact_steiner_cost,
+    mesh_config,
     pairwise_betweenness,
     random_switch_topology,
     tree_cost,
@@ -33,7 +32,6 @@ from repdp import (
     install_rules,
     make_ddos_app,
     node_loads,
-    parse_scenario,
     place_replicas,
     serialize_plan,
     solve_replication_period,
@@ -218,19 +216,6 @@ def test_betweenness_of_empty_weights_is_zero():
     got = weighted_betweenness(topo, {})
     assert got == pairwise_betweenness(topo, {})
     assert got == {sw: 0.0 for sw in topo.switches}
-
-
-def mesh_config(tmp_path, seed):
-    """The benchmark's generated 128-switch mesh scenario at `seed`."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    spec = importlib.util.spec_from_file_location(
-        "bench_meshgen", os.path.join(root, "bench", "meshgen.py")
-    )
-    meshgen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(meshgen)
-    path = tmp_path / "mesh.scn"
-    path.write_text(meshgen.generate(seed))
-    return parse_scenario(str(path))
 
 
 def test_betweenness_equals_pairwise_formula_on_generated_mesh(tmp_path):

@@ -152,6 +152,27 @@ def test_comments_and_blank_lines_ignored(tmp_path):
     assert parse_text(tmp_path, text).seed == 1
 
 
+def test_hash_glued_to_a_value_is_part_of_it(tmp_path):
+    # '#' opens a comment only at line start or after a space or a tab.
+    text = BASE.replace("name = t", "name = run#1")
+    expect_error(tmp_path, text, "bad scenario name 'run#1'", at_line=line_of(text, "run#1"))
+
+
+def test_tab_before_hash_opens_a_comment(tmp_path):
+    text = BASE.replace("name = t", "name = t\t# tabbed").replace("seed = 1", "seed = 1\t#2")
+    cfg = parse_text(tmp_path, text)
+    assert (cfg.name, cfg.seed) == ("t", 1)
+
+
+def test_comment_only_lines_are_skipped(tmp_path):
+    text = BASE.replace("[topology]", "# a = b\n   # [flow.x]\n\t#= c\n#\n[topology]")
+    cfg = parse_text(tmp_path, text)
+    assert cfg.topology.switches == ("s1", "s2")
+    assert [f.name for f in cfg.flows] == ["f"]
+    assert cfg.line("topology") == line_of(text, "[topology]")
+    assert cfg.line("topology", "links") == line_of(text, "links = ")
+
+
 def test_replication_can_be_disabled(tmp_path):
     cfg = parse_text(tmp_path, BASE.replace("seed = 1", "seed = 1\nreplication = off"))
     assert cfg.replication is False

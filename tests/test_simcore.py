@@ -41,7 +41,7 @@ from repdp import (
 from repdp import runner, simcore
 from repdp.simcore import Packet
 
-from helpers import DequeLink, QueuedDeliverySimulator
+from helpers import DequeLink, QueuedDeliverySimulator, mesh_config
 
 MS = 1_000_000
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -410,9 +410,10 @@ def test_set_scalar_before_the_run_fails_where_it_runs_change_triggers(tmp_path)
     assert origin.store.values["srv_load_0"] == 7
 
 
-def test_add_flow_rejects_a_monitor_no_route_reaches():
-    # Packets are addressed to sw1 (hA's switch and the replica) and sw3
-    # (hB's), so no route table leads to sw2.
+def three_switch_watch():
+    """hA - sw1 - sw2 - sw3 - hB with a rate watch installed. Packets are
+    addressed to sw1 (hA's switch and the replica) and sw3 (hB's), so no
+    route table leads to sw2."""
     links = [Link("hA", "sw1", MS, 1_000_000), Link("sw1", "sw2", MS, 1_000_000),
              Link("sw2", "sw3", MS, 1_000_000), Link("sw3", "hB", MS, 1_000_000)]
     sim = Simulator(Topology(("sw1", "sw2", "sw3"), ("hA", "hB"), links), t_end_s=1.0)
@@ -421,12 +422,61 @@ def test_add_flow_rejects_a_monitor_no_route_reaches():
                         InconsistencySpec.none(), "alert")
     alert = ActivitySpec("alert", ActionKind.NOTIFY_CONTROLLER, message="hit")
     install(sim, ApplicationSpec("watch", (state,), (), (watch,), (alert,)))
+    return sim
+
+
+def test_add_flow_rejects_a_monitor_no_route_reaches():
+    sim = three_switch_watch()
     for monitor in ("sw2", "ghost", "hB"):
         with pytest.raises(SimulationError, match=f"no route table reaches monitor {monitor}"):
             sim.add_flow("f", "hA", "hB", 1000, False, [(0.0, 10.0)], stop_s=0.5,
                          monitor=monitor)
     sim.add_flow("f", "hA", "hB", 1000, False, [(0.0, 10.0)], stop_s=0.5, monitor="sw3")
     assert sim.run_until().flow_delivered == [5]
+
+
+def test_unreached_monitor_fails_every_flow_that_names_it():
+    # A failed scan is not remembered: each flow naming sw2 scans again,
+    # before and after flows with a reached monitor.
+    sim = three_switch_watch()
+    for name, monitor in (("f1", "sw2"), ("f1", "sw2"), ("f1", "sw3"), ("f2", "sw2"),
+                          ("f2", "sw3"), ("f3", "sw2")):
+        if monitor == "sw2":
+            with pytest.raises(SimulationError, match=f"flow {name}: no route table reaches"):
+                sim.add_flow(name, "hA", "hB", 1000, False, [(0.0, 10.0)], stop_s=0.5,
+                             monitor=monitor)
+        else:
+            sim.add_flow(name, "hA", "hB", 1000, False, [(0.0, 10.0)], stop_s=0.5,
+                         monitor=monitor)
+    assert [fl.name for fl in sim.flows] == ["f1", "f2"]
+    assert sim.run_until().flow_delivered == [5, 5]
+
+
+class ProbedRoutes(dict):
+    """A route table that counts membership probes."""
+
+    probes = 0
+
+    def __contains__(self, key):
+        ProbedRoutes.probes += 1
+        return dict.__contains__(self, key)
+
+
+def test_mesh_build_scans_route_tables_once_per_monitor(tmp_path, monkeypatch):
+    install_app = Simulator.install_app
+
+    def probed_install(sim, *args, **kwargs):
+        install_app(sim, *args, **kwargs)
+        for rt in sim.switch_rt.values():
+            rt.route = ProbedRoutes(rt.route)
+
+    monkeypatch.setattr(Simulator, "install_app", probed_install)
+    monkeypatch.setattr(ProbedRoutes, "probes", 0)
+    sim = build_simulation(mesh_config(tmp_path, 11)).sim
+    monitors = {fl.monitor for fl in sim.flows}
+    assert (len(sim.flows), len(monitors), len(sim.switch_rt)) == (256, 8, 128)
+    # A scan probes each switch's table once: 8 scans, not one per flow.
+    assert ProbedRoutes.probes == 8 * 128
 
 
 def test_selector_outside_its_egress_map_keeps_the_route():
@@ -885,6 +935,37 @@ def test_different_seed_changes_policing(tmp_path):
     assert sum(sim.run_until().flow_app_drops) == drops[0]
     # Each policed packet has its trace line.
     assert sum(" drop_app sw1 " in line for line in sim.trace) == drops[0]
+
+
+def drawing_switches(sim):
+    return {sw for sw, rt in sim.switch_rt.items() if any(tr.draws for tr in rt.packet_triggers)}
+
+
+def test_only_switches_whose_triggers_draw_get_an_rng(tmp_path):
+    fig8 = build_simulation(parse_scenario(FIG8))
+    policers = drawing_switches(fig8.sim)
+    # fig8 polices at both of its replicas.
+    assert policers == set(next(iter(fig8.placement.nodes.values()))) and len(policers) == 2
+    assert {sw for sw, rt in fig8.sim.switch_rt.items() if rt.rng is not None} == policers
+    for cfg in (parse_scenario(FIG7), mesh_config(tmp_path, 11)):
+        sim = build_simulation(cfg).sim
+        assert drawing_switches(sim) == set()
+        assert all(rt.rng is None for rt in sim.switch_rt.values())
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+def test_rng_draws_follow_the_seed_and_switch_index(seed):
+    cfg = parse_scenario(FIG8)
+    sim = build_simulation(cfg, seed=seed).sim
+    run_seed = cfg.seed if seed is None else seed
+    m64 = (1 << 64) - 1
+    rngs = [rt for rt in sim.switch_rt.values() if rt.rng is not None]
+    assert len(rngs) == 2
+    for rt in rngs:
+        assert rt.sw_id == cfg.topology.switches.index(rt.name)
+        mix = (rt.sw_id + 1) * 0xD1B54A32D192ED03 & m64
+        fresh = random.Random(simcore._splitmix64(run_seed & m64 ^ mix))
+        assert [rt.rng.random() for _ in range(8)] == [fresh.random() for _ in range(8)]
 
 
 RATELIMIT_TINY = """
