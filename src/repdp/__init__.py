@@ -28,10 +28,8 @@ from .embedding import (
     PeriodSolution,
     ReplicaPlacement,
     ReplicationPlan,
-    RuleTables,
     Topology,
     build_replication_plan,
-    install_rules,
     node_loads,
     place_replicas,
     serialize_plan,

@@ -1,19 +1,19 @@
 """Embedding of compiled applications onto a topology.
 
 Covers replica placement by traffic-weighted betweenness, the shared
-update-distribution tree (metric-closure Steiner approximation), the
-translation of inconsistency budgets into update trigger periods, and
-the forwarding/flooding rule tables the simulator installs on switches.
+update-distribution tree (metric-closure Steiner approximation) and the
+translation of inconsistency budgets into update trigger periods.
 
-All of them read one shortest-path table per source switch, over switch
-indices in name order: the distances, the path counts, each switch's
-lowest-named predecessor (its next hop toward the source) and the settle
-order. A table is filled by one Dijkstra pass the first time something
-asks for it, so a build pays only for the sources it reads: the loaded
-switches for betweenness, the first switch of each delay asked for, and
-the switches a packet can be addressed to for routes. All delays are
-integer nanoseconds so shortest-path comparisons and tie-breaks are
-exact.
+All of them, and the simulator's routes, read one shortest-path table
+per source switch, over switch indices in name order: the distances, the
+path counts, each switch's lowest-named predecessor (its next hop toward
+the source) and the settle order. A table is filled by one Dijkstra pass
+the first time something asks for it, so a build pays only for the
+sources it reads: the loaded switches for betweenness, the first switch
+of each delay asked for, and the switches a flow's packets are addressed
+to for routes. Outside this module, `Topology.index`, `dist_row` and
+`pred_row` are the one way to read them. All delays are integer
+nanoseconds so shortest-path comparisons and tie-breaks are exact.
 """
 
 from __future__ import annotations
@@ -90,11 +90,11 @@ class Topology:
         # Switch indices follow name order, so index order breaks ties
         # the way names do.
         self._names = tuple(sorted(self.switches))
-        self._index = {sw: i for i, sw in enumerate(self._names)}
+        self.index = {sw: i for i, sw in enumerate(self._names)}
         # Each switch's switch neighbours in index order, with the link delay.
         self._nbrs: tuple[tuple[tuple[int, int], ...], ...] = tuple(
             tuple(
-                (self._index[m], ln.delay_ns)
+                (self.index[m], ln.delay_ns)
                 for m, ln in sorted(self.adj[sw].items())
                 if m in self._sws
             )
@@ -174,14 +174,23 @@ class Topology:
         paths = self._tables[s] = (dist, sigma, pred, order)
         return paths
 
+    def dist_row(self, switch: str) -> list[int]:
+        """The delay from `switch` to every switch, by index."""
+        return self._paths(self.index[switch])[0]
+
+    def pred_row(self, switch: str) -> list[int]:
+        """Each switch's next hop toward `switch`, by index: its
+        lowest-index neighbour on a shortest path (`switch`'s own entry
+        is itself)."""
+        return self._paths(self.index[switch])[2]
+
     def delay_between(self, a: str, b: str) -> int:
         """Shortest switch-graph delay between two switches."""
-        return self._paths(self._index[a])[0][self._index[b]]
+        return self.dist_row(a)[self.index[b]]
 
     def next_hop(self, switch: str, dst_switch: str) -> str:
         """Neighbor switch on a shortest path; name order breaks ties."""
-        pred = self._paths(self._index[dst_switch])[2]
-        return self._names[pred[self._index[switch]]]
+        return self._names[self.pred_row(dst_switch)[self.index[switch]]]
 
 
 def node_loads(topo: Topology, weights: dict[str, float]) -> dict[str, float]:
@@ -254,7 +263,7 @@ def weighted_betweenness(topo: Topology, weights: dict[str, float]) -> dict[str,
             for v, delay in nbrs[w]:
                 if dist[v] + delay == dw:
                     acc[v] += a
-    index = topo._index
+    index = topo.index
     return {sw: float(Fraction(num[index[sw]], total)) for sw in topo.switches}
 
 
@@ -476,36 +485,6 @@ def build_replication_plan(
             requirements[s], worst, r_min, mode
         )
     return ReplicationPlan(tree, solutions, r_min)
-
-
-@dataclass
-class RuleTables:
-    """Forwarding and flooding state the simulator installs per switch."""
-
-    next_hop: dict[str, dict[str, str]]
-    tree_ports: dict[str, tuple[str, ...]]  # every state shares one tree
-
-
-def install_rules(topo: Topology, plan: ReplicationPlan, monitors) -> RuleTables:
-    """Next-hop tables toward the switches a packet can be addressed to,
-    every host's switch and each switch of `monitors`, plus each tree
-    switch's tree ports."""
-    # A switch's next hop toward dst is its predecessor on dst's paths.
-    names, index = topo._names, topo._index
-    dsts = {topo.attached_switch(h) for h in topo.hosts}.union(monitors)
-    preds = [(dst, topo._paths(index[dst])[2]) for dst in topo.switches if dst in dsts]
-    next_hop: dict[str, dict[str, str]] = {}
-    for sw in topo.switches:
-        i = index[sw]
-        next_hop[sw] = {dst: names[pred[i]] for dst, pred in preds if dst != sw}
-
-    neighbors_on_tree: dict[str, list[str]] = {}
-    for u, v in sorted(plan.tree_edges):
-        neighbors_on_tree.setdefault(u, []).append(v)
-        neighbors_on_tree.setdefault(v, []).append(u)
-
-    tree_ports = {sw: tuple(sorted(nbrs)) for sw, nbrs in sorted(neighbors_on_tree.items())}
-    return RuleTables(next_hop, tree_ports)
 
 
 def serialize_plan(placement: ReplicaPlacement, plan: ReplicationPlan) -> str:

@@ -3,8 +3,9 @@
 The runner owns the full deployment pipeline: the application's
 apps.APPS record (factory and bindings) -> validation/DAG -> primitive
 lowering (each state's wire id is its declaration index) -> replica placement -> distribution
-tree and update periods -> rule install -> simulator wiring (stores,
-estimators, triggers, flow monitors). Sweeps run the same scenario at
+tree and update periods -> simulator wiring (flood sets, stores,
+estimators, triggers, and per flow its monitor and the routes toward
+its destination switch and monitor). Sweeps run the same scenario at
 several replica counts, each under a fresh simulator seeded
 identically, and export one CSV directory per count.
 """
@@ -19,7 +20,6 @@ from .compiler import canonical_text, compile_application
 from .embedding import (
     EmbeddingConfig,
     build_replication_plan,
-    install_rules,
     place_replicas,
     serialize_plan,
 )
@@ -37,7 +37,6 @@ class BuiltSimulation:
     program: object
     placement: object
     plan: object
-    rules: object
     replicas: int
 
 
@@ -45,9 +44,9 @@ def pick_monitor(topo, candidates, flows) -> list[str]:
     """Measurement switch of each flow: the candidate minimizing the
     detour ingress -> candidate -> destination, lowest name on ties.
     Candidate m's detour is d_m[ingress] + d_m[destination], read from
-    m's own distance table, which the route build has filled."""
-    index, at = topo._index, topo.attached_switch
-    dists = [topo._paths(index[m])[0] for m in candidates]
+    m's own distance row."""
+    index, at = topo.index, topo.attached_switch
+    dists = [topo.dist_row(m) for m in candidates]
     ends = [(index[at(f.src)], index[at(f.dst)]) for f in flows]
     return [min(zip([d[i] + d[j] for d in dists], candidates))[1] for i, j in ends]
 
@@ -101,7 +100,6 @@ def build_simulation(config: ScenarioConfig, replicas: int | None = None,
     # A flow's monitor is a replica or the app's forced monitor.
     replica_set = sorted({sw for nodes in placement.nodes.values() for sw in nodes})
     candidates = replica_set if forced_monitor is None else [forced_monitor]
-    rules = install_rules(topo, plan, {*replica_set, *candidates})
 
     sim = Simulator(
         topo,
@@ -112,7 +110,7 @@ def build_simulation(config: ScenarioConfig, replicas: int | None = None,
         collect_trace=collect_trace,
         replication_enabled=config.replication if replication is None else replication,
     )
-    sim.install_app(program, placement, plan, rules, observers, egress_maps)
+    sim.install_app(program, placement, plan, observers, egress_maps)
     sim.plan_text = serialize_plan(placement, plan) + "\n" + canonical_text(program)
 
     for f, monitor in zip(config.flows, pick_monitor(topo, candidates, config.flows)):
@@ -132,7 +130,7 @@ def build_simulation(config: ScenarioConfig, replicas: int | None = None,
                                 config.path, config.line("loads", state))
         sim.schedule_scalar(t_s, placement.origin[state], state, value)
 
-    return BuiltSimulation(sim, app, program, placement, plan, rules, c)
+    return BuiltSimulation(sim, app, program, placement, plan, c)
 
 
 def run_single(config: ScenarioConfig, out_dir: str | None = None,

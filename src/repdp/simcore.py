@@ -283,9 +283,9 @@ class Simulator:
     """Event-driven network with replicated in-switch application state.
 
     Setup costs what the run uses: a switch gets a random generator only
-    when a packet trigger installed on it draws, and add_flow scans the
-    route tables for a monitor once, the first time a flow names it, and
-    remembers only a monitor every table reaches."""
+    when a packet trigger installed on it draws, and every switch gets a
+    route toward a switch only once a flow names it as its destination's
+    switch or its monitor, read from that switch's predecessor row."""
 
     def __init__(self, topo, seed=1, t_end_s=60.0, metrics_bin_s=0.5,
                  queue_limit=100, collect_trace=False, replication_enabled=True):
@@ -321,9 +321,12 @@ class Simulator:
         self.plan_text = ""
 
         self._seed = seed & _M64
-        # Monitors that add_flow found in every route table (None: none asked).
-        self._reached = {None}
+        # Switches every switch has a route toward (None: no monitor).
+        self._routed = {None}
         self.switch_rt = {sw: SwitchRT(sw, i) for i, sw in enumerate(topo.switches)}
+        # The switches by path-table index, which follows name order,
+        # not the declaration order of sw_id.
+        self._by_index = sorted(self.switch_rt.values(), key=lambda rt: topo.index[rt.name])
 
         self._links: list[LinkDir] = []
         # Each host's one link: its keys are the topology's hosts.
@@ -342,15 +345,18 @@ class Simulator:
     # ------------------------------------------------------------------
     # wiring
 
-    def install_app(self, program, placement, plan, rules,
+    def install_app(self, program, placement, plan,
                     egress_observers=None, egress_maps=None):
         """Deploy one compiled application onto the switches.
 
-        egress_observers maps a wire state name to a neighbor: the state
-        then measures traffic this switch forwards to that neighbor
-        instead of matching ingress packets. egress_maps gives, per
-        activity name and per switch, the port list indexed by the
-        activity's selector output. A simulator holds one application.
+        egress_observers maps a wire state name to a neighbor of its
+        origin: the state then measures traffic the origin forwards to
+        that neighbor instead of matching ingress packets. egress_maps
+        gives, per activity name and per switch, the port list indexed
+        by the activity's selector output. A trigger runs at the switches
+        that host every state it reads. Each switch floods updates to its
+        distribution-tree neighbors in name order. A simulator holds one
+        application.
         """
         if self._app_installed:
             raise SimulationError("an application is already installed")
@@ -360,13 +366,10 @@ class Simulator:
         egress_observers = egress_observers or {}
         egress_maps = egress_maps or {}
 
-        for sw, table in rules.next_hop.items():
-            rt = self.switch_rt[sw]
-            rt.route.update(zip(table, map(rt.ports.__getitem__, table.values())))
         # Tree links are symmetric, so updates only ever arrive over a
         # tree port.
         for sw, rt in self.switch_rt.items():
-            tree = rules.tree_ports.get(sw, ())
+            tree = [p for p in sorted(rt.ports) if (min(sw, p), max(sw, p)) in plan.tree_edges]
             rt.flood = {ingress: tuple(rt.ports[p] for p in tree if p != ingress)
                         for ingress in (None, *tree)}
 
@@ -388,13 +391,14 @@ class Simulator:
             est = RateEstimatorWindow(value.delta_s, value.window)
             ort.store.attach_local(st.name, est)
             mon = _Monitor(st.name, st.scope, est, value.unit == "bits")
-            if st.name in egress_observers:
-                # A name that is no neighbor of the origin never matches.
-                link = ort.ports.get(egress_observers[st.name])
-                if link is not None:
-                    ort.egress_monitors.setdefault(link, []).append(mon)
-            else:
+            nbr = egress_observers.get(st.name)
+            if nbr is None:
                 ort.monitors.append(mon)
+            elif nbr in ort.ports:
+                ort.egress_monitors.setdefault(ort.ports[nbr], []).append(mon)
+            else:
+                raise SimulationError(f"state {st.name}: egress observer {nbr} is no neighbor"
+                                      f" of its origin {origin}")
 
         for sw in self.switch_rt.values():
             if sw.store is not None:
@@ -409,7 +413,7 @@ class Simulator:
 
         for step in program.triggers:
             per_sw_maps = egress_maps.get(step.activity, {})
-            for sw in sorted({sw for s in step.upstream for sw in placement.nodes[s]}):
+            for sw in sorted(set.intersection(*(set(placement.nodes[s]) for s in step.upstream))):
                 rt = self.switch_rt[sw]
                 egress = per_sw_maps.get(sw)
                 if egress is not None:
@@ -445,12 +449,19 @@ class Simulator:
         stop_ns = round(stop_s * 1e9)
         if stop_ns <= segs[0][0]:
             raise SimulationError(f"flow {name}: stop precedes start")
-        if monitor not in self._reached:
-            # Routes only grow, so a monitor every table reached stays reached.
-            if not all(monitor in rt.route for rt in self.switch_rt.values()):
-                raise SimulationError(f"flow {name}: no route table reaches monitor {monitor}")
-            self._reached.add(monitor)
-        fl = FlowRT(len(self.flows), name, src, dst, self.topo.attached_switch(dst),
+        if monitor is not None and not self.topo.is_switch(monitor):
+            raise SimulationError(f"flow {name}: monitor {monitor} is not a switch")
+        dst_switch = self.topo.attached_switch(dst)
+        for to in (dst_switch, monitor):
+            if to not in self._routed:
+                self._routed.add(to)
+                # A switch's route toward `to` is its predecessor on
+                # to's shortest paths.
+                rts = self._by_index
+                for rt, hop in zip(rts, self.topo.pred_row(to)):
+                    if rt.name != to:
+                        rt.route[to] = rt.ports[rts[hop].name]
+        fl = FlowRT(len(self.flows), name, src, dst, dst_switch,
                     size_bits, syn, segs, stop_ns, monitor, self._host_out[src])
         self.flows.append(fl)
         self._flow_names.add(name)

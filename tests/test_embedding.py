@@ -23,13 +23,12 @@ from repdp import (
     InfeasibleBudget,
     InsufficientNodes,
     Link,
-    ReplicationPlan,
+    Simulator,
     Topology,
     build_dag,
     build_replication_plan,
     build_simulation,
     compile_application,
-    install_rules,
     make_ddos_app,
     node_loads,
     place_replicas,
@@ -104,7 +103,12 @@ def test_routes_and_delays_match_floyd_warshall_on_random_graphs():
         )
         topo = with_hosts(rng, topo, rng.randrange(0, 4))
         dist, _ = all_pairs_paths(topo)
-        rules = install_rules(topo, ReplicationPlan(frozenset(), {}, 0.0), topo.switches)
+        # A flow monitored at each switch installs every switch's route
+        # toward it; host hx gives the flows a host on every graph.
+        sim = Simulator(Topology(topo.switches, (*topo.hosts, "hx"),
+                                 (*topo.links, Link("hx", "s0", 10_000, 10_000_000))))
+        for to in topo.switches:
+            sim.add_flow(to, "hx", "hx", 1000, False, [(0.0, 1.0)], 1.0, monitor=to)
         for sw in topo.switches:
             for dst in topo.switches:
                 assert topo.delay_between(sw, dst) == dist[sw][dst], (trial, sw, dst)
@@ -116,7 +120,8 @@ def test_routes_and_delays_match_floyd_warshall_on_random_graphs():
                     if topo.is_switch(m) and ln.delay_ns + dist[m][dst] == dist[sw][dst]
                 )
                 ties += len(hops) > 1
-                assert rules.next_hop[sw][dst] == hops[0], (trial, sw, dst, hops)
+                link = sim.switch_rt[sw].route[dst]
+                assert (link.src, link.far.name) == (sw, hops[0]), (trial, sw, dst, hops)
                 assert topo.next_hop(sw, dst) == hops[0]
     assert ties > 1000
 
@@ -417,43 +422,58 @@ def test_plan_uses_worst_pair_among_replicas():
     assert plan.tree_edges == frozenset({("sw1", "sw2"), ("sw2", "sw3")})
 
 
+def installed(replica_count):
+    """A simulator on ring4 with fig_like_setup's plan installed."""
+    topo, placement, plan = fig_like_setup(replica_count)
+    sim = Simulator(topo)
+    sim.install_app(ddos_program(4), placement, plan)
+    return sim
+
+
 def test_single_replica_plan_has_no_tree_or_flooding():
     topo, placement, plan = fig_like_setup(1)
     assert plan.tree_edges == frozenset()
     assert plan.solutions == {}
-    rules = install_rules(topo, plan, {"sw1", "sw3"})
-    assert rules.tree_ports == {}
-    # Forwarding tables still cover every switch, toward exactly the
-    # switches packets can be addressed to.
-    assert set(rules.next_hop) == set(topo.switches)
-    for sw in topo.switches:
-        assert set(rules.next_hop[sw]) == {"sw1", "sw3"} - {sw}
+    sim = installed(1)
+    for sw, rt in sim.switch_rt.items():
+        assert rt.flood == {None: ()}
+        # Routes come with flows: until one names a switch, a table holds
+        # only the switch itself.
+        assert rt.route == {sw: None}
 
 
 def test_mesh_build_runs_dijkstra_only_from_addressed_switches(tmp_path):
     cfg = mesh_config(tmp_path, 11)
     built = build_simulation(cfg)
     topo = cfg.topology
-    # Packets are addressed to a host's switch or to their flow's
-    # monitor, a replica; ddos forces no monitor.
-    addressed = {topo.attached_switch(h) for h in topo.hosts}
-    addressed.update(sw for nodes in built.placement.nodes.values() for sw in nodes)
-    # Every loaded switch has a host, and the tree, the periods and the
-    # monitor choice read replica tables: 46 passes, not 128.
-    assert len(topo._tables) == len(addressed) == 46
-    assert {topo._names[i] for i in topo._tables} == addressed
-    for sw in topo.switches:
-        assert set(built.rules.next_hop[sw]) == addressed - {sw}
-        assert set(built.sim.switch_rt[sw].route) == addressed | {sw}
+    # Betweenness runs from the loaded switches, each of which has a
+    # host, and the tree, the periods and the monitor choice read
+    # replica tables: 46 passes, not 128.
+    tabled = {topo.attached_switch(h) for h in topo.hosts}
+    tabled.update(sw for nodes in built.placement.nodes.values() for sw in nodes)
+    assert len(topo._tables) == len(tabled) == 46
+    assert {sw for sw, i in topo.index.items() if i in topo._tables} == tabled
+    # Packets are addressed to their flow's destination switch or its
+    # monitor, a replica (ddos forces none), so only those get routes.
+    addressed = {fl.dst_switch for fl in built.sim.flows}
+    addressed.update(fl.monitor for fl in built.sim.flows)
+    assert len(addressed) == 15
+    for sw, rt in built.sim.switch_rt.items():
+        assert set(rt.route) == addressed | {sw}
 
 
-def test_install_rules_floods_along_tree_only():
-    topo, _, plan = fig_like_setup(2)
-    rules = install_rules(topo, plan, topo.switches)
-    assert set(rules.tree_ports) == {"sw1", "sw2", "sw3"}
-    assert rules.tree_ports["sw2"] == ("sw1", "sw3")
-    assert rules.tree_ports["sw1"] == ("sw2",)
-    assert "sw4" not in rules.tree_ports
+def test_install_app_floods_along_tree_only():
+    sim = installed(2)
+    # Tree sw1-sw2-sw3: each switch floods to its tree neighbours in name
+    # order, minus the port an update came in on.
+    floods = {sw: {ingress: tuple(ld.dst for ld in out) for ingress, out in rt.flood.items()}
+              for sw, rt in sim.switch_rt.items()}
+    assert floods == {
+        "sw1": {None: ("sw2",), "sw2": ()},
+        "sw2": {None: ("sw1", "sw3"), "sw1": ("sw3",), "sw3": ("sw1",)},
+        "sw3": {None: ("sw2",), "sw2": ()},
+        "sw4": {None: ()},
+    }
 
 
 def test_serialize_plan_is_stable_and_complete():

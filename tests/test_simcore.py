@@ -19,6 +19,8 @@ from repdp import (
     InvalidParameter,
     Link,
     Predicate,
+    ReductionKind,
+    ReductionSpec,
     ScopeFilter,
     SimulationError,
     Simulator,
@@ -32,7 +34,6 @@ from repdp import (
     build_simulation,
     compile_application,
     export_metrics,
-    install_rules,
     parse_scenario,
     place_replicas,
     replication_requirements,
@@ -363,8 +364,7 @@ def install(sim, app, **maps):
     req = replication_requirements(dag)
     placement = place_replicas(sim.topo, EmbeddingConfig(1), program, req)
     plan = build_replication_plan(sim.topo, placement, req, 100.0)
-    replicas = {sw for nodes in placement.nodes.values() for sw in nodes}
-    sim.install_app(program, placement, plan, install_rules(sim.topo, plan, replicas), **maps)
+    sim.install_app(program, placement, plan, **maps)
 
 
 def test_change_triggers_run_after_a_scalar_write_and_an_egress_feed():
@@ -410,10 +410,9 @@ def test_set_scalar_before_the_run_fails_where_it_runs_change_triggers(tmp_path)
     assert origin.store.values["srv_load_0"] == 7
 
 
-def three_switch_watch():
-    """hA - sw1 - sw2 - sw3 - hB with a rate watch installed. Packets are
-    addressed to sw1 (hA's switch and the replica) and sw3 (hB's), so no
-    route table leads to sw2."""
+def three_switch_watch(**maps):
+    """hA - sw1 - sw2 - sw3 - hB with a rate watch installed on sw1, the
+    one replica."""
     links = [Link("hA", "sw1", MS, 1_000_000), Link("sw1", "sw2", MS, 1_000_000),
              Link("sw2", "sw3", MS, 1_000_000), Link("sw3", "hB", MS, 1_000_000)]
     sim = Simulator(Topology(("sw1", "sw2", "sw3"), ("hA", "hB"), links), t_end_s=1.0)
@@ -421,62 +420,62 @@ def three_switch_watch():
     watch = TriggerSpec("by_rate", "rate", Predicate.greater_than(50),
                         InconsistencySpec.none(), "alert")
     alert = ActivitySpec("alert", ActionKind.NOTIFY_CONTROLLER, message="hit")
-    install(sim, ApplicationSpec("watch", (state,), (), (watch,), (alert,)))
+    install(sim, ApplicationSpec("watch", (state,), (), (watch,), (alert,)), **maps)
     return sim
 
 
-def test_add_flow_rejects_a_monitor_no_route_reaches():
+def test_add_flow_rejects_a_monitor_that_is_no_switch():
     sim = three_switch_watch()
-    for monitor in ("sw2", "ghost", "hB"):
-        with pytest.raises(SimulationError, match=f"no route table reaches monitor {monitor}"):
+    for monitor in ("ghost", "hB"):
+        with pytest.raises(SimulationError, match=f"flow f: monitor {monitor} is not a switch"):
             sim.add_flow("f", "hA", "hB", 1000, False, [(0.0, 10.0)], stop_s=0.5,
                          monitor=monitor)
-    sim.add_flow("f", "hA", "hB", 1000, False, [(0.0, 10.0)], stop_s=0.5, monitor="sw3")
-    assert sim.run_until().flow_delivered == [5]
-
-
-def test_unreached_monitor_fails_every_flow_that_names_it():
-    # A failed scan is not remembered: each flow naming sw2 scans again,
-    # before and after flows with a reached monitor.
-    sim = three_switch_watch()
-    for name, monitor in (("f1", "sw2"), ("f1", "sw2"), ("f1", "sw3"), ("f2", "sw2"),
-                          ("f2", "sw3"), ("f3", "sw2")):
-        if monitor == "sw2":
-            with pytest.raises(SimulationError, match=f"flow {name}: no route table reaches"):
-                sim.add_flow(name, "hA", "hB", 1000, False, [(0.0, 10.0)], stop_s=0.5,
-                             monitor=monitor)
-        else:
-            sim.add_flow(name, "hA", "hB", 1000, False, [(0.0, 10.0)], stop_s=0.5,
-                         monitor=monitor)
-    assert [fl.name for fl in sim.flows] == ["f1", "f2"]
+    # Any switch will do: the first flow that names one routes every
+    # switch toward it.
+    sim.add_flow("f", "hA", "hB", 1000, False, [(0.0, 10.0)], stop_s=0.5, monitor="sw2")
+    sim.add_flow("g", "hA", "hB", 1000, False, [(0.0, 10.0)], stop_s=0.5, monitor="sw3")
+    assert sim.switch_rt["sw3"].route["sw2"].dst == "sw2"
     assert sim.run_until().flow_delivered == [5, 5]
 
 
-class ProbedRoutes(dict):
-    """A route table that counts membership probes."""
-
-    probes = 0
-
-    def __contains__(self, key):
-        ProbedRoutes.probes += 1
-        return dict.__contains__(self, key)
+def test_egress_observer_must_neighbor_the_state_origin():
+    # hB hangs off sw3, but the state lives on sw1.
+    with pytest.raises(SimulationError,
+                       match="state rate: egress observer hB is no neighbor of its origin sw1"):
+        three_switch_watch(egress_observers={"rate": "hB"})
 
 
-def test_mesh_build_scans_route_tables_once_per_monitor(tmp_path, monkeypatch):
-    install_app = Simulator.install_app
-
-    def probed_install(sim, *args, **kwargs):
-        install_app(sim, *args, **kwargs)
-        for rt in sim.switch_rt.values():
-            rt.route = ProbedRoutes(rt.route)
-
-    monkeypatch.setattr(Simulator, "install_app", probed_install)
-    monkeypatch.setattr(ProbedRoutes, "probes", 0)
-    sim = build_simulation(mesh_config(tmp_path, 11)).sim
-    monitors = {fl.monitor for fl in sim.flows}
-    assert (len(sim.flows), len(monitors), len(sim.switch_rt)) == (256, 8, 128)
-    # A scan probes each switch's table once: 8 scans, not one per flow.
-    assert ProbedRoutes.probes == 8 * 128
+def test_a_trigger_runs_only_where_every_state_it_reads_is_hosted():
+    # hA - s1 - s2 - s3 - hB at 2 replicas: a is budget-free, so it lives
+    # on s1 alone, and t_b's 50 ms budget puts b on s1 and s2. t_sum reads
+    # both; at s2, a would read 0 and the sum would be b's value alone.
+    links = [Link("hA", "s1", MS, 1_000_000), Link("s1", "s2", MS, 1_000_000),
+             Link("s2", "s3", MS, 1_000_000), Link("s3", "hB", MS, 1_000_000)]
+    topo = Topology(("s1", "s2", "s3"), ("hA", "hB"), links)
+    states = (StateSpec("a", ScopeFilter(), ValueKind.scalar()),
+              StateSpec("b", ScopeFilter(), ValueKind.scalar()))
+    total = ReductionSpec("ab", ReductionKind.SUM, ("a", "b"))
+    triggers = (TriggerSpec("t_sum", "ab", Predicate.greater_than(5),
+                            InconsistencySpec.none(), "alert"),
+                TriggerSpec("t_b", "b", Predicate.greater_than(100),
+                            InconsistencySpec.time_obsolescence(0.05), "alert"))
+    alert = ActivitySpec("alert", ActionKind.NOTIFY_CONTROLLER, message="hit")
+    dag = build_dag(ApplicationSpec("sums", states, (total,), triggers, (alert,)))
+    program = compile_application(dag)
+    req = replication_requirements(dag)
+    placement = place_replicas(topo, EmbeddingConfig(2, {"hA": 1.0}), program, req)
+    assert placement.nodes == {"a": ("s1",), "b": ("s1", "s2")}
+    sim = Simulator(topo, t_end_s=1.0)
+    sim.install_app(program, placement, build_replication_plan(topo, placement, req, 100.0))
+    hosted = {sw: {tr.name for tr in rt.change_triggers} for sw, rt in sim.switch_rt.items()}
+    assert hosted == {"s1": {"t_sum", "t_b"}, "s2": {"t_b"}, "s3": set()}
+    sim.add_flow("f", "hA", "hB", 1000, False, [(0.0, 200.0)], stop_s=1.0)
+    sim.schedule_scalar(0.1, "s1", "b", 6)
+    log = sim.run_until()
+    # b's update reaches s2, which does not run t_sum on a sum it cannot
+    # compute.
+    assert "s2" in {row[3] for row in log.applied}
+    assert [d[:3] for d in log.detections] == [(100_000_000, "s1", "t_sum")]
 
 
 def test_selector_outside_its_egress_map_keeps_the_route():
@@ -659,7 +658,7 @@ def test_update_drops_are_counted_on_the_log(tmp_path):
     origin = built.placement.origin[state.name]
     (replica,) = set(built.placement.nodes[state.name]) - {origin}
     # The replica is a leaf of the distribution tree, so nothing floods on.
-    (port,) = built.rules.tree_ports[replica]
+    (out,) = sim.switch_rt[replica].flood[None]
 
     def update(uid, state_id):
         hdr = UpdateHeader(src_sw_id=sim.switch_rt[origin].sw_id, dst_sw_id=0,
@@ -670,7 +669,7 @@ def test_update_drops_are_counted_on_the_log(tmp_path):
     # Delivered before any real update: the copy is stale, id 999 was
     # never registered. The first declared state has wire id 0.
     twice = update(-1000, 0)
-    link = sim.switch_rt[port].ports[replica]
+    link = sim.switch_rt[out.dst].ports[replica]
     for pkt in (twice, twice, update(-1001, 999)):
         sim._schedule(1, link, pkt)
     log = sim.run_until()
@@ -776,7 +775,7 @@ def test_host_deliveries_skip_the_heap(monkeypatch):
 def test_second_install_app_is_rejected(ddos_cfg):
     built = build_simulation(ddos_cfg)
     with pytest.raises(SimulationError, match="already installed"):
-        built.sim.install_app(built.program, built.placement, built.plan, built.rules)
+        built.sim.install_app(built.program, built.placement, built.plan)
 
 
 def test_install_app_after_the_run_starts_is_rejected(ddos_cfg):
@@ -785,7 +784,7 @@ def test_install_app_after_the_run_starts_is_rejected(ddos_cfg):
     sim = Simulator(ddos_cfg.topology, t_end_s=1.0)
     sim.run_until(0.0)
     with pytest.raises(SimulationError, match="before the run starts"):
-        sim.install_app(built.program, built.placement, built.plan, built.rules)
+        sim.install_app(built.program, built.placement, built.plan)
 
 
 def test_scopes_are_matched_only_when_the_run_starts(monkeypatch):
