@@ -14,14 +14,7 @@ from .apps import (
     make_rate_limiter_app,
     make_resource_lb_app,
 )
-from .compiler import (
-    PrimitiveProgram,
-    apply_reduction,
-    canonical_text,
-    compile_application,
-    evaluate_dag,
-    evaluate_program,
-)
+from .compiler import PrimitiveProgram, canonical_text, compile_application
 from .embedding import (
     EmbeddingConfig,
     Link,

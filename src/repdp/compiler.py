@@ -5,11 +5,10 @@ the primitive operations, the executable steps, the trigger table and
 the colocation groups tying each trigger to the ops it must share a
 switch with. Each declared state is one wire state, whose id is its
 declaration index; a rate estimate is a slot buffer feeding an estimate
-register, and only the register is replicated. The program is the one
-executable semantics: every replica store and `evaluate_program` run
-its reduction and shift ops as flat steps (`PrimitiveProgram.steps`),
-and every switch and `evaluate_program` run its trigger table
-(`PrimitiveProgram.triggers`); `evaluate_dag` is the oracle.
+register, and only the register is replicated. The simulator is the
+program's one executor: every replica store runs its reduction and
+shift ops as flat steps (`PrimitiveProgram.steps`), and every switch
+runs its trigger table (`PrimitiveProgram.triggers`).
 """
 
 from __future__ import annotations
@@ -42,10 +41,10 @@ class PrimitiveOp:
 
 @dataclass(frozen=True)
 class TriggerStep:
-    """One trigger and its activity, as every switch holding a replica
-    of an upstream state runs it: `input` names the reduction output the
-    predicate reads, `upstream` the states feeding it, in declaration
-    order."""
+    """One trigger and its activity, as every switch hosting all its
+    upstream states runs it: `input` names the reduction output the
+    predicate reads, `upstream` the states feeding that output or the
+    selector, in declaration order."""
 
     name: str
     input: str
@@ -56,6 +55,7 @@ class TriggerStep:
     message: str | None
     selector: str | None
     selector_const: int | None
+    sequential_group: str | None
     upstream: tuple[str, ...]
 
 
@@ -64,9 +64,9 @@ class PrimitiveProgram:
     """The lowered application. `states` are the declared states, each
     state's wire id being its index; `steps` are the reduction and shift
     ops as (output, fn, operands) over wire names, in op order, `fn`
-    taking the operand values as a list, which every replica store and
-    evaluate_program run through run_steps; `triggers` is the one
-    trigger table that evaluate_program and every switch run."""
+    taking the operand values as a list, which every replica store runs
+    through run_steps; `triggers` is the trigger table every switch
+    runs."""
 
     app_name: str
     states: tuple[StateSpec, ...]
@@ -149,15 +149,14 @@ def compile_application(dag: ElementDag) -> PrimitiveProgram:
         groups.append(frozenset(group))
         triggers.append(TriggerStep(
             t.name, red, t.predicate, a.name, a.action, a.scope, a.message, a.selector,
-            a.selector_const, tuple(dag.upstream_states(t.name))))
+            a.selector_const, a.sequential_group, tuple(dag.upstream_states(t.name))))
 
     # Activities sharing a sequential_group pull their trigger groups
     # together onto one switch.
     by_seq: dict[str, list[int]] = {}
-    for gi, t in enumerate(app.triggers):
-        seq = activities[t.activity].sequential_group
-        if seq is not None:
-            by_seq.setdefault(seq, []).append(gi)
+    for gi, tr in enumerate(triggers):
+        if tr.sequential_group is not None:
+            by_seq.setdefault(tr.sequential_group, []).append(gi)
     merged_away: set[int] = set()
     for indices in by_seq.values():
         groups[indices[0]] = frozenset().union(*(groups[i] for i in indices))
@@ -238,79 +237,3 @@ def run_steps(steps, env: dict) -> None:
     """Evaluate each step in order, writing its output into `env`."""
     for output, fn, operands in steps:
         env[output] = fn([env[x] for x in operands])
-
-
-def apply_reduction(kind: ReductionKind, values) -> int:
-    """A DAG reduction over its input values.
-
-    Mean is floor division over any input count; the switch lowering
-    (sum + shift) only accepts power-of-two counts and agrees there.
-    """
-    vals = list(values)
-    if kind is ReductionKind.MEAN:
-        return sum(vals) // len(vals)
-    return PRIMITIVES[kind.value](vals)
-
-
-@dataclass
-class ProgramResult:
-    outputs: dict[str, int]
-    fires: dict[str, bool]
-    actions: list[tuple[str, str, object]]
-
-
-def evaluate_program(
-    program: PrimitiveProgram,
-    state_values: dict[str, int],
-    uniform01: float | None = None,
-) -> ProgramResult:
-    """Run a compiled program over concrete wire-state values.
-
-    The reduction steps are the ones every replica store runs, and the
-    trigger steps the ones every switch installs; a probabilistic
-    trigger without a uniform draw does not fire. Tests compare the
-    result against evaluate_dag.
-    """
-    env: dict[str, int] = {s.name: 0 for s in program.states}
-    env.update(state_values)
-    run_steps(program.steps, env)
-    fires: dict[str, bool] = {}
-    actions: list[tuple[str, str, object]] = []
-    for tr in program.triggers:
-        fired = fires[tr.name] = tr.predicate.evaluate(env[tr.input], uniform01)
-        env[tr.name] = int(fired)
-        if fired:
-            detail = tr.message
-            if tr.selector is not None:
-                detail = env[tr.selector]
-            elif tr.selector_const is not None:
-                detail = tr.selector_const
-            actions.append((tr.action.value, tr.name, detail))
-    return ProgramResult(env, fires, actions)
-
-
-def evaluate_dag(dag, state_values: dict[str, int], uniform01: float | None = None) -> ProgramResult:
-    """Reference semantics: evaluate the application DAG directly.
-
-    Mean here is exact floor division over any input count; the lowered
-    program agrees wherever it compiles (power-of-two counts). Used to
-    check that lowering preserves semantics.
-    """
-    env: dict[str, int] = dict(state_values)
-    for r in dag.reductions.values():
-        env[r.output] = apply_reduction(r.primitive, [env[i] for i in r.inputs])
-    fires: dict[str, bool] = {}
-    actions: list[tuple[str, str, object]] = []
-    activities = {a.name: a for a in dag.app.activities}
-    for t in dag.app.triggers:
-        fired = fires[t.name] = t.predicate.evaluate(env[dag.trigger_inputs[t.name]], uniform01)
-        env[t.name] = int(fired)
-        if fired:
-            a = activities[t.activity]
-            detail = a.message
-            if a.selector is not None:
-                detail = env[a.selector]
-            elif a.selector_const is not None:
-                detail = a.selector_const
-            actions.append((a.action.value, t.name, detail))
-    return ProgramResult(env, fires, actions)

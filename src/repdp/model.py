@@ -234,18 +234,11 @@ class Predicate:
     def always(cls) -> "Predicate":
         return cls(PredicateKind.ALWAYS)
 
-    def fire_probability(self, value: float) -> float:
-        if self.kind is not PredicateKind.PROBABILISTIC:
-            raise ValueError("fire_probability is only defined for PROBABILISTIC")
-        if value <= 0:
-            return 0.0
-        return max(0.0, (value - self.threshold) / value)
-
     def evaluate(self, value: float, uniform01: float | None = None) -> bool:
         kind = self.kind
         if kind is PredicateKind.PROBABILISTIC:
-            # uniform01 < fire_probability(value), in one call: a draw
-            # is never below a probability of 0.
+            # A draw is never below a probability of 0, so no max(0, .)
+            # is needed.
             return (uniform01 is not None and value > 0
                     and uniform01 < (value - self.threshold) / value)
         if kind is PredicateKind.GREATER_THAN:
@@ -287,8 +280,9 @@ class ActivitySpec:
     SET_EGRESS and INSERT_FLOW_RULE read the path choice from the
     reduction output named by `selector`, or use the fixed port index
     `selector_const` (e.g. CONTROLLER_PORT). Activities sharing a
-    `sequential_group` must be embedded on one switch; the compiler
-    merges their colocation groups.
+    `sequential_group` must run on one switch set: the compiler merges
+    their colocation groups, and Simulator.install_app rejects a
+    placement that installs their triggers on different switches.
     """
 
     name: str
@@ -459,8 +453,10 @@ class ElementDag:
     `reductions` maps each output to its reduction in evaluation order,
     the identity reductions synthesized for triggers that named a state
     directly last; `trigger_inputs` maps each trigger to the reduction
-    it reads, and `feeds` to the states (in declaration order) and
-    reductions (in evaluation order) that feed it, that one included.
+    its predicate reads, and `feeds` to everything the trigger reads:
+    the states (in declaration order) and reductions (in evaluation
+    order) that feed that reduction or its activity's selector, those
+    two included.
     """
 
     app: ApplicationSpec
@@ -469,13 +465,13 @@ class ElementDag:
     feeds: dict[str, tuple[str, ...]]
 
     def upstream_states(self, trigger: str) -> list[str]:
-        """States transitively feeding `trigger`, in declaration order."""
+        """States `trigger` reads, in declaration order."""
         return [n for n in self.feeds[trigger] if n not in self.reductions]
 
 
 def build_dag(app: ApplicationSpec) -> ElementDag:
-    """Validate `app`, order its reductions and find what feeds each
-    trigger.
+    """Validate `app`, order its reductions and find what each trigger
+    reads.
 
     Raises InvalidApplication when validation reports violations.
     """
@@ -501,10 +497,14 @@ def build_dag(app: ApplicationSpec) -> ElementDag:
         got = reads[r.output] = set(r.inputs)
         for i in r.inputs:
             got.update(reads.get(i, ()))
+    # A trigger reads its input and its activity's selector, so the
+    # selector's states take the trigger's budget and hosting rule too.
+    selectors = {a.name: a.selector for a in app.activities}
     feeds = {}
-    for t, red in trigger_inputs.items():
-        fed = reads[red] | {red}
-        feeds[t] = tuple(n for n in (*state_names, *reductions) if n in fed)
+    for t in app.triggers:
+        read = {trigger_inputs[t.name], selectors[t.activity]} - {None}
+        fed = read.union(*(reads[r] for r in read))
+        feeds[t.name] = tuple(n for n in (*state_names, *reductions) if n in fed)
     return ElementDag(app, reductions, trigger_inputs, feeds)
 
 

@@ -354,14 +354,26 @@ class Simulator:
         that neighbor instead of matching ingress packets. egress_maps
         gives, per activity name and per switch, the port list indexed
         by the activity's selector output. A trigger runs at the switches
-        that host every state it reads. Each switch floods updates to its
-        distribution-tree neighbors in name order. A simulator holds one
-        application.
+        that host every state it reads; triggers whose activities share a
+        sequential_group must run at the same switches, or SimulationError
+        is raised. Each switch floods updates to its distribution-tree
+        neighbors in name order. A simulator holds one application.
         """
         if self._app_installed:
             raise SimulationError("an application is already installed")
         if self.log is not None:
             raise SimulationError("the application must be installed before the run starts")
+        # Where each trigger runs, checked before anything is installed.
+        sites, seq_sites = [], {}
+        for step in program.triggers:
+            at = sorted(set.intersection(*(set(placement.nodes[s]) for s in step.upstream)))
+            group = step.sequential_group
+            first, first_at = seq_sites.setdefault(group, (step.name, at))
+            if group is not None and first_at != at:
+                raise SimulationError(f"sequential_group {group}: trigger {first} runs on"
+                                      f" {','.join(first_at)} but {step.name} on"
+                                      f" {','.join(at)}")
+            sites.append(at)
         self._app_installed = True
         egress_observers = egress_observers or {}
         egress_maps = egress_maps or {}
@@ -411,9 +423,9 @@ class Simulator:
             rid = placement.replica_id[(sname, rt.name)]
             rt.own_updates.append(_OwnUpdate(sname, state_id[sname], rid, trig))
 
-        for step in program.triggers:
+        for step, at in zip(program.triggers, sites):
             per_sw_maps = egress_maps.get(step.activity, {})
-            for sw in sorted(set.intersection(*(set(placement.nodes[s]) for s in step.upstream))):
+            for sw in at:
                 rt = self.switch_rt[sw]
                 egress = per_sw_maps.get(sw)
                 if egress is not None:

@@ -16,9 +16,7 @@ from repdp import (
     UPDATE_ETHTYPE,
     InconsistencySpec,
     InfeasibleBudget,
-    ReductionKind,
     UpdateHeader,
-    apply_reduction,
     build_simulation,
     decode_update,
     encode_update,
@@ -31,6 +29,8 @@ from repdp import (
     update_frame_bits,
     weighted_betweenness,
 )
+from repdp import compiler
+
 from helpers import (
     assert_valid_tree,
     brute_betweenness,
@@ -352,7 +352,7 @@ def test_criterion_7_oracle_equivalence():
     for trial in range(1000):
         half = rng.randrange(1, 9)
         vals = [rng.randrange(0, 10_000_000) for _ in range(2 * half)]
-        got = apply_reduction(ReductionKind.MINMAX_ARGMIN, vals)
+        got = compiler.PRIMITIVES["minmax_argmin"](vals)
         best_i, best_s = 0, None
         for i in range(half):
             s = max(vals[i], vals[half + i])

@@ -15,23 +15,24 @@ from repdp import (
     Predicate,
     ReductionKind,
     ReductionSpec,
+    ReplicaStore,
     ScopeFilter,
     StateSpec,
     TriggerSpec,
     UnsupportedPrimitive,
     ValueKind,
-    apply_reduction,
     build_dag,
     canonical_text,
     compile_application,
-    evaluate_dag,
-    evaluate_program,
     make_ddos_app,
     make_link_lb_app,
     make_rate_limiter_app,
     make_resource_lb_app,
+    replication_requirements,
 )
 from repdp.model import IDENTITY_SUFFIX, SUM_SUFFIX
+
+from reference import apply_reduction, evaluate_dag
 
 # ---------------------------------------------------------------------------
 # Oracles, written against the declared behaviour only.
@@ -91,7 +92,7 @@ def test_mean_shift_equals_floor_division(n):
     for _ in range(200):
         vals = [rng.randrange(2**20) for _ in range(n)]
         values = {f"s{i}": v for i, v in enumerate(vals)}
-        assert evaluate_program(program, values).outputs["agg"] == sum(vals) // n
+        assert run_on_a_switch(program, values)[0]["agg"] == sum(vals) // n
 
 
 def test_pairwise_peak_selector_vs_exhaustive():
@@ -120,6 +121,30 @@ def test_argmin_ties_take_lowest_index():
 # Lowering preserves semantics.
 
 
+def run_on_a_switch(program, state_values, uniform01=None):
+    """What a switch that hosts every state computes from `program`,
+    in the form reference.evaluate_dag returns: each step's output from
+    a ReplicaStore configured as Simulator.install_app does and read
+    through read_global, and per trigger step its predicate's decision
+    on its input and the detail its activity acts on."""
+    store = ReplicaStore(program.steps)
+    for sid, cs in enumerate(program.states):
+        store.configure_state(cs.name, sid, cs.width_bits)
+        store.write_local(cs.name, state_values.get(cs.name, 0))
+    outputs = {out: store.read_global(out, 0) for out, _, _ in program.steps}
+    fires, actions = {}, []
+    for tr in program.triggers:
+        fired = fires[tr.name] = tr.predicate.evaluate(store.read_global(tr.input, 0), uniform01)
+        if fired:
+            detail = tr.message
+            if tr.selector is not None:
+                detail = store.read_global(tr.selector, 0)
+            elif tr.selector_const is not None:
+                detail = tr.selector_const
+            actions.append((tr.action.value, tr.name, detail))
+    return outputs, fires, actions
+
+
 def small_app(kind, n_inputs, threshold):
     states = tuple(
         StateSpec(f"s{i}", ScopeFilter(), ValueKind.scalar()) for i in range(n_inputs)
@@ -145,11 +170,11 @@ def test_lowered_program_agrees_with_direct_evaluation(kind, vals, threshold):
     dag = build_dag(app)
     program = compile_application(dag)
     values = {f"s{i}": v for i, v in enumerate(vals)}
-    got = evaluate_program(program, values)
-    want = evaluate_dag(dag, values)
-    assert got.outputs["agg"] == want.outputs["agg"]
-    assert got.fires == want.fires
-    assert got.actions == want.actions
+    got_outputs, got_fires, got_actions = run_on_a_switch(program, values)
+    want_outputs, want_fires, want_actions = evaluate_dag(dag, values)
+    assert got_outputs["agg"] == want_outputs["agg"]
+    assert got_fires == want_fires
+    assert got_actions == want_actions
 
 
 @settings(max_examples=100)
@@ -170,12 +195,10 @@ def test_probabilistic_trigger_agrees_between_levels(vals, threshold, u):
     dag = build_dag(app)
     program = compile_application(dag)
     values = {f"s{i}": v for i, v in enumerate(vals)}
-    got = evaluate_program(program, values, uniform01=u)
-    want = evaluate_dag(dag, values, uniform01=u)
-    assert got.fires == want.fires
+    assert run_on_a_switch(program, values, u)[1] == evaluate_dag(dag, values, u)[1]
     # Omitting the random draw means "do not fire" at both levels.
-    assert not evaluate_program(program, values).fires["watch"]
-    assert not evaluate_dag(dag, values).fires["watch"]
+    assert not run_on_a_switch(program, values)[1]["watch"]
+    assert not evaluate_dag(dag, values)[1]["watch"]
 
 
 def test_mean_lowering_rejects_non_power_of_two():
@@ -285,18 +308,36 @@ def test_trigger_table_follows_the_dag(app):
     for tr, t in zip(program.triggers, app.triggers):
         a = acts[t.activity]
         assert tr.input == dag.trigger_inputs[t.name]
-        assert tr.upstream == tuple(s for s in states if s in fed_by(app, t.input))
+        fed = fed_by(app, t.input, a.selector)
+        assert tr.upstream == tuple(s for s in states if s in fed)
         assert (tr.predicate, tr.activity, tr.action, tr.scope) == (
             t.predicate, a.name, a.action, a.scope)
-        assert (tr.message, tr.selector, tr.selector_const) == (
-            a.message, a.selector, a.selector_const)
+        assert (tr.message, tr.selector, tr.selector_const, tr.sequential_group) == (
+            a.message, a.selector, a.selector_const, a.sequential_group)
 
 
-def fed_by(app, name):
-    """`name` and every state and declared reduction it reads,
-    transitively, searched afresh from the declarations."""
+
+def test_a_trigger_reads_its_selector():
+    # x (50 ms budget) drives t, whose set_egress picks argmin(c0, c1):
+    # c0 and c1 are read too, so they take t's budget, count among its
+    # upstream states and join its colocation group.
+    states = tuple(StateSpec(n, ScopeFilter(), ValueKind.scalar()) for n in ("x", "c0", "c1"))
+    pick = ReductionSpec("pick", ReductionKind.ARGMIN, ("c0", "c1"))
+    budget = InconsistencySpec.time_obsolescence(0.05)
+    t = TriggerSpec("t", "x", Predicate.greater_than(5), budget, "steer")
+    steer = ActivitySpec("steer", ActionKind.SET_EGRESS, selector="pick")
+    dag = build_dag(ApplicationSpec("sel", states, (pick,), (t,), (steer,)))
+    program = compile_application(dag)
+    assert dag.feeds["t"] == ("x", "c0", "c1", "pick", "x" + IDENTITY_SUFFIX)
+    assert program.triggers[0].upstream == ("x", "c0", "c1")
+    assert replication_requirements(dag) == {"x": budget, "c0": budget, "c1": budget}
+    assert program.groups == [frozenset(range(len(program.ops)))]
+
+def fed_by(app, *names):
+    """`names` (None aside) and every state and declared reduction they
+    read, transitively, searched afresh from the declarations."""
     reductions = {r.output: r for r in app.reductions}
-    seen, stack = set(), [name]
+    seen, stack = set(), [n for n in names if n is not None]
     while stack:
         n = stack.pop()
         if n not in seen:
@@ -364,19 +405,21 @@ def test_generated_layered_apps_lower_in_dependency_order(app, vals):
         known.add(output)
 
     values = dict(zip(states, vals))
-    got = evaluate_program(program, values)
-    want = evaluate_dag(dag, values)
+    got_outputs, got_fires, got_actions = run_on_a_switch(program, values)
+    want_outputs, want_fires, want_actions = evaluate_dag(dag, values)
     for out in dag.reductions:
-        assert got.outputs[out] == want.outputs[out], out
-    assert got.fires == want.fires
-    assert got.actions == want.actions
+        assert got_outputs[out] == want_outputs[out], out
+    assert got_fires == want_fires
+    assert got_actions == want_actions
 
     # Each trigger's upstream states and colocation group cover exactly
-    # what feeds it: a synthesized identity reduction when it reads a
-    # state, and a lowered mean's sum.
+    # what it reads, through its input and its activity's selector: a
+    # synthesized identity reduction when it reads a state, and a
+    # lowered mean's sum.
+    acts = {a.name: a for a in app.activities}
     assert len(program.groups) == len(app.triggers)
     for tr, t, group in zip(program.triggers, app.triggers, program.groups):
-        fed = fed_by(app, t.input)
+        fed = fed_by(app, t.input, acts[t.activity].selector)
         assert tr.upstream == tuple(s for s in states if s in fed)
         if t.input in states:
             fed.add(t.input + IDENTITY_SUFFIX)

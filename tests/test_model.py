@@ -105,9 +105,9 @@ def test_notify_needs_message():
     assert any("message" in v for v in rep.violations)
 
 
-# Each of these used to validate, and the switches then ignored what
-# evaluate_program reported: a notification fires on a change of its
-# trigger, evaluated without a draw, and only set_egress and
+# Each of these used to validate, and the switches then ignored part
+# of what the application declared: a notification fires on a change of
+# its trigger, evaluated without a draw, and only set_egress and
 # insert_flow_rule read a selector.
 IGNORED_BY_SWITCHES = {
     "probabilistic_notify": (
@@ -317,16 +317,25 @@ def test_scope_signature_is_order_insensitive():
     assert a.signature() == b.signature()
 
 
+def fire_probability(threshold, value):
+    """A probabilistic predicate's declared chance of firing: the
+    normalized excess (value - threshold) / value, and 0 where that is
+    not positive."""
+    if value <= 0:
+        return 0.0
+    return max(0.0, (value - threshold) / value)
+
+
 def test_predicate_probability_normalized_excess():
+    # A draw fires exactly when it lies below (100 - 80) / 100 = 0.2.
     p = Predicate.probabilistic(80.0)
-    assert p.fire_probability(100.0) == pytest.approx(0.2)
-    assert p.fire_probability(80.0) == 0.0
-    assert p.fire_probability(40.0) == 0.0
-    assert p.fire_probability(0.0) == 0.0
+    assert p.evaluate(100.0, uniform01=math.nextafter(0.2, 0.0))
+    assert not p.evaluate(100.0, uniform01=0.2)
     assert p.evaluate(100.0, uniform01=0.19)
     assert not p.evaluate(100.0, uniform01=0.21)
-    with pytest.raises(ValueError, match="only defined for PROBABILISTIC"):
-        Predicate.greater_than(80.0).fire_probability(100.0)
+    # No excess, no chance: not even a draw of 0 fires.
+    for value in (80.0, 40.0, 0.0, -5.0):
+        assert not p.evaluate(value, uniform01=0.0)
 
 
 _reals = st.one_of(st.integers(-10**12, 10**12), st.floats(-1e12, 1e12))
@@ -335,7 +344,7 @@ _reals = st.one_of(st.integers(-10**12, 10**12), st.floats(-1e12, 1e12))
 @given(_reals, _reals, st.one_of(st.none(), st.floats(0.0, 1.0)))
 def test_evaluate_agrees_with_fire_probability(threshold, value, u):
     p = Predicate.probabilistic(threshold)
-    assert p.evaluate(value, u) == (u is not None and u < p.fire_probability(value))
+    assert p.evaluate(value, u) == (u is not None and u < fire_probability(threshold, value))
     assert Predicate.greater_than(threshold).evaluate(value, u) == (value > threshold)
     assert Predicate.less_or_equal(threshold).evaluate(value, u) == (value <= threshold)
     assert Predicate.always().evaluate(value, u)

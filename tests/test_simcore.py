@@ -445,13 +445,24 @@ def test_egress_observer_must_neighbor_the_state_origin():
         three_switch_watch(egress_observers={"rate": "hB"})
 
 
-def test_a_trigger_runs_only_where_every_state_it_reads_is_hosted():
-    # hA - s1 - s2 - s3 - hB at 2 replicas: a is budget-free, so it lives
-    # on s1 alone, and t_b's 50 ms budget puts b on s1 and s2. t_sum reads
-    # both; at s2, a would read 0 and the sum would be b's value alone.
+def line_at_two_replicas(app):
+    """hA - s1 - s2 - s3 - hB, with `app` compiled and placed at 2
+    replicas, hA's load ranking s1 first: (topo, program, placement,
+    plan)."""
     links = [Link("hA", "s1", MS, 1_000_000), Link("s1", "s2", MS, 1_000_000),
              Link("s2", "s3", MS, 1_000_000), Link("s3", "hB", MS, 1_000_000)]
     topo = Topology(("s1", "s2", "s3"), ("hA", "hB"), links)
+    dag = build_dag(app)
+    program = compile_application(dag)
+    req = replication_requirements(dag)
+    placement = place_replicas(topo, EmbeddingConfig(2, {"hA": 1.0}), program, req)
+    return topo, program, placement, build_replication_plan(topo, placement, req, 100.0)
+
+
+def test_a_trigger_runs_only_where_every_state_it_reads_is_hosted():
+    # At 2 replicas, a is budget-free, so it lives on s1 alone, and t_b's
+    # 50 ms budget puts b on s1 and s2. t_sum reads both; at s2, a would
+    # read 0 and the sum would be b's value alone.
     states = (StateSpec("a", ScopeFilter(), ValueKind.scalar()),
               StateSpec("b", ScopeFilter(), ValueKind.scalar()))
     total = ReductionSpec("ab", ReductionKind.SUM, ("a", "b"))
@@ -460,13 +471,11 @@ def test_a_trigger_runs_only_where_every_state_it_reads_is_hosted():
                 TriggerSpec("t_b", "b", Predicate.greater_than(100),
                             InconsistencySpec.time_obsolescence(0.05), "alert"))
     alert = ActivitySpec("alert", ActionKind.NOTIFY_CONTROLLER, message="hit")
-    dag = build_dag(ApplicationSpec("sums", states, (total,), triggers, (alert,)))
-    program = compile_application(dag)
-    req = replication_requirements(dag)
-    placement = place_replicas(topo, EmbeddingConfig(2, {"hA": 1.0}), program, req)
+    topo, program, placement, plan = line_at_two_replicas(
+        ApplicationSpec("sums", states, (total,), triggers, (alert,)))
     assert placement.nodes == {"a": ("s1",), "b": ("s1", "s2")}
     sim = Simulator(topo, t_end_s=1.0)
-    sim.install_app(program, placement, build_replication_plan(topo, placement, req, 100.0))
+    sim.install_app(program, placement, plan)
     hosted = {sw: {tr.name for tr in rt.change_triggers} for sw, rt in sim.switch_rt.items()}
     assert hosted == {"s1": {"t_sum", "t_b"}, "s2": {"t_b"}, "s3": set()}
     sim.add_flow("f", "hA", "hB", 1000, False, [(0.0, 200.0)], stop_s=1.0)
@@ -476,6 +485,36 @@ def test_a_trigger_runs_only_where_every_state_it_reads_is_hosted():
     # compute.
     assert "s2" in {row[3] for row in log.applied}
     assert [d[:3] for d in log.detections] == [(100_000_000, "s1", "t_sum")]
+
+
+def test_a_sequential_group_runs_on_one_switch_set():
+    # ta's 50 ms budget puts a on s1 and s2. The activities of ta and tb
+    # share sequential_group g, so tb must run on the same switches.
+    def seq_app(tb_budget):
+        states = (StateSpec("a", ScopeFilter(), ValueKind.scalar()),
+                  StateSpec("b", ScopeFilter(), ValueKind.scalar()))
+        triggers = (TriggerSpec("ta", "a", Predicate.greater_than(5),
+                                InconsistencySpec.time_obsolescence(0.05), "drop_a"),
+                    TriggerSpec("tb", "b", Predicate.greater_than(5), tb_budget, "drop_b"))
+        acts = tuple(ActivitySpec(name, ActionKind.DROP_PACKET, sequential_group="g")
+                     for name in ("drop_a", "drop_b"))
+        return line_at_two_replicas(ApplicationSpec("seq", states, (), triggers, acts))
+
+    # A budget-free b lives on s1 alone. The install fails before it
+    # installs anything, so the simulator cannot run half the group.
+    topo, program, placement, plan = seq_app(InconsistencySpec.none())
+    assert placement.nodes == {"a": ("s1", "s2"), "b": ("s1",)}
+    sim = Simulator(topo, t_end_s=1.0)
+    with pytest.raises(SimulationError,
+                       match="sequential_group g: trigger ta runs on s1,s2 but tb on s1$"):
+        sim.install_app(program, placement, plan)
+    assert all(rt.store is None and not rt.packet_triggers for rt in sim.switch_rt.values())
+    # With b on s1 and s2 too, both triggers run on both.
+    topo, program, placement, plan = seq_app(InconsistencySpec.time_obsolescence(0.05))
+    sim = Simulator(topo, t_end_s=1.0)
+    sim.install_app(program, placement, plan)
+    hosted = {sw: [tr.name for tr in rt.packet_triggers] for sw, rt in sim.switch_rt.items()}
+    assert hosted == {"s1": ["ta", "tb"], "s2": ["ta", "tb"], "s3": []}
 
 
 def test_selector_outside_its_egress_map_keeps_the_route():
