@@ -275,11 +275,11 @@ class EmbeddingConfig:
 
 @dataclass
 class ReplicaPlacement:
-    """Where each wire state lives and which replica writes where."""
+    """Where each wire state lives and which replica writes it. A
+    replica's id is its position in the state's name-sorted `nodes`."""
 
     nodes: dict[str, tuple[str, ...]]
     origin: dict[str, str]
-    replica_id: dict[tuple[str, str], int]
     ranking: list[str]
 
     def replicated_states(self) -> list[str]:
@@ -312,7 +312,6 @@ def place_replicas(
 
     nodes: dict[str, tuple[str, ...]] = {}
     origin: dict[str, str] = {}
-    replica_id: dict[tuple[str, str], int] = {}
     k = 0
     for cs in program.states:
         req = requirements.get(cs.name, InconsistencySpec.none())
@@ -329,9 +328,7 @@ def place_replicas(
             origin[cs.name] = chosen[k % c]
         if len(chosen) > 1:
             k += 1
-        for idx, sw in enumerate(chosen):
-            replica_id[(cs.name, sw)] = idx
-    return ReplicaPlacement(nodes, origin, replica_id, ranking)
+    return ReplicaPlacement(nodes, origin, ranking)
 
 
 def steiner_tree(topo: Topology, terminals) -> frozenset[tuple[str, str]]:

@@ -22,7 +22,7 @@ STATE_MAX_WIDTH_BITS = 64
 CONTROLLER_PORT = -1
 
 # Element names must be addressable in wire registries and scenario files.
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 # Names synthesized from element names: a trigger's identity reduction,
 # a lowered mean's sum and an estimator's slot ring.
 IDENTITY_SUFFIX = "__id"
@@ -326,7 +326,7 @@ def validate_application(app: ApplicationSpec) -> ValidationReport:
     ):
         for e in elems:
             name = e.output if kind == "reduction" else e.name
-            if not _NAME_RE.match(name):
+            if not NAME_RE.match(name):
                 bad.append(f"{kind} name {name!r} is not a valid identifier")
             if name.endswith(RESERVED_SUFFIXES):
                 bad.append(
@@ -337,7 +337,7 @@ def validate_application(app: ApplicationSpec) -> ValidationReport:
                 bad.append(f"name {name!r} used by both {names[name]} and {kind}")
             names[name] = kind
 
-    if not _NAME_RE.match(app.name):
+    if not NAME_RE.match(app.name):
         bad.append(f"application name {app.name!r} is not a valid identifier")
 
     state_names = {s.name for s in app.states}

@@ -165,19 +165,22 @@ class ReplicaStore:
     """Per-switch replicated state: local values, remote slots and the
     compiled program's reduction steps.
 
-    `configure_state` declares every state this switch replicates; the
-    one whose origin is this switch is written locally (via an estimator
-    object or write_local), the rest receive gossip through apply_update
-    from their single origin. A state not hosted here reads 0. Reduction
-    outputs are recomputed lazily: the cache keys on a version counter,
-    bumped when a stored value changes, and on the time in ticks, the
-    gcd of the live sources' `delta_ns`. A live source's reading only
-    changes when one of its buckets closes, at a multiple of its delta,
-    so observing it does not bump the version.
+    `n_states` is the application's state count, so its wire ids are
+    0..n_states-1. `configure_state` declares every state this switch
+    replicates; the one whose origin is this switch is written locally
+    (via an estimator object or write_local), the rest receive gossip
+    through apply_update from their single origin. A state not hosted
+    here reads 0. Reduction outputs are recomputed lazily: the cache
+    keys on a version counter, bumped when a stored value changes, and
+    on the time in ticks, the gcd of the live sources' `delta_ns`. A
+    live source's reading only changes when one of its buckets closes,
+    at a multiple of its delta, so observing it does not bump the
+    version.
     """
 
-    def __init__(self, steps):
+    def __init__(self, steps, n_states: int):
         self.steps = steps
+        self.n_states = n_states
         outputs = {out for out, _, _ in steps}
         # Each wire state's value (0 until written or received, and for
         # good when it is not hosted here); evaluation adds the live
@@ -189,7 +192,6 @@ class ReplicaStore:
         self.remote: dict[int, RemoteSlot] = {}
         self.hosted: dict[int, str] = {}
         self.widths: dict[str, int] = {}
-        self.known_ids: frozenset[int] = frozenset()
         self.version = 0
         # The gcd of the live sources' delta_ns; 0 while there are none.
         self._tick = 0
@@ -206,9 +208,6 @@ class ReplicaStore:
             self.local_writes[name] = 0
         else:
             self.remote[state_id] = RemoteSlot(name, origin_sw_id)
-
-    def set_known_ids(self, ids):
-        self.known_ids = frozenset(ids)
 
     def attach_local(self, name: str, value_source):
         """Bind a live value source (e.g. a rate estimator) to a local
@@ -256,7 +255,7 @@ class ReplicaStore:
         if slot is None:
             if sid in self.hosted:
                 return "local", None
-            return ("transit" if sid in self.known_ids else "unknown"), None
+            return ("transit" if 0 <= sid < self.n_states else "unknown"), None
         if header.src_sw_id != slot.origin:
             return "unknown", None
         prev_ts = slot.origin_ts_ns

@@ -13,7 +13,7 @@ identically, and export one CSV directory per count.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .apps import APPS
 from .compiler import canonical_text, compile_application
@@ -108,9 +108,12 @@ def build_simulation(config: ScenarioConfig, replicas: int | None = None,
         metrics_bin_s=config.metrics_bin_s,
         queue_limit=config.queue_limit,
         collect_trace=collect_trace,
-        replication_enabled=config.replication if replication is None else replication,
     )
-    sim.install_app(program, placement, plan, observers, egress_maps)
+    # A run without replication installs the plan without its periods.
+    replicate = config.replication if replication is None else replication
+    sim.install_app(program, placement,
+                    plan if replicate else replace(plan, solutions={}),
+                    observers, egress_maps)
     sim.plan_text = serialize_plan(placement, plan) + "\n" + canonical_text(program)
 
     for f, monitor in zip(config.flows, pick_monitor(topo, candidates, config.flows)):

@@ -34,11 +34,11 @@ from dataclasses import dataclass, field
 from .apps import APPS, Key
 from .embedding import Link, Topology
 from .errors import DisconnectedTopology, ScenarioError
-from .model import PortClass
+from .model import NAME_RE, PortClass
+from .replication import MIN_FRAME_BITS
 
 FORMAT_VERSION = 1
 
-_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 # '#' opens a comment at line start or after whitespace.
 _COMMENT = re.compile(r"(?:^|[ \t])#.*")
 
@@ -47,22 +47,18 @@ _DUR_RE = re.compile(r"([0-9.eE+-]+)\s*(ns|us|ms|s)?")
 _BPS = {"bps": 1, "kbps": 1_000, "Mbps": 1_000_000, "Gbps": 1_000_000_000}
 _BPS_RE = re.compile(r"([0-9.eE+-]+)\s*(bps|kbps|Mbps|Gbps)?")
 _STEP_RE = re.compile(r"@([0-9.eE+-]+):([0-9.eE+-]+)")
-_CLASSES = {
-    "external": PortClass.EXTERNAL,
-    "uplink": PortClass.UPLINK,
-    "downlink": PortClass.DOWNLINK,
-    "any": PortClass.ANY,
-}
 
 
 @dataclass
 class FlowDef:
+    """One [flow.NAME] section: `segments` holds its (time_s, rate_pps)
+    steps, the first at the flow's start."""
+
     name: str
     src: str
     dst: str
     size_bits: int
     syn: bool
-    start_s: float
     stop_s: float
     segments: list[tuple[float, float]]
 
@@ -202,7 +198,7 @@ def _capacity(path, raw: str, ln: int, key: str) -> int:
 def _names(path, raw: str, ln: int, key: str) -> list[str]:
     out = raw.split()
     for n in out:
-        if not _NAME.match(n):
+        if not NAME_RE.match(n):
             raise ScenarioError(f"bad name {n!r} in {key}", path, ln)
     return out
 
@@ -324,7 +320,7 @@ def parse_scenario(path: str) -> ScenarioConfig:
         return by_name[name]
 
     scen = _read(path, section("scenario"), _SCENARIO, lines)
-    if not _NAME.match(scen["name"]):
+    if not NAME_RE.match(scen["name"]):
         raise ScenarioError(f"bad scenario name {scen['name']!r}", path, at("scenario", "name"))
     t_end = scen["t_end"]
     for key in ("t_end", "metrics_bin"):
@@ -359,7 +355,7 @@ def parse_scenario(path: str) -> ScenarioConfig:
     pairs = []
     for tok in topo["links"].split():
         u, sep, v = tok.partition("-")
-        if not (sep and _NAME.match(u) and _NAME.match(v)):
+        if not (sep and NAME_RE.match(u) and NAME_RE.match(v)):
             raise ScenarioError(f"bad link {tok!r} (expected u-v)", path, ll)
         pairs.append((u, v))
     # Links that name none of the switches point at the switch list; a
@@ -388,7 +384,7 @@ def parse_scenario(path: str) -> ScenarioConfig:
     nodes = set(sw_set)
     for sec in groups["host"]:
         hname = sec.name.split(".", 1)[1]
-        if not _NAME.match(hname):
+        if not NAME_RE.match(hname):
             raise ScenarioError(f"bad host name {hname!r}", path, sec.line)
         if hname in nodes:
             raise ScenarioError(f"duplicate node name {hname!r}", path, sec.line)
@@ -397,10 +393,11 @@ def parse_scenario(path: str) -> ScenarioConfig:
         if h["attach"] not in sw_set:
             raise ScenarioError(f"host {hname} attaches to unknown switch {h['attach']!r}",
                                 path, at(sec.name, "attach"))
-        port_class = _CLASSES.get(h["port_class"])
-        if port_class is None:
+        try:
+            port_class = PortClass(h["port_class"])
+        except ValueError:
             raise ScenarioError(f"bad port_class {h['port_class']!r}", path,
-                                at(sec.name, "port_class"))
+                                at(sec.name, "port_class")) from None
         hosts.append(hname)
         # The class tags the switch-side port facing this host.
         links.append(Link(hname, h["attach"], h.get("delay", topo["host_delay"]),
@@ -459,7 +456,7 @@ def parse_scenario(path: str) -> ScenarioConfig:
     host_set = set(hosts)
     for sec in groups["flow"]:
         fname = sec.name.split(".", 1)[1]
-        if not _NAME.match(fname):
+        if not NAME_RE.match(fname):
             raise ScenarioError(f"bad flow name {fname!r}", path, sec.line)
         if fname in seen_flows:
             raise ScenarioError(f"duplicate flow {fname!r}", path, sec.line)
@@ -469,8 +466,8 @@ def parse_scenario(path: str) -> ScenarioConfig:
             if f[end] not in host_set:
                 raise ScenarioError(f"flow {fname}: unknown {end} host {f[end]!r}", path,
                                     at(sec.name, end))
-        if f["size"] < 512:
-            raise ScenarioError(f"flow {fname}: size below 512-bit minimum frame",
+        if f["size"] < MIN_FRAME_BITS:
+            raise ScenarioError(f"flow {fname}: size below {MIN_FRAME_BITS}-bit minimum frame",
                                 path, at(sec.name, "size"))
         start = f["start"]
         if start < 0:
@@ -486,7 +483,7 @@ def parse_scenario(path: str) -> ScenarioConfig:
         # Step times increase, and the first is the start.
         if segs[-1][0] >= stop:
             raise ScenarioError(f"flow {fname}: rate step beyond stop time", path, rate_ln)
-        flows.append(FlowDef(fname, f["src"], f["dst"], f["size"], f["syn"], start, stop, segs))
+        flows.append(FlowDef(fname, f["src"], f["dst"], f["size"], f["syn"], stop, segs))
 
     # ---- scheduled scalar loads -----------------------------------------
     loads: list[tuple[float, str, int]] = []

@@ -5,8 +5,9 @@ events, so identical inputs replay identically; the seq is unique, so
 ordering never looks further. A packet arrival is the entry
 (t, seq, link, packet): the `LinkDir` it came over carries the far-end
 switch and the port class the packet enters it on. Every other event is
-(t, seq, kind, payload) with an int kind. Switches run a fixed ingress
-pipeline per packet, one handler per packet kind:
+(t, seq, handler, payload), and the loop calls handler(payload, t).
+Switches run a fixed ingress pipeline per packet, one handler per
+packet kind:
 
   1. replication updates are reconciled into the local store and
      flooded along the distribution tree (minus the ingress port);
@@ -66,6 +67,7 @@ from .model import (
 )
 from .replication import (
     IPV4_ETHTYPE,
+    MIN_FRAME_BITS,
     ReplicaStore,
     UpdateHeader,
     UpdateTrigger,
@@ -79,13 +81,6 @@ _DROPPED = object()
 
 # Wire size of an update frame: the simulator sends one header a frame.
 _UPDATE_BITS = update_frame_bits(1)
-
-# Kinds of the events that are not packet arrivals.
-EV_FLOW_START = 0
-EV_EMIT = 1
-EV_FLOW_STOP = 2
-EV_CTRL = 3
-EV_SCALAR = 4
 
 
 def _splitmix64(x: int) -> int:
@@ -213,13 +208,21 @@ class _TriggerRT:
         self.prev = False
 
 
-class _OwnUpdate:
-    __slots__ = ("state", "state_id", "replica_id", "trig")
+class _StateRT:
+    """One state of the installed application: its wire id `sid`, the
+    `origin` switch that writes it, the origin's `replica_id` (its
+    position among the state's replicas), the state's index in the run's
+    name table (set when the run starts) and its update trigger (None
+    when the plan gives the state no period)."""
 
-    def __init__(self, state, state_id, replica_id, trig):
-        self.state = state
-        self.state_id = state_id
+    __slots__ = ("name", "sid", "origin", "replica_id", "name_id", "trig")
+
+    def __init__(self, name, sid, origin, replica_id, trig):
+        self.name = name
+        self.sid = sid
+        self.origin = origin
         self.replica_id = replica_id
+        self.name_id = -1
         self.trig = trig
 
 
@@ -242,7 +245,9 @@ def _scoped(elements, fl: FlowRT) -> tuple:
 
 class SwitchRT:
     """One switch at run time: its ports, routes and tree flood sets, its
-    replica store, and the monitors and triggers installed on it. `rng`
+    replica store, and the monitors and triggers installed on it. Its
+    `sw_id` is its `Topology.index`, which the update headers it sends
+    carry. `rng`
     is the uniform generator its probabilistic predicates draw from:
     install_app creates it only at a switch that holds a packet trigger
     whose predicate draws, seeded from the run's seed and the switch's
@@ -274,7 +279,8 @@ class SwitchRT:
         self.change_triggers: list[_TriggerRT] = []
         # The store's stamp at the last change-trigger evaluation.
         self.triggers_at = None
-        self.own_updates: list[_OwnUpdate] = []
+        # The states this switch writes that have an update trigger.
+        self.own_updates: list[_StateRT] = []
         self.flow_rules: dict[str, LinkDir] = {}
         self.rng: random.Random | None = None
 
@@ -288,7 +294,7 @@ class Simulator:
     switch or its monitor, read from that switch's predecessor row."""
 
     def __init__(self, topo, seed=1, t_end_s=60.0, metrics_bin_s=0.5,
-                 queue_limit=100, collect_trace=False, replication_enabled=True):
+                 queue_limit=100, collect_trace=False):
         if queue_limit < 1:
             raise InvalidParameter(f"queue_limit must be at least 1, got {queue_limit}")
         if not math.isfinite(t_end_s) or round(t_end_s * 1e9) < 1:
@@ -297,7 +303,6 @@ class Simulator:
         self.t_end_ns = round(t_end_s * 1e9)
         self.bin_ns = round(metrics_bin_s * 1e9)
         self.queue_limit = queue_limit
-        self.replication_enabled = replication_enabled
         self.trace: list[str] | None = [] if collect_trace else None
         self.t_now = 0
         self.log: MetricsLog | None = None
@@ -306,6 +311,9 @@ class Simulator:
         self._flow_names: set[str] = set()
         self._heap: list = []
         self._seq = itertools.count(1)
+        # A flow's next packet is its most frequent event: bind its
+        # handler once.
+        self._emit = self._emit_flow
         self._app_installed = False
         self._uid = 0
         self._upd_uid = -1
@@ -313,20 +321,17 @@ class Simulator:
         # the latest host arrival counted at admission.
         self._bound = -1
         self._arrived = 0
-        # Per replicated state: the switch that writes it.
-        self._origins: dict[str, SwitchRT] = {}
-        # Per replicated state: its and its origin's name-table index,
-        # and the origin's store.
-        self._applied_log: dict[str, tuple[int, int, ReplicaStore]] = {}
+        # The installed application's states, by wire id.
+        self._states: list[_StateRT] = []
         self.plan_text = ""
 
         self._seed = seed & _M64
         # Switches every switch has a route toward (None: no monitor).
         self._routed = {None}
-        self.switch_rt = {sw: SwitchRT(sw, i) for i, sw in enumerate(topo.switches)}
-        # The switches by path-table index, which follows name order,
-        # not the declaration order of sw_id.
-        self._by_index = sorted(self.switch_rt.values(), key=lambda rt: topo.index[rt.name])
+        # The switches by path-table index (`topo.index` lists them in
+        # index order), and by name in declaration order.
+        self._by_index = [SwitchRT(sw, i) for sw, i in topo.index.items()]
+        self.switch_rt = {sw: self._by_index[topo.index[sw]] for sw in topo.switches}
 
         self._links: list[LinkDir] = []
         # Each host's one link: its keys are the topology's hosts.
@@ -353,17 +358,38 @@ class Simulator:
         origin: the state then measures traffic the origin forwards to
         that neighbor instead of matching ingress packets. egress_maps
         gives, per activity name and per switch, the port list indexed
-        by the activity's selector output. A trigger runs at the switches
-        that host every state it reads; triggers whose activities share a
-        sequential_group must run at the same switches, or SimulationError
-        is raised. Each switch floods updates to its distribution-tree
-        neighbors in name order. A simulator holds one application.
+        by the activity's selector output; each port must neighbor the
+        switch. A trigger runs at the switches that host every state it
+        reads; triggers whose activities share a sequential_group must
+        run at the same switches. Each state whose name the plan's
+        `solutions` lists gets an update trigger at its origin, so a plan
+        without solutions installs no replication. Each switch floods
+        updates to its distribution-tree neighbors in name order. A
+        simulator holds one application, and install_app checks it whole
+        before it writes anything: a SimulationError leaves the
+        simulator as it was.
         """
         if self._app_installed:
             raise SimulationError("an application is already installed")
         if self.log is not None:
             raise SimulationError("the application must be installed before the run starts")
-        # Where each trigger runs, checked before anything is installed.
+        egress_observers = egress_observers or {}
+        egress_maps = egress_maps or {}
+        states = []
+        for sid, cs in enumerate(program.states):
+            origin = self.switch_rt[placement.origin[cs.name]]
+            nbr = egress_observers.get(cs.name)
+            if (nbr is not None and cs.value.type is ValueType.RATE_ESTIMATE
+                    and nbr not in origin.ports):
+                raise SimulationError(f"state {cs.name}: egress observer {nbr} is no neighbor"
+                                      f" of its origin {origin.name}")
+            sol = plan.solutions.get(cs.name)
+            trig = None if sol is None else UpdateTrigger(sol.mode, tau_ns=sol.tau_ns,
+                                                          packet_period=sol.packet_period)
+            states.append(_StateRT(cs.name, sid, origin,
+                                   placement.nodes[cs.name].index(origin.name), trig))
+        # Each trigger's copy at each switch where it runs, with the links
+        # its egress map names there.
         sites, seq_sites = [], {}
         for step in program.triggers:
             at = sorted(set.intersection(*(set(placement.nodes[s]) for s in step.upstream)))
@@ -373,72 +399,59 @@ class Simulator:
                 raise SimulationError(f"sequential_group {group}: trigger {first} runs on"
                                       f" {','.join(first_at)} but {step.name} on"
                                       f" {','.join(at)}")
-            sites.append(at)
-        self._app_installed = True
-        egress_observers = egress_observers or {}
-        egress_maps = egress_maps or {}
+            per_sw_maps = egress_maps.get(step.activity, {})
+            for sw in at:
+                rt = self.switch_rt[sw]
+                egress = per_sw_maps.get(sw)
+                if egress is not None:
+                    for p in egress:
+                        if p not in rt.ports:
+                            raise SimulationError(f"activity {step.activity}: egress map port"
+                                                  f" {p} is no neighbor of {sw}")
+                    egress = tuple(rt.ports[p] for p in egress)
+                sites.append((rt, _TriggerRT(step, egress)))
 
+        # Every check is done: a failed install has written nothing.
+        self._app_installed = True
+        self._states = states
         # Tree links are symmetric, so updates only ever arrive over a
         # tree port.
         for sw, rt in self.switch_rt.items():
             tree = [p for p in sorted(rt.ports) if (min(sw, p), max(sw, p)) in plan.tree_edges]
             rt.flood = {ingress: tuple(rt.ports[p] for p in tree if p != ingress)
                         for ingress in (None, *tree)}
-
-        state_id = {}
-        for sid, st in enumerate(program.states):
-            state_id[st.name] = sid
-            origin = placement.origin[st.name]
-            ort = self._origins[st.name] = self.switch_rt[origin]
-            for sw in placement.nodes[st.name]:
+        for st, cs in zip(states, program.states):
+            ort = st.origin
+            for sw in placement.nodes[cs.name]:
                 rt = self.switch_rt[sw]
                 if rt.store is None:
-                    rt.store = ReplicaStore(program.steps)
-                rt.store.configure_state(st.name, sid, st.width_bits,
+                    rt.store = ReplicaStore(program.steps, len(states))
+                rt.store.configure_state(cs.name, st.sid, cs.width_bits,
                                          None if rt is ort else ort.sw_id)
-            value = st.value
+            if st.trig is not None:
+                ort.own_updates.append(st)
+            value = cs.value
             if value.type is not ValueType.RATE_ESTIMATE:
                 # Scalars are written through set_scalar / scheduled loads.
                 continue
             est = RateEstimatorWindow(value.delta_s, value.window)
-            ort.store.attach_local(st.name, est)
-            mon = _Monitor(st.name, st.scope, est, value.unit == "bits")
-            nbr = egress_observers.get(st.name)
+            ort.store.attach_local(cs.name, est)
+            mon = _Monitor(cs.name, cs.scope, est, value.unit == "bits")
+            nbr = egress_observers.get(cs.name)
             if nbr is None:
                 ort.monitors.append(mon)
-            elif nbr in ort.ports:
-                ort.egress_monitors.setdefault(ort.ports[nbr], []).append(mon)
             else:
-                raise SimulationError(f"state {st.name}: egress observer {nbr} is no neighbor"
-                                      f" of its origin {origin}")
+                ort.egress_monitors.setdefault(ort.ports[nbr], []).append(mon)
 
-        for sw in self.switch_rt.values():
-            if sw.store is not None:
-                sw.store.set_known_ids(range(len(program.states)))
-
-        # Update triggers live at each replicated state's origin.
-        for sname, sol in plan.solutions.items() if self.replication_enabled else ():
-            rt = self._origins[sname]
-            trig = UpdateTrigger(sol.mode, tau_ns=sol.tau_ns, packet_period=sol.packet_period)
-            rid = placement.replica_id[(sname, rt.name)]
-            rt.own_updates.append(_OwnUpdate(sname, state_id[sname], rid, trig))
-
-        for step, at in zip(program.triggers, sites):
-            per_sw_maps = egress_maps.get(step.activity, {})
-            for sw in at:
-                rt = self.switch_rt[sw]
-                egress = per_sw_maps.get(sw)
-                if egress is not None:
-                    egress = tuple(rt.ports[p] for p in egress)
-                trt = _TriggerRT(step, egress)
-                if step.action is ActionKind.NOTIFY_CONTROLLER:
-                    rt.change_triggers.append(trt)
-                else:
-                    rt.packet_triggers.append(trt)
-                # Validation keeps draws to packet triggers.
-                if trt.draws and rt.rng is None:
-                    mix = (rt.sw_id + 1) * 0xD1B54A32D192ED03 & _M64
-                    rt.rng = random.Random(_splitmix64(self._seed ^ mix))
+        for rt, trt in sites:
+            if trt.kind is ActionKind.NOTIFY_CONTROLLER:
+                rt.change_triggers.append(trt)
+            else:
+                rt.packet_triggers.append(trt)
+            # Validation keeps draws to packet triggers.
+            if trt.draws and rt.rng is None:
+                mix = (rt.sw_id + 1) * 0xD1B54A32D192ED03 & _M64
+                rt.rng = random.Random(_splitmix64(self._seed ^ mix))
 
     def add_flow(self, name, src, dst, size_bits, syn, segments, stop_s,
                  monitor=None) -> int:
@@ -451,7 +464,7 @@ class Simulator:
             raise SimulationError(f"flow {name}: unknown source host {src}")
         if dst not in self._host_out:
             raise SimulationError(f"flow {name}: unknown destination host {dst}")
-        if size_bits < 512:
+        if size_bits < MIN_FRAME_BITS:
             raise SimulationError(f"flow {name}: packets below the 512-bit minimum frame")
         if not all(math.isfinite(x) and x >= 0 for x in (*itertools.chain(*segments), stop_s)):
             raise SimulationError(f"flow {name}: times and rates must be finite and not negative")
@@ -477,8 +490,8 @@ class Simulator:
                     size_bits, syn, segs, stop_ns, monitor, self._host_out[src])
         self.flows.append(fl)
         self._flow_names.add(name)
-        self._schedule(segs[0][0], EV_FLOW_START, fl)
-        self._schedule(stop_ns, EV_FLOW_STOP, fl)
+        self._schedule(segs[0][0], self._start_flow, fl)
+        self._schedule(stop_ns, self._stop_flow, fl)
         return fl.row
 
     def _owner(self, switch, state, value) -> SwitchRT:
@@ -511,15 +524,15 @@ class Simulator:
         if not (math.isfinite(t_s) and round(t_s * 1e9) >= self.t_now):
             raise SimulationError(f"load on {state} at {t_s} s: time must be finite"
                                   f" and not in the past")
-        self._schedule(round(t_s * 1e9), EV_SCALAR, (switch, state, value))
+        self._schedule(round(t_s * 1e9), self._load, (switch, state, value))
 
     # ------------------------------------------------------------------
     # engine
 
-    def _schedule(self, t, kind, payload):
-        """Push an event: an int kind and its payload, or a link and the
+    def _schedule(self, t, handler, payload):
+        """Push an event: a handler and its payload, or a link and the
         packet arriving over it."""
-        heappush(self._heap, (t, next(self._seq), kind, payload))
+        heappush(self._heap, (t, next(self._seq), handler, payload))
 
     def _build_log(self):
         log = MetricsLog(self.t_end_ns, self.bin_ns, [(ld.src, ld.dst) for ld in self._links],
@@ -528,9 +541,8 @@ class Simulator:
             if rt.store is not None:
                 log.replica_memory[sw] = rt.store.replica_memory_bits()
                 rt.name_id = log.names.index(sw)
-        self._applied_log = {
-            s: (log.names.index(s), log.names.index(o.name), o.store)
-            for s, o in self._origins.items()}
+        for st in self._states:
+            st.name_id = log.names.index(st.name)
         log.plan_text = self.plan_text
         self.log = log
         self._flow_sent = log.flow_sent
@@ -563,10 +575,8 @@ class Simulator:
             raise SimulationError("run_until beyond the configured horizon")
         heap = self._heap
         log = self.log
-        trace = self.trace
         on_data = self._on_data
         on_update = self._on_update
-        emit_flow = self._emit_flow
         delivered = log.flow_delivered
         flow_bits = log.flow_bits
         bin_ns = self.bin_ns
@@ -597,23 +607,8 @@ class Simulator:
                         on_update(sw, kind, payload, t)
                     else:
                         on_data(sw, payload, t)
-                elif kind == EV_EMIT:
-                    emit_flow(payload, t)
-                elif kind == EV_FLOW_START:
-                    if trace is not None:
-                        trace.append(f"{t} flow_start {payload.src} flow={payload.name}")
-                    emit_flow(payload, t)
-                elif kind == EV_FLOW_STOP:
-                    if trace is not None:
-                        trace.append(f"{t} flow_stop {payload.src} flow={payload.name}")
-                elif kind == EV_CTRL:
-                    sw, message = payload
-                    log.notifications.append((t, sw, message))
-                    if trace is not None:
-                        trace.append(f"{t} notify ctrl from={sw} msg={message}")
-                elif kind == EV_SCALAR:
-                    sw, state, value = payload
-                    self.set_scalar(sw, state, value, t)
+                else:
+                    kind(payload, t)
         finally:
             self._bound = -1
             self.t_now = max(t_now, self._arrived)
@@ -625,6 +620,25 @@ class Simulator:
                     row[n - 1] += row[n]
                     row[n] = 0
         return log
+
+    def _start_flow(self, fl: FlowRT, t: int):
+        if self.trace is not None:
+            self.trace.append(f"{t} flow_start {fl.src} flow={fl.name}")
+        self._emit_flow(fl, t)
+
+    def _stop_flow(self, fl: FlowRT, t: int):
+        if self.trace is not None:
+            self.trace.append(f"{t} flow_stop {fl.src} flow={fl.name}")
+
+    def _notify(self, payload: tuple[str, str], t: int):
+        sw, message = payload
+        self.log.notifications.append((t, sw, message))
+        if self.trace is not None:
+            self.trace.append(f"{t} notify ctrl from={sw} msg={message}")
+
+    def _load(self, payload: tuple[str, str, int], t: int):
+        sw, state, value = payload
+        self.set_scalar(sw, state, value, t)
 
     def _emit_flow(self, fl: FlowRT, t: int):
         uid = self._uid
@@ -639,13 +653,13 @@ class Simulator:
             if nxt is None or cand < nxt:
                 fl.k += 1
                 if cand < fl.stop_ns:
-                    heappush(self._heap, (cand, next(self._seq), EV_EMIT, fl))
+                    heappush(self._heap, (cand, next(self._seq), self._emit, fl))
                 return
         if nxt is None:
             return
         fl.enter(fl.seg + 1)
         if nxt < fl.stop_ns:
-            heappush(self._heap, (nxt, next(self._seq), EV_EMIT, fl))
+            heappush(self._heap, (nxt, next(self._seq), self._emit, fl))
 
     def _send(self, ld: LinkDir, pkt: Packet, t: int) -> int | None:
         """Put `pkt` on `ld` at t: its arrival time at the far end, or
@@ -703,22 +717,22 @@ class Simulator:
                 self.log.detections.append((t, sw.name, tr.name, int(v)))
                 if self.trace is not None:
                     self.trace.append(f"{t} detect {sw.name} trigger={tr.name} value={v}")
-                self._schedule(t + CONTROLLER_DELAY_NS, EV_CTRL,
+                self._schedule(t + CONTROLLER_DELAY_NS, self._notify,
                                (sw.name, tr.message or tr.name))
             tr.prev = fired
 
-    def _emit_update(self, sw: SwitchRT, ent: _OwnUpdate, t: int):
+    def _emit_update(self, sw: SwitchRT, st: _StateRT, t: int):
         store = sw.store
-        value = store.local_value(ent.state, t) & _M64
-        hdr = UpdateHeader(src_sw_id=sw.sw_id, dst_sw_id=0, state_id=ent.state_id,
-                           replica_id=ent.replica_id, state_value=value,
+        value = store.local_value(st.name, t) & _M64
+        hdr = UpdateHeader(src_sw_id=sw.sw_id, dst_sw_id=0, state_id=st.sid,
+                           replica_id=st.replica_id, state_value=value,
                            l3_protocol_type=IPV4_ETHTYPE)
         self._upd_uid -= 1
         pkt = Packet(self._upd_uid, -1, "", "", _UPDATE_BITS, is_update=True, header=hdr,
-                     origin_ts=t, origin_writes=store.local_writes[ent.state])
+                     origin_ts=t, origin_writes=store.local_writes[st.name])
         self.log.updates_emitted += 1
         if self.trace is not None:
-            self.trace.append(f"{t} update_emit {sw.name} state={ent.state} value={value}")
+            self.trace.append(f"{t} update_emit {sw.name} state={st.name} value={value}")
         for ld in sw.flood[None]:
             self._send(ld, pkt, t)
 
@@ -727,16 +741,15 @@ class Simulator:
         if store is not None:
             status, prev_ts = store.apply_update(pkt.header, pkt.origin_ts)
             if status == "applied":
-                name = store.hosted[pkt.header.state_id]
-                state_i, origin_i, ostore = self._applied_log[name]
+                st = self._states[pkt.header.state_id]
                 t_c, s_c, o_c, r_c, age_c, replaced_c, lag_c = self.log.applied.columns
                 t_c.append(t)
-                s_c.append(state_i)
-                o_c.append(origin_i)
+                s_c.append(st.name_id)
+                o_c.append(st.origin.name_id)
                 r_c.append(sw.name_id)
                 age_c.append(t - pkt.origin_ts)
                 replaced_c.append(t - prev_ts if prev_ts >= 0 else 0)
-                lag_c.append(ostore.local_writes[name] - pkt.origin_writes)
+                lag_c.append(st.origin.store.local_writes[st.name] - pkt.origin_writes)
                 if sw.change_triggers:
                     self._eval_change_triggers(sw, t)
             elif status == "unknown":
@@ -747,9 +760,9 @@ class Simulator:
             self._send(ld, pkt, t)
         # End of the ingress pipeline: each state the switch owns checks
         # its update trigger.
-        for ent in sw.own_updates:
-            if ent.trig.should_emit(t):
-                self._emit_update(sw, ent, t)
+        for st in sw.own_updates:
+            if st.trig.should_emit(t):
+                self._emit_update(sw, st, t)
 
     def _on_data(self, sw: SwitchRT, pkt: Packet, t: int):
         mon = pkt.monitor
@@ -803,9 +816,9 @@ class Simulator:
             if self.trace is not None:
                 self.trace.append(f"{t} fwd {sw.name} uid={pkt.uid} out={out.dst}")
             self._send(out, pkt, t)
-        for ent in sw.own_updates:
-            if ent.trig.should_emit(t):
-                self._emit_update(sw, ent, t)
+        for st in sw.own_updates:
+            if st.trig.should_emit(t):
+                self._emit_update(sw, st, t)
 
     def save_trace(self, path: str):
         if self.trace is None:

@@ -127,7 +127,7 @@ def run_on_a_switch(program, state_values, uniform01=None):
     a ReplicaStore configured as Simulator.install_app does and read
     through read_global, and per trigger step its predicate's decision
     on its input and the detail its activity acts on."""
-    store = ReplicaStore(program.steps)
+    store = ReplicaStore(program.steps, len(program.states))
     for sid, cs in enumerate(program.states):
         store.configure_state(cs.name, sid, cs.width_bits)
         store.write_local(cs.name, state_values.get(cs.name, 0))

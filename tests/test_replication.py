@@ -148,10 +148,9 @@ def test_trigger_rejects_bad_mode():
 
 
 def make_store():
-    store = ReplicaStore((("total", sum, ("rate_a", "rate_b")),))
+    store = ReplicaStore((("total", sum, ("rate_a", "rate_b")),), 3)
     store.configure_state("rate_a", state_id=0, width_bits=32, origin_sw_id=1)
     store.configure_state("rate_b", state_id=1, width_bits=32)
-    store.set_known_ids({0, 1, 2})
     return store
 
 
@@ -226,7 +225,7 @@ def test_write_log_counts_local_writes():
 def test_replica_memory_scales_with_hosted_states():
     for c in (1, 2, 4):
         names = [f"r{i}" for i in range(c)]
-        store = ReplicaStore((("total", sum, tuple(names)),))
+        store = ReplicaStore((("total", sum, tuple(names)),), c)
         store.configure_state(names[0], 0, 32)
         for i, n in enumerate(names[1:], start=1):
             store.configure_state(n, i, 32, origin_sw_id=i)
@@ -235,7 +234,7 @@ def test_replica_memory_scales_with_hosted_states():
 
 def test_lowered_mean_holds_one_register():
     program = compile_application(build_dag(make_resource_lb_app(2)))
-    store = ReplicaStore(program.steps)
+    store = ReplicaStore(program.steps, len(program.states))
     store.configure_state("srv_load_0", 0, 32)
     store.configure_state("srv_load_1", 1, 32, origin_sw_id=1)
     # Two state slots plus least_loaded and mean_load: the mean's sum and
@@ -244,7 +243,7 @@ def test_lowered_mean_holds_one_register():
 
 
 def test_reduction_chains_evaluate_recursively():
-    store = ReplicaStore((("m", max, ("a", "b")), ("twice", sum, ("m", "m"))))
+    store = ReplicaStore((("m", max, ("a", "b")), ("twice", sum, ("m", "m"))), 2)
     store.configure_state("a", 0, 32)
     store.configure_state("b", 1, 32)
     store.write_local("a", 3)
@@ -272,11 +271,10 @@ def test_every_store_agrees_with_the_dag_oracle(app_name, data):
     absent = data.draw(st.sampled_from(program.states))
     hosted = [cs for cs in program.states if cs is not absent]
     origins = {cs.name: data.draw(st.integers(0, 3)) for cs in hosted}
-    store = ReplicaStore(program.steps)
+    store = ReplicaStore(program.steps, len(program.states))
     state_id = {cs.name: k for k, cs in enumerate(program.states)}
     for cs in hosted:
         store.configure_state(cs.name, state_id[cs.name], cs.width_bits, origins[cs.name] or None)
-    store.set_known_ids(state_id.values())
 
     def agrees(t):
         want = evaluate_dag(dag, truth)[0]
@@ -315,7 +313,7 @@ def test_cached_reads_equal_fresh_steps(seed):
     steps = (("est_sum", sum, ("est_a", "est_b")),
              ("total", sum, ("est_sum", "local", "remote")),
              ("peak", max, ("est_a", "local", "remote")))
-    store = ReplicaStore(steps)
+    store = ReplicaStore(steps, 4)
     for sid, name in enumerate(("est_a", "est_b", "local")):
         store.configure_state(name, sid, 32)
     store.configure_state("remote", 3, 32, origin_sw_id=1)

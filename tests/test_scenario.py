@@ -98,7 +98,6 @@ def test_parses_limiter_scenario():
     assert cfg.app_params["max_write_rate"] == 625.0
     assert cfg.r_min == 250.0
     f2 = next(f for f in cfg.flows if f.name == "f2")
-    assert f2.start_s == 20.0
     assert f2.segments == [(20.0, 500.0)]
     link = cfg.topology.adj["sw1"]["sw2"]
     assert link.delay_ns == 500_000
@@ -120,7 +119,6 @@ def test_defaults_fill_in(tmp_path):
     assert cfg.weights == {}
     f = cfg.flows[0]
     assert f.syn is False
-    assert f.start_s == 0.0
     assert f.stop_s == 60.0
     assert f.segments == [(0.0, 10.0)]
     assert cfg.app_params["delta_s"] == pytest.approx(0.1)

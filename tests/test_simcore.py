@@ -279,7 +279,7 @@ def test_event_pushed_into_the_past_is_rejected():
     sim = Simulator(line_topo(), t_end_s=1.0)
     sim.add_flow("f", "hA", "hB", 1000, False, [(0.0, 10.0)], stop_s=1.0)
     sim.run_until(0.5)
-    sim._schedule(1, simcore.EV_CTRL, ("sw", "late"))
+    sim._schedule(1, sim._notify, ("sw", "late"))
     with pytest.raises(SimulationError, match="went backwards"):
         sim.run_until()
 
@@ -410,22 +410,35 @@ def test_set_scalar_before_the_run_fails_where_it_runs_change_triggers(tmp_path)
     assert origin.store.values["srv_load_0"] == 7
 
 
-def three_switch_watch(**maps):
-    """hA - sw1 - sw2 - sw3 - hB with a rate watch installed on sw1, the
-    one replica."""
+def three_switch_line():
+    """hA - sw1 - sw2 - sw3 - hB, with nothing installed."""
     links = [Link("hA", "sw1", MS, 1_000_000), Link("sw1", "sw2", MS, 1_000_000),
              Link("sw2", "sw3", MS, 1_000_000), Link("sw3", "hB", MS, 1_000_000)]
-    sim = Simulator(Topology(("sw1", "sw2", "sw3"), ("hA", "hB"), links), t_end_s=1.0)
+    return Simulator(Topology(("sw1", "sw2", "sw3"), ("hA", "hB"), links), t_end_s=1.0)
+
+
+def rate_app(activity):
+    """A rate over every packet, read by one trigger that fires above 50
+    and runs `activity`."""
     state = StateSpec("rate", ScopeFilter(), ValueKind.rate_estimate())
-    watch = TriggerSpec("by_rate", "rate", Predicate.greater_than(50),
-                        InconsistencySpec.none(), "alert")
-    alert = ActivitySpec("alert", ActionKind.NOTIFY_CONTROLLER, message="hit")
-    install(sim, ApplicationSpec("watch", (state,), (), (watch,), (alert,)), **maps)
-    return sim
+    trig = TriggerSpec("by_rate", "rate", Predicate.greater_than(50),
+                       InconsistencySpec.none(), activity.name)
+    return ApplicationSpec("watch", (state,), (), (trig,), (activity,))
+
+
+WATCH = rate_app(ActivitySpec("alert", ActionKind.NOTIFY_CONTROLLER, message="hit"))
+
+
+def assert_nothing_installed(sim):
+    for rt in sim.switch_rt.values():
+        assert rt.store is None and not (rt.monitors or rt.egress_monitors), rt.name
+        assert not (rt.packet_triggers or rt.change_triggers or rt.own_updates), rt.name
+        assert rt.flood == {} and rt.rng is None, rt.name
 
 
 def test_add_flow_rejects_a_monitor_that_is_no_switch():
-    sim = three_switch_watch()
+    sim = three_switch_line()
+    install(sim, WATCH)
     for monitor in ("ghost", "hB"):
         with pytest.raises(SimulationError, match=f"flow f: monitor {monitor} is not a switch"):
             sim.add_flow("f", "hA", "hB", 1000, False, [(0.0, 10.0)], stop_s=0.5,
@@ -439,10 +452,29 @@ def test_add_flow_rejects_a_monitor_that_is_no_switch():
 
 
 def test_egress_observer_must_neighbor_the_state_origin():
-    # hB hangs off sw3, but the state lives on sw1.
+    # hB hangs off sw3, but the state lives on sw1, the one replica. The
+    # failed install writes nothing, so the corrected one then succeeds.
+    sim = three_switch_line()
     with pytest.raises(SimulationError,
                        match="state rate: egress observer hB is no neighbor of its origin sw1"):
-        three_switch_watch(egress_observers={"rate": "hB"})
+        install(sim, WATCH, egress_observers={"rate": "hB"})
+    assert_nothing_installed(sim)
+    install(sim, WATCH, egress_observers={"rate": "sw2"})
+    sw1 = sim.switch_rt["sw1"]
+    assert [m.state for m in sw1.egress_monitors[sw1.ports["sw2"]]] == ["rate"]
+
+
+def test_an_egress_map_port_off_its_switch_installs_nothing():
+    # The egress map's port sw3 does not neighbor sw1, the one replica.
+    steer = rate_app(ActivitySpec("pick", ActionKind.SET_EGRESS, selector_const=1))
+    sim = three_switch_line()
+    with pytest.raises(SimulationError,
+                       match="^activity pick: egress map port sw3 is no neighbor of sw1$"):
+        install(sim, steer, egress_maps={"pick": {"sw1": ["hA", "sw3"]}})
+    assert_nothing_installed(sim)
+    install(sim, steer, egress_maps={"pick": {"sw1": ["hA", "sw2"]}})
+    sim.add_flow("f", "hA", "hB", 1000, False, [(0.0, 100.0)], stop_s=1.0, monitor="sw1")
+    assert sim.run_until().flow_delivered == [100]
 
 
 def line_at_two_replicas(app):
@@ -674,6 +706,38 @@ def test_replication_off_keeps_data_path(ddos_cfg):
     assert sum(log_on.queue_drops) == sum(log_off.queue_drops) == 0
     assert log_off.updates_emitted == 0
     assert log_on.updates_emitted > 0
+    # The baseline installs the plan without its periods, and still
+    # reports the plan it would have replicated by.
+    assert not any(rt.own_updates for rt in off.sim.switch_rt.values())
+    assert off.plan.solutions and off.sim.plan_text == on.sim.plan_text
+
+
+def test_update_headers_carry_the_origin_path_index(tmp_path, monkeypatch):
+    # The mesh declares its switches out of name order: a switch's
+    # declaration index is not its path index.
+    built = build_simulation(mesh_config(tmp_path, 11), t_end_s=0.3)
+    sim, placement = built.sim, built.placement
+    origins = {placement.origin[cs.name] for cs in built.program.states}
+    assert any(sim.topo.index[o] != sim.topo.switches.index(o) for o in origins)
+    headers = []
+    send = sim._send
+
+    def recording_send(ld, pkt, t):
+        if pkt.is_update:
+            headers.append(pkt.header)
+        return send(ld, pkt, t)
+
+    monkeypatch.setattr(sim, "_send", recording_send)
+    sim.run_until()
+    seen = set()
+    for hdr in headers:
+        name = built.program.states[hdr.state_id].name
+        origin = placement.origin[name]
+        assert hdr.src_sw_id == sim.topo.index[origin]
+        # The replica id is the origin's position among the replicas.
+        assert hdr.replica_id == placement.nodes[name].index(origin)
+        seen.add(origin)
+    assert seen == origins
 
 
 def test_updates_flood_without_echo(ddos_cfg):
@@ -1000,7 +1064,7 @@ def test_rng_draws_follow_the_seed_and_switch_index(seed):
     rngs = [rt for rt in sim.switch_rt.values() if rt.rng is not None]
     assert len(rngs) == 2
     for rt in rngs:
-        assert rt.sw_id == cfg.topology.switches.index(rt.name)
+        assert rt.sw_id == cfg.topology.index[rt.name]
         mix = (rt.sw_id + 1) * 0xD1B54A32D192ED03 & m64
         fresh = random.Random(simcore._splitmix64(run_seed & m64 ^ mix))
         assert [rt.rng.random() for _ in range(8)] == [fresh.random() for _ in range(8)]
