@@ -5,10 +5,12 @@ the primitive operations, the executable steps, the trigger table and
 the colocation groups tying each trigger to the ops it must share a
 switch with. Each declared state is one wire state, whose id is its
 declaration index; a rate estimate is a slot buffer feeding an estimate
-register, and only the register is replicated. The simulator is the
-program's one executor: every replica store runs its reduction and
-shift ops as flat steps (`PrimitiveProgram.steps`), and every switch
-runs its trigger table (`PrimitiveProgram.triggers`).
+register, and only the register is replicated. A state's register is its
+wire id, and each reduction or shift output takes the next free one. The
+simulator is the program's one executor: every replica store runs its
+reduction and shift ops as flat steps over registers
+(`PrimitiveProgram.steps`), and every switch runs its trigger table
+(`PrimitiveProgram.triggers`).
 """
 
 from __future__ import annotations
@@ -63,15 +65,16 @@ class TriggerStep:
 class PrimitiveProgram:
     """The lowered application. `states` are the declared states, each
     state's wire id being its index; `steps` are the reduction and shift
-    ops as (output, fn, operands) over wire names, in op order, `fn`
-    taking the operand values as a list, which every replica store runs
-    through run_steps; `triggers` is the trigger table every switch
-    runs."""
+    ops as (out_reg, fn, operand_regs), in op order, `fn` taking the
+    operand values as a list, which every replica store runs through
+    run_steps; `registers` maps each state and step output to its
+    register; `triggers` is the trigger table every switch runs."""
 
     app_name: str
     states: tuple[StateSpec, ...]
     ops: list[PrimitiveOp]
     steps: tuple[tuple, ...]
+    registers: dict[str, int]
     groups: list[frozenset[int]]
     triggers: tuple[TriggerStep, ...]
 
@@ -85,6 +88,7 @@ def compile_application(dag: ElementDag) -> PrimitiveProgram:
     app = dag.app
     ops: list[PrimitiveOp] = []
     steps: list[tuple] = []
+    registers = {s.name: sid for sid, s in enumerate(app.states)}
     # The op ids each state and reduction lowers to.
     op_ids: dict[str, tuple[int, ...]] = {}
 
@@ -92,7 +96,8 @@ def compile_application(dag: ElementDag) -> PrimitiveProgram:
         op = PrimitiveOp(len(ops), opcode, tuple(operands), output, tuple(params))
         ops.append(op)
         if fn is not None:
-            steps.append((output, fn, op.operands))
+            registers[output] = len(registers)
+            steps.append((registers[output], fn, tuple(registers[x] for x in operands)))
         return op.op_id
 
     for s in app.states:
@@ -163,7 +168,8 @@ def compile_application(dag: ElementDag) -> PrimitiveProgram:
         merged_away.update(indices[1:])
     groups = [g for i, g in enumerate(groups) if i not in merged_away]
 
-    return PrimitiveProgram(app.name, app.states, ops, tuple(steps), groups, tuple(triggers))
+    return PrimitiveProgram(app.name, app.states, ops, tuple(steps), registers, groups,
+                            tuple(triggers))
 
 
 def canonical_text(program: PrimitiveProgram) -> str:
@@ -233,7 +239,7 @@ class RightShift:
         return vals[0] >> self.k
 
 
-def run_steps(steps, env: dict) -> None:
-    """Evaluate each step in order, writing its output into `env`."""
-    for output, fn, operands in steps:
-        env[output] = fn([env[x] for x in operands])
+def run_steps(steps, regs: list) -> None:
+    """Evaluate each step in order, writing its output register."""
+    for out, fn, operands in steps:
+        regs[out] = fn([regs[x] for x in operands])

@@ -303,19 +303,10 @@ class ApplicationSpec:
     activities: tuple[ActivitySpec, ...]
 
 
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_application(app: ApplicationSpec) -> ValidationReport:
-    """Check naming, references, arity and budget declarations."""
-    rep = ValidationReport()
-    bad = rep.violations
+def validate_application(app: ApplicationSpec) -> list[str]:
+    """Check naming, references, arity and budget declarations; returns
+    the violations found, empty for a valid application."""
+    bad: list[str] = []
 
     names: dict[str, str] = {}
     for kind, elems in (
@@ -356,6 +347,9 @@ def validate_application(app: ApplicationSpec) -> ValidationReport:
                 bad.append(f"state {s.name}: estimator window {w} not a power of two")
             if s.value.delta_s <= 0:
                 bad.append(f"state {s.name}: estimator slot width must be > 0")
+            if s.value.unit not in ("packets", "bits"):
+                bad.append(f"state {s.name}: estimator unit {s.value.unit!r}"
+                           f" is not packets or bits")
 
     for r in app.reductions:
         if not r.inputs:
@@ -418,7 +412,7 @@ def validate_application(app: ApplicationSpec) -> ValidationReport:
             elif a.selector not in reduction_names:
                 bad.append(f"activity {a.name}: unknown selector {a.selector!r}")
 
-    return rep
+    return bad
 
 
 def _order_reductions(reductions) -> tuple[list[ReductionSpec], str | None]:
@@ -475,9 +469,8 @@ def build_dag(app: ApplicationSpec) -> ElementDag:
 
     Raises InvalidApplication when validation reports violations.
     """
-    report = validate_application(app)
-    if not report.ok:
-        raise InvalidApplication(report.violations)
+    if violations := validate_application(app):
+        raise InvalidApplication(violations)
 
     reductions = {r.output: r for r in _order_reductions(app.reductions)[0]}
     # Triggers may read a state directly; insert an identity reduction so

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .compiler import RightShift, run_steps
@@ -151,118 +150,106 @@ class UpdateTrigger:
         return False
 
 
-@dataclass
-class RemoteSlot:
-    """Where a state written by another switch arrives: its one origin
-    and the origin timestamp of the value held (-1 before the first)."""
-
-    name: str
-    origin: int
-    origin_ts_ns: int = -1
+# A hosted state's origin when this switch writes it.
+LOCAL = -1
 
 
 class ReplicaStore:
-    """Per-switch replicated state: local values, remote slots and the
-    compiled program's reduction steps.
+    """Per-switch replicated state: one register per wire state and per
+    step output of the compiled program, keyed by register number.
 
-    `n_states` is the application's state count, so its wire ids are
-    0..n_states-1. `configure_state` declares every state this switch
-    replicates; the one whose origin is this switch is written locally
-    (via an estimator object or write_local), the rest receive gossip
-    through apply_update from their single origin. A state not hosted
-    here reads 0. Reduction outputs are recomputed lazily: the cache
-    keys on a version counter, bumped when a stored value changes, and
-    on the time in ticks, the gcd of the live sources' `delta_ns`. A
-    live source's reading only changes when one of its buckets closes,
-    at a multiple of its delta, so observing it does not bump the
-    version.
+    `n_states` is the application's state count, so its wire ids (and
+    their registers) are 0..n_states-1. Per wire id the store keeps the
+    state's origin (LOCAL, the origin switch's id, or None when the
+    state is not hosted here), the origin timestamp of the value held
+    (-1 before the first), the local write count and the width.
+    `configure_state` declares every state this switch replicates; the
+    one whose origin is this switch is written locally (via an
+    estimator object or write_local), the rest receive gossip through
+    apply_update from their single origin. A state not hosted here
+    reads 0. Reduction outputs are recomputed lazily: the cache keys on
+    a version counter, bumped when a stored value changes, and on the
+    time in ticks, the gcd of the live sources' `delta_ns`. A live
+    source's reading only changes when one of its buckets closes, at a
+    multiple of its delta, so observing it does not bump the version.
     """
 
     def __init__(self, steps, n_states: int):
         self.steps = steps
-        self.n_states = n_states
-        outputs = {out for out, _, _ in steps}
-        # Each wire state's value (0 until written or received, and for
-        # good when it is not hosted here); evaluation adds the live
+        # Each register's value: 0 until written or received, and for
+        # good for a state not hosted here; evaluation writes the live
         # estimators' readings and each step's output.
-        self.values: dict[str, int] = {x: 0 for _, _, operands in steps
-                                       for x in operands if x not in outputs}
-        self.live: dict[str, object] = {}
-        self.local_writes: dict[str, int] = {}
-        self.remote: dict[int, RemoteSlot] = {}
-        self.hosted: dict[int, str] = {}
-        self.widths: dict[str, int] = {}
+        self.regs = [0] * (n_states + len(steps))
+        self.origin: list[int | None] = [None] * n_states
+        self.origin_ts = [-1] * n_states
+        self.writes = [0] * n_states
+        # A register's width as replica memory counts it: a hosted
+        # state's own, 32 for every other register.
+        self.widths = [32] * len(self.regs)
+        # The live value source of each estimator-backed local state.
+        self.live: dict[int, object] = {}
         self.version = 0
         # The gcd of the live sources' delta_ns; 0 while there are none.
         self._tick = 0
         self._evaluated = (-1, None)
 
-    def configure_state(self, name: str, state_id: int, width_bits: int,
-                        origin_sw_id: int | None = None):
-        """Host a state here: written locally when `origin_sw_id` is None,
-        otherwise a remote slot fed by that switch."""
-        self.hosted[state_id] = name
-        self.widths[name] = width_bits
-        self.values[name] = 0
-        if origin_sw_id is None:
-            self.local_writes[name] = 0
-        else:
-            self.remote[state_id] = RemoteSlot(name, origin_sw_id)
+    def configure_state(self, sid: int, width_bits: int, origin_sw_id: int | None = None):
+        """Host state `sid` here: written locally when `origin_sw_id` is
+        None, otherwise fed by that switch."""
+        self.origin[sid] = LOCAL if origin_sw_id is None else origin_sw_id
+        self.widths[sid] = width_bits
 
-    def attach_local(self, name: str, value_source):
+    def attach_local(self, sid: int, value_source):
         """Bind a live value source (e.g. a rate estimator) to a local
         state. Its reading may change only at multiples of its
         `delta_ns`."""
-        self.live[name] = value_source
+        self.live[sid] = value_source
         self._tick = math.gcd(self._tick, value_source.delta_ns)
         self.version += 1
 
-    def write_local(self, name: str, value: int):
-        self.values[name] = int(value)
-        self.note_write(name)
-
-    def note_write(self, name: str):
-        self.local_writes[name] += 1
-        if name not in self.live:
+    def write_local(self, sid: int, value: int):
+        self.regs[sid] = int(value)
+        self.writes[sid] += 1
+        if sid not in self.live:
             self.version += 1
 
     def feed(self, monitors, t_ns: int, size_bits: int):
         """Count one packet of `size_bits` into `monitors`, each a local
-        state with its live estimator `est` and whether it counts bits
-        (`use_bits`) or packets. A live reading changes only when a
+        state `sid` with its live estimator `est` and whether it counts
+        bits (`use_bits`) or packets. A live reading changes only when a
         bucket closes, so the version stays."""
-        writes = self.local_writes
+        writes = self.writes
         for m in monitors:
             m.est.observe(t_ns, size_bits if m.use_bits else 1)
-            writes[m.state] += 1
+            writes[m.sid] += 1
 
-    def local_value(self, name: str, t_ns: int) -> int:
-        src = self.live.get(name)
-        return self.values[name] if src is None else src.read(t_ns)
+    def local_value(self, sid: int, t_ns: int) -> int:
+        src = self.live.get(sid)
+        return self.regs[sid] if src is None else src.read(t_ns)
 
     def apply_update(self, header: UpdateHeader, origin_ts_ns: int) -> tuple[str, int | None]:
         """Reconcile one header; the newest origin timestamp wins.
 
         Returns (status, replaced_ts): status is "applied" (replaced_ts
-        is the previous slot timestamp, -1 on first fill), "stale" for
-        an out-of-order or duplicate timestamp, "local" when this switch
+        is the previous timestamp, -1 on first fill), "stale" for an
+        out-of-order or duplicate timestamp, "local" when this switch
         is the origin, "transit" when the state is known but not hosted
         here, or "unknown" when the id names no state of the application
         or the header comes from a switch other than the state's origin.
         """
         sid = header.state_id
-        slot = self.remote.get(sid)
-        if slot is None:
-            if sid in self.hosted:
-                return "local", None
-            return ("transit" if 0 <= sid < self.n_states else "unknown"), None
-        if header.src_sw_id != slot.origin:
+        if not 0 <= sid < len(self.origin):
             return "unknown", None
-        prev_ts = slot.origin_ts_ns
+        origin = self.origin[sid]
+        if header.src_sw_id != origin:
+            if origin is None:
+                return "transit", None
+            return ("local" if origin == LOCAL else "unknown"), None
+        prev_ts = self.origin_ts[sid]
         if origin_ts_ns <= prev_ts:
             return "stale", None
-        slot.origin_ts_ns = origin_ts_ns
-        self.values[slot.name] = header.state_value
+        self.origin_ts[sid] = origin_ts_ns
+        self.regs[sid] = header.state_value
         self.version += 1
         return "applied", prev_ts
 
@@ -272,27 +259,29 @@ class ReplicaStore:
         tick = self._tick
         return self.version, t_ns // tick if tick else 0
 
-    def read_global(self, output: str, t_ns: int) -> int:
-        """A reduction output (or a state) at time t_ns, from local and
-        remote values. The steps run once per stamp, so repeated reads
-        between two changes are free."""
+    def read_global(self, reg: int, t_ns: int) -> int:
+        """Register `reg` (a reduction output or a state) at time t_ns,
+        from local and remote values. The steps run once per stamp, so
+        repeated reads between two changes are free."""
         tick = self._tick
         at = self.version, t_ns // tick if tick else 0
+        regs = self.regs
         if self._evaluated != at:
-            values = self.values
-            for name, src in self.live.items():
-                values[name] = src.read(t_ns)
-            run_steps(self.steps, values)
+            for sid, src in self.live.items():
+                regs[sid] = src.read(t_ns)
+            run_steps(self.steps, regs)
             self._evaluated = at
-        return self.values[output]
+        return regs[reg]
 
     def replica_memory_bits(self) -> int:
-        """Register bits held for replication: state slots + one aggregate
-        register per reduction step, as wide as its widest hosted input
-        (32 for other inputs). A shift reads the register of the sum it
-        follows, so a lowered mean holds one register."""
-        bits = sum(self.widths.values())
+        """Register bits held for replication: hosted state slots + one
+        aggregate register per reduction step, as wide as its widest
+        input (a hosted state's width; 32 for any other input). A shift
+        reads the register of the sum it follows, so a lowered mean
+        holds one register."""
+        widths = self.widths
+        bits = sum(w for w, origin in zip(widths, self.origin) if origin is not None)
         for _, fn, operands in self.steps:
             if not isinstance(fn, RightShift):
-                bits += max(self.widths.get(x, 32) for x in operands)
+                bits += max(widths[x] for x in operands)
         return bits

@@ -187,22 +187,24 @@ class FlowRT:
 
 
 class _TriggerRT:
-    """A switch's copy of one trigger step: `output` is the reduction
-    its predicate reads, `kind` its activity's action, and `draws` says
-    whether the predicate takes a uniform draw from the switch's RNG."""
+    """A switch's copy of one trigger step: `output` is the register of
+    the reduction its predicate reads and `selector` that of its
+    activity's selector (None without one), `kind` its activity's
+    action, and `draws` says whether the predicate takes a uniform draw
+    from the switch's RNG."""
 
     __slots__ = ("name", "output", "pred", "draws", "kind", "scope", "message",
                  "selector", "selector_const", "egress_map", "prev")
 
-    def __init__(self, step, egress_map):
+    def __init__(self, step, registers, egress_map):
         self.name = step.name
-        self.output = step.input
+        self.output = registers[step.input]
         self.pred = step.predicate
         self.draws = step.predicate.kind is PredicateKind.PROBABILISTIC
         self.kind = step.action
         self.scope = step.scope
         self.message = step.message
-        self.selector = step.selector
+        self.selector = None if step.selector is None else registers[step.selector]
         self.selector_const = step.selector_const
         self.egress_map = egress_map
         self.prev = False
@@ -227,10 +229,14 @@ class _StateRT:
 
 
 class _Monitor:
-    __slots__ = ("state", "scope", "est", "use_bits")
+    """A rate-estimate state `sid` as its origin feeds it: the packets
+    its scope matches go into its estimator `est`, counted in bits or
+    in packets (`use_bits`)."""
 
-    def __init__(self, state, scope, est, use_bits):
-        self.state = state
+    __slots__ = ("sid", "scope", "est", "use_bits")
+
+    def __init__(self, sid, scope, est, use_bits):
+        self.sid = sid
         self.scope = scope
         self.est = est
         self.use_bits = use_bits
@@ -321,8 +327,10 @@ class Simulator:
         # the latest host arrival counted at admission.
         self._bound = -1
         self._arrived = 0
-        # The installed application's states, by wire id.
+        # The installed application's states, by wire id, and its
+        # registers by name (a state's register is its wire id).
         self._states: list[_StateRT] = []
+        self._registers: dict[str, int] = {}
         self.plan_text = ""
 
         self._seed = seed & _M64
@@ -354,19 +362,20 @@ class Simulator:
                     egress_observers=None, egress_maps=None):
         """Deploy one compiled application onto the switches.
 
-        egress_observers maps a wire state name to a neighbor of its
-        origin: the state then measures traffic the origin forwards to
-        that neighbor instead of matching ingress packets. egress_maps
-        gives, per activity name and per switch, the port list indexed
-        by the activity's selector output; each port must neighbor the
-        switch. A trigger runs at the switches that host every state it
-        reads; triggers whose activities share a sequential_group must
-        run at the same switches. Each state whose name the plan's
-        `solutions` lists gets an update trigger at its origin, so a plan
-        without solutions installs no replication. Each switch floods
-        updates to its distribution-tree neighbors in name order. A
-        simulator holds one application, and install_app checks it whole
-        before it writes anything: a SimulationError leaves the
+        egress_observers maps a rate-estimate state's name to a neighbor
+        of its origin: the state then measures traffic the origin
+        forwards to that neighbor instead of matching ingress packets.
+        egress_maps gives, per set_egress or insert_flow_rule activity
+        and per switch where one of its triggers runs, the port list
+        indexed by the activity's selector output; each port must
+        neighbor the switch. A trigger runs at the switches that host
+        every state it reads; triggers whose activities share a
+        sequential_group must run at the same switches. Each state whose
+        name the plan's `solutions` lists gets an update trigger at its
+        origin, so a plan without solutions installs no replication. Each
+        switch floods updates to its distribution-tree neighbors in name
+        order. A simulator holds one application, and install_app checks
+        it whole before it writes anything: a SimulationError leaves the
         simulator as it was.
         """
         if self._app_installed:
@@ -375,12 +384,15 @@ class Simulator:
             raise SimulationError("the application must be installed before the run starts")
         egress_observers = egress_observers or {}
         egress_maps = egress_maps or {}
+        rates = {cs.name for cs in program.states if cs.value.type is ValueType.RATE_ESTIMATE}
+        if stray := sorted(egress_observers.keys() - rates):
+            raise SimulationError(f"egress observer on {stray[0]}: no rate-estimate state"
+                                  f" of {program.app_name}")
         states = []
         for sid, cs in enumerate(program.states):
             origin = self.switch_rt[placement.origin[cs.name]]
             nbr = egress_observers.get(cs.name)
-            if (nbr is not None and cs.value.type is ValueType.RATE_ESTIMATE
-                    and nbr not in origin.ports):
+            if nbr is not None and nbr not in origin.ports:
                 raise SimulationError(f"state {cs.name}: egress observer {nbr} is no neighbor"
                                       f" of its origin {origin.name}")
             sol = plan.solutions.get(cs.name)
@@ -389,31 +401,41 @@ class Simulator:
             states.append(_StateRT(cs.name, sid, origin,
                                    placement.nodes[cs.name].index(origin.name), trig))
         # Each trigger's copy at each switch where it runs, with the links
-        # its egress map names there.
-        sites, seq_sites = [], {}
+        # its egress map names there, and where each activity that takes
+        # an egress map runs.
+        sites, seq_sites, map_sites = [], {}, {}
         for step in program.triggers:
             at = sorted(set.intersection(*(set(placement.nodes[s]) for s in step.upstream)))
+            if step.action in (ActionKind.SET_EGRESS, ActionKind.INSERT_FLOW_RULE):
+                map_sites.setdefault(step.activity, set()).update(at)
             group = step.sequential_group
             first, first_at = seq_sites.setdefault(group, (step.name, at))
             if group is not None and first_at != at:
                 raise SimulationError(f"sequential_group {group}: trigger {first} runs on"
                                       f" {','.join(first_at)} but {step.name} on"
                                       f" {','.join(at)}")
-            per_sw_maps = egress_maps.get(step.activity, {})
             for sw in at:
                 rt = self.switch_rt[sw]
-                egress = per_sw_maps.get(sw)
+                egress = egress_maps.get(step.activity, {}).get(sw)
                 if egress is not None:
                     for p in egress:
                         if p not in rt.ports:
                             raise SimulationError(f"activity {step.activity}: egress map port"
                                                   f" {p} is no neighbor of {sw}")
                     egress = tuple(rt.ports[p] for p in egress)
-                sites.append((rt, _TriggerRT(step, egress)))
+                sites.append((rt, _TriggerRT(step, program.registers, egress)))
+        for activity, per_sw in sorted(egress_maps.items()):
+            if activity not in map_sites:
+                raise SimulationError(f"egress map for {activity}: no set_egress or"
+                                      f" insert_flow_rule activity of {program.app_name}")
+            if idle := sorted(per_sw.keys() - map_sites[activity]):
+                raise SimulationError(f"activity {activity}: egress map for {idle[0]},"
+                                      f" where none of its triggers run")
 
         # Every check is done: a failed install has written nothing.
         self._app_installed = True
         self._states = states
+        self._registers = program.registers
         # Tree links are symmetric, so updates only ever arrive over a
         # tree port.
         for sw, rt in self.switch_rt.items():
@@ -426,8 +448,7 @@ class Simulator:
                 rt = self.switch_rt[sw]
                 if rt.store is None:
                     rt.store = ReplicaStore(program.steps, len(states))
-                rt.store.configure_state(cs.name, st.sid, cs.width_bits,
-                                         None if rt is ort else ort.sw_id)
+                rt.store.configure_state(st.sid, cs.width_bits, None if rt is ort else ort.sw_id)
             if st.trig is not None:
                 ort.own_updates.append(st)
             value = cs.value
@@ -435,8 +456,8 @@ class Simulator:
                 # Scalars are written through set_scalar / scheduled loads.
                 continue
             est = RateEstimatorWindow(value.delta_s, value.window)
-            ort.store.attach_local(cs.name, est)
-            mon = _Monitor(cs.name, cs.scope, est, value.unit == "bits")
+            ort.store.attach_local(st.sid, est)
+            mon = _Monitor(st.sid, cs.scope, est, value.unit == "bits")
             nbr = egress_observers.get(cs.name)
             if nbr is None:
                 ort.monitors.append(mon)
@@ -494,27 +515,29 @@ class Simulator:
         self._schedule(stop_ns, self._stop_flow, fl)
         return fl.row
 
-    def _owner(self, switch, state, value) -> SwitchRT:
-        """The switch named `switch`, which must write `state`, and
-        `value` must fit the state's width."""
-        rt = self.switch_rt.get(switch)
-        if rt is None or rt.store is None or state not in rt.store.local_writes:
+    def _owner(self, switch, state, value) -> _StateRT:
+        """The state named `state`, which the switch named `switch` must
+        write, and `value` must fit the state's width."""
+        sid = self._registers.get(state, len(self._states))
+        st = self._states[sid] if sid < len(self._states) else None
+        if st is None or st.origin.name != switch:
             raise SimulationError(f"{switch} does not own state {state}")
-        width = rt.store.widths[state]
+        width = st.origin.store.widths[st.sid]
         if not 0 <= value < 1 << width:
             raise SimulationError(f"{state}: value {value} does not fit {width} bits")
-        return rt
+        return st
 
     def set_scalar(self, switch, state, value, t_ns=None):
         """Write a scalar state at its origin (e.g. an injected load). A
         write that runs change triggers needs the run to have started;
         schedule_scalar writes before it."""
-        rt = self._owner(switch, state, value)
+        st = self._owner(switch, state, value)
+        rt = st.origin
         if rt.change_triggers and self.log is None:
             raise SimulationError(f"set_scalar on {state} at {switch} runs change triggers"
                                   f" before the run starts; use schedule_scalar")
         t = self.t_now if t_ns is None else t_ns
-        rt.store.write_local(state, value)
+        rt.store.write_local(st.sid, value)
         if rt.change_triggers:
             self._eval_change_triggers(rt, t)
 
@@ -723,13 +746,13 @@ class Simulator:
 
     def _emit_update(self, sw: SwitchRT, st: _StateRT, t: int):
         store = sw.store
-        value = store.local_value(st.name, t) & _M64
+        value = store.local_value(st.sid, t) & _M64
         hdr = UpdateHeader(src_sw_id=sw.sw_id, dst_sw_id=0, state_id=st.sid,
                            replica_id=st.replica_id, state_value=value,
                            l3_protocol_type=IPV4_ETHTYPE)
         self._upd_uid -= 1
         pkt = Packet(self._upd_uid, -1, "", "", _UPDATE_BITS, is_update=True, header=hdr,
-                     origin_ts=t, origin_writes=store.local_writes[st.name])
+                     origin_ts=t, origin_writes=store.writes[st.sid])
         self.log.updates_emitted += 1
         if self.trace is not None:
             self.trace.append(f"{t} update_emit {sw.name} state={st.name} value={value}")
@@ -749,7 +772,7 @@ class Simulator:
                 r_c.append(sw.name_id)
                 age_c.append(t - pkt.origin_ts)
                 replaced_c.append(t - prev_ts if prev_ts >= 0 else 0)
-                lag_c.append(st.origin.store.local_writes[st.name] - pkt.origin_writes)
+                lag_c.append(st.origin.store.writes[st.sid] - pkt.origin_writes)
                 if sw.change_triggers:
                     self._eval_change_triggers(sw, t)
             elif status == "unknown":

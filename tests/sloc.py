@@ -2,16 +2,21 @@
 
 Usage::
 
-    python tests/sloc.py
+    python tests/sloc.py [REV]
 
 Blank lines, comment-only lines and the docstrings of modules, classes and
 functions are not counted; a line that holds code and a comment is. Prints
-the count of each module under ``src/`` and the total. It gates nothing.
+the count of each module under ``src/`` and the total. With a git revision
+REV it also prints each module's count at REV, read through ``git show``
+with no checkout, and the change from REV to the working tree. It gates
+nothing.
 """
 
 import ast
 import io
 import os
+import subprocess
+import sys
 import tokenize
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -40,19 +45,49 @@ def code_lines(text):
     return len(lines)
 
 
-def main():
-    total = 0
+def working_tree():
+    """Each module's code lines in src/, by its path under src/."""
+    counts = {}
     for root, dirs, names in os.walk(SRC):
-        dirs.sort()
-        for name in sorted(names):
+        for name in names:
             if name.endswith(".py"):
                 path = os.path.join(root, name)
                 with open(path, encoding="utf-8") as f:
-                    n = code_lines(f.read())
-                total += n
-                print(f"{n:6d}  {os.path.relpath(path, SRC)}")
-    print(f"{total:6d}  total")
+                    counts[os.path.relpath(path, SRC)] = code_lines(f.read())
+    return counts
+
+
+def at_revision(rev):
+    """Each module's code lines in src/ at git revision `rev`."""
+    git = ["git", "-C", os.path.dirname(SRC)]
+
+    def run(*args):
+        return subprocess.run(git + list(args), capture_output=True, text=True,
+                              check=True).stdout
+
+    return {os.path.relpath(path, "src"): code_lines(run("show", f"{rev}:{path}"))
+            for path in run("ls-tree", "-r", "--name-only", rev, "--", "src").splitlines()
+            if path.endswith(".py")}
+
+
+def main(argv):
+    now = working_tree()
+    if len(argv) < 2:
+        for name in sorted(now):
+            print(f"{now[name]:6d}  {name}")
+        print(f"{sum(now.values()):6d}  total")
+        return
+    try:
+        then = at_revision(argv[1])
+    except subprocess.CalledProcessError as exc:
+        sys.exit(f"error: {exc.stderr.strip()}")
+    print(f"{'at REV':>6}  {'now':>6}  {'change':>6}  (REV = {argv[1]})")
+    for name in sorted(now.keys() | then.keys()):
+        a, b = then.get(name, 0), now.get(name, 0)
+        print(f"{a:6d}  {b:6d}  {b - a:+6d}  {name}")
+    a, b = sum(then.values()), sum(now.values())
+    print(f"{a:6d}  {b:6d}  {b - a:+6d}  total")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv)

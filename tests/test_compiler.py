@@ -123,22 +123,24 @@ def test_argmin_ties_take_lowest_index():
 
 def run_on_a_switch(program, state_values, uniform01=None):
     """What a switch that hosts every state computes from `program`,
-    in the form reference.evaluate_dag returns: each step's output from
-    a ReplicaStore configured as Simulator.install_app does and read
-    through read_global, and per trigger step its predicate's decision
+    in the form reference.evaluate_dag returns: each register's value by
+    name, from a ReplicaStore configured as Simulator.install_app does
+    and read through read_global, and per trigger step its predicate's decision
     on its input and the detail its activity acts on."""
     store = ReplicaStore(program.steps, len(program.states))
+    reg = program.registers
     for sid, cs in enumerate(program.states):
-        store.configure_state(cs.name, sid, cs.width_bits)
-        store.write_local(cs.name, state_values.get(cs.name, 0))
-    outputs = {out: store.read_global(out, 0) for out, _, _ in program.steps}
+        store.configure_state(sid, cs.width_bits)
+        store.write_local(sid, state_values.get(cs.name, 0))
+    outputs = {name: store.read_global(reg[name], 0) for name in reg}
     fires, actions = {}, []
     for tr in program.triggers:
-        fired = fires[tr.name] = tr.predicate.evaluate(store.read_global(tr.input, 0), uniform01)
+        fired = fires[tr.name] = tr.predicate.evaluate(store.read_global(reg[tr.input], 0),
+                                                       uniform01)
         if fired:
             detail = tr.message
             if tr.selector is not None:
-                detail = store.read_global(tr.selector, 0)
+                detail = store.read_global(reg[tr.selector], 0)
             elif tr.selector_const is not None:
                 detail = tr.selector_const
             actions.append((tr.action.value, tr.name, detail))
@@ -398,10 +400,14 @@ def test_generated_layered_apps_lower_in_dependency_order(app, vals):
     program = compile_application(dag)
     states = [s.name for s in app.states]
 
-    # Every step reads states and the outputs of earlier steps only.
-    known = set(states)
+    # Every state's register is its wire id, every step reads states and
+    # the outputs of earlier steps only, and each output takes the next
+    # register.
+    assert [program.registers[s] for s in states] == list(range(len(states)))
+    known = set(range(len(states)))
     for output, _, operands in program.steps:
         assert known.issuperset(operands), (output, operands, known)
+        assert output == len(known)
         known.add(output)
 
     values = dict(zip(states, vals))

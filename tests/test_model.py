@@ -46,21 +46,20 @@ def tiny_app(**overrides):
 
 
 def test_valid_app_passes():
-    rep = validate_application(tiny_app())
-    assert rep.ok and not rep.violations
+    assert validate_application(tiny_app()) == []
 
 
 def test_duplicate_names_rejected():
     dup = tiny_app(reductions=(ReductionSpec("cnt", ReductionKind.SUM, ("cnt",)),))
     rep = validate_application(dup)
-    assert not rep.ok
-    assert any("cnt" in v for v in rep.violations)
+    assert rep
+    assert any("cnt" in v for v in rep)
 
 
 def test_unknown_reduction_input_rejected():
     bad = tiny_app(reductions=(ReductionSpec("total", ReductionKind.SUM, ("ghost",)),))
     rep = validate_application(bad)
-    assert any("ghost" in v for v in rep.violations)
+    assert any("ghost" in v for v in rep)
 
 
 def test_reduction_cycle_rejected():
@@ -69,7 +68,7 @@ def test_reduction_cycle_rejected():
     trig = TriggerSpec("watch", "a", Predicate.greater_than(5),
                        InconsistencySpec.time_obsolescence(0.01), "act")
     rep = validate_application(tiny_app(reductions=(a, b), triggers=(trig,)))
-    assert rep.violations == ["reduction a: part of a reference cycle"]
+    assert rep == ["reduction a: part of a reference cycle"]
 
 
 def test_estimator_window_must_be_power_of_two():
@@ -78,7 +77,7 @@ def test_estimator_window_must_be_power_of_two():
         states=(st,),
         reductions=(ReductionSpec("total", ReductionKind.SUM, ("r",)),),
     ))
-    assert any("power of two" in v for v in rep.violations)
+    assert any("power of two" in v for v in rep)
 
 
 def test_width_bounds_enforced():
@@ -87,22 +86,22 @@ def test_width_bounds_enforced():
         states=(wide,),
         reductions=(ReductionSpec("total", ReductionKind.SUM, ("w",)),),
     ))
-    assert any("width" in v for v in rep.violations)
+    assert any("width" in v for v in rep)
 
 
 def test_set_egress_needs_exactly_one_selector():
     both = ActivitySpec("act", ActionKind.SET_EGRESS, selector="total", selector_const=1)
     rep = validate_application(tiny_app(activities=(both,)))
-    assert any("selector" in v for v in rep.violations)
+    assert any("selector" in v for v in rep)
     neither = ActivitySpec("act", ActionKind.SET_EGRESS)
     rep = validate_application(tiny_app(activities=(neither,)))
-    assert any("selector" in v for v in rep.violations)
+    assert any("selector" in v for v in rep)
 
 
 def test_notify_needs_message():
     silent = ActivitySpec("act", ActionKind.NOTIFY_CONTROLLER)
     rep = validate_application(tiny_app(activities=(silent,)))
-    assert any("message" in v for v in rep.violations)
+    assert any("message" in v for v in rep)
 
 
 # Each of these used to validate, and the switches then ignored part
@@ -140,7 +139,7 @@ IGNORED_BY_SWITCHES = {
 def test_elements_switches_would_ignore_are_rejected(case):
     overrides, message = case
     app = tiny_app(**overrides)
-    assert message in validate_application(app).violations
+    assert message in validate_application(app)
     with pytest.raises(InvalidApplication):
         build_dag(app)
 
@@ -158,6 +157,10 @@ MALFORMED = {
     "estimator_slot_width_zero": (
         dict(states=(StateSpec("cnt", ScopeFilter(), ValueKind.rate_estimate(delta_s=0)),)),
         "state cnt: estimator slot width must be > 0",
+    ),
+    "estimator_unit_unknown": (
+        dict(states=(StateSpec("cnt", ScopeFilter(), ValueKind.rate_estimate(unit="bit")),)),
+        "state cnt: estimator unit 'bit' is not packets or bits",
     ),
     "identity_of_two_inputs": (
         dict(reductions=(ReductionSpec("total", ReductionKind.IDENTITY, ("cnt", "cnt")),)),
@@ -195,14 +198,14 @@ MALFORMED = {
 @pytest.mark.parametrize("case", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_elements_are_rejected(case):
     overrides, message = case
-    assert message in validate_application(tiny_app(**overrides)).violations
+    assert message in validate_application(tiny_app(**overrides))
 
 
 def test_nonfinite_threshold_rejected():
     trig = TriggerSpec("watch", "total", Predicate.greater_than(math.inf),
                        InconsistencySpec.time_obsolescence(0.01), "act")
     rep = validate_application(tiny_app(triggers=(trig,)))
-    assert any("finite" in v for v in rep.violations)
+    assert any("finite" in v for v in rep)
 
 
 def test_build_dag_raises_on_invalid():
@@ -253,7 +256,7 @@ def test_names_colliding_with_synthesized_names_rejected(case):
     states, reductions, triggers, message = case
     app = tiny_app(states=states, reductions=reductions, triggers=triggers)
     rep = validate_application(app)
-    assert any(message in v for v in rep.violations), rep.violations
+    assert any(message in v for v in rep), rep
     with pytest.raises(InvalidApplication):
         build_dag(app)
 
@@ -363,4 +366,4 @@ def test_factory_apps_validate():
         make_rate_limiter_app(2, 8_000_000, 10, 625),
         make_resource_lb_app(4),
     ):
-        assert validate_application(app).ok, app.name
+        assert validate_application(app) == [], app.name

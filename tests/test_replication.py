@@ -3,17 +3,24 @@
 import os
 import random
 from collections import defaultdict
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repdp import (
+    ApplicationSpec,
     InvalidParameter,
     RateEstimatorWindow,
+    ReductionKind,
+    ReductionSpec,
     ReplicaStore,
+    ScopeFilter,
+    StateSpec,
     UpdateHeader,
     UpdateTrigger,
+    ValueKind,
     build_dag,
     build_simulation,
     compile_application,
@@ -147,10 +154,15 @@ def test_trigger_rejects_bad_mode():
 # Replica store reconciliation.
 
 
+# make_store's registers: three wire states, the third not hosted, and
+# one sum step.
+RATE_A, RATE_B, TOTAL = 0, 1, 3
+
+
 def make_store():
-    store = ReplicaStore((("total", sum, ("rate_a", "rate_b")),), 3)
-    store.configure_state("rate_a", state_id=0, width_bits=32, origin_sw_id=1)
-    store.configure_state("rate_b", state_id=1, width_bits=32)
+    store = ReplicaStore(((TOTAL, sum, (RATE_A, RATE_B)),), 3)
+    store.configure_state(RATE_A, width_bits=32, origin_sw_id=1)
+    store.configure_state(RATE_B, width_bits=32)
     return store
 
 
@@ -164,24 +176,24 @@ def test_last_writer_wins_per_origin():
     assert (status, prev) == ("applied", -1)
     status, prev = store.apply_update(hdr(0, 9), origin_ts_ns=250)
     assert (status, prev) == ("applied", 100)
-    assert store.read_global("rate_a", 250) == 9
+    assert store.read_global(RATE_A, 250) == 9
     # Duplicate and reordered deliveries are dropped.
     assert store.apply_update(hdr(0, 1), origin_ts_ns=250) == ("stale", None)
     assert store.apply_update(hdr(0, 1), origin_ts_ns=180) == ("stale", None)
-    assert store.read_global("rate_a", 300) == 9
+    assert store.read_global(RATE_A, 300) == 9
 
 
 def test_missing_update_reads_zero():
     store = make_store()
-    assert store.read_global("rate_a", 0) == 0
-    assert store.read_global("total", 0) == 0
+    assert store.read_global(RATE_A, 0) == 0
+    assert store.read_global(TOTAL, 0) == 0
 
 
 def test_own_state_ignores_gossip():
     store = make_store()
-    store.write_local("rate_b", 5)
+    store.write_local(RATE_B, 5)
     assert store.apply_update(hdr(1, 99), origin_ts_ns=50) == ("local", None)
-    assert store.local_value("rate_b", 60) == 5
+    assert store.local_value(RATE_B, 60) == 5
 
 
 def test_transit_vs_unknown():
@@ -190,65 +202,84 @@ def test_transit_vs_unknown():
     assert store.apply_update(hdr(7, 1), 10) == ("unknown", None)
     # A state has one origin: the same id from another switch is unknown.
     assert store.apply_update(hdr(0, 1, src=3), 10) == ("unknown", None)
-    assert store.read_global("rate_a", 10) == 0
+    assert store.read_global(RATE_A, 10) == 0
 
 
 def test_global_read_mixes_local_and_remote():
     store = make_store()
-    store.write_local("rate_b", 5)
+    store.write_local(RATE_B, 5)
     store.apply_update(hdr(0, 7), origin_ts_ns=20)
-    assert store.read_global("total", 30) == 12
+    assert store.read_global(TOTAL, 30) == 12
     # Cached until a stored value changes: a write invalidates it.
-    assert store.read_global("total", 30) == 12
-    store.write_local("rate_b", 6)
-    assert store.read_global("total", 30) == 13
+    assert store.read_global(TOTAL, 30) == 12
+    store.write_local(RATE_B, 6)
+    assert store.read_global(TOTAL, 30) == 13
 
 
 def test_estimator_backed_local_state():
     store = make_store()
     est = RateEstimatorWindow(0.1, 8)
     feed(est, per_bucket=10, n_buckets=8)
-    store.attach_local("rate_b", est)
+    store.attach_local(RATE_B, est)
     t = 8 * DELTA_NS
-    assert store.local_value("rate_b", t) == 100
+    assert store.local_value(RATE_B, t) == 100
     store.apply_update(hdr(0, 11), origin_ts_ns=t)
-    assert store.read_global("total", t) == 111
+    assert store.read_global(TOTAL, t) == 111
 
 
 def test_write_log_counts_local_writes():
     store = make_store()
-    store.write_local("rate_b", 1)
-    store.write_local("rate_b", 2)
-    assert store.local_writes["rate_b"] == 2
+    store.write_local(RATE_B, 1)
+    store.write_local(RATE_B, 2)
+    assert store.writes[RATE_B] == 2
 
 
 def test_replica_memory_scales_with_hosted_states():
     for c in (1, 2, 4):
-        names = [f"r{i}" for i in range(c)]
-        store = ReplicaStore((("total", sum, tuple(names)),), c)
-        store.configure_state(names[0], 0, 32)
-        for i, n in enumerate(names[1:], start=1):
-            store.configure_state(n, i, 32, origin_sw_id=i)
+        store = ReplicaStore(((c, sum, tuple(range(c))),), c)
+        store.configure_state(0, 32)
+        for i in range(1, c):
+            store.configure_state(i, 32, origin_sw_id=i)
         assert store.replica_memory_bits() == 32 * (c + 1)
 
 
 def test_lowered_mean_holds_one_register():
     program = compile_application(build_dag(make_resource_lb_app(2)))
     store = ReplicaStore(program.steps, len(program.states))
-    store.configure_state("srv_load_0", 0, 32)
-    store.configure_state("srv_load_1", 1, 32, origin_sw_id=1)
+    store.configure_state(program.registers["srv_load_0"], 32)
+    store.configure_state(program.registers["srv_load_1"], 32, origin_sw_id=1)
     # Two state slots plus least_loaded and mean_load: the mean's sum and
     # shift share one aggregate register.
     assert store.replica_memory_bits() == 4 * 32
 
 
+def test_replica_memory_counts_32_bits_for_unhosted_and_reduction_operands():
+    # Two 16-bit states; peak is a reduction output that total reads.
+    a, b = (StateSpec(n, ScopeFilter(), ValueKind.scalar(), width_bits=16) for n in "ab")
+    app = ApplicationSpec("mem", (a, b), (
+        ReductionSpec("peak", ReductionKind.MAX, ("a",)),
+        ReductionSpec("total", ReductionKind.SUM, ("a", "b", "peak")),
+        ReductionSpec("pair", ReductionKind.SUM, ("a", "b"))), (), ())
+    program = compile_application(build_dag(app))
+    only_a = ReplicaStore(program.steps, 2)
+    only_a.configure_state(0, 16)
+    # a's slot 16, peak 16; total and pair read b, not hosted here: 32.
+    assert only_a.replica_memory_bits() == 16 + 16 + 32 + 32
+    both = ReplicaStore(program.steps, 2)
+    both.configure_state(0, 16)
+    both.configure_state(1, 16, origin_sw_id=1)
+    # Two 16-bit slots, peak 16, total 32 for reading peak, pair 16.
+    assert both.replica_memory_bits() == 16 + 16 + 16 + 32 + 16
+
+
 def test_reduction_chains_evaluate_recursively():
-    store = ReplicaStore((("m", max, ("a", "b")), ("twice", sum, ("m", "m"))), 2)
-    store.configure_state("a", 0, 32)
-    store.configure_state("b", 1, 32)
-    store.write_local("a", 3)
-    store.write_local("b", 8)
-    assert store.read_global("twice", 1) == 16
+    a, b, m, twice = range(4)
+    store = ReplicaStore(((m, max, (a, b)), (twice, sum, (m, m))), 2)
+    store.configure_state(a, 32)
+    store.configure_state(b, 32)
+    store.write_local(a, 3)
+    store.write_local(b, 8)
+    assert store.read_global(twice, 1) == 16
 
 
 # Each reference application's DAG at the sizes the strategy draws from.
@@ -272,14 +303,14 @@ def test_every_store_agrees_with_the_dag_oracle(app_name, data):
     hosted = [cs for cs in program.states if cs is not absent]
     origins = {cs.name: data.draw(st.integers(0, 3)) for cs in hosted}
     store = ReplicaStore(program.steps, len(program.states))
-    state_id = {cs.name: k for k, cs in enumerate(program.states)}
+    reg = program.registers
     for cs in hosted:
-        store.configure_state(cs.name, state_id[cs.name], cs.width_bits, origins[cs.name] or None)
+        store.configure_state(reg[cs.name], cs.width_bits, origins[cs.name] or None)
 
     def agrees(t):
         want = evaluate_dag(dag, truth)[0]
         for out in dag.reductions:
-            assert store.read_global(out, t) == want[out], (out, truth)
+            assert store.read_global(reg[out], t) == want[out], (out, truth)
 
     truth = {cs.name: 0 for cs in program.states}
     writes = []
@@ -289,15 +320,15 @@ def test_every_store_agrees_with_the_dag_oracle(app_name, data):
     for t, (cs, value, read_now) in enumerate(writes, start=1):
         origin = origins[cs.name]
         if origin:
-            hdr = UpdateHeader(origin, 0, state_id[cs.name], 0, value)
+            hdr = UpdateHeader(origin, 0, reg[cs.name], 0, value)
             assert store.apply_update(hdr, origin_ts_ns=t)[0] == "applied"
         else:
-            store.write_local(cs.name, value)
+            store.write_local(reg[cs.name], value)
         truth[cs.name] = value
         if read_now:
             agrees(t)
     agrees(len(writes) + 1)
-    assert store.read_global(absent.name, len(writes) + 1) == 0
+    assert store.read_global(reg[absent.name], len(writes) + 1) == 0
 
 
 # Deltas whose pairwise gcd lies below each of them, so a cache keyed on
@@ -310,40 +341,44 @@ def test_cached_reads_equal_fresh_steps(seed):
     """Observes, local writes, applied updates and reads at nondecreasing
     t: every cached read equals the steps run afresh on the readings."""
     rng = random.Random(seed)
-    steps = (("est_sum", sum, ("est_a", "est_b")),
-             ("total", sum, ("est_sum", "local", "remote")),
-             ("peak", max, ("est_a", "local", "remote")))
+    est_a, est_b, local, remote, est_sum, total, peak = range(7)
+    steps = ((est_sum, sum, (est_a, est_b)),
+             (total, sum, (est_sum, local, remote)),
+             (peak, max, (est_a, local, remote)))
     store = ReplicaStore(steps, 4)
-    for sid, name in enumerate(("est_a", "est_b", "local")):
-        store.configure_state(name, sid, 32)
-    store.configure_state("remote", 3, 32, origin_sw_id=1)
+    for sid in (est_a, est_b, local):
+        store.configure_state(sid, 32)
+    store.configure_state(remote, 32, origin_sw_id=1)
     deltas = rng.sample(CACHE_DELTAS_S, rng.choice((1, 2)))
-    live = {name: RateEstimatorWindow(d, rng.choice((1, 2, 4)))
-            for name, d in zip(("est_a", "est_b"), deltas)}
-    for name, est in live.items():
-        store.attach_local(name, est)
-    written = {"local": 0, "remote": 0, "est_b": 0}
-    unlive = [name for name in ("local", "est_b") if name not in live]
+    live = {sid: RateEstimatorWindow(d, rng.choice((1, 2, 4)))
+            for sid, d in zip((est_a, est_b), deltas)}
+    for sid, est in live.items():
+        store.attach_local(sid, est)
+    written = {local: 0, remote: 0, est_b: 0}
+    unlive = [sid for sid in (local, est_b) if sid not in live]
     t = 0
     for origin_ts in range(1, 400):
         t += rng.choice((0, 0, 1, 999_999, 1_000_000, rng.randrange(5_000_000)))
         op = rng.randrange(4)
         if op == 0:
-            name = rng.choice(sorted(live))
-            live[name].observe(t, rng.randrange(1, 50))
-            store.note_write(name)
+            sid = rng.choice(sorted(live))
+            monitor = SimpleNamespace(sid=sid, est=live[sid], use_bits=True)
+            store.feed((monitor,), t, rng.randrange(1, 50))
         elif op == 1:
-            name = rng.choice(unlive)
-            written[name] = rng.randrange(1000)
-            store.write_local(name, written[name])
+            sid = rng.choice(unlive)
+            written[sid] = rng.randrange(1000)
+            store.write_local(sid, written[sid])
         elif op == 2:
-            written["remote"] = rng.randrange(1000)
-            store.apply_update(hdr(3, written["remote"]), origin_ts_ns=origin_ts)
+            written[remote] = rng.randrange(1000)
+            store.apply_update(hdr(remote, written[remote]), origin_ts_ns=origin_ts)
         else:
-            out = rng.choice(("est_sum", "total", "peak", "est_a"))
+            out = rng.choice((est_sum, total, peak, est_a))
             got = store.read_global(out, t)
-            fresh = dict(written)
-            fresh.update((name, est.read(t)) for name, est in live.items())
+            fresh = [0] * 7
+            for sid, value in written.items():
+                fresh[sid] = value
+            for sid, est in live.items():
+                fresh[sid] = est.read(t)
             run_steps(steps, fresh)
             assert got == fresh[out], (seed, t, out)
 
@@ -356,7 +391,7 @@ def test_random_interleavings_converge_to_newest():
         for ts in stamps:
             store.apply_update(hdr(0, ts * 7), origin_ts_ns=ts)
         # Whatever the delivery order, the newest origin timestamp sticks.
-        assert store.read_global("rate_a", 2000) == max(stamps) * 7
+        assert store.read_global(RATE_A, 2000) == max(stamps) * 7
 
 
 # ---------------------------------------------------------------------------

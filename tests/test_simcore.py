@@ -241,7 +241,8 @@ def test_scheduled_loads_need_a_time_and_an_owner(tmp_path):
     for t_s in (-1.0, math.nan, math.inf):
         with pytest.raises(SimulationError, match="finite and not in the past"):
             sim.schedule_scalar(t_s, origin, "srv_load_0", 5)
-    for switch, state in ((origin, "ghost"), ("ghost", "srv_load_0")):
+    # mean_load is a reduction output: it has a register but is no state.
+    for switch, state in ((origin, "ghost"), (origin, "mean_load"), ("ghost", "srv_load_0")):
         with pytest.raises(SimulationError, match="does not own"):
             sim.schedule_scalar(0.5, switch, state, 5)
     sim.run_until(1.0)
@@ -266,7 +267,8 @@ def test_scalar_writes_must_fit_the_state_width(tmp_path):
             sim.schedule_scalar(0.5, origin, "srv_load_0", value)
     sim.schedule_scalar(1.5, origin, "srv_load_0", (1 << 32) - 1)
     sim.run_until()
-    assert {sim.switch_rt[sw].store.values["srv_load_0"] for sw in hosts} == {(1 << 32) - 1}
+    sid = built.program.registers["srv_load_0"]
+    assert {sim.switch_rt[sw].store.regs[sid] for sw in hosts} == {(1 << 32) - 1}
 
 
 def test_run_until_stays_inside_horizon():
@@ -407,7 +409,7 @@ def test_set_scalar_before_the_run_fails_where_it_runs_change_triggers(tmp_path)
     origin = built.sim.switch_rt[built.placement.origin["srv_load_0"]]
     assert origin.packet_triggers and not origin.change_triggers
     built.sim.set_scalar(origin.name, "srv_load_0", 7)
-    assert origin.store.values["srv_load_0"] == 7
+    assert origin.store.regs[built.program.registers["srv_load_0"]] == 7
 
 
 def three_switch_line():
@@ -461,7 +463,8 @@ def test_egress_observer_must_neighbor_the_state_origin():
     assert_nothing_installed(sim)
     install(sim, WATCH, egress_observers={"rate": "sw2"})
     sw1 = sim.switch_rt["sw1"]
-    assert [m.state for m in sw1.egress_monitors[sw1.ports["sw2"]]] == ["rate"]
+    # The monitor feeds rate, WATCH's one state (wire id 0).
+    assert [m.sid for m in sw1.egress_monitors[sw1.ports["sw2"]]] == [0]
 
 
 def test_an_egress_map_port_off_its_switch_installs_nothing():
@@ -473,6 +476,47 @@ def test_an_egress_map_port_off_its_switch_installs_nothing():
         install(sim, steer, egress_maps={"pick": {"sw1": ["hA", "sw3"]}})
     assert_nothing_installed(sim)
     install(sim, steer, egress_maps={"pick": {"sw1": ["hA", "sw2"]}})
+    sim.add_flow("f", "hA", "hB", 1000, False, [(0.0, 100.0)], stop_s=1.0, monitor="sw1")
+    assert sim.run_until().flow_delivered == [100]
+
+
+# A rate and a scalar state summed, read by one steering trigger: the
+# one replica, sw1, runs it.
+STEER_BY_TOTAL = ApplicationSpec(
+    "steer",
+    (StateSpec("rate", ScopeFilter(), ValueKind.rate_estimate()),
+     StateSpec("load", ScopeFilter(), ValueKind.scalar())),
+    (ReductionSpec("total", ReductionKind.SUM, ("rate", "load")),),
+    (TriggerSpec("by_total", "total", Predicate.greater_than(50), InconsistencySpec.none(),
+                 "pick"),),
+    (ActivitySpec("pick", ActionKind.SET_EGRESS, selector_const=1),))
+
+# Egress observers and maps naming nothing the installed application
+# could use, each with the error install_app raises.
+STRAY_EGRESS = {
+    "observer_of_no_state": (
+        WATCH, dict(egress_observers={"nosuch": "ghost"}),
+        "egress observer on nosuch: no rate-estimate state of watch"),
+    "observer_of_a_scalar": (
+        STEER_BY_TOTAL, dict(egress_observers={"load": "sw2"}),
+        "egress observer on load: no rate-estimate state of steer"),
+    "map_of_no_activity": (
+        WATCH, dict(egress_maps={"nosuch": {"sw9": ["x"]}, "alert": {"sw2": ["zz"]}}),
+        "egress map for alert: no set_egress or insert_flow_rule activity of watch"),
+    "map_where_no_trigger_runs": (
+        STEER_BY_TOTAL, dict(egress_maps={"pick": {"sw1": ["hA", "sw2"], "sw2": ["sw3"]}}),
+        "activity pick: egress map for sw2, where none of its triggers run"),
+}
+
+
+@pytest.mark.parametrize("case", STRAY_EGRESS.values(), ids=STRAY_EGRESS.keys())
+def test_stray_egress_observers_and_maps_install_nothing(case):
+    app, maps, message = case
+    sim = three_switch_line()
+    with pytest.raises(SimulationError, match=f"^{message}$"):
+        install(sim, app, **maps)
+    assert_nothing_installed(sim)
+    install(sim, app)
     sim.add_flow("f", "hA", "hB", 1000, False, [(0.0, 100.0)], stop_s=1.0, monitor="sw1")
     assert sim.run_until().flow_delivered == [100]
 
@@ -1008,7 +1052,7 @@ def test_per_flow_plan_matches_brute_force_scopes(tmp_path, app):
         triggers = [tr.name for tr in built.app.triggers
                     if acts[tr.activity].action is not ActionKind.NOTIFY_CONTROLLER
                     and acts[tr.activity].scope.matches(*pkt)]
-        assert [m.state for m in fl.monitors] == states, f.name
+        assert [built.program.states[m.sid].name for m in fl.monitors] == states, f.name
         assert [tr.name for tr in fl.triggers] == triggers, f.name
         if states:
             seen.add(f.name)
@@ -1019,9 +1063,9 @@ def test_per_flow_plan_matches_brute_force_scopes(tmp_path, app):
                       for tr in built.app.triggers if tr.name in triggers)
         assert (log.flow_app_drops[fl.row] > 0) == policed, f.name
     assert seen == matched
-    for cs in built.program.states:
+    for sid, cs in enumerate(built.program.states):
         store = sim.switch_rt[built.placement.origin[cs.name]].store
-        assert store.local_writes[cs.name] == writes[cs.name], cs.name
+        assert store.writes[sid] == writes[cs.name], cs.name
 
 
 def test_different_seed_changes_policing(tmp_path):
@@ -1277,7 +1321,8 @@ def test_new_flows_pin_to_least_congested_path(tmp_path):
     assert "sw4" in after
     # Egress measurement fed the leg estimates at their origin switches.
     t_end = built.sim.t_now
+    reg = built.program.registers
     store1 = built.sim.switch_rt["sw1"].store
-    assert store1.local_value("leg_load_0", t_end) > 500_000
+    assert store1.local_value(reg["leg_load_0"], t_end) > 500_000
     store2 = built.sim.switch_rt["sw2"].store
-    assert store2.local_value("leg_load_2", t_end) > 500_000
+    assert store2.local_value(reg["leg_load_2"], t_end) > 500_000
