@@ -169,9 +169,10 @@ class ReplicaStore:
     apply_update from their single origin. A state not hosted here
     reads 0. Reduction outputs are recomputed lazily: the cache keys on
     a version counter, bumped when a stored value changes, and on the
-    time in ticks, the gcd of the live sources' `delta_ns`. A live
-    source's reading only changes when one of its buckets closes, at a
-    multiple of its delta, so observing it does not bump the version.
+    end of the current tick, a tick being the gcd of the live sources'
+    `delta_ns`. A live source's reading only changes when one of its
+    buckets closes, at a multiple of its delta, so observing it does not
+    bump the version.
     """
 
     def __init__(self, steps, n_states: int):
@@ -191,7 +192,9 @@ class ReplicaStore:
         self.version = 0
         # The gcd of the live sources' delta_ns; 0 while there are none.
         self._tick = 0
-        self._evaluated = (-1, None)
+        # The version and tick end the registers were last evaluated at.
+        self._evaluated_version = -1
+        self._evaluated_until = -1
 
     def configure_state(self, sid: int, width_bits: int, origin_sw_id: int | None = None):
         """Host state `sid` here: written locally when `origin_sw_id` is
@@ -253,24 +256,25 @@ class ReplicaStore:
         self.version += 1
         return "applied", prev_ts
 
-    def stamp(self, t_ns: int) -> tuple[int, int]:
-        """(version, tick) at t_ns: no value or reduction output can
-        differ between two reads with equal stamps."""
+    def tick_end(self, t_ns: int) -> int | float:
+        """The end of the tick that holds t_ns: at an unchanged version,
+        no value or reduction output can differ between t_ns and any
+        later time before it. Without live sources the tick never ends."""
         tick = self._tick
-        return self.version, t_ns // tick if tick else 0
+        return t_ns - t_ns % tick + tick if tick else math.inf
 
     def read_global(self, reg: int, t_ns: int) -> int:
         """Register `reg` (a reduction output or a state) at time t_ns,
-        from local and remote values. The steps run once per stamp, so
-        repeated reads between two changes are free."""
-        tick = self._tick
-        at = self.version, t_ns // tick if tick else 0
+        from local and remote values. Time only moves forward, and the
+        steps run once per version and tick, so repeated reads between
+        two changes are free."""
         regs = self.regs
-        if self._evaluated != at:
+        if self.version != self._evaluated_version or t_ns >= self._evaluated_until:
             for sid, src in self.live.items():
                 regs[sid] = src.read(t_ns)
             run_steps(self.steps, regs)
-            self._evaluated = at
+            self._evaluated_version = self.version
+            self._evaluated_until = self.tick_end(t_ns)
         return regs[reg]
 
     def replica_memory_bits(self) -> int:

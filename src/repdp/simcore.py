@@ -28,7 +28,19 @@ Links model store-and-forward serialization plus propagation delay with
 a bounded egress queue; overflow drops the packet. A packet's arrival at
 a host only counts it, so when it falls within the running `run_until`
 call it is counted as the link admits the packet, not queued: it is
-still one event, and every return sees the same totals. A link keeps the
+still one event, and every return sees the same totals. The hop before
+it folds the same way where nothing but the host link can see it: when
+one link L is a host link H's only feeder over every flow's static
+route, and the switch between them is not the packet's monitor, owns no
+update trigger and has no egress monitor on H, the switch only forwards
+L's packets to H in L's FIFO order (Chandy and Misra's single-sender
+channel argument). So, without a trace, steering or flow rules, a
+packet that L admits is admitted on H at once, at its arrival time at
+the switch, which still counts as one event, unless that arrival falls
+past the running call or an earlier packet for H still waits on the
+heap. Change triggers, too, run only when what they read can have
+moved: after a feed, when the store's version or estimator tick has
+changed since they last ran. A link keeps the
 departure times of its last `queue_limit` admitted packets in a ring:
 departures never decrease, so the queue is full exactly when the oldest
 of them is still in the future. The newest is kept apart as the time
@@ -103,11 +115,15 @@ class LinkDir:
     and reads the ring only while the link is busy. `egress` maps a flow
     row to the monitors of this link's switch that count the flow's
     packets sent on it, resolved when the run starts (None: no egress
-    monitor watches the link).
+    monitor watches the link). `fold`, set when the run starts, maps a
+    host to its link from the far switch when this link alone feeds that
+    link and the switch only forwards to it (None: no such host). A host
+    link's `held_until` is the latest arrival at its switch of a packet
+    for it that went on the heap.
     """
 
     __slots__ = ("src", "dst", "delay_ns", "capacity_bps", "row", "far", "cls",
-                 "data", "repl", "ring", "head", "busy", "egress")
+                 "data", "repl", "ring", "head", "busy", "egress", "fold", "held_until")
 
     def __init__(self, src, dst, delay_ns, capacity_bps, queue_limit, row, far, cls):
         self.src = src
@@ -123,6 +139,8 @@ class LinkDir:
         self.head = 0
         self.busy = 0
         self.egress: dict[int, tuple[_Monitor, ...]] | None = None
+        self.fold: dict[str, LinkDir] | None = None
+        self.held_until = -1
 
 
 class Packet:
@@ -261,7 +279,7 @@ class SwitchRT:
 
     __slots__ = ("name", "sw_id", "name_id", "ports", "route", "flood", "store",
                  "monitors", "egress_monitors", "packet_triggers", "change_triggers",
-                 "triggers_at", "own_updates", "flow_rules", "rng")
+                 "triggers_version", "triggers_until", "own_updates", "flow_rules", "rng")
 
     def __init__(self, name, sw_id):
         self.name = name
@@ -283,8 +301,11 @@ class SwitchRT:
         self.egress_monitors: dict[LinkDir, list[_Monitor]] = {}
         self.packet_triggers: list[_TriggerRT] = []
         self.change_triggers: list[_TriggerRT] = []
-        # The store's stamp at the last change-trigger evaluation.
-        self.triggers_at = None
+        # The store's version at the last change-trigger evaluation and
+        # the end of that evaluation's estimator tick: until either
+        # moves, no trigger input can change.
+        self.triggers_version = -1
+        self.triggers_until = -1
         # The states this switch writes that have an update trigger.
         self.own_updates: list[_StateRT] = []
         self.flow_rules: dict[str, LinkDir] = {}
@@ -324,7 +345,8 @@ class Simulator:
         self._uid = 0
         self._upd_uid = -1
         # The bound of the running run_until call (-1 outside one), and
-        # the latest host arrival counted at admission.
+        # the latest arrival counted at admission: at a host, or at a
+        # switch whose hop was folded.
         self._bound = -1
         self._arrived = 0
         # The installed application's states, by wire id, and its
@@ -516,12 +538,16 @@ class Simulator:
         return fl.row
 
     def _owner(self, switch, state, value) -> _StateRT:
-        """The state named `state`, which the switch named `switch` must
-        write, and `value` must fit the state's width."""
+        """The scalar state named `state`, which the switch named `switch`
+        must write, and `value` must fit the state's width."""
         sid = self._registers.get(state, len(self._states))
         st = self._states[sid] if sid < len(self._states) else None
         if st is None or st.origin.name != switch:
             raise SimulationError(f"{switch} does not own state {state}")
+        # Only a rate estimate's own estimator writes it.
+        if st.sid in st.origin.store.live:
+            raise SimulationError(f"{state} is a rate-estimate state: only scalar states"
+                                  f" take writes")
         width = st.origin.store.widths[st.sid]
         if not 0 <= value < 1 << width:
             raise SimulationError(f"{state}: value {value} does not fit {width} bits")
@@ -582,6 +608,36 @@ class Simulator:
         for rt in self.switch_rt.values():
             for ld, mons in rt.egress_monitors.items():
                 ld.egress = {fl.row: m for fl in self.flows if (m := _scoped(mons, fl))}
+        self._plan_folds()
+
+    def _plan_folds(self):
+        """Fold each delivery's last switch hop into the link that feeds
+        it, where that is exact. A switch that only forwards a packet to
+        its host link H, with no update trigger to advance, does nothing
+        another event can see but admit it on H; when one FIFO link L is
+        H's only feeder, H sees its packets in L's order whenever they
+        are admitted, so `_send` admits them on H as L does. Without a
+        trace, steering or flow rules, each flow takes its static route:
+        walk it as `_on_data` would, measurement detour first."""
+        if self.trace is not None or any(
+                tr.kind in (ActionKind.SET_EGRESS, ActionKind.INSERT_FLOW_RULE)
+                for rt in self._by_index for tr in rt.packet_triggers):
+            return
+        feeders: dict[LinkDir, set[LinkDir]] = {}
+        for fl in self.flows:
+            ld, mon = fl.out, fl.monitor
+            while (sw := ld.far) is not None:
+                if mon == sw.name:
+                    mon = None
+                out = sw.route[mon] if mon is not None else (sw.route[fl.dst_switch]
+                                                             or sw.ports[fl.dst])
+                if out.far is None:
+                    feeders.setdefault(out, set()).add(ld)
+                ld = out
+        for host, into in feeders.items():
+            if len(into) == 1 and not (self.switch_rt[host.src].own_updates or host.egress):
+                (ld,) = into
+                ld.fold = {**(ld.fold or {}), host.dst: host}
 
     def run_until(self, t_end_s=None) -> MetricsLog:
         """Process every event up to t_end_s (default: the horizon).
@@ -712,27 +768,37 @@ class Simulator:
         ld.head = 0 if i == self.queue_limit else i
         (ld.repl if pkt.is_update else ld.data)[t // self.bin_ns] += size
         arr = end + ld.delay_ns
-        if ld.far is not None or arr > self._bound:
-            heappush(self._heap, (arr, next(self._seq), ld, pkt))
-            return arr
-        # A host arrival within the running call: count it now, as the
-        # loop would when it came due. It schedules nothing.
-        log = self.log
-        log.events_processed += 1
-        if not pkt.is_update:
-            log.flow_delivered[pkt.flow] += 1
-            log.flow_bits[pkt.flow][arr // self.bin_ns] += size
-        if arr > self._arrived:
-            self._arrived = arr
+        if ld.far is None:
+            if arr <= self._bound:
+                # A host arrival within the running call: count it now,
+                # as the loop would when it came due.
+                log = self.log
+                log.events_processed += 1
+                if not pkt.is_update:
+                    log.flow_delivered[pkt.flow] += 1
+                    log.flow_bits[pkt.flow][arr // self.bin_ns] += size
+                if arr > self._arrived:
+                    self._arrived = arr
+                return arr
+        elif ld.fold is not None and (host := ld.fold.get(pkt.dst)) is not None:
+            # The far switch would only forward the packet to its host
+            # link: do that now, as the loop would when the arrival came
+            # due, unless an earlier packet for that link still waits on
+            # the heap.
+            if pkt.monitor is None and arr <= self._bound and host.held_until < t:
+                self.log.events_processed += 1
+                if arr > self._arrived:
+                    self._arrived = arr
+                self._send(host, pkt, arr)
+                return arr
+            host.held_until = arr
+        heappush(self._heap, (arr, next(self._seq), ld, pkt))
         return arr
 
     def _eval_change_triggers(self, sw: SwitchRT, t: int):
         store = sw.store
-        # Unchanged stamp, unchanged outputs: no trigger can change state.
-        stamp = store.stamp(t)
-        if stamp == sw.triggers_at:
-            return
-        sw.triggers_at = stamp
+        sw.triggers_version = store.version
+        sw.triggers_until = store.tick_end(t)
         for tr in sw.change_triggers:
             v = store.read_global(tr.output, t)
             fired = tr.pred.evaluate(v)
@@ -802,7 +868,10 @@ class Simulator:
                 store = sw.store
                 if fl.monitors:
                     store.feed(fl.monitors, t, pkt.size_bits)
-                    if sw.change_triggers:
+                    # What the change triggers read moves only with the
+                    # store's version or at the end of an estimator tick.
+                    if sw.change_triggers and (store.version != sw.triggers_version
+                                               or t >= sw.triggers_until):
                         self._eval_change_triggers(sw, t)
                 for tr in fl.triggers:
                     v = store.read_global(tr.output, t)
@@ -833,8 +902,10 @@ class Simulator:
         if out is not _DROPPED:
             egress = out.egress
             if egress is not None and pkt.flow in egress:
-                sw.store.feed(egress[pkt.flow], t, pkt.size_bits)
-                if sw.change_triggers:
+                store = sw.store
+                store.feed(egress[pkt.flow], t, pkt.size_bits)
+                if sw.change_triggers and (store.version != sw.triggers_version
+                                           or t >= sw.triggers_until):
                     self._eval_change_triggers(sw, t)
             if self.trace is not None:
                 self.trace.append(f"{t} fwd {sw.name} uid={pkt.uid} out={out.dst}")

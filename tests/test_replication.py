@@ -216,6 +216,18 @@ def test_global_read_mixes_local_and_remote():
     assert store.read_global(TOTAL, 30) == 13
 
 
+def test_cached_read_ends_with_its_tick():
+    # A bucket closes on each multiple of delta: the read on the first
+    # ns of the next tick sees it, at an unchanged version.
+    store = make_store()
+    est = RateEstimatorWindow(0.1, 8)
+    store.attach_local(RATE_B, est)
+    feed(est, per_bucket=10, n_buckets=1)
+    assert store.read_global(TOTAL, DELTA_NS - 1) == 0
+    assert store.tick_end(DELTA_NS - 1) == DELTA_NS
+    assert store.read_global(TOTAL, DELTA_NS) == 12
+
+
 def test_estimator_backed_local_state():
     store = make_store()
     est = RateEstimatorWindow(0.1, 8)

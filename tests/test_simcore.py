@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -410,6 +411,59 @@ def test_set_scalar_before_the_run_fails_where_it_runs_change_triggers(tmp_path)
     assert origin.packet_triggers and not origin.change_triggers
     built.sim.set_scalar(origin.name, "srv_load_0", 7)
     assert origin.store.regs[built.program.registers["srv_load_0"]] == 7
+
+
+def test_rate_estimate_states_take_no_scalar_writes():
+    # A write would land in the register the estimator's reading
+    # overrides, and still count in the write lag of later updates.
+    built = build_simulation(parse_scenario(FIG7), t_end_s=0.5)
+    sim, origin = built.sim, built.placement.origin["syn_rate_0"]
+    sid = built.program.registers["syn_rate_0"]
+    store = sim.switch_rt[origin].store
+    sim.run_until(0.2)
+    before = store.writes[sid], store.local_value(sid, sim.t_now)
+    with pytest.raises(SimulationError, match="syn_rate_0 is a rate-estimate state"):
+        sim.set_scalar(origin, "syn_rate_0", 12345)
+    with pytest.raises(SimulationError, match="syn_rate_0 is a rate-estimate state"):
+        sim.schedule_scalar(0.3, origin, "syn_rate_0", 12345)
+    assert (store.writes[sid], store.local_value(sid, sim.t_now)) == before == (54, 33)
+
+
+@pytest.mark.parametrize("fed_on", ["ingress", "egress"])
+def test_a_change_trigger_sees_a_bucket_close_on_the_first_ns_of_its_tick(fed_on):
+    sim = Simulator(line_topo(capacity_bps=1_000_000_000), t_end_s=0.3)
+    egress = fed_on == "egress"
+    install(sim, WATCH, egress_observers={"rate": "hB"} if egress else None)
+    # From 0.1 s on a packet reaches sw every 1 ms, so one lands on each
+    # multiple of the estimator's 100 ms delta.
+    sim.add_flow("f", "hA", "hB", 1000, False, [(0.098999, 1000.0)], stop_s=0.3,
+                 monitor=None if egress else "sw")
+    log = sim.run_until()
+    # The bucket that closes at 0.2 s holds 100 packets: 125 a second.
+    assert log.detections == [(200_000_000, "sw", "by_rate", 125)]
+
+
+class EveryFeedSimulator(Simulator):
+    """A simulator that runs a switch's change triggers after every
+    feed: each evaluation forgets the store version it saw."""
+
+    def _eval_change_triggers(self, sw, t):
+        super()._eval_change_triggers(sw, t)
+        sw.triggers_version = -1
+
+
+@pytest.mark.parametrize("scenario, t_end_s", [("mini_ddos", 4.0), ("fig7_c4", 22.0)])
+def test_change_triggers_skipped_within_a_tick_match_every_feed(
+        tmp_path, monkeypatch, scenario, t_end_s):
+    # Between two version bumps, what a change trigger reads can only
+    # move at the end of an estimator tick.
+    cfg, replicas = scenario_by_name(tmp_path, scenario)
+    with monkeypatch.context() as m:
+        m.setattr(runner, "Simulator", EveryFeedSimulator)
+        ref = build_simulation(cfg, replicas=replicas, t_end_s=t_end_s).sim.run_until()
+    log = build_simulation(cfg, replicas=replicas, t_end_s=t_end_s).sim.run_until()
+    assert ref.detections and log.detections == ref.detections
+    assert log.notifications == ref.notifications
 
 
 def three_switch_line():
@@ -840,8 +894,8 @@ def test_staged_run_matches_single_run(ddos_cfg):
     assert log_a.events_processed == log_b.events_processed
 
 
-def _csv_family(log, cfg, out_dir):
-    export_metrics(log, str(out_dir), switch_names=cfg.topology.switches)
+def _csv_family(log, switches, out_dir):
+    export_metrics(log, str(out_dir), switch_names=switches)
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 
 
@@ -849,7 +903,7 @@ def _csv_family(log, cfg, out_dir):
 def test_split_run_exports_identical_csv_family(tmp_path, scenario, t_split):
     cfg = write_scenario(tmp_path, MINI_DDOS) if scenario == "mini_ddos" else parse_scenario(FIG8)
     whole = build_simulation(cfg).sim.run_until()
-    expected = _csv_family(whole, cfg, tmp_path / "whole")
+    expected = _csv_family(whole, cfg.topology.switches, tmp_path / "whole")
 
     sim = build_simulation(cfg).sim
     part = sim.run_until(t_split)
@@ -857,46 +911,164 @@ def test_split_run_exports_identical_csv_family(tmp_path, scenario, t_split):
     assert 0 < sum(part.flow_sent) < sum(whole.flow_sent)
     resumed = sim.run_until()
     assert resumed.events_processed == whole.events_processed
-    assert _csv_family(resumed, cfg, tmp_path / "split") == expected
+    assert _csv_family(resumed, cfg.topology.switches, tmp_path / "split") == expected
 
 
-def _build_reference(monkeypatch, cfg):
+def _build_reference(monkeypatch, cfg, **kwargs):
     """`build_simulation` with every arrival queued on the heap."""
     with monkeypatch.context() as m:
         m.setattr(runner, "Simulator", QueuedDeliverySimulator)
-        return build_simulation(cfg)
+        return build_simulation(cfg, **kwargs)
 
 
-@pytest.mark.parametrize("scenario", ["mini_ddos", "fig8"])
-def test_counting_deliveries_at_admission_matches_the_queued_reference(
-        tmp_path, monkeypatch, scenario):
-    cfg = write_scenario(tmp_path, MINI_DDOS) if scenario == "mini_ddos" else parse_scenario(FIG8)
-    # Half the stops fall exactly on a host arrival, the rest anywhere.
-    probe = _build_reference(monkeypatch, cfg).sim
-    arrivals = []
-    send = probe._send
+def record_sends(sim):
+    """Watch `sim`'s link admissions: returns the arrival times of the
+    packets admitted on host links, and the folded hops, each as
+    (t, arr, host link, arrival at the host or None): a host link
+    admission at arr that runs inside the admission at t of the packet
+    on the link that feeds the host link's switch."""
+    arrivals, folds, outer = [], [], []
+    send = sim._send
 
     def recording_send(ld, pkt, t):
-        arr = send(ld, pkt, t)
+        outer.append(t)
+        try:
+            arr = send(ld, pkt, t)
+        finally:
+            outer.pop()
+        if outer:
+            folds.append((outer[-1], t, ld, arr))
         if arr is not None and ld.far is None:
             arrivals.append(arr)
         return arr
 
-    probe._send = recording_send
-    probe.run_until()
+    sim._send = recording_send
+    return arrivals, folds
+
+
+def scenario_by_name(tmp_path, name):
+    """A test or shipped scenario, and the replica count to build it at."""
+    source, replicas = {
+        "mini_ddos": (MINI_DDOS, None),
+        "fig8": (FIG8, None),
+        "fig7_c1": (FIG7, 1),
+        "fig7_c2": (FIG7, 2),
+        "fig7_c4": (FIG7, 4),
+        "resource_lb": (RESOURCE_LB, None),
+        "link_lb": (LINK_LB, None),
+    }[name]
+    if source.endswith(".scn"):
+        return parse_scenario(source), replicas
+    return write_scenario(tmp_path, source, f"{name}.scn"), replicas
+
+
+LOG_ROWS = ("flow_delivered", "flow_bits", "data_bits", "repl_bits", "queue_drops",
+            "flow_queue_drops")
+
+
+@pytest.mark.parametrize("scenario", ["mini_ddos", "fig8", "fig7_c1"])
+def test_counting_deliveries_at_admission_matches_the_queued_reference(
+        tmp_path, monkeypatch, scenario):
+    cfg, replicas = scenario_by_name(tmp_path, scenario)
+    probe = build_simulation(cfg, replicas=replicas).sim
+    arrivals, folds = record_sends(probe)
+    whole = probe.run_until()
+    # Stops fall on host arrivals, anywhere, and on folded hops: where
+    # the packet enters the link that feeds its last switch (it cannot
+    # fold there), in between, where it reaches that switch, and where
+    # it reaches its host.
     rng = random.Random(7)
-    stops = sorted({*rng.sample(arrivals, 25), *(rng.randrange(probe.t_end_ns) for _ in range(25))})
-    ref = _build_reference(monkeypatch, cfg).sim
-    sim = build_simulation(cfg).sim
+    stops = {*rng.sample(arrivals, 25), *(rng.randrange(probe.t_end_ns) for _ in range(25))}
+    for t, arr, _, at_host in rng.sample(folds, min(len(folds), 6)):
+        stops.update(x for x in (t, (t + arr) // 2, arr, at_host) if x is not None)
+    # A hop whose host link's next packet enters its link before it
+    # reaches its switch: stopped where it enters, it waits on the heap,
+    # and the next packet must not fold past it. Stop again once both
+    # have reached their host. fig8 has no such hop.
+    last, overtaken = {}, []
+    for hop in folds:
+        prev = last.get(hop[2])
+        if prev is not None and hop[0] < prev[1] and hop[3] is not None:
+            overtaken.append((prev[0], hop[3]))
+        last[hop[2]] = hop
+    for pair in rng.sample(overtaken, min(len(overtaken), 6)):
+        stops.update(pair)
+    ref = _build_reference(monkeypatch, cfg, replicas=replicas).sim
+    sim = build_simulation(cfg, replicas=replicas).sim
     assert type(sim) is Simulator
-    for stop in [*stops, probe.t_end_ns]:
+    for stop in [*sorted(stops), probe.t_end_ns]:
         want = ref.run_until(stop / 1e9)
         got = sim.run_until(stop / 1e9)
-        assert got.events_processed == want.events_processed
-        assert got.flow_delivered == want.flow_delivered
-        assert got.flow_bits == want.flow_bits
-        assert sim.t_now == ref.t_now
-    assert got.events_processed == probe.log.events_processed
+        assert got.events_processed == want.events_processed, stop
+        for row in LOG_ROWS:
+            assert getattr(got, row) == getattr(want, row), (stop, row)
+        assert sim.t_now == ref.t_now, stop
+    assert got.events_processed == whole.events_processed
+    if scenario != "mini_ddos":
+        assert len(folds) == sum(whole.flow_delivered)
+
+
+def line_case(sim_class, case):
+    """A flow from hA to hB whose last switch hop may not fold: that
+    switch measures the flow ("measured"), counts what it forwards to hB
+    ("egress_watch") or owns an update trigger ("origin"), or a switch
+    before it steers the flow ("steered")."""
+    if case in ("measured", "egress_watch"):
+        sim = sim_class(line_topo(capacity_bps=1_000_000_000), t_end_s=2.0)
+        install(sim, WATCH, egress_observers={"rate": "hB"} if case == "egress_watch" else None)
+        sim.add_flow("f", "hA", "hB", 1000, False, [(0.0, 100.0)], stop_s=2.0,
+                     monitor="sw" if case == "measured" else None)
+        return sim
+    if case == "steered":
+        # s1 steers every packet onto its route, to s2.
+        app = rate_app(ActivitySpec("pick", ActionKind.SET_EGRESS, selector_const=0))
+        maps, ends = {"egress_maps": {"pick": {"s1": ["s2"]}}}, ("hA", "hB")
+    else:
+        # s1 writes the rate, and its update trigger checks each packet
+        # it forwards to hA.
+        app = ApplicationSpec("watch", WATCH.states, (), (replace(
+            WATCH.triggers[0], inconsistency=InconsistencySpec.time_obsolescence(0.05)),),
+            WATCH.activities)
+        maps, ends = {}, ("hB", "hA")
+    topo, program, placement, plan = line_at_two_replicas(app)
+    assert placement.origin["rate"] == "s1"
+    sim = sim_class(topo, t_end_s=1.0)
+    sim.install_app(program, placement, plan, **maps)
+    sim.add_flow("f", *ends, 1000, False, [(0.0, 100.0)], stop_s=1.0,
+                 monitor="s1" if case == "steered" else None)
+    return sim
+
+
+@pytest.mark.parametrize("case", ["fig7_c2", "fig7_c4", "resource_lb", "link_lb", "trace",
+                                  "measured", "egress_watch", "origin", "steered"])
+def test_no_hop_folds_where_its_switch_does_more_than_forward(tmp_path, monkeypatch, case):
+    # Two or three links feed each host link of fig7 at 2 and 4
+    # replicas; set_egress and insert_flow_rule may steer packets off
+    # their static route; a trace logs each forward; and on the lines,
+    # the last switch measures, counts or owns an update trigger, or s1
+    # steers.
+    if case in ("measured", "egress_watch", "origin", "steered"):
+        sim, ref = line_case(Simulator, case), line_case(QueuedDeliverySimulator, case)
+        if case == "origin":
+            assert sim.switch_rt["s1"].own_updates
+    else:
+        cfg, replicas = scenario_by_name(tmp_path, "fig8" if case == "trace" else case)
+        kwargs = dict(replicas=replicas, t_end_s=3.0, collect_trace=case == "trace")
+        sim = build_simulation(cfg, **kwargs).sim
+        ref = _build_reference(monkeypatch, cfg, **kwargs).sim
+    _, folds = record_sends(sim)
+    log = sim.run_until()
+    assert sum(log.flow_delivered) > 0
+    assert folds == []
+    switches = sim.topo.switches
+    assert (_csv_family(log, switches, tmp_path / "sim")
+            == _csv_family(ref.run_until(), switches, tmp_path / "ref"))
+    if case == "trace":
+        assert sim.trace == ref.trace
+        # The switch that delivers to c1 still logs each forward to it.
+        sw = sim.topo.attached_switch("c1")
+        assert sum(f" fwd {sw} " in line and line.endswith(" out=c1") for line in sim.trace) \
+            == log.flow_delivered[0]
 
 
 def test_host_deliveries_skip_the_heap(monkeypatch):
@@ -911,12 +1083,17 @@ def test_host_deliveries_skip_the_heap(monkeypatch):
         heappush(heap, entry)
 
     monkeypatch.setattr(simcore, "heappush", counting_heappush)
+    _, folds = record_sends(sim)
     log = sim.run_until()
     delivered = sum(log.flow_delivered)
     assert delivered > 1000
-    # Every event but a counted delivery was queued before the run or
-    # pushed during it, and popped unless it is still queued.
-    assert pushes == log.events_processed - delivered - queued + len(sim._heap)
+    # One link feeds each host link of fig8, and its far switch only
+    # forwards to it: every delivery's last switch hop folds.
+    assert len(folds) == delivered
+    # Every event but a counted delivery or a folded hop was queued
+    # before the run or pushed during it, and popped unless it is still
+    # queued.
+    assert pushes == log.events_processed - delivered - len(folds) - queued + len(sim._heap)
 
 
 def test_second_install_app_is_rejected(ddos_cfg):
