@@ -39,14 +39,15 @@ packet that L admits is admitted on H at once, at its arrival time at
 the switch, which still counts as one event, unless that arrival falls
 past the running call or an earlier packet for H still waits on the
 heap. Change triggers, too, run only when what they read can have
-moved: after a feed, when the store's version or estimator tick has
-changed since they last ran. A link keeps the
-departure times of its last `queue_limit` admitted packets in a ring:
-departures never decrease, so the queue is full exactly when the oldest
-of them is still in the future. The newest is kept apart as the time
-the link falls idle: a packet that finds the link idle finds its queue
-empty and is admitted without reading the ring. Controller messages
-travel out of band with a fixed delay and consume no link capacity.
+moved: at once on each change of the store's version (an applied
+update or a scalar write), and after a feed only once the estimator
+tick they last ran in has ended. A link keeps the departure times of
+its last `queue_limit` admitted packets in a ring: departures never
+decrease, so the queue is full exactly when the oldest of them is still
+in the future. The newest is kept apart as the time the link falls
+idle: a packet that finds the link idle finds its queue empty and is
+admitted without reading the ring. Controller messages travel out of
+band with a fixed delay and consume no link capacity.
 
 Per-packet accounting writes straight into the `MetricsLog`'s plain
 int lists. A binned row's index is `t // bin_ns`; only an event at
@@ -279,7 +280,7 @@ class SwitchRT:
 
     __slots__ = ("name", "sw_id", "name_id", "ports", "route", "flood", "store",
                  "monitors", "egress_monitors", "packet_triggers", "change_triggers",
-                 "triggers_version", "triggers_until", "own_updates", "flow_rules", "rng")
+                 "triggers_until", "own_updates", "flow_rules", "rng")
 
     def __init__(self, name, sw_id):
         self.name = name
@@ -301,10 +302,9 @@ class SwitchRT:
         self.egress_monitors: dict[LinkDir, list[_Monitor]] = {}
         self.packet_triggers: list[_TriggerRT] = []
         self.change_triggers: list[_TriggerRT] = []
-        # The store's version at the last change-trigger evaluation and
-        # the end of that evaluation's estimator tick: until either
-        # moves, no trigger input can change.
-        self.triggers_version = -1
+        # The end of the last change-trigger evaluation's estimator
+        # tick: every version bump runs the change triggers at once, so
+        # until that tick ends no trigger input can change.
         self.triggers_until = -1
         # The states this switch writes that have an update trigger.
         self.own_updates: list[_StateRT] = []
@@ -395,8 +395,8 @@ class Simulator:
         sequential_group must run at the same switches. Each state whose
         name the plan's `solutions` lists gets an update trigger at its
         origin, so a plan without solutions installs no replication. Each
-        switch floods updates to its distribution-tree neighbors in name
-        order. A simulator holds one application, and install_app checks
+        of the plan's tree edges must link two switches, and each switch
+        floods updates to its distribution-tree neighbors in name order. A simulator holds one application, and install_app checks
         it whole before it writes anything: a SimulationError leaves the
         simulator as it was.
         """
@@ -453,6 +453,14 @@ class Simulator:
             if idle := sorted(per_sw.keys() - map_sites[activity]):
                 raise SimulationError(f"activity {activity}: egress map for {idle[0]},"
                                       f" where none of its triggers run")
+        # Each switch's distribution-tree neighbors: updates flood only
+        # between switches, so none ever reaches a host.
+        tree = {sw: set() for sw in self.switch_rt}
+        for a, b in sorted(plan.tree_edges):
+            if a not in tree or b not in tree or b not in self.switch_rt[a].ports:
+                raise SimulationError(f"tree edge {a}-{b} is no link between two switches")
+            tree[a].add(b)
+            tree[b].add(a)
 
         # Every check is done: a failed install has written nothing.
         self._app_installed = True
@@ -461,9 +469,9 @@ class Simulator:
         # Tree links are symmetric, so updates only ever arrive over a
         # tree port.
         for sw, rt in self.switch_rt.items():
-            tree = [p for p in sorted(rt.ports) if (min(sw, p), max(sw, p)) in plan.tree_edges]
-            rt.flood = {ingress: tuple(rt.ports[p] for p in tree if p != ingress)
-                        for ingress in (None, *tree)}
+            nbrs = sorted(tree[sw])
+            rt.flood = {ingress: tuple(rt.ports[p] for p in nbrs if p != ingress)
+                        for ingress in (None, *nbrs)}
         for st, cs in zip(states, program.states):
             ort = st.origin
             for sw in placement.nodes[cs.name]:
@@ -679,9 +687,8 @@ class Simulator:
                 if kind.__class__ is link_dir:
                     sw = kind.far
                     if sw is None:
-                        if not payload.is_update:
-                            delivered[payload.flow] += 1
-                            flow_bits[payload.flow][t // bin_ns] += payload.size_bits
+                        delivered[payload.flow] += 1
+                        flow_bits[payload.flow][t // bin_ns] += payload.size_bits
                     elif payload.is_update:
                         on_update(sw, kind, payload, t)
                     else:
@@ -774,9 +781,8 @@ class Simulator:
                 # as the loop would when it came due.
                 log = self.log
                 log.events_processed += 1
-                if not pkt.is_update:
-                    log.flow_delivered[pkt.flow] += 1
-                    log.flow_bits[pkt.flow][arr // self.bin_ns] += size
+                log.flow_delivered[pkt.flow] += 1
+                log.flow_bits[pkt.flow][arr // self.bin_ns] += size
                 if arr > self._arrived:
                     self._arrived = arr
                 return arr
@@ -797,7 +803,6 @@ class Simulator:
 
     def _eval_change_triggers(self, sw: SwitchRT, t: int):
         store = sw.store
-        sw.triggers_version = store.version
         sw.triggers_until = store.tick_end(t)
         for tr in sw.change_triggers:
             v = store.read_global(tr.output, t)
@@ -868,10 +873,9 @@ class Simulator:
                 store = sw.store
                 if fl.monitors:
                     store.feed(fl.monitors, t, pkt.size_bits)
-                    # What the change triggers read moves only with the
-                    # store's version or at the end of an estimator tick.
-                    if sw.change_triggers and (store.version != sw.triggers_version
-                                               or t >= sw.triggers_until):
+                    # Between version bumps, what the change triggers read
+                    # moves only at the end of an estimator tick.
+                    if sw.change_triggers and t >= sw.triggers_until:
                         self._eval_change_triggers(sw, t)
                 for tr in fl.triggers:
                     v = store.read_global(tr.output, t)
@@ -904,8 +908,7 @@ class Simulator:
             if egress is not None and pkt.flow in egress:
                 store = sw.store
                 store.feed(egress[pkt.flow], t, pkt.size_bits)
-                if sw.change_triggers and (store.version != sw.triggers_version
-                                           or t >= sw.triggers_until):
+                if sw.change_triggers and t >= sw.triggers_until:
                     self._eval_change_triggers(sw, t)
             if self.trace is not None:
                 self.trace.append(f"{t} fwd {sw.name} uid={pkt.uid} out={out.dst}")

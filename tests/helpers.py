@@ -1,19 +1,18 @@
-"""Brute-force oracles, random topologies and the benchmark's mesh
-scenario, shared across test modules.
+"""Brute-force oracles, random topologies and scenarios, and the
+benchmark's mesh scenario, shared across test modules.
 
 Everything here is written from the declared behaviour alone, by the
 slowest most obvious method available, so the fast implementations have
 an independent reference to be checked against.
 """
 
-import heapq
 import importlib.util
 import itertools
 import os
-from collections import deque
+import random
 from fractions import Fraction
 
-from repdp import Link, Simulator, Topology, node_loads, parse_scenario
+from repdp import Link, Topology, node_loads, parse_scenario
 
 
 def random_switch_topology(
@@ -39,6 +38,96 @@ def random_switch_topology(
     for a, b in spare[:extra_edges]:
         links.append(Link(a, b, rng.choice(delay_choices), capacity_bps))
     return Topology(names, (), links)
+
+
+GENERATED_APPS = ("ddos", "ratelimit", "linklb", "resourcelb")
+
+
+def random_scenario(seed):
+    """Scenario text for a small seeded case: a `random_switch_topology`
+    of 3 to 6 switches with hosts, one of the four applications (by
+    seed, in GENERATED_APPS order), a random replica count where the
+    application's placement allows one, flows whose rates step up or
+    down, links and queues small enough to drop packets, and a horizon
+    of 2 s or less."""
+    rng = random.Random(seed)
+    app = GENERATED_APPS[seed % len(GENERATED_APPS)]
+    n = rng.randint(3, 6)
+    mbps = rng.choice((2, 5, 10))
+    topo = random_switch_topology(rng, n, extra_edges=rng.randint(0, 2),
+                                  capacity_bps=mbps * 1_000_000)
+    sws = list(topo.switches)
+    t_end = rng.choice((1.0, 1.5, 2.0))
+    flows, loads = [], []
+    # (name, switch, port class); each source weighs on the placement.
+    sources = [(f"src{i}", rng.choice(sws), "external") for i in range(rng.randint(1, 3))]
+    sinks = [(f"dst{i}", rng.choice(sws), "downlink") for i in range(rng.randint(1, 2))]
+    replicas = rng.randint(1, n)
+    if app == "ddos":
+        params = [f"threshold = {rng.choice((100, 200, 400))}",
+                  f"epsilon_t = {10 + n + 2}ms", f"delta = {rng.choice((50, 100))}ms",
+                  f"window = {rng.choice((4, 8))}", "states = auto"]
+        r_min = 100
+    elif app == "ratelimit":
+        params = [f"limit = {rng.choice((1, 2))}Mbps", "epsilon_r = 10",
+                  "max_write_rate = 625", f"delta = {rng.choice((50, 100))}ms",
+                  f"window = {rng.choice((4, 8))}", "states = auto"]
+        r_min = 250
+    elif app == "linklb":
+        # The busiest switch balances over up to two of its neighbors
+        # toward a switch that is none of them.
+        lb = max(sws, key=lambda sw: (len(topo.adj[sw]), sw))
+        vias = sorted(topo.adj[lb])[:2]
+        others = [sw for sw in sws if sw != lb and sw not in vias]
+        # Where every other switch is a via, the last via is the target.
+        dst = rng.choice(others) if others else vias.pop()
+        params = [f"lb_switch = {lb}", "path_via = " + " ".join(vias), f"dst_switch = {dst}"]
+        sources[0] = ("src0", lb, "external")
+        sinks = [(f"dst{i}", dst, "downlink") for i in range(len(sinks))]
+        r_min = 200
+    else:
+        lb = rng.choice(sws)
+        # The mean load lowers to a shift: a power-of-two server count.
+        servers = [f"srv{i}" for i in range(rng.choice((2, 4)))]
+        params = [f"lb_switch = {lb}", "servers = " + " ".join(servers)]
+        sinks = [(srv, lb, "downlink") for srv in servers]
+        for i, srv in enumerate(servers):
+            steps = sorted(rng.sample(range(1, round(10 * t_end)), 2))
+            loads.append(f"srv_load_{i} = " + " ".join(
+                f"{t / 10:g}:{rng.randrange(100)}" for t in (0, *steps)))
+        r_min = 100
+    if app in ("linklb", "resourcelb"):
+        # Both place their states at their balancing switches (and
+        # linklb's legs): take every switch, so the placement has them.
+        replicas = n
+    hosts = sources + sinks
+    weights = [f"{h}:{rng.randint(1, 3)}" for h, _, _ in sources]
+    for src, _, _ in sources:
+        for dst, _, _ in rng.sample(sinks, rng.randint(1, len(sinks))):
+            steps = " ".join(f"@{t / 10:g}:{rng.choice((0, 50, 200, 600))}"
+                             for t in sorted(rng.sample(range(2, round(10 * t_end)), 2)))
+            flows.append([f"[flow.f{len(flows)}]", f"src = {src}", f"dst = {dst}",
+                          f"size = {rng.choice((512, 1500, 4000, 10000))}",
+                          f"syn = {rng.choice(('yes', 'yes', 'no'))}",
+                          f"start = {rng.randrange(2) / 10:g}",
+                          f"rate = {rng.choice((50, 150, 400))} {steps}"])
+    out = ["format_version = 1", "", "[scenario]", f"name = generated_{seed}",
+           f"seed = {seed}", f"t_end = {t_end:g}", "metrics_bin = 0.25",
+           f"queue_limit = {rng.choice((2, 5, 100))}", "", "[topology]",
+           "switches = " + " ".join(sws),
+           "links = " + " ".join(f"{ln.u}-{ln.v}" for ln in topo.links),
+           f"link_capacity = {mbps}Mbps", ""]
+    for ln in topo.links:
+        out += [f"[link.{ln.u}.{ln.v}]", f"delay = {ln.delay_ns / 1e6:g}ms", ""]
+    for h, sw, cls in hosts:
+        out += [f"[host.{h}]", f"attach = {sw}", f"port_class = {cls}", ""]
+    out += ["[application]", f"name = {app}", *params, "", "[embedding]",
+            f"replicas = {replicas}", f"r_min = {r_min}", "weights = " + " ".join(weights), ""]
+    for flow in flows:
+        out += [*flow, ""]
+    if loads:
+        out += ["[loads]", *loads, ""]
+    return "\n".join(out)
 
 
 def mesh_config(tmp_path, seed):
@@ -244,60 +333,3 @@ def assert_valid_tree(topo, edges, terminals):
         parent[ru] = rv
     roots = {find(n) for n in nodes}
     assert len(roots) == 1, "tree is disconnected"
-
-
-class DequeLink:
-    """One link direction as a FIFO of pending departures: the deque
-    link model the simulator started from, kept as the reference for
-    its admission rule and timing."""
-
-    def __init__(self, delay_ns, capacity_bps, queue_limit):
-        self.delay_ns = delay_ns
-        self.capacity_bps = capacity_bps
-        self.queue_limit = queue_limit
-        self.busy_until = 0
-        self.backlog = deque()
-
-    def send(self, size_bits: int, now: int) -> int | None:
-        """Arrival time at the far end, or None if the queue is full.
-
-        The backlog holds departure times of packets not yet fully
-        serialized (the one in service included), oldest first; its
-        length against queue_limit is the drop test.
-        """
-        bl = self.backlog
-        while bl and bl[0] <= now:
-            bl.popleft()
-        if len(bl) >= self.queue_limit:
-            return None
-        start = now if now > self.busy_until else self.busy_until
-        end = start + size_bits * 1_000_000_000 // self.capacity_bps
-        self.busy_until = end
-        bl.append(end)
-        return end + self.delay_ns
-
-
-class QueuedDeliverySimulator(Simulator):
-    """A simulator whose links are `DequeLink`s and whose every arrival,
-    a host delivery too, waits on the event heap until the loop pops it:
-    the event model from before host deliveries were counted when their
-    link admits them, kept as the reference for that."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.deque_links = {ld: DequeLink(ld.delay_ns, ld.capacity_bps, self.queue_limit)
-                            for ld in self._links}
-
-    def _send(self, ld, pkt, t):
-        arr = self.deque_links[ld].send(pkt.size_bits, t)
-        log = self.log
-        if arr is None:
-            log.queue_drops[ld.row] += 1
-            if pkt.flow >= 0:
-                log.flow_queue_drops[pkt.flow] += 1
-            if self.trace is not None:
-                self.trace.append(f"{t} drop_queue {ld.src} uid={pkt.uid} to={ld.dst}")
-            return None
-        (ld.repl if pkt.is_update else ld.data)[t // self.bin_ns] += pkt.size_bits
-        heapq.heappush(self._heap, (arr, next(self._seq), ld, pkt))
-        return arr

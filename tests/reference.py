@@ -3,10 +3,32 @@
 `evaluate_dag` evaluates an application DAG directly, with no lowering
 and no replica store: what a switch computes from the compiled program
 must agree with it wherever the program compiles.
+
+`ReferenceSimulator` is the simulator in plain form, with every run-time
+shortcut turned off: whatever the simulator exports, the reference must
+export byte for byte. A new shortcut in `Simulator` lands together with
+its plain form here.
+
+Run as a script, it compares the two on the benchmark's workloads at
+their full horizons, and exits non-zero naming the workload and the
+exported file that differ::
+
+    PYTHONPATH=src python tests/reference.py
 """
 
-from repdp import ReductionKind
-from repdp.compiler import PRIMITIVES
+import heapq
+import importlib.util
+import json
+import os
+import sys
+import tempfile
+from collections import deque
+from pathlib import Path
+
+from repdp import ReductionKind, Simulator, build_simulation, export_metrics, parse_scenario
+from repdp import runner
+from repdp.compiler import PRIMITIVES, run_steps
+from repdp.replication import ReplicaStore
 
 
 def apply_reduction(kind, values):
@@ -47,3 +69,160 @@ def evaluate_dag(dag, state_values, uniform01=None):
                 detail = a.selector_const
             actions.append((a.action.value, t.name, detail))
     return env, fires, actions
+
+
+class DequeLink:
+    """One link direction as a FIFO of pending departures: the deque
+    link model the simulator started from, kept as the reference for
+    its admission rule and timing."""
+
+    def __init__(self, delay_ns, capacity_bps, queue_limit):
+        self.delay_ns = delay_ns
+        self.capacity_bps = capacity_bps
+        self.queue_limit = queue_limit
+        self.busy_until = 0
+        self.backlog = deque()
+
+    def send(self, size_bits: int, now: int) -> int | None:
+        """Arrival time at the far end, or None if the queue is full.
+
+        The backlog holds departure times of packets not yet fully
+        serialized (the one in service included), oldest first; its
+        length against queue_limit is the drop test.
+        """
+        bl = self.backlog
+        while bl and bl[0] <= now:
+            bl.popleft()
+        if len(bl) >= self.queue_limit:
+            return None
+        start = now if now > self.busy_until else self.busy_until
+        end = start + size_bits * 1_000_000_000 // self.capacity_bps
+        self.busy_until = end
+        bl.append(end)
+        return end + self.delay_ns
+
+
+class FreshReadStore(ReplicaStore):
+    """A replica store that reads every live source and runs every
+    reduction step on each read."""
+
+    def read_global(self, reg, t_ns):
+        regs = self.regs
+        for sid, src in self.live.items():
+            regs[sid] = src.read(t_ns)
+        run_steps(self.steps, regs)
+        return regs[reg]
+
+
+class ReferenceSimulator(Simulator):
+    """The simulator with every run-time shortcut turned off:
+
+    - links are `DequeLink`s, and every arrival, at a host too, waits on
+      the heap until the loop pops it, so nothing is counted when its
+      link admits it and no switch hop folds;
+    - a packet's scopes are matched at its switch, from its flow's
+      constants, instead of once per flow when the run starts;
+    - each store is a `FreshReadStore`, so no read is cached;
+    - a switch's change triggers run after every feed, not only once
+      the estimator tick they last ran in has ended.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.deque_links = {ld: DequeLink(ld.delay_ns, ld.capacity_bps, self.queue_limit)
+                            for ld in self._links}
+
+    def install_app(self, *args, **kwargs):
+        super().install_app(*args, **kwargs)
+        for rt in self.switch_rt.values():
+            if rt.store is not None:
+                rt.store.__class__ = FreshReadStore
+
+    def _send(self, ld, pkt, t):
+        arr = self.deque_links[ld].send(pkt.size_bits, t)
+        log = self.log
+        if arr is None:
+            log.queue_drops[ld.row] += 1
+            if pkt.flow >= 0:
+                log.flow_queue_drops[pkt.flow] += 1
+            if self.trace is not None:
+                self.trace.append(f"{t} drop_queue {ld.src} uid={pkt.uid} to={ld.dst}")
+            return None
+        (ld.repl if pkt.is_update else ld.data)[t // self.bin_ns] += pkt.size_bits
+        heapq.heappush(self._heap, (arr, next(self._seq), ld, pkt))
+        return arr
+
+    def _eval_change_triggers(self, sw, t):
+        super()._eval_change_triggers(sw, t)
+        # An evaluation covers no tick: the next feed runs them again.
+        sw.triggers_until = -1
+
+    def _on_data(self, sw, pkt, t):
+        fl = self.flows[pkt.flow]
+        seen = (fl.out.cls, fl.syn, fl.dst)
+        if pkt.monitor == sw.name:
+            fl.monitors = tuple(m for m in sw.monitors if m.scope.matches(*seen))
+            fl.triggers = tuple(tr for tr in sw.packet_triggers if tr.scope.matches(*seen))
+        for ld, mons in sw.egress_monitors.items():
+            matched = tuple(m for m in mons if m.scope.matches(*seen))
+            ld.egress = {fl.row: matched} if matched else None
+        super()._on_data(sw, pkt, t)
+
+
+def build_reference(cfg, **kwargs):
+    """`build_simulation(cfg, **kwargs)` on a `ReferenceSimulator`."""
+    make = runner.Simulator
+    runner.Simulator = ReferenceSimulator
+    try:
+        return build_simulation(cfg, **kwargs)
+    finally:
+        runner.Simulator = make
+
+
+def exported_family(sim, log, out_dir):
+    """The CSV family `log` exports into `out_dir`, with the run's
+    trace.txt when it collected one: {file name: bytes}."""
+    export_metrics(log, str(out_dir), switch_names=sim.topo.switches)
+    if sim.trace is not None:
+        sim.save_trace(os.path.join(out_dir, "trace.txt"))
+    return {name: Path(out_dir, name).read_bytes() for name in sorted(os.listdir(out_dir))}
+
+
+def main() -> int:
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    bench = os.path.join(root, "bench")
+    with open(os.path.join(bench, "workloads.json")) as fh:
+        spec = json.load(fh)
+    gen = importlib.util.spec_from_file_location("bench_meshgen",
+                                                 os.path.join(bench, "meshgen.py"))
+    meshgen = importlib.util.module_from_spec(gen)
+    gen.loader.exec_module(meshgen)
+    seed = spec["default_seed"]
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, wl in spec["workloads"].items():
+            path = os.path.join(tmp, f"{name}.scn")
+            if wl["scenario"] is None:
+                with open(path, "w") as fh:
+                    fh.write(meshgen.generate(seed))
+            else:
+                path = os.path.join(root, wl["scenario"])
+            cfg = parse_scenario(path)
+            families = []
+            for build in (build_simulation, build_reference):
+                sim = build(cfg, replicas=wl["replicas"], seed=seed).sim
+                out = os.path.join(tmp, name, type(sim).__name__)
+                os.makedirs(out)
+                families.append(exported_family(sim, sim.run_until(), out))
+            got, want = families
+            differ = sorted(f for f in got.keys() | want.keys() if got.get(f) != want.get(f))
+            for f in differ:
+                print(f"{name}: {f} differs from the reference")
+            if not differ:
+                print(f"{name}: matches the reference ({len(got)} files)")
+            failed += bool(differ)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

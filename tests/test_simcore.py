@@ -40,10 +40,11 @@ from repdp import (
     replication_requirements,
     update_frame_bits,
 )
-from repdp import runner, simcore
+from repdp import simcore
 from repdp.simcore import Packet
 
-from helpers import DequeLink, QueuedDeliverySimulator, mesh_config
+from helpers import GENERATED_APPS, mesh_config, random_scenario
+from reference import DequeLink, ReferenceSimulator, build_reference, exported_family
 
 MS = 1_000_000
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -443,29 +444,6 @@ def test_a_change_trigger_sees_a_bucket_close_on_the_first_ns_of_its_tick(fed_on
     assert log.detections == [(200_000_000, "sw", "by_rate", 125)]
 
 
-class EveryFeedSimulator(Simulator):
-    """A simulator that runs a switch's change triggers after every
-    feed: each evaluation forgets the store version it saw."""
-
-    def _eval_change_triggers(self, sw, t):
-        super()._eval_change_triggers(sw, t)
-        sw.triggers_version = -1
-
-
-@pytest.mark.parametrize("scenario, t_end_s", [("mini_ddos", 4.0), ("fig7_c4", 22.0)])
-def test_change_triggers_skipped_within_a_tick_match_every_feed(
-        tmp_path, monkeypatch, scenario, t_end_s):
-    # Between two version bumps, what a change trigger reads can only
-    # move at the end of an estimator tick.
-    cfg, replicas = scenario_by_name(tmp_path, scenario)
-    with monkeypatch.context() as m:
-        m.setattr(runner, "Simulator", EveryFeedSimulator)
-        ref = build_simulation(cfg, replicas=replicas, t_end_s=t_end_s).sim.run_until()
-    log = build_simulation(cfg, replicas=replicas, t_end_s=t_end_s).sim.run_until()
-    assert ref.detections and log.detections == ref.detections
-    assert log.notifications == ref.notifications
-
-
 def three_switch_line():
     """hA - sw1 - sw2 - sw3 - hB, with nothing installed."""
     links = [Link("hA", "sw1", MS, 1_000_000), Link("sw1", "sw2", MS, 1_000_000),
@@ -532,6 +510,24 @@ def test_an_egress_map_port_off_its_switch_installs_nothing():
     install(sim, steer, egress_maps={"pick": {"sw1": ["hA", "sw2"]}})
     sim.add_flow("f", "hA", "hB", 1000, False, [(0.0, 100.0)], stop_s=1.0, monitor="sw1")
     assert sim.run_until().flow_delivered == [100]
+
+
+@pytest.mark.parametrize("edge", [("c1", "sw4"), ("sw1", "sw3"), ("nosuch", "sw1")],
+                         ids=["to_a_host", "unlinked", "no_node"])
+def test_a_tree_edge_that_is_no_switch_link_installs_nothing(edge):
+    # c1 is a host on sw4, which would flood updates to it; the ring
+    # does not link sw1 to sw3; nosuch names nothing.
+    built = build_simulation(parse_scenario(FIG7), replicas=2, t_end_s=1.0)
+    sim = Simulator(built.sim.topo, t_end_s=1.0)
+    plan = replace(built.plan, tree_edges=built.plan.tree_edges | {edge})
+    with pytest.raises(SimulationError,
+                       match=f"^tree edge {edge[0]}-{edge[1]} is no link between two switches$"):
+        sim.install_app(built.program, built.placement, plan)
+    assert_nothing_installed(sim)
+    # The plan's own tree, sw1-sw2-sw3, installs.
+    sim.install_app(built.program, built.placement, built.plan)
+    assert {sw: [ld.dst for ld in rt.flood[None]] for sw, rt in sim.switch_rt.items()} \
+        == {"sw1": ["sw2"], "sw2": ["sw1", "sw3"], "sw3": ["sw2"], "sw4": []}
 
 
 # A rate and a scalar state summed, read by one steering trigger: the
@@ -894,16 +890,12 @@ def test_staged_run_matches_single_run(ddos_cfg):
     assert log_a.events_processed == log_b.events_processed
 
 
-def _csv_family(log, switches, out_dir):
-    export_metrics(log, str(out_dir), switch_names=switches)
-    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
-
-
 @pytest.mark.parametrize("scenario, t_split", [("mini_ddos", 1.3), ("fig8", 23.7)])
 def test_split_run_exports_identical_csv_family(tmp_path, scenario, t_split):
     cfg = write_scenario(tmp_path, MINI_DDOS) if scenario == "mini_ddos" else parse_scenario(FIG8)
-    whole = build_simulation(cfg).sim.run_until()
-    expected = _csv_family(whole, cfg.topology.switches, tmp_path / "whole")
+    first = build_simulation(cfg).sim
+    whole = first.run_until()
+    expected = exported_family(first, whole, tmp_path / "whole")
 
     sim = build_simulation(cfg).sim
     part = sim.run_until(t_split)
@@ -911,14 +903,7 @@ def test_split_run_exports_identical_csv_family(tmp_path, scenario, t_split):
     assert 0 < sum(part.flow_sent) < sum(whole.flow_sent)
     resumed = sim.run_until()
     assert resumed.events_processed == whole.events_processed
-    assert _csv_family(resumed, cfg.topology.switches, tmp_path / "split") == expected
-
-
-def _build_reference(monkeypatch, cfg, **kwargs):
-    """`build_simulation` with every arrival queued on the heap."""
-    with monkeypatch.context() as m:
-        m.setattr(runner, "Simulator", QueuedDeliverySimulator)
-        return build_simulation(cfg, **kwargs)
+    assert exported_family(sim, resumed, tmp_path / "split") == expected
 
 
 def record_sends(sim):
@@ -956,56 +941,14 @@ def scenario_by_name(tmp_path, name):
         "fig7_c4": (FIG7, 4),
         "resource_lb": (RESOURCE_LB, None),
         "link_lb": (LINK_LB, None),
+        "ratelimit_tiny": (RATELIMIT_TINY, None),
+        "scope_misses_ddos": (SCOPE_MISSES.format(app=SCOPE_MISS_APPS["ddos"][0]), None),
+        "scope_misses_ratelimit": (SCOPE_MISSES.format(app=SCOPE_MISS_APPS["ratelimit"][0]),
+                                   None),
     }[name]
     if source.endswith(".scn"):
         return parse_scenario(source), replicas
     return write_scenario(tmp_path, source, f"{name}.scn"), replicas
-
-
-LOG_ROWS = ("flow_delivered", "flow_bits", "data_bits", "repl_bits", "queue_drops",
-            "flow_queue_drops")
-
-
-@pytest.mark.parametrize("scenario", ["mini_ddos", "fig8", "fig7_c1"])
-def test_counting_deliveries_at_admission_matches_the_queued_reference(
-        tmp_path, monkeypatch, scenario):
-    cfg, replicas = scenario_by_name(tmp_path, scenario)
-    probe = build_simulation(cfg, replicas=replicas).sim
-    arrivals, folds = record_sends(probe)
-    whole = probe.run_until()
-    # Stops fall on host arrivals, anywhere, and on folded hops: where
-    # the packet enters the link that feeds its last switch (it cannot
-    # fold there), in between, where it reaches that switch, and where
-    # it reaches its host.
-    rng = random.Random(7)
-    stops = {*rng.sample(arrivals, 25), *(rng.randrange(probe.t_end_ns) for _ in range(25))}
-    for t, arr, _, at_host in rng.sample(folds, min(len(folds), 6)):
-        stops.update(x for x in (t, (t + arr) // 2, arr, at_host) if x is not None)
-    # A hop whose host link's next packet enters its link before it
-    # reaches its switch: stopped where it enters, it waits on the heap,
-    # and the next packet must not fold past it. Stop again once both
-    # have reached their host. fig8 has no such hop.
-    last, overtaken = {}, []
-    for hop in folds:
-        prev = last.get(hop[2])
-        if prev is not None and hop[0] < prev[1] and hop[3] is not None:
-            overtaken.append((prev[0], hop[3]))
-        last[hop[2]] = hop
-    for pair in rng.sample(overtaken, min(len(overtaken), 6)):
-        stops.update(pair)
-    ref = _build_reference(monkeypatch, cfg, replicas=replicas).sim
-    sim = build_simulation(cfg, replicas=replicas).sim
-    assert type(sim) is Simulator
-    for stop in [*sorted(stops), probe.t_end_ns]:
-        want = ref.run_until(stop / 1e9)
-        got = sim.run_until(stop / 1e9)
-        assert got.events_processed == want.events_processed, stop
-        for row in LOG_ROWS:
-            assert getattr(got, row) == getattr(want, row), (stop, row)
-        assert sim.t_now == ref.t_now, stop
-    assert got.events_processed == whole.events_processed
-    if scenario != "mini_ddos":
-        assert len(folds) == sum(whole.flow_delivered)
 
 
 def line_case(sim_class, case):
@@ -1034,6 +977,8 @@ def line_case(sim_class, case):
     assert placement.origin["rate"] == "s1"
     sim = sim_class(topo, t_end_s=1.0)
     sim.install_app(program, placement, plan, **maps)
+    if case == "origin":
+        assert sim.switch_rt["s1"].own_updates
     sim.add_flow("f", *ends, 1000, False, [(0.0, 100.0)], stop_s=1.0,
                  monitor="s1" if case == "steered" else None)
     return sim
@@ -1041,30 +986,24 @@ def line_case(sim_class, case):
 
 @pytest.mark.parametrize("case", ["fig7_c2", "fig7_c4", "resource_lb", "link_lb", "trace",
                                   "measured", "egress_watch", "origin", "steered"])
-def test_no_hop_folds_where_its_switch_does_more_than_forward(tmp_path, monkeypatch, case):
+def test_no_hop_folds_where_its_switch_does_more_than_forward(tmp_path, case):
     # Two or three links feed each host link of fig7 at 2 and 4
     # replicas; set_egress and insert_flow_rule may steer packets off
     # their static route; a trace logs each forward; and on the lines,
     # the last switch measures, counts or owns an update trigger, or s1
-    # steers.
+    # steers. test_simulator_matches_the_reference runs each of these
+    # against the plain form.
     if case in ("measured", "egress_watch", "origin", "steered"):
-        sim, ref = line_case(Simulator, case), line_case(QueuedDeliverySimulator, case)
-        if case == "origin":
-            assert sim.switch_rt["s1"].own_updates
+        sim = line_case(Simulator, case)
     else:
         cfg, replicas = scenario_by_name(tmp_path, "fig8" if case == "trace" else case)
-        kwargs = dict(replicas=replicas, t_end_s=3.0, collect_trace=case == "trace")
-        sim = build_simulation(cfg, **kwargs).sim
-        ref = _build_reference(monkeypatch, cfg, **kwargs).sim
+        sim = build_simulation(cfg, replicas=replicas, t_end_s=3.0,
+                               collect_trace=case == "trace").sim
     _, folds = record_sends(sim)
     log = sim.run_until()
     assert sum(log.flow_delivered) > 0
     assert folds == []
-    switches = sim.topo.switches
-    assert (_csv_family(log, switches, tmp_path / "sim")
-            == _csv_family(ref.run_until(), switches, tmp_path / "ref"))
     if case == "trace":
-        assert sim.trace == ref.trace
         # The switch that delivers to c1 still logs each forward to it.
         sw = sim.topo.attached_switch("c1")
         assert sum(f" fwd {sw} " in line and line.endswith(" out=c1") for line in sim.trace) \
@@ -1503,3 +1442,135 @@ def test_new_flows_pin_to_least_congested_path(tmp_path):
     assert store1.local_value(reg["leg_load_0"], t_end) > 500_000
     store2 = built.sim.switch_rt["sw2"].store
     assert store2.local_value(reg["leg_load_2"], t_end) > 500_000
+
+
+# ---------------------------------------------------------------------------
+# The plain form: every run-time shortcut checked against the reference.
+
+# What both runs must agree on at every stop.
+LOG_ROWS = ("flow_sent", "flow_delivered", "flow_bits", "data_bits", "repl_bits", "queue_drops",
+            "flow_queue_drops", "flow_app_drops", "detections", "notifications",
+            "updates_emitted")
+
+# The scenario cases, by name: a scenario_by_name scenario and the
+# horizon and trace collection to build it with (its own horizon when
+# none is given).
+SCENARIO_CASES = {
+    "fig7_c1": ("fig7_c1", {}),
+    "fig7_c2": ("fig7_c2", {"t_end_s": 3.0}),
+    "fig7_c4": ("fig7_c4", {"t_end_s": 22.0}),
+    "fig8": ("fig8", {}),
+    "fig8_trace": ("fig8", {"t_end_s": 3.0, "collect_trace": True}),
+    "mini_ddos": ("mini_ddos", {}),
+    "ratelimit_tiny": ("ratelimit_tiny", {}),
+    "resource_lb": ("resource_lb", {}),
+    "link_lb": ("link_lb", {}),
+    "scope_misses_ddos": ("scope_misses_ddos", {}),
+    "scope_misses_ratelimit": ("scope_misses_ratelimit", {}),
+}
+LINE_CASES = ("measured", "egress_watch", "origin", "steered")
+MESH_SEEDS = (11, 23)
+GENERATED_SEEDS = range(20)
+REFERENCE_CASES = (*SCENARIO_CASES, *(f"line_{c}" for c in LINE_CASES),
+                   *(f"mesh_{s}" for s in MESH_SEEDS),
+                   *(f"generated_{s}" for s in GENERATED_SEEDS))
+
+# Cases where every delivery's last switch hop folds, and cases whose
+# change triggers fire.
+EVERY_HOP_FOLDS = {"fig7_c1", "fig8"}
+DETECTING = {"fig7_c4", "mini_ddos"}
+
+
+def reference_case(tmp_path, case):
+    """`case` as a function of a simulator class: a simulator of that
+    class with the case built on it, ready to run."""
+    kind, _, arg = case.partition("_")
+    if kind == "line":
+        return lambda cls: line_case(cls, arg)
+    kwargs = {}
+    if kind == "mesh":
+        cfg, kwargs = mesh_config(tmp_path, int(arg)), {"t_end_s": 1.0}
+    elif kind == "generated":
+        cfg = write_scenario(tmp_path, random_scenario(int(arg)), f"{case}.scn")
+    else:
+        scenario, kwargs = SCENARIO_CASES[case]
+        cfg, replicas = scenario_by_name(tmp_path, scenario)
+        kwargs = dict(kwargs, replicas=replicas)
+    return lambda cls: {Simulator: build_simulation,
+                        ReferenceSimulator: build_reference}[cls](cfg, **kwargs).sim
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_simulator_matches_the_reference(tmp_path, case):
+    build = reference_case(tmp_path, case)
+    probe = build(Simulator)
+    arrivals, folds = record_sends(probe)
+    whole = probe.run_until()
+    # Stops fall on host arrivals, anywhere, and on folded hops: where
+    # the packet enters the link that feeds its last switch (it cannot
+    # fold there), in between, where it reaches that switch, and where
+    # it reaches its host.
+    rng = random.Random(7)
+    stops = {*rng.sample(arrivals, min(len(arrivals), 25)),
+             *(rng.randrange(probe.t_end_ns) for _ in range(25))}
+    for t, arr, _, at_host in rng.sample(folds, min(len(folds), 6)):
+        stops.update(x for x in (t, (t + arr) // 2, arr, at_host) if x is not None)
+    # A hop whose host link's next packet enters its link before it
+    # reaches its switch: stopped where it enters, it waits on the heap,
+    # and the next packet must not fold past it. Stop again once both
+    # have reached their host.
+    last, overtaken = {}, []
+    for hop in folds:
+        prev = last.get(hop[2])
+        if prev is not None and hop[0] < prev[1] and hop[3] is not None:
+            overtaken.append((prev[0], hop[3]))
+        last[hop[2]] = hop
+    for pair in rng.sample(overtaken, min(len(overtaken), 6)):
+        stops.update(pair)
+    sim, ref = build(Simulator), build(ReferenceSimulator)
+    assert type(sim) is Simulator and type(ref) is ReferenceSimulator
+    # A packet admitted near the horizon may arrive past it.
+    for stop in [*sorted(x for x in stops if x < probe.t_end_ns), probe.t_end_ns]:
+        want = ref.run_until(stop / 1e9)
+        got = sim.run_until(stop / 1e9)
+        assert got.events_processed == want.events_processed, stop
+        for row in LOG_ROWS:
+            assert getattr(got, row) == getattr(want, row), (stop, row)
+        assert sim.t_now == ref.t_now, stop
+    assert got.events_processed == whole.events_processed
+    assert (exported_family(sim, got, tmp_path / "sim")
+            == exported_family(ref, want, tmp_path / "ref"))
+    if case in EVERY_HOP_FOLDS:
+        assert len(folds) == sum(whole.flow_delivered)
+    if case in DETECTING:
+        assert whole.detections
+
+
+def test_generated_cases_cover_every_shortcut(tmp_path):
+    # Across the generated cases of the comparison above: every
+    # application, several replica counts, horizons of 2 s or less, and
+    # at least one case each with a folded hop, a queue drop, a
+    # detection, a policing drop (an application drop that is no
+    # controller redirect), a pinned flow rule and a rate step.
+    apps, counts, shown = set(), set(), set()
+    for seed in GENERATED_SEEDS:
+        cfg = write_scenario(tmp_path, random_scenario(seed), f"generated_{seed}.scn")
+        assert cfg.t_end_s <= 2.0
+        built = build_simulation(cfg)
+        apps.add(cfg.app_name)
+        counts.add(built.replicas)
+        sim = built.sim
+        _, folds = record_sends(sim)
+        log = sim.run_until()
+        shown.update(name for name, hit in (
+            ("folded hop", folds),
+            ("queue drop", any(log.queue_drops)),
+            ("detection", log.detections),
+            ("policing drop", sum(log.flow_app_drops) > len(log.controller_redirects)),
+            ("flow rule", any(rt.flow_rules for rt in sim.switch_rt.values())),
+            ("rate step", any(len(fl.segments) > 1 for fl in sim.flows)),
+        ) if hit)
+    assert apps == set(GENERATED_APPS)
+    assert len(counts) >= 4
+    assert shown == {"folded hop", "queue drop", "detection", "policing drop", "flow rule",
+                     "rate step"}
