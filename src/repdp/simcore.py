@@ -1,13 +1,19 @@
 """Deterministic discrete-event network simulator.
 
-Time is integer nanoseconds on a single heap of (time, seq) ordered
-events, so identical inputs replay identically; the seq is unique, so
-ordering never looks further. A packet arrival is the entry
-(t, seq, link, packet): the `LinkDir` it came over carries the far-end
-switch and the port class the packet enters it on. Every other event is
-(t, seq, handler, payload), and the loop calls handler(payload, t).
-Switches run a fixed ingress pipeline per packet, one handler per
-packet kind:
+Time is integer nanoseconds. Events run in time order, and events at
+one time in the order they were queued, so identical inputs replay
+identically. The queue is a calendar keyed on exact times: a heap of
+the distinct pending times, as plain ints, and per time its slot, the
+list of events queued at it. Queueing at a time with a slot appends to
+it, and only a new slot pushes its time on the heap. The loop pops a
+time and runs its slot in order; an event queued at the running time
+opens a fresh slot there, which runs next. That is exactly the order of
+a (time, push count) heap, with one heap entry per time instead of per
+event and no ties to compare. A packet arrival is the event
+(link, packet): the `LinkDir` it came over carries the far-end switch
+and the port class the packet enters it on. Every other event is
+(handler, payload), and the loop calls handler(payload, t). Switches
+run a fixed ingress pipeline per packet, one handler per packet kind:
 
   1. replication updates are reconciled into the local store and
      flooded along the distribution tree (minus the ingress port);
@@ -37,11 +43,11 @@ L's packets to H in L's FIFO order (Chandy and Misra's single-sender
 channel argument). So, without a trace, steering or flow rules, a
 packet that L admits is admitted on H at once, at its arrival time at
 the switch, which still counts as one event, unless that arrival falls
-past the running call or an earlier packet for H still waits on the
-heap. Change triggers, too, run only when what they read can have
-moved: at once on each change of the store's version (an applied
-update or a scalar write), and after a feed only once the estimator
-tick they last ran in has ended. A link keeps the departure times of
+past the running call or an earlier packet for H is still queued.
+Change triggers, too, run only when what they read can have moved: at
+once on each change of the store's version (an applied update or a
+scalar write), and after a feed only once the estimator tick they last
+ran in has ended. A link keeps the departure times of
 its last `queue_limit` admitted packets in a ring: departures never
 decrease, so the queue is full exactly when the oldest of them is still
 in the future. The newest is kept apart as the time the link falls
@@ -51,9 +57,9 @@ band with a fixed delay and consume no link capacity.
 
 Per-packet accounting writes straight into the `MetricsLog`'s plain
 int lists. A binned row's index is `t // bin_ns`; only an event at
-exactly the horizon lands in the slot past the last bin, and every
-return from `run_until` folds that slot into the last bin and zeroes
-it, so a resumed run keeps counting right.
+exactly the horizon lands in the bin past the last, and every return
+from `run_until` folds that bin into the last and zeroes it, so a
+resumed run keeps counting right.
 
 A whole run is usually one `run_until` call, so its loop ends in an
 unconditional jump back: CPython 3.11 specializes a code object only
@@ -120,7 +126,7 @@ class LinkDir:
     host to its link from the far switch when this link alone feeds that
     link and the switch only forwards to it (None: no such host). A host
     link's `held_until` is the latest arrival at its switch of a packet
-    for it that went on the heap.
+    for it that was queued as an event.
     """
 
     __slots__ = ("src", "dst", "delay_ns", "capacity_bps", "row", "far", "cls",
@@ -336,8 +342,11 @@ class Simulator:
         self._flow_sent: list[int] = []
         self.flows: list[FlowRT] = []
         self._flow_names: set[str] = set()
-        self._heap: list = []
-        self._seq = itertools.count(1)
+        # The event queue: a heap of the distinct pending times, and per
+        # time its slot, the (kind, payload) events queued at it in push
+        # order.
+        self._times: list[int] = []
+        self._slots: dict[int, list] = {}
         # A flow's next packet is its most frequent event: bind its
         # handler once.
         self._emit = self._emit_flow
@@ -586,10 +595,15 @@ class Simulator:
     # ------------------------------------------------------------------
     # engine
 
-    def _schedule(self, t, handler, payload):
-        """Push an event: a handler and its payload, or a link and the
-        packet arriving over it."""
-        heappush(self._heap, (t, next(self._seq), handler, payload))
+    def _schedule(self, t, kind, payload):
+        """Queue an event, a handler and its payload or a link and the
+        packet arriving over it, behind every event queued at t."""
+        slot = self._slots.get(t)
+        if slot is None:
+            self._slots[t] = [(kind, payload)]
+            heappush(self._times, t)
+        else:
+            slot.append((kind, payload))
 
     def _build_log(self):
         log = MetricsLog(self.t_end_ns, self.bin_ns, [(ld.src, ld.dst) for ld in self._links],
@@ -660,7 +674,8 @@ class Simulator:
         t_end = self.t_end_ns if t_end_s is None else round(t_end_s * 1e9)
         if t_end > self.t_end_ns:
             raise SimulationError("run_until beyond the configured horizon")
-        heap = self._heap
+        times = self._times
+        slots = self._slots
         log = self.log
         on_data = self._on_data
         on_update = self._on_update
@@ -671,40 +686,56 @@ class Simulator:
         t_now = self.t_now
         events = 0
         self._bound = t_end
+        run = iter(())
         try:
             # The back edge must stay an unconditional jump: CPython 3.11
             # warms a code object only on calls and on plain
             # JUMP_BACKWARDs, and a run is one call, so a `while <test>:`
             # header would leave this loop unspecialized for the whole run.
             while True:
-                if not heap or heap[0][0] > t_end:
+                if not times or times[0] > t_end:
                     break
-                t, _seq, kind, payload = heappop(heap)
+                t = heappop(times)
+                slot = slots.pop(t)
                 if t < t_now:
                     raise SimulationError("event queue went backwards")
                 t_now = t
-                events += 1
-                if kind.__class__ is link_dir:
-                    sw = kind.far
-                    if sw is None:
-                        delivered[payload.flow] += 1
-                        flow_bits[payload.flow][t // bin_ns] += payload.size_bits
-                    elif payload.is_update:
-                        on_update(sw, kind, payload, t)
+                # An event queued at t from here on opens a fresh slot,
+                # which runs next.
+                run = iter(slot)
+                for kind, payload in run:
+                    events += 1
+                    if kind.__class__ is link_dir:
+                        sw = kind.far
+                        if sw is None:
+                            delivered[payload.flow] += 1
+                            flow_bits[payload.flow][t // bin_ns] += payload.size_bits
+                        elif payload.is_update:
+                            on_update(sw, kind, payload, t)
+                        else:
+                            on_data(sw, payload, t)
                     else:
-                        on_data(sw, payload, t)
-                else:
-                    kind(payload, t)
+                        kind(payload, t)
         finally:
+            # If a handler raised mid-slot, the rest of its slot stays
+            # queued, ahead of whatever was queued at t since.
+            rest = list(run)
+            if rest:
+                if t not in slots:
+                    heappush(times, t)
+                slots[t] = rest + slots.get(t, [])
             self._bound = -1
-            self.t_now = max(t_now, self._arrived)
+            self.t_now = t_now
             log.events_processed += events
-            # Fold the horizon slot into the last bin.
+            # Fold the horizon bin into the last bin.
             n = log.n_bins
             for row in itertools.chain(log.data_bits, log.repl_bits, flow_bits):
                 if row[n]:
                     row[n - 1] += row[n]
                     row[n] = 0
+        # Every event up to t_end has run: so has each arrival counted at
+        # admission, which a raise may have left ahead of queued events.
+        self.t_now = max(t_now, self._arrived)
         return log
 
     def _start_flow(self, fl: FlowRT, t: int):
@@ -739,13 +770,13 @@ class Simulator:
             if nxt is None or cand < nxt:
                 fl.k += 1
                 if cand < fl.stop_ns:
-                    heappush(self._heap, (cand, next(self._seq), self._emit, fl))
+                    self._schedule(cand, self._emit, fl)
                 return
         if nxt is None:
             return
         fl.enter(fl.seg + 1)
         if nxt < fl.stop_ns:
-            heappush(self._heap, (nxt, next(self._seq), self._emit, fl))
+            self._schedule(nxt, self._emit, fl)
 
     def _send(self, ld: LinkDir, pkt: Packet, t: int) -> int | None:
         """Put `pkt` on `ld` at t: its arrival time at the far end, or
@@ -789,8 +820,8 @@ class Simulator:
         elif ld.fold is not None and (host := ld.fold.get(pkt.dst)) is not None:
             # The far switch would only forward the packet to its host
             # link: do that now, as the loop would when the arrival came
-            # due, unless an earlier packet for that link still waits on
-            # the heap.
+            # due, unless an earlier packet for that link is still
+            # queued.
             if pkt.monitor is None and arr <= self._bound and host.held_until < t:
                 self.log.events_processed += 1
                 if arr > self._arrived:
@@ -798,7 +829,12 @@ class Simulator:
                 self._send(host, pkt, arr)
                 return arr
             host.held_until = arr
-        heappush(self._heap, (arr, next(self._seq), ld, pkt))
+        slot = self._slots.get(arr)
+        if slot is None:
+            self._slots[arr] = [(ld, pkt)]
+            heappush(self._times, arr)
+        else:
+            slot.append((ld, pkt))
         return arr
 
     def _eval_change_triggers(self, sw: SwitchRT, t: int):

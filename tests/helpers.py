@@ -41,6 +41,9 @@ def random_switch_topology(
 
 
 GENERATED_APPS = ("ddos", "ratelimit", "linklb", "resourcelb")
+# The first seed whose `random_scenario` synchronizes its flows.
+SYNCED_SEEDS = 20
+MS = 1_000_000
 
 
 def random_scenario(seed):
@@ -49,28 +52,41 @@ def random_scenario(seed):
     seed, in GENERATED_APPS order), a random replica count where the
     application's placement allows one, flows whose rates step up or
     down, links and queues small enough to drop packets, and a horizon
-    of 2 s or less."""
+    of 2 s or less.
+
+    From SYNCED_SEEDS on, the flows are synchronized: they start
+    together at one rate, from two or three sources on one switch, so
+    their packets reach switches on the same nanosecond. Every rate's
+    period divides the estimators' delta, and serialization plus delay
+    takes 10 or 20 ms a hop, so packets land on estimator tick
+    boundaries."""
     rng = random.Random(seed)
+    synced = seed >= SYNCED_SEEDS
     app = GENERATED_APPS[seed % len(GENERATED_APPS)]
     n = rng.randint(3, 6)
     mbps = rng.choice((2, 5, 10))
     topo = random_switch_topology(rng, n, extra_edges=rng.randint(0, 2),
-                                  capacity_bps=mbps * 1_000_000)
+                                  capacity_bps=mbps * 1_000_000,
+                                  **({"delay_choices": (9 * MS, 19 * MS)} if synced else {}))
     sws = list(topo.switches)
     t_end = rng.choice((1.0, 1.5, 2.0))
     flows, loads = [], []
     # (name, switch, port class); each source weighs on the placement.
     sources = [(f"src{i}", rng.choice(sws), "external") for i in range(rng.randint(1, 3))]
+    if synced:
+        sources = [(f"src{i}", sources[0][1], "external") for i in range(rng.randint(2, 3))]
     sinks = [(f"dst{i}", rng.choice(sws), "downlink") for i in range(rng.randint(1, 2))]
     replicas = rng.randint(1, n)
     if app == "ddos":
         params = [f"threshold = {rng.choice((100, 200, 400))}",
-                  f"epsilon_t = {10 + n + 2}ms", f"delta = {rng.choice((50, 100))}ms",
+                  f"epsilon_t = {20 * n if synced else 10 + n + 2}ms",
+                  f"delta = {rng.choice((50, 100))}ms",
                   f"window = {rng.choice((4, 8))}", "states = auto"]
         r_min = 100
     elif app == "ratelimit":
         params = [f"limit = {rng.choice((1, 2))}Mbps", "epsilon_r = 10",
-                  "max_write_rate = 625", f"delta = {rng.choice((50, 100))}ms",
+                  f"max_write_rate = {100 if synced else 625}",
+                  f"delta = {rng.choice((50, 100))}ms",
                   f"window = {rng.choice((4, 8))}", "states = auto"]
         r_min = 250
     elif app == "linklb":
@@ -96,27 +112,37 @@ def random_scenario(seed):
             loads.append(f"srv_load_{i} = " + " ".join(
                 f"{t / 10:g}:{rng.randrange(100)}" for t in (0, *steps)))
         r_min = 100
+    if synced and app in ("linklb", "resourcelb"):
+        # Budgets of 100 ms and more cover the longer hops.
+        params.append("max_write_rate = 100")
     if app in ("linklb", "resourcelb"):
         # Both place their states at their balancing switches (and
         # linklb's legs): take every switch, so the placement has them.
         replicas = n
     hosts = sources + sinks
     weights = [f"{h}:{rng.randint(1, 3)}" for h, _, _ in sources]
+    if synced:
+        # One start and rate for every flow, and 1 ms to serialize a
+        # packet.
+        start, rate = rng.randrange(2) / 10, rng.choice((100, 200))
     for src, _, _ in sources:
         for dst, _, _ in rng.sample(sinks, rng.randint(1, len(sinks))):
-            steps = " ".join(f"@{t / 10:g}:{rng.choice((0, 50, 200, 600))}"
+            rates = (0, 100, 200) if synced else (0, 50, 200, 600)
+            steps = " ".join(f"@{t / 10:g}:{rng.choice(rates)}"
                              for t in sorted(rng.sample(range(2, round(10 * t_end)), 2)))
+            size = rng.choice((512, 1500, 4000, 10000))
+            syn = rng.choice(('yes', 'yes', 'no'))
+            if not synced:
+                start, rate = rng.randrange(2) / 10, rng.choice((50, 150, 400))
             flows.append([f"[flow.f{len(flows)}]", f"src = {src}", f"dst = {dst}",
-                          f"size = {rng.choice((512, 1500, 4000, 10000))}",
-                          f"syn = {rng.choice(('yes', 'yes', 'no'))}",
-                          f"start = {rng.randrange(2) / 10:g}",
-                          f"rate = {rng.choice((50, 150, 400))} {steps}"])
+                          f"size = {mbps * 1000 if synced else size}", f"syn = {syn}",
+                          f"start = {start:g}", f"rate = {rate} {steps}"])
     out = ["format_version = 1", "", "[scenario]", f"name = generated_{seed}",
            f"seed = {seed}", f"t_end = {t_end:g}", "metrics_bin = 0.25",
            f"queue_limit = {rng.choice((2, 5, 100))}", "", "[topology]",
            "switches = " + " ".join(sws),
            "links = " + " ".join(f"{ln.u}-{ln.v}" for ln in topo.links),
-           f"link_capacity = {mbps}Mbps", ""]
+           f"link_capacity = {mbps}Mbps", *(["host_delay = 9ms"] if synced else []), ""]
     for ln in topo.links:
         out += [f"[link.{ln.u}.{ln.v}]", f"delay = {ln.delay_ns / 1e6:g}ms", ""]
     for h, sw, cls in hosts:

@@ -11,13 +11,16 @@ its plain form here.
 
 Run as a script, it compares the two on the benchmark's workloads at
 their full horizons, and exits non-zero naming the workload and the
-exported file that differ::
+exported file that differ. Per workload it also prints the reference's
+heap pushes and the slots the simulator opened::
 
     PYTHONPATH=src python tests/reference.py
 """
 
+import contextlib
 import heapq
 import importlib.util
+import itertools
 import json
 import os
 import sys
@@ -26,9 +29,11 @@ from collections import deque
 from pathlib import Path
 
 from repdp import ReductionKind, Simulator, build_simulation, export_metrics, parse_scenario
-from repdp import runner
+from repdp import runner, simcore
 from repdp.compiler import PRIMITIVES, run_steps
+from repdp.errors import SimulationError
 from repdp.replication import ReplicaStore
+from repdp.simcore import LinkDir
 
 
 def apply_reduction(kind, values):
@@ -117,6 +122,8 @@ class FreshReadStore(ReplicaStore):
 class ReferenceSimulator(Simulator):
     """The simulator with every run-time shortcut turned off:
 
+    - events wait on one binary heap of (time, seq, kind, payload)
+      entries, seq counting pushes, instead of in per-time slots;
     - links are `DequeLink`s, and every arrival, at a host too, waits on
       the heap until the loop pops it, so nothing is counted when its
       link admits it and no switch hop folds;
@@ -131,6 +138,36 @@ class ReferenceSimulator(Simulator):
         super().__init__(*args, **kwargs)
         self.deque_links = {ld: DequeLink(ld.delay_ns, ld.capacity_bps, self.queue_limit)
                             for ld in self._links}
+        self._heap = []
+        self._seq = itertools.count(1)
+
+    def _schedule(self, t, kind, payload):
+        heapq.heappush(self._heap, (t, next(self._seq), kind, payload))
+
+    def run_until(self, t_end_s=None):
+        """Pop and run events in (time, seq) order up to t_end_s."""
+        if self.log is None:
+            self._build_log()
+        t_end = self.t_end_ns if t_end_s is None else round(t_end_s * 1e9)
+        heap, log = self._heap, self.log
+        while heap and heap[0][0] <= t_end:
+            t, _, kind, payload = heapq.heappop(heap)
+            if t < self.t_now:
+                raise SimulationError("event queue went backwards")
+            self.t_now = t
+            log.events_processed += 1
+            if not isinstance(kind, LinkDir):
+                kind(payload, t)
+            elif kind.far is None:
+                log.flow_delivered[payload.flow] += 1
+                log.flow_bits[payload.flow][t // self.bin_ns] += payload.size_bits
+            elif payload.is_update:
+                self._on_update(kind.far, kind, payload, t)
+            else:
+                self._on_data(kind.far, payload, t)
+        # Nothing waits on the slots: this checks t_end_s and folds the
+        # horizon bin into the last bin.
+        return super().run_until(t_end_s)
 
     def install_app(self, *args, **kwargs):
         super().install_app(*args, **kwargs)
@@ -149,7 +186,7 @@ class ReferenceSimulator(Simulator):
                 self.trace.append(f"{t} drop_queue {ld.src} uid={pkt.uid} to={ld.dst}")
             return None
         (ld.repl if pkt.is_update else ld.data)[t // self.bin_ns] += pkt.size_bits
-        heapq.heappush(self._heap, (arr, next(self._seq), ld, pkt))
+        self._schedule(arr, ld, pkt)
         return arr
 
     def _eval_change_triggers(self, sw, t):
@@ -188,6 +225,24 @@ def exported_family(sim, log, out_dir):
     return {name: Path(out_dir, name).read_bytes() for name in sorted(os.listdir(out_dir))}
 
 
+@contextlib.contextmanager
+def counting_slots():
+    """Count the simulator's heap pushes, one per slot it opens, while
+    the block runs: yields a one-item list that holds the count."""
+    count = [0]
+    push = simcore.heappush
+
+    def counting_push(heap, t):
+        count[0] += 1
+        push(heap, t)
+
+    simcore.heappush = counting_push
+    try:
+        yield count
+    finally:
+        simcore.heappush = push
+
+
 def main() -> int:
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     bench = os.path.join(root, "bench")
@@ -208,18 +263,23 @@ def main() -> int:
             else:
                 path = os.path.join(root, wl["scenario"])
             cfg = parse_scenario(path)
-            families = []
+            runs = []
             for build in (build_simulation, build_reference):
-                sim = build(cfg, replicas=wl["replicas"], seed=seed).sim
-                out = os.path.join(tmp, name, type(sim).__name__)
-                os.makedirs(out)
-                families.append(exported_family(sim, sim.run_until(), out))
-            got, want = families
+                with counting_slots() as opened:
+                    sim = build(cfg, replicas=wl["replicas"], seed=seed).sim
+                    out = os.path.join(tmp, name, type(sim).__name__)
+                    os.makedirs(out)
+                    runs.append((exported_family(sim, sim.run_until(), out), opened[0], sim))
+            (got, opened, _), (want, _, ref) = runs
             differ = sorted(f for f in got.keys() | want.keys() if got.get(f) != want.get(f))
             for f in differ:
                 print(f"{name}: {f} differs from the reference")
             if not differ:
                 print(f"{name}: matches the reference ({len(got)} files)")
+            # The reference pushes each event on its heap; the simulator
+            # pushes a time only to open a slot.
+            print(f"{name}: {next(ref._seq) - 1:,} reference heap pushes,"
+                  f" {opened:,} simulator slots opened")
             failed += bool(differ)
     return 1 if failed else 0
 

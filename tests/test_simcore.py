@@ -1,5 +1,6 @@
 """Event engine behaviour: links, queues, flows, pipelines, applications."""
 
+import collections
 import csv
 import math
 import os
@@ -286,6 +287,71 @@ def test_event_pushed_into_the_past_is_rejected():
     sim._schedule(1, sim._notify, ("sw", "late"))
     with pytest.raises(SimulationError, match="went backwards"):
         sim.run_until()
+
+
+def test_events_at_one_time_run_in_push_order():
+    # Pushes interleaved over two times run, per time, in push order. An
+    # event pushed at the running time runs after the rest of that
+    # time's events, and a stop between two times keeps the later whole.
+    runs = []
+    for cls in (Simulator, ReferenceSimulator):
+        sim = cls(line_topo(), t_end_s=1.0)
+        order = []
+        then = {"b": [(0, "b1")], "c": [(0, "c1"), (1, "c2")]}
+
+        def handler(label, t, sim=sim, order=order):
+            order.append((t, label))
+            for dt, later in then.get(label, ()):
+                sim._schedule(t + dt, handler, later)
+
+        for t, label in ((2, "a"), (1, "b"), (2, "c"), (1, "d"), (2, "e")):
+            sim._schedule(t, handler, label)
+        sim.run_until(1e-9)
+        stopped = list(order)
+        sim._schedule(2, handler, "f")
+        log = sim.run_until()
+        runs.append((stopped, order, log.events_processed))
+    assert runs[0] == runs[1]
+    stopped, order, events = runs[0]
+    assert stopped == [(1, "b"), (1, "d"), (1, "b1")]
+    assert order == [*stopped, (2, "a"), (2, "c"), (2, "e"), (2, "f"), (2, "c1"), (3, "c2")]
+    assert events == len(order)
+
+
+class Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("push_at_raise", [False, True])
+def test_a_handler_that_raises_mid_slot_leaves_the_rest_queued(tmp_path, push_at_raise):
+    # At 50 ms the flow starts, and its first packet, counted at its
+    # host at 54 ms when its link admits it, is sent. Then a handler
+    # raises between two notifications, having pushed one more at its
+    # time or not. What follows it at that time stays queued, ahead of
+    # that push, as on the heap, and the resumed run exports what the
+    # reference does under the same raise.
+    runs = []
+    for cls in (Simulator, ReferenceSimulator):
+        sim = cls(line_topo(), t_end_s=1.0)
+        sim.add_flow("f", "hA", "hB", 1000, False, [(0.05, 100.0)], stop_s=1.0)
+
+        def boom(_, t, sim=sim):
+            if push_at_raise:
+                sim._schedule(t, sim._notify, ("sw", "pushed"))
+            raise Boom
+
+        for kind, payload in ((sim._notify, ("sw", "before")), (boom, None),
+                              (sim._notify, ("sw", "after"))):
+            sim._schedule(50 * MS, kind, payload)
+        with pytest.raises(Boom):
+            sim.run_until()
+        assert sim.t_now == 50 * MS
+        log = sim.run_until()
+        runs.append((log.notifications, exported_family(sim, log, tmp_path / cls.__name__)))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == [(50 * MS, "sw", m) for m in ("before", "after", "pushed")
+                          if push_at_raise or m != "pushed"]
+    assert sum(log.flow_delivered) == 95
 
 
 def test_save_trace_needs_trace_collection(tmp_path):
@@ -959,7 +1025,9 @@ def line_case(sim_class, case):
     if case in ("measured", "egress_watch"):
         sim = sim_class(line_topo(capacity_bps=1_000_000_000), t_end_s=2.0)
         install(sim, WATCH, egress_observers={"rate": "hB"} if case == "egress_watch" else None)
-        sim.add_flow("f", "hA", "hB", 1000, False, [(0.0, 100.0)], stop_s=2.0,
+        # A packet reaches sw every 10 ms from 10 ms on: one lands on
+        # each estimator tick boundary.
+        sim.add_flow("f", "hA", "hB", 1000, False, [(0.008999, 100.0)], stop_s=2.0,
                      monitor="sw" if case == "measured" else None)
         return sim
     if case == "steered":
@@ -1010,18 +1078,35 @@ def test_no_hop_folds_where_its_switch_does_more_than_forward(tmp_path, case):
             == log.flow_delivered[0]
 
 
-def test_host_deliveries_skip_the_heap(monkeypatch):
+def queued_events(sim):
+    return sum(map(len, sim._slots.values()))
+
+
+def count_queued(sim):
+    """Count each event queued on `sim` from here on, in a slot it opens
+    or in one already open: returns the count, a one-item list."""
+    count = [0]
+
+    class Slot(list):
+        def append(self, event):
+            count[0] += 1
+            super().append(event)
+
+    class Slots(dict):
+        def __setitem__(self, t, slot):
+            count[0] += len(slot)
+            super().__setitem__(t, Slot(slot))
+
+    slots = Slots()
+    dict.update(slots, {t: Slot(slot) for t, slot in sim._slots.items()})
+    sim._slots = slots
+    return count
+
+
+def test_host_deliveries_skip_the_heap():
     sim = build_simulation(parse_scenario(FIG8), t_end_s=10.0).sim
-    queued = len(sim._heap)
-    pushes = 0
-    heappush = simcore.heappush
-
-    def counting_heappush(heap, entry):
-        nonlocal pushes
-        pushes += 1
-        heappush(heap, entry)
-
-    monkeypatch.setattr(simcore, "heappush", counting_heappush)
+    queued = queued_events(sim)
+    pushes = count_queued(sim)
     _, folds = record_sends(sim)
     log = sim.run_until()
     delivered = sum(log.flow_delivered)
@@ -1030,9 +1115,8 @@ def test_host_deliveries_skip_the_heap(monkeypatch):
     # forwards to it: every delivery's last switch hop folds.
     assert len(folds) == delivered
     # Every event but a counted delivery or a folded hop was queued
-    # before the run or pushed during it, and popped unless it is still
-    # queued.
-    assert pushes == log.events_processed - delivered - len(folds) - queued + len(sim._heap)
+    # before the run or during it, and ran unless it is still queued.
+    assert pushes[0] == log.events_processed - delivered - len(folds) - queued + queued_events(sim)
 
 
 def test_second_install_app_is_rejected(ddos_cfg):
@@ -1470,7 +1554,7 @@ SCENARIO_CASES = {
 }
 LINE_CASES = ("measured", "egress_watch", "origin", "steered")
 MESH_SEEDS = (11, 23)
-GENERATED_SEEDS = range(20)
+GENERATED_SEEDS = range(36)
 REFERENCE_CASES = (*SCENARIO_CASES, *(f"line_{c}" for c in LINE_CASES),
                    *(f"mesh_{s}" for s in MESH_SEEDS),
                    *(f"generated_{s}" for s in GENERATED_SEEDS))
@@ -1576,13 +1660,36 @@ def test_change_triggers_skipped_within_a_tick_match_every_feed(tmp_path, scenar
     assert 0 < skipping < every_feed
 
 
+def record_arrivals(sim):
+    """Watch the packets `sim` runs at switches: returns how many run at
+    each (time, switch), and the times a packet is measured at a switch
+    with change triggers exactly where their tick ends."""
+    at, on_tick = collections.Counter(), []
+    on_data, on_update = sim._on_data, sim._on_update
+
+    def recording_on_data(sw, pkt, t):
+        at[t, sw.name] += 1
+        if pkt.monitor == sw.name and sw.change_triggers and t == sw.triggers_until:
+            on_tick.append(t)
+        on_data(sw, pkt, t)
+
+    def recording_on_update(sw, link, pkt, t):
+        at[t, sw.name] += 1
+        on_update(sw, link, pkt, t)
+
+    sim._on_data, sim._on_update = recording_on_data, recording_on_update
+    return at, on_tick
+
+
 def test_generated_cases_cover_every_shortcut(tmp_path):
     # Across the generated cases of the comparison above: every
-    # application, several replica counts, horizons of 2 s or less, and
-    # at least one case each with a folded hop, a queue drop, a
-    # detection, a policing drop (an application drop that is no
-    # controller redirect), a pinned flow rule and a rate step.
-    apps, counts, shown = set(), set(), set()
+    # application, several replica counts, horizons of 2 s or less, a
+    # folded hop in more than two cases, and at least one case each with
+    # a queue drop, a detection, a policing drop (an application drop
+    # that is no controller redirect), a pinned flow rule, a rate step,
+    # two packets at one switch on one nanosecond (one time slot), and a
+    # packet measured on the first nanosecond of an estimator tick.
+    apps, counts, shown, folding = set(), set(), set(), 0
     for seed in GENERATED_SEEDS:
         cfg = write_scenario(tmp_path, random_scenario(seed), f"generated_{seed}.scn")
         assert cfg.t_end_s <= 2.0
@@ -1591,16 +1698,20 @@ def test_generated_cases_cover_every_shortcut(tmp_path):
         counts.add(built.replicas)
         sim = built.sim
         _, folds = record_sends(sim)
+        at, on_tick = record_arrivals(sim)
         log = sim.run_until()
+        folding += bool(folds)
         shown.update(name for name, hit in (
-            ("folded hop", folds),
             ("queue drop", any(log.queue_drops)),
             ("detection", log.detections),
             ("policing drop", sum(log.flow_app_drops) > len(log.controller_redirects)),
             ("flow rule", any(rt.flow_rules for rt in sim.switch_rt.values())),
             ("rate step", any(len(fl.segments) > 1 for fl in sim.flows)),
+            ("shared slot", max(at.values()) >= 2),
+            ("tick boundary", on_tick),
         ) if hit)
     assert apps == set(GENERATED_APPS)
     assert len(counts) >= 4
-    assert shown == {"folded hop", "queue drop", "detection", "policing drop", "flow rule",
-                     "rate step"}
+    assert folding > 2
+    assert shown == {"queue drop", "detection", "policing drop", "flow rule", "rate step",
+                     "shared slot", "tick boundary"}
