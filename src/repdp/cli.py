@@ -82,7 +82,7 @@ def _verb_run(args) -> int:
         t_end_s=args.t_end, trace_path=trace_path,
         replication=False if args.no_replication else None,
     )
-    rows = summarize({config.name: log}, is_switch=config.topology.is_switch)
+    rows = summarize({config.name: log})
     export_summary(rows, os.path.join(args.out_dir, "summary.csv"))
     print(f"run complete: {log.events_processed} events,"
           f" {log.updates_emitted} updates -> {args.out_dir}")

@@ -103,9 +103,11 @@ class MetricsLog:
     `flow_queue_drops` per flow. `applied` has one row per applied
     update: (t_ns, state, origin, replica, staleness_ns,
     replaced_age_ns, lag_writes), its names interned in `names`.
+    `core` holds each link direction's flag: whether both its ends are
+    switches.
     """
 
-    def __init__(self, t_end_ns: int, bin_ns: int, link_dirs, flow_names):
+    def __init__(self, t_end_ns: int, bin_ns: int, link_dirs, flow_names, core):
         if bin_ns <= 0:
             raise InvalidParameter(f"metrics bin must be positive, got {bin_ns} ns")
         self.t_end_ns = t_end_ns
@@ -113,6 +115,7 @@ class MetricsLog:
         self.n_bins = max(1, math.ceil(t_end_ns / bin_ns))
         self.link_dirs = list(link_dirs)
         self.link_index = {ld: i for i, ld in enumerate(self.link_dirs)}
+        self.core = list(core)
         self.flow_names = list(flow_names)
         self.flow_index = {f: i for i, f in enumerate(self.flow_names)}
         slots = self.n_bins + 1
@@ -137,8 +140,12 @@ class MetricsLog:
         self.replica_memory: dict[str, int] = {}
         self.plan_text = ""
 
-    # Core switch-switch link rows, in index order.
-    def core_rows(self, is_switch) -> list[int]:
+    def core_rows(self, is_switch=None) -> list[int]:
+        """Core switch-switch link rows, in index order: those the log
+        flags, or with `is_switch`, those whose ends it says are
+        switches."""
+        if is_switch is None:
+            return [i for i, core in enumerate(self.core) if core]
         return [
             i for i, (u, v) in enumerate(self.link_dirs) if is_switch(u) and is_switch(v)
         ]
@@ -173,7 +180,9 @@ def _write_csv(path: str, header: str, lines):
 
 
 def export_metrics(log: MetricsLog, out_dir: str, switch_names=None):
-    """Write the raw per-bin CSV family for one run into `out_dir`."""
+    """Write the raw per-bin CSV family for one run into `out_dir`. A
+    link is core as the log flags it, or with `switch_names`, if both
+    its ends are named there."""
     names = {x for ld in log.link_dirs for x in ld}
     names.update(log.flow_names)
     names.update(x for _, sw, tr, _ in log.detections for x in (sw, tr))
@@ -183,14 +192,17 @@ def export_metrics(log: MetricsLog, out_dir: str, switch_names=None):
     _check_plain(names)
 
     os.makedirs(out_dir, exist_ok=True)
-    sws = frozenset(switch_names or ())
+    core = log.core
+    if switch_names is not None:
+        sws = frozenset(switch_names)
+        core = [u in sws and v in sws for u, v in log.link_dirs]
     bin_s = log.bin_ns / 1e9
     starts = [repr(b * bin_s) for b in range(log.n_bins)]
 
     def path(name):
         return os.path.join(out_dir, name)
 
-    links = [f"{u},{v},{1 if u in sws and v in sws else 0}," for u, v in log.link_dirs]
+    links = [f"{u},{v},{int(c)}," for (u, v), c in zip(log.link_dirs, core)]
     _write_csv(
         path("links.csv"),
         "src,dst,core,bin_start_s,data_bits,repl_bits,total_bits",
@@ -279,13 +291,10 @@ def read_metrics_dir(path: str) -> MetricsLog:
     with open(os.path.join(path, "links.csv")) as fh:
         for row in csv.DictReader(fh):
             link_rows.append(row)
-    link_dirs = []
+    # Each link direction's core flag, in file order.
     core_flags = {}
     for row in link_rows:
-        ld = (row["src"], row["dst"])
-        if ld not in core_flags:
-            core_flags[ld] = row["core"] == "1"
-            link_dirs.append(ld)
+        core_flags.setdefault((row["src"], row["dst"]), row["core"] == "1")
 
     flow_rows = []
     with open(os.path.join(path, "flows.csv")) as fh:
@@ -293,8 +302,7 @@ def read_metrics_dir(path: str) -> MetricsLog:
             flow_rows.append(row)
     flow_names = list(dict.fromkeys(row["flow"] for row in flow_rows))
 
-    log = MetricsLog(t_end_ns, bin_ns, link_dirs, flow_names)
-    log._core_flags = core_flags
+    log = MetricsLog(t_end_ns, bin_ns, core_flags, flow_names, core_flags.values())
     for row in link_rows:
         i = log.link_index[(row["src"], row["dst"])]
         b = int(float(row["bin_start_s"]) * 1e9 / bin_ns + 0.5)
@@ -344,17 +352,14 @@ class SummaryRow:
 def summarize(logs: dict[str, MetricsLog], is_switch=None) -> list[SummaryRow]:
     """Steady-state summary per run, over `MetricsLog.window_slice`.
 
-    Link means are taken over switch-switch (core) directed links; the
-    replication fraction is replication bits over total bits in the
-    window.
+    Link means are taken over switch-switch (core) directed links,
+    `MetricsLog.core_rows(is_switch)`; the replication fraction is
+    replication bits over total bits in the window.
     """
     out = []
     for label in sorted(logs):
         log = logs[label]
-        if is_switch is not None:
-            core = log.core_rows(is_switch)
-        else:
-            core = [i for i, ld in enumerate(log.link_dirs) if log._core_flags[ld]]
+        core = log.core_rows(is_switch)
         sl = log.window_slice()
         nbins = sl.stop - sl.start
         window_s = nbins * log.bin_ns / 1e9

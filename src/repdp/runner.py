@@ -143,14 +143,14 @@ def run_single(config: ScenarioConfig, out_dir: str | None = None,
     built = build_simulation(config, replicas=replicas, seed=seed,
                              t_end_s=t_end_s, collect_trace=trace_path is not None,
                              replication=replication)
-    return _run_built(config, built, out_dir, trace_path)
+    return _run_built(built, out_dir, trace_path)
 
 
-def _run_built(config: ScenarioConfig, built: BuiltSimulation, out_dir: str | None,
+def _run_built(built: BuiltSimulation, out_dir: str | None,
                trace_path: str | None = None) -> MetricsLog:
     log = built.sim.run_until()
     if out_dir is not None:
-        export_metrics(log, out_dir, switch_names=config.topology.switches)
+        export_metrics(log, out_dir)
     if trace_path is not None:
         built.sim.save_trace(trace_path)
     return log
@@ -170,7 +170,7 @@ def run_sweep(config: ScenarioConfig, out_dir: str, replica_counts,
     logs: dict[str, MetricsLog] = {}
     for built in builds:
         label = f"c{built.replicas}"
-        logs[label] = _run_built(config, built, os.path.join(out_dir, label))
-    rows = summarize(logs, is_switch=config.topology.is_switch)
+        logs[label] = _run_built(built, os.path.join(out_dir, label))
+    rows = summarize(logs)
     export_summary(rows, os.path.join(out_dir, "summary.csv"))
     return logs

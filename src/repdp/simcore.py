@@ -17,16 +17,20 @@ run a fixed ingress pipeline per packet, one handler per packet kind:
 
   1. replication updates are reconciled into the local store and
      flooded along the distribution tree (minus the ingress port);
-  2. data packets hitting their measurement switch feed the matching
-     state estimators, then per-packet activities (policing, steering,
-     rule insertion) and edge-triggered controller notifications run.
-     What a scope matches (the port class a packet enters the network
-     on, its SYN flag, its destination) is constant per flow, so each
-     flow's monitors, packet triggers and egress monitors are resolved
-     once, when the run starts, and the pipeline only walks them;
-  3. the packet is forwarded (measurement detour first, then pinned
-     flow rules, then shortest path to destination); routes, flow
-     rules and egress maps resolve straight to a link;
+  2. a data packet carries one address, `to`: its flow's measurement
+     switch until it is measured there, its destination host after.
+     At that switch it feeds the matching state estimators, then
+     per-packet activities (policing, steering, rule insertion) and
+     edge-triggered controller notifications run, and `to` becomes the
+     destination host. What a scope matches (the port class a packet
+     enters the network on, its SYN flag, its destination) is constant
+     per flow, so each flow's monitors, packet triggers and egress
+     monitors are resolved once, when the run starts, and the pipeline
+     only walks them;
+  3. unless steered or dropped, the packet is forwarded on the
+     switch's one table, `route[to]`, where a pinned flow rule has
+     overwritten the shortest-path entry for its destination host;
+     routes and egress maps resolve straight to a link;
   4. last, each state owned by the switch checks its update trigger
      against the traffic-driven clock and may emit an update frame.
 
@@ -151,48 +155,47 @@ class LinkDir:
 
 
 class Packet:
-    """A data packet or an update frame in flight. `monitor` is the
-    measurement switch still ahead of a data packet: None once the
-    packet has been measured there, or if it has none. An update frame
-    carries one `header`."""
+    """A data packet or an update frame in flight. A data packet's one
+    address `to` is its flow's measurement switch until it has been
+    measured there, and its destination host after (or from the start,
+    if the flow has no monitor). An update frame carries one `header`
+    and no address: the distribution tree floods it."""
 
-    __slots__ = ("uid", "flow", "dst", "dst_switch", "size_bits", "is_update", "header",
-                 "origin_ts", "origin_writes", "monitor")
+    __slots__ = ("uid", "flow", "to", "size_bits", "is_update", "header",
+                 "origin_ts", "origin_writes")
 
-    def __init__(self, uid, flow, dst, dst_switch, size_bits, monitor=None, is_update=False,
+    def __init__(self, uid, flow, to, size_bits, is_update=False,
                  header=None, origin_ts=0, origin_writes=0):
         self.uid = uid
         self.flow = flow
-        self.dst = dst
-        self.dst_switch = dst_switch
+        self.to = to
         self.size_bits = size_bits
         self.is_update = is_update
         self.header = header
         self.origin_ts = origin_ts
         self.origin_writes = origin_writes
-        self.monitor = monitor
 
 
 class FlowRT:
     """A flow's generator state. `segments` holds (start_ns, rate_pps)
-    pairs and `out` is the source host's link. The current segment's
+    pairs and `out` is the source host's link; its packets are first
+    addressed to `monitor`, or to `dst` without one. The current segment's
     start and rate, and the next segment's start (None after the last),
     are kept unpacked for the per-packet path. `monitors` and `triggers`
     are the monitors and packet triggers of the measurement switch whose
     scope the flow matches, in the switch's order, resolved when the run
     starts."""
 
-    __slots__ = ("row", "name", "src", "dst", "dst_switch", "size_bits", "syn",
+    __slots__ = ("row", "name", "src", "dst", "size_bits", "syn",
                  "segments", "stop_ns", "monitor", "out", "seg", "k",
                  "seg_start", "rate", "next_start", "monitors", "triggers")
 
-    def __init__(self, row, name, src, dst, dst_switch, size_bits, syn,
+    def __init__(self, row, name, src, dst, size_bits, syn,
                  segments, stop_ns, monitor, out):
         self.row = row
         self.name = name
         self.src = src
         self.dst = dst
-        self.dst_switch = dst_switch
         self.size_bits = size_bits
         self.syn = syn
         self.segments = segments
@@ -275,8 +278,12 @@ def _scoped(elements, fl: FlowRT) -> tuple:
 
 
 class SwitchRT:
-    """One switch at run time: its ports, routes and tree flood sets, its
-    replica store, and the monitors and triggers installed on it. Its
+    """One switch at run time: its ports, its forwarding table `route`
+    and tree flood sets, its replica store, and the monitors and
+    triggers installed on it. `route` has one link per address a packet
+    can carry: each flow's destination host (at the host's own switch,
+    the host's port; an insert_flow_rule activity overwrites the entry
+    at its switch) and each monitor switch other than this one. Its
     `sw_id` is its `Topology.index`, which the update headers it sends
     carry. `rng`
     is the uniform generator its probabilistic predicates draw from:
@@ -286,7 +293,7 @@ class SwitchRT:
 
     __slots__ = ("name", "sw_id", "name_id", "ports", "route", "flood", "store",
                  "monitors", "egress_monitors", "packet_triggers", "change_triggers",
-                 "triggers_until", "own_updates", "flow_rules", "rng")
+                 "triggers_until", "own_updates", "rng")
 
     def __init__(self, name, sw_id):
         self.name = name
@@ -295,9 +302,7 @@ class SwitchRT:
         # switch that hosts a store.
         self.name_id = -1
         self.ports: dict[str, LinkDir] = {}
-        # The link toward each destination switch; None for this switch
-        # itself, where a packet leaves on ports[pkt.dst].
-        self.route: dict[str, LinkDir | None] = {name: None}
+        self.route: dict[str, LinkDir] = {}
         # Distribution-tree egress links per ingress port; None keys the
         # switch's own update emission.
         self.flood: dict[str | None, tuple[LinkDir, ...]] = {}
@@ -314,7 +319,6 @@ class SwitchRT:
         self.triggers_until = -1
         # The states this switch writes that have an update trigger.
         self.own_updates: list[_StateRT] = []
-        self.flow_rules: dict[str, LinkDir] = {}
         self.rng: random.Random | None = None
 
 
@@ -323,15 +327,17 @@ class Simulator:
 
     Setup costs what the run uses: a switch gets a random generator only
     when a packet trigger installed on it draws, and every switch gets a
-    route toward a switch only once a flow names it as its destination's
-    switch or its monitor, read from that switch's predecessor row."""
+    route toward a node only once a flow names it as its destination
+    host or its monitor, read from the predecessor row of that node's
+    switch."""
 
     def __init__(self, topo, seed=1, t_end_s=60.0, metrics_bin_s=0.5,
                  queue_limit=100, collect_trace=False):
         if queue_limit < 1:
             raise InvalidParameter(f"queue_limit must be at least 1, got {queue_limit}")
-        if not math.isfinite(t_end_s) or round(t_end_s * 1e9) < 1:
-            raise InvalidParameter(f"t_end must be a finite time of at least 1ns, got {t_end_s} s")
+        for what, x in (("t_end", t_end_s), ("metrics bin", metrics_bin_s)):
+            if not math.isfinite(x) or round(x * 1e9) < 1:
+                raise InvalidParameter(f"{what} must be a finite time of at least 1ns, got {x} s")
         self.topo = topo
         self.t_end_ns = round(t_end_s * 1e9)
         self.bin_ns = round(metrics_bin_s * 1e9)
@@ -365,8 +371,8 @@ class Simulator:
         self.plan_text = ""
 
         self._seed = seed & _M64
-        # Switches every switch has a route toward (None: no monitor).
-        self._routed = {None}
+        # The addresses (destination hosts and monitors) the tables route toward.
+        self._routed: set[str] = set()
         # The switches by path-table index (`topo.index` lists them in
         # index order), and by name in declaration order.
         self._by_index = [SwitchRT(sw, i) for sw, i in topo.index.items()]
@@ -405,8 +411,9 @@ class Simulator:
         name the plan's `solutions` lists gets an update trigger at its
         origin, so a plan without solutions installs no replication. Each
         of the plan's tree edges must link two switches, and each switch
-        floods updates to its distribution-tree neighbors in name order. A simulator holds one application, and install_app checks
-        it whole before it writes anything: a SimulationError leaves the
+        floods updates to its distribution-tree neighbors in name order.
+        A simulator holds one application, and install_app checks it
+        whole before it writes anything: a SimulationError leaves the
         simulator as it was.
         """
         if self._app_installed:
@@ -536,17 +543,18 @@ class Simulator:
             raise SimulationError(f"flow {name}: stop precedes start")
         if monitor is not None and not self.topo.is_switch(monitor):
             raise SimulationError(f"flow {name}: monitor {monitor} is not a switch")
-        dst_switch = self.topo.attached_switch(dst)
-        for to in (dst_switch, monitor):
-            if to not in self._routed:
+        for to in (dst, monitor):
+            if to is not None and to not in self._routed:
                 self._routed.add(to)
-                # A switch's route toward `to` is its predecessor on
-                # to's shortest paths.
+                # A switch's route toward `to` is its predecessor on the
+                # shortest paths to to's switch `at`; at a host's own
+                # switch, the host's port.
+                at = self.topo.attached_switch(to) if to == dst else to
                 rts = self._by_index
-                for rt, hop in zip(rts, self.topo.pred_row(to)):
+                for rt, hop in zip(rts, self.topo.pred_row(at)):
                     if rt.name != to:
-                        rt.route[to] = rt.ports[rts[hop].name]
-        fl = FlowRT(len(self.flows), name, src, dst, dst_switch,
+                        rt.route[to] = rt.ports[to if rt.name == at else rts[hop].name]
+        fl = FlowRT(len(self.flows), name, src, dst,
                     size_bits, syn, segs, stop_ns, monitor, self._host_out[src])
         self.flows.append(fl)
         self._flow_names.add(name)
@@ -607,7 +615,8 @@ class Simulator:
 
     def _build_log(self):
         log = MetricsLog(self.t_end_ns, self.bin_ns, [(ld.src, ld.dst) for ld in self._links],
-                         [f.name for f in self.flows])
+                         [f.name for f in self.flows],
+                         [ld.far is not None and ld.src in self.switch_rt for ld in self._links])
         for sw, rt in sorted(self.switch_rt.items()):
             if rt.store is not None:
                 log.replica_memory[sw] = rt.store.replica_memory_bits()
@@ -647,12 +656,11 @@ class Simulator:
             return
         feeders: dict[LinkDir, set[LinkDir]] = {}
         for fl in self.flows:
-            ld, mon = fl.out, fl.monitor
+            ld, to = fl.out, fl.monitor or fl.dst
             while (sw := ld.far) is not None:
-                if mon == sw.name:
-                    mon = None
-                out = sw.route[mon] if mon is not None else (sw.route[fl.dst_switch]
-                                                             or sw.ports[fl.dst])
+                if to == sw.name:
+                    to = fl.dst
+                out = sw.route[to]
                 if out.far is None:
                     feeders.setdefault(out, set()).add(ld)
                 ld = out
@@ -761,7 +769,7 @@ class Simulator:
         uid = self._uid
         self._uid = uid + 1
         self._flow_sent[fl.row] += 1
-        self._send(fl.out, Packet(uid, fl.row, fl.dst, fl.dst_switch, fl.size_bits, fl.monitor), t)
+        self._send(fl.out, Packet(uid, fl.row, fl.monitor or fl.dst, fl.size_bits), t)
         # Schedule the segment's next packet, or once it would reach the
         # next segment, that segment's start.
         nxt = fl.next_start
@@ -817,12 +825,13 @@ class Simulator:
                 if arr > self._arrived:
                     self._arrived = arr
                 return arr
-        elif ld.fold is not None and (host := ld.fold.get(pkt.dst)) is not None:
+        elif ld.fold is not None and (host := ld.fold.get(pkt.to)) is not None:
             # The far switch would only forward the packet to its host
             # link: do that now, as the loop would when the arrival came
             # due, unless an earlier packet for that link is still
-            # queued.
-            if pkt.monitor is None and arr <= self._bound and host.held_until < t:
+            # queued. The fold is keyed by host, so a packet still
+            # addressed to its monitor never matches it.
+            if arr <= self._bound and host.held_until < t:
                 self.log.events_processed += 1
                 if arr > self._arrived:
                     self._arrived = arr
@@ -858,7 +867,7 @@ class Simulator:
                            replica_id=st.replica_id, state_value=value,
                            l3_protocol_type=IPV4_ETHTYPE)
         self._upd_uid -= 1
-        pkt = Packet(self._upd_uid, -1, "", "", _UPDATE_BITS, is_update=True, header=hdr,
+        pkt = Packet(self._upd_uid, -1, None, _UPDATE_BITS, is_update=True, header=hdr,
                      origin_ts=t, origin_writes=store.writes[st.sid])
         self.log.updates_emitted += 1
         if self.trace is not None:
@@ -895,50 +904,45 @@ class Simulator:
                 self._emit_update(sw, st, t)
 
     def _on_data(self, sw: SwitchRT, pkt: Packet, t: int):
-        mon = pkt.monitor
-        out = None
-        if mon is not None:
-            if mon != sw.name:
-                out = sw.route[mon]
-            else:
-                # The measurement stage: feed the monitors, then run the
-                # packet triggers, which may steer the packet to a link
-                # (out) or drop it (out is _DROPPED).
-                pkt.monitor = None
-                fl = self.flows[pkt.flow]
-                store = sw.store
-                if fl.monitors:
-                    store.feed(fl.monitors, t, pkt.size_bits)
-                    # Between version bumps, what the change triggers read
-                    # moves only at the end of an estimator tick.
-                    if sw.change_triggers and t >= sw.triggers_until:
-                        self._eval_change_triggers(sw, t)
-                for tr in fl.triggers:
-                    v = store.read_global(tr.output, t)
-                    if not tr.pred.evaluate(v, sw.rng.random() if tr.draws else None):
-                        continue
-                    if tr.kind is ActionKind.DROP_PACKET:
-                        self.log.flow_app_drops[pkt.flow] += 1
-                        if self.trace is not None:
-                            self.trace.append(f"{t} drop_app {sw.name} uid={pkt.uid}")
-                        out = _DROPPED
-                        break
-                    sel = tr.selector_const
-                    if tr.selector is not None:
-                        sel = store.read_global(tr.selector, t)
-                    if sel == CONTROLLER_PORT:
-                        self.log.controller_redirects.append((t, sw.name, fl.name))
-                        self.log.flow_app_drops[pkt.flow] += 1
-                        out = _DROPPED
-                        break
-                    if tr.egress_map is None or not (0 <= sel < len(tr.egress_map)):
-                        continue
-                    out = tr.egress_map[sel]
-                    if tr.kind is ActionKind.INSERT_FLOW_RULE:
-                        sw.flow_rules[pkt.dst] = out
-        if out is None:
-            rules = sw.flow_rules
-            out = (rules and rules.get(pkt.dst)) or sw.route[pkt.dst_switch] or sw.ports[pkt.dst]
+        if pkt.to != sw.name:
+            out = sw.route[pkt.to]
+        else:
+            # The measurement stage: address the packet to its host, feed
+            # the monitors, then run the packet triggers, which may steer
+            # the packet off its route (out) or drop it (out is _DROPPED).
+            fl = self.flows[pkt.flow]
+            pkt.to = fl.dst
+            out = sw.route[fl.dst]
+            store = sw.store
+            if fl.monitors:
+                store.feed(fl.monitors, t, pkt.size_bits)
+                # Between version bumps, what the change triggers read
+                # moves only at the end of an estimator tick.
+                if sw.change_triggers and t >= sw.triggers_until:
+                    self._eval_change_triggers(sw, t)
+            for tr in fl.triggers:
+                v = store.read_global(tr.output, t)
+                if not tr.pred.evaluate(v, sw.rng.random() if tr.draws else None):
+                    continue
+                if tr.kind is ActionKind.DROP_PACKET:
+                    self.log.flow_app_drops[pkt.flow] += 1
+                    if self.trace is not None:
+                        self.trace.append(f"{t} drop_app {sw.name} uid={pkt.uid}")
+                    out = _DROPPED
+                    break
+                sel = tr.selector_const
+                if tr.selector is not None:
+                    sel = store.read_global(tr.selector, t)
+                if sel == CONTROLLER_PORT:
+                    self.log.controller_redirects.append((t, sw.name, fl.name))
+                    self.log.flow_app_drops[pkt.flow] += 1
+                    out = _DROPPED
+                    break
+                if tr.egress_map is None or not (0 <= sel < len(tr.egress_map)):
+                    continue
+                out = tr.egress_map[sel]
+                if tr.kind is ActionKind.INSERT_FLOW_RULE:
+                    sw.route[fl.dst] = out
         if out is not _DROPPED:
             egress = out.egress
             if egress is not None and pkt.flow in egress:

@@ -197,7 +197,7 @@ class ReferenceSimulator(Simulator):
     def _on_data(self, sw, pkt, t):
         fl = self.flows[pkt.flow]
         seen = (fl.out.cls, fl.syn, fl.dst)
-        if pkt.monitor == sw.name:
+        if pkt.to == sw.name:
             fl.monitors = tuple(m for m in sw.monitors if m.scope.matches(*seen))
             fl.triggers = tuple(tr for tr in sw.packet_triggers if tr.scope.matches(*seen))
         for ld, mons in sw.egress_monitors.items():

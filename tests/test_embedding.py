@@ -435,9 +435,8 @@ def test_single_replica_plan_has_no_tree_or_flooding():
     sim = installed(1)
     for sw, rt in sim.switch_rt.items():
         assert rt.flood == {None: ()}
-        # Routes come with flows: until one names a switch, a table holds
-        # only the switch itself.
-        assert rt.route == {sw: None}
+        # Routes come with flows: until one is added, a table is empty.
+        assert rt.route == {}
 
 
 def test_mesh_build_runs_dijkstra_only_from_addressed_switches(tmp_path):
@@ -451,13 +450,14 @@ def test_mesh_build_runs_dijkstra_only_from_addressed_switches(tmp_path):
     tabled.update(sw for nodes in built.placement.nodes.values() for sw in nodes)
     assert len(topo._tables) == len(tabled) == 46
     assert {sw for sw, i in topo.index.items() if i in topo._tables} == tabled
-    # Packets are addressed to their flow's destination switch or its
-    # monitor, a replica (ddos forces none), so only those get routes.
-    addressed = {fl.dst_switch for fl in built.sim.flows}
-    addressed.update(fl.monitor for fl in built.sim.flows)
-    assert len(addressed) == 15
+    # Packets are addressed to their flow's destination host or its
+    # monitor, a replica (ddos forces none), so only those get routes,
+    # each switch's to every such host and every monitor but itself.
+    hosts = {fl.dst for fl in built.sim.flows}
+    monitors = {fl.monitor for fl in built.sim.flows}
+    assert (len(hosts), len(monitors)) == (8, 8)
     for sw, rt in built.sim.switch_rt.items():
-        assert set(rt.route) == addressed | {sw}
+        assert set(rt.route) == hosts | (monitors - {sw})
 
 
 def test_install_app_floods_along_tree_only():

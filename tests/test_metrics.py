@@ -12,7 +12,16 @@ import os
 
 import pytest
 
-from repdp import ExportError, MetricsLog, export_metrics, export_summary
+from repdp import (
+    ExportError,
+    MetricsLog,
+    build_simulation,
+    export_metrics,
+    export_summary,
+    parse_scenario,
+    read_metrics_dir,
+    summarize,
+)
 from repdp.metrics import ColumnLog, NameTable, SummaryRow
 
 BIG = 2**63 - 1
@@ -29,7 +38,7 @@ def csv_writer_bytes(rows) -> bytes:
 
 def edge_log() -> MetricsLog:
     """Three 1 ns bins, so the bin starts are 0.0, 1e-09 and 2e-09."""
-    log = MetricsLog(3, 1, [("sw1", "sw2"), ("sw2", "h1")], ["f1", ""])
+    log = MetricsLog(3, 1, [("sw1", "sw2"), ("sw2", "h1")], ["f1", ""], [True, False])
     log.data_bits[0] = [0, 2**62, -7]
     log.repl_bits[0] = [5, 2**62 - 1, -2**40]
     log.flow_bits[0] = [1, 0, 3]
@@ -169,3 +178,21 @@ def test_column_logs_share_one_name_table():
     with pytest.raises(ValueError):
         lag.append((1, "s1", "sw1"))
     assert not ColumnLog("in", names)
+
+
+def test_a_log_flags_its_own_core_links(tmp_path):
+    # Straight from a run or read back from its CSVs, a log knows which
+    # link directions join two switches: summarize and links.csv need no
+    # topology to be given.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = parse_scenario(os.path.join(root, "scenarios", "fig7_ddos_c2.scn"))
+    log = build_simulation(cfg, t_end_s=2.0).sim.run_until()
+    export_metrics(log, str(tmp_path / "given"), switch_names=cfg.topology.switches)
+    export_metrics(log, str(tmp_path / "own"))
+    links = (tmp_path / "own" / "links.csv").read_bytes()
+    assert links == (tmp_path / "given" / "links.csv").read_bytes()
+    assert b",1,0.0," in links and b",0,0.0," in links
+    (want,) = summarize({"run": log}, is_switch=cfg.topology.is_switch)
+    assert want.mean_data_bps > 0
+    assert summarize({"run": log}) == [want]
+    assert summarize({"run": read_metrics_dir(str(tmp_path / "own"))}) == [want]

@@ -140,7 +140,7 @@ def test_link_admission_matches_the_deque_model(queue_limit, capacity_bps):
         # A burst at one timestamp, longer than any queue here.
         for _ in range(rng.choice((1, 1, 2, 10))):
             size = rng.choice(sizes)
-            pkt = Packet(len(want), -1, "hB", "sw", size)
+            pkt = Packet(len(want), -1, "hB", size)
             got.append(sim._send(link, pkt, t))
             want.append(ref.send(size, t))
     assert got == want
@@ -158,6 +158,13 @@ def test_queue_limit_below_one_is_rejected(queue_limit):
 def test_horizon_must_be_finite_and_at_least_1ns(t_end_s):
     with pytest.raises(InvalidParameter, match="t_end"):
         Simulator(line_topo(), t_end_s=t_end_s)
+
+
+@pytest.mark.parametrize("bin_s", [float("nan"), float("inf"), -1.0, 0.0, 1e-12])
+def test_metrics_bin_must_be_finite_and_at_least_1ns(bin_s):
+    # Checked where the simulator is built, not at the first run_until.
+    with pytest.raises(InvalidParameter, match="metrics bin"):
+        Simulator(line_topo(), metrics_bin_s=bin_s)
 
 
 @pytest.mark.parametrize("t_s", [float("nan"), float("inf"), float("-inf")])
@@ -926,7 +933,7 @@ def test_update_drops_are_counted_on_the_log(tmp_path):
     def update(uid, state_id):
         hdr = UpdateHeader(src_sw_id=sim.switch_rt[origin].sw_id, dst_sw_id=0,
                            state_id=state_id, replica_id=0, state_value=5)
-        return Packet(uid, -1, "", "", update_frame_bits(1), is_update=True,
+        return Packet(uid, -1, None, update_frame_bits(1), is_update=True,
                       header=hdr, origin_ts=1)
 
     # Delivered before any real update: the copy is stale, id 999 was
@@ -1669,7 +1676,7 @@ def record_arrivals(sim):
 
     def recording_on_data(sw, pkt, t):
         at[t, sw.name] += 1
-        if pkt.monitor == sw.name and sw.change_triggers and t == sw.triggers_until:
+        if pkt.to == sw.name and sw.change_triggers and t == sw.triggers_until:
             on_tick.append(t)
         on_data(sw, pkt, t)
 
@@ -1699,13 +1706,14 @@ def test_generated_cases_cover_every_shortcut(tmp_path):
         sim = built.sim
         _, folds = record_sends(sim)
         at, on_tick = record_arrivals(sim)
+        tables = {sw: dict(rt.route) for sw, rt in sim.switch_rt.items()}
         log = sim.run_until()
         folding += bool(folds)
         shown.update(name for name, hit in (
             ("queue drop", any(log.queue_drops)),
             ("detection", log.detections),
             ("policing drop", sum(log.flow_app_drops) > len(log.controller_redirects)),
-            ("flow rule", any(rt.flow_rules for rt in sim.switch_rt.values())),
+            ("flow rule", any(rt.route != tables[sw] for sw, rt in sim.switch_rt.items())),
             ("rate step", any(len(fl.segments) > 1 for fl in sim.flows)),
             ("shared slot", max(at.values()) >= 2),
             ("tick boundary", on_tick),
@@ -1715,3 +1723,47 @@ def test_generated_cases_cover_every_shortcut(tmp_path):
     assert folding > 2
     assert shown == {"queue drop", "detection", "policing drop", "flow rule", "rate step",
                      "shared slot", "tick boundary"}
+
+
+def plain_table(sim, sw):
+    """The table switch `sw` forwards from before the run, from the
+    topology alone: toward each flow's destination host, the port on a
+    shortest path to its switch (at that switch, the host's own port),
+    and toward each flow's monitor other than `sw`, likewise."""
+    topo, rt = sim.topo, sim.switch_rt[sw]
+    table = {}
+    for fl in sim.flows:
+        at = topo.attached_switch(fl.dst)
+        table[fl.dst] = rt.ports[fl.dst if at == sw else topo.next_hop(sw, at)]
+        if fl.monitor not in (None, sw):
+            table[fl.monitor] = rt.ports[topo.next_hop(sw, fl.monitor)]
+    return table
+
+
+TABLE_CASES = ("fig7_c1", "fig7_c2", "fig7_c4", "fig8", "link_lb", "resource_lb",
+               *(f"mesh_{s}" for s in MESH_SEEDS), *(f"generated_{s}" for s in GENERATED_SEEDS))
+
+
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_each_switch_forwards_from_one_table_of_plain_routes(tmp_path, case):
+    sim = reference_case(tmp_path, case)(Simulator)
+    plain = {sw: plain_table(sim, sw) for sw in sim.switch_rt}
+    for sw, rt in sim.switch_rt.items():
+        assert rt.route == plain[sw], sw
+    sim.run_until()
+    # Only an insert_flow_rule activity rewrites a table: at a switch
+    # where it runs, the entry of a destination host, to a link its
+    # egress map names there.
+    hosts = {fl.dst for fl in sim.flows}
+    pinned = []
+    for sw, rt in sim.switch_rt.items():
+        maps = [tr.egress_map or () for tr in rt.packet_triggers
+                if tr.kind is ActionKind.INSERT_FLOW_RULE]
+        assert rt.route.keys() == plain[sw].keys(), sw
+        for to, link in rt.route.items():
+            if link is not plain[sw][to]:
+                assert to in hosts and any(link in m for m in maps), (sw, to, link.dst)
+                pinned.append((sw, to, link.dst))
+    if case == "link_lb":
+        # k2's SYNs pin its host d2 at sw1 off its shortest path, via sw4.
+        assert pinned == [("sw1", "d2", "sw4")]

@@ -28,8 +28,8 @@ def mean_of_nothing():
 
 
 INVALID = {
-    "metrics_bin_zero": lambda: MetricsLog(1_000, 0, [], []),
-    "metrics_bin_negative": lambda: MetricsLog(1_000, -5, [], []),
+    "metrics_bin_zero": lambda: MetricsLog(1_000, 0, [], [], []),
+    "metrics_bin_negative": lambda: MetricsLog(1_000, -5, [], [], []),
     "estimator_window_not_power_of_two": lambda: RateEstimatorWindow(0.1, 6),
     "estimator_window_zero": lambda: RateEstimatorWindow(0.1, 0),
     "estimator_delta_below_1ns": lambda: RateEstimatorWindow(1e-10, 8),
