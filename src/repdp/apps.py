@@ -371,6 +371,13 @@ def _bind_linklb(p: dict, topo) -> tuple:
             raise InvalidParameter(f"linklb: {via} is not adjacent to {lb}", "path_via")
         if via == dst:
             raise InvalidParameter("linklb: path_via must differ from dst_switch", "path_via")
+        # A flow pinned to via must not come back: lb would pin it again.
+        hop = via
+        while hop not in (dst, lb):
+            hop = topo.next_hop(hop, dst)
+        if hop == lb:
+            raise InvalidParameter(f"linklb: {via}'s route to {dst} runs back through {lb}",
+                                   "path_via")
         observers[f"leg_load_{i}"] = via
         observers[f"leg_load_{i + len(vias)}"] = topo.next_hop(via, dst)
     return observers, {"pin_path": {lb: list(vias)}}, lb

@@ -345,8 +345,9 @@ def validate_application(app: ApplicationSpec) -> list[str]:
             w = s.value.window
             if w < 1 or w & (w - 1):
                 bad.append(f"state {s.name}: estimator window {w} not a power of two")
-            if s.value.delta_s <= 0:
-                bad.append(f"state {s.name}: estimator slot width must be > 0")
+            # The estimator's own rule: its slot is a whole number of ns.
+            if not (math.isfinite(s.value.delta_s) and round(s.value.delta_s * 1e9) >= 1):
+                bad.append(f"state {s.name}: estimator slot width must be at least 1 ns")
             if s.value.unit not in ("packets", "bits"):
                 bad.append(f"state {s.name}: estimator unit {s.value.unit!r}"
                            f" is not packets or bits")

@@ -23,9 +23,10 @@ from .embedding import (
     place_replicas,
     serialize_plan,
 )
-from .errors import InfeasibleBudget, InsufficientNodes, InvalidParameter, ScenarioError
+from .errors import (InfeasibleBudget, InsufficientNodes, InvalidParameter, ScenarioError,
+                     SimulationError)
 from .metrics import MetricsLog, export_metrics, export_summary, summarize
-from .model import ValueType, build_dag, replication_requirements
+from .model import build_dag, replication_requirements
 from .scenario import ScenarioConfig
 from .simcore import Simulator
 
@@ -120,18 +121,11 @@ def build_simulation(config: ScenarioConfig, replicas: int | None = None,
         sim.add_flow(f.name, f.src, f.dst, f.size_bits, f.syn,
                      f.segments, f.stop_s, monitor)
 
-    states = {s.name: s for s in program.states}
     for (t_s, state, value) in config.loads:
-        st = states.get(state)
-        if st is None or st.value.type is not ValueType.SCALAR:
-            what = f"a {st.value.type.value} state" if st else "an unknown state"
-            raise ScenarioError(f"load on {state!r}, {what} (loads write scalar states only)",
-                                config.path, config.line("loads", state))
-        if not 0 <= value < 1 << st.width_bits:
-            raise ScenarioError(f"load on {state!r}: value {value} outside"
-                                f" [0, 2^{st.width_bits})",
-                                config.path, config.line("loads", state))
-        sim.schedule_scalar(t_s, placement.origin[state], state, value)
+        try:
+            sim.schedule_scalar(t_s, state, value)
+        except SimulationError as exc:
+            raise ScenarioError(str(exc), config.path, config.line("loads", state)) from None
 
     return BuiltSimulation(sim, app, program, placement, plan, c)
 

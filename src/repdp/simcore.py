@@ -359,11 +359,8 @@ class Simulator:
         self._app_installed = False
         self._uid = 0
         self._upd_uid = -1
-        # The bound of the running run_until call (-1 outside one), and
-        # the latest arrival counted at admission: at a host, or at a
-        # switch whose hop was folded.
+        # The bound of the running run_until call (-1 outside one).
         self._bound = -1
-        self._arrived = 0
         # The installed application's states, by wire id, and its
         # registers by name (a state's register is its wire id).
         self._states: list[_StateRT] = []
@@ -413,8 +410,8 @@ class Simulator:
         of the plan's tree edges must link two switches, and each switch
         floods updates to its distribution-tree neighbors in name order.
         A simulator holds one application, and install_app checks it
-        whole before it writes anything: a SimulationError leaves the
-        simulator as it was.
+        whole, building its rate estimators, before it writes anything:
+        an error leaves the simulator as it was.
         """
         if self._app_installed:
             raise SimulationError("an application is already installed")
@@ -422,22 +419,28 @@ class Simulator:
             raise SimulationError("the application must be installed before the run starts")
         egress_observers = egress_observers or {}
         egress_maps = egress_maps or {}
-        rates = {cs.name for cs in program.states if cs.value.type is ValueType.RATE_ESTIMATE}
-        if stray := sorted(egress_observers.keys() - rates):
-            raise SimulationError(f"egress observer on {stray[0]}: no rate-estimate state"
-                                  f" of {program.app_name}")
-        states = []
+        # Each rate-estimate state's monitor, by wire id, with the
+        # neighbor it observes (None: it matches ingress packets).
+        states, monitors = [], {}
         for sid, cs in enumerate(program.states):
             origin = self.switch_rt[placement.origin[cs.name]]
-            nbr = egress_observers.get(cs.name)
-            if nbr is not None and nbr not in origin.ports:
-                raise SimulationError(f"state {cs.name}: egress observer {nbr} is no neighbor"
-                                      f" of its origin {origin.name}")
             sol = plan.solutions.get(cs.name)
             trig = None if sol is None else UpdateTrigger(sol.mode, tau_ns=sol.tau_ns,
                                                           packet_period=sol.packet_period)
             states.append(_StateRT(cs.name, sid, origin,
                                    placement.nodes[cs.name].index(origin.name), trig))
+            if cs.value.type is not ValueType.RATE_ESTIMATE:
+                # Scalars are written by schedule_scalar's loads.
+                continue
+            nbr = egress_observers.get(cs.name)
+            if nbr is not None and nbr not in origin.ports:
+                raise SimulationError(f"state {cs.name}: egress observer {nbr} is no neighbor"
+                                      f" of its origin {origin.name}")
+            est = RateEstimatorWindow(cs.value.delta_s, cs.value.window)
+            monitors[sid] = (_Monitor(sid, cs.scope, est, cs.value.unit == "bits"), nbr)
+        if stray := sorted(egress_observers.keys() - {states[sid].name for sid in monitors}):
+            raise SimulationError(f"egress observer on {stray[0]}: no rate-estimate state"
+                                  f" of {program.app_name}")
         # Each trigger's copy at each switch where it runs, with the links
         # its egress map names there, and where each activity that takes
         # an egress map runs.
@@ -497,14 +500,9 @@ class Simulator:
                 rt.store.configure_state(st.sid, cs.width_bits, None if rt is ort else ort.sw_id)
             if st.trig is not None:
                 ort.own_updates.append(st)
-            value = cs.value
-            if value.type is not ValueType.RATE_ESTIMATE:
-                # Scalars are written through set_scalar / scheduled loads.
-                continue
-            est = RateEstimatorWindow(value.delta_s, value.window)
-            ort.store.attach_local(st.sid, est)
-            mon = _Monitor(st.sid, cs.scope, est, value.unit == "bits")
-            nbr = egress_observers.get(cs.name)
+        for sid, (mon, nbr) in monitors.items():
+            ort = states[sid].origin
+            ort.store.attach_local(sid, mon.est)
             if nbr is None:
                 ort.monitors.append(mon)
             else:
@@ -562,43 +560,28 @@ class Simulator:
         self._schedule(stop_ns, self._stop_flow, fl)
         return fl.row
 
-    def _owner(self, switch, state, value) -> _StateRT:
-        """The scalar state named `state`, which the switch named `switch`
-        must write, and `value` must fit the state's width."""
+    def schedule_scalar(self, t_s, state, value):
+        """Write `value` into the scalar state named `state` at time t_s,
+        not before now: its origin, the state's one writer, takes the
+        write and runs its change triggers then."""
         sid = self._registers.get(state, len(self._states))
-        st = self._states[sid] if sid < len(self._states) else None
-        if st is None or st.origin.name != switch:
-            raise SimulationError(f"{switch} does not own state {state}")
+        # A reduction output has a register too, past the states'.
+        if sid >= len(self._states):
+            raise SimulationError(f"{state} is no state of the installed application")
+        st = self._states[sid]
+        store = st.origin.store
         # Only a rate estimate's own estimator writes it.
-        if st.sid in st.origin.store.live:
+        if sid in store.live:
             raise SimulationError(f"{state} is a rate-estimate state: only scalar states"
                                   f" take writes")
-        width = st.origin.store.widths[st.sid]
-        if not 0 <= value < 1 << width:
+        width = store.widths[sid]
+        # A register holds an integer: 5.7 would be written as 5.
+        if not (isinstance(value, int) and 0 <= value < 1 << width):
             raise SimulationError(f"{state}: value {value} does not fit {width} bits")
-        return st
-
-    def set_scalar(self, switch, state, value, t_ns=None):
-        """Write a scalar state at its origin (e.g. an injected load). A
-        write that runs change triggers needs the run to have started;
-        schedule_scalar writes before it."""
-        st = self._owner(switch, state, value)
-        rt = st.origin
-        if rt.change_triggers and self.log is None:
-            raise SimulationError(f"set_scalar on {state} at {switch} runs change triggers"
-                                  f" before the run starts; use schedule_scalar")
-        t = self.t_now if t_ns is None else t_ns
-        rt.store.write_local(st.sid, value)
-        if rt.change_triggers:
-            self._eval_change_triggers(rt, t)
-
-    def schedule_scalar(self, t_s, switch, state, value):
-        """Write a scalar state at its origin at time t_s, not before now."""
-        self._owner(switch, state, value)
         if not (math.isfinite(t_s) and round(t_s * 1e9) >= self.t_now):
             raise SimulationError(f"load on {state} at {t_s} s: time must be finite"
                                   f" and not in the past")
-        self._schedule(round(t_s * 1e9), self._load, (switch, state, value))
+        self._schedule(round(t_s * 1e9), self._load, (st, value))
 
     # ------------------------------------------------------------------
     # engine
@@ -670,18 +653,21 @@ class Simulator:
                 ld.fold = {**(ld.fold or {}), host.dst: host}
 
     def run_until(self, t_end_s=None) -> MetricsLog:
-        """Process every event up to t_end_s (default: the horizon).
+        """Process every event up to t_end_s (default: the horizon), which
+        lies between now and the horizon.
 
-        A later call resumes where this one stopped. On return the log's
-        counters hold the totals so far.
+        A later call resumes where this one stopped. On return `t_now` is
+        t_end_s and the log's counters hold the totals so far; a handler
+        that raises leaves `t_now` at its event's time.
         """
         if t_end_s is not None and not math.isfinite(t_end_s):
             raise InvalidParameter(f"run_until needs a finite time, got {t_end_s} s")
         if self.log is None:
             self._build_log()
         t_end = self.t_end_ns if t_end_s is None else round(t_end_s * 1e9)
-        if t_end > self.t_end_ns:
-            raise SimulationError("run_until beyond the configured horizon")
+        if not self.t_now <= t_end <= self.t_end_ns:
+            raise SimulationError(f"run_until at {t_end} ns: not between now, {self.t_now} ns,"
+                                  f" and the horizon, {self.t_end_ns} ns")
         times = self._times
         slots = self._slots
         log = self.log
@@ -741,9 +727,8 @@ class Simulator:
                 if row[n]:
                     row[n - 1] += row[n]
                     row[n] = 0
-        # Every event up to t_end has run: so has each arrival counted at
-        # admission, which a raise may have left ahead of queued events.
-        self.t_now = max(t_now, self._arrived)
+        # Every event up to t_end has run: the run stands at t_end.
+        self.t_now = t_end
         return log
 
     def _start_flow(self, fl: FlowRT, t: int):
@@ -761,9 +746,11 @@ class Simulator:
         if self.trace is not None:
             self.trace.append(f"{t} notify ctrl from={sw} msg={message}")
 
-    def _load(self, payload: tuple[str, str, int], t: int):
-        sw, state, value = payload
-        self.set_scalar(sw, state, value, t)
+    def _load(self, payload: tuple[_StateRT, int], t: int):
+        st, value = payload
+        st.origin.store.write_local(st.sid, value)
+        if st.origin.change_triggers:
+            self._eval_change_triggers(st.origin, t)
 
     def _emit_flow(self, fl: FlowRT, t: int):
         uid = self._uid
@@ -822,8 +809,6 @@ class Simulator:
                 log.events_processed += 1
                 log.flow_delivered[pkt.flow] += 1
                 log.flow_bits[pkt.flow][arr // self.bin_ns] += size
-                if arr > self._arrived:
-                    self._arrived = arr
                 return arr
         elif ld.fold is not None and (host := ld.fold.get(pkt.to)) is not None:
             # The far switch would only forward the packet to its host
@@ -833,8 +818,6 @@ class Simulator:
             # addressed to its monitor never matches it.
             if arr <= self._bound and host.held_until < t:
                 self.log.events_processed += 1
-                if arr > self._arrived:
-                    self._arrived = arr
                 self._send(host, pkt, arr)
                 return arr
             host.held_until = arr

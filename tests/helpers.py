@@ -40,6 +40,22 @@ def random_switch_topology(
     return Topology(names, (), links)
 
 
+def loop_free_vias(topo, lb, dst):
+    """The neighbors of switch `lb`, in name order, through which linklb
+    can balance toward switch `dst`: each is not `dst`, and its route to
+    `dst`, walked hop by hop, never comes back to `lb`."""
+    if dst == lb:
+        return []
+    vias = []
+    for via in sorted(topo.adj[lb]):
+        hop = via
+        while hop not in (dst, lb):
+            hop = topo.next_hop(hop, dst)
+        if via != dst and hop == dst:
+            vias.append(via)
+    return vias
+
+
 GENERATED_APPS = ("ddos", "ratelimit", "linklb", "resourcelb")
 # The first seed whose `random_scenario` synchronizes its flows.
 SYNCED_SEEDS = 20
@@ -92,11 +108,20 @@ def random_scenario(seed):
     elif app == "linklb":
         # The busiest switch balances over up to two of its neighbors
         # toward a switch that is none of them.
-        lb = max(sws, key=lambda sw: (len(topo.adj[sw]), sw))
+        busiest = sorted(sws, key=lambda sw: (len(topo.adj[sw]), sw), reverse=True)
+        lb = busiest[0]
         vias = sorted(topo.adj[lb])[:2]
         others = [sw for sw in sws if sw != lb and sw not in vias]
         # Where every other switch is a via, the last via is the target.
         dst = rng.choice(others) if others else vias.pop()
+        # A flow pinned to a via whose route to dst runs back through lb
+        # would loop: keep the vias clear of lb. Where none is, the
+        # busiest switch that has a clear via to some switch balances
+        # toward the first such switch in name order.
+        vias = [v for v in vias if v in loop_free_vias(topo, lb, dst)]
+        if not vias:
+            lb, dst = next((b, d) for b in busiest for d in sws if loop_free_vias(topo, b, d))
+            vias = loop_free_vias(topo, lb, dst)[:2]
         params = [f"lb_switch = {lb}", "path_via = " + " ".join(vias), f"dst_switch = {dst}"]
         sources[0] = ("src0", lb, "external")
         sinks = [(f"dst{i}", dst, "downlink") for i in range(len(sinks))]

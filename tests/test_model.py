@@ -156,7 +156,13 @@ MALFORMED = {
     ),
     "estimator_slot_width_zero": (
         dict(states=(StateSpec("cnt", ScopeFilter(), ValueKind.rate_estimate(delta_s=0)),)),
-        "state cnt: estimator slot width must be > 0",
+        "state cnt: estimator slot width must be at least 1 ns",
+    ),
+    # RateEstimatorWindow rounds its slot to whole ns: 0.1 ns is none.
+    "estimator_slot_width_below_1ns": (
+        dict(states=(StateSpec("cnt", ScopeFilter(),
+                               ValueKind.rate_estimate(delta_s=1e-10)),)),
+        "state cnt: estimator slot width must be at least 1 ns",
     ),
     "estimator_unit_unknown": (
         dict(states=(StateSpec("cnt", ScopeFilter(), ValueKind.rate_estimate(unit="bit")),)),

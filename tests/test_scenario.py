@@ -502,6 +502,12 @@ APP_AND_LOAD_ERRORS = {
     "resourcelb_server_repeated": (
         BASE.replace(DDOS_KEYS, RESOURCE_LB.replace("servers = h1", "servers = h1 h1")),
         "servers = h1 h1"),
+    # s1's route to s3 runs back through s2, where a pinned flow would
+    # be pinned to s1 again.
+    "linklb_path_via_loops_back": (
+        THREE_SWITCHES.replace(DDOS_KEYS, "name = linklb\nlb_switch = s2\n"
+                                          "path_via = s1\ndst_switch = s3"),
+        "path_via = s1"),
     "linklb_path_via_empty": (
         THREE_SWITCHES.replace(DDOS_KEYS, "name = linklb\nlb_switch = s1\n"
                                           "path_via =\ndst_switch = s3"),

@@ -250,15 +250,21 @@ def test_scheduled_loads_need_a_time_and_an_owner(tmp_path):
     sim, origin = built.sim, built.placement.origin["srv_load_0"]
     for t_s in (-1.0, math.nan, math.inf):
         with pytest.raises(SimulationError, match="finite and not in the past"):
-            sim.schedule_scalar(t_s, origin, "srv_load_0", 5)
+            sim.schedule_scalar(t_s, "srv_load_0", 5)
     # mean_load is a reduction output: it has a register but is no state.
-    for switch, state in ((origin, "ghost"), (origin, "mean_load"), ("ghost", "srv_load_0")):
-        with pytest.raises(SimulationError, match="does not own"):
-            sim.schedule_scalar(0.5, switch, state, 5)
+    for state in ("ghost", "mean_load"):
+        with pytest.raises(SimulationError, match=f"{state} is no state"):
+            sim.schedule_scalar(0.5, state, 5)
     sim.run_until(1.0)
-    with pytest.raises(SimulationError, match="not in the past"):
-        sim.schedule_scalar(0.5, origin, "srv_load_0", 5)
-    sim.schedule_scalar(1.0, origin, "srv_load_0", 5)
+    # The run stands at 1 s: a load 1 ns before it is in the past.
+    assert sim.t_now == 1_000_000_000
+    for t_s in (0.5, 0.999999999):
+        with pytest.raises(SimulationError, match="not in the past"):
+            sim.schedule_scalar(t_s, "srv_load_0", 5)
+    sim.schedule_scalar(1.0, "srv_load_0", 5)
+    sid = built.program.registers["srv_load_0"]
+    sim.run_until(1.0)
+    assert sim.switch_rt[origin].store.regs[sid] == 5
     sim.run_until()
 
 
@@ -270,12 +276,11 @@ def test_scalar_writes_must_fit_the_state_width(tmp_path):
     sim, origin = built.sim, built.placement.origin["srv_load_0"]
     hosts = built.placement.nodes["srv_load_0"]
     assert len(hosts) == 2
-    for value in (-5, 1 << 32):
+    # 5.7 was once written as 5.
+    for value in (-5, 1 << 32, 5.7):
         with pytest.raises(SimulationError, match="does not fit 32 bits"):
-            sim.set_scalar(origin, "srv_load_0", value)
-        with pytest.raises(SimulationError, match="does not fit 32 bits"):
-            sim.schedule_scalar(0.5, origin, "srv_load_0", value)
-    sim.schedule_scalar(1.5, origin, "srv_load_0", (1 << 32) - 1)
+            sim.schedule_scalar(0.5, "srv_load_0", value)
+    sim.schedule_scalar(1.5, "srv_load_0", (1 << 32) - 1)
     sim.run_until()
     sid = built.program.registers["srv_load_0"]
     assert {sim.switch_rt[sw].store.regs[sid] for sw in hosts} == {(1 << 32) - 1}
@@ -285,6 +290,23 @@ def test_run_until_stays_inside_horizon():
     sim = Simulator(line_topo(), t_end_s=1.0)
     with pytest.raises(SimulationError):
         sim.run_until(2.0)
+
+
+@pytest.mark.parametrize("cls", [Simulator, ReferenceSimulator])
+def test_run_until_leaves_the_run_standing_at_its_bound(cls):
+    # Packets leave hA every 10 ms, so no stop but 0 and the horizon
+    # falls on an event; the run stands at each stop all the same, and
+    # cannot step back.
+    sim = cls(line_topo(), t_end_s=1.0)
+    sim.add_flow("f", "hA", "hB", 1000, False, [(0.0, 100.0)], stop_s=1.0)
+    for stop in (0.0, 0.0123, 0.4567, 0.4567):
+        sim.run_until(stop)
+        assert sim.t_now == round(stop * 1e9)
+    with pytest.raises(SimulationError, match="not between now, 456700000 ns,"):
+        sim.run_until(0.4)
+    assert sim.t_now == 456_700_000
+    sim.run_until()
+    assert sim.t_now == sim.t_end_ns
 
 
 def test_event_pushed_into_the_past_is_rejected():
@@ -456,7 +478,7 @@ def test_change_triggers_run_after_a_scalar_write_and_an_egress_feed():
             egress_observers={"rate": "hB"})
     sim.add_flow("f", "hA", "hB", 1000, False, [(0.0, 100.0)], stop_s=2.0)
     sim.run_until(1.0)
-    sim.set_scalar("sw", "load", 10)
+    sim.schedule_scalar(sim.t_now / 1e9, "load", 10)
     log = sim.run_until()
     by_rate, by_load = log.detections
     # The write fires its trigger at once; the rate crosses 50 packets/s
@@ -466,25 +488,30 @@ def test_change_triggers_run_after_a_scalar_write_and_an_egress_feed():
     assert f"{by_rate[0]} fwd sw uid=50 out=hB" in sim.trace
 
 
-def test_set_scalar_before_the_run_fails_where_it_runs_change_triggers(tmp_path):
-    # The write would run the switch's change triggers, which log into
-    # the run; schedule_scalar is the way to write before it.
+def test_a_load_before_the_run_runs_change_triggers_at_its_time():
+    # The load's change triggers log into the run, at the load's time.
     load = StateSpec("load", ScopeFilter(), ValueKind.scalar())
     watch = TriggerSpec("by_load", "load", Predicate.greater_than(5),
                         InconsistencySpec.none(), "alert")
     alert = ActivitySpec("alert", ActionKind.NOTIFY_CONTROLLER, message="hit")
     sim = Simulator(line_topo(), t_end_s=1.0)
     install(sim, ApplicationSpec("watch", (load,), (), (watch,), (alert,)))
-    with pytest.raises(SimulationError, match="before the run starts"):
-        sim.set_scalar("sw", "load", 10)
-    sim.schedule_scalar(0.0, "sw", "load", 10)
+    sim.schedule_scalar(0.0, "load", 10)
     assert sim.run_until().detections == [(0, "sw", "by_load", 10)]
-    # A switch whose triggers act on packets takes the write at once.
-    built = build_simulation(write_scenario(tmp_path, RESOURCE_LB), t_end_s=1.0)
-    origin = built.sim.switch_rt[built.placement.origin["srv_load_0"]]
-    assert origin.packet_triggers and not origin.change_triggers
-    built.sim.set_scalar(origin.name, "srv_load_0", 7)
-    assert origin.store.regs[built.program.registers["srv_load_0"]] == 7
+
+
+def test_a_load_at_now_exports_what_the_same_declared_load_does(tmp_path):
+    # RESOURCE_LB declares srv_load_0 = 90 at 1 s. Written instead at
+    # t_now between two run_until calls, it lands at the same time.
+    declared = build_simulation(write_scenario(tmp_path, RESOURCE_LB), collect_trace=True)
+    text = RESOURCE_LB.replace("srv_load_0 = 0:10 1.0:90", "srv_load_0 = 0:10")
+    sim = build_simulation(write_scenario(tmp_path, text, "late.scn"), collect_trace=True).sim
+    sim.run_until(1.0)
+    sim.schedule_scalar(sim.t_now / 1e9, "srv_load_0", 90)
+    got = exported_family(sim, sim.run_until(), tmp_path / "late")
+    want = exported_family(declared.sim, declared.sim.run_until(), tmp_path / "declared")
+    assert got == want
+    assert len(got) > 3 and "trace.txt" in got
 
 
 def test_rate_estimate_states_take_no_scalar_writes():
@@ -497,10 +524,9 @@ def test_rate_estimate_states_take_no_scalar_writes():
     sim.run_until(0.2)
     before = store.writes[sid], store.local_value(sid, sim.t_now)
     with pytest.raises(SimulationError, match="syn_rate_0 is a rate-estimate state"):
-        sim.set_scalar(origin, "syn_rate_0", 12345)
-    with pytest.raises(SimulationError, match="syn_rate_0 is a rate-estimate state"):
-        sim.schedule_scalar(0.3, origin, "syn_rate_0", 12345)
-    assert (store.writes[sid], store.local_value(sid, sim.t_now)) == before == (54, 33)
+        sim.schedule_scalar(0.3, "syn_rate_0", 12345)
+    # Read at 0.2 s, where the run stands.
+    assert (store.writes[sid], store.local_value(sid, sim.t_now)) == before == (54, 67)
 
 
 @pytest.mark.parametrize("fed_on", ["ingress", "egress"])
@@ -603,6 +629,20 @@ def test_a_tree_edge_that_is_no_switch_link_installs_nothing(edge):
         == {"sw1": ["sw2"], "sw2": ["sw1", "sw3"], "sw3": ["sw2"], "sw4": []}
 
 
+def test_an_estimator_slot_below_1ns_installs_nothing():
+    # validate_application rejects such a slot, so only a program
+    # altered after it compiled reaches install_app with one.
+    built = build_simulation(parse_scenario(FIG7), replicas=2, t_end_s=1.0)
+    sim = Simulator(built.sim.topo, t_end_s=1.0)
+    states = tuple(replace(s, value=replace(s.value, delta_s=1e-10))
+                   for s in built.program.states)
+    with pytest.raises(InvalidParameter, match="estimator delta must be at least 1 ns"):
+        sim.install_app(replace(built.program, states=states), built.placement, built.plan)
+    assert_nothing_installed(sim)
+    sim.install_app(built.program, built.placement, built.plan)
+    assert sim.switch_rt["sw1"].monitors
+
+
 # A rate and a scalar state summed, read by one steering trigger: the
 # one replica, sw1, runs it.
 STEER_BY_TOTAL = ApplicationSpec(
@@ -678,7 +718,7 @@ def test_a_trigger_runs_only_where_every_state_it_reads_is_hosted():
     hosted = {sw: {tr.name for tr in rt.change_triggers} for sw, rt in sim.switch_rt.items()}
     assert hosted == {"s1": {"t_sum", "t_b"}, "s2": {"t_b"}, "s3": set()}
     sim.add_flow("f", "hA", "hB", 1000, False, [(0.0, 200.0)], stop_s=1.0)
-    sim.schedule_scalar(0.1, "s1", "b", 6)
+    sim.schedule_scalar(0.1, "b", 6)
     log = sim.run_until()
     # b's update reaches s2, which does not run t_sum on a sum it cannot
     # compute.
@@ -1622,7 +1662,7 @@ def test_simulator_matches_the_reference(tmp_path, case):
         assert got.events_processed == want.events_processed, stop
         for row in LOG_ROWS:
             assert getattr(got, row) == getattr(want, row), (stop, row)
-        assert sim.t_now == ref.t_now, stop
+        assert sim.t_now == ref.t_now == stop, stop
     assert got.events_processed == whole.events_processed
     assert (exported_family(sim, got, tmp_path / "sim")
             == exported_family(ref, want, tmp_path / "ref"))
