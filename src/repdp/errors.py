@@ -2,7 +2,12 @@
 
 
 class RepdpError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors. `key`, when given, names the
+    scenario key at fault, which build_simulation cites by its line."""
+
+    def __init__(self, message="", key=None):
+        self.key = key
+        super().__init__(message)
 
 
 class InvalidApplication(RepdpError):
@@ -34,10 +39,6 @@ class InfeasibleBudget(RepdpError):
     the parameter to change: the budget's `InconsistencySpec` field, or
     `r_min`."""
 
-    def __init__(self, message, key=None):
-        self.key = key
-        super().__init__(message)
-
 
 class TruncatedHeader(RepdpError):
     """Byte string ends mid-way through an update header chain."""
@@ -64,11 +65,7 @@ class ScenarioError(RepdpError):
 
 class InvalidParameter(RepdpError):
     """A parameter lies outside the range its component accepts; `key`
-    names it when it comes from a scenario's `[application]` section."""
-
-    def __init__(self, message, key=None):
-        self.key = key
-        super().__init__(message)
+    names its scenario key, when it has one."""
 
 
 class ExportError(RepdpError):
@@ -76,4 +73,5 @@ class ExportError(RepdpError):
 
 
 class SimulationError(RepdpError):
-    """Runtime failure while building or running a simulation."""
+    """Runtime failure while building or running a simulation; `key`
+    names the scenario key of a flow or run rule it broke."""

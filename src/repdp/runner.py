@@ -45,23 +45,29 @@ def pick_monitor(topo, candidates, flows) -> list[str]:
     """Measurement switch of each flow: the candidate minimizing the
     detour ingress -> candidate -> destination, lowest name on ties.
     Candidate m's detour is d_m[ingress] + d_m[destination], read from
-    m's own distance row."""
-    index, at = topo.index, topo.attached_switch
+    m's own distance row. A flow that names a node the topology lacks
+    gets None, and add_flow rejects it."""
+    index, at, adj = topo.index, topo.attached_switch, topo.adj
     dists = [topo.dist_row(m) for m in candidates]
-    ends = [(index[at(f.src)], index[at(f.dst)]) for f in flows]
-    return [min(zip([d[i] + d[j] for d in dists], candidates))[1] for i, j in ends]
+    ends = [(index[at(f.src)], index[at(f.dst)]) if f.src in adj and f.dst in adj else None
+            for f in flows]
+    return [None if e is None else min(zip([d[e[0]] + d[e[1]] for d in dists], candidates))[1]
+            for e in ends]
 
 
 def build_simulation(config: ScenarioConfig, replicas: int | None = None,
                      seed: int | None = None, t_end_s: float | None = None,
                      collect_trace: bool = False,
                      replication: bool | None = None) -> BuiltSimulation:
-    c = config.replicas if replicas is None else replicas
-    if not 1 <= c <= len(config.topology.switches):
-        raise ScenarioError(
-            f"replicas must be in 1..{len(config.topology.switches)}, got {c}",
-            config.path, 0)
+    """Deploy the scenario: an error a scenario key explains is raised as
+    a ScenarioError at that key's line (at its section's header when the
+    file leaves the key to its default). A replica count or horizon
+    given here is blamed on no line."""
     topo = config.topology
+    c = config.replicas if replicas is None else replicas
+    if not 1 <= c <= len(topo.switches):
+        raise ScenarioError(f"replicas must be in 1..{len(topo.switches)}, got {c}", config.path,
+                            config.line("embedding", "replicas") if replicas is None else 0)
 
     record = APPS[config.app_name]
     # The [application] key each model parameter is read from.
@@ -102,14 +108,19 @@ def build_simulation(config: ScenarioConfig, replicas: int | None = None,
     replica_set = sorted({sw for nodes in placement.nodes.values() for sw in nodes})
     candidates = replica_set if forced_monitor is None else [forced_monitor]
 
-    sim = Simulator(
-        topo,
-        seed=config.seed if seed is None else seed,
-        t_end_s=config.t_end_s if t_end_s is None else t_end_s,
-        metrics_bin_s=config.metrics_bin_s,
-        queue_limit=config.queue_limit,
-        collect_trace=collect_trace,
-    )
+    try:
+        sim = Simulator(
+            topo,
+            seed=config.seed if seed is None else seed,
+            t_end_s=config.t_end_s if t_end_s is None else t_end_s,
+            metrics_bin_s=config.metrics_bin_s,
+            queue_limit=config.queue_limit,
+            collect_trace=collect_trace,
+        )
+    except InvalidParameter as exc:
+        if exc.key == "t_end" and t_end_s is not None:
+            raise
+        raise ScenarioError(str(exc), config.path, config.line("scenario", exc.key)) from None
     # A run without replication installs the plan without its periods.
     replicate = config.replication if replication is None else replication
     sim.install_app(program, placement,
@@ -118,14 +129,26 @@ def build_simulation(config: ScenarioConfig, replicas: int | None = None,
     sim.plan_text = serialize_plan(placement, plan) + "\n" + canonical_text(program)
 
     for f, monitor in zip(config.flows, pick_monitor(topo, candidates, config.flows)):
-        sim.add_flow(f.name, f.src, f.dst, f.size_bits, f.syn,
-                     f.segments, f.stop_s, monitor)
+        try:
+            sim.add_flow(f.name, f.src, f.dst, f.size_bits, f.syn,
+                         f.segments, f.stop_s, monitor)
+        except SimulationError as exc:
+            sec = f"flow.{f.name}"
+            # A flow without a stop runs to t_end: its start is what is
+            # out of range.
+            key = "start" if exc.key == "stop" and "stop" not in config.lines[sec].at else exc.key
+            raise ScenarioError(str(exc), config.path, config.line(sec, key)) from None
 
     for (t_s, state, value) in config.loads:
+        line = config.line("loads", state)
+        # A load lies within the file's own horizon, whatever the run's.
+        if t_s > config.t_end_s:
+            raise ScenarioError(f"load on {state} at {t_s:g} s: past t_end = {config.t_end_s:g} s",
+                                config.path, line)
         try:
             sim.schedule_scalar(t_s, state, value)
         except SimulationError as exc:
-            raise ScenarioError(str(exc), config.path, config.line("loads", state)) from None
+            raise ScenarioError(str(exc), config.path, line) from None
 
     return BuiltSimulation(sim, app, program, placement, plan, c)
 

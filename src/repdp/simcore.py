@@ -334,10 +334,13 @@ class Simulator:
     def __init__(self, topo, seed=1, t_end_s=60.0, metrics_bin_s=0.5,
                  queue_limit=100, collect_trace=False):
         if queue_limit < 1:
-            raise InvalidParameter(f"queue_limit must be at least 1, got {queue_limit}")
-        for what, x in (("t_end", t_end_s), ("metrics bin", metrics_bin_s)):
+            raise InvalidParameter(f"queue_limit must be at least 1, got {queue_limit}",
+                                   "queue_limit")
+        for key, what, x in (("t_end", "t_end", t_end_s),
+                             ("metrics_bin", "metrics bin", metrics_bin_s)):
             if not math.isfinite(x) or round(x * 1e9) < 1:
-                raise InvalidParameter(f"{what} must be a finite time of at least 1ns, got {x} s")
+                raise InvalidParameter(f"{what} must be a finite time of at least 1ns, got {x} s",
+                                       key)
         self.topo = topo
         self.t_end_ns = round(t_end_s * 1e9)
         self.bin_ns = round(metrics_bin_s * 1e9)
@@ -520,25 +523,41 @@ class Simulator:
 
     def add_flow(self, name, src, dst, size_bits, syn, segments, stop_s,
                  monitor=None) -> int:
-        """Register a packet flow; segments are (start_s, rate_pps) steps."""
+        """Register a packet flow; segments are (start_s, rate_pps) steps,
+        the first at the flow's start. Each rule is checked on the
+        nanoseconds the run uses, and its error's `key` names the
+        scenario key of [flow.NAME] at fault. Once an application is
+        installed, a flow its monitor pins must not loop: no egress its
+        flow rules can pick may route toward `dst` back through the
+        monitor."""
         if self.log is not None:
             raise SimulationError("flows must be added before the run starts")
         if name in self._flow_names:
             raise SimulationError(f"flow {name}: name already in use")
-        if src not in self._host_out:
-            raise SimulationError(f"flow {name}: unknown source host {src}")
-        if dst not in self._host_out:
-            raise SimulationError(f"flow {name}: unknown destination host {dst}")
+        for key, host in (("src", src), ("dst", dst)):
+            if host not in self._host_out:
+                raise SimulationError(f"flow {name}: unknown {key} host {host!r}", key)
         if size_bits < MIN_FRAME_BITS:
-            raise SimulationError(f"flow {name}: packets below the 512-bit minimum frame")
-        if not all(math.isfinite(x) and x >= 0 for x in (*itertools.chain(*segments), stop_s)):
-            raise SimulationError(f"flow {name}: times and rates must be finite and not negative")
+            raise SimulationError(f"flow {name}: packets below the {MIN_FRAME_BITS}-bit"
+                                  f" minimum frame", "size")
+        if not segments:
+            raise SimulationError(f"flow {name}: no rate", "rate")
+        for key, what, xs in (("start", "start", (segments[0][0],)),
+                              ("rate", "rate step at", [t for t, _ in segments[1:]]),
+                              ("stop", "stop", (stop_s,)),
+                              ("rate", "non-finite or negative rate", [r for _, r in segments])):
+            for x in xs:
+                if not (math.isfinite(x) and x >= 0):
+                    raise SimulationError(f"flow {name}: {what} {x}: times and rates must be"
+                                          f" finite and not negative", key)
         segs = [(round(t * 1e9), float(r)) for t, r in segments]
-        if not segs or any(segs[i][0] >= segs[i + 1][0] for i in range(len(segs) - 1)):
-            raise SimulationError(f"flow {name}: segment starts must increase")
         stop_ns = round(stop_s * 1e9)
         if stop_ns <= segs[0][0]:
-            raise SimulationError(f"flow {name}: stop precedes start")
+            raise SimulationError(f"flow {name}: stop must follow start", "stop")
+        if any(a[0] >= b[0] for a, b in zip(segs, segs[1:])):
+            raise SimulationError(f"flow {name}: rate step times must increase", "rate")
+        if segs[-1][0] >= stop_ns:
+            raise SimulationError(f"flow {name}: rate step at or beyond stop", "rate")
         if monitor is not None and not self.topo.is_switch(monitor):
             raise SimulationError(f"flow {name}: monitor {monitor} is not a switch")
         for to in (dst, monitor):
@@ -552,6 +571,21 @@ class Simulator:
                 for rt, hop in zip(rts, self.topo.pred_row(at)):
                     if rt.name != to:
                         rt.route[to] = rt.ports[to if rt.name == at else rts[hop].name]
+        # A flow rule at the monitor sends every later packet toward dst
+        # out on the egress its trigger picks: dst's route from there
+        # must not lead back to the monitor, or those packets loop.
+        mon = self.switch_rt.get(monitor)
+        for tr in mon.packet_triggers if mon else ():
+            if (tr.kind is ActionKind.INSERT_FLOW_RULE
+                    and tr.scope.matches(self._host_out[src].cls, syn, dst)):
+                for ld in tr.egress_map or ():
+                    hop = ld
+                    while hop.far not in (None, mon):
+                        hop = hop.far.route[dst]
+                    if hop.far is mon:
+                        raise SimulationError(f"flow {name}: pinned at {monitor} via {ld.dst},"
+                                              f" whose route to {dst} runs back through"
+                                              f" {monitor}", "dst")
         fl = FlowRT(len(self.flows), name, src, dst,
                     size_bits, syn, segs, stop_ns, monitor, self._host_out[src])
         self.flows.append(fl)

@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from repdp import PortClass, ScenarioError, parse_scenario
+from repdp import PortClass, ScenarioError, build_simulation, parse_scenario
 
 BASE = """format_version = 1
 [scenario]
@@ -42,6 +42,17 @@ def parse_text(tmp_path, text, name="case.scn"):
 def expect_error(tmp_path, text, needle, at_line=None):
     with pytest.raises(ScenarioError) as exc:
         parse_text(tmp_path, text)
+    assert needle in str(exc.value), str(exc.value)
+    if at_line is not None:
+        assert exc.value.line == at_line, str(exc.value)
+    return exc.value
+
+
+def expect_build_error(tmp_path, text, needle, at_line=None):
+    """As expect_error, for a rule that the reader leaves to the build."""
+    cfg = parse_text(tmp_path, text)
+    with pytest.raises(ScenarioError) as exc:
+        build_simulation(cfg)
     assert needle in str(exc.value), str(exc.value)
     if at_line is not None:
         assert exc.value.line == at_line, str(exc.value)
@@ -241,7 +252,6 @@ def test_link_references_unknown_switch(tmp_path):
     ("[embedding]", "[ ]\n[embedding]", "empty section name", "[ ]"),
     ("seed = 1", "seed = 1\n= 5", "missing key", "= 5"),
     ("rate = 10", "rate = 10 20", "bad rate step", "rate = 10 20"),
-    ("rate = 10", "rate = 10 @1:-5", "negative rate", "@1:-5"),
     ("[embedding]\nreplicas = 1\n", "", "missing section [embedding]", "format_version"),
     ("[host.h1]", "[link.s1]\n[host.h1]", "bad link section", "[link.s1]"),
     ("[host.h2]", "[host.h-2]", "bad host name", "[host.h-2]"),
@@ -251,7 +261,7 @@ def test_link_references_unknown_switch(tmp_path):
 ], ids=["duplicate_switch", "duplicate_link", "self_loop_link", "host_named_like_a_switch",
         "host_capacity_zero", "link_delay_override_below_1ns", "duration_overflow",
         "rate_step_not_a_number", "scenario_name_not_an_identifier", "section_name_empty",
-        "key_missing", "rate_step_without_time", "rate_step_negative", "section_missing",
+        "key_missing", "rate_step_without_time", "section_missing",
         "link_section_one_switch", "host_name_not_an_identifier", "no_hosts",
         "flow_name_not_an_identifier"])
 def test_topology_and_number_errors_cite_their_line(tmp_path, old, new, needle, cited):
@@ -342,28 +352,37 @@ def test_bad_port_class(tmp_path):
     expect_error(tmp_path, text, "port_class")
 
 
+# Flow rules and the replica range are checked when the deployment is
+# built, and cited at their key's line.
+
+
 def test_flow_unknown_src(tmp_path):
     text = BASE.replace("src = h1", "src = h9")
-    expect_error(tmp_path, text, "unknown src")
+    expect_build_error(tmp_path, text, "unknown src")
 
 
 def test_flow_size_too_small(tmp_path):
     text = BASE.replace("size = 1000", "size = 400")
-    expect_error(tmp_path, text, "512")
+    expect_build_error(tmp_path, text, "512")
 
 
 def test_rate_steps_must_increase(tmp_path):
     text = BASE.replace("rate = 10", "rate = 10 @5:20 @5:30")
-    expect_error(tmp_path, text, "must increase", at_line=line_of(text, "@5:20"))
+    expect_build_error(tmp_path, text, "must increase", at_line=line_of(text, "@5:20"))
 
 
 def test_rate_step_beyond_stop(tmp_path):
     text = BASE.replace("rate = 10", "stop = 4\nrate = 10 @5:20")
-    expect_error(tmp_path, text, "beyond stop", at_line=line_of(text, "@5:20"))
+    expect_build_error(tmp_path, text, "beyond stop", at_line=line_of(text, "@5:20"))
 
 
 def test_negative_rate(tmp_path):
-    expect_error(tmp_path, BASE.replace("rate = 10", "rate = -3"), "negative rate")
+    expect_build_error(tmp_path, BASE.replace("rate = 10", "rate = -3"), "negative rate")
+
+
+def test_rate_step_negative(tmp_path):
+    text = BASE.replace("rate = 10", "rate = 10 @1:-5")
+    expect_build_error(tmp_path, text, "negative rate", at_line=line_of(text, "@1:-5"))
 
 
 def test_duplicate_key(tmp_path):
@@ -393,7 +412,7 @@ def test_unknown_application(tmp_path):
 
 def test_replicas_out_of_range(tmp_path):
     text = BASE.replace("replicas = 1", "replicas = 7")
-    expect_error(tmp_path, text, "replicas")
+    expect_build_error(tmp_path, text, "replicas", at_line=line_of(text, "replicas = 7"))
 
 
 def test_weight_unknown_node(tmp_path):
@@ -419,8 +438,6 @@ def test_missing_file_reports_path(tmp_path):
 def test_linklb_via_must_be_adjacent(tmp_path):
     # Build-time binding check: the candidate path's first hop has to be
     # a neighbor of the balancing switch.
-    from repdp import build_simulation
-
     text = """format_version = 1
 [scenario]
 name = t
@@ -532,6 +549,12 @@ APP_AND_LOAD_ERRORS = {
         "srv_load_0"),
     # One replica on s1 cannot hold the leg state hinted at s2.
     "linklb_hint_outside_replicas": (ESTIMATOR_APPS["linklb"], "replicas = 1"),
+    # Flow times are checked on the nanoseconds the run uses: a rate
+    # step or a stop 0.1 ns after the start falls on the start.
+    "fig8_rate_step_at_start_ns": (RING.replace("rate = 500", "rate = 500 @1e-10:600", 1),
+                                   "@1e-10:600"),
+    "fig8_stop_at_start_ns": (RING.replace("start = 20", "start = 20\nstop = 20.0000000001"),
+                              "stop = 20.0000000001"),
 }
 APP_AND_LOAD_ERRORS.update({
     f"{app}_{key.replace(' = ', '_')}": (text.replace("[embedding]", f"{key}\n[embedding]"), key)
@@ -541,8 +564,6 @@ APP_AND_LOAD_ERRORS.update({
 @pytest.mark.parametrize("text, fragment", APP_AND_LOAD_ERRORS.values(),
                          ids=APP_AND_LOAD_ERRORS.keys())
 def test_application_and_load_errors_cite_their_line(tmp_path, text, fragment):
-    from repdp import build_simulation
-
     with pytest.raises(ScenarioError) as exc:
         build_simulation(parse_text(tmp_path, text))
     assert exc.value.line == line_of(text, fragment) > 0, str(exc.value)
@@ -550,8 +571,6 @@ def test_application_and_load_errors_cite_their_line(tmp_path, text, fragment):
 
 
 def test_state_count_sets_the_number_of_states(tmp_path):
-    from repdp import build_simulation
-
     built = build_simulation(parse_text(tmp_path, BASE.replace(DDOS_KEYS,
                                                                DDOS_KEYS + "\nstates = 3")))
     assert [s.name for s in built.program.states] == ["syn_rate_0", "syn_rate_1", "syn_rate_2"]

@@ -23,6 +23,7 @@ from repdp import (
     Predicate,
     ReductionKind,
     ReductionSpec,
+    ScenarioError,
     ScopeFilter,
     SimulationError,
     Simulator,
@@ -243,6 +244,29 @@ def test_flow_times_and_rates_must_be_finite_and_not_negative(segments, stop_s):
     with pytest.raises(SimulationError, match="finite and not negative"):
         sim.add_flow("f", "hA", "hB", 1000, False, segments, stop_s)
     assert sim.flows == [] and sim.run_until().events_processed == 0
+
+
+@pytest.mark.parametrize("change, key", [
+    ({"src": "ghost"}, "src"),
+    ({"dst": "sw"}, "dst"),
+    ({"size_bits": 511}, "size"),
+    ({"segments": []}, "rate"),
+    ({"segments": [(-1.0, 10.0)]}, "start"),
+    ({"stop_s": math.inf}, "stop"),
+    ({"stop_s": 1e-10}, "stop"),
+    ({"segments": [(0.0, -10.0)]}, "rate"),
+    ({"segments": [(0.0, 10.0), (1e-10, 20.0)]}, "rate"),
+    ({"segments": [(0.0, 10.0), (0.5, 20.0)]}, "rate"),
+], ids=["src", "dst_is_a_switch", "size", "no_rate", "start", "stop_infinite", "stop_at_start_ns",
+        "rate_negative", "step_at_start_ns", "step_at_stop"])
+def test_flow_errors_name_their_scenario_key(change, key):
+    sim = Simulator(line_topo(), t_end_s=1.0)
+    flow = {"src": "hA", "dst": "hB", "size_bits": 1000, "syn": False,
+            "segments": [(0.0, 10.0)], "stop_s": 0.5, **change}
+    with pytest.raises(SimulationError) as exc:
+        sim.add_flow("f", **flow)
+    assert exc.value.key == key, str(exc.value)
+    assert sim.flows == []
 
 
 def test_scheduled_loads_need_a_time_and_an_owner(tmp_path):
@@ -1573,6 +1597,18 @@ def test_new_flows_pin_to_least_congested_path(tmp_path):
     assert store1.local_value(reg["leg_load_0"], t_end) > 500_000
     store2 = built.sim.switch_rt["sw2"].store
     assert store2.local_value(reg["leg_load_2"], t_end) > 500_000
+
+
+def test_a_pinned_flow_whose_via_routes_back_to_its_monitor_is_rejected(tmp_path):
+    # With d2 on sw2, sw4's route toward sw2 runs back through sw1 (its
+    # next hop on the name tie): k2's SYN packets, pinned at sw1 to sw4,
+    # would return to sw1 and be pinned to sw4 again. k1 is never pinned.
+    text = LINK_LB.replace("[host.d2]\nattach = sw3", "[host.d2]\nattach = sw2")
+    with pytest.raises(ScenarioError) as exc:
+        build_simulation(write_scenario(tmp_path, text))
+    assert exc.value.line == text.splitlines().index("dst = d2") + 1, str(exc.value)
+    assert "flow k2: pinned at sw1 via sw4, whose route to d2 runs back through sw1" in str(
+        exc.value)
 
 
 # ---------------------------------------------------------------------------
