@@ -52,8 +52,15 @@ class Link:
         return (self.u, self.v) if self.u < self.v else (self.v, self.u)
 
 
+_SWITCHES, _LINKS = ("topology", "switches"), ("topology", "links")
+
+
 class Topology:
-    """Switches, hosts and the links between them."""
+    """Switches, hosts and the links between them. A host's last link is
+    its attachment; every other link joins two switches. Each rule
+    broken raises DisconnectedTopology, whose key is the scenario key to
+    blame: [topology] switches or links, or a host's section (its name)
+    or that section's attach."""
 
     def __init__(
         self,
@@ -65,27 +72,43 @@ class Topology:
         self._sws = frozenset(self.switches)
         self.hosts = tuple(hosts)
         self.links = tuple(links)
-        self.adj: dict[str, dict[str, Link]] = {n: {} for n in self.switches + self.hosts}
-        names = set(self.switches) | set(self.hosts)
-        if len(names) != len(self.switches) + len(self.hosts):
-            raise DisconnectedTopology("duplicate node names")
-        for ln in self.links:
-            if ln.u not in names or ln.v not in names:
-                raise DisconnectedTopology(f"link endpoint unknown: {ln.u}-{ln.v}")
-            if ln.u == ln.v:
-                raise DisconnectedTopology(f"link {ln.u}-{ln.v} connects a node to itself")
-            if ln.delay_ns <= 0 or ln.capacity_bps <= 0:
-                raise DisconnectedTopology(f"link {ln.u}-{ln.v}: delay and capacity must be > 0")
-            if ln.v in self.adj[ln.u]:
-                raise DisconnectedTopology(f"duplicate link {ln.u}-{ln.v}")
-            self.adj[ln.u][ln.v] = ln
-            self.adj[ln.v][ln.u] = ln
+        if not self.switches:
+            raise DisconnectedTopology("empty topology: no switches", _SWITCHES)
+        if len(self._sws) != len(self.switches):
+            raise DisconnectedTopology("duplicate name in switches", _SWITCHES)
+        self.adj: dict[str, dict[str, Link]] = {sw: {} for sw in self.switches}
         for h in self.hosts:
-            if len(self.adj[h]) != 1:
-                raise DisconnectedTopology(f"host {h} must attach to exactly one switch")
-            nbr = next(iter(self.adj[h]))
-            if nbr not in self._sws:
-                raise DisconnectedTopology(f"host {h} must attach to a switch")
+            if h in self.adj:
+                raise DisconnectedTopology(f"duplicate node name {h!r}", (f"host.{h}", None))
+            self.adj[h] = {}
+        last = {n: i for i, ln in enumerate(self.links) for n in (ln.u, ln.v)
+                if n in self.adj and n not in self._sws}
+        for i, ln in enumerate(self.links):
+            u, v = ln.u, ln.v
+            host = next((n for n in (u, v) if last.get(n) == i), None)
+            key = _LINKS if host is None else (f"host.{host}", "attach")
+            bad = next((n for n in (u, v) if n != host and n not in self._sws), None)
+            if bad is not None:
+                if host is not None:
+                    raise DisconnectedTopology(f"host {host} must attach to a switch:"
+                                               f" unknown switch {bad!r}", key)
+                # Links that name none of the switches point at the
+                # switch list; one name no switch has is the link's fault.
+                if not any(n in self._sws for x in self.links for n in (x.u, x.v)):
+                    raise DisconnectedTopology("no link names any of these switches", _SWITCHES)
+                raise DisconnectedTopology(f"link '{u}-{v}' references unknown switch", key)
+            if u == v:
+                raise DisconnectedTopology(f"link '{u}-{v}' connects a node to itself", key)
+            if ln.delay_ns <= 0 or ln.capacity_bps <= 0:
+                raise DisconnectedTopology(f"link '{u}-{v}': delay and capacity must be > 0", key)
+            if v in self.adj[u]:
+                raise DisconnectedTopology(f"duplicate link '{u}-{v}'", key)
+            self.adj[u][v] = ln
+            self.adj[v][u] = ln
+        for h in self.hosts:
+            if not self.adj[h]:
+                raise DisconnectedTopology(f"host {h} attaches to no switch",
+                                           (f"host.{h}", "attach"))
         self._check_connected()
         # Switch indices follow name order, so index order breaks ties
         # the way names do.
@@ -105,8 +128,6 @@ class Topology:
 
     def _check_connected(self):
         nodes = self.switches + self.hosts
-        if not nodes:
-            raise DisconnectedTopology("empty topology")
         seen = {nodes[0]}
         stack = [nodes[0]]
         while stack:
@@ -117,7 +138,7 @@ class Topology:
                     stack.append(m)
         if len(seen) != len(nodes):
             missing = sorted(set(nodes) - seen)
-            raise DisconnectedTopology(f"unreachable nodes: {', '.join(missing)}")
+            raise DisconnectedTopology(f"unreachable nodes: {', '.join(missing)}", _LINKS)
 
     def attached_switch(self, host: str) -> str:
         return next(iter(self.adj[host]))
@@ -407,6 +428,16 @@ class PeriodSolution:
     packet_period: int | None = None
 
 
+def _check_clock(r_min: float, mode: str):
+    """The update clock's rules, which hold whether or not any state is
+    replicated: the trigger mode is time or packet, and r_min > 0."""
+    if mode not in ("time", "packet"):
+        raise InfeasibleBudget(f"trigger_mode must be time or packet, got {mode!r}",
+                               "trigger_mode")
+    if not r_min > 0:
+        raise InfeasibleBudget("r_min must be positive", "r_min")
+
+
 def solve_replication_period(
     spec: InconsistencySpec,
     worst_pair_delay_ns: int,
@@ -422,6 +453,7 @@ def solve_replication_period(
     interarrival (1 / r_min) for the traffic-driven clock check; packet
     mode counts floor(d_r * r_min) packets instead.
     """
+    _check_clock(r_min, mode)
     if spec.kind is InconsistencyKind.NONE:
         raise InfeasibleBudget("state has no inconsistency budget, nothing to solve")
     budget_ns = round(spec.budget_s() * 1e9)
@@ -432,8 +464,6 @@ def solve_replication_period(
             f" {worst_pair_delay_ns} ns", spec.budget_field()
         )
     if mode == "time":
-        if r_min <= 0:
-            raise InfeasibleBudget("time mode needs r_min > 0", "r_min")
         gap_ns = round(1e9 / r_min)
         tau = d_r - gap_ns
         if tau < 0:
@@ -442,15 +472,13 @@ def solve_replication_period(
                 f" floor {gap_ns} ns; emit cannot keep the bound", "r_min"
             )
         return PeriodSolution(d_r, worst_pair_delay_ns, "time", tau_ns=tau)
-    if mode == "packet":
-        p = int(d_r * r_min // 1_000_000_000)
-        if p < 1:
-            raise InfeasibleBudget(
-                f"replication period {d_r} ns spans no full packet at rate {r_min}/s",
-                "r_min"
-            )
-        return PeriodSolution(d_r, worst_pair_delay_ns, "packet", packet_period=p)
-    raise InfeasibleBudget(f"unknown trigger mode {mode!r}")
+    p = int(d_r * r_min // 1_000_000_000)
+    if p < 1:
+        raise InfeasibleBudget(
+            f"replication period {d_r} ns spans no full packet at rate {r_min}/s",
+            "r_min"
+        )
+    return PeriodSolution(d_r, worst_pair_delay_ns, "packet", packet_period=p)
 
 
 @dataclass
@@ -468,6 +496,7 @@ def build_replication_plan(
     mode: str = "time",
 ) -> ReplicationPlan:
     """Shared distribution tree plus a period solution per replicated state."""
+    _check_clock(r_min, mode)
     replicated = placement.replicated_states()
     terminals = sorted({n for s in replicated for n in placement.nodes[s]})
     tree = steiner_tree(topo, terminals) if len(terminals) > 1 else frozenset()

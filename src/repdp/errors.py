@@ -23,7 +23,12 @@ class UnsupportedPrimitive(RepdpError):
 
 
 class DisconnectedTopology(RepdpError):
-    """Topology graph is not connected."""
+    """The topology breaks one of Topology's rules: unique node names,
+    links between known switches, no self-loop or duplicate link, each
+    host attached to exactly one switch, and a connected graph. `key` is
+    the (section, key) pair of the scenario key to blame: ("topology",
+    "switches"), ("topology", "links"), ("host.H", "attach"), or
+    ("host.H", None) for host H's own name."""
 
 
 class InsufficientNodes(RepdpError):
@@ -35,9 +40,9 @@ class DisconnectedTerminals(RepdpError):
 
 
 class InfeasibleBudget(RepdpError):
-    """Inconsistency budget cannot be met on this topology; `key` names
-    the parameter to change: the budget's `InconsistencySpec` field, or
-    `r_min`."""
+    """Inconsistency budget cannot be met on this topology, or the update
+    clock is ill-defined; `key` names the parameter to change: the
+    budget's `InconsistencySpec` field, `r_min`, or `trigger_mode`."""
 
 
 class TruncatedHeader(RepdpError):

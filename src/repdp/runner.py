@@ -99,8 +99,8 @@ def build_simulation(config: ScenarioConfig, replicas: int | None = None,
         plan = build_replication_plan(topo, placement, reqs,
                                       config.r_min, config.trigger_mode)
     except InfeasibleBudget as exc:
-        if exc.key == "r_min":
-            line = config.line("embedding", "r_min")
+        if exc.key in ("r_min", "trigger_mode"):
+            line = config.line("embedding", exc.key)
         else:
             line = config.line("application", app_key.get(exc.key))
         raise ScenarioError(str(exc), config.path, line) from None

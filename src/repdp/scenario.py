@@ -8,10 +8,12 @@ default; a key or a section the tables do not name is an error at its
 line. The reader produces a ScenarioConfig with units normalized
 (durations to seconds, capacities to bits/s, sizes to bits) and the
 line of every key it read, which build-time checks cite. The reader
-checks grammar, units, names, the topology and the rules no component
-states. A flow's rules and the run's (Simulator's), the replica range
-and a load's time and value are checked when runner.build_simulation
-builds the deployment, which cites the offending key's line.
+checks grammar, units, names and the rules no component states.
+Topology states the graph rules and names the key it blames, which
+the reader cites. A flow's rules and the run's (Simulator's), the
+replica range, r_min and trigger_mode (the replication plan's) and a
+load's time and value are checked when runner.build_simulation builds
+the deployment, which cites the offending key's line.
 
 Sections:
   top level    format_version (must be 1)
@@ -320,15 +322,8 @@ def parse_scenario(path: str) -> ScenarioConfig:
     t_end = scen["t_end"]
 
     # ---- topology -----------------------------------------------------
-    # Each value Topology rejects is checked here, at its own key.
+    # Topology states the graph rules; its error names the key to cite.
     topo = _read(path, section("topology"), _TOPOLOGY, lines)
-    switches = topo["switches"]
-    sw_ln = at("topology", "switches")
-    sw_set = set(switches)
-    if not switches:
-        raise ScenarioError("switches is empty", path, sw_ln)
-    if len(sw_set) != len(switches):
-        raise ScenarioError("duplicate name in switches", path, sw_ln)
     link_delay, link_cap = topo["link_delay"], topo["link_capacity"]
 
     overrides = {}
@@ -341,29 +336,12 @@ def parse_scenario(path: str) -> ScenarioConfig:
             raise ScenarioError(f"duplicate section [{sec.name}]", path, sec.line)
         overrides[key] = sec, _read(path, sec, _LINK, lines)
 
-    ll = at("topology", "links")
-    pairs = []
+    links = []
     for tok in topo["links"].split():
         u, sep, v = tok.partition("-")
         if not (sep and NAME_RE.match(u) and NAME_RE.match(v)):
-            raise ScenarioError(f"bad link {tok!r} (expected u-v)", path, ll)
-        pairs.append((u, v))
-    # Links that name none of the switches point at the switch list; a
-    # single name no switch has is the link list's fault.
-    if pairs and sw_set.isdisjoint(x for pair in pairs for x in pair):
-        raise ScenarioError("no link names any of these switches", path, sw_ln)
-    links = []
-    seen_links = set()
-    for u, v in pairs:
-        if u not in sw_set or v not in sw_set:
-            raise ScenarioError(f"link '{u}-{v}' references unknown switch", path, ll)
-        if u == v:
-            raise ScenarioError(f"link '{u}-{v}' connects a switch to itself", path, ll)
-        key = tuple(sorted((u, v)))
-        if key in seen_links:
-            raise ScenarioError(f"duplicate link '{u}-{v}'", path, ll)
-        seen_links.add(key)
-        o = overrides.pop(key, (None, {}))[1]
+            raise ScenarioError(f"bad link {tok!r} (expected u-v)", path, at("topology", "links"))
+        o = overrides.pop(tuple(sorted((u, v))), (None, {}))[1]
         links.append(Link(u, v, o.get("delay", link_delay), o.get("capacity", link_cap)))
     # An override left over names a pair that `links` does not connect.
     for sec, _ in overrides.values():
@@ -371,18 +349,11 @@ def parse_scenario(path: str) -> ScenarioConfig:
                             f"{'-'.join(sec.name.split('.')[1:])}", path, sec.line)
 
     hosts = []
-    nodes = set(sw_set)
     for sec in groups["host"]:
         hname = sec.name.split(".", 1)[1]
         if not NAME_RE.match(hname):
             raise ScenarioError(f"bad host name {hname!r}", path, sec.line)
-        if hname in nodes:
-            raise ScenarioError(f"duplicate node name {hname!r}", path, sec.line)
-        nodes.add(hname)
         h = _read(path, sec, _HOST, lines)
-        if h["attach"] not in sw_set:
-            raise ScenarioError(f"host {hname} attaches to unknown switch {h['attach']!r}",
-                                path, at(sec.name, "attach"))
         try:
             port_class = PortClass(h["port_class"])
         except ValueError:
@@ -397,10 +368,9 @@ def parse_scenario(path: str) -> ScenarioConfig:
         raise ScenarioError("scenario defines no hosts", path, 1)
 
     try:
-        topology = Topology(switches, hosts, links)
+        topology = Topology(topo["switches"], hosts, links)
     except DisconnectedTopology as exc:
-        # The checks above leave connectivity, which the links decide.
-        raise ScenarioError(str(exc), path, ll) from None
+        raise ScenarioError(str(exc), path, at(*exc.key)) from None
 
     # ---- application ---------------------------------------------------
     # Without a name, every other key is unknown.
@@ -417,18 +387,13 @@ def parse_scenario(path: str) -> ScenarioConfig:
 
     # ---- embedding -----------------------------------------------------
     emb = _read(path, section("embedding"), _EMBEDDING, lines)
-    if emb["r_min"] <= 0:
-        raise ScenarioError("r_min must be positive", path, at("embedding", "r_min"))
-    if emb["trigger_mode"] not in ("time", "packet"):
-        raise ScenarioError(f"trigger_mode must be time or packet, got {emb['trigger_mode']!r}",
-                            path, at("embedding", "trigger_mode"))
     weights: dict[str, float] = {}
     wl = at("embedding", "weights")
     for tok in emb["weights"].split():
         if ":" not in tok:
             raise ScenarioError(f"bad weight {tok!r} (expected node:w)", path, wl)
         node, _, w = tok.partition(":")
-        if node not in nodes:
+        if node not in topology.adj:
             raise ScenarioError(f"weight references unknown node {node!r}", path, wl)
         if node in weights:
             raise ScenarioError(f"weight for node {node!r} given twice", path, wl)

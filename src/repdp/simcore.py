@@ -550,6 +550,10 @@ class Simulator:
                 if not (math.isfinite(x) and x >= 0):
                     raise SimulationError(f"flow {name}: {what} {x}: times and rates must be"
                                           f" finite and not negative", key)
+        # A faster rate's gap rounds to 0 ns, where emission stalls.
+        for _, r in segments:
+            if r > 1e9:
+                raise SimulationError(f"flow {name}: rate {r:g} is above one packet per ns", "rate")
         segs = [(round(t * 1e9), float(r)) for t, r in segments]
         stop_ns = round(stop_s * 1e9)
         if stop_ns <= segs[0][0]:

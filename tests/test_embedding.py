@@ -83,6 +83,29 @@ def test_topology_rejects_bad_shapes():
         Topology((), (), [])
 
 
+@pytest.mark.parametrize("switches, hosts, links, key", [
+    ((), (), [], ("topology", "switches")),
+    (("a", "b", "a"), (), [("a", "b")], ("topology", "switches")),
+    (("a", "b"), ("h", "b"), [("a", "b"), ("h", "a")], ("host.b", None)),
+    (("a", "b"), (), [("a", "c")], ("topology", "links")),
+    (("x",), (), [("a", "b")], ("topology", "switches")),
+    (("a", "b"), (), [("a", "b"), ("b", "b")], ("topology", "links")),
+    (("a", "b"), (), [("a", "b"), ("b", "a")], ("topology", "links")),
+    (("a", "b", "c"), (), [("a", "b")], ("topology", "links")),
+    (("a", "b"), ("h",), [("a", "b"), ("h", "z")], ("host.h", "attach")),
+    (("a", "b"), ("h", "g"), [("a", "b"), ("h", "g"), ("g", "a")], ("host.h", "attach")),
+    (("a", "b"), ("h",), [("a", "b"), ("h", "a"), ("h", "b")], ("topology", "links")),
+    (("a", "b"), ("h",), [("a", "b")], ("host.h", "attach")),
+], ids=["no_switches", "duplicate_switch", "host_named_like_a_switch", "unknown_endpoint",
+        "no_link_names_a_switch", "self_loop", "duplicate_link", "disconnected",
+        "host_attaches_to_unknown_switch", "host_attaches_to_a_host",
+        "host_linked_twice", "host_not_attached"])
+def test_topology_errors_name_the_key_they_blame(switches, hosts, links, key):
+    with pytest.raises(DisconnectedTopology) as exc:
+        Topology(switches, hosts, [Link(u, v, 1000, 1_000_000) for u, v in links])
+    assert exc.value.key == key, str(exc.value)
+
+
 def test_next_hop_breaks_ties_by_name():
     topo = ring4()
     # Both ways around the ring cost the same; the name-lowest neighbor wins.
@@ -395,6 +418,24 @@ def test_infeasible_budgets_raise():
         solve_replication_period(spec, MS, 100.0, mode="sideways")
     with pytest.raises(InfeasibleBudget):
         solve_replication_period(spec, MS, r_min=0.0)
+
+
+def test_clock_rules_hold_at_one_replica():
+    # Without a replicated state no period is solved; the plan still
+    # checks r_min and the trigger mode, and names the key at fault.
+    topo = ring4()
+    program = ddos_program(2)
+    reqs = {s.name: InconsistencySpec.time_obsolescence(0.014) for s in program.states}
+    placement = place_replicas(topo, EmbeddingConfig(1), program, reqs)
+    assert placement.replicated_states() == []
+    for r_min, mode, key in ((0.0, "time", "r_min"), (-1.0, "packet", "r_min"),
+                             (100.0, "sideways", "trigger_mode")):
+        with pytest.raises(InfeasibleBudget) as exc:
+            build_replication_plan(topo, placement, reqs, r_min, mode)
+        assert exc.value.key == key
+        with pytest.raises(InfeasibleBudget) as exc:
+            solve_replication_period(reqs["syn_rate_0"], MS, r_min, mode)
+        assert exc.value.key == key
 
 
 # ---------------------------------------------------------------------------

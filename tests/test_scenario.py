@@ -258,12 +258,22 @@ def test_link_references_unknown_switch(tmp_path):
     ("[host.h1]\nattach = s1\nport_class = external\n[host.h2]\nattach = s2\n"
      "port_class = downlink\n", "", "defines no hosts", "format_version"),
     ("[flow.f]", "[flow.f-1]", "bad flow name", "[flow.f-1]"),
+    # Topology states the graph rules; the reader cites the key it names.
+    ("attach = s1", "attach = s9", "unknown switch", "attach = s9"),
+    ("attach = s1", "attach = h2", "attach to a switch", "attach = h2"),
+    ("switches = s1 s2", "switches = x", "no link names", "switches = x"),
+    ("links = s1-s2", "links = s1-s2 s1-s3", "unknown switch", "links = "),
+    ("links = s1-s2", "links =", "unreachable", "links ="),
+    # A host's last link is its attachment: one in `links` is a switch link.
+    ("links = s1-s2", "links = s1-s2 s2-h1", "unknown switch", "links = "),
 ], ids=["duplicate_switch", "duplicate_link", "self_loop_link", "host_named_like_a_switch",
         "host_capacity_zero", "link_delay_override_below_1ns", "duration_overflow",
         "rate_step_not_a_number", "scenario_name_not_an_identifier", "section_name_empty",
         "key_missing", "rate_step_without_time", "section_missing",
         "link_section_one_switch", "host_name_not_an_identifier", "no_hosts",
-        "flow_name_not_an_identifier"])
+        "flow_name_not_an_identifier", "attach_unknown", "attach_to_a_host",
+        "switches_unlinked", "link_endpoint_unknown", "links_empty",
+        "link_names_a_host"])
 def test_topology_and_number_errors_cite_their_line(tmp_path, old, new, needle, cited):
     text = BASE.replace(old, new)
     expect_error(tmp_path, text, needle, at_line=line_of(text, cited))
@@ -345,6 +355,11 @@ def test_bad_link_token(tmp_path):
 def test_host_attaches_to_unknown_switch(tmp_path):
     text = BASE.replace("attach = s1", "attach = s9")
     expect_error(tmp_path, text, "unknown switch")
+
+
+def test_host_named_twice_fails_at_its_second_header(tmp_path):
+    text = BASE.replace("[host.h2]", "[host.h1]")
+    expect_error(tmp_path, text, "duplicate node name", at_line=line_of(text, "attach = s2") - 1)
 
 
 def test_bad_port_class(tmp_path):
@@ -555,6 +570,17 @@ APP_AND_LOAD_ERRORS = {
                                    "@1e-10:600"),
     "fig8_stop_at_start_ns": (RING.replace("start = 20", "start = 20\nstop = 20.0000000001"),
                               "stop = 20.0000000001"),
+    # Above one packet per ns, a packet gap rounds to 0 ns: the run
+    # would never leave the segment's start.
+    "fig8_rate_above_one_per_ns": (RING.replace("rate = 500", "rate = 1e30", 1), "rate = 1e30"),
+    "fig8_rate_step_above_one_per_ns": (RING.replace("rate = 500", "rate = 500 @5:1e30", 1),
+                                        "@5:1e30"),
+    # The clock's rules hold with no state replicated.
+    "r_min_zero_one_replica": (BASE.replace("replicas = 1", "replicas = 1\nr_min = 0"),
+                               "r_min = 0"),
+    "trigger_mode_unknown_one_replica": (
+        BASE.replace("replicas = 1", "replicas = 1\ntrigger_mode = sideways"),
+        "trigger_mode = sideways"),
 }
 APP_AND_LOAD_ERRORS.update({
     f"{app}_{key.replace(' = ', '_')}": (text.replace("[embedding]", f"{key}\n[embedding]"), key)
