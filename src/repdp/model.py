@@ -234,18 +234,21 @@ class Predicate:
     def always(cls) -> "Predicate":
         return cls(PredicateKind.ALWAYS)
 
-    def evaluate(self, value: float, uniform01: float | None = None) -> bool:
+    def test(self):
+        """The predicate as a function test(v, u=None) -> bool of a value
+        v and a uniform draw u in [0, 1), built once so that a call
+        dispatches on nothing."""
+        th = self.threshold
         kind = self.kind
         if kind is PredicateKind.PROBABILISTIC:
             # A draw is never below a probability of 0, so no max(0, .)
             # is needed.
-            return (uniform01 is not None and value > 0
-                    and uniform01 < (value - self.threshold) / value)
+            return lambda v, u=None: u is not None and v > 0 and u < (v - th) / v
         if kind is PredicateKind.GREATER_THAN:
-            return value > self.threshold
+            return lambda v, u=None: v > th
         if kind is PredicateKind.LESS_OR_EQUAL:
-            return value <= self.threshold
-        return True
+            return lambda v, u=None: v <= th
+        return lambda v, u=None: True
 
 
 @dataclass(frozen=True)

@@ -114,10 +114,14 @@ class UpdateTrigger:
 
     Checked once per data packet at the very end of ingress processing.
     Time mode emits when t_clk >= t' + tau and then advances t'; packet
-    mode emits every `packet_period` observed packets.
+    mode emits every `packet_period` observed packets. `due` is the
+    first time the next packet can emit at: t' + tau in time mode, -1
+    before the first emission and always in packet mode, so a caller
+    that skips `should_emit` before `due` skips only calls that return
+    False.
     """
 
-    __slots__ = ("mode", "tau_ns", "packet_period", "t_prime_ns", "pkt_count")
+    __slots__ = ("mode", "tau_ns", "packet_period", "t_prime_ns", "pkt_count", "due")
 
     def __init__(self, mode: str, tau_ns: int | None = None, packet_period: int | None = None):
         if mode == "time":
@@ -135,12 +139,14 @@ class UpdateTrigger:
         # Before any emission every packet qualifies in time mode.
         self.t_prime_ns = None
         self.pkt_count = 0
+        self.due = -1
 
     def should_emit(self, t_clk_ns: int) -> bool:
         """Advance the trigger by one observed packet; True means emit now."""
         if self.mode == "time":
             if self.t_prime_ns is None or t_clk_ns >= self.t_prime_ns + self.tau_ns:
                 self.t_prime_ns = t_clk_ns
+                self.due = t_clk_ns + self.tau_ns
                 return True
             return False
         self.pkt_count += 1
@@ -167,12 +173,13 @@ class ReplicaStore:
     one whose origin is this switch is written locally (via an
     estimator object or write_local), the rest receive gossip through
     apply_update from their single origin. A state not hosted here
-    reads 0. Reduction outputs are recomputed lazily: the cache keys on
-    a version counter, bumped when a stored value changes, and on the
-    end of the current tick, a tick being the gcd of the live sources'
-    `delta_ns`. A live source's reading only changes when one of its
-    buckets closes, at a multiple of its delta, so observing it does not
-    bump the version.
+    reads 0. A stored value re-runs at once the steps it feeds,
+    `readers[sid]`, so the registers stay current. A live source's
+    reading only changes when one of its buckets closes, at a multiple
+    of its `delta_ns`, so the registers hold for every time before
+    `fresh_until`, the end of the tick they were last read in, a tick
+    being the gcd of the live sources' deltas: only a read at or past
+    it reads the live sources and runs every step again.
     """
 
     def __init__(self, steps, n_states: int):
@@ -189,12 +196,20 @@ class ReplicaStore:
         self.widths = [32] * len(self.regs)
         # The live value source of each estimator-backed local state.
         self.live: dict[int, object] = {}
-        self.version = 0
         # The gcd of the live sources' delta_ns; 0 while there are none.
         self._tick = 0
-        # The version and tick end the registers were last evaluated at.
-        self._evaluated_version = -1
-        self._evaluated_until = -1
+        # The registers hold for every time before this one.
+        self.fresh_until = -1
+        # Per state, the steps it feeds, directly or through other
+        # steps, in step order.
+        self.readers = []
+        for sid in range(n_states):
+            fed, mine = {sid}, []
+            for step in steps:
+                if not fed.isdisjoint(step[2]):
+                    mine.append(step)
+                    fed.add(step[0])
+            self.readers.append(tuple(mine))
 
     def configure_state(self, sid: int, width_bits: int, origin_sw_id: int | None = None):
         """Host state `sid` here: written locally when `origin_sw_id` is
@@ -208,23 +223,18 @@ class ReplicaStore:
         `delta_ns`."""
         self.live[sid] = value_source
         self._tick = math.gcd(self._tick, value_source.delta_ns)
-        self.version += 1
+        self.fresh_until = -1
+
+    def _store(self, sid: int, value: int):
+        """Hold `value` in state `sid` and re-run the steps it feeds."""
+        regs = self.regs
+        regs[sid] = value
+        for out, fn, operands in self.readers[sid]:
+            regs[out] = fn([regs[x] for x in operands])
 
     def write_local(self, sid: int, value: int):
-        self.regs[sid] = int(value)
+        self._store(sid, int(value))
         self.writes[sid] += 1
-        if sid not in self.live:
-            self.version += 1
-
-    def feed(self, monitors, t_ns: int, size_bits: int):
-        """Count one packet of `size_bits` into `monitors`, each a local
-        state `sid` with its live estimator `est` and whether it counts
-        bits (`use_bits`) or packets. A live reading changes only when a
-        bucket closes, so the version stays."""
-        writes = self.writes
-        for m in monitors:
-            m.est.observe(t_ns, size_bits if m.use_bits else 1)
-            writes[m.sid] += 1
 
     def local_value(self, sid: int, t_ns: int) -> int:
         src = self.live.get(sid)
@@ -252,29 +262,27 @@ class ReplicaStore:
         if origin_ts_ns <= prev_ts:
             return "stale", None
         self.origin_ts[sid] = origin_ts_ns
-        self.regs[sid] = header.state_value
-        self.version += 1
+        self._store(sid, header.state_value)
         return "applied", prev_ts
 
     def tick_end(self, t_ns: int) -> int | float:
-        """The end of the tick that holds t_ns: at an unchanged version,
-        no value or reduction output can differ between t_ns and any
-        later time before it. Without live sources the tick never ends."""
+        """The end of the tick that holds t_ns: no live reading can
+        differ between t_ns and any later time before it. Without live
+        sources the tick never ends."""
         tick = self._tick
         return t_ns - t_ns % tick + tick if tick else math.inf
 
     def read_global(self, reg: int, t_ns: int) -> int:
         """Register `reg` (a reduction output or a state) at time t_ns,
-        from local and remote values. Time only moves forward, and the
-        steps run once per version and tick, so repeated reads between
-        two changes are free."""
+        from local and remote values. Time only moves forward, so the
+        live sources are read and the steps run once per tick; a caller
+        may read `regs[reg]` itself while t_ns < `fresh_until`."""
         regs = self.regs
-        if self.version != self._evaluated_version or t_ns >= self._evaluated_until:
+        if t_ns >= self.fresh_until:
             for sid, src in self.live.items():
                 regs[sid] = src.read(t_ns)
             run_steps(self.steps, regs)
-            self._evaluated_version = self.version
-            self._evaluated_until = self.tick_end(t_ns)
+            self.fresh_until = self.tick_end(t_ns)
         return regs[reg]
 
     def replica_memory_bits(self) -> int:

@@ -26,7 +26,8 @@ run a fixed ingress pipeline per packet, one handler per packet kind:
      enters the network on, its SYN flag, its destination) is constant
      per flow, so each flow's monitors, packet triggers and egress
      monitors are resolved once, when the run starts, and the pipeline
-     only walks them;
+     only walks them, a monitor as its estimator's `observe`, the count
+     the flow's packets add and its state;
   3. unless steered or dropped, the packet is forwarded on the
      switch's one table, `route[to]`, where a pinned flow rule has
      overwritten the shortest-path entry for its destination host;
@@ -49,9 +50,12 @@ packet that L admits is admitted on H at once, at its arrival time at
 the switch, which still counts as one event, unless that arrival falls
 past the running call or an earlier packet for H is still queued.
 Change triggers, too, run only when what they read can have moved: at
-once on each change of the store's version (an applied update or a
-scalar write), and after a feed only once the estimator tick they last
-ran in has ended. A link keeps the departure times of
+once on each applied update or scalar write, and after a feed only once
+the estimator tick they last ran in has ended. The replica store keeps
+its registers current, so a packet trigger reads its register with one
+compare against the store's `fresh_until` and calls into the store only
+once a tick has ended; an update trigger is asked only from its `due`
+time on. A link keeps the departure times of
 its last `queue_limit` admitted packets in a ring: departures never
 decrease, so the queue is full exactly when the oldest of them is still
 in the future. The newest is kept apart as the time the link falls
@@ -89,7 +93,6 @@ from .model import (
     ValueType,
 )
 from .replication import (
-    IPV4_ETHTYPE,
     MIN_FRAME_BITS,
     ReplicaStore,
     UpdateHeader,
@@ -124,13 +127,14 @@ class LinkDir:
     admitted, `head` indexing the oldest, and `busy` the newest, when the
     link falls idle; `Simulator._send` admits and times packets on it,
     and reads the ring only while the link is busy. `egress` maps a flow
-    row to the monitors of this link's switch that count the flow's
-    packets sent on it, resolved when the run starts (None: no egress
-    monitor watches the link). `fold`, set when the run starts, maps a
-    host to its link from the far switch when this link alone feeds that
-    link and the switch only forwards to it (None: no such host). A host
-    link's `held_until` is the latest arrival at its switch of a packet
-    for it that was queued as an event.
+    row to the feeds (see `_feeds`) of the monitors of this link's
+    switch that count the flow's packets sent on it, resolved when the
+    run starts (None: no egress monitor watches the link). `fold`, set
+    when the run starts, maps a host to its link from the far switch
+    when this link alone feeds that link and the switch only forwards
+    to it (None: no such host). A host link's `held_until` is the latest
+    arrival at its switch of a packet for it that was queued as an
+    event.
     """
 
     __slots__ = ("src", "dst", "delay_ns", "capacity_bps", "row", "far", "cls",
@@ -149,7 +153,7 @@ class LinkDir:
         self.ring = array("q", bytes(8 * queue_limit))
         self.head = 0
         self.busy = 0
-        self.egress: dict[int, tuple[_Monitor, ...]] | None = None
+        self.egress: dict[int, tuple[tuple, ...]] | None = None
         self.fold: dict[str, LinkDir] | None = None
         self.held_until = -1
 
@@ -182,9 +186,9 @@ class FlowRT:
     addressed to `monitor`, or to `dst` without one. The current segment's
     start and rate, and the next segment's start (None after the last),
     are kept unpacked for the per-packet path. `monitors` and `triggers`
-    are the monitors and packet triggers of the measurement switch whose
-    scope the flow matches, in the switch's order, resolved when the run
-    starts."""
+    are the monitor feeds (see `_feeds`) and packet triggers of the
+    measurement switch whose scope the flow matches, in the switch's
+    order, resolved when the run starts."""
 
     __slots__ = ("row", "name", "src", "dst", "size_bits", "syn",
                  "segments", "stop_ns", "monitor", "out", "seg", "k",
@@ -202,7 +206,7 @@ class FlowRT:
         self.stop_ns = stop_ns
         self.monitor = monitor
         self.out = out
-        self.monitors: tuple[_Monitor, ...] = ()
+        self.monitors: tuple[tuple, ...] = ()
         self.triggers: tuple[_TriggerRT, ...] = ()
         self.enter(0)
 
@@ -218,16 +222,16 @@ class _TriggerRT:
     """A switch's copy of one trigger step: `output` is the register of
     the reduction its predicate reads and `selector` that of its
     activity's selector (None without one), `kind` its activity's
-    action, and `draws` says whether the predicate takes a uniform draw
-    from the switch's RNG."""
+    action, `test` its predicate as one call, and `draws` says whether
+    the predicate takes a uniform draw from the switch's RNG."""
 
-    __slots__ = ("name", "output", "pred", "draws", "kind", "scope", "message",
+    __slots__ = ("name", "output", "test", "draws", "kind", "scope", "message",
                  "selector", "selector_const", "egress_map", "prev")
 
     def __init__(self, step, registers, egress_map):
         self.name = step.name
         self.output = registers[step.input]
-        self.pred = step.predicate
+        self.test = step.predicate.test()
         self.draws = step.predicate.kind is PredicateKind.PROBABILISTIC
         self.kind = step.action
         self.scope = step.scope
@@ -277,6 +281,14 @@ def _scoped(elements, fl: FlowRT) -> tuple:
     return tuple(e for e in elements if e.scope.matches(fl.out.cls, fl.syn, fl.dst))
 
 
+def _feeds(monitors, fl: FlowRT) -> tuple:
+    """What each of `monitors` whose scope matches the flow does with
+    one of its packets: (its estimator's observe, the packet's count in
+    the monitor's unit, the monitor's state)."""
+    return tuple((m.est.observe, fl.size_bits if m.use_bits else 1, m.sid)
+                 for m in _scoped(monitors, fl))
+
+
 class SwitchRT:
     """One switch at run time: its ports, its forwarding table `route`
     and tree flood sets, its replica store, and the monitors and
@@ -314,8 +326,9 @@ class SwitchRT:
         self.packet_triggers: list[_TriggerRT] = []
         self.change_triggers: list[_TriggerRT] = []
         # The end of the last change-trigger evaluation's estimator
-        # tick: every version bump runs the change triggers at once, so
-        # until that tick ends no trigger input can change.
+        # tick: every applied update or scalar write runs the change
+        # triggers at once, so until that tick ends no trigger input can
+        # change.
         self.triggers_until = -1
         # The states this switch writes that have an update trigger.
         self.own_updates: list[_StateRT] = []
@@ -655,11 +668,11 @@ class Simulator:
         for fl in self.flows:
             rt = self.switch_rt.get(fl.monitor)
             if rt is not None:
-                fl.monitors = _scoped(rt.monitors, fl)
+                fl.monitors = _feeds(rt.monitors, fl)
                 fl.triggers = _scoped(rt.packet_triggers, fl)
         for rt in self.switch_rt.values():
             for ld, mons in rt.egress_monitors.items():
-                ld.egress = {fl.row: m for fl in self.flows if (m := _scoped(mons, fl))}
+                ld.egress = {fl.row: m for fl in self.flows if (m := _feeds(mons, fl))}
         self._plan_folds()
 
     def _plan_folds(self):
@@ -872,7 +885,7 @@ class Simulator:
         sw.triggers_until = store.tick_end(t)
         for tr in sw.change_triggers:
             v = store.read_global(tr.output, t)
-            fired = tr.pred.evaluate(v)
+            fired = tr.test(v)
             if fired and not tr.prev:
                 self.log.detections.append((t, sw.name, tr.name, int(v)))
                 if self.trace is not None:
@@ -884,12 +897,9 @@ class Simulator:
     def _emit_update(self, sw: SwitchRT, st: _StateRT, t: int):
         store = sw.store
         value = store.local_value(st.sid, t) & _M64
-        hdr = UpdateHeader(src_sw_id=sw.sw_id, dst_sw_id=0, state_id=st.sid,
-                           replica_id=st.replica_id, state_value=value,
-                           l3_protocol_type=IPV4_ETHTYPE)
+        hdr = UpdateHeader(sw.sw_id, 0, st.sid, st.replica_id, value)
         self._upd_uid -= 1
-        pkt = Packet(self._upd_uid, -1, None, _UPDATE_BITS, is_update=True, header=hdr,
-                     origin_ts=t, origin_writes=store.writes[st.sid])
+        pkt = Packet(self._upd_uid, -1, None, _UPDATE_BITS, True, hdr, t, store.writes[st.sid])
         self.log.updates_emitted += 1
         if self.trace is not None:
             self.trace.append(f"{t} update_emit {sw.name} state={st.name} value={value}")
@@ -921,7 +931,8 @@ class Simulator:
         # End of the ingress pipeline: each state the switch owns checks
         # its update trigger.
         for st in sw.own_updates:
-            if st.trig.should_emit(t):
+            trig = st.trig
+            if t >= trig.due and trig.should_emit(t):
                 self._emit_update(sw, st, t)
 
     def _on_data(self, sw: SwitchRT, pkt: Packet, t: int):
@@ -936,14 +947,18 @@ class Simulator:
             out = sw.route[fl.dst]
             store = sw.store
             if fl.monitors:
-                store.feed(fl.monitors, t, pkt.size_bits)
-                # Between version bumps, what the change triggers read
-                # moves only at the end of an estimator tick.
+                writes = store.writes
+                for observe, n, sid in fl.monitors:
+                    observe(t, n)
+                    writes[sid] += 1
+                # A feed moves what the change triggers read only at the
+                # end of an estimator tick.
                 if sw.change_triggers and t >= sw.triggers_until:
                     self._eval_change_triggers(sw, t)
             for tr in fl.triggers:
-                v = store.read_global(tr.output, t)
-                if not tr.pred.evaluate(v, sw.rng.random() if tr.draws else None):
+                r = tr.output
+                v = store.regs[r] if t < store.fresh_until else store.read_global(r, t)
+                if not tr.test(v, sw.rng.random() if tr.draws else None):
                     continue
                 if tr.kind is ActionKind.DROP_PACKET:
                     self.log.flow_app_drops[pkt.flow] += 1
@@ -953,7 +968,8 @@ class Simulator:
                     break
                 sel = tr.selector_const
                 if tr.selector is not None:
-                    sel = store.read_global(tr.selector, t)
+                    # The trigger's read left the registers fresh at t.
+                    sel = store.regs[tr.selector]
                 if sel == CONTROLLER_PORT:
                     self.log.controller_redirects.append((t, sw.name, fl.name))
                     self.log.flow_app_drops[pkt.flow] += 1
@@ -967,15 +983,18 @@ class Simulator:
         if out is not _DROPPED:
             egress = out.egress
             if egress is not None and pkt.flow in egress:
-                store = sw.store
-                store.feed(egress[pkt.flow], t, pkt.size_bits)
+                writes = sw.store.writes
+                for observe, n, sid in egress[pkt.flow]:
+                    observe(t, n)
+                    writes[sid] += 1
                 if sw.change_triggers and t >= sw.triggers_until:
                     self._eval_change_triggers(sw, t)
             if self.trace is not None:
                 self.trace.append(f"{t} fwd {sw.name} uid={pkt.uid} out={out.dst}")
             self._send(out, pkt, t)
         for st in sw.own_updates:
-            if st.trig.should_emit(t):
+            trig = st.trig
+            if t >= trig.due and trig.should_emit(t):
                 self._emit_update(sw, st, t)
 
     def save_trace(self, path: str):

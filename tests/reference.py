@@ -12,7 +12,8 @@ its plain form here.
 Run as a script, it compares the two on the benchmark's workloads at
 their full horizons, and exits non-zero naming the workload and the
 exported file that differ. Per workload it also prints the reference's
-heap pushes and the slots the simulator opened::
+heap pushes, the slots the simulator opened, and the simulator's calls
+to `run_steps` and `UpdateTrigger.should_emit`::
 
     PYTHONPATH=src python tests/reference.py
 """
@@ -29,10 +30,10 @@ from collections import deque
 from pathlib import Path
 
 from repdp import ReductionKind, Simulator, build_simulation, export_metrics, parse_scenario
-from repdp import runner, simcore
+from repdp import replication, runner, simcore
 from repdp.compiler import PRIMITIVES, run_steps
 from repdp.errors import SimulationError
-from repdp.replication import ReplicaStore
+from repdp.replication import ReplicaStore, UpdateTrigger
 from repdp.simcore import LinkDir
 
 
@@ -64,7 +65,7 @@ def evaluate_dag(dag, state_values, uniform01=None):
     actions = []
     activities = {a.name: a for a in dag.app.activities}
     for t in dag.app.triggers:
-        fired = fires[t.name] = t.predicate.evaluate(env[dag.trigger_inputs[t.name]], uniform01)
+        fired = fires[t.name] = t.predicate.test()(env[dag.trigger_inputs[t.name]], uniform01)
         if fired:
             a = activities[t.activity]
             detail = a.message
@@ -109,7 +110,8 @@ class DequeLink:
 
 class FreshReadStore(ReplicaStore):
     """A replica store that reads every live source and runs every
-    reduction step on each read."""
+    reduction step on each read. Its `fresh_until` stays -1, so the
+    simulator never reads a register past it."""
 
     def read_global(self, reg, t_ns):
         regs = self.regs
@@ -117,6 +119,18 @@ class FreshReadStore(ReplicaStore):
             regs[sid] = src.read(t_ns)
         run_steps(self.steps, regs)
         return regs[reg]
+
+
+class UngatedTrigger(UpdateTrigger):
+    """An update trigger whose `due` stays -1, so the simulator asks it
+    on every packet."""
+
+    __slots__ = ()
+
+    def should_emit(self, t_clk_ns):
+        fire = super().should_emit(t_clk_ns)
+        self.due = -1
+        return fire
 
 
 class ReferenceSimulator(Simulator):
@@ -130,6 +144,8 @@ class ReferenceSimulator(Simulator):
     - a packet's scopes are matched at its switch, from its flow's
       constants, instead of once per flow when the run starts;
     - each store is a `FreshReadStore`, so no read is cached;
+    - each update trigger is an `UngatedTrigger`, asked on every packet
+      whatever its `due` time;
     - a switch's change triggers run after every feed, not only once
       the estimator tick they last ran in has ended.
     """
@@ -174,6 +190,9 @@ class ReferenceSimulator(Simulator):
         for rt in self.switch_rt.values():
             if rt.store is not None:
                 rt.store.__class__ = FreshReadStore
+        for st in self._states:
+            if st.trig is not None:
+                st.trig.__class__ = UngatedTrigger
 
     def _send(self, ld, pkt, t):
         arr = self.deque_links[ld].send(pkt.size_bits, t)
@@ -198,10 +217,12 @@ class ReferenceSimulator(Simulator):
         fl = self.flows[pkt.flow]
         seen = (fl.out.cls, fl.syn, fl.dst)
         if pkt.to == sw.name:
-            fl.monitors = tuple(m for m in sw.monitors if m.scope.matches(*seen))
+            fl.monitors = tuple((m.est.observe, fl.size_bits if m.use_bits else 1, m.sid)
+                                for m in sw.monitors if m.scope.matches(*seen))
             fl.triggers = tuple(tr for tr in sw.packet_triggers if tr.scope.matches(*seen))
         for ld, mons in sw.egress_monitors.items():
-            matched = tuple(m for m in mons if m.scope.matches(*seen))
+            matched = tuple((m.est.observe, fl.size_bits if m.use_bits else 1, m.sid)
+                            for m in mons if m.scope.matches(*seen))
             ld.egress = {fl.row: matched} if matched else None
         super()._on_data(sw, pkt, t)
 
@@ -226,21 +247,21 @@ def exported_family(sim, log, out_dir):
 
 
 @contextlib.contextmanager
-def counting_slots():
-    """Count the simulator's heap pushes, one per slot it opens, while
-    the block runs: yields a one-item list that holds the count."""
+def counting(owner, name):
+    """Count the calls to `owner.name` while the block runs: yields a
+    one-item list that holds the count."""
     count = [0]
-    push = simcore.heappush
+    fn = getattr(owner, name)
 
-    def counting_push(heap, t):
+    def counted(*args):
         count[0] += 1
-        push(heap, t)
+        return fn(*args)
 
-    simcore.heappush = counting_push
+    setattr(owner, name, counted)
     try:
         yield count
     finally:
-        simcore.heappush = push
+        setattr(owner, name, fn)
 
 
 def main() -> int:
@@ -265,12 +286,15 @@ def main() -> int:
             cfg = parse_scenario(path)
             runs = []
             for build in (build_simulation, build_reference):
-                with counting_slots() as opened:
+                with (counting(simcore, "heappush") as opened,
+                      counting(replication, "run_steps") as steps,
+                      counting(UpdateTrigger, "should_emit") as asked):
                     sim = build(cfg, replicas=wl["replicas"], seed=seed).sim
                     out = os.path.join(tmp, name, type(sim).__name__)
                     os.makedirs(out)
-                    runs.append((exported_family(sim, sim.run_until(), out), opened[0], sim))
-            (got, opened, _), (want, _, ref) = runs
+                    runs.append((exported_family(sim, sim.run_until(), out),
+                                 (opened[0], steps[0], asked[0]), sim))
+            (got, (opened, steps, asked), _), (want, _, ref) = runs
             differ = sorted(f for f in got.keys() | want.keys() if got.get(f) != want.get(f))
             for f in differ:
                 print(f"{name}: {f} differs from the reference")
@@ -280,6 +304,10 @@ def main() -> int:
             # pushes a time only to open a slot.
             print(f"{name}: {next(ref._seq) - 1:,} reference heap pushes,"
                   f" {opened:,} simulator slots opened")
+            # The simulator runs every reduction step once per store and
+            # estimator tick, and asks a time trigger only once it is due.
+            print(f"{name}: simulator calls {steps:,} run_steps,"
+                  f" {asked:,} should_emit")
             failed += bool(differ)
     return 1 if failed else 0
 

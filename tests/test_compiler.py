@@ -135,8 +135,8 @@ def run_on_a_switch(program, state_values, uniform01=None):
     outputs = {name: store.read_global(reg[name], 0) for name in reg}
     fires, actions = {}, []
     for tr in program.triggers:
-        fired = fires[tr.name] = tr.predicate.evaluate(store.read_global(reg[tr.input], 0),
-                                                       uniform01)
+        fired = fires[tr.name] = tr.predicate.test()(store.read_global(reg[tr.input], 0),
+                                                     uniform01)
         if fired:
             detail = tr.message
             if tr.selector is not None:

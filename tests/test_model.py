@@ -337,14 +337,14 @@ def fire_probability(threshold, value):
 
 def test_predicate_probability_normalized_excess():
     # A draw fires exactly when it lies below (100 - 80) / 100 = 0.2.
-    p = Predicate.probabilistic(80.0)
-    assert p.evaluate(100.0, uniform01=math.nextafter(0.2, 0.0))
-    assert not p.evaluate(100.0, uniform01=0.2)
-    assert p.evaluate(100.0, uniform01=0.19)
-    assert not p.evaluate(100.0, uniform01=0.21)
+    test = Predicate.probabilistic(80.0).test()
+    assert test(100.0, math.nextafter(0.2, 0.0))
+    assert not test(100.0, 0.2)
+    assert test(100.0, 0.19)
+    assert not test(100.0, 0.21)
     # No excess, no chance: not even a draw of 0 fires.
     for value in (80.0, 40.0, 0.0, -5.0):
-        assert not p.evaluate(value, uniform01=0.0)
+        assert not test(value, 0.0)
 
 
 _reals = st.one_of(st.integers(-10**12, 10**12), st.floats(-1e12, 1e12))
@@ -353,10 +353,10 @@ _reals = st.one_of(st.integers(-10**12, 10**12), st.floats(-1e12, 1e12))
 @given(_reals, _reals, st.one_of(st.none(), st.floats(0.0, 1.0)))
 def test_evaluate_agrees_with_fire_probability(threshold, value, u):
     p = Predicate.probabilistic(threshold)
-    assert p.evaluate(value, u) == (u is not None and u < fire_probability(threshold, value))
-    assert Predicate.greater_than(threshold).evaluate(value, u) == (value > threshold)
-    assert Predicate.less_or_equal(threshold).evaluate(value, u) == (value <= threshold)
-    assert Predicate.always().evaluate(value, u)
+    assert p.test()(value, u) == (u is not None and u < fire_probability(threshold, value))
+    assert Predicate.greater_than(threshold).test()(value, u) == (value > threshold)
+    assert Predicate.less_or_equal(threshold).test()(value, u) == (value <= threshold)
+    assert Predicate.always().test()(value, u)
 
 
 def test_update_error_budget_is_ratio():

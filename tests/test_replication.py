@@ -3,7 +3,6 @@
 import os
 import random
 from collections import defaultdict
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +20,7 @@ from repdp import (
     UpdateHeader,
     UpdateTrigger,
     ValueKind,
+    ValueType,
     build_dag,
     build_simulation,
     compile_application,
@@ -32,7 +32,7 @@ from repdp import (
 )
 from repdp.compiler import run_steps
 
-from reference import evaluate_dag
+from reference import FreshReadStore, evaluate_dag
 
 DELTA_NS = 100_000_000  # 0.1 s buckets
 FIG7 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -210,15 +210,16 @@ def test_global_read_mixes_local_and_remote():
     store.write_local(RATE_B, 5)
     store.apply_update(hdr(0, 7), origin_ts_ns=20)
     assert store.read_global(TOTAL, 30) == 12
-    # Cached until a stored value changes: a write invalidates it.
+    # A write re-runs the sum at once, within the same tick.
     assert store.read_global(TOTAL, 30) == 12
     store.write_local(RATE_B, 6)
+    assert store.regs[TOTAL] == 13
     assert store.read_global(TOTAL, 30) == 13
 
 
 def test_cached_read_ends_with_its_tick():
     # A bucket closes on each multiple of delta: the read on the first
-    # ns of the next tick sees it, at an unchanged version.
+    # ns of the next tick sees it, with no value stored in between.
     store = make_store()
     est = RateEstimatorWindow(0.1, 8)
     store.attach_local(RATE_B, est)
@@ -373,9 +374,7 @@ def test_cached_reads_equal_fresh_steps(seed):
         t += rng.choice((0, 0, 1, 999_999, 1_000_000, rng.randrange(5_000_000)))
         op = rng.randrange(4)
         if op == 0:
-            sid = rng.choice(sorted(live))
-            monitor = SimpleNamespace(sid=sid, est=live[sid], use_bits=True)
-            store.feed((monitor,), t, rng.randrange(1, 50))
+            live[rng.choice(sorted(live))].observe(t, rng.randrange(1, 50))
         elif op == 1:
             sid = rng.choice(unlive)
             written[sid] = rng.randrange(1000)
@@ -393,6 +392,95 @@ def test_cached_reads_equal_fresh_steps(seed):
                 fresh[sid] = est.read(t)
             run_steps(steps, fresh)
             assert got == fresh[out], (seed, t, out)
+
+
+# One compiled program per application, covering sum (ddos, ratelimit),
+# minmax_argmin (linklb), and argmin and mean, a sum then a shift
+# (resourcelb).
+INTERLEAVED_APPS = {
+    "ddos": make_ddos_app(4, 1000, 0.014),
+    "ratelimit": make_rate_limiter_app(4, 1e6, 10, 100.0),
+    "linklb": make_link_lb_app(2),
+    "resourcelb": make_resource_lb_app(4),
+}
+
+
+def first_disagreement(app, seed, store_cls=ReplicaStore):
+    """Drive a `store_cls` store and a FreshReadStore, both built from
+    the app's compiled program and configured alike, through one random
+    interleaving of applied updates, local writes, feeds and reads at
+    nondecreasing times. Returns the first read (t, register, got, want)
+    on which the two differ, or None."""
+    rng = random.Random(seed)
+    program = compile_application(build_dag(app))
+    n = len(program.states)
+    stores = (store_cls(program.steps, n), FreshReadStore(program.steps, n))
+    remote = set(rng.sample(range(n), rng.randrange(n + 1)))
+    live, written = {}, []
+    for sid, cs in enumerate(program.states):
+        for store in stores:
+            store.configure_state(sid, cs.width_bits, 1 if sid in remote else None)
+        if sid in remote:
+            continue
+        if cs.value.type is ValueType.RATE_ESTIMATE:
+            live[sid] = [RateEstimatorWindow(cs.value.delta_s, cs.value.window) for _ in stores]
+            for store, est in zip(stores, live[sid]):
+                store.attach_local(sid, est)
+        else:
+            written.append(sid)
+    t = 0
+    for origin_ts in range(1, 300):
+        t += rng.choice((0, 0, 1, DELTA_NS - 1, DELTA_NS, rng.randrange(2 * DELTA_NS)))
+        op = rng.randrange(4)
+        if op == 0 and remote:
+            header = hdr(rng.choice(sorted(remote)), rng.randrange(2**32))
+            for store in stores:
+                store.apply_update(header, origin_ts)
+        elif op == 1 and written:
+            sid, value = rng.choice(written), rng.randrange(2**32)
+            for store in stores:
+                store.write_local(sid, value)
+        elif op == 2 and live:
+            size = rng.randrange(1, 1500)
+            for est in live[rng.choice(sorted(live))]:
+                est.observe(t, size)
+        else:
+            reg = rng.randrange(len(program.registers))
+            got, want = (store.read_global(reg, t) for store in stores)
+            if got != want:
+                return t, reg, got, want
+    return None
+
+
+@pytest.mark.parametrize("app_name", sorted(INTERLEAVED_APPS))
+def test_kept_registers_match_fresh_reads(app_name):
+    for seed in range(30):
+        assert first_disagreement(INTERLEAVED_APPS[app_name], seed) is None, seed
+
+
+class SkipsTheRerun(ReplicaStore):
+    """A planted fault: a stored value re-runs no step."""
+
+    def _store(self, sid, value):
+        self.regs[sid] = value
+
+
+class RerunsDirectReadersOnly(ReplicaStore):
+    """A planted fault: a stored value re-runs only the steps that read
+    it directly."""
+
+    def _store(self, sid, value):
+        regs = self.regs
+        regs[sid] = value
+        for out, fn, operands in self.readers[sid]:
+            if sid in operands:
+                regs[out] = fn([regs[x] for x in operands])
+
+
+@pytest.mark.parametrize("fault", [SkipsTheRerun, RerunsDirectReadersOnly])
+def test_the_interleavings_catch_a_planted_fault(fault):
+    assert any(first_disagreement(app, seed, fault)
+               for app in INTERLEAVED_APPS.values() for seed in range(30))
 
 
 def test_random_interleavings_converge_to_newest():

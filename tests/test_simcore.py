@@ -42,11 +42,17 @@ from repdp import (
     replication_requirements,
     update_frame_bits,
 )
-from repdp import simcore
+from repdp import replication, simcore
 from repdp.simcore import Packet
 
 from helpers import GENERATED_APPS, mesh_config, random_scenario
-from reference import DequeLink, ReferenceSimulator, build_reference, exported_family
+from reference import (
+    DequeLink,
+    ReferenceSimulator,
+    build_reference,
+    counting,
+    exported_family,
+)
 
 MS = 1_000_000
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -1090,16 +1096,20 @@ def scenario_by_name(tmp_path, name):
 
 def line_case(sim_class, case):
     """A flow from hA to hB whose last switch hop may not fold: that
-    switch measures the flow ("measured"), counts what it forwards to hB
-    ("egress_watch") or owns an update trigger ("origin"), or a switch
-    before it steers the flow ("steered")."""
-    if case in ("measured", "egress_watch"):
+    switch measures the flow ("measured"), drops it above a rate
+    ("policed"), counts what it forwards to hB ("egress_watch") or owns
+    an update trigger ("origin"), or a switch before it steers the flow
+    ("steered")."""
+    if case in ("measured", "policed", "egress_watch"):
         sim = sim_class(line_topo(capacity_bps=1_000_000_000), t_end_s=2.0)
-        install(sim, WATCH, egress_observers={"rate": "hB"} if case == "egress_watch" else None)
+        app = rate_app(ActivitySpec("police", ActionKind.DROP_PACKET)) if case == "policed" \
+            else WATCH
+        install(sim, app, egress_observers={"rate": "hB"} if case == "egress_watch" else None)
         # A packet reaches sw every 10 ms from 10 ms on: one lands on
-        # each estimator tick boundary.
+        # each estimator tick boundary, where the rate read there first
+        # crosses 50 packets/s at 0.5 s.
         sim.add_flow("f", "hA", "hB", 1000, False, [(0.008999, 100.0)], stop_s=2.0,
-                     monitor="sw" if case == "measured" else None)
+                     monitor=None if case == "egress_watch" else "sw")
         return sim
     if case == "steered":
         # s1 steers every packet onto its route, to s2.
@@ -1323,7 +1333,7 @@ def test_per_flow_plan_matches_brute_force_scopes(tmp_path, app):
         triggers = [tr.name for tr in built.app.triggers
                     if acts[tr.activity].action is not ActionKind.NOTIFY_CONTROLLER
                     and acts[tr.activity].scope.matches(*pkt)]
-        assert [built.program.states[m.sid].name for m in fl.monitors] == states, f.name
+        assert [built.program.states[sid].name for _, _, sid in fl.monitors] == states, f.name
         assert [tr.name for tr in fl.triggers] == triggers, f.name
         if states:
             seen.add(f.name)
@@ -1635,7 +1645,7 @@ SCENARIO_CASES = {
     "scope_misses_ddos": ("scope_misses_ddos", {}),
     "scope_misses_ratelimit": ("scope_misses_ratelimit", {}),
 }
-LINE_CASES = ("measured", "egress_watch", "origin", "steered")
+LINE_CASES = ("measured", "policed", "egress_watch", "origin", "steered")
 MESH_SEEDS = (11, 23)
 GENERATED_SEEDS = range(36)
 REFERENCE_CASES = (*SCENARIO_CASES, *(f"line_{c}" for c in LINE_CASES),
@@ -1721,7 +1731,7 @@ def test_counting_deliveries_at_admission_matches_the_queued_reference(tmp_path,
 
 @pytest.mark.parametrize("scenario, t_end_s", [("mini_ddos", 4.0), ("fig7_c4", 22.0)])
 def test_change_triggers_skipped_within_a_tick_match_every_feed(tmp_path, scenario, t_end_s):
-    # Between two version bumps, what a change trigger reads can only
+    # Between two stored values, what a change trigger reads can only
     # move at the end of an estimator tick: the simulator skips the
     # feeds inside a tick, and the reference runs the triggers after
     # every feed.
@@ -1731,16 +1741,41 @@ def test_change_triggers_skipped_within_a_tick_match_every_feed(tmp_path, scenar
         sim = build(cfg, replicas=replicas, t_end_s=t_end_s).sim
         evals, run_triggers = [0], sim._eval_change_triggers
 
-        def counting(sw, t, evals=evals, run_triggers=run_triggers):
+        def counting_triggers(sw, t, evals=evals, run_triggers=run_triggers):
             evals[0] += 1
             run_triggers(sw, t)
 
-        sim._eval_change_triggers = counting
+        sim._eval_change_triggers = counting_triggers
         runs.append((sim.run_until(), evals[0]))
     (log, skipping), (want, every_feed) = runs
     assert want.detections and log.detections == want.detections
     assert log.notifications == want.notifications
     assert 0 < skipping < every_feed
+
+
+@pytest.mark.parametrize("path, replicas", [(FIG7, 4), (FIG8, None)])
+def test_stores_run_their_steps_once_a_tick_and_time_triggers_are_asked_when_due(
+        monkeypatch, path, replicas):
+    # An applied update or a write re-runs only the steps it feeds, so
+    # run_steps, every step, runs only where a tick has ended; and a time
+    # trigger is asked only from its due time on, where it always emits.
+    sim = build_simulation(parse_scenario(path), replicas=replicas, t_end_s=10.0).sim
+    runs, run_steps = collections.Counter(), replication.run_steps
+
+    def counting_run_steps(steps, regs):
+        runs[id(regs)] += 1
+        run_steps(steps, regs)
+
+    monkeypatch.setattr(replication, "run_steps", counting_run_steps)
+    with counting(replication.UpdateTrigger, "should_emit") as asked:
+        log = sim.run_until()
+    assert {st.trig.mode for st in sim._states if st.trig} == {"time"}
+    assert asked[0] == log.updates_emitted > 0
+    stores = [rt.store for rt in sim.switch_rt.values() if rt.store is not None]
+    for store in stores:
+        tick = store.tick_end(0)
+        assert runs[id(store.regs)] <= (1 if tick == math.inf else sim.t_end_ns // tick + 1)
+    assert sum(runs.values()) > len(stores)
 
 
 def record_arrivals(sim):
