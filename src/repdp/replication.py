@@ -173,8 +173,11 @@ class ReplicaStore:
     one whose origin is this switch is written locally (via an
     estimator object or write_local), the rest receive gossip through
     apply_update from their single origin. A state not hosted here
-    reads 0. A stored value re-runs at once the steps it feeds,
-    `readers[sid]`, so the registers stay current. A live source's
+    reads 0. A stored value that differs from what its register held
+    re-runs at once the steps it feeds, `readers[sid]`, so the registers
+    stay current; `changed` says whether the last stored value did. One
+    that its register already holds re-runs nothing: every step output
+    was recomputed right after its last input change. A live source's
     reading only changes when one of its buckets closes, at a multiple
     of its `delta_ns`, so the registers hold for every time before
     `fresh_until`, the end of the tick they were last read in, a tick
@@ -200,6 +203,8 @@ class ReplicaStore:
         self._tick = 0
         # The registers hold for every time before this one.
         self.fresh_until = -1
+        # Whether the last stored value differed from its register's.
+        self.changed = False
         # Per state, the steps it feeds, directly or through other
         # steps, in step order.
         self.readers = []
@@ -226,8 +231,13 @@ class ReplicaStore:
         self.fresh_until = -1
 
     def _store(self, sid: int, value: int):
-        """Hold `value` in state `sid` and re-run the steps it feeds."""
+        """Hold `value` in state `sid` and, unless its register already
+        held it, re-run the steps it feeds."""
         regs = self.regs
+        if regs[sid] == value:
+            self.changed = False
+            return
+        self.changed = True
         regs[sid] = value
         for out, fn, operands in self.readers[sid]:
             regs[out] = fn([regs[x] for x in operands])

@@ -17,17 +17,22 @@ run a fixed ingress pipeline per packet, one handler per packet kind:
 
   1. replication updates are reconciled into the local store and
      flooded along the distribution tree (minus the ingress port);
-  2. a data packet carries one address, `to`: its flow's measurement
-     switch until it is measured there, its destination host after.
-     At that switch it feeds the matching state estimators, then
-     per-packet activities (policing, steering, rule insertion) and
-     edge-triggered controller notifications run, and `to` becomes the
-     destination host. What a scope matches (the port class a packet
-     enters the network on, its SYN flag, its destination) is constant
-     per flow, so each flow's monitors, packet triggers and egress
-     monitors are resolved once, when the run starts, and the pipeline
-     only walks them, a monitor as its estimator's `observe`, the count
-     the flow's packets add and its state;
+  2. a data packet is one of its flow's two shared records, built when
+     the run starts and never written: the one its source sends, whose
+     one address `to` is the flow's measurement switch (its destination
+     host without one), and the one it becomes once measured there,
+     addressed to the destination host. At the measurement switch the
+     packet feeds the matching state estimators, then per-packet
+     activities (policing, steering, rule insertion) and edge-triggered
+     controller notifications run, and the packet goes on as its second
+     record. A traced run names each packet, so it builds one such pair
+     per emission, carrying the emission's uid.
+     What a scope matches (the port class a packet enters the network
+     on, its SYN flag, its destination) is constant per flow, so each
+     flow's monitors, packet triggers and egress monitors are resolved
+     once, when the run starts, and the pipeline only walks them, a
+     monitor as its estimator's `observe`, the count the flow's packets
+     add and its state;
   3. unless steered or dropped, the packet is forwarded on the
      switch's one table, `route[to]`, where a pinned flow rule has
      overwritten the shortest-path entry for its destination host;
@@ -50,7 +55,8 @@ packet that L admits is admitted on H at once, at its arrival time at
 the switch, which still counts as one event, unless that arrival falls
 past the running call or an earlier packet for H is still queued.
 Change triggers, too, run only when what they read can have moved: at
-once on each applied update or scalar write, and after a feed only once
+once on each scalar write and on each applied update that changed its
+register, and after a feed or an update that changed nothing only once
 the estimator tick they last ran in has ended. The replica store keeps
 its registers current, so a packet trigger reads its register with one
 compare against the store's `fresh_until` and calls into the store only
@@ -159,14 +165,18 @@ class LinkDir:
 
 
 class Packet:
-    """A data packet or an update frame in flight. A data packet's one
-    address `to` is its flow's measurement switch until it has been
-    measured there, and its destination host after (or from the start,
-    if the flow has no monitor). An update frame carries one `header`
-    and no address: the distribution tree floods it."""
+    """A data packet or an update frame in flight. A data packet is a
+    record that no code writes once it is built: its one address `to`
+    is its flow's measurement switch, and then `measured` is the record
+    the measurement stage goes on with, addressed to the destination
+    host; a flow without a monitor sends a record addressed to its
+    destination host from the start. An untraced run shares one pair of
+    records among all of a flow's packets, whose `uid` is then -1. An
+    update frame carries one `header` and no address: the distribution
+    tree floods it."""
 
     __slots__ = ("uid", "flow", "to", "size_bits", "is_update", "header",
-                 "origin_ts", "origin_writes")
+                 "origin_ts", "origin_writes", "measured")
 
     def __init__(self, uid, flow, to, size_bits, is_update=False,
                  header=None, origin_ts=0, origin_writes=0):
@@ -183,15 +193,18 @@ class Packet:
 class FlowRT:
     """A flow's generator state. `segments` holds (start_ns, rate_pps)
     pairs and `out` is the source host's link; its packets are first
-    addressed to `monitor`, or to `dst` without one. The current segment's
-    start and rate, and the next segment's start (None after the last),
-    are kept unpacked for the per-packet path. `monitors` and `triggers`
-    are the monitor feeds (see `_feeds`) and packet triggers of the
-    measurement switch whose scope the flow matches, in the switch's
-    order, resolved when the run starts."""
+    addressed to `monitor`, or to `dst` without one. `packet`, set when
+    an untraced run starts, is the record every one of its packets is
+    sent as (see `Packet`); it stays None in a traced run, where each
+    emission builds its own. The current segment's start and rate, and
+    the next segment's start (None after the last), are kept unpacked
+    for the per-packet path. `monitors` and `triggers` are the monitor
+    feeds (see `_feeds`) and packet triggers of the measurement switch
+    whose scope the flow matches, in the switch's order, resolved when
+    the run starts."""
 
     __slots__ = ("row", "name", "src", "dst", "size_bits", "syn",
-                 "segments", "stop_ns", "monitor", "out", "seg", "k",
+                 "segments", "stop_ns", "monitor", "out", "packet", "seg", "k",
                  "seg_start", "rate", "next_start", "monitors", "triggers")
 
     def __init__(self, row, name, src, dst, size_bits, syn,
@@ -206,6 +219,7 @@ class FlowRT:
         self.stop_ns = stop_ns
         self.monitor = monitor
         self.out = out
+        self.packet: Packet | None = None
         self.monitors: tuple[tuple, ...] = ()
         self.triggers: tuple[_TriggerRT, ...] = ()
         self.enter(0)
@@ -216,6 +230,14 @@ class FlowRT:
         self.k = 0
         self.seg_start, self.rate = self.segments[seg]
         self.next_start = self.segments[seg + 1][0] if seg + 1 < len(self.segments) else None
+
+
+def _records(fl: FlowRT, uid: int) -> Packet:
+    """A packet of flow `fl` as its source sends it, with its `measured`
+    record; both carry `uid`."""
+    pkt = Packet(uid, fl.row, fl.monitor or fl.dst, fl.size_bits)
+    pkt.measured = Packet(uid, fl.row, fl.dst, fl.size_bits)
+    return pkt
 
 
 class _TriggerRT:
@@ -326,9 +348,9 @@ class SwitchRT:
         self.packet_triggers: list[_TriggerRT] = []
         self.change_triggers: list[_TriggerRT] = []
         # The end of the last change-trigger evaluation's estimator
-        # tick: every applied update or scalar write runs the change
-        # triggers at once, so until that tick ends no trigger input can
-        # change.
+        # tick: every scalar write, and every applied update that changes
+        # a register, runs the change triggers at once, so until that
+        # tick ends no trigger input can change.
         self.triggers_until = -1
         # The states this switch writes that have an update trigger.
         self.own_updates: list[_StateRT] = []
@@ -665,7 +687,11 @@ class Simulator:
             ld.repl = log.repl_bits[ld.row]
         # Flows and the application are final now, and a scope sees only
         # a flow's constants: match each flow against the scopes once.
+        # An untraced run names no packet, so each flow's packets share
+        # its two records.
         for fl in self.flows:
+            if self.trace is None:
+                fl.packet = _records(fl, -1)
             rt = self.switch_rt.get(fl.monitor)
             if rt is not None:
                 fl.monitors = _feeds(rt.monitors, fl)
@@ -803,11 +829,15 @@ class Simulator:
         if st.origin.change_triggers:
             self._eval_change_triggers(st.origin, t)
 
-    def _emit_flow(self, fl: FlowRT, t: int):
+    def _data_packet(self, fl: FlowRT) -> Packet:
+        """A traced emission's own packet of flow `fl`, with the next uid."""
         uid = self._uid
         self._uid = uid + 1
+        return _records(fl, uid)
+
+    def _emit_flow(self, fl: FlowRT, t: int):
         self._flow_sent[fl.row] += 1
-        self._send(fl.out, Packet(uid, fl.row, fl.monitor or fl.dst, fl.size_bits), t)
+        self._send(fl.out, fl.packet or self._data_packet(fl), t)
         # Schedule the segment's next packet, or once it would reach the
         # next segment, that segment's start.
         nxt = fl.next_start
@@ -920,7 +950,9 @@ class Simulator:
                 age_c.append(t - pkt.origin_ts)
                 replaced_c.append(t - prev_ts if prev_ts >= 0 else 0)
                 lag_c.append(st.origin.store.writes[st.sid] - pkt.origin_writes)
-                if sw.change_triggers:
+                # A value the register already held moves what the change
+                # triggers read only at the end of an estimator tick.
+                if sw.change_triggers and (t >= sw.triggers_until or store.changed):
                     self._eval_change_triggers(sw, t)
             elif status == "unknown":
                 self.log.unknown_state_drops += 1
@@ -939,11 +971,12 @@ class Simulator:
         if pkt.to != sw.name:
             out = sw.route[pkt.to]
         else:
-            # The measurement stage: address the packet to its host, feed
-            # the monitors, then run the packet triggers, which may steer
-            # the packet off its route (out) or drop it (out is _DROPPED).
+            # The measurement stage: go on as the record addressed to the
+            # host, feed the monitors, then run the packet triggers, which
+            # may steer the packet off its route (out) or drop it (out is
+            # _DROPPED).
             fl = self.flows[pkt.flow]
-            pkt.to = fl.dst
+            pkt = pkt.measured
             out = sw.route[fl.dst]
             store = sw.store
             if fl.monitors:

@@ -12,8 +12,11 @@ its plain form here.
 Run as a script, it compares the two on the benchmark's workloads at
 their full horizons, and exits non-zero naming the workload and the
 exported file that differ. Per workload it also prints the reference's
-heap pushes, the slots the simulator opened, and the simulator's calls
-to `run_steps` and `UpdateTrigger.should_emit`::
+heap pushes, the slots the simulator opened, the simulator's calls to
+`run_steps` and `UpdateTrigger.should_emit`, and, from the start of the
+run on (once `_build_log` has built each flow's records), its `Packet`
+constructions, its `_eval_change_triggers` calls and the stores that
+re-ran a state's readers::
 
     PYTHONPATH=src python tests/reference.py
 """
@@ -34,7 +37,7 @@ from repdp import replication, runner, simcore
 from repdp.compiler import PRIMITIVES, run_steps
 from repdp.errors import SimulationError
 from repdp.replication import ReplicaStore, UpdateTrigger
-from repdp.simcore import LinkDir
+from repdp.simcore import LinkDir, Packet
 
 
 def apply_reduction(kind, values):
@@ -109,9 +112,17 @@ class DequeLink:
 
 
 class FreshReadStore(ReplicaStore):
-    """A replica store that reads every live source and runs every
-    reduction step on each read. Its `fresh_until` stays -1, so the
-    simulator never reads a register past it."""
+    """A replica store that re-runs a state's readers on every stored
+    value, and reads every live source and runs every reduction step on
+    each read. Its `fresh_until` stays -1, so the simulator never reads
+    a register past it."""
+
+    def _store(self, sid, value):
+        regs = self.regs
+        self.changed = regs[sid] != value
+        regs[sid] = value
+        for out, fn, operands in self.readers[sid]:
+            regs[out] = fn([regs[x] for x in operands])
 
     def read_global(self, reg, t_ns):
         regs = self.regs
@@ -133,6 +144,23 @@ class UngatedTrigger(UpdateTrigger):
         return fire
 
 
+class AddressedPacket(Packet):
+    """A data packet of its own, with one address that the measurement
+    stage rewrites in place: its `measured` record is the packet itself,
+    now addressed to its destination host `dst`."""
+
+    __slots__ = ("dst",)
+
+    def __init__(self, uid, flow, to, size_bits, dst):
+        super().__init__(uid, flow, to, size_bits)
+        self.dst = dst
+
+    @property
+    def measured(self):
+        self.to = self.dst
+        return self
+
+
 class ReferenceSimulator(Simulator):
     """The simulator with every run-time shortcut turned off:
 
@@ -141,13 +169,17 @@ class ReferenceSimulator(Simulator):
     - links are `DequeLink`s, and every arrival, at a host too, waits on
       the heap until the loop pops it, so nothing is counted when its
       link admits it and no switch hop folds;
+    - each emission sends a fresh `AddressedPacket`, whose address its
+      monitor rewrites, instead of its flow's shared records;
     - a packet's scopes are matched at its switch, from its flow's
       constants, instead of once per flow when the run starts;
-    - each store is a `FreshReadStore`, so no read is cached;
+    - each store is a `FreshReadStore`, so no stored value skips its
+      readers and no read is cached;
     - each update trigger is an `UngatedTrigger`, asked on every packet
       whatever its `due` time;
-    - a switch's change triggers run after every feed, not only once
-      the estimator tick they last ran in has ended.
+    - a switch's change triggers run after every feed and every
+      applied update, not only once the estimator tick they last ran in
+      has ended (or, on an update, once it changed a register).
     """
 
     def __init__(self, *args, **kwargs):
@@ -184,6 +216,16 @@ class ReferenceSimulator(Simulator):
         # Nothing waits on the slots: this checks t_end_s and folds the
         # horizon bin into the last bin.
         return super().run_until(t_end_s)
+
+    def _build_log(self):
+        super()._build_log()
+        for fl in self.flows:
+            fl.packet = None
+
+    def _data_packet(self, fl):
+        uid = self._uid
+        self._uid = uid + 1
+        return AddressedPacket(uid, fl.row, fl.monitor or fl.dst, fl.size_bits, fl.dst)
 
     def install_app(self, *args, **kwargs):
         super().install_app(*args, **kwargs)
@@ -247,21 +289,29 @@ def exported_family(sim, log, out_dir):
 
 
 @contextlib.contextmanager
-def counting(owner, name):
-    """Count the calls to `owner.name` while the block runs: yields a
+def counting(owner, name, when=None):
+    """Count the calls to `owner.name` while the block runs, or only
+    those whose arguments satisfy `when` as the call starts: yields a
     one-item list that holds the count."""
     count = [0]
     fn = getattr(owner, name)
 
-    def counted(*args):
-        count[0] += 1
-        return fn(*args)
+    def counted(*args, **kwargs):
+        if when is None or when(*args, **kwargs):
+            count[0] += 1
+        return fn(*args, **kwargs)
 
     setattr(owner, name, counted)
     try:
         yield count
     finally:
         setattr(owner, name, fn)
+
+
+def rerunning(store, sid, value):
+    """Whether `ReplicaStore._store(store, sid, value)` re-runs the
+    state's readers."""
+    return store.regs[sid] != value
 
 
 def main() -> int:
@@ -290,11 +340,18 @@ def main() -> int:
                       counting(replication, "run_steps") as steps,
                       counting(UpdateTrigger, "should_emit") as asked):
                     sim = build(cfg, replicas=wl["replicas"], seed=seed).sim
+                    # The run starts: the flows get their records.
+                    sim._build_log()
+                    with (counting(simcore, "Packet") as made,
+                          counting(Simulator, "_eval_change_triggers") as evals,
+                          counting(ReplicaStore, "_store", rerunning) as reruns):
+                        log = sim.run_until()
                     out = os.path.join(tmp, name, type(sim).__name__)
                     os.makedirs(out)
-                    runs.append((exported_family(sim, sim.run_until(), out),
-                                 (opened[0], steps[0], asked[0]), sim))
-            (got, (opened, steps, asked), _), (want, _, ref) = runs
+                    runs.append((exported_family(sim, log, out),
+                                 (opened[0], steps[0], asked[0], made[0], evals[0], reruns[0]),
+                                 sim))
+            (got, (opened, steps, asked, made, evals, reruns), _), (want, _, ref) = runs
             differ = sorted(f for f in got.keys() | want.keys() if got.get(f) != want.get(f))
             for f in differ:
                 print(f"{name}: {f} differs from the reference")
@@ -308,6 +365,13 @@ def main() -> int:
             # estimator tick, and asks a time trigger only once it is due.
             print(f"{name}: simulator calls {steps:,} run_steps,"
                   f" {asked:,} should_emit")
+            # An untraced run builds only its update frames; an update
+            # runs the change triggers only if it changed its register or
+            # the tick they last ran in has ended, and only a changed
+            # register re-runs its readers.
+            print(f"{name}: once the run starts the simulator builds {made:,} Packets,"
+                  f" calls {evals:,} _eval_change_triggers and re-runs readers"
+                  f" {reruns:,} times")
             failed += bool(differ)
     return 1 if failed else 0
 

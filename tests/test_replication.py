@@ -409,8 +409,10 @@ def first_disagreement(app, seed, store_cls=ReplicaStore):
     """Drive a `store_cls` store and a FreshReadStore, both built from
     the app's compiled program and configured alike, through one random
     interleaving of applied updates, local writes, feeds and reads at
-    nondecreasing times. Returns the first read (t, register, got, want)
-    on which the two differ, or None."""
+    nondecreasing times. A stored value is as often as not one that
+    repeats: the value its register holds, or one of a few small ones.
+    Returns the first read (t, register, got, want) on which the two
+    differ, or None."""
     rng = random.Random(seed)
     program = compile_application(build_dag(app))
     n = len(program.states)
@@ -428,18 +430,25 @@ def first_disagreement(app, seed, store_cls=ReplicaStore):
                 store.attach_local(sid, est)
         else:
             written.append(sid)
+
+    def value(sid):
+        return rng.choice((stores[1].regs[sid], rng.randrange(3), rng.randrange(2**32),
+                           rng.randrange(2**32)))
+
     t = 0
     for origin_ts in range(1, 300):
         t += rng.choice((0, 0, 1, DELTA_NS - 1, DELTA_NS, rng.randrange(2 * DELTA_NS)))
         op = rng.randrange(4)
         if op == 0 and remote:
-            header = hdr(rng.choice(sorted(remote)), rng.randrange(2**32))
+            sid = rng.choice(sorted(remote))
+            header = hdr(sid, value(sid))
             for store in stores:
                 store.apply_update(header, origin_ts)
         elif op == 1 and written:
-            sid, value = rng.choice(written), rng.randrange(2**32)
+            sid = rng.choice(written)
+            x = value(sid)
             for store in stores:
-                store.write_local(sid, value)
+                store.write_local(sid, x)
         elif op == 2 and live:
             size = rng.randrange(1, 1500)
             for est in live[rng.choice(sorted(live))]:
@@ -477,7 +486,19 @@ class RerunsDirectReadersOnly(ReplicaStore):
                 regs[out] = fn([regs[x] for x in operands])
 
 
-@pytest.mark.parametrize("fault", [SkipsTheRerun, RerunsDirectReadersOnly])
+class SkipsUnlessItGrows(ReplicaStore):
+    """A planted fault: a stored value re-runs the steps it feeds only
+    when it exceeds what its register held, so a value that falls skips
+    them as one that repeats does."""
+
+    def _store(self, sid, value):
+        if value > self.regs[sid]:
+            super()._store(sid, value)
+        else:
+            self.regs[sid] = value
+
+
+@pytest.mark.parametrize("fault", [SkipsTheRerun, RerunsDirectReadersOnly, SkipsUnlessItGrows])
 def test_the_interleavings_catch_a_planted_fault(fault):
     assert any(first_disagreement(app, seed, fault)
                for app in INTERLEAVED_APPS.values() for seed in range(30))

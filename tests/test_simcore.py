@@ -559,18 +559,57 @@ def test_rate_estimate_states_take_no_scalar_writes():
     assert (store.writes[sid], store.local_value(sid, sim.t_now)) == before == (54, 67)
 
 
-@pytest.mark.parametrize("fed_on", ["ingress", "egress"])
+def watch_beside_a_remote_state():
+    """hA - sw - hB, with sw2 hanging off sw, and WATCH's trigger reading
+    the sum of `rate`, measured at sw, and the scalar `load`, written at
+    sw2; both states are replicated on both switches. Returns the
+    simulator and the link over which sw receives `load`'s updates."""
+    links = [Link("hA", "sw", MS, 1_000_000_000), Link("sw", "sw2", MS, 1_000_000_000),
+             Link("sw", "hB", MS, 1_000_000_000)]
+    topo = Topology(("sw", "sw2"), ("hA", "hB"), links)
+    states = (StateSpec("rate", ScopeFilter(), ValueKind.rate_estimate(), target_hint="sw"),
+              StateSpec("load", ScopeFilter(), ValueKind.scalar(), target_hint="sw2"))
+    total = ReductionSpec("total", ReductionKind.SUM, ("rate", "load"))
+    watch = TriggerSpec("by_rate", "total", Predicate.greater_than(50),
+                        InconsistencySpec.time_obsolescence(0.05), "alert")
+    app = ApplicationSpec("watch", states, (total,), (watch,), WATCH.activities)
+    dag = build_dag(app)
+    program = compile_application(dag)
+    req = replication_requirements(dag)
+    placement = place_replicas(topo, EmbeddingConfig(2), program, req)
+    assert placement.nodes == {"rate": ("sw", "sw2"), "load": ("sw", "sw2")}
+    sim = Simulator(topo, t_end_s=0.3)
+    sim.install_app(program, placement, build_replication_plan(topo, placement, req, 100.0))
+    return sim, sim.switch_rt["sw2"].ports["sw"]
+
+
+@pytest.mark.parametrize("fed_on", ["ingress", "egress", "update"])
 def test_a_change_trigger_sees_a_bucket_close_on_the_first_ns_of_its_tick(fed_on):
-    sim = Simulator(line_topo(capacity_bps=1_000_000_000), t_end_s=0.3)
     egress = fed_on == "egress"
-    install(sim, WATCH, egress_observers={"rate": "hB"} if egress else None)
+    if fed_on == "update":
+        sim, link = watch_beside_a_remote_state()
+    else:
+        sim = Simulator(line_topo(capacity_bps=1_000_000_000), t_end_s=0.3)
+        install(sim, WATCH, egress_observers={"rate": "hB"} if egress else None)
     # From 0.1 s on a packet reaches sw every 1 ms, so one lands on each
-    # multiple of the estimator's 100 ms delta.
-    sim.add_flow("f", "hA", "hB", 1000, False, [(0.098999, 1000.0)], stop_s=0.3,
+    # multiple of the estimator's 100 ms delta. In the update case the
+    # last one reaches sw at 0.199 s, and at 0.2 s, before anything else,
+    # an update of `load` that leaves its register as it was.
+    sim.add_flow("f", "hA", "hB", 1000, False, [(0.098999, 1000.0)],
+                 stop_s=0.1985 if fed_on == "update" else 0.3,
                  monitor=None if egress else "sw")
+    if fed_on == "update":
+        hdr = UpdateHeader(sim.switch_rt["sw2"].sw_id, 0, sim._registers["load"], 1, 0)
+        sim._schedule(200_000_000, link, Packet(-1000, -1, None, update_frame_bits(1), True,
+                                                hdr, 200_000_000))
     log = sim.run_until()
+    if fed_on == "update":
+        # It was applied at 0.2 s, and no update of `load` held anything
+        # but 0.
+        assert (200_000_000, 200_000_000) in {(row[0], row[0] - row[4]) for row in log.applied}
+        assert sim.switch_rt["sw"].store.regs[sim._registers["load"]] == 0
     # The bucket that closes at 0.2 s holds 100 packets: 125 a second.
-    assert log.detections == [(200_000_000, "sw", "by_rate", 125)]
+    assert [d for d in log.detections if d[1] == "sw"] == [(200_000_000, "sw", "by_rate", 125)]
 
 
 def three_switch_line():
@@ -1776,6 +1815,24 @@ def test_stores_run_their_steps_once_a_tick_and_time_triggers_are_asked_when_due
         tick = store.tick_end(0)
         assert runs[id(store.regs)] <= (1 if tick == math.inf else sim.t_end_ns // tick + 1)
     assert sum(runs.values()) > len(stores)
+
+
+@pytest.mark.parametrize("path, replicas", [(FIG7, 1), (FIG7, 4), (FIG8, None)],
+                         ids=["fig7_c1", "fig7_c4", "fig8"])
+def test_an_untraced_run_builds_packets_only_for_its_update_frames(path, replicas):
+    # Every packet of a flow is one of its two records, built when the
+    # run starts; the measurement stage goes on with the second instead
+    # of readdressing the first, so no record is ever written.
+    sim = build_simulation(parse_scenario(path), replicas=replicas, t_end_s=10.0).sim
+    sim._build_log()
+    with counting(simcore, "Packet") as made:
+        log = sim.run_until()
+    assert made[0] == log.updates_emitted
+    assert sum(log.flow_delivered) > 1000 and (replicas == 1) == (log.updates_emitted == 0)
+    for fl in sim.flows:
+        sent, measured = fl.packet, fl.packet.measured
+        assert (sent.to, measured.to) == (fl.monitor or fl.dst, fl.dst), fl.name
+        assert (sent.flow, measured.flow) == (fl.row, fl.row), fl.name
 
 
 def record_arrivals(sim):
